@@ -16,10 +16,9 @@ from .syntactic import (SyntacticProfile, TfidfModel, build_profile,
                         build_tfidf, format_pattern, jaccard, name_qgrams,
                         value_terms)
 from .search import (AttributeMatch, IndexConfig, QueryResult, RankedTable,
-                     ScoreDistribution, SearchConfig, SearchEngine,
-                     attribute_unionability, build_engine, cdf_weight,
-                     match_attributes, table_unionability, top_k_search,
-                     write_results)
+                     SearchConfig, SearchEngine, attribute_unionability,
+                     build_engine, match_attributes, table_unionability,
+                     top_k_search, write_results)
 from .bench import (BenchmarkSpec, GroundTruth, brute_force_search,
                     evaluate_engine, generate_benchmark,
                     precision_recall_at_k, timing_harness)

@@ -18,7 +18,6 @@ import csv
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -232,16 +231,6 @@ def brute_force_search(engine: SearchEngine, query_table: Table,
                        cfg: SearchConfig) -> QueryResult:
     """Exhaustive oracle: identical scoring path, no candidate pruning."""
     return top_k_search(engine, query_table, replace(cfg, exhaustive=True))
-
-
-def time_indexing(build: Callable[[], SearchEngine]
-                  ) -> tuple[SearchEngine, tuple[str, float, float]]:
-    """Build an engine under the monotonic clock; mean is per indexed column."""
-    start = time.perf_counter()
-    engine = build()
-    total = time.perf_counter() - start
-    n = engine.semantic_index.size
-    return engine, ("index", total, total / n if n else 0.0)
 
 
 def timing_harness(engine: SearchEngine, query_tables: list[Table],

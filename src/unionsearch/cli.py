@@ -9,18 +9,16 @@ fixed taxonomy so harness scripts can branch on them: 2 for bad input,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
-from typing import Callable
 
 from . import bench, contrast, modelfile, search
 from .corpus import (Corpus, load_csv, load_manifest, write_manifest,
                      write_table_csv)
 from .encoder import Encoder, EncoderConfig, HASHING_BACKEND
 from .errors import ConfigError, InputError, NumericError, UnionSearchError
+from .modelfile import atomic_write
 from .projection import TrainConfig, init_head
 from .seeding import derive_seed, rng_for
 from .syntactic import ALL_MEASURES, FORMAT, NAME, SEMANTIC, VALUE
@@ -53,22 +51,6 @@ def parse_measures(text: str) -> tuple[str, ...]:
     if not chosen:
         raise ConfigError("no measures given")
     return tuple(m for m in ALL_MEASURES if m in chosen)
-
-
-def _atomic_output(path: str | Path, write_func: Callable[[str], None]) -> None:
-    """Run a path-taking writer against a temp file, then rename into place."""
-    path = Path(path)
-    parent = path.parent if str(path.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=path.name + ".",
-                               suffix=".tmp")
-    os.close(fd)
-    try:
-        write_func(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _parse_k_list(text: str) -> list[int]:
@@ -107,8 +89,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             print(f"loaded {len(pairs)} cached pairs from {pairs_path}")
         else:
             pairs = contrast.build_offline_pairs(corpus, floor=tc.offline_floor)
-            _atomic_output(pairs_path,
-                           lambda p: contrast.write_offline_pairs(p, pairs))
+            atomic_write(pairs_path,
+                         lambda p: contrast.write_offline_pairs(p, pairs))
             print(f"built and cached {len(pairs)} pairs at {pairs_path}")
 
     start = time.perf_counter()
@@ -120,10 +102,10 @@ def cmd_train(args: argparse.Namespace) -> int:
                                    train_config=tc, strategy=args.strategy,
                                    best_epoch=result.best_epoch,
                                    velocity=result.velocity)
-    _atomic_output(args.out, lambda p: modelfile.save_model(p, bundle))
+    modelfile.save_model(args.out, bundle)
     loss_path = Path(args.loss_out or f"{args.out}.loss.csv")
-    _atomic_output(loss_path,
-                   lambda p: contrast.write_loss_history(p, result.history))
+    atomic_write(loss_path,
+                 lambda p: contrast.write_loss_history(p, result.history))
     print(f"trained {args.epochs} epochs in {elapsed:.1f}s; "
           f"best epoch {result.best_epoch}")
     print(f"model: {args.out}")
@@ -143,7 +125,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     engine = search.build_engine(corpus, encoder, bundle.head, icfg)
     elapsed = time.perf_counter() - start
-    _atomic_output(args.out, lambda p: modelfile.save_index(p, bundle, engine))
+    modelfile.save_index(args.out, bundle, engine)
     n = engine.semantic_index.size
     print(f"indexed {n} of {corpus.column_count} columns "
           f"in {elapsed:.1f}s ({elapsed / 60:.1f} min)")
@@ -160,7 +142,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     for qpath in args.query:
         table = load_csv(qpath)
         results.append(search.top_k_search(engine, table, cfg))
-    _atomic_output(args.out, lambda p: search.write_results(p, results))
+    atomic_write(args.out, lambda p: search.write_results(p, results))
     total = sum(len(r.ranked) for r in results)
     print(f"{len(results)} queries, {total} ranked candidates")
     print(f"results: {args.out}")
@@ -180,7 +162,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         order = rng_for(args.seed, "sample-queries").permutation(len(query_ids))
         query_ids = sorted(query_ids[i] for i in order[:args.sample_queries])
     rows = bench.evaluate_engine(engine, corpus, truth, cfg, ks, query_ids)
-    _atomic_output(args.out, lambda p: bench.write_metrics(p, rows))
+    atomic_write(args.out, lambda p: bench.write_metrics(p, rows))
     for k, p, r in rows:
         print(f"k={k}: precision={p:.4f} recall={r:.4f}")
     print(f"metrics: {args.out}")
@@ -201,11 +183,11 @@ def cmd_benchgen(args: argparse.Namespace) -> int:
     entries = []
     for table in corpus.tables:
         rel = f"tables/{table.table_id}.csv"
-        _atomic_output(out_dir / rel, lambda p, t=table: write_table_csv(p, t))
+        atomic_write(out_dir / rel, lambda p, t=table: write_table_csv(p, t))
         entries.append((table.table_id, rel))
-    _atomic_output(out_dir / "manifest.tsv",
-                   lambda p: write_manifest(p, entries))
-    _atomic_output(out_dir / "truth.csv", lambda p: bench.write_truth(p, truth))
+    atomic_write(out_dir / "manifest.tsv",
+                 lambda p: write_manifest(p, entries))
+    atomic_write(out_dir / "truth.csv", lambda p: bench.write_truth(p, truth))
     n_pairs = sum(len(v) for v in truth.values())
     print(f"{len(corpus.tables)} tables, {corpus.column_count} columns, "
           f"{n_pairs} truth pairs")

@@ -147,15 +147,18 @@ class Encoder:
             return ["_".join(tokens)]
         return tokens
 
+    def _token_mean(self, tokens: list[str]) -> np.ndarray:
+        acc = np.zeros(self.cfg.dim)
+        for t in tokens:
+            acc += self.embed_token(t)
+        return acc / len(tokens)
+
     def embed_cell(self, cell: str) -> np.ndarray:
         """Mean of the cell's token embeddings; zero vector if token-less."""
         tokens = self._cell_tokens(cell)
         if not tokens:
             return np.zeros(self.cfg.dim)
-        acc = np.zeros(self.cfg.dim)
-        for t in tokens:
-            acc += self.embed_token(t)
-        return acc / len(tokens)
+        return self._token_mean(tokens)
 
     def embed_column(self, values: list[str]) -> np.ndarray:
         """Mean of non-empty cell embeddings.
@@ -166,16 +169,10 @@ class Encoder:
         acc = np.zeros(self.cfg.dim)
         n = 0
         for cell in values:
-            if cell == "":
-                continue
             tokens = self._cell_tokens(cell)
-            if not tokens:
-                continue
-            cell_vec = np.zeros(self.cfg.dim)
-            for t in tokens:
-                cell_vec += self.embed_token(t)
-            acc += cell_vec / len(tokens)
-            n += 1
+            if tokens:
+                acc += self._token_mean(tokens)
+                n += 1
         if n == 0:
             raise EmptyColumnError("no cell in the column yields any token")
         return acc / n

@@ -10,17 +10,23 @@ an exact rescoring, so the index can lose recall but never precision:
 * MinHashIndex: min-wise signatures for token sets under universal hashing
   h_i(x) = (a_i * x + b_i) mod p, banded the same way; a single slot
   matches with probability equal to the Jaccard similarity.
+
+State is held once. A cosine index keeps one float32 row per key in a
+single matrix, plus the same rows as float64 unit vectors for scoring. A
+min-hash index keeps no copy of its token sets: ``token_sets`` maps each
+key to the frozenset the caller inserted, which in a search engine is the
+column's ``SyntacticProfile`` set. Exact scores come from those rows and
+sets; buckets only choose which keys get scored.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import ColumnKey
 from .errors import ConfigError, DuplicateKeyError, InputError, NumericError
 from .seeding import rng_for, stable_token_hash
+from .syntactic import jaccard
 
 MERSENNE_P = (1 << 31) - 1   # prime modulus; products stay below 2**62
 
@@ -33,7 +39,12 @@ def _band_check(n_total: int, n_bands: int, rows_per_band: int, kind: str) -> No
 
 
 class CosineLshIndex:
-    """Random-hyperplane index over fixed-dimension vectors."""
+    """Random-hyperplane index over fixed-dimension vectors.
+
+    Vectors live in one float32 matrix, one row per key in insertion order,
+    with a float64 matrix of the same rows scaled to unit length next to it
+    for scoring. Buckets hold keys; ``_rows`` maps each key to its row.
+    """
 
     def __init__(self, dim: int, n_planes: int = 256, n_bands: int = 32,
                  rows_per_band: int = 8, seed: int = 0,
@@ -55,15 +66,49 @@ class CosineLshIndex:
         self.planes = planes
         self.buckets: list[dict[bytes, list[ColumnKey]]] = [
             {} for _ in range(n_bands)]
-        self.vectors: dict[ColumnKey, np.ndarray] = {}
-        self._units: dict[ColumnKey, np.ndarray] = {}
+        self._rows: dict[ColumnKey, int] = {}
+        # Capacity grows by doubling; rows past size are unused.
+        self._matrix = np.empty((0, dim), dtype=np.float32)
+        self._normed = np.empty((0, dim), dtype=np.float64)
 
     @property
     def size(self) -> int:
-        return len(self.vectors)
+        return len(self._rows)
 
     def keys(self) -> list[ColumnKey]:
-        return sorted(self.vectors)
+        return sorted(self._rows)
+
+    def vector(self, key: ColumnKey) -> np.ndarray:
+        """The stored float32 vector of key, as a read-only row view."""
+        try:
+            row = self._matrix[self._rows[key]]
+        except KeyError:
+            raise InputError(f"unknown key {key!r} in cosine index") from None
+        row.flags.writeable = False
+        return row
+
+    def matrix(self, keys: list[ColumnKey]) -> np.ndarray:
+        """Stored float32 vectors of keys, one row each, in the given order."""
+        return self._matrix[[self._rows[k] for k in keys]]
+
+    def load_rows(self, keys: list[ColumnKey], matrix: np.ndarray) -> None:
+        """Adopt stored vectors: row i of matrix belongs to keys[i].
+
+        Fills the vector state only; the caller restores the buckets.
+        """
+        if matrix.shape != (len(keys), self.dim):
+            raise InputError(f"vector matrix shape {matrix.shape} != "
+                             f"{(len(keys), self.dim)}")
+        normed = np.empty(matrix.shape, dtype=np.float64)
+        for i, key in enumerate(keys):
+            v = matrix[i].astype(np.float64)
+            norm = np.linalg.norm(v)
+            if norm == 0.0:
+                raise InputError(f"zero-norm stored vector for key {key}")
+            normed[i] = v / norm
+        self._rows = {key: i for i, key in enumerate(keys)}
+        self._matrix = np.asarray(matrix, dtype=np.float32)
+        self._normed = normed
 
     def signature(self, vector: np.ndarray) -> np.ndarray:
         """P sign bits as uint8; a dot product of exactly zero counts as 1."""
@@ -82,7 +127,7 @@ class CosineLshIndex:
         return [np.packbits(row).tobytes() for row in per_band]
 
     def insert(self, key: ColumnKey, vector: np.ndarray) -> None:
-        if key in self.vectors:
+        if key in self._rows:
             raise DuplicateKeyError(f"key already indexed: {key}")
         v = self._prepare(vector)
         norm = np.linalg.norm(v)
@@ -91,28 +136,15 @@ class CosineLshIndex:
         bits = self.signature(v)
         for band, bkey in enumerate(self._band_keys(bits)):
             self.buckets[band].setdefault(bkey, []).append(key)
-        self.vectors[key] = np.asarray(vector, dtype=np.float32)
-        self._units[key] = v / norm
-
-    def _unit(self, key: ColumnKey) -> np.ndarray:
-        # Rebuilds the cache after a load that populated .vectors directly.
-        u = self._units.get(key)
-        if u is None:
-            v = self.vectors.get(key)
-            if v is None:
-                raise InputError(f"unknown key {key!r} in cosine index")
-            v = v.astype(np.float64)
-            u = v / np.linalg.norm(v)
-            self._units[key] = u
-        return u
-
-    def rebuild_buckets(self) -> None:
-        """Recompute band buckets from stored vectors (after deserialization)."""
-        self.buckets = [{} for _ in range(self.n_bands)]
-        for key in sorted(self.vectors):
-            bits = self.signature(self.vectors[key])
-            for band, bkey in enumerate(self._band_keys(bits)):
-                self.buckets[band].setdefault(bkey, []).append(key)
+        row = len(self._rows)
+        if row == len(self._matrix):
+            grown = max(64, 2 * row)
+            self._matrix = np.resize(self._matrix, (grown, self.dim))
+            self._normed = np.resize(self._normed, (grown, self.dim))
+        # v holds the float32 values widened, so this copy is exact.
+        self._matrix[row] = v
+        self._normed[row] = v / norm
+        self._rows[key] = row
 
     def lookup(self, vector: np.ndarray, threshold: float
                ) -> list[tuple[ColumnKey, float]]:
@@ -125,38 +157,25 @@ class CosineLshIndex:
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise NumericError("zero-norm query vector")
-        uq = v / norm
         bits = self.signature(v)
         candidates: set[ColumnKey] = set()
         for band, bkey in enumerate(self._band_keys(bits)):
             candidates.update(self.buckets[band].get(bkey, ()))
-        return self._rescore(uq, sorted(candidates), threshold)
-
-    def scan(self, vector: np.ndarray, threshold: float
-             ) -> list[tuple[ColumnKey, float]]:
-        """Exhaustive variant of lookup: every stored key is a candidate."""
-        v = self._prepare(vector)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise NumericError("zero-norm query vector")
-        return self._rescore(v / norm, sorted(self.vectors), threshold)
-
-    def _rescore(self, unit_query: np.ndarray, keys: list[ColumnKey],
-                 threshold: float) -> list[tuple[ColumnKey, float]]:
-        if not keys:
+        if not candidates:
             return []
-        units = np.stack([self._unit(k) for k in keys])
-        scores = units @ unit_query
+        keys = sorted(candidates)
+        scores = self._normed[[self._rows[k] for k in keys]] @ (v / norm)
         hits = [(k, float(s)) for k, s in zip(keys, scores) if s >= threshold]
         hits.sort(key=lambda kv: (-kv[1], kv[0]))
         return hits
 
-    def cosine(self, key_a: ColumnKey, key_b: ColumnKey) -> float:
-        return float(self._unit(key_a) @ self._unit(key_b))
-
 
 class MinHashIndex:
-    """Banded min-hash index over token sets, with exact Jaccard rescoring."""
+    """Banded min-hash index over token sets, with exact Jaccard rescoring.
+
+    A frozenset passed to insert is kept as is, not copied, so the index
+    and the profile it came from share one set.
+    """
 
     def __init__(self, n_perms: int = 128, n_bands: int = 32,
                  rows_per_band: int = 4, seed: int = 0):
@@ -202,13 +221,6 @@ class MinHashIndex:
             self.buckets[band].setdefault(bkey, []).append(key)
         self.token_sets[key] = frozenset(tokens)
 
-    def rebuild_buckets(self) -> None:
-        self.buckets = [{} for _ in range(self.n_bands)]
-        for key in sorted(self.token_sets):
-            sig = self.signature(self.token_sets[key])
-            for band, bkey in enumerate(self._band_keys(sig)):
-                self.buckets[band].setdefault(bkey, []).append(key)
-
     def lookup(self, tokens: frozenset[str] | set[str], threshold: float
                ) -> list[tuple[ColumnKey, float]]:
         """Bucket collisions rescored with exact Jaccard; (-score, key) order."""
@@ -218,30 +230,11 @@ class MinHashIndex:
         candidates: set[ColumnKey] = set()
         for band, bkey in enumerate(self._band_keys(sig)):
             candidates.update(self.buckets[band].get(bkey, ()))
-        return self._rescore(frozenset(tokens), sorted(candidates), threshold)
-
-    def scan(self, tokens: frozenset[str] | set[str], threshold: float
-             ) -> list[tuple[ColumnKey, float]]:
-        if not tokens:
-            return []
-        return self._rescore(frozenset(tokens), sorted(self.token_sets), threshold)
-
-    def _rescore(self, query: frozenset[str], keys: list[ColumnKey],
-                 threshold: float) -> list[tuple[ColumnKey, float]]:
+        query = frozenset(tokens)
         hits = []
-        for key in keys:
-            stored = self.token_sets[key]
-            union = len(query | stored)
-            score = len(query & stored) / union if union else 0.0
+        for key in sorted(candidates):
+            score = jaccard(query, self.token_sets[key])
             if score >= threshold:
                 hits.append((key, score))
         hits.sort(key=lambda kv: (-kv[1], kv[0]))
         return hits
-
-    def jaccard(self, key_a: ColumnKey, key_b: ColumnKey) -> float:
-        for key in (key_a, key_b):
-            if key not in self.token_sets:
-                raise InputError(f"unknown key {key!r} in token index")
-        a, b = self.token_sets[key_a], self.token_sets[key_b]
-        union = len(a | b)
-        return len(a & b) / union if union else 0.0

@@ -4,10 +4,25 @@ One little-endian container with a 4-byte magic, a version byte, and a kind
 byte. A model file carries the encoder configuration, the tokenizer id, the
 projection head (parameters row-major as 32-bit floats), the loss
 temperature, and every RNG seed needed to reproduce a run. An index file is
-the same model section followed by the full query-side state: hyperplanes,
-band configuration, canonical buckets with explicit counts, stored vectors
-and token sets, per-column syntactic profiles, and the corpus document
-frequencies. Saves are atomic (temp file + rename); loads validate magic,
+the same model section followed by the full query-side state, version 2
+laid out as:
+
+1. the index configuration;
+2. the key table: every indexed column key, sorted; later sections name a
+   column by its position in this table;
+3. the cosine index: dimension, seed, hyperplanes, then every stored
+   vector as one float32 matrix whose row i belongs to key i, then the
+   band buckets;
+4. the syntactic profiles, one per key in key-table order: name q-grams,
+   value terms, format patterns;
+5. the name and the value min-hash index, each its parameters, its member
+   key ids and its band buckets;
+6. the corpus document frequencies.
+
+Each token set is stored once, in its profile (4); a loaded min-hash index
+points at the profile's own sets. Buckets are written canonically (sorted
+bucket keys, sorted members) with explicit counts. Version 1 files are
+rejected. Saves are atomic (temp file + rename); loads validate magic,
 version, and kind before reading anything else.
 """
 
@@ -18,6 +33,7 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +46,7 @@ from .search import IndexConfig, SearchEngine
 from .syntactic import SyntacticProfile, TfidfModel
 
 MAGIC = b"PYLN"
-VERSION = 1
+VERSION = 2
 KIND_MODEL = 1
 KIND_INDEX = 2
 
@@ -130,13 +146,18 @@ class _Reader:
                              "trailing bytes")
 
 
-def _atomic_write(path: str | Path, data: bytes) -> None:
+def atomic_write(path: str | Path, write: Callable[[str], None]) -> None:
+    """Run a path-taking writer against a temp file, then rename into place.
+
+    If the writer fails, the temp file is removed and the target is left
+    as it was.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=path.name + ".", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                               suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -267,17 +288,20 @@ def _write_minhash(w: _Writer, index: MinHashIndex,
     w.u32(len(members))
     for key in members:
         w.u32(key_ids[key])
-        _write_token_set(w, index.token_sets[key])
     _write_buckets(w, index.buckets, key_ids)
 
 
-def _read_minhash(r: _Reader, keys: list[ColumnKey]) -> MinHashIndex:
+def _read_minhash(r: _Reader, keys: list[ColumnKey],
+                  sets: list[frozenset[str]]) -> MinHashIndex:
+    """A min-hash index whose member ids name keys[i], token set sets[i]."""
     n_perms, n_bands, rows = r.u32(), r.u32(), r.u32()
     index = MinHashIndex(n_perms=n_perms, n_bands=n_bands,
                          rows_per_band=rows, seed=r.u64())
     for _ in range(r.u32()):
-        key = keys[r.u32()]
-        index.token_sets[key] = _read_token_set(r)
+        i = r.u32()
+        if i >= len(keys) or not sets[i]:
+            raise InputError(f"{r.path}: bad token index member id {i}")
+        index.token_sets[keys[i]] = sets[i]
     index.buckets = _read_buckets(r, keys)
     return index
 
@@ -297,20 +321,17 @@ def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
     w.u32(sem.dim)
     w.u64(sem.seed)
     w.f32_array(sem.planes)
-    w.u32(len(sem.vectors))
-    for key in sorted(sem.vectors):
-        w.u32(key_ids[key])
-        w.f32_array(sem.vectors[key])
+    w.f32_array(sem.matrix(keys))
     _write_buckets(w, sem.buckets, key_ids)
-
-    _write_minhash(w, engine.name_index, key_ids)
-    _write_minhash(w, engine.value_index, key_ids)
 
     for key in keys:
         p = engine.profiles[key]
         _write_token_set(w, p.name_grams)
         _write_token_set(w, p.value_term_set)
         _write_token_set(w, p.format_set)
+
+    _write_minhash(w, engine.name_index, key_ids)
+    _write_minhash(w, engine.value_index, key_ids)
 
     w.u32(engine.tfidf.n_columns)
     w.u32(len(engine.tfidf.df))
@@ -332,19 +353,19 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
     sem = CosineLshIndex(dim=dim, n_planes=cfg.n_planes, n_bands=cfg.n_bands,
                          rows_per_band=cfg.rows_per_band, seed=sem_seed,
                          planes=planes)
-    for _ in range(r.u32()):
-        key = keys[r.u32()]
-        sem.vectors[key] = r.f32_array()
+    sem.load_rows(keys, r.f32_array())
     sem.buckets = _read_buckets(r, keys)
-
-    name_index = _read_minhash(r, keys)
-    value_index = _read_minhash(r, keys)
 
     profiles: dict[ColumnKey, SyntacticProfile] = {}
     for key in keys:
         profiles[key] = SyntacticProfile(
             column_key=key, name_grams=_read_token_set(r),
             value_term_set=_read_token_set(r), format_set=_read_token_set(r))
+
+    name_index = _read_minhash(r, keys,
+                               [profiles[k].name_grams for k in keys])
+    value_index = _read_minhash(r, keys,
+                                [profiles[k].value_term_set for k in keys])
 
     n_columns = r.u32()
     df = {r.text(): r.u32() for _ in range(r.u32())}
@@ -390,7 +411,8 @@ def _open(path: str | Path, expected_kind: int) -> _Reader:
 
 
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
-    _atomic_write(path, _serialize(KIND_MODEL, bundle, None))
+    data = _serialize(KIND_MODEL, bundle, None)
+    atomic_write(path, lambda tmp: Path(tmp).write_bytes(data))
 
 
 def load_model(path: str | Path) -> ModelBundle:
@@ -402,7 +424,8 @@ def load_model(path: str | Path) -> ModelBundle:
 
 def save_index(path: str | Path, bundle: ModelBundle,
                engine: SearchEngine) -> None:
-    _atomic_write(path, _serialize(KIND_INDEX, bundle, engine))
+    data = _serialize(KIND_INDEX, bundle, engine)
+    atomic_write(path, lambda tmp: Path(tmp).write_bytes(data))
 
 
 def load_index(path: str | Path) -> tuple[ModelBundle, SearchEngine]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,27 +72,6 @@ class SearchConfig:
 
     def ordered_measures(self) -> tuple[str, ...]:
         return tuple(m for m in ALL_MEASURES if m in self.measures)
-
-
-@dataclass
-class ScoreDistribution:
-    """Sorted surviving scores of one query column; weights are CDF positions."""
-
-    scores: np.ndarray   # ascending float64
-
-    @classmethod
-    def from_scores(cls, scores: list[float]) -> "ScoreDistribution":
-        return cls(scores=np.sort(np.asarray(scores, dtype=np.float64)))
-
-    def weight(self, score: float) -> float:
-        n = self.scores.size
-        if n == 0:
-            raise InputError("empty score distribution has no percentiles")
-        return bisect_right(self.scores, score) / n
-
-
-def cdf_weight(score: float, distribution: ScoreDistribution) -> float:
-    return distribution.weight(score)
 
 
 @dataclass
@@ -212,20 +191,20 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
 
 @dataclass
 class _ColumnPairs:
-    """One query column's surviving candidate pairs and score distribution."""
+    """One query column's surviving candidate pairs, each with its weight."""
 
     query_position: int
-    pair_scores: dict[ColumnKey, float]
-    distribution: ScoreDistribution
+    pairs: dict[ColumnKey, tuple[float, float]]   # key -> (score, weight)
 
 
 def _gather_candidates(engine: SearchEngine, cfg: SearchConfig,
                        qvec: np.ndarray | None,
-                       qprofile: SyntacticProfile) -> set[ColumnKey]:
+                       qprofile: SyntacticProfile) -> list[ColumnKey]:
+    """Keys to score, sorted."""
     if cfg.exhaustive:
         # The oracle pool is every indexed column, so it also scores pairs
         # no generating measure would have surfaced on its own.
-        return set(engine.semantic_index.vectors)
+        return engine.semantic_index.keys()
     t = cfg.threshold
     candidates: set[ColumnKey] = set()
     if SEMANTIC in cfg.measures and qvec is not None:
@@ -236,7 +215,7 @@ def _gather_candidates(engine: SearchEngine, cfg: SearchConfig,
     if VALUE in cfg.measures and qprofile.value_term_set:
         candidates.update(
             k for k, _ in engine.value_index.lookup(qprofile.value_term_set, t))
-    return candidates
+    return sorted(candidates)
 
 
 def _pair_score(engine: SearchEngine, cfg: SearchConfig,
@@ -245,7 +224,7 @@ def _pair_score(engine: SearchEngine, cfg: SearchConfig,
     parts = []
     for measure in cfg.ordered_measures():
         if measure == SEMANTIC:
-            stored = engine.semantic_index.vectors[key]
+            stored = engine.semantic_index.vector(key)
             parts.append(attribute_unionability(qvec, stored))
         else:
             func = syntactic.SYNTACTIC_FUNCS[measure]
@@ -258,18 +237,19 @@ def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
     qvec = (engine.project_column(column)
             if SEMANTIC in cfg.measures else None)
     qprofile = engine.query_profile(column)
-    candidates = _gather_candidates(engine, cfg, qvec, qprofile)
     pair_scores: dict[ColumnKey, float] = {}
-    for key in sorted(candidates):
+    for key in _gather_candidates(engine, cfg, qvec, qprofile):
         score = _pair_score(engine, cfg, qvec, qprofile, key)
         if score >= cfg.threshold:
             pair_scores[key] = score
-    # The weighting distribution sees every surviving score, the query
-    # table's own columns included — self matches are excluded from the
-    # ranking only after weights are fixed.
-    distribution = ScoreDistribution.from_scores(list(pair_scores.values()))
-    return _ColumnPairs(query_position=column.position,
-                        pair_scores=pair_scores, distribution=distribution)
+    # A pair's weight is the inclusive empirical CDF position of its score
+    # among every surviving score, the query table's own columns included —
+    # self matches are excluded from the ranking only after weights are
+    # fixed.
+    ranked = sorted(pair_scores.values())
+    pairs = {key: (score, bisect_right(ranked, score) / len(ranked))
+             for key, score in pair_scores.items()}
+    return _ColumnPairs(query_position=column.position, pairs=pairs)
 
 
 def top_k_search(engine: SearchEngine, query_table: Table,
@@ -284,13 +264,11 @@ def top_k_search(engine: SearchEngine, query_table: Table,
 
     by_table: dict[str, dict[tuple[int, int], tuple[float, float]]] = {}
     for cp in per_column:
-        for key, score in cp.pair_scores.items():
-            table_id, cpos = key
+        for (table_id, cpos), score_weight in cp.pairs.items():
             if cfg.exclude_self and table_id == query_table.table_id:
                 continue
-            weight = cp.distribution.weight(score)
             by_table.setdefault(table_id, {})[(cp.query_position, cpos)] = \
-                (score, weight)
+                score_weight
 
     ranked: list[RankedTable] = []
     for table_id in sorted(by_table):

@@ -10,7 +10,6 @@ from unionsearch.bench import (
     generate_benchmark,
     precision_recall_at_k,
     read_truth,
-    time_indexing,
     timing_harness,
     topic_of,
     write_metrics,
@@ -242,11 +241,8 @@ def test_brute_force_is_search_oracle(small_world):
 
 # ---------------------------------------------------------------- timing
 
-def test_time_indexing_and_query_phases(small_world):
+def test_timing_harness_query_phases(small_world):
     engine, corpus, _ = small_world
-    built, row = time_indexing(lambda: engine)
-    assert built is engine
-    assert row[0] == "index" and row[1] >= 0.0
     rows = timing_harness(engine, corpus.tables[:2], SearchConfig(threshold=0.7))
     assert [r[0] for r in rows] == ["query", "query_exhaustive"]
     for _, total, per in rows:

@@ -1,7 +1,8 @@
 import pytest
 
 from unionsearch.cli import main, parse_measures
-from unionsearch.errors import ConfigError
+from unionsearch.errors import ConfigError, InputError
+from unionsearch.modelfile import load_index
 
 
 def run(*argv: str) -> int:
@@ -165,6 +166,19 @@ def test_query_missing_index_exit_2(workspace, tmp_path):
     assert run("query", "--index", str(tmp_path / "ghost.usi"),
                "--query", str(workspace / "bench" / "truth.csv"),
                "--out", str(tmp_path / "r.csv")) == 2
+
+
+def test_query_version_1_index_exit_2(workspace, tmp_path):
+    old = bytearray((workspace / "index.usi").read_bytes())
+    old[4] = 1  # the version byte, right after the 4-byte magic
+    path = tmp_path / "v1.usi"
+    path.write_bytes(bytes(old))
+    with pytest.raises(InputError, match="unsupported version 1"):
+        load_index(path)
+    table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
+    assert run("query", "--index", str(path), "--query", str(table),
+               "--out", str(tmp_path / "r.csv")) == 2
+    assert not (tmp_path / "r.csv").exists()
 
 
 # ---------------------------------------------------------------- eval

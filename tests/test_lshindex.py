@@ -3,6 +3,7 @@ import pytest
 
 from unionsearch.errors import ConfigError, DuplicateKeyError, InputError, NumericError
 from unionsearch.lshindex import CosineLshIndex, MinHashIndex
+from unionsearch.syntactic import jaccard
 
 from conftest import rotate_from, unit
 
@@ -119,10 +120,29 @@ def test_lookup_subset_of_scan():
         idx.insert(("t", i), rng.standard_normal(6))
     q = rng.standard_normal(6)
     got = dict(idx.lookup(q, threshold=0.3))
-    full = dict(idx.scan(q, threshold=0.3))
+    full = _brute_force_cosines(idx, q, threshold=0.3)
     assert set(got) <= set(full)
     for k, s in got.items():
-        assert s == full[k]
+        assert s == pytest.approx(full[k], abs=1e-12)
+
+
+def _brute_force_cosines(idx: CosineLshIndex, q, threshold: float) -> dict:
+    """Every stored row scored one at a time, as the exhaustive search does."""
+    qv = unit(np.asarray(q, dtype=np.float32))
+    scores = {k: float(unit(idx.vector(k)) @ qv) for k in idx.keys()}
+    return {k: s for k, s in scores.items() if s >= threshold}
+
+
+def test_insert_copies_the_callers_vector():
+    idx = CosineLshIndex(dim=8, seed=1)
+    rng = np.random.default_rng(29)
+    v = rng.standard_normal(8).astype(np.float32)
+    idx.insert(("t", 0), v)
+    q = v.copy()
+    before = idx.lookup(q, threshold=-1.0)
+    v[:] = -v  # the caller reuses its buffer
+    assert idx.lookup(q, threshold=-1.0) == before
+    np.testing.assert_array_equal(idx.vector(("t", 0)), q)
 
 
 def test_high_similarity_neighbors_retrieved():
@@ -159,9 +179,12 @@ def test_cosine_between_stored_keys():
     idx = CosineLshIndex(dim=5)
     idx.insert(("a", 0), np.array([1.0, 0, 0, 0, 0]))
     idx.insert(("b", 0), np.array([0.0, 2.0, 0, 0, 0]))
-    assert idx.cosine(("a", 0), ("b", 0)) == pytest.approx(0.0, abs=1e-12)
+    a, b = idx.vector(("a", 0)), idx.vector(("b", 0))
+    assert float(unit(a) @ unit(b)) == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_array_equal(b, [0.0, 2.0, 0, 0, 0])
+    assert not b.flags.writeable
     with pytest.raises(InputError):
-        idx.cosine(("a", 0), ("missing", 0))
+        idx.vector(("missing", 0))
 
 
 def test_dim_mismatch_rejected():
@@ -216,7 +239,8 @@ def test_minhash_jaccard_and_duplicate():
     idx = MinHashIndex()
     idx.insert(("a", 0), _range_set(0, 4))
     idx.insert(("b", 0), _range_set(2, 6))
-    assert idx.jaccard(("a", 0), ("b", 0)) == pytest.approx(2 / 6)
+    a, b = idx.token_sets[("a", 0)], idx.token_sets[("b", 0)]
+    assert jaccard(a, b) == pytest.approx(2 / 6)
     with pytest.raises(DuplicateKeyError):
         idx.insert(("a", 0), _range_set(0, 4))
 
@@ -236,5 +260,7 @@ def test_minhash_lookup_sorted_subset_of_scan():
     got = idx.lookup(q, threshold=0.3)
     scores = [s for _, s in got]
     assert scores == sorted(scores, reverse=True)
-    full = dict(idx.scan(q, threshold=0.3))
-    assert set(dict(got)) <= set(full)
+    full = {k: jaccard(q, idx.token_sets[k]) for k in idx.keys()}
+    assert set(dict(got)) <= {k for k, s in full.items() if s >= 0.3}
+    for k, s in got:
+        assert s == full[k]

@@ -9,6 +9,7 @@ from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.errors import InputError
 from unionsearch.modelfile import (
     ModelBundle,
+    atomic_write,
     load_index,
     load_model,
     save_index,
@@ -147,10 +148,11 @@ def test_index_roundtrip_preserves_structures(tmp_path, world):
     p = tmp_path / "engine.usi"
     save_index(p, _bundle(), engine)
     _, loaded = load_index(p)
-    assert set(loaded.semantic_index.vectors) == set(engine.semantic_index.vectors)
-    for key, vec in engine.semantic_index.vectors.items():
+    assert loaded.semantic_index.keys() == engine.semantic_index.keys()
+    for key in engine.semantic_index.keys():
+        vec = engine.semantic_index.vector(key)
         assert vec.dtype == np.float32
-        np.testing.assert_array_equal(loaded.semantic_index.vectors[key], vec)
+        np.testing.assert_array_equal(loaded.semantic_index.vector(key), vec)
     assert loaded.profiles == engine.profiles
     assert loaded.tfidf.df == engine.tfidf.df
     assert loaded.tfidf.n_columns == engine.tfidf.n_columns
@@ -165,6 +167,42 @@ def test_index_save_byte_stable(tmp_path, world):
     save_index(p1, _bundle(), engine)
     save_index(p2, _bundle(), engine)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_index_resave_of_loaded_index_byte_identical(tmp_path, world):
+    corpus, engine = world
+    p1, p2 = tmp_path / "a.usi", tmp_path / "b.usi"
+    save_index(p1, _bundle(), engine)
+    bundle, loaded = load_index(p1)
+    save_index(p2, bundle, loaded)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_loaded_token_indexes_share_profile_sets(tmp_path, world):
+    corpus, engine = world
+    p = tmp_path / "engine.usi"
+    save_index(p, _bundle(), engine)
+    for eng in (engine, load_index(p)[1]):
+        assert eng.name_index.size > 0 and eng.value_index.size > 0
+        for key, tokens in eng.name_index.token_sets.items():
+            assert tokens is eng.profiles[key].name_grams
+        for key, tokens in eng.value_index.token_sets.items():
+            assert tokens is eng.profiles[key].value_term_set
+
+
+def test_failed_write_keeps_old_target(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def half_then_fail(path: str) -> None:
+        with open(path, "w") as fh:
+            fh.write("new, partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(target, half_then_fail)
+    assert target.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv"]  # no *.tmp left
 
 
 def test_failed_save_leaves_no_partial_file(tmp_path, world):

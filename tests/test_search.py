@@ -12,12 +12,10 @@ from unionsearch.search import (
     IndexConfig,
     QueryResult,
     RankedTable,
-    ScoreDistribution,
     SearchConfig,
     SearchEngine,
     attribute_unionability,
     build_engine,
-    cdf_weight,
     match_attributes,
     table_unionability,
     top_k_search,
@@ -44,26 +42,6 @@ def test_attribute_unionability_clamped():
 def test_attribute_unionability_zero_vector():
     with pytest.raises(NumericError):
         attribute_unionability(np.zeros(3), np.ones(3))
-
-
-# ---------------------------------------------------------------- cdf weights
-
-def test_cdf_weight_examples():
-    dist = ScoreDistribution.from_scores([0.2, 0.4, 0.6, 0.8])
-    assert cdf_weight(0.6, dist) == pytest.approx(0.75)
-    assert cdf_weight(0.2, dist) == pytest.approx(0.25)
-    assert cdf_weight(0.8, dist) == pytest.approx(1.0)  # max score weighs 1
-    assert cdf_weight(0.1, dist) == pytest.approx(0.0)
-
-
-def test_cdf_weight_ties_inclusive():
-    dist = ScoreDistribution.from_scores([0.5, 0.5, 0.9])
-    assert cdf_weight(0.5, dist) == pytest.approx(2 / 3)
-
-
-def test_cdf_weight_empty_rejected():
-    with pytest.raises(InputError):
-        cdf_weight(0.5, ScoreDistribution.from_scores([]))
 
 
 # ---------------------------------------------------------------- greedy matching
@@ -202,6 +180,27 @@ def test_self_match_excluded_but_still_weighs():
     assert w_by_q[1] == pytest.approx(1 / 2)
     y = res.ranked[1]
     assert y.matches[0].weight == pytest.approx(1 / 3)
+
+
+def _weights_by_table(stored_cosines: dict[str, float]) -> dict[str, float]:
+    """Weight of each one-column table's pair with query column e0."""
+    e = np.eye(6)
+    stored = {(tid, 0): rotate_from(e[0], e[1 + i], cos)
+              for i, (tid, cos) in enumerate(stored_cosines.items())}
+    engine = VectorEngine(dim=6, stored=stored, queries={("q", 0): e[0]})
+    res = top_k_search(engine, make_table("q", {"c0": ["alpha"]}),
+                       SearchConfig(k=10, threshold=0.1, exhaustive=True))
+    return {r.candidate_table_id: r.matches[0].weight for r in res.ranked}
+
+
+def test_cdf_weight_examples():
+    w = _weights_by_table({"a": 0.2, "b": 0.4, "c": 0.6, "d": 0.8})
+    assert w == pytest.approx({"a": 0.25, "b": 0.5, "c": 0.75, "d": 1.0})
+
+
+def test_cdf_weight_ties_inclusive():
+    w = _weights_by_table({"a": 0.5, "b": 0.5, "c": 0.9})
+    assert w == pytest.approx({"a": 2 / 3, "b": 2 / 3, "c": 1.0})
 
 
 def test_self_match_included_when_disabled():
