@@ -274,7 +274,10 @@ def read_truth(path: str | Path) -> GroundTruth:
     if not rows or rows[0] != ["query_table_id", "answer_table_id"]:
         raise InputError(f"{path}: not a ground-truth file")
     truth: GroundTruth = {}
-    for qid, aid in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise InputError(f"{path}:{line}: expected 2 fields, got {row}")
+        qid, aid = row
         truth.setdefault(qid, set()).add(aid)
     return truth
 

@@ -98,7 +98,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                             strategy=args.strategy, pairs=pairs)
     elapsed = time.perf_counter() - start
 
-    bundle = modelfile.ModelBundle(encoder_config=enc_cfg, head=result.head,
+    bundle = modelfile.ModelBundle(encoder_config=encoder.cfg,
+                                   head=result.head,
                                    train_config=tc, strategy=args.strategy,
                                    best_epoch=result.best_epoch,
                                    velocity=result.velocity)

@@ -378,5 +378,12 @@ def read_offline_pairs(path: str | Path) -> list[OfflinePair]:
         raise InputError(f"cannot read pairs file {path}: {exc}") from exc
     if not rows or rows[0] != ["column_key_a", "column_key_b", "score"]:
         raise InputError(f"{path}: not an offline-pairs file")
-    return [OfflinePair(_parse_key(a), _parse_key(b), float(s))
-            for a, b, s in rows[1:]]
+    pairs = []
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            a, b, s = row
+            pairs.append(OfflinePair(_parse_key(a), _parse_key(b), float(s)))
+        except (ValueError, InputError) as exc:
+            raise InputError(f"{path}:{line}: bad pair row {row}: {exc}") \
+                from exc
+    return pairs

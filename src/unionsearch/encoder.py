@@ -17,7 +17,7 @@ the same values -> vector interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,12 +110,14 @@ class Encoder:
 
     def __init__(self, cfg: EncoderConfig):
         cfg.validate()
-        self.cfg = cfg
+        # An own copy: the vector file's dim replaces the configured one
+        # here, never in the caller's config.
+        self.cfg = replace(cfg)
         self._vectors: VectorTable | None = None
         self._cache: dict[str, np.ndarray] = {}
         if cfg.backend == VECTOR_FILE_BACKEND:
             self._vectors = load_vectors(cfg.vector_file_path)
-            cfg.dim = self._vectors.dim
+            self.cfg.dim = self._vectors.dim
 
     @property
     def dim(self) -> int:

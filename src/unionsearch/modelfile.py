@@ -4,30 +4,32 @@ One little-endian container with a 4-byte magic, a version byte, and a kind
 byte. A model file carries the encoder configuration, the tokenizer id, the
 projection head (parameters row-major as 32-bit floats), the loss
 temperature, and every RNG seed needed to reproduce a run. An index file is
-the same model section followed by the full query-side state, version 2
-laid out as:
+the same model section followed by the indexed columns, version 3 laid out
+as:
 
 1. the index configuration;
-2. the key table: every indexed column key, sorted; later sections name a
-   column by its position in this table;
-3. the cosine index: dimension, seed, hyperplanes, then every stored
-   vector as one float32 matrix whose row i belongs to key i, then the
-   band buckets;
+2. the key table: every indexed column key, sorted;
+3. every stored vector as one float32 matrix whose row i belongs to key i;
 4. the syntactic profiles, one per key in key-table order: name q-grams,
    value terms, format patterns;
-5. the name and the value min-hash index, each its parameters, its member
-   key ids and its band buckets;
-6. the corpus document frequencies.
+5. the corpus document frequencies.
 
-Each token set is stored once, in its profile (4); a loaded min-hash index
-points at the profile's own sets. Buckets are written canonically (sorted
-bucket keys, sorted members) with explicit counts. Version 1 files are
-rejected. Saves are atomic (temp file + rename); loads validate magic,
-version, and kind before reading anything else.
+The LSH indexes are not stored. Their hyperplanes and hash coefficients
+follow from the index configuration, the head's output dimension and the
+seeds derived from them, and their buckets from the columns; loading
+rebuilds all three by filing each column in key-table order, the way
+``build_engine`` does. A loaded min-hash index points at the profile's own
+token sets.
+
+Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
+check magic, version and kind, then the digest, before parsing anything
+else, so a truncated or corrupt file fails with InputError; versions 1 and
+2 are rejected. Saves are atomic (temp file + rename).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import tempfile
@@ -39,16 +41,16 @@ import numpy as np
 
 from .corpus import ColumnKey, TOKENIZER_ID
 from .encoder import Encoder, EncoderConfig
-from .errors import InputError
-from .lshindex import CosineLshIndex, MinHashIndex
+from .errors import ConfigError, InputError, NumericError
 from .projection import ProjectionHead, TrainConfig, Velocity
-from .search import IndexConfig, SearchEngine
+from .search import IndexConfig, SearchEngine, _file_column, _new_indexes
 from .syntactic import SyntacticProfile, TfidfModel
 
 MAGIC = b"PYLN"
-VERSION = 2
+VERSION = 3
 KIND_MODEL = 1
 KIND_INDEX = 2
+CHECKSUM_BYTES = 32
 
 _U64_MASK = (1 << 64) - 1
 
@@ -94,10 +96,6 @@ class _Writer:
             self.u32(d)
         self.parts.append(a.tobytes())
 
-    def blob(self, raw: bytes) -> None:
-        self.u32(len(raw))
-        self.parts.append(raw)
-
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
 
@@ -128,7 +126,10 @@ class _Reader:
         return struct.unpack("<d", self._take(8))[0]
 
     def text(self) -> str:
-        return self._take(self.u32()).decode("utf-8")
+        try:
+            return self._take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{self.path}: bad UTF-8 text: {exc}") from exc
 
     def f32_array(self) -> np.ndarray:
         ndim = self.u8()
@@ -136,9 +137,6 @@ class _Reader:
         count = int(np.prod(shape)) if shape else 1
         raw = self._take(count * 4)
         return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
-    def blob(self) -> bytes:
-        return self._take(self.u32())
 
     def expect_end(self) -> None:
         if self.pos != len(self.data):
@@ -231,41 +229,15 @@ def _read_model_section(r: _Reader) -> ModelBundle:
                        velocity=velocity, tokenizer_id=tokenizer_id)
 
 
-def _write_key_table(w: _Writer, keys: list[ColumnKey]) -> dict[ColumnKey, int]:
+def _write_key_table(w: _Writer, keys: list[ColumnKey]) -> None:
     w.u32(len(keys))
     for table_id, position in keys:
         w.text(table_id)
         w.u32(position)
-    return {key: i for i, key in enumerate(keys)}
 
 
 def _read_key_table(r: _Reader) -> list[ColumnKey]:
     return [(r.text(), r.u32()) for _ in range(r.u32())]
-
-
-def _write_buckets(w: _Writer, buckets: list[dict[bytes, list[ColumnKey]]],
-                   key_ids: dict[ColumnKey, int]) -> None:
-    w.u32(len(buckets))
-    for band in buckets:
-        w.u32(len(band))
-        for bkey in sorted(band):
-            w.blob(bkey)
-            members = sorted(band[bkey])
-            w.u32(len(members))
-            for m in members:
-                w.u32(key_ids[m])
-
-
-def _read_buckets(r: _Reader, keys: list[ColumnKey]
-                  ) -> list[dict[bytes, list[ColumnKey]]]:
-    bands = []
-    for _ in range(r.u32()):
-        band: dict[bytes, list[ColumnKey]] = {}
-        for _ in range(r.u32()):
-            bkey = r.blob()
-            band[bkey] = [keys[r.u32()] for _ in range(r.u32())]
-        bands.append(band)
-    return bands
 
 
 def _write_token_set(w: _Writer, tokens: frozenset[str]) -> None:
@@ -278,34 +250,6 @@ def _read_token_set(r: _Reader) -> frozenset[str]:
     return frozenset(r.text() for _ in range(r.u32()))
 
 
-def _write_minhash(w: _Writer, index: MinHashIndex,
-                   key_ids: dict[ColumnKey, int]) -> None:
-    w.u32(index.n_perms)
-    w.u32(index.n_bands)
-    w.u32(index.rows_per_band)
-    w.u64(index.seed)
-    members = index.keys()
-    w.u32(len(members))
-    for key in members:
-        w.u32(key_ids[key])
-    _write_buckets(w, index.buckets, key_ids)
-
-
-def _read_minhash(r: _Reader, keys: list[ColumnKey],
-                  sets: list[frozenset[str]]) -> MinHashIndex:
-    """A min-hash index whose member ids name keys[i], token set sets[i]."""
-    n_perms, n_bands, rows = r.u32(), r.u32(), r.u32()
-    index = MinHashIndex(n_perms=n_perms, n_bands=n_bands,
-                         rows_per_band=rows, seed=r.u64())
-    for _ in range(r.u32()):
-        i = r.u32()
-        if i >= len(keys) or not sets[i]:
-            raise InputError(f"{r.path}: bad token index member id {i}")
-        index.token_sets[keys[i]] = sets[i]
-    index.buckets = _read_buckets(r, keys)
-    return index
-
-
 def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
     cfg = engine.index_config
     for v in (cfg.n_planes, cfg.n_bands, cfg.rows_per_band,
@@ -315,23 +259,14 @@ def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
     w.u64(cfg.seed)
 
     keys = sorted(engine.profiles)
-    key_ids = _write_key_table(w, keys)
-
-    sem = engine.semantic_index
-    w.u32(sem.dim)
-    w.u64(sem.seed)
-    w.f32_array(sem.planes)
-    w.f32_array(sem.matrix(keys))
-    _write_buckets(w, sem.buckets, key_ids)
+    _write_key_table(w, keys)
+    w.f32_array(engine.semantic_index.matrix(keys))
 
     for key in keys:
         p = engine.profiles[key]
         _write_token_set(w, p.name_grams)
         _write_token_set(w, p.value_term_set)
         _write_token_set(w, p.format_set)
-
-    _write_minhash(w, engine.name_index, key_ids)
-    _write_minhash(w, engine.value_index, key_ids)
 
     w.u32(engine.tfidf.n_columns)
     w.u32(len(engine.tfidf.df))
@@ -347,14 +282,11 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
                       minhash_rows=vals[5], qgram=vals[6], top_terms=vals[7],
                       seed=r.u64())
     keys = _read_key_table(r)
-
-    dim, sem_seed = r.u32(), r.u64()
-    planes = r.f32_array()
-    sem = CosineLshIndex(dim=dim, n_planes=cfg.n_planes, n_bands=cfg.n_bands,
-                         rows_per_band=cfg.rows_per_band, seed=sem_seed,
-                         planes=planes)
-    sem.load_rows(keys, r.f32_array())
-    sem.buckets = _read_buckets(r, keys)
+    dim = bundle.head.dims[2]
+    matrix = r.f32_array()
+    if matrix.shape != (len(keys), dim):
+        raise InputError(f"{r.path}: vector matrix shape {matrix.shape} != "
+                         f"{(len(keys), dim)}")
 
     profiles: dict[ColumnKey, SyntacticProfile] = {}
     for key in keys:
@@ -362,20 +294,23 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
             column_key=key, name_grams=_read_token_set(r),
             value_term_set=_read_token_set(r), format_set=_read_token_set(r))
 
-    name_index = _read_minhash(r, keys,
-                               [profiles[k].name_grams for k in keys])
-    value_index = _read_minhash(r, keys,
-                                [profiles[k].value_term_set for k in keys])
-
     n_columns = r.u32()
     df = {r.text(): r.u32() for _ in range(r.u32())}
     tfidf = TfidfModel(df=df, n_columns=n_columns)
 
-    encoder = Encoder(bundle.encoder_config)
-    return SearchEngine(encoder=encoder, head=bundle.head,
-                        semantic_index=sem, name_index=name_index,
-                        value_index=value_index, profiles=profiles,
-                        tfidf=tfidf, index_config=cfg)
+    try:
+        encoder = Encoder(bundle.encoder_config)
+        indexes = _new_indexes(cfg, dim)
+        for key, vector in zip(keys, matrix):
+            _file_column(indexes, key, vector, profiles[key])
+    except (ConfigError, NumericError) as exc:
+        # Stored values the constructors reject are bad input all the same.
+        raise InputError(f"{r.path}: {exc}") from exc
+    return SearchEngine(encoder, bundle.head, *indexes, profiles, tfidf, cfg)
+
+
+def _checksum(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
 
 
 def _serialize(kind: int, bundle: ModelBundle,
@@ -388,10 +323,12 @@ def _serialize(kind: int, bundle: ModelBundle,
     if kind == KIND_INDEX:
         assert engine is not None
         _write_index_section(w, engine)
-    return w.getvalue()
+    body = w.getvalue()
+    return body + _checksum(body)
 
 
 def _open(path: str | Path, expected_kind: int) -> _Reader:
+    """A reader past the header, over the body once its checksum matches."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -407,6 +344,11 @@ def _open(path: str | Path, expected_kind: int) -> _Reader:
         found = "model" if kind == KIND_MODEL else "index"
         want = "model" if expected_kind == KIND_MODEL else "index"
         raise InputError(f"{path}: this is a {found} file, expected {want}")
+    body = data[:-CHECKSUM_BYTES]
+    if len(body) < r.pos or _checksum(body) != data[-CHECKSUM_BYTES:]:
+        raise InputError(f"{path}: checksum mismatch, the file is truncated "
+                         "or corrupt")
+    r.data = body
     return r
 
 

@@ -160,33 +160,48 @@ class SearchEngine:
                                        top_t=self.index_config.top_terms)
 
 
+def _new_indexes(cfg: IndexConfig, dim: int
+                 ) -> tuple[CosineLshIndex, MinHashIndex, MinHashIndex]:
+    """Empty semantic, name and value indexes, all parameters from cfg."""
+    return (
+        CosineLshIndex(dim=dim, n_planes=cfg.n_planes, n_bands=cfg.n_bands,
+                       rows_per_band=cfg.rows_per_band,
+                       seed=derive_seed(cfg.seed, "cosine")),
+        MinHashIndex(n_perms=cfg.minhash_perms, n_bands=cfg.minhash_bands,
+                     rows_per_band=cfg.minhash_rows,
+                     seed=derive_seed(cfg.seed, "mh-name")),
+        MinHashIndex(n_perms=cfg.minhash_perms, n_bands=cfg.minhash_bands,
+                     rows_per_band=cfg.minhash_rows,
+                     seed=derive_seed(cfg.seed, "mh-value")))
+
+
+def _file_column(indexes: tuple[CosineLshIndex, MinHashIndex, MinHashIndex],
+                 key: ColumnKey, vector: np.ndarray,
+                 profile: SyntacticProfile) -> None:
+    """Insert one column; an empty name or value set stays out of its index."""
+    semantic_index, name_index, value_index = indexes
+    semantic_index.insert(key, vector)
+    if profile.name_grams:
+        name_index.insert(key, profile.name_grams)
+    if profile.value_term_set:
+        value_index.insert(key, profile.value_term_set)
+
+
 def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
                  index_config: IndexConfig | None = None) -> SearchEngine:
     """Index every encodable corpus column under all measures."""
     cfg = index_config or IndexConfig()
     tfidf = syntactic.build_tfidf(corpus)
-    semantic_index = CosineLshIndex(
-        dim=head.dims[2], n_planes=cfg.n_planes, n_bands=cfg.n_bands,
-        rows_per_band=cfg.rows_per_band, seed=derive_seed(cfg.seed, "cosine"))
-    name_index = MinHashIndex(
-        n_perms=cfg.minhash_perms, n_bands=cfg.minhash_bands,
-        rows_per_band=cfg.minhash_rows, seed=derive_seed(cfg.seed, "mh-name"))
-    value_index = MinHashIndex(
-        n_perms=cfg.minhash_perms, n_bands=cfg.minhash_bands,
-        rows_per_band=cfg.minhash_rows, seed=derive_seed(cfg.seed, "mh-value"))
+    indexes = _new_indexes(cfg, head.dims[2])
     profiles: dict[ColumnKey, SyntacticProfile] = {}
     for column in corpus.encodable_columns():
         key = column.column_key
         base = encoder.embed_column(column.values)
-        semantic_index.insert(key, project(head, base).astype(np.float32))
-        profile = syntactic.build_profile(column, tfidf, cfg.qgram, cfg.top_terms)
-        profiles[key] = profile
-        if profile.name_grams:
-            name_index.insert(key, profile.name_grams)
-        if profile.value_term_set:
-            value_index.insert(key, profile.value_term_set)
-    return SearchEngine(encoder, head, semantic_index, name_index, value_index,
-                        profiles, tfidf, cfg)
+        vector = project(head, base).astype(np.float32)
+        profiles[key] = syntactic.build_profile(column, tfidf, cfg.qgram,
+                                                cfg.top_terms)
+        _file_column(indexes, key, vector, profiles[key])
+    return SearchEngine(encoder, head, *indexes, profiles, tfidf, cfg)
 
 
 @dataclass

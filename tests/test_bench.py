@@ -268,6 +268,14 @@ def test_truth_roundtrip(tmp_path):
     assert lines[0] == "query_table_id,answer_table_id"
 
 
+def test_read_truth_short_row_names_file_and_line(tmp_path):
+    p = tmp_path / "truth.csv"
+    p.write_text("query_table_id,answer_table_id\nq1,a\nq2\n",
+                 encoding="utf-8")
+    with pytest.raises(InputError, match="truth.csv:3: expected 2 fields"):
+        read_truth(p)
+
+
 def test_metrics_and_timings_files(tmp_path):
     mp = tmp_path / "metrics.csv"
     write_metrics(mp, [(5, 0.5, 0.25)])

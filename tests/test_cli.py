@@ -2,7 +2,7 @@ import pytest
 
 from unionsearch.cli import main, parse_measures
 from unionsearch.errors import ConfigError, InputError
-from unionsearch.modelfile import load_index
+from unionsearch.modelfile import load_index, load_model
 
 
 def run(*argv: str) -> int:
@@ -107,6 +107,21 @@ def test_train_offline_caches_pairs(workspace, tmp_path, capsys):
     assert pairs.read_bytes() == stamp
 
 
+def test_train_records_the_vector_files_dim(workspace, tmp_path):
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("alpha " + " ".join(["0.5"] * 12) + "\n",
+                       encoding="utf-8")
+    out = tmp_path / "vf.usm"
+    assert run("train", "--manifest", str(workspace / "bench" / "manifest.tsv"),
+               "--out", str(out), "--encoder-backend", "vector_file",
+               "--vector-file", str(vectors), "--dim", "48", "--out-dim", "8",
+               "--epochs", "1", "--batch-size", "4", "--sample-size", "6",
+               "--seed", "11") == 0
+    bundle = load_model(out)
+    assert bundle.encoder_config.dim == 12
+    assert bundle.head.dims[0] == 12
+
+
 def test_train_missing_manifest_exit_2(tmp_path):
     assert run("train", "--manifest", str(tmp_path / "none.tsv"),
                "--out", str(tmp_path / "m.usm")) == 2
@@ -168,12 +183,13 @@ def test_query_missing_index_exit_2(workspace, tmp_path):
                "--out", str(tmp_path / "r.csv")) == 2
 
 
-def test_query_version_1_index_exit_2(workspace, tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_query_old_version_index_exit_2(workspace, tmp_path, version):
     old = bytearray((workspace / "index.usi").read_bytes())
-    old[4] = 1  # the version byte, right after the 4-byte magic
-    path = tmp_path / "v1.usi"
+    old[4] = version  # the version byte, right after the 4-byte magic
+    path = tmp_path / "old.usi"
     path.write_bytes(bytes(old))
-    with pytest.raises(InputError, match="unsupported version 1"):
+    with pytest.raises(InputError, match=f"unsupported version {version}"):
         load_index(path)
     table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
     assert run("query", "--index", str(path), "--query", str(table),
@@ -210,6 +226,16 @@ def test_eval_sampled_queries(workspace, tmp_path):
                "--k", "3", "--sample-queries", "4",
                "--out", str(out)) == 0
     assert out.is_file()
+
+
+def test_eval_malformed_truth_exit_2(workspace, tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("query_table_id,answer_table_id\nq1\n", encoding="utf-8")
+    assert run("eval", "--index", str(workspace / "index.usi"),
+               "--manifest", str(workspace / "bench" / "manifest.tsv"),
+               "--truth", str(truth), "--out", str(tmp_path / "m.csv")) == 2
+    assert f"{truth}:2" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_eval_bad_k_exit_3(workspace, tmp_path):

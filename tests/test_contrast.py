@@ -260,6 +260,16 @@ def test_offline_pairs_file_roundtrip(tmp_path):
     assert back == pairs
 
 
+@pytest.mark.parametrize("row", ["ta:0,tb:1", "ta:0,tb:x,0.5",
+                                 "ta:0,tb:1,high"])
+def test_read_offline_pairs_bad_row_names_file_and_line(tmp_path, row):
+    path = tmp_path / "pairs.csv"
+    path.write_text("column_key_a,column_key_b,score\nta:1,tb:2,0.5\n"
+                    + row + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match="pairs.csv:3: bad pair row"):
+        read_offline_pairs(path)
+
+
 def test_read_offline_pairs_rejects_garbage(tmp_path):
     path = tmp_path / "pairs.csv"
     path.write_text("column_a,column_b,match_score\nnocolon,alsobad,0.5\n", encoding="utf-8")

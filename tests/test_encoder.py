@@ -172,6 +172,15 @@ def test_vector_backend_uses_file_and_falls_back(tmp_path):
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_vector_backend_leaves_callers_config_alone(tmp_path):
+    p = tmp_path / "v.txt"
+    _write_vectors(p, ["cat 1 0 0 0", "dog 0 1 0 0"])
+    cfg = EncoderConfig(backend="vector_file", vector_file_path=str(p), dim=64)
+    enc = Encoder(cfg)
+    assert enc.cfg.dim == 4
+    assert cfg.dim == 64
+
+
 def test_vector_backend_requires_path():
     with pytest.raises(ConfigError):
         Encoder(EncoderConfig(backend="vector_file", vector_file_path=None))

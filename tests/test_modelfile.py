@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from unionsearch.contrast import ONLINE
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.errors import InputError
 from unionsearch.modelfile import (
+    CHECKSUM_BYTES,
     ModelBundle,
     atomic_write,
     load_index,
@@ -159,6 +163,19 @@ def test_index_roundtrip_preserves_structures(tmp_path, world):
     assert loaded.name_index.token_sets == engine.name_index.token_sets
     assert loaded.value_index.token_sets == engine.value_index.token_sets
     assert loaded.index_config == engine.index_config
+    # The file stores no LSH state; loading must rebuild the same one.
+    np.testing.assert_array_equal(loaded.semantic_index.planes,
+                                  engine.semantic_index.planes)
+    for attr in ("name_index", "value_index"):
+        built, back = getattr(engine, attr), getattr(loaded, attr)
+        np.testing.assert_array_equal(back.coef_a, built.coef_a)
+        np.testing.assert_array_equal(back.coef_b, built.coef_b)
+    for attr in ("semantic_index", "name_index", "value_index"):
+        built, back = getattr(engine, attr), getattr(loaded, attr)
+        assert len(back.buckets) == len(built.buckets)
+        for band_back, band_built in zip(back.buckets, built.buckets):
+            assert {b: set(m) for b, m in band_back.items()} == \
+                   {b: set(m) for b, m in band_built.items()}
 
 
 def test_index_save_byte_stable(tmp_path, world):
@@ -214,3 +231,57 @@ def test_failed_save_leaves_no_partial_file(tmp_path, world):
         save_index(target, bad, engine)
     assert not target.exists()
     assert os.listdir(tmp_path) == []  # no orphaned temp files either
+
+
+# ---------------------------------------------------------------- corruption
+
+@pytest.mark.parametrize("kind", ["model", "index"])
+def test_flipped_or_truncated_file_raises_input_error(tmp_path, world, kind):
+    corpus, engine = world
+    p = tmp_path / f"good.{kind}"
+    if kind == "model":
+        save_model(p, _bundle())
+        load = load_model
+    else:
+        save_index(p, _bundle(), engine)
+        load = load_index
+    data = p.read_bytes()
+    rng = np.random.default_rng(31)
+    bad = tmp_path / "bad"
+    cases = []
+    for pos, mask in zip(rng.integers(0, len(data), size=200),
+                         rng.integers(1, 256, size=200)):
+        flipped = bytearray(data)
+        flipped[pos] ^= int(mask)
+        cases.append(bytes(flipped))
+    cases += [data[:cut] for cut in rng.integers(0, len(data), size=50)]
+    for case in cases:
+        bad.write_bytes(case)
+        with pytest.raises(InputError):  # anything else fails the test
+            load(bad)
+
+
+def _with_fresh_checksum(data: bytes) -> bytes:
+    body = data[:-CHECKSUM_BYTES]
+    return body + hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
+
+
+def test_checksummed_bad_utf8_raises_input_error(tmp_path):
+    p = tmp_path / "model.usm"
+    save_model(p, _bundle())
+    data = bytearray(p.read_bytes())
+    # Magic, version and kind take 6 bytes, the tokenizer id's length 4.
+    data[10] = 0xFF
+    p.write_bytes(_with_fresh_checksum(bytes(data)))
+    with pytest.raises(InputError, match="UTF-8"):
+        load_model(p)
+
+
+def test_checksummed_bad_index_config_raises_input_error(tmp_path, world):
+    corpus, engine = world
+    odd = copy.copy(engine)
+    odd.index_config = replace(engine.index_config, n_bands=7)
+    p = tmp_path / "odd.usi"
+    save_index(p, _bundle(), odd)
+    with pytest.raises(InputError, match="bands"):
+        load_index(p)
