@@ -14,8 +14,7 @@ import time
 from pathlib import Path
 
 from . import bench, contrast, modelfile, search
-from .corpus import (Corpus, load_csv, load_manifest, write_manifest,
-                     write_table_csv)
+from .corpus import load_csv, load_manifest, write_manifest, write_table_csv
 from .encoder import Encoder, EncoderConfig, HASHING_BACKEND
 from .errors import ConfigError, InputError, NumericError, UnionSearchError
 from .modelfile import atomic_write

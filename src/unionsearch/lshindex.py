@@ -11,21 +11,29 @@ an exact rescoring, so the index can lose recall but never precision:
   h_i(x) = (a_i * x + b_i) mod p, banded the same way; a single slot
   matches with probability equal to the Jaccard similarity.
 
-State is held once. A cosine index keeps one float32 row per key in a
-single matrix, plus the same rows as float64 unit vectors for scoring. A
-min-hash index keeps no copy of its token sets: ``token_sets`` maps each
-key to the frozenset the caller inserted, which in a search engine is the
-column's ``SyntacticProfile`` set. Exact scores come from those rows and
-sets; buckets only choose which keys get scored.
+State is held once. A cosine index numbers its vectors by insertion order
+and keeps one float32 row per vector in a single matrix, plus the same rows
+as float64 unit vectors for scoring; its buckets hold those row numbers. A
+lookup marks the colliding rows in one boolean mask, scores them in one
+matrix product, and names only the rows that pass the threshold. A min-hash
+index keeps no copy of its token sets: ``token_sets`` maps each key to the
+frozenset the caller inserted, which in a search engine is the column's
+``SyntacticProfile`` set; its buckets hold keys. Exact scores come from
+those rows and sets; buckets only choose what gets scored.
 
 Everything else is derived: hyperplanes and hash coefficients follow from
 the seed, buckets from the inserted rows and sets. An index file therefore
 stores none of it, and loading rebuilds each index by inserting the stored
-columns again, in key order. Bucket member order differs from a build's
-insertion order, but a lookup sorts its candidates, so results do not.
+columns again, in key order. A built cosine index numbers its rows in build
+order and a loaded one in key-table order, and min-hash bucket members
+differ in order the same way. Both return the same lookups: results are
+sorted by (-score, key), and a cosine lookup feeds its rows to the matrix
+product in key order, so even the last bits of its scores agree.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -47,9 +55,12 @@ def _band_check(n_total: int, n_bands: int, rows_per_band: int, kind: str) -> No
 class CosineLshIndex:
     """Random-hyperplane index over fixed-dimension vectors.
 
-    Vectors live in one float32 matrix, one row per key in insertion order,
-    with a float64 matrix of the same rows scaled to unit length next to it
-    for scoring. Buckets hold keys; ``_rows`` maps each key to its row.
+    Each inserted vector gets the next row number. Rows live in one float32
+    matrix, with a float64 matrix of the same rows scaled to unit length
+    next to it for scoring. Buckets hold row numbers as ``array("q")``;
+    ``key_of`` names a row and ``_rows`` maps each key back to its row.
+    A built index numbers its rows in build order and a loaded one in
+    key-table order, but the two return the same lookups.
     """
 
     def __init__(self, dim: int, n_planes: int = 256, n_bands: int = 32,
@@ -65,24 +76,25 @@ class CosineLshIndex:
         raw = rng_for(seed, "cosine-planes").standard_normal((n_planes, dim))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         self.planes = raw.astype(np.float32)
-        self.buckets: list[dict[bytes, list[ColumnKey]]] = [
-            {} for _ in range(n_bands)]
+        self._planes64 = self.planes.astype(np.float64)
+        self.buckets: list[dict[bytes, array]] = [{} for _ in range(n_bands)]
         self._rows: dict[ColumnKey, int] = {}
-        # The int objects _rows maps to, made in one run per growth rather
-        # than one per insert among the insert's temporaries. A lookup reads
-        # one per candidate; scattered ones made banded queries on a loaded
-        # 10k-column index about 10% slower.
-        self._row_ids: list[int] = []
+        self._keys: list[ColumnKey] = []
+        self._by_key: np.ndarray | None = None   # rows in key order, lazily
         # Capacity grows by doubling; rows past size are unused.
         self._matrix = np.empty((0, dim), dtype=np.float32)
         self._normed = np.empty((0, dim), dtype=np.float64)
 
     @property
     def size(self) -> int:
-        return len(self._rows)
+        return len(self._keys)
 
     def keys(self) -> list[ColumnKey]:
         return sorted(self._rows)
+
+    def key_of(self, row: int) -> ColumnKey:
+        """The key stored at a row number, as found in ``buckets``."""
+        return self._keys[row]
 
     def vector(self, key: ColumnKey) -> np.ndarray:
         """The stored float32 vector of key, as a read-only row view."""
@@ -100,7 +112,7 @@ class CosineLshIndex:
     def signature(self, vector: np.ndarray) -> np.ndarray:
         """P sign bits as uint8; a dot product of exactly zero counts as 1."""
         v = self._prepare(vector)
-        dots = self.planes.astype(np.float64) @ v
+        dots = self._planes64 @ v
         return (dots >= 0.0).astype(np.uint8)
 
     def _prepare(self, vector: np.ndarray) -> np.ndarray:
@@ -120,40 +132,58 @@ class CosineLshIndex:
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise NumericError(f"zero-norm vector for key {key}")
-        bits = self.signature(v)
-        for band, bkey in enumerate(self._band_keys(bits)):
-            self.buckets[band].setdefault(bkey, []).append(key)
-        row = len(self._rows)
+        row = len(self._keys)
+        for band, bkey in enumerate(self._band_keys(self.signature(v))):
+            bucket = self.buckets[band].get(bkey)
+            if bucket is None:
+                self.buckets[band][bkey] = array("q", (row,))
+            else:
+                bucket.append(row)
         if row == len(self._matrix):
             grown = max(64, 2 * row)
             self._matrix = np.resize(self._matrix, (grown, self.dim))
             self._normed = np.resize(self._normed, (grown, self.dim))
-            self._row_ids.extend(range(row, grown))
         # v holds the float32 values widened, so this copy is exact.
         self._matrix[row] = v
         self._normed[row] = v / norm
-        self._rows[key] = self._row_ids[row]
+        self._rows[key] = row
+        self._keys.append(key)
+        self._by_key = None
+
+    def _key_order(self) -> np.ndarray:
+        if self._by_key is None:
+            self._by_key = np.array(
+                sorted(range(self.size), key=self._keys.__getitem__),
+                dtype=np.intp)
+        return self._by_key
 
     def lookup(self, vector: np.ndarray, threshold: float
                ) -> list[tuple[ColumnKey, float]]:
         """Bucket collisions, exactly rescored; sorted by (-cosine, key).
 
         Scores are true cosines of the stored float32 vectors — banding
-        only decides which candidates get scored at all.
+        only decides which rows get scored at all, and only the rows that
+        reach the threshold are turned back into keys.
         """
         v = self._prepare(vector)
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise NumericError("zero-norm query vector")
-        bits = self.signature(v)
-        candidates: set[ColumnKey] = set()
-        for band, bkey in enumerate(self._band_keys(bits)):
-            candidates.update(self.buckets[band].get(bkey, ()))
-        if not candidates:
-            return []
-        keys = sorted(candidates)
-        scores = self._normed[[self._rows[k] for k in keys]] @ (v / norm)
-        hits = [(k, float(s)) for k, s in zip(keys, scores) if s >= threshold]
+        hit = np.zeros(self.size, dtype=bool)
+        for band, bkey in enumerate(self._band_keys(self.signature(v))):
+            bucket = self.buckets[band].get(bkey)
+            if bucket is not None:
+                hit[np.frombuffer(bucket, dtype=np.int64)] = True
+        # Candidates enter the product in key order. BLAS can round a row's
+        # dot product differently by its place in the matrix, so row-number
+        # order would let a built index (rows in build order) and a loaded
+        # one (rows in key order) disagree in the last bit of a score.
+        order = self._key_order()
+        rows = order[hit[order]]
+        scores = self._normed[rows] @ (v / norm)
+        keep = scores >= threshold
+        hits = [(self._keys[r], s)
+                for r, s in zip(rows[keep].tolist(), scores[keep].tolist())]
         hits.sort(key=lambda kv: (-kv[1], kv[0]))
         return hits
 

@@ -8,7 +8,8 @@ the same model section followed by the indexed columns, version 3 laid out
 as:
 
 1. the index configuration;
-2. the key table: every indexed column key, sorted;
+2. the key table: every indexed column key, sorted (a load rejects a table
+   that is not strictly increasing);
 3. every stored vector as one float32 matrix whose row i belongs to key i;
 4. the syntactic profiles, one per key in key-table order: name q-grams,
    value terms, format patterns;
@@ -237,7 +238,13 @@ def _write_key_table(w: _Writer, keys: list[ColumnKey]) -> None:
 
 
 def _read_key_table(r: _Reader) -> list[ColumnKey]:
-    return [(r.text(), r.u32()) for _ in range(r.u32())]
+    """The stored keys; they must be strictly increasing, as saves write them."""
+    keys = [(r.text(), r.u32()) for _ in range(r.u32())]
+    for before, after in zip(keys, keys[1:]):
+        if not before < after:
+            raise InputError(f"{r.path}: key table not strictly increasing: "
+                             f"{after!r} follows {before!r}")
+    return keys
 
 
 def _write_token_set(w: _Writer, tokens: frozenset[str]) -> None:

@@ -12,7 +12,7 @@ seeds reproduce identical parameter trajectories bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

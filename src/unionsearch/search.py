@@ -30,8 +30,8 @@ from .lshindex import CosineLshIndex, MinHashIndex
 from .projection import ProjectionHead, project
 from .seeding import derive_seed
 from . import syntactic
-from .syntactic import (ALL_MEASURES, FORMAT, NAME, SEMANTIC, VALUE,
-                        SyntacticProfile, TfidfModel)
+from .syntactic import (ALL_MEASURES, NAME, SEMANTIC, VALUE, SyntacticProfile,
+                        TfidfModel)
 
 GENERATING_MEASURES = (SEMANTIC, NAME, VALUE)   # format only ever rescored
 

@@ -46,6 +46,16 @@ def test_per_bit_collision_rate_matches_angle():
     assert agree == pytest.approx(1 - theta / np.pi, abs=0.02)
 
 
+def test_signature_is_float64_plane_signs():
+    idx = CosineLshIndex(dim=16, seed=7)
+    rng = np.random.default_rng(31)
+    planes = idx.planes.astype(np.float64)
+    for _ in range(20):
+        v = rng.standard_normal(16).astype(np.float32)
+        want = (planes @ v.astype(np.float64) >= 0).astype(np.uint8)
+        np.testing.assert_array_equal(idx.signature(v), want)
+
+
 def test_band_plane_consistency_enforced():
     with pytest.raises(ConfigError):
         CosineLshIndex(dim=8, n_planes=256, n_bands=10, rows_per_band=10)
@@ -168,11 +178,43 @@ def test_each_key_lands_in_exactly_n_bands_buckets():
         idx.insert(("t", i), rng.standard_normal(8))
     counts = {}
     for band in idx.buckets:  # bucket table introspection
-        for members in band.values():
-            for key in members:
+        for rows in band.values():
+            for row in rows:
+                key = idx.key_of(row)
                 counts[key] = counts.get(key, 0) + 1
     assert all(c == 16 for c in counts.values())
     assert len(counts) == 25
+
+
+def _colliding_keys(idx: CosineLshIndex, q) -> set:
+    """Keys of the rows that share at least one band with q."""
+    bits = idx.signature(q).reshape(idx.n_bands, idx.rows_per_band)
+    keys = set()
+    for band, row in enumerate(bits):
+        rows = idx.buckets[band].get(np.packbits(row).tobytes(), ())
+        keys.update(idx.key_of(r) for r in rows)
+    return keys
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lookup_is_brute_force_over_colliding_rows(seed):
+    rng = np.random.default_rng(100 + seed)
+    idx = CosineLshIndex(dim=8, n_planes=48, n_bands=12, rows_per_band=4,
+                         seed=seed)
+    # Keys inserted out of key order, so row numbers and key order differ.
+    for i in rng.permutation(300):
+        idx.insert((f"t{i % 7}", int(i)), rng.standard_normal(8))
+    for threshold in (-1.0, 0.0, 0.5):
+        q = rng.standard_normal(8)
+        qv = unit(np.asarray(q, dtype=np.float32).astype(np.float64))
+        scores = {k: float(unit(idx.vector(k).astype(np.float64)) @ qv)
+                  for k in _colliding_keys(idx, q)}
+        want = sorted(((k, s) for k, s in scores.items() if s >= threshold),
+                      key=lambda kv: (-kv[1], kv[0]))
+        got = idx.lookup(q, threshold)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        for (_, s), (_, w) in zip(got, want):
+            assert s == pytest.approx(w, abs=1e-12)
 
 
 def test_cosine_between_stored_keys():

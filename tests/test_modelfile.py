@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 
 from unionsearch.bench import BenchmarkSpec, generate_benchmark
 from unionsearch.contrast import ONLINE
+from unionsearch.corpus import Corpus
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.errors import InputError
+from unionsearch.lshindex import CosineLshIndex
 from unionsearch.modelfile import (
     CHECKSUM_BYTES,
     ModelBundle,
@@ -174,8 +177,33 @@ def test_index_roundtrip_preserves_structures(tmp_path, world):
         built, back = getattr(engine, attr), getattr(loaded, attr)
         assert len(back.buckets) == len(built.buckets)
         for band_back, band_built in zip(back.buckets, built.buckets):
-            assert {b: set(m) for b, m in band_back.items()} == \
-                   {b: set(m) for b, m in band_built.items()}
+            assert _bucket_keys(back, band_back) == _bucket_keys(built, band_built)
+
+
+def _bucket_keys(index, band: dict) -> dict:
+    """One band's buckets as key sets; cosine buckets hold row numbers."""
+    if isinstance(index, CosineLshIndex):
+        return {b: {index.key_of(r) for r in rows} for b, rows in band.items()}
+    return {b: set(keys) for b, keys in band.items()}
+
+
+def test_built_and_loaded_cosine_lookups_identical(tmp_path, world):
+    corpus, engine = world
+    # Built from the tables in reverse, the engine numbers its rows in a
+    # different order from the loaded copy, whose rows follow the key table.
+    reversed_corpus = Corpus(list(reversed(corpus.tables)))
+    built = build_engine(reversed_corpus, engine.encoder, engine.head,
+                         engine.index_config)
+    p = tmp_path / "engine.usi"
+    save_index(p, _bundle(), built)
+    _, loaded = load_index(p)
+    a, b = built.semantic_index, loaded.semantic_index
+    assert [a.key_of(r) for r in range(a.size)] != \
+           [b.key_of(r) for r in range(b.size)]
+    for column in corpus.encodable_columns():
+        q = built.project_column(column)
+        for threshold in (-1.0, 0.7):
+            assert a.lookup(q, threshold) == b.lookup(q, threshold)
 
 
 def test_index_save_byte_stable(tmp_path, world):
@@ -285,3 +313,39 @@ def test_checksummed_bad_index_config_raises_input_error(tmp_path, world):
     save_index(p, _bundle(), odd)
     with pytest.raises(InputError, match="bands"):
         load_index(p)
+
+
+def _with_key_table(data: bytes, model_bytes: int, edit) -> bytes:
+    """The index file with its key table replaced by edit(keys), re-checksummed.
+
+    The key table follows the 6-byte header, the model section and the
+    index configuration (8 u32 values and a u64).
+    """
+    start = 6 + model_bytes + 8 * 4 + 8
+    (count,) = struct.unpack_from("<I", data, start)
+    pos, keys = start + 4, []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<I", data, pos)
+        table_id = data[pos + 4:pos + 4 + n]
+        (column,) = struct.unpack_from("<I", data, pos + 4 + n)
+        keys.append((table_id, column))
+        pos += 8 + n
+    table = struct.pack("<I", count) + b"".join(
+        struct.pack("<I", len(t)) + t + struct.pack("<I", c) for t, c in edit(keys))
+    return _with_fresh_checksum(data[:start] + table + data[pos:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda keys: [keys[1], keys[0]] + keys[2:],   # unsorted
+    lambda keys: [keys[0], keys[0]] + keys[2:],   # duplicate
+], ids=["unsorted", "duplicate"])
+def test_checksummed_bad_key_table_raises_input_error(tmp_path, world, edit):
+    corpus, engine = world
+    model, index = tmp_path / "model.usm", tmp_path / "engine.usi"
+    save_model(model, _bundle())
+    save_index(index, _bundle(), engine)
+    model_bytes = model.stat().st_size - 6 - CHECKSUM_BYTES
+    index.write_bytes(_with_key_table(index.read_bytes(), model_bytes, edit))
+    with pytest.raises(InputError, match="key table"):
+        load_index(index)
+
