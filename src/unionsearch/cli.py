@@ -205,10 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0,
                        help="master RNG seed (default 0)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; execution is sequential for "
-                            "reproducibility, the flag is accepted for "
-                            "script compatibility")
 
     p = sub.add_parser("train", help="learn a projection head from a corpus")
     p.add_argument("--manifest", required=True)

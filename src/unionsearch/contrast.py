@@ -119,9 +119,7 @@ def build_offline_pairs(corpus: Corpus, floor: float = 0.5,
         candidates = sorted({k for tok in mine for k in postings[tok] if k != key})
         top: tuple[float, ColumnKey] | None = None
         for other in candidates:
-            inter = len(mine & terms[other])
-            union = len(mine | terms[other])
-            score = inter / union if union else 0.0
+            score = syntactic.jaccard(mine, terms[other])
             if top is None or score > top[0]:
                 top = (score, other)
         if top is not None and top[0] >= floor:

@@ -55,9 +55,6 @@ class VectorTable:
     dim: int
     duplicate_count: int = 0
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
     def get(self, word: str) -> np.ndarray | None:
         return self.vectors.get(word)
 

@@ -13,9 +13,13 @@ an exact rescoring, so the index can lose recall but never precision:
 
 State is held once. A cosine index numbers its vectors by insertion order
 and keeps one float32 row per vector in a single matrix, plus the same rows
-as float64 unit vectors for scoring; its buckets hold those row numbers. A
-lookup marks the colliding rows in one boolean mask, scores them in one
-matrix product, and names only the rows that pass the threshold. A min-hash
+widened to float64 and each row's norm for scoring; its buckets hold those
+row numbers. A lookup marks the colliding rows in one boolean mask, scores
+them with ``cosines``, the one cosine formula that
+``search.attribute_unionability`` also uses, and names only the rows that
+pass the threshold. Each row's dot product is reduced on its own, so a
+lookup score equals the pair score bit for bit, whatever the row numbering
+or the BLAS thread count. A min-hash
 index keeps no copy of its token sets: ``token_sets`` maps each key to the
 frozenset the caller inserted, which in a search engine is the column's
 ``SyntacticProfile`` set; its buckets hold keys. Exact scores come from
@@ -26,9 +30,8 @@ the seed, buckets from the inserted rows and sets. An index file therefore
 stores none of it, and loading rebuilds each index by inserting the stored
 columns again, in key order. A built cosine index numbers its rows in build
 order and a loaded one in key-table order, and min-hash bucket members
-differ in order the same way. Both return the same lookups: results are
-sorted by (-score, key), and a cosine lookup feeds its rows to the matrix
-product in key order, so even the last bits of its scores agree.
+differ in order the same way. Both return the same lookups, sorted by
+(-score, key).
 """
 
 from __future__ import annotations
@@ -45,6 +48,16 @@ from .syntactic import jaccard
 MERSENNE_P = (1 << 31) - 1   # prime modulus; products stay below 2**62
 
 
+def cosines(rows: np.ndarray, row_norms: np.ndarray, v: np.ndarray,
+            v_norm: float) -> np.ndarray:
+    """Cosines of float64 rows (or one vector) with v, clamped to [-1, 1].
+
+    vecdot reduces each row on its own, so a row's cosine does not depend
+    on its place among the rows or on the BLAS thread count.
+    """
+    return np.clip(np.vecdot(rows, v) / (row_norms * v_norm), -1.0, 1.0)
+
+
 def _band_check(n_total: int, n_bands: int, rows_per_band: int, kind: str) -> None:
     if n_bands * rows_per_band != n_total:
         raise ConfigError(
@@ -56,8 +69,8 @@ class CosineLshIndex:
     """Random-hyperplane index over fixed-dimension vectors.
 
     Each inserted vector gets the next row number. Rows live in one float32
-    matrix, with a float64 matrix of the same rows scaled to unit length
-    next to it for scoring. Buckets hold row numbers as ``array("q")``;
+    matrix, with the same rows widened to float64 and their norms next to
+    it for scoring. Buckets hold row numbers as ``array("q")``;
     ``key_of`` names a row and ``_rows`` maps each key back to its row.
     A built index numbers its rows in build order and a loaded one in
     key-table order, but the two return the same lookups.
@@ -80,10 +93,10 @@ class CosineLshIndex:
         self.buckets: list[dict[bytes, array]] = [{} for _ in range(n_bands)]
         self._rows: dict[ColumnKey, int] = {}
         self._keys: list[ColumnKey] = []
-        self._by_key: np.ndarray | None = None   # rows in key order, lazily
         # Capacity grows by doubling; rows past size are unused.
         self._matrix = np.empty((0, dim), dtype=np.float32)
-        self._normed = np.empty((0, dim), dtype=np.float64)
+        self._wide = np.empty((0, dim), dtype=np.float64)
+        self._norms = np.empty(0, dtype=np.float64)
 
     @property
     def size(self) -> int:
@@ -142,28 +155,23 @@ class CosineLshIndex:
         if row == len(self._matrix):
             grown = max(64, 2 * row)
             self._matrix = np.resize(self._matrix, (grown, self.dim))
-            self._normed = np.resize(self._normed, (grown, self.dim))
+            self._wide = np.resize(self._wide, (grown, self.dim))
+            self._norms = np.resize(self._norms, grown)
         # v holds the float32 values widened, so this copy is exact.
         self._matrix[row] = v
-        self._normed[row] = v / norm
+        self._wide[row] = v
+        self._norms[row] = norm
         self._rows[key] = row
         self._keys.append(key)
-        self._by_key = None
-
-    def _key_order(self) -> np.ndarray:
-        if self._by_key is None:
-            self._by_key = np.array(
-                sorted(range(self.size), key=self._keys.__getitem__),
-                dtype=np.intp)
-        return self._by_key
 
     def lookup(self, vector: np.ndarray, threshold: float
                ) -> list[tuple[ColumnKey, float]]:
         """Bucket collisions, exactly rescored; sorted by (-cosine, key).
 
-        Scores are true cosines of the stored float32 vectors — banding
-        only decides which rows get scored at all, and only the rows that
-        reach the threshold are turned back into keys.
+        Scores are ``cosines`` of the stored float32 vectors, equal to
+        ``search.attribute_unionability`` of the same pair — banding only
+        decides which rows get scored at all, and only the rows that reach
+        the threshold are turned back into keys.
         """
         v = self._prepare(vector)
         norm = np.linalg.norm(v)
@@ -174,13 +182,8 @@ class CosineLshIndex:
             bucket = self.buckets[band].get(bkey)
             if bucket is not None:
                 hit[np.frombuffer(bucket, dtype=np.int64)] = True
-        # Candidates enter the product in key order. BLAS can round a row's
-        # dot product differently by its place in the matrix, so row-number
-        # order would let a built index (rows in build order) and a loaded
-        # one (rows in key order) disagree in the last bit of a score.
-        order = self._key_order()
-        rows = order[hit[order]]
-        scores = self._normed[rows] @ (v / norm)
+        rows = np.flatnonzero(hit)
+        scores = cosines(self._wide[rows], self._norms[rows], v, norm)
         keep = scores >= threshold
         hits = [(self._keys[r], s)
                 for r, s in zip(rows[keep].tolist(), scores[keep].tolist())]

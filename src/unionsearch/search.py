@@ -26,14 +26,12 @@ import numpy as np
 from .corpus import Column, ColumnKey, Corpus, Table
 from .encoder import Encoder
 from .errors import ConfigError, InputError, NumericError
-from .lshindex import CosineLshIndex, MinHashIndex
+from .lshindex import CosineLshIndex, MinHashIndex, cosines
 from .projection import ProjectionHead, project
 from .seeding import derive_seed
 from . import syntactic
 from .syntactic import (ALL_MEASURES, NAME, SEMANTIC, VALUE, SyntacticProfile,
                         TfidfModel)
-
-GENERATING_MEASURES = (SEMANTIC, NAME, VALUE)   # format only ever rescored
 
 
 @dataclass
@@ -102,7 +100,7 @@ def attribute_unionability(a: np.ndarray, b: np.ndarray) -> float:
     na, nb = np.linalg.norm(av), np.linalg.norm(bv)
     if na == 0.0 or nb == 0.0:
         raise NumericError("cosine of a zero vector is undefined")
-    return float(np.clip(av @ bv / (na * nb), -1.0, 1.0))
+    return float(cosines(av, na, bv, nb))
 
 
 def match_attributes(pair_scores: dict[tuple[int, int], float]

@@ -1,13 +1,18 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter: every import is used, and
+every top-level definition is named somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "unionsearch"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "unionsearch"
 # __init__.py imports names only to re-export them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# Everything that may use the package: itself, its tests, its benchmark.
+USERS = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "perfbench").glob("*.py")])
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -41,3 +46,52 @@ def test_scan_finds_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c as d\nprint(d)\n")
     imported = _imported_names(tree)
     assert set(imported) - _used_names(tree) == {"os", "b"}
+
+
+def _defined_names(tree: ast.Module) -> dict[str, int]:
+    """Top-level functions, classes and constants, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return {n: line for n, line in names.items() if not n.startswith("__")}
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Names read, attributes accessed and names imported anywhere in tree."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.rsplit(".", 1)[-1])
+    return named
+
+
+@pytest.fixture(scope="module")
+def named_by_users() -> set[str]:
+    return set().union(*(_named(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in USERS))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unnamed_top_level_definitions(path, named_by_users):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    dead = sorted(f"{name} (line {line})"
+                  for name, line in _defined_names(tree).items()
+                  if name not in named_by_users)
+    assert not dead, f"{path.name} defines but nothing names: {dead}"
+
+
+def test_scan_finds_an_unnamed_definition():
+    tree = ast.parse("A = 1\nB: int = 2\ndef f(): return g()\n"
+                     "def g(): return A\nclass C: pass\nx.B\n")
+    assert set(_defined_names(tree)) - _named(tree) == {"f", "C"}

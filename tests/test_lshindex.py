@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from unionsearch.errors import ConfigError, DuplicateKeyError, InputError, NumericError
 from unionsearch.lshindex import CosineLshIndex, MinHashIndex
+from unionsearch.search import attribute_unionability
 from unionsearch.syntactic import jaccard
 
 from conftest import rotate_from, unit
@@ -98,17 +104,14 @@ def test_lookup_empty_index():
 def test_lookup_scores_are_exact_cosines():
     idx = CosineLshIndex(dim=10, seed=1)
     rng = np.random.default_rng(7)
-    vecs = {}
     for i in range(40):
-        v = rng.standard_normal(10)
-        vecs[("t", i)] = v
-        idx.insert(("t", i), v)
+        idx.insert(("t", i), rng.standard_normal(10))
     q = rng.standard_normal(10)
-    for key, score in idx.lookup(q, threshold=-1.0):
-        a = np.asarray(vecs[key], dtype=np.float32).astype(np.float64)
-        b = np.asarray(q, dtype=np.float32).astype(np.float64)
-        want = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-        assert score == pytest.approx(want, abs=1e-12)
+    hits = idx.lookup(q, threshold=-1.0)
+    assert hits
+    for key, score in hits:
+        assert score == attribute_unionability(q.astype(np.float32),
+                                               idx.vector(key))
 
 
 def test_lookup_sorted_and_thresholded():
@@ -133,14 +136,46 @@ def test_lookup_subset_of_scan():
     full = _brute_force_cosines(idx, q, threshold=0.3)
     assert set(got) <= set(full)
     for k, s in got.items():
-        assert s == pytest.approx(full[k], abs=1e-12)
+        assert s == full[k]
 
 
 def _brute_force_cosines(idx: CosineLshIndex, q, threshold: float) -> dict:
     """Every stored row scored one at a time, as the exhaustive search does."""
-    qv = unit(np.asarray(q, dtype=np.float32))
-    scores = {k: float(unit(idx.vector(k)) @ qv) for k in idx.keys()}
+    qv = np.asarray(q, dtype=np.float32)
+    scores = {k: attribute_unionability(qv, idx.vector(k)) for k in idx.keys()}
     return {k: s for k, s in scores.items() if s >= threshold}
+
+
+# Vectors that share a common component collide with most of the index
+# (about 7.7k of the 12k rows per lookup): enough rows for OpenBLAS to split
+# a matrix product across threads.
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from unionsearch.lshindex import CosineLshIndex
+rng = np.random.default_rng(5)
+common = rng.standard_normal(128)
+idx = CosineLshIndex(dim=128, seed=3)
+for i in range(12000):
+    idx.insert(("t", i), common + rng.standard_normal(128))
+digest = hashlib.sha256()
+for _ in range(20):
+    hits = idx.lookup(common + rng.standard_normal(128), threshold=-1.0)
+    digest.update(repr(hits).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_lookup_scores_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_insert_copies_the_callers_vector():
