@@ -288,11 +288,3 @@ def write_metrics(path: str | Path, rows: list[tuple[int, float, float]]) -> Non
         w.writerow(["k", "mean_precision", "mean_recall"])
         for k, p, r in rows:
             w.writerow([k, f"{p:.9f}", f"{r:.9f}"])
-
-
-def write_timings(path: str | Path, rows: list[tuple[str, float, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["phase", "total_s", "mean_s"])
-        for phase, total, mean in rows:
-            w.writerow([phase, f"{total:.6f}", f"{mean:.6f}"])

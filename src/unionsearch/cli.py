@@ -2,8 +2,9 @@
 
 Every command is bit-deterministic under --seed, never mutates its inputs,
 and writes outputs atomically (temp file + rename). Error exits follow a
-fixed taxonomy so harness scripts can branch on them: 2 for bad input,
-3 for bad configuration, 4 for numeric failure.
+fixed taxonomy so harness scripts can branch on them: 2 for bad input
+(an OS error on a file included), 3 for bad configuration, 4 for numeric
+failure.
 """
 
 from __future__ import annotations
@@ -150,6 +151,9 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.sample_queries < 0:
+        raise ConfigError(
+            f"--sample-queries must be >= 0, got {args.sample_queries}")
     _, engine = modelfile.load_index(args.index)
     corpus = load_manifest(args.manifest)
     truth = bench.read_truth(args.truth)
@@ -286,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConfigError as exc:

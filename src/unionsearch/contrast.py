@@ -47,10 +47,6 @@ class TrainingBatch:
     samples: list[ColumnSample]
     m_pairs: int
 
-    @property
-    def source_columns(self) -> list[ColumnKey]:
-        return [s.column_key for s in self.samples]
-
 
 @dataclass
 class OfflinePair:
@@ -90,15 +86,14 @@ def build_online_batch(tables: list[Table], s: int, seed: int) -> TrainingBatch:
     return TrainingBatch(samples=views, m_pairs=len(eligible))
 
 
-def build_offline_pairs(corpus: Corpus, floor: float = 0.5,
-                        cap: int | None = None) -> list[OfflinePair]:
+def build_offline_pairs(corpus: Corpus, floor: float = 0.5) -> list[OfflinePair]:
     """Top-1 value-term Jaccard match per column, floored and deduplicated.
 
     For each encodable column, its most similar other column under the
     value TF-IDF set measure becomes a positive pair when the score reaches
     the floor. Ties break toward the lexicographically smaller column key.
     Pairs are unordered and deduplicated, returned sorted by descending
-    score then key, truncated to ``cap``.
+    score then key.
     """
     if not (0.0 < floor <= 1.0):
         raise ConfigError(f"offline floor must be in (0, 1], got {floor}")
@@ -135,8 +130,6 @@ def build_offline_pairs(corpus: Corpus, floor: float = 0.5,
         seen.add((a, b))
         pairs.append(OfflinePair(column_key_a=a, column_key_b=b, match_score=score))
     pairs.sort(key=lambda p: (-p.match_score, p.column_key_a, p.column_key_b))
-    if cap is not None:
-        pairs = pairs[:cap]
     return pairs
 
 

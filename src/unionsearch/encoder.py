@@ -152,13 +152,6 @@ class Encoder:
             acc += self.embed_token(t)
         return acc / len(tokens)
 
-    def embed_cell(self, cell: str) -> np.ndarray:
-        """Mean of the cell's token embeddings; zero vector if token-less."""
-        tokens = self._cell_tokens(cell)
-        if not tokens:
-            return np.zeros(self.cfg.dim)
-        return self._token_mean(tokens)
-
     def embed_column(self, values: list[str]) -> np.ndarray:
         """Mean of non-empty cell embeddings.
 

@@ -12,9 +12,9 @@ an exact rescoring, so the index can lose recall but never precision:
   matches with probability equal to the Jaccard similarity.
 
 State is held once. A cosine index numbers its vectors by insertion order
-and keeps one float32 row per vector in a single matrix, plus the same rows
-widened to float64 and each row's norm for scoring; its buckets hold those
-row numbers. A lookup marks the colliding rows in one boolean mask, scores
+and keeps one float64 matrix, each row a stored float32 vector widened
+exactly, plus each row's norm for scoring; its buckets hold those row
+numbers. A lookup marks the colliding rows in one boolean mask, scores
 them with ``cosines``, the one cosine formula that
 ``search.attribute_unionability`` also uses, and names only the rows that
 pass the threshold. Each row's dot product is reduced on its own, so a
@@ -59,6 +59,9 @@ def cosines(rows: np.ndarray, row_norms: np.ndarray, v: np.ndarray,
 
 
 def _band_check(n_total: int, n_bands: int, rows_per_band: int, kind: str) -> None:
+    if n_bands < 1 or rows_per_band < 1:
+        raise ConfigError(f"{kind}: bands and rows must be >= 1, "
+                          f"got {n_bands} and {rows_per_band}")
     if n_bands * rows_per_band != n_total:
         raise ConfigError(
             f"{kind}: bands * rows must equal {n_total}, "
@@ -68,9 +71,9 @@ def _band_check(n_total: int, n_bands: int, rows_per_band: int, kind: str) -> No
 class CosineLshIndex:
     """Random-hyperplane index over fixed-dimension vectors.
 
-    Each inserted vector gets the next row number. Rows live in one float32
-    matrix, with the same rows widened to float64 and their norms next to
-    it for scoring. Buckets hold row numbers as ``array("q")``;
+    Each inserted vector gets the next row number. Rows live in one float64
+    matrix, each the float32 vector widened exactly, with their norms next
+    to it for scoring. Buckets hold row numbers as ``array("q")``;
     ``key_of`` names a row and ``_rows`` maps each key back to its row.
     A built index numbers its rows in build order and a loaded one in
     key-table order, but the two return the same lookups.
@@ -94,7 +97,6 @@ class CosineLshIndex:
         self._rows: dict[ColumnKey, int] = {}
         self._keys: list[ColumnKey] = []
         # Capacity grows by doubling; rows past size are unused.
-        self._matrix = np.empty((0, dim), dtype=np.float32)
         self._wide = np.empty((0, dim), dtype=np.float64)
         self._norms = np.empty(0, dtype=np.float64)
 
@@ -110,17 +112,17 @@ class CosineLshIndex:
         return self._keys[row]
 
     def vector(self, key: ColumnKey) -> np.ndarray:
-        """The stored float32 vector of key, as a read-only row view."""
+        """The stored vector of key, float32-exact, as a read-only row view."""
         try:
-            row = self._matrix[self._rows[key]]
+            row = self._wide[self._rows[key]]
         except KeyError:
             raise InputError(f"unknown key {key!r} in cosine index") from None
         row.flags.writeable = False
         return row
 
     def matrix(self, keys: list[ColumnKey]) -> np.ndarray:
-        """Stored float32 vectors of keys, one row each, in the given order."""
-        return self._matrix[[self._rows[k] for k in keys]]
+        """Stored vectors of keys, one row each, in the given order."""
+        return self._wide[[self._rows[k] for k in keys]]
 
     def signature(self, vector: np.ndarray) -> np.ndarray:
         """P sign bits as uint8; a dot product of exactly zero counts as 1."""
@@ -152,13 +154,11 @@ class CosineLshIndex:
                 self.buckets[band][bkey] = array("q", (row,))
             else:
                 bucket.append(row)
-        if row == len(self._matrix):
+        if row == len(self._wide):
             grown = max(64, 2 * row)
-            self._matrix = np.resize(self._matrix, (grown, self.dim))
             self._wide = np.resize(self._wide, (grown, self.dim))
             self._norms = np.resize(self._norms, grown)
-        # v holds the float32 values widened, so this copy is exact.
-        self._matrix[row] = v
+        # v holds the float32 values widened exactly.
         self._wide[row] = v
         self._norms[row] = norm
         self._rows[key] = row

@@ -4,10 +4,11 @@ One little-endian container with a 4-byte magic, a version byte, and a kind
 byte. A model file carries the encoder configuration, the tokenizer id, the
 projection head (parameters row-major as 32-bit floats), the loss
 temperature, and every RNG seed needed to reproduce a run. An index file is
-the same model section followed by the indexed columns, version 3 laid out
+the same model section followed by the indexed columns, version 4 laid out
 as:
 
-1. the index configuration;
+1. the index configuration, one u64 per ``IndexConfig`` field in field
+   order;
 2. the key table: every indexed column key, sorted (a load rejects a table
    that is not strictly increasing);
 3. every stored vector as one float32 matrix whose row i belongs to key i;
@@ -24,8 +25,8 @@ token sets.
 
 Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
 check magic, version and kind, then the digest, before parsing anything
-else, so a truncated or corrupt file fails with InputError; versions 1 and
-2 are rejected. Saves are atomic (temp file + rename).
+else, so a truncated or corrupt file fails with InputError; versions 1 to 3
+are rejected. Saves are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import hashlib
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -48,7 +49,7 @@ from .search import IndexConfig, SearchEngine, _file_column, _new_indexes
 from .syntactic import SyntacticProfile, TfidfModel
 
 MAGIC = b"PYLN"
-VERSION = 3
+VERSION = 4
 KIND_MODEL = 1
 KIND_INDEX = 2
 CHECKSUM_BYTES = 32
@@ -258,12 +259,8 @@ def _read_token_set(r: _Reader) -> frozenset[str]:
 
 
 def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
-    cfg = engine.index_config
-    for v in (cfg.n_planes, cfg.n_bands, cfg.rows_per_band,
-              cfg.minhash_perms, cfg.minhash_bands, cfg.minhash_rows,
-              cfg.qgram, cfg.top_terms):
-        w.u32(v)
-    w.u64(cfg.seed)
+    for v in astuple(engine.index_config):
+        w.u64(v)
 
     keys = sorted(engine.profiles)
     _write_key_table(w, keys)
@@ -283,11 +280,7 @@ def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
 
 
 def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
-    vals = [r.u32() for _ in range(8)]
-    cfg = IndexConfig(n_planes=vals[0], n_bands=vals[1], rows_per_band=vals[2],
-                      minhash_perms=vals[3], minhash_bands=vals[4],
-                      minhash_rows=vals[5], qgram=vals[6], top_terms=vals[7],
-                      seed=r.u64())
+    cfg = IndexConfig(*(r.u64() for _ in fields(IndexConfig)))
     keys = _read_key_table(r)
     dim = bundle.head.dims[2]
     matrix = r.f32_array()

@@ -36,10 +36,8 @@ from .syntactic import (ALL_MEASURES, NAME, SEMANTIC, VALUE, SyntacticProfile,
 
 @dataclass
 class IndexConfig:
-    n_planes: int = 256
     n_bands: int = 32
     rows_per_band: int = 8
-    minhash_perms: int = 128
     minhash_bands: int = 32
     minhash_rows: int = 4
     qgram: int = syntactic.DEFAULT_QGRAM
@@ -161,14 +159,15 @@ class SearchEngine:
 def _new_indexes(cfg: IndexConfig, dim: int
                  ) -> tuple[CosineLshIndex, MinHashIndex, MinHashIndex]:
     """Empty semantic, name and value indexes, all parameters from cfg."""
+    perms = cfg.minhash_bands * cfg.minhash_rows
     return (
-        CosineLshIndex(dim=dim, n_planes=cfg.n_planes, n_bands=cfg.n_bands,
-                       rows_per_band=cfg.rows_per_band,
+        CosineLshIndex(dim=dim, n_planes=cfg.n_bands * cfg.rows_per_band,
+                       n_bands=cfg.n_bands, rows_per_band=cfg.rows_per_band,
                        seed=derive_seed(cfg.seed, "cosine")),
-        MinHashIndex(n_perms=cfg.minhash_perms, n_bands=cfg.minhash_bands,
+        MinHashIndex(n_perms=perms, n_bands=cfg.minhash_bands,
                      rows_per_band=cfg.minhash_rows,
                      seed=derive_seed(cfg.seed, "mh-name")),
-        MinHashIndex(n_perms=cfg.minhash_perms, n_bands=cfg.minhash_bands,
+        MinHashIndex(n_perms=perms, n_bands=cfg.minhash_bands,
                      rows_per_band=cfg.minhash_rows,
                      seed=derive_seed(cfg.seed, "mh-value")))
 

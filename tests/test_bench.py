@@ -13,7 +13,6 @@ from unionsearch.bench import (
     timing_harness,
     topic_of,
     write_metrics,
-    write_timings,
     write_truth,
 )
 from unionsearch.encoder import Encoder, EncoderConfig
@@ -276,14 +275,9 @@ def test_read_truth_short_row_names_file_and_line(tmp_path):
         read_truth(p)
 
 
-def test_metrics_and_timings_files(tmp_path):
+def test_metrics_file(tmp_path):
     mp = tmp_path / "metrics.csv"
     write_metrics(mp, [(5, 0.5, 0.25)])
     lines = mp.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "k,mean_precision,mean_recall"
     assert lines[1] == "5,0.500000000,0.250000000"
-    tp = tmp_path / "timings.csv"
-    write_timings(tp, [("query", 1.5, 0.1)])
-    tlines = tp.read_text(encoding="utf-8").splitlines()
-    assert tlines[0] == "phase,total_s,mean_s"
-    assert tlines[1] == "query,1.500000,0.100000"

@@ -2,6 +2,7 @@ import pytest
 
 from unionsearch.cli import main, parse_measures
 from unionsearch.errors import ConfigError, InputError
+from unionsearch import modelfile
 from unionsearch.modelfile import load_index, load_model
 
 
@@ -183,7 +184,17 @@ def test_query_missing_index_exit_2(workspace, tmp_path):
                "--out", str(tmp_path / "r.csv")) == 2
 
 
-@pytest.mark.parametrize("version", [1, 2])
+def test_query_unwritable_out_exit_2(workspace, tmp_path, capsys):
+    table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
+    assert run("query", "--index", str(workspace / "index.usi"),
+               "--query", str(table),
+               "--out", str(tmp_path / "missing" / "r.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("version", range(1, modelfile.VERSION))
 def test_query_old_version_index_exit_2(workspace, tmp_path, version):
     old = bytearray((workspace / "index.usi").read_bytes())
     old[4] = version  # the version byte, right after the 4-byte magic
@@ -226,6 +237,17 @@ def test_eval_sampled_queries(workspace, tmp_path):
                "--k", "3", "--sample-queries", "4",
                "--out", str(out)) == 0
     assert out.is_file()
+
+
+@pytest.mark.parametrize("n", [-1, -5])
+def test_eval_negative_sample_queries_exit_3(workspace, tmp_path, n):
+    bench = workspace / "bench"
+    assert run("eval", "--index", str(workspace / "index.usi"),
+               "--manifest", str(bench / "manifest.tsv"),
+               "--truth", str(bench / "truth.csv"),
+               "--sample-queries", str(n),
+               "--out", str(tmp_path / "m.csv")) == 3
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_eval_malformed_truth_exit_2(workspace, tmp_path, capsys):

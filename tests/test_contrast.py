@@ -34,7 +34,7 @@ def test_online_batch_shape_and_pairing():
     batch = build_online_batch(_two_tables(), s=5, seed=0)
     assert batch.m_pairs == 3
     assert len(batch.samples) == 6
-    keys = batch.source_columns
+    keys = [s.column_key for s in batch.samples]
     # instance k and k+M come from the same column, with distinct draws
     for k in range(batch.m_pairs):
         assert keys[k] == keys[k + batch.m_pairs]
@@ -74,7 +74,7 @@ def test_pair_counting_two_m_positives():
     batch = build_online_batch(_two_tables(), s=4, seed=0)
     n = len(batch.samples)
     M = batch.m_pairs
-    keys = batch.source_columns
+    keys = [s.column_key for s in batch.samples]
     positives = sum(1 for k in range(n) if keys[k] == keys[(k + M) % n])
     assert positives == 2 * M
     unordered_negatives = sum(
@@ -221,14 +221,6 @@ def test_offline_pairs_deduped_and_sorted():
     assert scores == sorted(scores, reverse=True)
     for p in pairs:  # canonical endpoint order inside a pair
         assert p.column_key_a < p.column_key_b
-
-
-def test_offline_pairs_cap():
-    corpus = make_corpus({
-        f"t{i}": {"c": ["tok", f"own{i}"]} for i in range(6)
-    })
-    pairs = build_offline_pairs(corpus, floor=0.0001, cap=3)
-    assert len(pairs) == 3
 
 
 def test_offline_pairs_floor_validation():

@@ -49,29 +49,26 @@ def test_random_token_pairs_near_orthogonal_dim128():
 
 # ---------------------------------------------------------------- cells
 
+# A one-cell column embeds as its cell: (0 + m) / 1 == m, bit for bit.
+
 def test_cell_single_token_equals_token_vector():
     enc = hashing_encoder()
-    np.testing.assert_array_equal(enc.embed_cell("apple"), enc.embed_token("apple"))
+    np.testing.assert_array_equal(enc.embed_column(["apple"]), enc.embed_token("apple"))
 
 
 def test_cell_mean_of_tokens():
     enc = hashing_encoder()
     expected = (enc.embed_token("new") + enc.embed_token("york")) / 2
-    np.testing.assert_allclose(enc.embed_cell("New York"), expected, atol=1e-12)
-
-
-def test_tokenless_cell_is_zero():
-    enc = hashing_encoder()
-    np.testing.assert_array_equal(enc.embed_cell(""), np.zeros(128))
-    np.testing.assert_array_equal(enc.embed_cell("---"), np.zeros(128))
+    np.testing.assert_allclose(enc.embed_column(["New York"]), expected, atol=1e-12)
 
 
 def test_cell_as_single_token_mode():
     enc = hashing_encoder(cell_as_single_token=True)
-    np.testing.assert_array_equal(enc.embed_cell("New York"), enc.embed_token("new_york"))
+    got = enc.embed_column(["New York"])
+    np.testing.assert_array_equal(got, enc.embed_token("new_york"))
     # differs from the token-mean embedding of the same cell
-    plain = hashing_encoder().embed_cell("New York")
-    assert not np.allclose(enc.embed_cell("New York"), plain)
+    plain = hashing_encoder().embed_column(["New York"])
+    assert not np.allclose(got, plain)
 
 
 # ---------------------------------------------------------------- columns
@@ -79,14 +76,14 @@ def test_cell_as_single_token_mode():
 def test_column_of_repeated_cell_equals_cell():
     enc = hashing_encoder()
     one = enc.embed_column(["lisbon"])
-    np.testing.assert_array_equal(one, enc.embed_cell("lisbon"))
+    np.testing.assert_array_equal(one, enc.embed_token("lisbon"))
     np.testing.assert_allclose(enc.embed_column(["lisbon"] * 3), one, atol=1e-12)
 
 
 def test_column_mean_midpoint_oracle():
     enc = hashing_encoder()
     got = enc.embed_column(["alpha beta", "gamma"])
-    expected = (enc.embed_cell("alpha beta") + enc.embed_cell("gamma")) / 2
+    expected = (enc.embed_column(["alpha beta"]) + enc.embed_column(["gamma"])) / 2
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 

@@ -67,6 +67,13 @@ def test_band_plane_consistency_enforced():
         CosineLshIndex(dim=8, n_planes=256, n_bands=10, rows_per_band=10)
 
 
+@pytest.mark.parametrize("n_bands, rows_per_band", [(0, 8), (8, 0), (-2, -4)])
+def test_cosine_empty_bands_rejected(n_bands, rows_per_band):
+    with pytest.raises(ConfigError, match="bands and rows must be >= 1"):
+        CosineLshIndex(dim=8, n_planes=n_bands * rows_per_band,
+                       n_bands=n_bands, rows_per_band=rows_per_band)
+
+
 # ---------------------------------------------------------------- cosine index
 
 def test_insert_lookup_self_retrieval():
@@ -325,6 +332,13 @@ def test_minhash_jaccard_and_duplicate():
 def test_minhash_band_shape_validation():
     with pytest.raises(ConfigError):
         MinHashIndex(n_perms=128, n_bands=3, rows_per_band=4)
+
+
+@pytest.mark.parametrize("n_bands, rows_per_band", [(0, 4), (4, 0), (-2, -4)])
+def test_minhash_empty_bands_rejected(n_bands, rows_per_band):
+    with pytest.raises(ConfigError, match="bands and rows must be >= 1"):
+        MinHashIndex(n_perms=n_bands * rows_per_band, n_bands=n_bands,
+                     rows_per_band=rows_per_band)
 
 
 def test_minhash_lookup_sorted_subset_of_scan():

@@ -2,7 +2,7 @@ import copy
 import hashlib
 import os
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -158,7 +158,9 @@ def test_index_roundtrip_preserves_structures(tmp_path, world):
     assert loaded.semantic_index.keys() == engine.semantic_index.keys()
     for key in engine.semantic_index.keys():
         vec = engine.semantic_index.vector(key)
-        assert vec.dtype == np.float32
+        np.testing.assert_array_equal(vec.astype(np.float32), vec)
+        assert not vec.flags.writeable
+        assert np.shares_memory(engine.semantic_index.vector(key), vec)
         np.testing.assert_array_equal(loaded.semantic_index.vector(key), vec)
     assert loaded.profiles == engine.profiles
     assert loaded.tfidf.df == engine.tfidf.df
@@ -308,7 +310,7 @@ def test_checksummed_bad_utf8_raises_input_error(tmp_path):
 def test_checksummed_bad_index_config_raises_input_error(tmp_path, world):
     corpus, engine = world
     odd = copy.copy(engine)
-    odd.index_config = replace(engine.index_config, n_bands=7)
+    odd.index_config = replace(engine.index_config, rows_per_band=0)
     p = tmp_path / "odd.usi"
     save_index(p, _bundle(), odd)
     with pytest.raises(InputError, match="bands"):
@@ -319,9 +321,9 @@ def _with_key_table(data: bytes, model_bytes: int, edit) -> bytes:
     """The index file with its key table replaced by edit(keys), re-checksummed.
 
     The key table follows the 6-byte header, the model section and the
-    index configuration (8 u32 values and a u64).
+    index configuration (one u64 per field).
     """
-    start = 6 + model_bytes + 8 * 4 + 8
+    start = 6 + model_bytes + 8 * len(fields(IndexConfig))
     (count,) = struct.unpack_from("<I", data, start)
     pos, keys = start + 4, []
     for _ in range(count):
