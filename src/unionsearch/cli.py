@@ -84,13 +84,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     pairs = None
     if args.strategy == contrast.OFFLINE:
         pairs_path = Path(args.pairs or f"{args.out}.pairs.csv")
+        inputs = (tc.offline_floor, corpus.digest())
         if pairs_path.exists():
-            pairs = contrast.read_offline_pairs(pairs_path)
+            pairs = contrast.read_offline_pairs(pairs_path, *inputs)
+        if pairs is not None:
             print(f"loaded {len(pairs)} cached pairs from {pairs_path}")
         else:
             pairs = contrast.build_offline_pairs(corpus, floor=tc.offline_floor)
-            atomic_write(pairs_path,
-                         lambda p: contrast.write_offline_pairs(p, pairs))
+            atomic_write(pairs_path, lambda p: contrast.write_offline_pairs(
+                p, pairs, *inputs))
             print(f"built and cached {len(pairs)} pairs at {pairs_path}")
 
     start = time.perf_counter()
@@ -289,6 +291,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Fail before any work, not when the finished output is written.
+        for option in ("out", "pairs", "loss_out"):
+            out_dir = Path(getattr(args, option, None) or ".").parent
+            if not out_dir.is_dir():
+                raise InputError(f"output directory {out_dir} does not exist")
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

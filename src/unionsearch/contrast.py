@@ -352,25 +352,33 @@ def _parse_key(text: str) -> ColumnKey:
     return (tid, int(pos))
 
 
-def write_offline_pairs(path: str | Path, pairs: list[OfflinePair]) -> None:
+def write_offline_pairs(path: str | Path, pairs: list[OfflinePair],
+                        floor: float, corpus_digest: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
+        w.writerow(["floor", "corpus"])
+        w.writerow([repr(floor), corpus_digest])
         w.writerow(["column_key_a", "column_key_b", "score"])
         for p in pairs:
             w.writerow([_key_str(p.column_key_a), _key_str(p.column_key_b),
                         f"{p.match_score:.9f}"])
 
 
-def read_offline_pairs(path: str | Path) -> list[OfflinePair]:
+def read_offline_pairs(path: str | Path, floor: float, corpus_digest: str
+                       ) -> list[OfflinePair] | None:
+    """The cached pairs, or None if they were mined from other inputs."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise InputError(f"cannot read pairs file {path}: {exc}") from exc
-    if not rows or rows[0] != ["column_key_a", "column_key_b", "score"]:
+    if (len(rows) < 3 or rows[0] != ["floor", "corpus"]
+            or rows[2] != ["column_key_a", "column_key_b", "score"]):
         raise InputError(f"{path}: not an offline-pairs file")
+    if rows[1] != [repr(floor), corpus_digest]:
+        return None
     pairs = []
-    for line, row in enumerate(rows[1:], start=2):
+    for line, row in enumerate(rows[3:], start=4):
         try:
             a, b, s = row
             pairs.append(OfflinePair(_parse_key(a), _parse_key(b), float(s)))

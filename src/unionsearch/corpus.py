@@ -9,6 +9,7 @@ on the table. Numeric-looking columns are treated as text throughout.
 from __future__ import annotations
 
 import csv
+import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +18,8 @@ import numpy as np
 
 from .errors import EmptyColumnError, InputError
 
-# Recorded in model files so index-time and query-time tokenization agree.
+# Recorded in model files and checked on load, so index-time and query-time
+# tokenization agree.
 TOKENIZER_ID = "lower-alnum-v1"
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
@@ -120,6 +122,13 @@ class Corpus:
 
     def encodable_columns(self) -> list[Column]:
         return [c for c in self.columns() if c.is_encodable()]
+
+    def digest(self) -> str:
+        """Hex blake2b of every table id, column name and cell, in order."""
+        content = [(t.table_id, [(c.name, c.values) for c in t.columns])
+                   for t in self.tables]
+        return hashlib.blake2b(repr(content).encode("utf-8"),
+                               digest_size=16).hexdigest()
 
 
 def load_csv(path: str | Path, options: IngestOptions | None = None,

@@ -26,12 +26,8 @@ frozenset the caller inserted, which in a search engine is the column's
 those rows and sets; buckets only choose what gets scored.
 
 Everything else is derived: hyperplanes and hash coefficients follow from
-the seed, buckets from the inserted rows and sets. An index file therefore
-stores none of it, and loading rebuilds each index by inserting the stored
-columns again, in key order. A built cosine index numbers its rows in build
-order and a loaded one in key-table order, and min-hash bucket members
-differ in order the same way. Both return the same lookups, sorted by
-(-score, key).
+the seed, buckets from the inserted rows and sets, in insertion order. An
+index file therefore stores none of it.
 """
 
 from __future__ import annotations
@@ -75,8 +71,6 @@ class CosineLshIndex:
     matrix, each the float32 vector widened exactly, with their norms next
     to it for scoring. Buckets hold row numbers as ``array("q")``;
     ``key_of`` names a row and ``_rows`` maps each key back to its row.
-    A built index numbers its rows in build order and a loaded one in
-    key-table order, but the two return the same lookups.
     """
 
     def __init__(self, dim: int, n_planes: int = 256, n_bands: int = 32,
@@ -103,9 +97,6 @@ class CosineLshIndex:
     @property
     def size(self) -> int:
         return len(self._keys)
-
-    def keys(self) -> list[ColumnKey]:
-        return sorted(self._rows)
 
     def key_of(self, row: int) -> ColumnKey:
         """The key stored at a row number, as found in ``buckets``."""
@@ -215,9 +206,6 @@ class MinHashIndex:
     @property
     def size(self) -> int:
         return len(self.token_sets)
-
-    def keys(self) -> list[ColumnKey]:
-        return sorted(self.token_sets)
 
     def signature(self, tokens: frozenset[str] | set[str]) -> np.ndarray:
         """Per-permutation minimum of (a*x + b) mod p over the token hashes."""

@@ -16,17 +16,15 @@ as:
    value terms, format patterns;
 5. the corpus document frequencies.
 
-The LSH indexes are not stored. Their hyperplanes and hash coefficients
-follow from the index configuration, the head's output dimension and the
-seeds derived from them, and their buckets from the columns; loading
-rebuilds all three by filing each column in key-table order, the way
-``build_engine`` does. A loaded min-hash index points at the profile's own
-token sets.
+The LSH indexes are not stored: loading hands the columns, in key-table
+order, to the ``SearchEngine`` constructor, which rebuilds them exactly as
+``build_engine`` built them.
 
 Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
 check magic, version and kind, then the digest, before parsing anything
 else, so a truncated or corrupt file fails with InputError; versions 1 to 3
-are rejected. Saves are atomic (temp file + rename).
+are rejected, and so is a file whose tokenizer id is not ``TOKENIZER_ID``.
+Saves are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .corpus import ColumnKey, TOKENIZER_ID
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, InputError, NumericError
 from .projection import ProjectionHead, TrainConfig, Velocity
-from .search import IndexConfig, SearchEngine, _file_column, _new_indexes
+from .search import IndexConfig, SearchEngine
 from .syntactic import SyntacticProfile, TfidfModel
 
 MAGIC = b"PYLN"
@@ -203,6 +201,8 @@ def _write_model_section(w: _Writer, bundle: ModelBundle) -> None:
 
 def _read_model_section(r: _Reader) -> ModelBundle:
     tokenizer_id = r.text()
+    if tokenizer_id != TOKENIZER_ID:
+        raise InputError(f"{r.path}: tokenizer {tokenizer_id!r} is not {TOKENIZER_ID!r}")
     ec = EncoderConfig(backend=r.text(), dim=r.u32(), hash_seed=r.u64(),
                        cell_as_single_token=bool(r.u8()))
     vec_path = r.text()
@@ -262,15 +262,13 @@ def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
     for v in astuple(engine.index_config):
         w.u64(v)
 
-    keys = sorted(engine.profiles)
-    _write_key_table(w, keys)
-    w.f32_array(engine.semantic_index.matrix(keys))
+    _write_key_table(w, engine.keys)
+    w.f32_array(engine.semantic_index.matrix(engine.keys))
 
-    for key in keys:
+    for key in engine.keys:
         p = engine.profiles[key]
-        _write_token_set(w, p.name_grams)
-        _write_token_set(w, p.value_term_set)
-        _write_token_set(w, p.format_set)
+        for tokens in (p.name_grams, p.value_term_set, p.format_set):
+            _write_token_set(w, tokens)
 
     w.u32(engine.tfidf.n_columns)
     w.u32(len(engine.tfidf.df))
@@ -288,25 +286,21 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
         raise InputError(f"{r.path}: vector matrix shape {matrix.shape} != "
                          f"{(len(keys), dim)}")
 
-    profiles: dict[ColumnKey, SyntacticProfile] = {}
-    for key in keys:
-        profiles[key] = SyntacticProfile(
-            column_key=key, name_grams=_read_token_set(r),
-            value_term_set=_read_token_set(r), format_set=_read_token_set(r))
+    profiles = [SyntacticProfile(column_key=key, name_grams=_read_token_set(r),
+                                 value_term_set=_read_token_set(r),
+                                 format_set=_read_token_set(r))
+                for key in keys]
 
     n_columns = r.u32()
     df = {r.text(): r.u32() for _ in range(r.u32())}
     tfidf = TfidfModel(df=df, n_columns=n_columns)
 
     try:
-        encoder = Encoder(bundle.encoder_config)
-        indexes = _new_indexes(cfg, dim)
-        for key, vector in zip(keys, matrix):
-            _file_column(indexes, key, vector, profiles[key])
+        return SearchEngine(Encoder(bundle.encoder_config), bundle.head, cfg,
+                            tfidf, zip(keys, matrix, profiles))
     except (ConfigError, NumericError) as exc:
         # Stored values the constructors reject are bad input all the same.
         raise InputError(f"{r.path}: {exc}") from exc
-    return SearchEngine(encoder, bundle.head, *indexes, profiles, tfidf, cfg)
 
 
 def _checksum(body: bytes) -> bytes:

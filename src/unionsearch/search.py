@@ -20,6 +20,7 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -50,7 +51,6 @@ class SearchConfig:
     k: int = 10
     threshold: float = 0.7
     measures: tuple[str, ...] = (SEMANTIC,)
-    exclude_self: bool = True
     exhaustive: bool = False
 
     def validate(self) -> None:
@@ -129,21 +129,44 @@ def table_unionability(matches: list[AttributeMatch]) -> float:
 
 
 class SearchEngine:
-    """Immutable query-side bundle: encoder, head, indexes, and profiles."""
+    """Immutable query-side bundle: encoder, head, indexes, and profiles.
+
+    Made from ``columns``: ``(key, float32 vector, profile)`` in strictly
+    increasing key order, kept in ``keys``. The three indexes follow from
+    ``index_config`` and ``head.dims[2]``, and each column is filed in turn,
+    so the same columns give the same rows and buckets. An empty name or
+    value set stays out of its index.
+    """
 
     def __init__(self, encoder: Encoder, head: ProjectionHead,
-                 semantic_index: CosineLshIndex,
-                 name_index: MinHashIndex, value_index: MinHashIndex,
-                 profiles: dict[ColumnKey, SyntacticProfile],
-                 tfidf: TfidfModel, index_config: IndexConfig):
+                 index_config: IndexConfig, tfidf: TfidfModel,
+                 columns: Iterable[tuple[ColumnKey, np.ndarray,
+                                         SyntacticProfile]]):
+        cfg = index_config
         self.encoder = encoder
         self.head = head
-        self.semantic_index = semantic_index
-        self.name_index = name_index
-        self.value_index = value_index
-        self.profiles = profiles
+        self.index_config = cfg
         self.tfidf = tfidf
-        self.index_config = index_config
+        self.semantic_index = CosineLshIndex(
+            dim=head.dims[2], n_planes=cfg.n_bands * cfg.rows_per_band,
+            n_bands=cfg.n_bands, rows_per_band=cfg.rows_per_band,
+            seed=derive_seed(cfg.seed, "cosine"))
+        self.name_index, self.value_index = (
+            MinHashIndex(n_perms=cfg.minhash_bands * cfg.minhash_rows,
+                         n_bands=cfg.minhash_bands,
+                         rows_per_band=cfg.minhash_rows,
+                         seed=derive_seed(cfg.seed, label))
+            for label in ("mh-name", "mh-value"))
+        self.keys: list[ColumnKey] = []
+        self.profiles: dict[ColumnKey, SyntacticProfile] = {}
+        for key, vector, profile in columns:
+            self.semantic_index.insert(key, vector)
+            if profile.name_grams:
+                self.name_index.insert(key, profile.name_grams)
+            if profile.value_term_set:
+                self.value_index.insert(key, profile.value_term_set)
+            self.keys.append(key)
+            self.profiles[key] = profile
 
     def project_column(self, column: Column) -> np.ndarray:
         """Projected embedding, quantized to float32 like every stored vector."""
@@ -156,49 +179,18 @@ class SearchEngine:
                                        top_t=self.index_config.top_terms)
 
 
-def _new_indexes(cfg: IndexConfig, dim: int
-                 ) -> tuple[CosineLshIndex, MinHashIndex, MinHashIndex]:
-    """Empty semantic, name and value indexes, all parameters from cfg."""
-    perms = cfg.minhash_bands * cfg.minhash_rows
-    return (
-        CosineLshIndex(dim=dim, n_planes=cfg.n_bands * cfg.rows_per_band,
-                       n_bands=cfg.n_bands, rows_per_band=cfg.rows_per_band,
-                       seed=derive_seed(cfg.seed, "cosine")),
-        MinHashIndex(n_perms=perms, n_bands=cfg.minhash_bands,
-                     rows_per_band=cfg.minhash_rows,
-                     seed=derive_seed(cfg.seed, "mh-name")),
-        MinHashIndex(n_perms=perms, n_bands=cfg.minhash_bands,
-                     rows_per_band=cfg.minhash_rows,
-                     seed=derive_seed(cfg.seed, "mh-value")))
-
-
-def _file_column(indexes: tuple[CosineLshIndex, MinHashIndex, MinHashIndex],
-                 key: ColumnKey, vector: np.ndarray,
-                 profile: SyntacticProfile) -> None:
-    """Insert one column; an empty name or value set stays out of its index."""
-    semantic_index, name_index, value_index = indexes
-    semantic_index.insert(key, vector)
-    if profile.name_grams:
-        name_index.insert(key, profile.name_grams)
-    if profile.value_term_set:
-        value_index.insert(key, profile.value_term_set)
-
-
 def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
                  index_config: IndexConfig | None = None) -> SearchEngine:
     """Index every encodable corpus column under all measures."""
     cfg = index_config or IndexConfig()
     tfidf = syntactic.build_tfidf(corpus)
-    indexes = _new_indexes(cfg, head.dims[2])
-    profiles: dict[ColumnKey, SyntacticProfile] = {}
-    for column in corpus.encodable_columns():
-        key = column.column_key
-        base = encoder.embed_column(column.values)
-        vector = project(head, base).astype(np.float32)
-        profiles[key] = syntactic.build_profile(column, tfidf, cfg.qgram,
-                                                cfg.top_terms)
-        _file_column(indexes, key, vector, profiles[key])
-    return SearchEngine(encoder, head, *indexes, profiles, tfidf, cfg)
+    # One column at a time: a batched projection would change the bits.
+    return SearchEngine(encoder, head, cfg, tfidf, (
+        (c.column_key,
+         project(head, encoder.embed_column(c.values)).astype(np.float32),
+         syntactic.build_profile(c, tfidf, cfg.qgram, cfg.top_terms))
+        for c in sorted(corpus.encodable_columns(),
+                        key=lambda col: col.column_key)))
 
 
 @dataclass
@@ -216,7 +208,7 @@ def _gather_candidates(engine: SearchEngine, cfg: SearchConfig,
     if cfg.exhaustive:
         # The oracle pool is every indexed column, so it also scores pairs
         # no generating measure would have surfaced on its own.
-        return engine.semantic_index.keys()
+        return engine.keys
     t = cfg.threshold
     candidates: set[ColumnKey] = set()
     if SEMANTIC in cfg.measures and qvec is not None:
@@ -277,7 +269,7 @@ def top_k_search(engine: SearchEngine, query_table: Table,
     by_table: dict[str, dict[tuple[int, int], tuple[float, float]]] = {}
     for cp in per_column:
         for (table_id, cpos), score_weight in cp.pairs.items():
-            if cfg.exclude_self and table_id == query_table.table_id:
+            if table_id == query_table.table_id:
                 continue
             by_table.setdefault(table_id, {})[(cp.query_position, cpos)] = \
                 score_weight

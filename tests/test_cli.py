@@ -89,13 +89,17 @@ def test_train_byte_deterministic(workspace, tmp_path):
     assert outs[0] == (workspace / "model.usm").read_bytes()
 
 
+def _offline_args(manifest, out, floor: str = "0.5") -> tuple[str, ...]:
+    return ("train", "--manifest", str(manifest), "--out", str(out),
+            "--strategy", "offline", "--offline-floor", floor, "--dim", "48",
+            "--out-dim", "24", "--epochs", "2", "--batch-size", "4",
+            "--sample-size", "6", "--seed", "11")
+
+
 def test_train_offline_caches_pairs(workspace, tmp_path, capsys):
     bench = workspace / "bench"
     out = tmp_path / "off.usm"
-    args = ("train", "--manifest", str(bench / "manifest.tsv"),
-            "--out", str(out), "--strategy", "offline", "--dim", "48",
-            "--out-dim", "24", "--epochs", "2", "--batch-size", "4",
-            "--sample-size", "6", "--seed", "11")
+    args = _offline_args(bench / "manifest.tsv", out)
     assert run(*args) == 0
     first = capsys.readouterr().out
     assert "built and cached" in first
@@ -106,6 +110,37 @@ def test_train_offline_caches_pairs(workspace, tmp_path, capsys):
     second = capsys.readouterr().out
     assert "cached pairs from" in second
     assert pairs.read_bytes() == stamp
+
+
+def test_train_offline_changed_floor_mines_again(workspace, tmp_path, capsys):
+    manifest = workspace / "bench" / "manifest.tsv"
+    out = tmp_path / "off.usm"
+    assert run(*_offline_args(manifest, out, "0.5")) == 0
+    assert "built and cached 19 pairs" in capsys.readouterr().out
+    # No pair reaches 0.95, so the cached 0.5 pairs must not be trained on.
+    assert run(*_offline_args(manifest, out, "0.95")) == 2
+    assert "built and cached 0 pairs" in capsys.readouterr().out
+    preamble = (tmp_path / "off.usm.pairs.csv").read_text().splitlines()[:2]
+    assert preamble[0] == "floor,corpus"
+    assert preamble[1].startswith("0.95,")
+
+
+def test_train_offline_changed_manifest_mines_again(workspace, tmp_path, capsys):
+    bench = workspace / "bench"
+    out = tmp_path / "off.usm"
+    assert run(*_offline_args(bench / "manifest.tsv", out)) == 0
+    pairs = tmp_path / "off.usm.pairs.csv"
+    first = pairs.read_text().splitlines()
+    capsys.readouterr()
+    fewer = tmp_path / "fewer.tsv"
+    lines = (bench / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    fewer.write_text("".join(f"{tid}\t{bench / rel}\n" for tid, rel in
+                             (line.split("\t") for line in lines[:-1])),
+                     encoding="utf-8")
+    assert run(*_offline_args(fewer, out)) == 0
+    assert "built and cached" in capsys.readouterr().out
+    second = pairs.read_text().splitlines()
+    assert second[1] != first[1]   # the corpus digest
 
 
 def test_train_records_the_vector_files_dim(workspace, tmp_path):
@@ -121,6 +156,20 @@ def test_train_records_the_vector_files_dim(workspace, tmp_path):
     bundle = load_model(out)
     assert bundle.encoder_config.dim == 12
     assert bundle.head.dims[0] == 12
+
+
+@pytest.mark.parametrize("option", ["--out", "--pairs", "--loss-out"])
+def test_train_missing_output_dir_exit_2_before_work(workspace, tmp_path,
+                                                     capsys, option):
+    args = dict(zip(("--out", "--pairs", "--loss-out"),
+                    (str(tmp_path / name) for name in ("m.usm", "p.csv", "l.csv"))))
+    args[option] = str(tmp_path / "missing" / "x")
+    assert run("train", "--manifest", str(workspace / "bench" / "manifest.tsv"),
+               "--strategy", "offline", *(s for kv in args.items() for s in kv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""   # nothing mined or trained
+    assert "output directory" in captured.err and "missing" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_missing_manifest_exit_2(tmp_path):
@@ -191,6 +240,7 @@ def test_query_unwritable_out_exit_2(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "missing" / "r.csv")) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
+    assert "missing" in err and ".tmp" not in err
     assert list(tmp_path.rglob("*.tmp")) == []
 
 

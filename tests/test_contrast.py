@@ -247,26 +247,42 @@ def test_offline_pairs_file_roundtrip(tmp_path):
         OfflinePair(("t:odd", 2), ("tc", 0), 0.5),  # id containing a colon
     ]
     path = tmp_path / "pairs.csv"
-    write_offline_pairs(path, pairs)
-    back = read_offline_pairs(path)
-    assert back == pairs
+    # 0.1 + 0.2 is no short decimal: the floor must round-trip exactly.
+    write_offline_pairs(path, pairs, 0.1 + 0.2, "9f" * 16)
+    assert read_offline_pairs(path, 0.1 + 0.2, "9f" * 16) == pairs
+
+
+@pytest.mark.parametrize("floor, digest", [(0.3, "9f" * 16), (0.5, "9e" * 16)])
+def test_offline_pairs_from_other_inputs_not_read(tmp_path, floor, digest):
+    path = tmp_path / "pairs.csv"
+    write_offline_pairs(path, [OfflinePair(("ta", 0), ("tb", 1), 0.875)],
+                        0.5, "9f" * 16)
+    assert read_offline_pairs(path, floor, digest) is None
 
 
 @pytest.mark.parametrize("row", ["ta:0,tb:1", "ta:0,tb:x,0.5",
                                  "ta:0,tb:1,high"])
 def test_read_offline_pairs_bad_row_names_file_and_line(tmp_path, row):
     path = tmp_path / "pairs.csv"
-    path.write_text("column_key_a,column_key_b,score\nta:1,tb:2,0.5\n"
-                    + row + "\n", encoding="utf-8")
-    with pytest.raises(InputError, match="pairs.csv:3: bad pair row"):
-        read_offline_pairs(path)
+    path.write_text("floor,corpus\n0.5,9f\ncolumn_key_a,column_key_b,score\n"
+                    "ta:1,tb:2,0.5\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match="pairs.csv:5: bad pair row"):
+        read_offline_pairs(path, 0.5, "9f")
 
 
 def test_read_offline_pairs_rejects_garbage(tmp_path):
     path = tmp_path / "pairs.csv"
     path.write_text("column_a,column_b,match_score\nnocolon,alsobad,0.5\n", encoding="utf-8")
     with pytest.raises(InputError):
-        read_offline_pairs(path)
+        read_offline_pairs(path, 0.5, "9f")
+
+
+def test_read_offline_pairs_without_inputs_rejected(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("column_key_a,column_key_b,score\nta:1,tb:2,0.5\n",
+                    encoding="utf-8")
+    with pytest.raises(InputError, match="not an offline-pairs file"):
+        read_offline_pairs(path, 0.5, "9f")
 
 
 # ---------------------------------------------------------------- training loop

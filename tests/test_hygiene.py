@@ -1,5 +1,6 @@
-"""Source hygiene checks that need no linter: every import is used, and
-every top-level definition is named somewhere."""
+"""Source hygiene checks that need no linter: every import is used, every
+top-level definition is named somewhere, and no package module imports
+another's private names."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,26 @@ def test_scan_finds_an_unnamed_definition():
     tree = ast.parse("A = 1\nB: int = 2\ndef f(): return g()\n"
                      "def g(): return A\nclass C: pass\nx.B\n")
     assert set(_defined_names(tree)) - _named(tree) == {"f", "C"}
+
+
+def _private_package_imports(tree: ast.Module) -> list[str]:
+    """Underscore names imported from a module of this package."""
+    return [f"{node.module or '.'}.{alias.name} (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == PACKAGE.name)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = _private_package_imports(tree)
+    assert not private, f"{path.name} imports private names: {private}"
+
+
+def test_scan_finds_a_private_import():
+    tree = ast.parse("from .search import _a, b\nfrom unionsearch.x import _c\n"
+                     "from os import _exit\nfrom __future__ import annotations\n")
+    assert _private_package_imports(tree) == ["search._a (line 1)",
+                                              "unionsearch.x._c (line 2)"]

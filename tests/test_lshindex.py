@@ -149,7 +149,8 @@ def test_lookup_subset_of_scan():
 def _brute_force_cosines(idx: CosineLshIndex, q, threshold: float) -> dict:
     """Every stored row scored one at a time, as the exhaustive search does."""
     qv = np.asarray(q, dtype=np.float32)
-    scores = {k: attribute_unionability(qv, idx.vector(k)) for k in idx.keys()}
+    scores = {k: attribute_unionability(qv, idx.vector(k))
+              for k in map(idx.key_of, range(idx.size))}
     return {k: s for k, s in scores.items() if s >= threshold}
 
 
@@ -351,7 +352,7 @@ def test_minhash_lookup_sorted_subset_of_scan():
     got = idx.lookup(q, threshold=0.3)
     scores = [s for _, s in got]
     assert scores == sorted(scores, reverse=True)
-    full = {k: jaccard(q, idx.token_sets[k]) for k in idx.keys()}
+    full = {k: jaccard(q, tokens) for k, tokens in idx.token_sets.items()}
     assert set(dict(got)) <= {k for k, s in full.items() if s >= 0.3}
     for k, s in got:
         assert s == full[k]

@@ -12,7 +12,6 @@ from unionsearch.contrast import ONLINE
 from unionsearch.corpus import Corpus
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.errors import InputError
-from unionsearch.lshindex import CosineLshIndex
 from unionsearch.modelfile import (
     CHECKSUM_BYTES,
     ModelBundle,
@@ -71,6 +70,21 @@ def test_model_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(back.velocity.tensors(), bundle.velocity.tensors()):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["model", "index"])
+def test_other_tokenizer_rejected(tmp_path, world, kind):
+    corpus, engine = world
+    other = replace(_bundle(), tokenizer_id="some-other-tokenizer-v9")
+    p = tmp_path / f"other.{kind}"
+    if kind == "model":
+        save_model(p, other)
+        load = load_model
+    else:
+        save_index(p, other, engine)
+        load = load_index
+    with pytest.raises(InputError, match="some-other-tokenizer-v9"):
+        load(p)
 
 
 def test_model_roundtrip_without_velocity(tmp_path):
@@ -155,8 +169,8 @@ def test_index_roundtrip_preserves_structures(tmp_path, world):
     p = tmp_path / "engine.usi"
     save_index(p, _bundle(), engine)
     _, loaded = load_index(p)
-    assert loaded.semantic_index.keys() == engine.semantic_index.keys()
-    for key in engine.semantic_index.keys():
+    assert loaded.keys == engine.keys
+    for key in engine.keys:
         vec = engine.semantic_index.vector(key)
         np.testing.assert_array_equal(vec.astype(np.float32), vec)
         assert not vec.flags.writeable
@@ -176,36 +190,33 @@ def test_index_roundtrip_preserves_structures(tmp_path, world):
         np.testing.assert_array_equal(back.coef_a, built.coef_a)
         np.testing.assert_array_equal(back.coef_b, built.coef_b)
     for attr in ("semantic_index", "name_index", "value_index"):
-        built, back = getattr(engine, attr), getattr(loaded, attr)
-        assert len(back.buckets) == len(built.buckets)
-        for band_back, band_built in zip(back.buckets, built.buckets):
-            assert _bucket_keys(back, band_back) == _bucket_keys(built, band_built)
-
-
-def _bucket_keys(index, band: dict) -> dict:
-    """One band's buckets as key sets; cosine buckets hold row numbers."""
-    if isinstance(index, CosineLshIndex):
-        return {b: {index.key_of(r) for r in rows} for b, rows in band.items()}
-    return {b: set(keys) for b, keys in band.items()}
+        assert getattr(loaded, attr).buckets == getattr(engine, attr).buckets
 
 
 def test_built_and_loaded_cosine_lookups_identical(tmp_path, world):
     corpus, engine = world
-    # Built from the tables in reverse, the engine numbers its rows in a
-    # different order from the loaded copy, whose rows follow the key table.
+    # The constructor files columns in key order, so neither the corpus
+    # order nor a save and load changes a row number or a bucket.
     reversed_corpus = Corpus(list(reversed(corpus.tables)))
     built = build_engine(reversed_corpus, engine.encoder, engine.head,
                          engine.index_config)
-    p = tmp_path / "engine.usi"
-    save_index(p, _bundle(), built)
-    _, loaded = load_index(p)
-    a, b = built.semantic_index, loaded.semantic_index
-    assert [a.key_of(r) for r in range(a.size)] != \
-           [b.key_of(r) for r in range(b.size)]
+    engines = [engine, built]
+    for i, eng in enumerate([engine, built]):
+        p = tmp_path / f"engine{i}.usi"
+        save_index(p, _bundle(), eng)
+        engines.append(load_index(p)[1])
+    for eng in engines:
+        assert eng.keys == sorted(eng.profiles)
+        sem = eng.semantic_index
+        assert [sem.key_of(r) for r in range(sem.size)] == engine.keys
+        for attr in ("semantic_index", "name_index", "value_index"):
+            assert getattr(eng, attr).buckets == getattr(engine, attr).buckets
     for column in corpus.encodable_columns():
-        q = built.project_column(column)
+        q = engine.project_column(column)
         for threshold in (-1.0, 0.7):
-            assert a.lookup(q, threshold) == b.lookup(q, threshold)
+            hits = engine.semantic_index.lookup(q, threshold)
+            for eng in engines[1:]:
+                assert eng.semantic_index.lookup(q, threshold) == hits
 
 
 def test_index_save_byte_stable(tmp_path, world):

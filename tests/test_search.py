@@ -5,7 +5,6 @@ from unionsearch.bench import BenchmarkSpec, brute_force_search, generate_benchm
 from unionsearch.corpus import Column, ColumnKey, Table
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.errors import ConfigError, InputError, NumericError
-from unionsearch.lshindex import CosineLshIndex, MinHashIndex
 from unionsearch.projection import init_head
 from unionsearch.search import (
     AttributeMatch,
@@ -122,16 +121,14 @@ class VectorEngine(SearchEngine):
     """Engine with hand-planted projected vectors; semantic measure only."""
 
     def __init__(self, dim: int, stored: dict[ColumnKey, np.ndarray],
-                 queries: dict[ColumnKey, np.ndarray], seed: int = 0):
-        sem = CosineLshIndex(dim=dim, seed=seed)
-        profiles = {}
-        for key, vec in stored.items():
-            sem.insert(key, np.asarray(vec, dtype=np.float32))
-            profiles[key] = SyntacticProfile(key, frozenset(), frozenset(), frozenset())
-        super().__init__(encoder=None, head=None, semantic_index=sem,
-                         name_index=MinHashIndex(), value_index=MinHashIndex(),
-                         profiles=profiles, tfidf=TfidfModel(df={}, n_columns=0),
-                         index_config=IndexConfig())
+                 queries: dict[ColumnKey, np.ndarray]):
+        columns = ((key, np.asarray(stored[key], dtype=np.float32),
+                    SyntacticProfile(key, frozenset(), frozenset(), frozenset()))
+                   for key in sorted(stored))
+        # The head only sets the index dimension; queries bypass it.
+        super().__init__(encoder=None, head=init_head(dim, dim, dim, seed=0),
+                         index_config=IndexConfig(),
+                         tfidf=TfidfModel(df={}, n_columns=0), columns=columns)
         self._queries = {k: np.asarray(v, dtype=np.float32) for k, v in queries.items()}
 
     def project_column(self, column: Column) -> np.ndarray:
@@ -201,14 +198,6 @@ def test_cdf_weight_examples():
 def test_cdf_weight_ties_inclusive():
     w = _weights_by_table({"a": 0.5, "b": 0.5, "c": 0.9})
     assert w == pytest.approx({"a": 2 / 3, "b": 2 / 3, "c": 1.0})
-
-
-def test_self_match_included_when_disabled():
-    engine, qtable = _planted_world(include_self=True)
-    res = top_k_search(engine, qtable,
-                       SearchConfig(k=10, threshold=0.7, exclude_self=False))
-    assert res.ranked[0].candidate_table_id == "q"
-    assert res.ranked[0].table_score == pytest.approx(1.0, abs=1e-6)
 
 
 def test_k_truncates_ranking():
