@@ -1,8 +1,8 @@
 """Table union search: contrastive column embeddings + LSH retrieval."""
 
-from .corpus import (Column, ColumnKey, ColumnSample, Corpus, IngestOptions,
-                     Table, load_csv, load_manifest, sample_column,
-                     write_manifest, write_table_csv)
+from .corpus import (Column, ColumnKey, ColumnSample, Corpus, Table,
+                     load_csv, load_manifest, sample_column, write_manifest,
+                     write_table_csv)
 from .encoder import Encoder, EncoderConfig, load_vectors
 from .errors import (ConfigError, DuplicateKeyError, EmptyColumnError,
                      InputError, NumericError, UnionSearchError)

@@ -1,10 +1,10 @@
 """Command-line front door: train, index, query, eval, benchgen.
 
-Every command is bit-deterministic under --seed, never mutates its inputs,
-and writes outputs atomically (temp file + rename). Error exits follow a
-fixed taxonomy so harness scripts can branch on them: 2 for bad input
-(an OS error on a file included), 3 for bad configuration, 4 for numeric
-failure.
+Every command is bit-deterministic given its inputs and, where it takes
+one, its --seed; none mutates its inputs, and each writes its outputs
+atomically (temp file + rename). Error exits follow a fixed taxonomy so
+harness scripts can branch on them: 2 for bad input (an OS error on a file
+included), 3 for bad configuration, 4 for numeric failure.
 """
 
 from __future__ import annotations
@@ -81,23 +81,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                      validation_fraction=args.validation_fraction,
                      offline_floor=args.offline_floor)
 
-    pairs = None
-    if args.strategy == contrast.OFFLINE:
-        pairs_path = Path(args.pairs or f"{args.out}.pairs.csv")
-        inputs = (tc.offline_floor, corpus.digest())
-        if pairs_path.exists():
-            pairs = contrast.read_offline_pairs(pairs_path, *inputs)
-        if pairs is not None:
-            print(f"loaded {len(pairs)} cached pairs from {pairs_path}")
-        else:
-            pairs = contrast.build_offline_pairs(corpus, floor=tc.offline_floor)
-            atomic_write(pairs_path, lambda p: contrast.write_offline_pairs(
-                p, pairs, *inputs))
-            print(f"built and cached {len(pairs)} pairs at {pairs_path}")
-
     start = time.perf_counter()
-    result = contrast.train(corpus, encoder, head, tc,
-                            strategy=args.strategy, pairs=pairs)
+    result = contrast.train(corpus, encoder, head, tc, strategy=args.strategy)
     elapsed = time.perf_counter() - start
 
     bundle = modelfile.ModelBundle(encoder_config=encoder.cfg,
@@ -235,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-size", type=int, default=20)
     p.add_argument("--validation-fraction", type=float, default=0.05)
     p.add_argument("--offline-floor", type=float, default=0.5)
-    p.add_argument("--pairs", default=None,
-                   help="offline pairs cache (default: <out>.pairs.csv)")
     p.add_argument("--loss-out", default=None,
                    help="loss history CSV (default: <out>.loss.csv)")
     common(p)
@@ -258,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measures", default="semantic",
                    help='comma list, e.g. "semantic,N,V"')
     p.add_argument("--out", default="results.csv")
-    common(p)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("eval", help="precision/recall against ground truth")
@@ -292,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # Fail before any work, not when the finished output is written.
-        for option in ("out", "pairs", "loss_out"):
+        for option in ("out", "loss_out"):
             out_dir = Path(getattr(args, option, None) or ".").parent
             if not out_dir.is_dir():
                 raise InputError(f"output directory {out_dir} does not exist")

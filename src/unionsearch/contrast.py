@@ -4,9 +4,11 @@ Positive pairs come from either of two label-free strategies:
 
 * online: every eligible column in a batch of tables is sampled twice; the
   two samples share semantics because they come from the same column.
-* offline: positive pairs are precomputed, each column matched with its
-  top-1 neighbor under the value-term Jaccard measure, and base embeddings
-  are cached before training starts.
+* offline: positive pairs are mined once before training starts, each
+  column matched with its top-1 neighbor under the value-term Jaccard
+  measure, and their base embeddings are computed once. Mining counts
+  term overlaps over an inverted list, cheap enough to run afresh on every
+  training run.
 
 Both feed a temperature-scaled cross-entropy loss over cosine similarities:
 with 2M instances ordered so (k, k+M) is the positive pair,
@@ -101,24 +103,31 @@ def build_offline_pairs(corpus: Corpus, floor: float = 0.5) -> list[OfflinePair]
     tfidf = syntactic.build_tfidf(corpus)
     terms = {c.column_key: syntactic.value_terms(c, tfidf) for c in columns}
 
-    postings: dict[str, list[ColumnKey]] = {}
-    for key in sorted(terms):
+    # ScanCount (Li, Lu & Lu, ICDE 2008): one inverted list of row numbers
+    # per term, so a column's intersection sizes with every row are one
+    # bincount over its terms' lists.
+    keys = sorted(terms)
+    posting_lists: dict[str, list[int]] = {}
+    for row, key in enumerate(keys):
         for tok in terms[key]:
-            postings.setdefault(tok, []).append(key)
+            posting_lists.setdefault(tok, []).append(row)
+    postings = {tok: np.array(rows, dtype=np.int64)
+                for tok, rows in posting_lists.items()}
+    sizes = np.array([len(terms[key]) for key in keys], dtype=np.int64)
 
     best: dict[ColumnKey, tuple[float, ColumnKey]] = {}
-    for key in sorted(terms):
+    for row, key in enumerate(keys):
         mine = terms[key]
         if not mine:
             continue
-        candidates = sorted({k for tok in mine for k in postings[tok] if k != key})
-        top: tuple[float, ColumnKey] | None = None
-        for other in candidates:
-            score = syntactic.jaccard(mine, terms[other])
-            if top is None or score > top[0]:
-                top = (score, other)
-        if top is not None and top[0] >= floor:
-            best[key] = top
+        inter = np.bincount(np.concatenate([postings[tok] for tok in mine]),
+                            minlength=len(keys))
+        inter[row] = 0
+        scores = inter / (sizes[row] + sizes - inter)
+        # The first maximum is the smallest key: ties go to it.
+        other = int(np.argmax(scores))
+        if inter[other] > 0 and scores[other] >= floor:
+            best[key] = (float(scores[other]), keys[other])
 
     seen: set[tuple[ColumnKey, ColumnKey]] = set()
     pairs: list[OfflinePair] = []
@@ -221,15 +230,14 @@ def _mean_val_loss(head: ProjectionHead, val_matrices: list[np.ndarray],
 
 
 def train(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
-          cfg: TrainConfig, strategy: str = ONLINE,
-          pairs: list[OfflinePair] | None = None) -> TrainResult:
+          cfg: TrainConfig, strategy: str = ONLINE) -> TrainResult:
     """Run the training loop and return the head with the best validation loss.
 
-    Online strategy draws fresh samples every epoch; offline uses the fixed
-    positive pairs (restricted to training-split tables), with base
-    embeddings precomputed once. Validation loss is always measured on
-    online-style batches from the held-out tables with a fixed seed, so it
-    is comparable across epochs and strategies.
+    Online strategy draws fresh samples every epoch; offline mines fixed
+    positive pairs at cfg.offline_floor (restricted to training-split
+    tables), with base embeddings precomputed once. Validation loss is
+    always measured on online-style batches from the held-out tables with a
+    fixed seed, so it is comparable across epochs and strategies.
     """
     cfg.validate()
     if strategy not in (ONLINE, OFFLINE):
@@ -243,8 +251,7 @@ def train(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
     val_matrices = _validation_batches(encoder, val_tables, cfg)
 
     if strategy == OFFLINE:
-        if pairs is None:
-            pairs = build_offline_pairs(corpus, floor=cfg.offline_floor)
+        pairs = build_offline_pairs(corpus, floor=cfg.offline_floor)
         train_ids = {t.table_id for t in train_tables}
         usable = [p for p in pairs
                   if p.column_key_a[0] in train_ids and p.column_key_b[0] in train_ids]
@@ -331,7 +338,7 @@ def _check_finite(loss: float, epoch: int, batch_idx: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# External formats: loss history and cached offline pairs.
+# External format: loss history.
 
 def write_loss_history(path: str | Path, history: list[tuple[int, str, float]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -339,50 +346,3 @@ def write_loss_history(path: str | Path, history: list[tuple[int, str, float]]) 
         w.writerow(["epoch", "split", "mean_loss"])
         for epoch, split, loss in history:
             w.writerow([epoch, split, f"{loss:.9f}"])
-
-
-def _key_str(key: ColumnKey) -> str:
-    return f"{key[0]}:{key[1]}"
-
-
-def _parse_key(text: str) -> ColumnKey:
-    tid, _, pos = text.rpartition(":")
-    if not tid:
-        raise InputError(f"bad column key {text!r}")
-    return (tid, int(pos))
-
-
-def write_offline_pairs(path: str | Path, pairs: list[OfflinePair],
-                        floor: float, corpus_digest: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["floor", "corpus"])
-        w.writerow([repr(floor), corpus_digest])
-        w.writerow(["column_key_a", "column_key_b", "score"])
-        for p in pairs:
-            w.writerow([_key_str(p.column_key_a), _key_str(p.column_key_b),
-                        f"{p.match_score:.9f}"])
-
-
-def read_offline_pairs(path: str | Path, floor: float, corpus_digest: str
-                       ) -> list[OfflinePair] | None:
-    """The cached pairs, or None if they were mined from other inputs."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read pairs file {path}: {exc}") from exc
-    if (len(rows) < 3 or rows[0] != ["floor", "corpus"]
-            or rows[2] != ["column_key_a", "column_key_b", "score"]):
-        raise InputError(f"{path}: not an offline-pairs file")
-    if rows[1] != [repr(floor), corpus_digest]:
-        return None
-    pairs = []
-    for line, row in enumerate(rows[3:], start=4):
-        try:
-            a, b, s = row
-            pairs.append(OfflinePair(_parse_key(a), _parse_key(b), float(s)))
-        except (ValueError, InputError) as exc:
-            raise InputError(f"{path}:{line}: bad pair row {row}: {exc}") \
-                from exc
-    return pairs

@@ -2,14 +2,13 @@
 
 Tables are loaded into an immutable in-memory corpus of string-valued cells.
 Ragged rows are padded or truncated to the header width (real data lakes are
-dirty; downstream stages assume rectangular tables), with a warning counter
-on the table. Numeric-looking columns are treated as text throughout.
+dirty; downstream stages assume rectangular tables). Numeric-looking columns
+are treated as text throughout.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,7 +57,6 @@ class Table:
     headers: list[str]
     columns: list[Column]
     source_path: str | None
-    warning_count: int = 0
 
     @property
     def n_rows(self) -> int:
@@ -71,11 +69,6 @@ class Table:
     def rows(self) -> list[list[str]]:
         """Reconstruct the cell matrix, row major."""
         return [[c.values[i] for c in self.columns] for i in range(self.n_rows)]
-
-
-@dataclass
-class IngestOptions:
-    has_header: bool = True
 
 
 @dataclass
@@ -123,24 +116,15 @@ class Corpus:
     def encodable_columns(self) -> list[Column]:
         return [c for c in self.columns() if c.is_encodable()]
 
-    def digest(self) -> str:
-        """Hex blake2b of every table id, column name and cell, in order."""
-        content = [(t.table_id, [(c.name, c.values) for c in t.columns])
-                   for t in self.tables]
-        return hashlib.blake2b(repr(content).encode("utf-8"),
-                               digest_size=16).hexdigest()
 
-
-def load_csv(path: str | Path, options: IngestOptions | None = None,
-             table_id: str | None = None) -> Table:
+def load_csv(path: str | Path, table_id: str | None = None) -> Table:
     """Load one CSV file into a Table.
 
-    First row is the header unless options.has_header is off. Cells are
-    stripped of surrounding whitespace. Rows wider than the header are
-    truncated, narrower rows padded with empty-cell markers; both count as
-    warnings. Undecodable bytes are replaced, never aborting mid-file.
+    The first row is the header. Cells are stripped of surrounding
+    whitespace. Rows wider than the header are truncated, narrower rows
+    padded with empty-cell markers. Undecodable bytes are replaced, never
+    aborting mid-file.
     """
-    options = options or IngestOptions()
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8", errors="replace") as fh:
@@ -151,13 +135,8 @@ def load_csv(path: str | Path, options: IngestOptions | None = None,
     if not raw_rows:
         raise InputError(f"{path}: empty file")
 
-    if options.has_header:
-        headers = [h.strip() for h in raw_rows[0]]
-        data_rows = raw_rows[1:]
-    else:
-        width = max(len(r) for r in raw_rows)
-        headers = [f"col{i}" for i in range(width)]
-        data_rows = raw_rows
+    headers = [h.strip() for h in raw_rows[0]]
+    data_rows = raw_rows[1:]
 
     if not data_rows:
         raise InputError(f"{path}: no data rows")
@@ -165,12 +144,10 @@ def load_csv(path: str | Path, options: IngestOptions | None = None,
         raise InputError(f"{path}: empty header row")
 
     width = len(headers)
-    warning_count = 0
     cells: list[list[str]] = []
     for row in data_rows:
         row = [c.strip() for c in row]
         if len(row) != width:
-            warning_count += 1
             row = row[:width] + [""] * (width - len(row))
         cells.append(row)
 
@@ -181,10 +158,10 @@ def load_csv(path: str | Path, options: IngestOptions | None = None,
         for j in range(width)
     ]
     return Table(table_id=tid, name=path.stem, headers=headers, columns=columns,
-                 source_path=str(path), warning_count=warning_count)
+                 source_path=str(path))
 
 
-def load_manifest(path: str | Path, options: IngestOptions | None = None) -> Corpus:
+def load_manifest(path: str | Path) -> Corpus:
     """Load a corpus from a manifest file: one "id<TAB>path" line per table.
 
     Relative paths resolve against the manifest's directory. Table order
@@ -207,7 +184,7 @@ def load_manifest(path: str | Path, options: IngestOptions | None = None) -> Cor
         csv_path = Path(rel)
         if not csv_path.is_absolute():
             csv_path = path.parent / csv_path
-        tables.append(load_csv(csv_path, options, table_id=tid))
+        tables.append(load_csv(csv_path, table_id=tid))
     if not tables:
         raise InputError(f"manifest {path} lists no tables")
     return Corpus(tables=tables)

