@@ -29,6 +29,8 @@ from .seeding import rng_for
 GroundTruth = dict[str, set[str]]
 
 ROW_FLOOR = 4   # derived tables never select fewer rows than this
+ATTR_SLOTS = 6  # attribute pools per topic, shared by positions modulo this
+DERIVED_ROW_RANGE = (0.5, 0.9)   # share of base rows a derived table keeps
 
 
 def avg_answer_size(truth: GroundTruth) -> float:
@@ -53,8 +55,6 @@ class BenchmarkSpec:
     p_attr: float = 0.30
     p_topic: float = 0.30
     p_base: float = 0.20                          # remainder is filler
-    attr_slots: int = 6
-    derived_row_range: tuple[float, float] = (0.5, 0.9)
     seed: int = 0
     include_bases: bool = False
 
@@ -72,9 +72,6 @@ class BenchmarkSpec:
         total = self.p_attr + self.p_topic + self.p_base
         if not (0.0 <= total <= 1.0):
             raise ConfigError("mixture probabilities must sum to at most 1")
-        rlo, rhi = self.derived_row_range
-        if not (0.0 < rlo <= rhi <= 1.0):
-            raise ConfigError(f"bad derived row range {self.derived_row_range}")
 
 
 def _pool(prefix: str, size: int) -> list[str]:
@@ -101,7 +98,7 @@ def _make_base(spec: BenchmarkSpec, base_idx: int) -> _BaseTable:
     headers = [f"{slug}{j}" for j in range(n_cols)]
     columns = []
     for j in range(n_cols):
-        attr_pool = _pool(f"t{topic}a{j % spec.attr_slots}w", spec.attr_vocab)
+        attr_pool = _pool(f"t{topic}a{j % ATTR_SLOTS}w", spec.attr_vocab)
         draws = rng.random(spec.base_rows)
         values = []
         for d in draws:
@@ -130,8 +127,7 @@ def _derive(spec: BenchmarkSpec, base: _BaseTable, idx: int
     n_keep = int(rng.integers((n + 1) // 2, n + 1))
     kept = rng.permutation(n)[:n_keep]          # permuted order on purpose
     n_rows = base.table.n_rows
-    rlo, rhi = spec.derived_row_range
-    take = int(round(n_rows * rng.uniform(rlo, rhi)))
+    take = int(round(n_rows * rng.uniform(*DERIVED_ROW_RANGE)))
     take = min(n_rows, max(ROW_FLOOR, take))
     rows = np.sort(rng.choice(n_rows, size=take, replace=False))
 

@@ -1,14 +1,13 @@
 """Binary persistence for trained models and built indexes.
 
 One little-endian container with a 4-byte magic, a version byte, and a kind
-byte. A model file carries the encoder configuration, the tokenizer id, the
-projection head (parameters row-major as 32-bit floats), the loss
-temperature, and every RNG seed needed to reproduce a run. An index file is
-the same model section followed by the indexed columns, version 4 laid out
-as:
+byte. A model file carries the tokenizer id, the encoder configuration, the
+projection head (its seed, then its four tensors row-major as 32-bit
+floats, each with its shape), the training configuration, the strategy,
+the best epoch and the optimizer velocity. An index file is the same model
+section followed by the indexed columns, version 5 laid out as:
 
-1. the index configuration, one u64 per ``IndexConfig`` field in field
-   order;
+1. the index configuration;
 2. the key table: every indexed column key, sorted (a load rejects a table
    that is not strictly increasing);
 3. every stored vector as one float32 matrix whose row i belongs to key i;
@@ -16,13 +15,19 @@ as:
    value terms, format patterns;
 5. the corpus document frequencies.
 
+Each configuration is written field by field in ``dataclasses.fields``
+order, coded by the field's type (bool u8, int u64, float f64, text; an
+optional text stores None as ""), so only the dataclass knows its fields.
+A load validates the configurations and the head's tensor shapes, and
+rejects what would fail later.
+
 The LSH indexes are not stored: loading hands the columns, in key-table
 order, to the ``SearchEngine`` constructor, which rebuilds them exactly as
 ``build_engine`` built them.
 
 Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
 check magic, version and kind, then the digest, before parsing anything
-else, so a truncated or corrupt file fails with InputError; versions 1 to 3
+else, so a truncated or corrupt file fails with InputError; versions 1 to 4
 are rejected, and so is a file whose tokenizer id is not ``TOKENIZER_ID``.
 Saves are atomic (temp file + rename).
 """
@@ -33,9 +38,9 @@ import hashlib
 import os
 import struct
 import tempfile
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -47,7 +52,7 @@ from .search import IndexConfig, SearchEngine
 from .syntactic import SyntacticProfile, TfidfModel
 
 MAGIC = b"PYLN"
-VERSION = 4
+VERSION = 5
 KIND_MODEL = 1
 KIND_INDEX = 2
 CHECKSUM_BYTES = 32
@@ -163,33 +168,36 @@ def atomic_write(path: str | Path, write: Callable[[str], None]) -> None:
         raise
 
 
-def _write_model_section(w: _Writer, bundle: ModelBundle) -> None:
-    ec = bundle.encoder_config
-    w.text(bundle.tokenizer_id)
-    w.text(ec.backend)
-    w.u32(ec.dim)
-    w.u64(ec.hash_seed)
-    w.u8(1 if ec.cell_as_single_token else 0)
-    w.text(ec.vector_file_path or "")
+# Writer and reader of a config field, by its annotation; None text is "".
+_FIELD_CODECS: dict[object, tuple[Callable, Callable]] = {
+    bool: (lambda w, v: w.u8(int(v)), lambda r: bool(r.u8())),
+    int: (_Writer.u64, _Reader.u64),
+    float: (_Writer.f64, _Reader.f64),
+    str: (_Writer.text, _Reader.text),
+    str | None: (lambda w, v: w.text(v or ""), lambda r: r.text() or None),
+}
 
-    in_d, hid_d, out_d = bundle.head.dims
-    w.u32(in_d)
-    w.u32(hid_d)
-    w.u32(out_d)
+
+def _write_config(w: _Writer, cfg: object) -> None:
+    """Every field of a config dataclass in field order, coded by type."""
+    hints = get_type_hints(type(cfg))
+    for f in fields(cfg):
+        _FIELD_CODECS[hints[f.name]][0](w, getattr(cfg, f.name))
+
+
+def _read_config(r: _Reader, cls: type) -> object:
+    hints = get_type_hints(cls)
+    return cls(**{f.name: _FIELD_CODECS[hints[f.name]][1](r)
+                  for f in fields(cls)})
+
+
+def _write_model_section(w: _Writer, bundle: ModelBundle) -> None:
+    w.text(bundle.tokenizer_id)
+    _write_config(w, bundle.encoder_config)
     w.u64(bundle.head.init_seed)
     for t in bundle.head.tensors():
         w.f32_array(t)
-
-    tc = bundle.train_config
-    w.f64(tc.temperature)
-    w.f64(tc.learning_rate)
-    w.f64(tc.momentum)
-    w.u32(tc.epochs)
-    w.u32(tc.batch_size)
-    w.u32(tc.sample_size)
-    w.u64(tc.seed)
-    w.f64(tc.validation_fraction)
-    w.f64(tc.offline_floor)
+    _write_config(w, bundle.train_config)
     w.text(bundle.strategy)
     w.u32(bundle.best_epoch)
 
@@ -203,29 +211,22 @@ def _read_model_section(r: _Reader) -> ModelBundle:
     tokenizer_id = r.text()
     if tokenizer_id != TOKENIZER_ID:
         raise InputError(f"{r.path}: tokenizer {tokenizer_id!r} is not {TOKENIZER_ID!r}")
-    ec = EncoderConfig(backend=r.text(), dim=r.u32(), hash_seed=r.u64(),
-                       cell_as_single_token=bool(r.u8()))
-    vec_path = r.text()
-    ec.vector_file_path = vec_path or None
-
-    in_d, hid_d, out_d = r.u32(), r.u32(), r.u32()
+    ec = _read_config(r, EncoderConfig)
     init_seed = r.u64()
-    W1, b1, W2, b2 = (r.f32_array() for _ in range(4))
-    head = ProjectionHead(W1=W1, b1=b1, W2=W2, b2=b2, init_seed=init_seed)
-    if head.dims != (in_d, hid_d, out_d):
-        raise InputError(f"{r.path}: head dims {head.dims} do not match "
-                         f"declared ({in_d}, {hid_d}, {out_d})")
-
-    tc = TrainConfig(temperature=r.f64(), learning_rate=r.f64(),
-                     momentum=r.f64(), epochs=r.u32(), batch_size=r.u32(),
-                     sample_size=r.u32(), seed=r.u64(),
-                     validation_fraction=r.f64(), offline_floor=r.f64())
+    tensors = [r.f32_array() for _ in range(4)]
+    tc = _read_config(r, TrainConfig)
     strategy = r.text()
     best_epoch = r.u32()
     velocity = None
     if r.u8():
-        vW1, vb1, vW2, vb2 = (r.f32_array() for _ in range(4))
-        velocity = Velocity(vW1=vW1, vb1=vb1, vW2=vW2, vb2=vb2)
+        velocity = Velocity(*(r.f32_array() for _ in range(4)))
+    try:
+        ec.validate()
+        tc.validate()
+        head = ProjectionHead(*tensors, init_seed=init_seed)
+    except ConfigError as exc:
+        # Stored values the constructors reject are bad input all the same.
+        raise InputError(f"{r.path}: {exc}") from exc
     return ModelBundle(encoder_config=ec, head=head, train_config=tc,
                        strategy=strategy, best_epoch=best_epoch,
                        velocity=velocity, tokenizer_id=tokenizer_id)
@@ -259,8 +260,7 @@ def _read_token_set(r: _Reader) -> frozenset[str]:
 
 
 def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
-    for v in astuple(engine.index_config):
-        w.u64(v)
+    _write_config(w, engine.index_config)
 
     _write_key_table(w, engine.keys)
     w.f32_array(engine.semantic_index.matrix(engine.keys))
@@ -278,7 +278,7 @@ def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
 
 
 def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
-    cfg = IndexConfig(*(r.u64() for _ in fields(IndexConfig)))
+    cfg = _read_config(r, IndexConfig)
     keys = _read_key_table(r)
     dim = bundle.head.dims[2]
     matrix = r.f32_array()
@@ -286,10 +286,10 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
         raise InputError(f"{r.path}: vector matrix shape {matrix.shape} != "
                          f"{(len(keys), dim)}")
 
-    profiles = [SyntacticProfile(column_key=key, name_grams=_read_token_set(r),
+    profiles = [SyntacticProfile(name_grams=_read_token_set(r),
                                  value_term_set=_read_token_set(r),
                                  format_set=_read_token_set(r))
-                for key in keys]
+                for _ in keys]
 
     n_columns = r.u32()
     df = {r.text(): r.u32() for _ in range(r.u32())}

@@ -29,6 +29,13 @@ class ProjectionHead:
     b2: np.ndarray  # (out,)
     init_seed: int = 0
 
+    def __post_init__(self) -> None:
+        w1, _, w2, _ = shapes = tuple(np.shape(t) for t in self.tensors())
+        if not (len(w1) == len(w2) == 2
+                and shapes == (w1, w1[:1], (w2[0], w1[0]), w2[:1])):
+            raise ConfigError(f"head tensor shapes {shapes} do not agree; want "
+                              "W1 (h, in), b1 (h,), W2 (out, h), b2 (out,)")
+
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.W1.shape[1], self.W1.shape[0], self.W2.shape[0])
@@ -88,6 +95,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.sample_size < 1:
             raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ConfigError("validation_fraction must be in [0, 1), "
+                              f"got {self.validation_fraction}")
 
 
 def init_head(in_dim: int, hidden_dim: int, out_dim: int, seed: int = 0) -> ProjectionHead:

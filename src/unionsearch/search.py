@@ -37,13 +37,13 @@ from .syntactic import (ALL_MEASURES, NAME, SEMANTIC, VALUE, SyntacticProfile,
 
 @dataclass
 class IndexConfig:
-    n_bands: int = 32
-    rows_per_band: int = 8
-    minhash_bands: int = 32
-    minhash_rows: int = 4
-    qgram: int = syntactic.DEFAULT_QGRAM
-    top_terms: int = syntactic.DEFAULT_TOP_TERMS
+    """The one index setting: the seed of its hyperplanes and permutations."""
+
     seed: int = 0
+
+    def validate(self) -> None:
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"index seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -132,30 +132,25 @@ class SearchEngine:
     """Immutable query-side bundle: encoder, head, indexes, and profiles.
 
     Made from ``columns``: ``(key, float32 vector, profile)`` in strictly
-    increasing key order, kept in ``keys``. The three indexes follow from
-    ``index_config`` and ``head.dims[2]``, and each column is filed in turn,
-    so the same columns give the same rows and buckets. An empty name or
-    value set stays out of its index.
+    increasing key order, kept in ``keys``. The three indexes keep their
+    own default banding and take their seeds from ``index_config`` and the
+    cosine dimension from ``head.dims[2]``; each column is filed in turn, so
+    the same columns give the same rows and buckets. An empty name or value
+    set stays out of its index.
     """
 
     def __init__(self, encoder: Encoder, head: ProjectionHead,
                  index_config: IndexConfig, tfidf: TfidfModel,
                  columns: Iterable[tuple[ColumnKey, np.ndarray,
                                          SyntacticProfile]]):
-        cfg = index_config
         self.encoder = encoder
         self.head = head
-        self.index_config = cfg
+        self.index_config = index_config
         self.tfidf = tfidf
         self.semantic_index = CosineLshIndex(
-            dim=head.dims[2], n_planes=cfg.n_bands * cfg.rows_per_band,
-            n_bands=cfg.n_bands, rows_per_band=cfg.rows_per_band,
-            seed=derive_seed(cfg.seed, "cosine"))
+            dim=head.dims[2], seed=derive_seed(index_config.seed, "cosine"))
         self.name_index, self.value_index = (
-            MinHashIndex(n_perms=cfg.minhash_bands * cfg.minhash_rows,
-                         n_bands=cfg.minhash_bands,
-                         rows_per_band=cfg.minhash_rows,
-                         seed=derive_seed(cfg.seed, label))
+            MinHashIndex(seed=derive_seed(index_config.seed, label))
             for label in ("mh-name", "mh-value"))
         self.keys: list[ColumnKey] = []
         self.profiles: dict[ColumnKey, SyntacticProfile] = {}
@@ -174,21 +169,20 @@ class SearchEngine:
         return project(self.head, base).astype(np.float32)
 
     def query_profile(self, column: Column) -> SyntacticProfile:
-        return syntactic.build_profile(column, self.tfidf,
-                                       q=self.index_config.qgram,
-                                       top_t=self.index_config.top_terms)
+        return syntactic.build_profile(column, self.tfidf)
 
 
 def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
                  index_config: IndexConfig | None = None) -> SearchEngine:
     """Index every encodable corpus column under all measures."""
     cfg = index_config or IndexConfig()
+    cfg.validate()
     tfidf = syntactic.build_tfidf(corpus)
     # One column at a time: a batched projection would change the bits.
     return SearchEngine(encoder, head, cfg, tfidf, (
         (c.column_key,
          project(head, encoder.embed_column(c.values)).astype(np.float32),
-         syntactic.build_profile(c, tfidf, cfg.qgram, cfg.top_terms))
+         syntactic.build_profile(c, tfidf))
         for c in sorted(corpus.encodable_columns(),
                         key=lambda col: col.column_key)))
 

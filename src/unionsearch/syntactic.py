@@ -18,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from .corpus import Column, ColumnKey, Corpus, tokenize
+from .corpus import Column, Corpus, tokenize
 
 DEFAULT_QGRAM = 3
 DEFAULT_TOP_TERMS = 20
@@ -117,19 +117,15 @@ def format_patterns(column: Column) -> frozenset[str]:
 class SyntacticProfile:
     """Precomputed per-column sets, enough to score any syntactic measure."""
 
-    column_key: ColumnKey
     name_grams: frozenset[str]
     value_term_set: frozenset[str]
     format_set: frozenset[str]
 
 
-def build_profile(column: Column, tfidf: TfidfModel,
-                  q: int = DEFAULT_QGRAM,
-                  top_t: int = DEFAULT_TOP_TERMS) -> SyntacticProfile:
+def build_profile(column: Column, tfidf: TfidfModel) -> SyntacticProfile:
     return SyntacticProfile(
-        column_key=column.column_key,
-        name_grams=name_qgrams(column.name, q),
-        value_term_set=value_terms(column, tfidf, top_t),
+        name_grams=name_qgrams(column.name),
+        value_term_set=value_terms(column, tfidf),
         format_set=format_patterns(column),
     )
 

@@ -136,8 +136,6 @@ def test_generator_parameter_validation():
         _small_spec(base_rows=2).validate()  # below the selection floor
     with pytest.raises(ConfigError):
         _small_spec(p_attr=0.8, p_topic=0.3).validate()  # mixture over 1
-    with pytest.raises(ConfigError):
-        _small_spec(derived_row_range=(0.9, 0.5)).validate()
 
 
 # ---------------------------------------------------------------- metrics

@@ -160,6 +160,16 @@ def test_train_missing_output_dir_exit_2_before_work(workspace, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fraction", ["-0.5", "1.0", "1.5"])
+def test_train_validation_fraction_outside_unit_interval_exit_3(
+        workspace, tmp_path, capsys, fraction):
+    assert run("train", "--manifest", str(workspace / "bench" / "manifest.tsv"),
+               "--out", str(tmp_path / "m.usm"), "--dim", "48",
+               "--validation-fraction", fraction) == 3
+    assert "validation_fraction" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_missing_manifest_exit_2(tmp_path):
     assert run("train", "--manifest", str(tmp_path / "none.tsv"),
                "--out", str(tmp_path / "m.usm")) == 2
@@ -177,6 +187,24 @@ def test_index_reports_columns(workspace, capsys):
     assert "indexed" in text and "columns" in text
     # same seed and inputs: the file equals the fixture index byte for byte
     assert out.read_bytes() == (workspace / "index.usi").read_bytes()
+
+
+@pytest.mark.parametrize("craft", [
+    lambda b: setattr(b.head, "b1", b.head.b1[:5]),
+    lambda b: setattr(b.encoder_config, "backend", "nope"),
+], ids=["short-b1", "unknown-backend"])
+def test_index_checksummed_bad_model_exit_2(workspace, tmp_path, capsys, craft):
+    bundle = load_model(workspace / "model.usm")
+    craft(bundle)
+    model = tmp_path / "crafted.usm"
+    modelfile.save_model(model, bundle)
+    with pytest.raises(InputError):
+        load_model(model)
+    out = tmp_path / "index.usi"
+    assert run("index", "--manifest", str(workspace / "bench" / "manifest.tsv"),
+               "--model", str(model), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- query

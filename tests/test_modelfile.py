@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import os
 import struct
@@ -11,7 +10,7 @@ from unionsearch.bench import BenchmarkSpec, generate_benchmark
 from unionsearch.contrast import ONLINE
 from unionsearch.corpus import Corpus
 from unionsearch.encoder import Encoder, EncoderConfig
-from unionsearch.errors import InputError
+from unionsearch.errors import ConfigError, InputError
 from unionsearch.modelfile import (
     CHECKSUM_BYTES,
     ModelBundle,
@@ -85,6 +84,41 @@ def test_other_tokenizer_rejected(tmp_path, world, kind):
         load = load_index
     with pytest.raises(InputError, match="some-other-tokenizer-v9"):
         load(p)
+
+
+def test_every_config_field_roundtrips(tmp_path, world):
+    corpus, engine = world
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("alpha " + " ".join(["0.5"] * 12) + "\n",
+                       encoding="utf-8")
+    ec = EncoderConfig(backend="vector_file", dim=12,
+                       vector_file_path=str(vectors), hash_seed=2**64 - 1,
+                       cell_as_single_token=True)
+    tc = TrainConfig(temperature=0.25, learning_rate=3e-3, momentum=0.5,
+                     epochs=3, batch_size=5, sample_size=7, seed=2**63 + 1,
+                     validation_fraction=0.2, offline_floor=0.75)
+    icfg = IndexConfig(seed=2**64 - 2)
+    for cfg in (ec, tc, icfg):
+        for f in fields(cfg):   # a new field must join this test
+            assert getattr(cfg, f.name) != f.default, (type(cfg), f.name)
+    bundle = replace(_bundle(), encoder_config=ec, train_config=tc)
+    model, index = tmp_path / "m.usm", tmp_path / "i.usi"
+    save_model(model, bundle)
+    back = load_model(model)
+    assert (back.encoder_config, back.train_config) == (ec, tc)
+    save_index(index, bundle,
+               build_engine(corpus, engine.encoder, engine.head, icfg))
+    back, loaded = load_index(index)
+    assert (back.encoder_config, back.train_config) == (ec, tc)
+    assert loaded.index_config == icfg
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_index_seed_outside_u64_rejected(world, seed):
+    corpus, engine = world
+    with pytest.raises(ConfigError, match="seed"):
+        build_engine(corpus, engine.encoder, engine.head, IndexConfig(seed=seed))
+    IndexConfig(seed=2**64 - 1).validate()
 
 
 def test_model_roundtrip_without_velocity(tmp_path):
@@ -318,23 +352,33 @@ def test_checksummed_bad_utf8_raises_input_error(tmp_path):
         load_model(p)
 
 
-def test_checksummed_bad_index_config_raises_input_error(tmp_path, world):
+@pytest.mark.parametrize("craft", [
+    lambda b: setattr(b.head, "b1", b.head.b1[:5]),
+    lambda b: setattr(b.head, "W2", b.head.W2.T),
+    lambda b: setattr(b.encoder_config, "backend", "nope"),
+    lambda b: setattr(b.train_config, "batch_size", 1),
+], ids=["short-b1", "transposed-W2", "unknown-backend", "batch-size-1"])
+def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
+                                                          craft):
     corpus, engine = world
-    odd = copy.copy(engine)
-    odd.index_config = replace(engine.index_config, rows_per_band=0)
-    p = tmp_path / "odd.usi"
-    save_index(p, _bundle(), odd)
-    with pytest.raises(InputError, match="bands"):
-        load_index(p)
+    bundle = _bundle()
+    craft(bundle)
+    for path, save, load in ((tmp_path / "m.usm", save_model, load_model),
+                             (tmp_path / "i.usi",
+                              lambda p, b: save_index(p, b, engine),
+                              load_index)):
+        save(path, bundle)
+        with pytest.raises(InputError):
+            load(path)
 
 
 def _with_key_table(data: bytes, model_bytes: int, edit) -> bytes:
     """The index file with its key table replaced by edit(keys), re-checksummed.
 
     The key table follows the 6-byte header, the model section and the
-    index configuration (one u64 per field).
+    index configuration (its seed, one u64).
     """
-    start = 6 + model_bytes + 8 * len(fields(IndexConfig))
+    start = 6 + model_bytes + 8
     (count,) = struct.unpack_from("<I", data, start)
     pos, keys = start + 4, []
     for _ in range(count):

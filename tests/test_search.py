@@ -123,7 +123,7 @@ class VectorEngine(SearchEngine):
     def __init__(self, dim: int, stored: dict[ColumnKey, np.ndarray],
                  queries: dict[ColumnKey, np.ndarray]):
         columns = ((key, np.asarray(stored[key], dtype=np.float32),
-                    SyntacticProfile(key, frozenset(), frozenset(), frozenset()))
+                    SyntacticProfile(frozenset(), frozenset(), frozenset()))
                    for key in sorted(stored))
         # The head only sets the index dimension; queries bypass it.
         super().__init__(encoder=None, head=init_head(dim, dim, dim, seed=0),
@@ -135,7 +135,7 @@ class VectorEngine(SearchEngine):
         return self._queries[column.column_key]
 
     def query_profile(self, column: Column) -> SyntacticProfile:
-        return SyntacticProfile(column.column_key, frozenset(), frozenset(), frozenset())
+        return SyntacticProfile(frozenset(), frozenset(), frozenset())
 
 
 def _planted_world(include_self: bool):

@@ -173,8 +173,7 @@ def test_profile_fields():
         "t2": {"x": ["1"]},
     })
     tfidf = build_tfidf(corpus)
-    p = build_profile(corpus.column(("t1", 0)), tfidf, q=3, top_t=20)
-    assert p.column_key == ("t1", 0)
+    p = build_profile(corpus.column(("t1", 0)), tfidf)
     assert p.name_grams == {"yea", "ear"}
     assert p.format_set == {"9"}
     assert p.value_term_set == {"2007", "2014"}
