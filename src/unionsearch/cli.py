@@ -106,7 +106,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     corpus = load_manifest(args.manifest)
     encoder = Encoder(bundle.encoder_config)
     if bundle.head.dims[0] != encoder.dim:
-        raise ConfigError(
+        # Only a vector file can disagree here: loads check hashing models.
+        raise InputError(
             f"model expects {bundle.head.dims[0]}-dim base embeddings "
             f"but encoder produces {encoder.dim}")
     icfg = search.IndexConfig(seed=derive_seed(args.seed, "index"))
@@ -192,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="unionsearch",
         description="Train, index, and query a table union search engine.")
     sub = parser.add_subparsers(dest="command", required=True)
+    default_measures = ",".join(search.SearchConfig.measures)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0,
@@ -207,19 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word-vector file for the vector_file backend")
     p.add_argument("--cell-tokens", action="store_true",
                    help="treat each whole cell as a single token")
-    p.add_argument("--dim", type=int, default=128,
+    p.add_argument("--dim", type=int, default=EncoderConfig.dim,
                    help="base embedding dimension (hashing backend)")
     p.add_argument("--hidden-dim", type=int, default=0,
                    help="head hidden width (default: base dimension)")
     p.add_argument("--out-dim", type=int, default=128)
-    p.add_argument("--temperature", type=float, default=0.1)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--sample-size", type=int, default=20)
-    p.add_argument("--validation-fraction", type=float, default=0.05)
-    p.add_argument("--offline-floor", type=float, default=0.5)
+    p.add_argument("--temperature", type=float,
+                   default=TrainConfig.temperature)
+    p.add_argument("--learning-rate", type=float,
+                   default=TrainConfig.learning_rate)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--sample-size", type=int,
+                   default=TrainConfig.sample_size)
+    p.add_argument("--validation-fraction", type=float,
+                   default=TrainConfig.validation_fraction)
+    p.add_argument("--offline-floor", type=float,
+                   default=TrainConfig.offline_floor)
     p.add_argument("--loss-out", default=None,
                    help="loss history CSV (default: <out>.loss.csv)")
     common(p)
@@ -236,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--query", required=True, nargs="+",
                    help="query table CSV path(s)")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--threshold", type=float, default=0.7)
-    p.add_argument("--measures", default="semantic",
+    p.add_argument("--k", type=int, default=search.SearchConfig.k)
+    p.add_argument("--threshold", type=float,
+                   default=search.SearchConfig.threshold)
+    p.add_argument("--measures", default=default_measures,
                    help='comma list, e.g. "semantic,N,V"')
     p.add_argument("--out", default="results.csv")
     p.set_defaults(func=cmd_query)
@@ -248,9 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True,
                    help="manifest of query tables")
     p.add_argument("--truth", required=True)
-    p.add_argument("--k", default="10", help='comma list, e.g. "1,5,10"')
-    p.add_argument("--threshold", type=float, default=0.7)
-    p.add_argument("--measures", default="semantic")
+    p.add_argument("--k", default=str(search.SearchConfig.k),
+                   help='comma list, e.g. "1,5,10"')
+    p.add_argument("--threshold", type=float,
+                   default=search.SearchConfig.threshold)
+    p.add_argument("--measures", default=default_measures)
     p.add_argument("--sample-queries", type=int, default=0,
                    help="evaluate only this many queries (seeded sample)")
     p.add_argument("--out", default="metrics.csv")

@@ -20,6 +20,12 @@ which each batch of 2M instances turns into 2M positive and 2M(M-1)
 negative ordered pairs. Gradients are analytic, flowing through both the
 softmax and the cosine normalization, with max-subtraction inside each
 softmax row for stability.
+
+Online epochs, offline epochs and the validation set all run through one
+loop: project, loss, a finite check, and, for training batches, backward
+and a momentum SGD step. ``train`` trains a copy of the head it is given
+and returns the copy as it stood after its best epoch; the caller's head
+is left as it was.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -184,10 +191,6 @@ def nt_xent_loss(projected: np.ndarray, temperature: float
     return loss, grad
 
 
-def _encode_batch(encoder: Encoder, batch: TrainingBatch) -> np.ndarray:
-    return np.stack([encoder.embed_column(s.sampled_values) for s in batch.samples])
-
-
 def _split_tables(tables: list[Table], cfg: TrainConfig
                   ) -> tuple[list[Table], list[Table]]:
     """Held-out validation split, fixed by seed. Tiny corpora get no split."""
@@ -207,37 +210,55 @@ def _chunk(items: list, size: int) -> list[list]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _validation_batches(encoder: Encoder, val_tables: list[Table],
-                        cfg: TrainConfig) -> list[np.ndarray]:
-    """Pre-encoded validation batches, identical across epochs."""
-    batches = []
-    for i, chunk in enumerate(_chunk(val_tables, cfg.batch_size)):
+def _online_batches(encoder: Encoder, tables: list[Table], cfg: TrainConfig,
+                    *seed_parts: object) -> Iterator[np.ndarray]:
+    """Base embeddings of one online batch per chunk of cfg.batch_size tables.
+
+    Chunk b is sampled under derive_seed(cfg.seed, *seed_parts, b). A chunk
+    of one table, or one with no negative, is skipped but keeps its number.
+    """
+    for b, chunk in enumerate(_chunk(tables, cfg.batch_size)):
         if len(chunk) < 2:
             continue
         try:
             batch = build_online_batch(chunk, cfg.sample_size,
-                                       derive_seed(cfg.seed, "val", i))
+                                       derive_seed(cfg.seed, *seed_parts, b))
         except NumericError:
             continue
-        batches.append(_encode_batch(encoder, batch))
-    return batches
+        yield np.stack([encoder.embed_column(s.sampled_values)
+                        for s in batch.samples])
 
 
-def _mean_val_loss(head: ProjectionHead, val_matrices: list[np.ndarray],
-                   temperature: float) -> float:
-    losses = [nt_xent_loss(project(head, X), temperature)[0] for X in val_matrices]
-    return float(np.mean(losses))
+def _losses(head: ProjectionHead, batches: Iterable[np.ndarray],
+            cfg: TrainConfig, velocity: Velocity | None = None) -> list[float]:
+    """The loss of each batch under the head, in order.
+
+    Given a velocity, each batch also takes one momentum SGD step on the
+    head before the next batch is scored.
+    """
+    losses = []
+    for X in batches:
+        loss, dY = nt_xent_loss(project(head, X), cfg.temperature)
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite loss {loss}; aborting training")
+        if velocity is not None:
+            sgd_step(head, backward(head, X, dY), cfg.learning_rate,
+                     cfg.momentum, velocity)
+        losses.append(loss)
+    return losses
 
 
 def train(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
           cfg: TrainConfig, strategy: str = ONLINE) -> TrainResult:
-    """Run the training loop and return the head with the best validation loss.
+    """Train a copy of the head; return the copy at its best epoch.
 
-    Online strategy draws fresh samples every epoch; offline mines fixed
-    positive pairs at cfg.offline_floor (restricted to training-split
-    tables), with base embeddings precomputed once. Validation loss is
-    always measured on online-style batches from the held-out tables with a
-    fixed seed, so it is comparable across epochs and strategies.
+    The head passed in is left as it was. The online strategy draws fresh
+    samples every epoch; offline mines fixed positive pairs at
+    cfg.offline_floor (restricted to training-split tables), with base
+    embeddings computed once. Validation loss is always measured on the same
+    online-style batches from the held-out tables, drawn once with a fixed
+    seed, so it is comparable across epochs and strategies; without a
+    validation split the training loss picks the best epoch.
     """
     cfg.validate()
     if strategy not in (ONLINE, OFFLINE):
@@ -248,7 +269,7 @@ def train(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
         raise InputError("corpus has fewer than 2 tables with encodable columns")
 
     train_tables, val_tables = _split_tables(eligible_tables, cfg)
-    val_matrices = _validation_batches(encoder, val_tables, cfg)
+    val_batches = list(_online_batches(encoder, val_tables, cfg, "val"))
 
     if strategy == OFFLINE:
         pairs = build_offline_pairs(corpus, floor=cfg.offline_floor)
@@ -262,79 +283,36 @@ def train(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
         # Positive examples are fixed, so their base embeddings are computed once.
         base_vecs = {k: encoder.embed_column(corpus.column(k).values) for k in involved}
 
+    head = head.copy()
     velocity = Velocity.zeros_like(head)
     history: list[tuple[int, str, float]] = []
-    best_head = head.copy()
-    best_loss = np.inf
-    best_epoch = 0
-    ran_any_batch = False
-
+    best_head, best_loss, best_epoch = head.copy(), np.inf, 0
     for epoch in range(1, cfg.epochs + 1):
-        epoch_losses: list[float] = []
         rng = rng_for(cfg.seed, "epoch", epoch)
         if strategy == ONLINE:
             order = rng.permutation(len(train_tables))
-            shuffled = [train_tables[i] for i in order]
-            for b, chunk in enumerate(_chunk(shuffled, cfg.batch_size)):
-                if len(chunk) < 2:
-                    continue
-                try:
-                    batch = build_online_batch(chunk, cfg.sample_size,
-                                               derive_seed(cfg.seed, epoch, b))
-                except NumericError:
-                    continue
-                X = _encode_batch(encoder, batch)
-                loss = _train_step(head, velocity, X, cfg)
-                _check_finite(loss, epoch, b)
-                epoch_losses.append(loss)
+            batches = _online_batches(
+                encoder, [train_tables[i] for i in order], cfg, epoch)
         else:
             order = rng.permutation(len(usable))
-            shuffled_pairs = [usable[i] for i in order]
-            for b, chunk in enumerate(_chunk(shuffled_pairs, cfg.batch_size)):
-                if len(chunk) < 2:
-                    continue
-                X = np.stack([base_vecs[p.column_key_a] for p in chunk]
-                             + [base_vecs[p.column_key_b] for p in chunk])
-                loss = _train_step(head, velocity, X, cfg)
-                _check_finite(loss, epoch, b)
-                epoch_losses.append(loss)
-
-        if not epoch_losses:
+            batches = (np.stack([base_vecs[p.column_key_a] for p in chunk]
+                                + [base_vecs[p.column_key_b] for p in chunk])
+                       for chunk in _chunk([usable[i] for i in order],
+                                           cfg.batch_size)
+                       if len(chunk) >= 2)
+        losses = _losses(head, batches, cfg, velocity)
+        if not losses:
             raise InputError("no eligible training batches")
-        ran_any_batch = True
-        train_loss = float(np.mean(epoch_losses))
-        history.append((epoch, "train", train_loss))
-
-        if val_matrices:
-            val_loss = _mean_val_loss(head, val_matrices, cfg.temperature)
-            history.append((epoch, "val", val_loss))
-            selector = val_loss
-        else:
-            selector = train_loss
+        selector = float(np.mean(losses))
+        history.append((epoch, "train", selector))
+        if val_batches:
+            selector = float(np.mean(_losses(head, val_batches, cfg)))
+            history.append((epoch, "val", selector))
         if selector < best_loss:
-            best_loss = selector
-            best_head = head.copy()
-            best_epoch = epoch
+            best_head, best_loss, best_epoch = head.copy(), selector, epoch
 
-    if not ran_any_batch:
-        raise InputError("no eligible training batches")
     return TrainResult(head=best_head, history=history, best_epoch=best_epoch,
                        velocity=velocity)
-
-
-def _train_step(head: ProjectionHead, velocity: Velocity, X: np.ndarray,
-                cfg: TrainConfig) -> float:
-    Y = project(head, X)
-    loss, dY = nt_xent_loss(Y, cfg.temperature)
-    grads = backward(head, X, dY)
-    sgd_step(head, grads, cfg.learning_rate, cfg.momentum, velocity)
-    return loss
-
-
-def _check_finite(loss: float, epoch: int, batch_idx: int) -> None:
-    if not np.isfinite(loss):
-        raise NumericError(f"non-finite loss {loss} at epoch {epoch}, "
-                           f"batch {batch_idx}; aborting training")
 
 
 # ---------------------------------------------------------------------------

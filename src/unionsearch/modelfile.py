@@ -18,8 +18,9 @@ section followed by the indexed columns, version 5 laid out as:
 Each configuration is written field by field in ``dataclasses.fields``
 order, coded by the field's type (bool u8, int u64, float f64, text; an
 optional text stores None as ""), so only the dataclass knows its fields.
-A load validates the configurations and the head's tensor shapes, and
-rejects what would fail later.
+A load validates the configurations, the head's tensor shapes and, for a
+hashing model, that the head takes the encoder's dimension: it rejects
+what would fail later.
 
 The LSH indexes are not stored: loading hands the columns, in key-table
 order, to the ``SearchEngine`` constructor, which rebuilds them exactly as
@@ -45,7 +46,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .corpus import ColumnKey, TOKENIZER_ID
-from .encoder import Encoder, EncoderConfig
+from .encoder import Encoder, EncoderConfig, HASHING_BACKEND
 from .errors import ConfigError, InputError, NumericError
 from .projection import ProjectionHead, TrainConfig, Velocity
 from .search import IndexConfig, SearchEngine
@@ -224,6 +225,9 @@ def _read_model_section(r: _Reader) -> ModelBundle:
         ec.validate()
         tc.validate()
         head = ProjectionHead(*tensors, init_seed=init_seed)
+        if ec.backend == HASHING_BACKEND and head.dims[0] != ec.dim:
+            raise ConfigError(f"head takes {head.dims[0]}-dim base embeddings "
+                              f"but the hashing encoder makes {ec.dim}")
     except ConfigError as exc:
         # Stored values the constructors reject are bad input all the same.
         raise InputError(f"{r.path}: {exc}") from exc

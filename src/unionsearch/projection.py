@@ -158,11 +158,12 @@ def backward(head: ProjectionHead, batch: np.ndarray,
 
 
 def sgd_step(head: ProjectionHead, grads: HeadGradients, lr: float,
-             momentum: float, velocity: Velocity | None = None
-             ) -> tuple[ProjectionHead, Velocity]:
-    """v <- momentum * v + g; params <- params - lr * v. Mutates in place."""
-    if velocity is None:
-        velocity = Velocity.zeros_like(head)
+             momentum: float, velocity: Velocity) -> None:
+    """v <- momentum * v + g; params <- params - lr * v.
+
+    Updates the head's tensors and the velocity in place, each kept in
+    its own dtype.
+    """
     params = head.tensors()
     vels = velocity.tensors()
     for p, v, g in zip(params, vels, grads.tensors()):
@@ -172,4 +173,3 @@ def sgd_step(head: ProjectionHead, grads: HeadGradients, lr: float,
         p_new = p.astype(np.float64) - lr * v_new
         v[...] = v_new.astype(v.dtype)
         p[...] = p_new.astype(p.dtype)
-    return head, velocity

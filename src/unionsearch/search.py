@@ -187,16 +187,8 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
                         key=lambda col: col.column_key)))
 
 
-@dataclass
-class _ColumnPairs:
-    """One query column's surviving candidate pairs, each with its weight."""
-
-    query_position: int
-    pairs: dict[ColumnKey, tuple[float, float]]   # key -> (score, weight)
-
-
 def _gather_candidates(engine: SearchEngine, cfg: SearchConfig,
-                       qvec: np.ndarray | None,
+                       qvec: np.ndarray,
                        qprofile: SyntacticProfile) -> list[ColumnKey]:
     """Keys to score, sorted."""
     if cfg.exhaustive:
@@ -204,9 +196,8 @@ def _gather_candidates(engine: SearchEngine, cfg: SearchConfig,
         # no generating measure would have surfaced on its own.
         return engine.keys
     t = cfg.threshold
-    candidates: set[ColumnKey] = set()
-    if SEMANTIC in cfg.measures and qvec is not None:
-        candidates.update(k for k, _ in engine.semantic_index.lookup(qvec, t))
+    # The semantic measure is always on: SearchConfig.validate requires it.
+    candidates = {k for k, _ in engine.semantic_index.lookup(qvec, t)}
     if NAME in cfg.measures and qprofile.name_grams:
         candidates.update(
             k for k, _ in engine.name_index.lookup(qprofile.name_grams, t))
@@ -217,7 +208,7 @@ def _gather_candidates(engine: SearchEngine, cfg: SearchConfig,
 
 
 def _pair_score(engine: SearchEngine, cfg: SearchConfig,
-                qvec: np.ndarray | None, qprofile: SyntacticProfile,
+                qvec: np.ndarray, qprofile: SyntacticProfile,
                 key: ColumnKey) -> float:
     parts = []
     for measure in cfg.ordered_measures():
@@ -231,9 +222,9 @@ def _pair_score(engine: SearchEngine, cfg: SearchConfig,
 
 
 def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
-                        column: Column) -> _ColumnPairs:
-    qvec = (engine.project_column(column)
-            if SEMANTIC in cfg.measures else None)
+                        column: Column) -> dict[ColumnKey, tuple[float, float]]:
+    """One query column's surviving candidates: key -> (score, weight)."""
+    qvec = engine.project_column(column)
     qprofile = engine.query_profile(column)
     pair_scores: dict[ColumnKey, float] = {}
     for key in _gather_candidates(engine, cfg, qvec, qprofile):
@@ -245,9 +236,8 @@ def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
     # self matches are excluded from the ranking only after weights are
     # fixed.
     ranked = sorted(pair_scores.values())
-    pairs = {key: (score, bisect_right(ranked, score) / len(ranked))
-             for key, score in pair_scores.items()}
-    return _ColumnPairs(query_position=column.position, pairs=pairs)
+    return {key: (score, bisect_right(ranked, score) / len(ranked))
+            for key, score in pair_scores.items()}
 
 
 def top_k_search(engine: SearchEngine, query_table: Table,
@@ -258,14 +248,13 @@ def top_k_search(engine: SearchEngine, query_table: Table,
     if not eligible:
         raise InputError(
             f"query table {query_table.table_id!r} has no encodable columns")
-    per_column = [_query_column_pairs(engine, cfg, c) for c in eligible]
-
     by_table: dict[str, dict[tuple[int, int], tuple[float, float]]] = {}
-    for cp in per_column:
-        for (table_id, cpos), score_weight in cp.pairs.items():
+    for column in eligible:
+        for (table_id, cpos), score_weight in _query_column_pairs(
+                engine, cfg, column).items():
             if table_id == query_table.table_id:
                 continue
-            by_table.setdefault(table_id, {})[(cp.query_position, cpos)] = \
+            by_table.setdefault(table_id, {})[(column.position, cpos)] = \
                 score_weight
 
     ranked: list[RankedTable] = []

@@ -146,6 +146,27 @@ def test_train_records_the_vector_files_dim(workspace, tmp_path):
     assert bundle.head.dims[0] == 12
 
 
+def test_index_after_vector_file_dim_changed_exit_2(workspace, tmp_path,
+                                                   capsys):
+    manifest = str(workspace / "bench" / "manifest.tsv")
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("alpha " + " ".join(["0.5"] * 12) + "\n",
+                       encoding="utf-8")
+    model = tmp_path / "vf.usm"
+    assert run("train", "--manifest", manifest, "--out", str(model),
+               "--encoder-backend", "vector_file", "--vector-file",
+               str(vectors), "--out-dim", "8", "--epochs", "1",
+               "--batch-size", "4", "--sample-size", "6") == 0
+    # The model is sound; the vector file is the input that changed.
+    vectors.write_text("alpha " + " ".join(["0.5"] * 16) + "\n",
+                       encoding="utf-8")
+    index = tmp_path / "vf.usi"
+    assert run("index", "--manifest", manifest, "--model", str(model),
+               "--out", str(index)) == 2
+    assert "12-dim" in capsys.readouterr().err
+    assert not index.exists()
+
+
 @pytest.mark.parametrize("option", ["--out", "--loss-out"])
 def test_train_missing_output_dir_exit_2_before_work(workspace, tmp_path,
                                                      capsys, option):
@@ -192,7 +213,8 @@ def test_index_reports_columns(workspace, capsys):
 @pytest.mark.parametrize("craft", [
     lambda b: setattr(b.head, "b1", b.head.b1[:5]),
     lambda b: setattr(b.encoder_config, "backend", "nope"),
-], ids=["short-b1", "unknown-backend"])
+    lambda b: setattr(b.encoder_config, "dim", b.head.dims[0] + 16),
+], ids=["short-b1", "unknown-backend", "head-encoder-dim-mismatch"])
 def test_index_checksummed_bad_model_exit_2(workspace, tmp_path, capsys, craft):
     bundle = load_model(workspace / "model.usm")
     craft(bundle)

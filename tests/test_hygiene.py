@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every import is used, every
 top-level definition is named somewhere, no package module imports
-another's private names, and every CLI option is read by its command."""
+another's private names, every CLI option is read by its command, and CLI
+defaults are the library's own."""
 
 import argparse
 import ast
@@ -9,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from unionsearch.cli import build_parser
+from unionsearch.cli import build_parser, parse_measures
+from unionsearch.encoder import EncoderConfig
+from unionsearch.projection import TrainConfig
+from unionsearch.search import SearchConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "unionsearch"
@@ -125,13 +129,18 @@ def test_scan_finds_a_private_import():
                                               "unionsearch.x._c (line 2)"]
 
 
+def _commands(parser: argparse.ArgumentParser
+              ) -> dict[str, argparse.ArgumentParser]:
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
 def _unread_options(parser: argparse.ArgumentParser) -> list[str]:
     """command/dest for each option whose command's function never reads
     args.<dest>."""
-    (commands,) = [a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)]
     unread = []
-    for name, sub in commands.choices.items():
+    for name, sub in _commands(parser).items():
         source = inspect.getsource(sub.get_default("func"))
         unread.extend(f"{name}/{action.dest}" for action in sub._actions
                       if action.dest != "help"
@@ -151,3 +160,34 @@ def test_scan_finds_an_unread_option():
     p.add_argument("--ignored")
     p.set_defaults(func=lambda args: args.used)
     assert _unread_options(parser) == ["go/ignored"]
+
+
+# Each option whose default is a config field's, listed by hand: a name
+# match would pair train --seed, the master seed, with TrainConfig.seed.
+# The last item turns the option's default into the field's type.
+_DEFAULTS_FROM_FIELDS = [
+    ("train", "dim", EncoderConfig, "dim", int),
+    ("train", "temperature", TrainConfig, "temperature", float),
+    ("train", "learning_rate", TrainConfig, "learning_rate", float),
+    ("train", "momentum", TrainConfig, "momentum", float),
+    ("train", "epochs", TrainConfig, "epochs", int),
+    ("train", "batch_size", TrainConfig, "batch_size", int),
+    ("train", "sample_size", TrainConfig, "sample_size", int),
+    ("train", "validation_fraction", TrainConfig, "validation_fraction", float),
+    ("train", "offline_floor", TrainConfig, "offline_floor", float),
+    ("query", "k", SearchConfig, "k", int),
+    ("query", "threshold", SearchConfig, "threshold", float),
+    ("query", "measures", SearchConfig, "measures", parse_measures),
+    ("eval", "k", SearchConfig, "k", int),
+    ("eval", "threshold", SearchConfig, "threshold", float),
+    ("eval", "measures", SearchConfig, "measures", parse_measures),
+]
+
+
+@pytest.mark.parametrize("command, dest, cls, name, convert",
+                         _DEFAULTS_FROM_FIELDS,
+                         ids=[f"{c}/{d}" for c, d, *_ in _DEFAULTS_FROM_FIELDS])
+def test_cli_default_is_the_config_fields(command, dest, cls, name, convert):
+    default = _commands(build_parser())[command].get_default(dest)
+    assert default is not None, f"{command} has no option {dest}"
+    assert convert(default) == getattr(cls(), name)

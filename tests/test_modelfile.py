@@ -357,7 +357,9 @@ def test_checksummed_bad_utf8_raises_input_error(tmp_path):
     lambda b: setattr(b.head, "W2", b.head.W2.T),
     lambda b: setattr(b.encoder_config, "backend", "nope"),
     lambda b: setattr(b.train_config, "batch_size", 1),
-], ids=["short-b1", "transposed-W2", "unknown-backend", "batch-size-1"])
+    lambda b: setattr(b.encoder_config, "dim", 48),
+], ids=["short-b1", "transposed-W2", "unknown-backend", "batch-size-1",
+        "head-encoder-dim-mismatch"])
 def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
                                                           craft):
     corpus, engine = world

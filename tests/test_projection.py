@@ -170,7 +170,8 @@ def test_sgd_zero_gradient_fixed_point():
     head = random_head(4, 4, 2, seed=5)
     before = [t.copy() for t in head.tensors()]
     zero = HeadGradients(*(np.zeros_like(t) for t in head.tensors()))
-    sgd_step(head, zero, lr=0.1, momentum=0.9)
+    sgd_step(head, zero, lr=0.1, momentum=0.9,
+             velocity=Velocity.zeros_like(head))
     for t, b in zip(head.tensors(), before):
         np.testing.assert_array_equal(t, b)
 
@@ -179,7 +180,8 @@ def test_sgd_no_momentum_is_plain_descent():
     head = random_head(4, 3, 2, seed=6)
     before = [t.copy() for t in head.tensors()]
     grads = HeadGradients(*(np.full_like(t, 0.25) for t in head.tensors()))
-    sgd_step(head, grads, lr=0.01, momentum=0.0)
+    sgd_step(head, grads, lr=0.01, momentum=0.0,
+             velocity=Velocity.zeros_like(head))
     for t, b in zip(head.tensors(), before):
         np.testing.assert_allclose(t, b - 0.01 * 0.25, atol=1e-12)
 
@@ -188,7 +190,8 @@ def test_sgd_momentum_accumulates():
     head = random_head(4, 3, 2, seed=7)
     g = 0.5
     grads = HeadGradients(*(np.full_like(t, g) for t in head.tensors()))
-    _, vel = sgd_step(head, grads, lr=0.01, momentum=0.9)
+    vel = Velocity.zeros_like(head)
+    sgd_step(head, grads, lr=0.01, momentum=0.9, velocity=vel)
     before_second = [t.copy() for t in head.tensors()]
     sgd_step(head, grads, lr=0.01, momentum=0.9, velocity=vel)
     # second step: velocity = 0.9*g + g, so delta = lr * 1.9 * g
@@ -199,7 +202,8 @@ def test_sgd_momentum_accumulates():
 def test_sgd_velocity_dtype_follows_params():
     head = init_head(6, 6, 3, seed=0)
     grads = HeadGradients(*(np.ones_like(t, dtype=np.float64) for t in head.tensors()))
-    _, vel = sgd_step(head, grads, lr=1e-3, momentum=0.9)
+    vel = Velocity.zeros_like(head)
+    sgd_step(head, grads, lr=1e-3, momentum=0.9, velocity=vel)
     assert all(v.dtype == np.float32 for v in vel.tensors())
     assert all(t.dtype == np.float32 for t in head.tensors())
 
