@@ -110,27 +110,13 @@ def build_offline_pairs(corpus: Corpus, floor: float = 0.5) -> list[OfflinePair]
     tfidf = syntactic.build_tfidf(corpus)
     terms = {c.column_key: syntactic.value_terms(c, tfidf) for c in columns}
 
-    # ScanCount (Li, Lu & Lu, ICDE 2008): one inverted list of row numbers
-    # per term, so a column's intersection sizes with every row are one
-    # bincount over its terms' lists.
     keys = sorted(terms)
-    posting_lists: dict[str, list[int]] = {}
-    for row, key in enumerate(keys):
-        for tok in terms[key]:
-            posting_lists.setdefault(tok, []).append(row)
-    postings = {tok: np.array(rows, dtype=np.int64)
-                for tok, rows in posting_lists.items()}
-    sizes = np.array([len(terms[key]) for key in keys], dtype=np.int64)
+    postings = syntactic.SetPostings(terms[key] for key in keys)
 
     best: dict[ColumnKey, tuple[float, ColumnKey]] = {}
     for row, key in enumerate(keys):
-        mine = terms[key]
-        if not mine:
-            continue
-        inter = np.bincount(np.concatenate([postings[tok] for tok in mine]),
-                            minlength=len(keys))
-        inter[row] = 0
-        scores = inter / (sizes[row] + sizes - inter)
+        inter, scores = postings.match(terms[key])
+        inter[row] = scores[row] = 0       # no column matches itself
         # The first maximum is the smallest key: ties go to it.
         other = int(np.argmax(scores))
         if inter[other] > 0 and scores[other] >= floor:

@@ -6,10 +6,13 @@ an exact rescoring, so the index can lose recall but never precision:
 * CosineLshIndex: random-hyperplane signatures for unit-ish vectors. Each
   of the P hyperplanes contributes one sign bit; bits are grouped into B
   bands of R rows, and two vectors collide when any band matches exactly.
-  A single bit agrees with probability 1 - angle/pi.
+  A single bit agrees with probability 1 - angle/pi. The search engine
+  finds its semantic candidates with it.
 * MinHashIndex: min-wise signatures for token sets under universal hashing
   h_i(x) = (a_i * x + b_i) mod p, banded the same way; a single slot
-  matches with probability equal to the Jaccard similarity.
+  matches with probability equal to the Jaccard similarity. It is a library
+  class that the search engine no longer uses: the engine finds name and
+  value candidates exactly, with ``syntactic.SetPostings``.
 
 State is held once. A cosine index numbers its vectors by insertion order
 and keeps one float64 matrix, each row a stored float32 vector widened
@@ -19,11 +22,10 @@ them with ``cosines``, the one cosine formula that
 ``search.attribute_unionability`` also uses, and names only the rows that
 pass the threshold. Each row's dot product is reduced on its own, so a
 lookup score equals the pair score bit for bit, whatever the row numbering
-or the BLAS thread count. A min-hash
-index keeps no copy of its token sets: ``token_sets`` maps each key to the
-frozenset the caller inserted, which in a search engine is the column's
-``SyntacticProfile`` set; its buckets hold keys. Exact scores come from
-those rows and sets; buckets only choose what gets scored.
+or the BLAS thread count. A min-hash index keeps no copy of its token
+sets: ``token_sets`` maps each key to the frozenset the caller inserted;
+its buckets hold keys. Exact scores come from those rows and sets; buckets
+only choose what gets scored.
 
 Everything else is derived: hyperplanes and hash coefficients follow from
 the seed, buckets from the inserted rows and sets, in insertion order. An
@@ -186,7 +188,7 @@ class MinHashIndex:
     """Banded min-hash index over token sets, with exact Jaccard rescoring.
 
     A frozenset passed to insert is kept as is, not copied, so the index
-    and the profile it came from share one set.
+    and its caller share one set.
     """
 
     def __init__(self, n_perms: int = 128, n_bands: int = 32,

@@ -18,12 +18,13 @@ section followed by the indexed columns, version 5 laid out as:
 Each configuration is written field by field in ``dataclasses.fields``
 order, coded by the field's type (bool u8, int u64, float f64, text; an
 optional text stores None as ""), so only the dataclass knows its fields.
-A load validates the configurations, the head's tensor shapes and, for a
-hashing model, that the head takes the encoder's dimension: it rejects
-what would fail later.
+A load validates the configurations, the head's tensor shapes, the
+velocity's shapes against the head's and, for a hashing model, that the
+head takes the encoder's dimension: it rejects what would fail later.
 
-The LSH indexes are not stored: loading hands the columns, in key-table
-order, to the ``SearchEngine`` constructor, which rebuilds them exactly as
+Neither the cosine LSH index nor the name and value inverted lists are
+stored: loading hands the columns, in key-table order, to the
+``SearchEngine`` constructor, which rebuilds them exactly as
 ``build_engine`` built them.
 
 Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
@@ -228,6 +229,9 @@ def _read_model_section(r: _Reader) -> ModelBundle:
         if ec.backend == HASHING_BACKEND and head.dims[0] != ec.dim:
             raise ConfigError(f"head takes {head.dims[0]}-dim base embeddings "
                               f"but the hashing encoder makes {ec.dim}")
+        if velocity is not None and ([v.shape for v in velocity.tensors()]
+                                     != [t.shape for t in tensors]):
+            raise ConfigError("velocity tensor shapes do not match the head's")
     except ConfigError as exc:
         # Stored values the constructors reject are bad input all the same.
         raise InputError(f"{r.path}: {exc}") from exc

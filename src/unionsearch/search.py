@@ -10,8 +10,9 @@ matched pair scores, each weight the inclusive empirical CDF position of
 the pair's score among that query column's surviving scores — so a pair
 that stands out against its column's alternatives counts for more.
 
-Candidate generation never affects score precision: the banded indexes only
-choose which pairs get scored, and an exhaustive mode scores them all.
+Candidate generation never affects score precision: the banded cosine
+index and the exact name and value set lookups only choose which pairs get
+scored, and an exhaustive mode scores them all.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .corpus import Column, ColumnKey, Corpus, Table
 from .encoder import Encoder
 from .errors import ConfigError, InputError, NumericError
-from .lshindex import CosineLshIndex, MinHashIndex, cosines
+from .lshindex import CosineLshIndex, cosines
 from .projection import ProjectionHead, project
 from .seeding import derive_seed
 from . import syntactic
@@ -132,11 +133,13 @@ class SearchEngine:
     """Immutable query-side bundle: encoder, head, indexes, and profiles.
 
     Made from ``columns``: ``(key, float32 vector, profile)`` in strictly
-    increasing key order, kept in ``keys``. The three indexes keep their
-    own default banding and take their seeds from ``index_config`` and the
-    cosine dimension from ``head.dims[2]``; each column is filed in turn, so
-    the same columns give the same rows and buckets. An empty name or value
-    set stays out of its index.
+    increasing key order, kept in ``keys``. The cosine index keeps its own
+    default banding and takes its seed from ``index_config`` and its
+    dimension from ``head.dims[2]``; each column is filed in turn, so the
+    same columns give the same rows and buckets. ``profiles`` is the one
+    map from key to token sets: ``postings`` holds inverted lists of the
+    name and value sets, row i being ``keys[i]``, so those candidates are
+    exactly the columns at or above the threshold.
     """
 
     def __init__(self, encoder: Encoder, head: ProjectionHead,
@@ -149,19 +152,24 @@ class SearchEngine:
         self.tfidf = tfidf
         self.semantic_index = CosineLshIndex(
             dim=head.dims[2], seed=derive_seed(index_config.seed, "cosine"))
-        self.name_index, self.value_index = (
-            MinHashIndex(seed=derive_seed(index_config.seed, label))
-            for label in ("mh-name", "mh-value"))
         self.keys: list[ColumnKey] = []
         self.profiles: dict[ColumnKey, SyntacticProfile] = {}
         for key, vector, profile in columns:
             self.semantic_index.insert(key, vector)
-            if profile.name_grams:
-                self.name_index.insert(key, profile.name_grams)
-            if profile.value_term_set:
-                self.value_index.insert(key, profile.value_term_set)
             self.keys.append(key)
             self.profiles[key] = profile
+        in_order = self.profiles.values()   # insertion order: key order
+        self.postings = {
+            NAME: syntactic.SetPostings(p.name_grams for p in in_order),
+            VALUE: syntactic.SetPostings(p.value_term_set for p in in_order)}
+
+    def set_candidates(self, measure: str, tokens: frozenset[str],
+                       threshold: float) -> list[ColumnKey]:
+        """Keys, in order, whose ``measure`` set shares a token with tokens
+        at a Jaccard of at least threshold."""
+        counts, scores = self.postings[measure].match(tokens)
+        return [self.keys[row] for row in
+                np.flatnonzero((counts > 0) & (scores >= threshold)).tolist()]
 
     def project_column(self, column: Column) -> np.ndarray:
         """Projected embedding, quantized to float32 like every stored vector."""
@@ -198,12 +206,10 @@ def _gather_candidates(engine: SearchEngine, cfg: SearchConfig,
     t = cfg.threshold
     # The semantic measure is always on: SearchConfig.validate requires it.
     candidates = {k for k, _ in engine.semantic_index.lookup(qvec, t)}
-    if NAME in cfg.measures and qprofile.name_grams:
-        candidates.update(
-            k for k, _ in engine.name_index.lookup(qprofile.name_grams, t))
-    if VALUE in cfg.measures and qprofile.value_term_set:
-        candidates.update(
-            k for k, _ in engine.value_index.lookup(qprofile.value_term_set, t))
+    for measure, tokens in ((NAME, qprofile.name_grams),
+                            (VALUE, qprofile.value_term_set)):
+        if measure in cfg.measures:
+            candidates.update(engine.set_candidates(measure, tokens, t))
     return sorted(candidates)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from collections import Counter
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +33,36 @@ def jaccard(a: frozenset | set, b: frozenset | set) -> float:
     if union == 0:
         return 0.0
     return len(a & b) / union
+
+
+class SetPostings:
+    """Inverted lists over token sets numbered by row, with each set's size.
+
+    ``match`` finds every row's overlap with a query set by ScanCount (Li,
+    Lu & Lu, ICDE 2008): one bincount over the query tokens' lists. Its
+    Jaccards divide the same two integers that ``jaccard`` divides, so they
+    agree bit for bit.
+    """
+
+    def __init__(self, sets: Iterable[frozenset[str]]):
+        lists: dict[str, list[int]] = {}
+        sizes = []
+        for row, tokens in enumerate(sets):
+            sizes.append(len(tokens))
+            for tok in tokens:
+                lists.setdefault(tok, []).append(row)
+        self.postings = {tok: np.array(rows, dtype=np.int64)
+                         for tok, rows in lists.items()}
+        self.sizes = np.array(sizes, dtype=np.int64)
+
+    def match(self, tokens: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's overlap count with tokens, and its Jaccard with them."""
+        n = len(self.sizes)
+        lists = [self.postings[t] for t in tokens if t in self.postings]
+        counts = (np.bincount(np.concatenate(lists), minlength=n) if lists
+                  else np.zeros(n, dtype=np.int64))
+        # The union is 0 only for two empty sets, which score 0 as in jaccard.
+        return counts, counts / np.maximum(len(tokens) + self.sizes - counts, 1)
 
 
 def name_qgrams(name: str, q: int = DEFAULT_QGRAM) -> frozenset[str]:

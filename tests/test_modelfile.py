@@ -22,6 +22,7 @@ from unionsearch.modelfile import (
 )
 from unionsearch.projection import TrainConfig, Velocity, init_head
 from unionsearch.search import IndexConfig, SearchConfig, build_engine, top_k_search
+from unionsearch.syntactic import NAME, VALUE
 
 
 def _bundle(with_velocity: bool = True) -> ModelBundle:
@@ -39,6 +40,19 @@ def _bundle(with_velocity: bool = True) -> ModelBundle:
         best_epoch=4,
         velocity=vel,
     )
+
+
+def assert_same_postings(a, b):
+    """Same measures, each with the same token -> rows lists and set sizes."""
+    assert a.postings.keys() == b.postings.keys()
+    for measure, built in b.postings.items():
+        other = a.postings[measure]
+        assert built.postings, measure
+        assert other.postings.keys() == built.postings.keys()
+        for tok, rows in built.postings.items():
+            assert other.postings[tok].dtype == np.int64
+            np.testing.assert_array_equal(other.postings[tok], rows)
+        np.testing.assert_array_equal(other.sizes, built.sizes)
 
 
 @pytest.fixture(scope="module")
@@ -213,18 +227,12 @@ def test_index_roundtrip_preserves_structures(tmp_path, world):
     assert loaded.profiles == engine.profiles
     assert loaded.tfidf.df == engine.tfidf.df
     assert loaded.tfidf.n_columns == engine.tfidf.n_columns
-    assert loaded.name_index.token_sets == engine.name_index.token_sets
-    assert loaded.value_index.token_sets == engine.value_index.token_sets
     assert loaded.index_config == engine.index_config
-    # The file stores no LSH state; loading must rebuild the same one.
+    # The file stores no index state; loading must rebuild the same one.
     np.testing.assert_array_equal(loaded.semantic_index.planes,
                                   engine.semantic_index.planes)
-    for attr in ("name_index", "value_index"):
-        built, back = getattr(engine, attr), getattr(loaded, attr)
-        np.testing.assert_array_equal(back.coef_a, built.coef_a)
-        np.testing.assert_array_equal(back.coef_b, built.coef_b)
-    for attr in ("semantic_index", "name_index", "value_index"):
-        assert getattr(loaded, attr).buckets == getattr(engine, attr).buckets
+    assert loaded.semantic_index.buckets == engine.semantic_index.buckets
+    assert_same_postings(loaded, engine)
 
 
 def test_built_and_loaded_cosine_lookups_identical(tmp_path, world):
@@ -243,14 +251,20 @@ def test_built_and_loaded_cosine_lookups_identical(tmp_path, world):
         assert eng.keys == sorted(eng.profiles)
         sem = eng.semantic_index
         assert [sem.key_of(r) for r in range(sem.size)] == engine.keys
-        for attr in ("semantic_index", "name_index", "value_index"):
-            assert getattr(eng, attr).buckets == getattr(engine, attr).buckets
+        assert sem.buckets == engine.semantic_index.buckets
+        assert_same_postings(eng, engine)
     for column in corpus.encodable_columns():
         q = engine.project_column(column)
+        profile = engine.query_profile(column)
         for threshold in (-1.0, 0.7):
             hits = engine.semantic_index.lookup(q, threshold)
             for eng in engines[1:]:
                 assert eng.semantic_index.lookup(q, threshold) == hits
+        for measure, tokens in ((NAME, profile.name_grams),
+                                (VALUE, profile.value_term_set)):
+            hits = engine.set_candidates(measure, tokens, 0.5)
+            for eng in engines[1:]:
+                assert eng.set_candidates(measure, tokens, 0.5) == hits
 
 
 def test_index_save_byte_stable(tmp_path, world):
@@ -268,18 +282,6 @@ def test_index_resave_of_loaded_index_byte_identical(tmp_path, world):
     bundle, loaded = load_index(p1)
     save_index(p2, bundle, loaded)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_loaded_token_indexes_share_profile_sets(tmp_path, world):
-    corpus, engine = world
-    p = tmp_path / "engine.usi"
-    save_index(p, _bundle(), engine)
-    for eng in (engine, load_index(p)[1]):
-        assert eng.name_index.size > 0 and eng.value_index.size > 0
-        for key, tokens in eng.name_index.token_sets.items():
-            assert tokens is eng.profiles[key].name_grams
-        for key, tokens in eng.value_index.token_sets.items():
-            assert tokens is eng.profiles[key].value_term_set
 
 
 def test_failed_write_keeps_old_target(tmp_path):
@@ -358,8 +360,9 @@ def test_checksummed_bad_utf8_raises_input_error(tmp_path):
     lambda b: setattr(b.encoder_config, "backend", "nope"),
     lambda b: setattr(b.train_config, "batch_size", 1),
     lambda b: setattr(b.encoder_config, "dim", 48),
+    lambda b: setattr(b.velocity, "vb1", b.velocity.vb1[:5]),
 ], ids=["short-b1", "transposed-W2", "unknown-backend", "batch-size-1",
-        "head-encoder-dim-mismatch"])
+        "head-encoder-dim-mismatch", "short-velocity"])
 def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
                                                           craft):
     corpus, engine = world

@@ -20,7 +20,8 @@ from unionsearch.search import (
     top_k_search,
     write_results,
 )
-from unionsearch.syntactic import NAME, SEMANTIC, SyntacticProfile, TfidfModel, VALUE
+from unionsearch.syntactic import (NAME, SEMANTIC, SyntacticProfile, TfidfModel,
+                                   VALUE, jaccard)
 
 from conftest import make_table, rotate_from, unit
 
@@ -254,6 +255,24 @@ def test_banded_search_matches_brute_force(seed):
                [r.candidate_table_id for r in slow.ranked]
         for a, b in zip(fast.ranked, slow.ranked):
             assert a.table_score == pytest.approx(b.table_score, abs=1e-12)
+
+
+def test_set_candidates_are_exact():
+    engine, corpus, _ = _bench_engine(2)
+    found = 0
+    for column in corpus.encodable_columns():
+        profile = engine.query_profile(column)
+        for measure, field in ((NAME, "name_grams"), (VALUE, "value_term_set")):
+            tokens = getattr(profile, field)
+            for t in (0.3, 0.5, 0.7):
+                want = [key for key in engine.keys
+                        if tokens & getattr(engine.profiles[key], field)
+                        and jaccard(tokens, getattr(engine.profiles[key],
+                                                    field)) >= t]
+                assert engine.set_candidates(measure, tokens, t) == want
+                found += len(want)
+    # More than each column finding itself under 2 measures at 3 thresholds.
+    assert found > 6 * len(engine.keys)
 
 
 def test_search_results_well_formed():

@@ -3,6 +3,7 @@ import pytest
 
 from unionsearch.corpus import Column
 from unionsearch.syntactic import (
+    SetPostings,
     build_profile,
     build_tfidf,
     format_measure,
@@ -29,6 +30,33 @@ def test_jaccard_basic():
     assert jaccard({"a"}, {"a"}) == 1.0
     assert jaccard({"a"}, {"b"}) == 0.0
     assert jaccard(set(), set()) == 0.0  # both empty: defined as zero
+
+
+def test_set_postings_match_jaccard_bit_for_bit():
+    rng = np.random.default_rng(11)
+    vocab = [f"t{i}" for i in range(40)]
+
+    def random_set(pool: list[str], most: int) -> frozenset[str]:
+        n = int(rng.integers(0, most + 1))
+        return frozenset(rng.choice(pool, size=n, replace=False).tolist())
+
+    # Rows draw from the first 30 tokens only, so queries also hold tokens
+    # that no posting list has; both sides include empty sets.
+    rows = [random_set(vocab[:30], 12) for _ in range(60)] + [frozenset()]
+    postings = SetPostings(rows)
+    np.testing.assert_array_equal(postings.sizes, [len(r) for r in rows])
+    queries = [random_set(vocab, 15) for _ in range(80)] + [frozenset(), rows[0]]
+    for query in queries:
+        counts, scores = postings.match(query)
+        assert counts.tolist() == [len(query & r) for r in rows]
+        want = np.array([jaccard(query, r) for r in rows])
+        # Equal as float64 bits, not just close.
+        assert np.array_equal(scores.view(np.int64), want.view(np.int64))
+
+
+def test_set_postings_of_no_sets():
+    counts, scores = SetPostings([]).match(frozenset({"a"}))
+    assert counts.shape == scores.shape == (0,)
 
 
 def test_name_qgrams_short_word():
