@@ -4,7 +4,8 @@ The generator builds topic-structured base tables and derives each query /
 candidate table from a base by projecting a random subset of its columns
 (in permuted order) and selecting a random subset of its rows. Two derived
 tables count as unionable ground truth when they come from the same base
-and kept at least one base column in common.
+and kept at least one base column in common, so the truth is computed per
+base: a table's answers are sought among its own base's tables only.
 
 Every cell is a single token drawn from a mixture of pools: an attribute
 pool shared by same-position columns of a topic, a topic-wide pool, a
@@ -78,14 +79,7 @@ def _pool(prefix: str, size: int) -> list[str]:
     return [f"{prefix}{i:03d}" for i in range(size)]
 
 
-@dataclass
-class _BaseTable:
-    table: Table
-    topic: int
-    base_positions: list[int]   # identity of each column within the base
-
-
-def _make_base(spec: BenchmarkSpec, base_idx: int) -> _BaseTable:
+def _make_base(spec: BenchmarkSpec, base_idx: int) -> Table:
     topic = base_idx % spec.n_topics
     rng = rng_for(spec.seed, "base", base_idx)
     lo, hi = spec.base_columns
@@ -113,29 +107,27 @@ def _make_base(spec: BenchmarkSpec, base_idx: int) -> _BaseTable:
             values.append(pool[int(rng.integers(0, len(pool)))])
         columns.append(Column(table_id=f"base{base_idx}", position=j,
                               name=headers[j], values=values))
-    table = Table(table_id=f"base{base_idx}", name=f"base{base_idx}",
-                  headers=headers, columns=columns, source_path=None)
-    return _BaseTable(table=table, topic=topic,
-                      base_positions=list(range(n_cols)))
+    return Table(table_id=f"base{base_idx}", name=f"base{base_idx}",
+                 headers=headers, columns=columns, source_path=None)
 
 
-def _derive(spec: BenchmarkSpec, base: _BaseTable, idx: int
+def _derive(spec: BenchmarkSpec, base: Table, idx: int
             ) -> tuple[Table, set[int]]:
     """Project random columns (permuted) and select random rows of a base."""
-    rng = rng_for(spec.seed, "derive", base.table.table_id, idx)
-    n = base.table.n_columns
+    rng = rng_for(spec.seed, "derive", base.table_id, idx)
+    n = base.n_columns
     n_keep = int(rng.integers((n + 1) // 2, n + 1))
     kept = rng.permutation(n)[:n_keep]          # permuted order on purpose
-    n_rows = base.table.n_rows
+    n_rows = base.n_rows
     take = int(round(n_rows * rng.uniform(*DERIVED_ROW_RANGE)))
     take = min(n_rows, max(ROW_FLOOR, take))
     rows = np.sort(rng.choice(n_rows, size=take, replace=False))
 
-    table_id = f"{base.table.table_id}_d{idx}"
-    headers = [base.table.headers[int(b)] for b in kept]
+    table_id = f"{base.table_id}_d{idx}"
+    headers = [base.headers[int(b)] for b in kept]
     columns = []
     for new_pos, b in enumerate(int(x) for x in kept):
-        src = base.table.columns[b]
+        src = base.columns[b]
         columns.append(Column(table_id=table_id, position=new_pos,
                               name=src.name,
                               values=[src.values[r] for r in rows]))
@@ -145,27 +137,24 @@ def _derive(spec: BenchmarkSpec, base: _BaseTable, idx: int
 
 
 def generate_benchmark(spec: BenchmarkSpec) -> tuple[Corpus, GroundTruth]:
-    """Corpus of derived tables plus table-level unionability ground truth."""
+    """Corpus of derived tables plus table-level unionability ground truth,
+    found per base."""
     spec.validate()
-    bases = [_make_base(spec, i) for i in range(spec.n_bases)]
     tables: list[Table] = []
-    kept_map: dict[str, tuple[int, set[int]]] = {}   # id -> (base idx, columns)
-    for bi, base in enumerate(bases):
+    truth: GroundTruth = {}
+    for bi in range(spec.n_bases):
+        base = _make_base(spec, bi)
+        group: list[tuple[str, set[int]]] = []   # (table id, base columns)
         if spec.include_bases:
-            tables.append(base.table)
-            kept_map[base.table.table_id] = (bi, set(base.base_positions))
+            tables.append(base)
+            group.append((base.table_id, set(range(base.n_columns))))
         for d in range(spec.derivations_per_base):
             derived, kept = _derive(spec, base, d)
             tables.append(derived)
-            kept_map[derived.table_id] = (bi, kept)
-
-    truth: GroundTruth = {}
-    ids = [t.table_id for t in tables]
-    for qid in ids:
-        qb, qcols = kept_map[qid]
-        answers = {cid for cid in ids if cid != qid
-                   and kept_map[cid][0] == qb and qcols & kept_map[cid][1]}
-        truth[qid] = answers
+            group.append((derived.table_id, kept))
+        for qid, qcols in group:
+            truth[qid] = {cid for cid, ccols in group
+                          if cid != qid and qcols & ccols}
     return Corpus(tables=tables), truth
 
 
@@ -264,7 +253,11 @@ def write_truth(path: str | Path, truth: GroundTruth) -> None:
 def read_truth(path: str | Path) -> GroundTruth:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            try:
+                rows = list(reader)
+            except csv.Error as exc:   # e.g. a cell over the field size limit
+                raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read truth file {path}: {exc}") from exc
     if not rows or rows[0] != ["query_table_id", "answer_table_id"]:

@@ -128,7 +128,11 @@ def load_csv(path: str | Path, table_id: str | None = None) -> Table:
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-            raw_rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            try:
+                raw_rows = [row for row in reader if row]
+            except csv.Error as exc:   # e.g. a cell over the field size limit
+                raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 

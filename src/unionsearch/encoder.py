@@ -94,10 +94,12 @@ def load_vectors(path: str | Path) -> VectorTable:
 
 
 class Encoder:
-    """Stateless given its config and (read-only) vector table.
+    """Stateless given its config and (read-only) vector file.
 
-    Token vectors are memoized; memoization is invisible to callers since the
-    hashing embedder is a pure function of (token, hash_seed).
+    One token -> vector map serves both backends: a vector file's words
+    fill it at construction, and any other token is hashed and added on
+    first use. Adding is invisible to callers since the hashing embedder is
+    a pure function of (token, hash_seed).
     """
 
     def __init__(self, cfg: EncoderConfig):
@@ -105,11 +107,11 @@ class Encoder:
         # An own copy: the vector file's dim replaces the configured one
         # here, never in the caller's config.
         self.cfg = replace(cfg)
-        self._vectors: VectorTable | None = None
         self._cache: dict[str, np.ndarray] = {}
         if cfg.backend == VECTOR_FILE_BACKEND:
-            self._vectors = load_vectors(cfg.vector_file_path)
-            self.cfg.dim = self._vectors.dim
+            table = load_vectors(cfg.vector_file_path)
+            self.cfg.dim = table.dim
+            self._cache.update(table.vectors)
 
     @property
     def dim(self) -> int:
@@ -123,16 +125,10 @@ class Encoder:
     def embed_token(self, token: str) -> np.ndarray:
         if token == "":
             raise InputError("cannot embed an empty token")
-        cached = self._cache.get(token)
-        if cached is not None:
-            return cached
-        if self._vectors is not None:
-            vec = self._vectors.get(token)
-            if vec is None:
-                vec = self._hash_vector(token)
-        else:
+        vec = self._cache.get(token)
+        if vec is None:
             vec = self._hash_vector(token)
-        self._cache[token] = vec
+            self._cache[token] = vec
         return vec
 
     def _cell_tokens(self, cell: str) -> list[str]:

@@ -14,11 +14,13 @@ an exact rescoring, so the index can lose recall but never precision:
   class that the search engine no longer uses: the engine finds name and
   value candidates exactly, with ``syntactic.SetPostings``.
 
-State is held once. A cosine index numbers its vectors by insertion order
-and keeps one float64 matrix, each row a stored float32 vector widened
-exactly, plus each row's norm for scoring; its buckets hold those row
-numbers. A lookup marks the colliding rows in one boolean mask, scores
-them with ``cosines``, the one cosine formula that
+State is held once. A cosine index numbers its vectors by insertion order,
+lists their keys in ``keys`` (row i is ``keys[i]``) and keeps one float64
+matrix, each row a stored float32 vector widened exactly, plus each row's
+norm for scoring; its buckets hold those row numbers. Its hyperplanes are
+one float64 array, float32-rounded values widened exactly, that every
+signature multiplies by. A lookup marks the colliding rows in one boolean
+mask, scores them with ``cosines``, the one cosine formula that
 ``search.attribute_unionability`` also uses, and names only the rows that
 pass the threshold. Each row's dot product is reduced on its own, so a
 lookup score equals the pair score bit for bit, whatever the row numbering
@@ -71,8 +73,9 @@ class CosineLshIndex:
 
     Each inserted vector gets the next row number. Rows live in one float64
     matrix, each the float32 vector widened exactly, with their norms next
-    to it for scoring. Buckets hold row numbers as ``array("q")``;
-    ``key_of`` names a row and ``_rows`` maps each key back to its row.
+    to it for scoring. Buckets hold row numbers as ``array("q")``; ``keys``
+    names each row, in insertion order, and ``_rows`` maps each key back to
+    its row. ``planes`` is the one hyperplane array.
     """
 
     def __init__(self, dim: int, n_planes: int = 256, n_bands: int = 32,
@@ -81,28 +84,22 @@ class CosineLshIndex:
             raise ConfigError(f"dim must be >= 1, got {dim}")
         _band_check(n_planes, n_bands, rows_per_band, "cosine index")
         self.dim = dim
-        self.n_planes = n_planes
         self.n_bands = n_bands
         self.rows_per_band = rows_per_band
-        self.seed = seed
         raw = rng_for(seed, "cosine-planes").standard_normal((n_planes, dim))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        self.planes = raw.astype(np.float32)
-        self._planes64 = self.planes.astype(np.float64)
+        # Rounded to float32 once, then widened exactly for every product.
+        self.planes = raw.astype(np.float32).astype(np.float64)
         self.buckets: list[dict[bytes, array]] = [{} for _ in range(n_bands)]
         self._rows: dict[ColumnKey, int] = {}
-        self._keys: list[ColumnKey] = []
+        self.keys: list[ColumnKey] = []
         # Capacity grows by doubling; rows past size are unused.
         self._wide = np.empty((0, dim), dtype=np.float64)
         self._norms = np.empty(0, dtype=np.float64)
 
     @property
     def size(self) -> int:
-        return len(self._keys)
-
-    def key_of(self, row: int) -> ColumnKey:
-        """The key stored at a row number, as found in ``buckets``."""
-        return self._keys[row]
+        return len(self.keys)
 
     def vector(self, key: ColumnKey) -> np.ndarray:
         """The stored vector of key, float32-exact, as a read-only row view."""
@@ -120,7 +117,7 @@ class CosineLshIndex:
     def signature(self, vector: np.ndarray) -> np.ndarray:
         """P sign bits as uint8; a dot product of exactly zero counts as 1."""
         v = self._prepare(vector)
-        dots = self._planes64 @ v
+        dots = self.planes @ v
         return (dots >= 0.0).astype(np.uint8)
 
     def _prepare(self, vector: np.ndarray) -> np.ndarray:
@@ -140,7 +137,7 @@ class CosineLshIndex:
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise NumericError(f"zero-norm vector for key {key}")
-        row = len(self._keys)
+        row = len(self.keys)
         for band, bkey in enumerate(self._band_keys(self.signature(v))):
             bucket = self.buckets[band].get(bkey)
             if bucket is None:
@@ -155,7 +152,7 @@ class CosineLshIndex:
         self._wide[row] = v
         self._norms[row] = norm
         self._rows[key] = row
-        self._keys.append(key)
+        self.keys.append(key)
 
     def lookup(self, vector: np.ndarray, threshold: float
                ) -> list[tuple[ColumnKey, float]]:
@@ -178,7 +175,7 @@ class CosineLshIndex:
         rows = np.flatnonzero(hit)
         scores = cosines(self._wide[rows], self._norms[rows], v, norm)
         keep = scores >= threshold
-        hits = [(self._keys[r], s)
+        hits = [(self.keys[r], s)
                 for r, s in zip(rows[keep].tolist(), scores[keep].tolist())]
         hits.sort(key=lambda kv: (-kv[1], kv[0]))
         return hits
@@ -194,7 +191,6 @@ class MinHashIndex:
     def __init__(self, n_perms: int = 128, n_bands: int = 32,
                  rows_per_band: int = 4, seed: int = 0):
         _band_check(n_perms, n_bands, rows_per_band, "minhash index")
-        self.n_perms = n_perms
         self.n_bands = n_bands
         self.rows_per_band = rows_per_band
         self.seed = seed

@@ -1,7 +1,7 @@
 """Binary persistence for trained models and built indexes.
 
 One little-endian container with a 4-byte magic, a version byte, and a kind
-byte. A model file carries the tokenizer id, the encoder configuration, the
+byte. A model file carries ``TOKENIZER_ID``, the encoder configuration, the
 projection head (its seed, then its four tensors row-major as 32-bit
 floats, each with its shape), the training configuration, the strategy,
 the best epoch and the optimizer velocity. An index file is the same model
@@ -72,7 +72,6 @@ class ModelBundle:
     strategy: str
     best_epoch: int
     velocity: Velocity | None = None
-    tokenizer_id: str = TOKENIZER_ID
 
 
 class _Writer:
@@ -194,7 +193,7 @@ def _read_config(r: _Reader, cls: type) -> object:
 
 
 def _write_model_section(w: _Writer, bundle: ModelBundle) -> None:
-    w.text(bundle.tokenizer_id)
+    w.text(TOKENIZER_ID)
     _write_config(w, bundle.encoder_config)
     w.u64(bundle.head.init_seed)
     for t in bundle.head.tensors():
@@ -237,7 +236,7 @@ def _read_model_section(r: _Reader) -> ModelBundle:
         raise InputError(f"{r.path}: {exc}") from exc
     return ModelBundle(encoder_config=ec, head=head, train_config=tc,
                        strategy=strategy, best_epoch=best_epoch,
-                       velocity=velocity, tokenizer_id=tokenizer_id)
+                       velocity=velocity)
 
 
 def _write_key_table(w: _Writer, keys: list[ColumnKey]) -> None:

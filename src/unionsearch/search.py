@@ -133,13 +133,14 @@ class SearchEngine:
     """Immutable query-side bundle: encoder, head, indexes, and profiles.
 
     Made from ``columns``: ``(key, float32 vector, profile)`` in strictly
-    increasing key order, kept in ``keys``. The cosine index keeps its own
-    default banding and takes its seed from ``index_config`` and its
-    dimension from ``head.dims[2]``; each column is filed in turn, so the
-    same columns give the same rows and buckets. ``profiles`` is the one
-    map from key to token sets: ``postings`` holds inverted lists of the
-    name and value sets, row i being ``keys[i]``, so those candidates are
-    exactly the columns at or above the threshold.
+    increasing key order. The cosine index keeps its own default banding
+    and takes its seed from ``index_config`` and its dimension from
+    ``head.dims[2]``; each column is filed in turn, so the same columns give
+    the same rows and buckets. ``keys`` is that index's own row -> key list.
+    ``profiles`` is the one map from key to token sets: ``postings`` holds
+    inverted lists of the name and value sets, filled in the same order, so
+    their row i is ``keys[i]`` too and those candidates are exactly the
+    columns at or above the threshold.
     """
 
     def __init__(self, encoder: Encoder, head: ProjectionHead,
@@ -152,11 +153,10 @@ class SearchEngine:
         self.tfidf = tfidf
         self.semantic_index = CosineLshIndex(
             dim=head.dims[2], seed=derive_seed(index_config.seed, "cosine"))
-        self.keys: list[ColumnKey] = []
+        self.keys: list[ColumnKey] = self.semantic_index.keys
         self.profiles: dict[ColumnKey, SyntacticProfile] = {}
         for key, vector, profile in columns:
             self.semantic_index.insert(key, vector)
-            self.keys.append(key)
             self.profiles[key] = profile
         in_order = self.profiles.values()   # insertion order: key order
         self.postings = {

@@ -68,6 +68,29 @@ def test_disjoint_bases_never_cross():
         assert all(a.split("_")[0] == base for a in answers)
 
 
+@pytest.mark.parametrize("include_bases", [False, True])
+@pytest.mark.parametrize("seed", [0, 13])
+def test_truth_matches_its_definition(seed, include_bases):
+    # Recomputed pair by pair from the tables alone: the base comes from
+    # the id (base{i} or base{i}_d{j}), the kept base columns are the
+    # header names, and two tables answer each other when they share both.
+    corpus, truth = generate_benchmark(_small_spec(
+        n_bases=6, derivations_per_base=5, base_columns=(2, 3), seed=seed,
+        include_bases=include_bases))
+    kept = {t.table_id: (t.table_id.split("_")[0], set(t.headers))
+            for t in corpus.tables}
+    expected = {qid: {cid for cid, (cbase, cnames) in kept.items()
+                      if cid != qid and cbase == qbase and qnames & cnames}
+                for qid, (qbase, qnames) in kept.items()}
+    assert truth == expected
+    assert list(truth) == [t.table_id for t in corpus.tables]
+    # The reference is not vacuous: some siblings share no column.
+    siblings = sum(len(v) for v in expected.values())
+    same_base = sum(kept[q][0] == kept[c][0]
+                    for q in kept for c in kept if q != c)
+    assert 0 < siblings < same_base
+
+
 def test_truth_symmetric_irreflexive():
     _, truth = generate_benchmark(_small_spec(n_bases=3, derivations_per_base=5))
     for tid, answers in truth.items():

@@ -196,6 +196,19 @@ def test_train_missing_manifest_exit_2(tmp_path):
                "--out", str(tmp_path / "m.usm")) == 2
 
 
+def test_train_cell_over_csv_field_limit_exit_2(tmp_path, capsys):
+    # The csv module refuses fields over 131,072 characters.
+    table = tmp_path / "wide.csv"
+    table.write_text("a,b\nx,y\nx," + "y" * 200_000 + "\n", encoding="utf-8")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"wide\t{table.name}\n", encoding="utf-8")
+    assert run("train", "--manifest", str(manifest),
+               "--out", str(tmp_path / "m.usm")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("input error: ") and f"{table}:3" in line
+    assert not (tmp_path / "m.usm").exists()
+
+
 # ---------------------------------------------------------------- index
 
 def test_index_reports_columns(workspace, capsys):

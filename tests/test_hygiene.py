@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every import is used, every
-top-level definition is named somewhere, no package module imports
-another's private names, every CLI option is read by its command, and CLI
-defaults are the library's own."""
+top-level definition is named somewhere, every attribute the package
+stores is read somewhere, no package module imports another's private
+names, every CLI option is read by its command, and CLI defaults are the
+library's own."""
 
 import argparse
 import ast
@@ -104,6 +105,73 @@ def test_scan_finds_an_unnamed_definition():
     tree = ast.parse("A = 1\nB: int = 2\ndef f(): return g()\n"
                      "def g(): return A\nclass C: pass\nx.B\n")
     assert set(_defined_names(tree)) - _named(tree) == {"f", "C"}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _stored_attributes(tree: ast.Module) -> list[tuple[str, str]]:
+    """(attribute, "Class.attribute (line n)") for every dataclass field and
+    every self.<attribute> assignment in a class."""
+    stored = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        found = []   # (attribute, line)
+        if _is_dataclass(cls):
+            found.extend((node.target.id, node.lineno) for node in cls.body
+                         if isinstance(node, ast.AnnAssign)
+                         and isinstance(node.target, ast.Name))
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            found.extend((attr.attr, attr.lineno)
+                         for target in targets for attr in ast.walk(target)
+                         if isinstance(attr, ast.Attribute)
+                         and isinstance(attr.value, ast.Name)
+                         and attr.value.id == "self")
+        stored.extend((name, f"{cls.name}.{name} (line {line})")
+                      for name, line in found)
+    return stored
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.fixture(scope="module")
+def attributes_read_by_users() -> set[str]:
+    return set().union(*(_read_attributes(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in USERS))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_write_only_attributes(path, attributes_read_by_users):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = sorted(label for name, label in _stored_attributes(tree)
+                    if name not in attributes_read_by_users)
+    assert not unread, f"{path.name} stores but nothing reads: {unread}"
+
+
+def test_scan_finds_a_write_only_attribute():
+    tree = ast.parse(
+        "@dataclass\nclass A:\n    kept: int\n    lost: int\n"
+        "class B:\n    def __init__(self):\n        self.read = 1\n"
+        "        self.unread = 2\n        self.read += 1\n"
+        "    def f(self, a):\n        return self.read + a.kept\n")
+    read = _read_attributes(tree)
+    assert sorted(label for name, label in _stored_attributes(tree)
+                  if name not in read) == ["A.lost (line 4)", "B.unread (line 8)"]
 
 
 def _private_package_imports(tree: ast.Module) -> list[str]:

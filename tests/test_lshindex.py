@@ -150,7 +150,7 @@ def _brute_force_cosines(idx: CosineLshIndex, q, threshold: float) -> dict:
     """Every stored row scored one at a time, as the exhaustive search does."""
     qv = np.asarray(q, dtype=np.float32)
     scores = {k: attribute_unionability(qv, idx.vector(k))
-              for k in map(idx.key_of, range(idx.size))}
+              for k in idx.keys}
     return {k: s for k, s in scores.items() if s >= threshold}
 
 
@@ -223,7 +223,7 @@ def test_each_key_lands_in_exactly_n_bands_buckets():
     for band in idx.buckets:  # bucket table introspection
         for rows in band.values():
             for row in rows:
-                key = idx.key_of(row)
+                key = idx.keys[row]
                 counts[key] = counts.get(key, 0) + 1
     assert all(c == 16 for c in counts.values())
     assert len(counts) == 25
@@ -235,7 +235,7 @@ def _colliding_keys(idx: CosineLshIndex, q) -> set:
     keys = set()
     for band, row in enumerate(bits):
         rows = idx.buckets[band].get(np.packbits(row).tobytes(), ())
-        keys.update(idx.key_of(r) for r in rows)
+        keys.update(idx.keys[r] for r in rows)
     return keys
 
 

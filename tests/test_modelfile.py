@@ -11,6 +11,7 @@ from unionsearch.contrast import ONLINE
 from unionsearch.corpus import Corpus
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.errors import ConfigError, InputError
+from unionsearch import modelfile
 from unionsearch.modelfile import (
     CHECKSUM_BYTES,
     ModelBundle,
@@ -77,7 +78,6 @@ def test_model_roundtrip_bit_exact(tmp_path):
     assert back.train_config == bundle.train_config
     assert back.strategy == ONLINE
     assert back.best_epoch == 4
-    assert back.tokenizer_id == bundle.tokenizer_id
     for a, b in zip(back.head.tensors(), bundle.head.tensors()):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
@@ -86,16 +86,19 @@ def test_model_roundtrip_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["model", "index"])
-def test_other_tokenizer_rejected(tmp_path, world, kind):
+def test_other_tokenizer_rejected(tmp_path, monkeypatch, world, kind):
     corpus, engine = world
-    other = replace(_bundle(), tokenizer_id="some-other-tokenizer-v9")
     p = tmp_path / f"other.{kind}"
-    if kind == "model":
-        save_model(p, other)
-        load = load_model
-    else:
-        save_index(p, other, engine)
-        load = load_index
+    # A save always writes TOKENIZER_ID; write a foreign one by swapping it
+    # for the save only.
+    with monkeypatch.context() as m:
+        m.setattr(modelfile, "TOKENIZER_ID", "some-other-tokenizer-v9")
+        if kind == "model":
+            save_model(p, _bundle())
+            load = load_model
+        else:
+            save_index(p, _bundle(), engine)
+            load = load_index
     with pytest.raises(InputError, match="some-other-tokenizer-v9"):
         load(p)
 
@@ -250,7 +253,8 @@ def test_built_and_loaded_cosine_lookups_identical(tmp_path, world):
     for eng in engines:
         assert eng.keys == sorted(eng.profiles)
         sem = eng.semantic_index
-        assert [sem.key_of(r) for r in range(sem.size)] == engine.keys
+        assert [sem.keys[r] for r in range(sem.size)] == engine.keys
+        assert eng.keys is sem.keys
         assert sem.buckets == engine.semantic_index.buckets
         assert_same_postings(eng, engine)
     for column in corpus.encodable_columns():

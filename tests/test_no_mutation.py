@@ -1,26 +1,36 @@
-"""No API changes what its caller hands it: training, indexing and search
-leave their head, corpus, query table and configs as they found them."""
+"""No API changes what its caller hands it: training, indexing, search,
+persistence, lake generation and evaluation leave their head, corpus, query
+table, engine, bundle, truth and configs as they found them."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from unionsearch.bench import BenchmarkSpec, generate_benchmark
+from unionsearch.bench import BenchmarkSpec, evaluate_engine, generate_benchmark
 from unionsearch.contrast import OFFLINE, ONLINE, train
 from unionsearch.encoder import Encoder, EncoderConfig
-from unionsearch.projection import TrainConfig, init_head
+from unionsearch.modelfile import ModelBundle, load_index, save_index
+from unionsearch.projection import TrainConfig, Velocity, init_head
 from unionsearch.search import (IndexConfig, SearchConfig, build_engine,
                                 top_k_search)
 from unionsearch.syntactic import NAME, SEMANTIC, VALUE
 
+LAKE_SPEC = BenchmarkSpec(n_bases=4, derivations_per_base=4, n_topics=2,
+                          base_columns=(3, 4), base_rows=16, seed=5)
+
 
 @pytest.fixture(scope="module")
 def lake():
-    corpus, _ = generate_benchmark(BenchmarkSpec(
-        n_bases=4, derivations_per_base=4, n_topics=2, base_columns=(3, 4),
-        base_rows=16, seed=5))
+    corpus, _ = generate_benchmark(LAKE_SPEC)
     return corpus
+
+
+@pytest.fixture(scope="module")
+def engine(lake):
+    return build_engine(lake, Encoder(EncoderConfig(dim=32, hash_seed=1)),
+                        init_head(32, 32, 16, seed=3), IndexConfig(seed=4))
 
 
 def _head_state(head):
@@ -68,3 +78,62 @@ def test_build_and_search_leave_their_inputs_alone(lake, exhaustive):
     assert result.ranked    # the query did find something
     _assert_head_unchanged(head, state)
     assert (lake, icfg, cfg, query) == before
+
+
+def _engine_state(engine):
+    index = engine.semantic_index
+    return (list(engine.keys), copy.deepcopy(engine.profiles),
+            index.matrix(engine.keys).copy(), copy.deepcopy(index.buckets))
+
+
+def _assert_engine_unchanged(engine, state):
+    keys, profiles, matrix, buckets = state
+    assert engine.keys == keys
+    assert engine.profiles == profiles
+    np.testing.assert_array_equal(
+        engine.semantic_index.matrix(engine.keys), matrix)
+    assert engine.semantic_index.buckets == buckets
+
+
+def test_save_and_load_leave_bundle_and_engine_alone(engine, tmp_path):
+    velocity = Velocity.zeros_like(engine.head)
+    for t in velocity.tensors():
+        t += 0.25
+    bundle = ModelBundle(encoder_config=EncoderConfig(dim=32, hash_seed=1),
+                         head=engine.head, train_config=TrainConfig(seed=7),
+                         strategy=ONLINE, best_epoch=2, velocity=velocity)
+    configs = copy.deepcopy((bundle.encoder_config, bundle.train_config,
+                             bundle.strategy, bundle.best_epoch))
+    head_state = _head_state(bundle.head)
+    velocity_state = [t.copy() for t in velocity.tensors()]
+    engine_state = _engine_state(engine)
+    path = tmp_path / "lake.usi"
+    save_index(path, bundle, engine)
+    _, loaded = load_index(path)
+    assert (bundle.encoder_config, bundle.train_config, bundle.strategy,
+            bundle.best_epoch) == configs
+    _assert_head_unchanged(bundle.head, head_state)
+    for now, before in zip(bundle.velocity.tensors(), velocity_state):
+        np.testing.assert_array_equal(now, before)
+    _assert_engine_unchanged(engine, engine_state)
+    _assert_engine_unchanged(loaded, engine_state)   # a load rebuilds it all
+
+
+@pytest.mark.parametrize("include_bases", [False, True])
+def test_generate_benchmark_leaves_its_spec_alone(include_bases):
+    spec = replace(LAKE_SPEC, include_bases=include_bases)
+    before = copy.deepcopy(spec)
+    generate_benchmark(spec)
+    assert spec == before
+
+
+def test_evaluate_engine_leaves_its_inputs_alone(lake, engine):
+    _, truth = generate_benchmark(LAKE_SPEC)
+    cfg = SearchConfig(k=3, threshold=0.5, measures=(SEMANTIC, NAME, VALUE))
+    query_ids = [t.table_id for t in reversed(lake.tables[:6])]
+    engine_state = _engine_state(engine)
+    before = copy.deepcopy((lake, truth, cfg, query_ids))
+    rows = evaluate_engine(engine, lake, truth, cfg, [1, 3], query_ids)
+    assert [k for k, _, _ in rows] == [1, 3]
+    assert (lake, truth, cfg, query_ids) == before
+    _assert_engine_unchanged(engine, engine_state)
