@@ -258,6 +258,8 @@ def read_truth(path: str | Path) -> GroundTruth:
                 rows = list(reader)
             except csv.Error as exc:   # e.g. a cell over the field size limit
                 raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}: not valid UTF-8: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read truth file {path}: {exc}") from exc
     if not rows or rows[0] != ["query_table_id", "answer_table_id"]:

@@ -176,6 +176,8 @@ def load_manifest(path: str | Path) -> Corpus:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise InputError(f"cannot read manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8: {exc}") from exc
 
     tables = []
     for lineno, line in enumerate(lines, start=1):

@@ -28,6 +28,9 @@ from .seeding import stable_token_hash
 
 HASHING_BACKEND = "hashing"
 VECTOR_FILE_BACKEND = "vector_file"
+# Cells whose token mean an encoder keeps. On a lake of IDs every cell is
+# distinct, and at dim 128 each kept mean costs 1 KB: 16 MB at the cap.
+CELL_CACHE_CAP = 1 << 14
 
 
 @dataclass
@@ -94,12 +97,20 @@ def load_vectors(path: str | Path) -> VectorTable:
 
 
 class Encoder:
-    """Stateless given its config and (read-only) vector file.
+    """Deterministic given its config and (read-only) vector file.
 
-    One token -> vector map serves both backends: a vector file's words
-    fill it at construction, and any other token is hashed and added on
-    first use. Adding is invisible to callers since the hashing embedder is
-    a pure function of (token, hash_seed).
+    Two memos make each piece of work happen once, and neither changes a
+    bit of any result:
+
+    * One token -> vector map serves both backends: a vector file's words
+      fill it at construction, and any other token is hashed and added on
+      first use. The hashing embedder is a pure function of (token,
+      hash_seed).
+    * A cell -> token-mean map (None for a token-less cell) holds up to
+      ``CELL_CACHE_CAP`` cells, the first ones met; others are computed
+      each time. A cell's tokens depend only on the cell and the fixed
+      config, so a kept mean is the array the cell would yield afresh. Kept
+      means are read-only.
     """
 
     def __init__(self, cfg: EncoderConfig):
@@ -108,6 +119,7 @@ class Encoder:
         # here, never in the caller's config.
         self.cfg = replace(cfg)
         self._cache: dict[str, np.ndarray] = {}
+        self._cell_means: dict[str, np.ndarray | None] = {}
         if cfg.backend == VECTOR_FILE_BACKEND:
             table = load_vectors(cfg.vector_file_path)
             self.cfg.dim = table.dim
@@ -131,17 +143,26 @@ class Encoder:
             self._cache[token] = vec
         return vec
 
-    def _cell_tokens(self, cell: str) -> list[str]:
+    def _cell_mean(self, cell: str) -> np.ndarray | None:
+        """Mean of the cell's token vectors; None if it yields no token."""
+        try:
+            return self._cell_means[cell]
+        except KeyError:
+            pass
         tokens = tokenize(cell)
-        if tokens and self.cfg.cell_as_single_token:
-            return ["_".join(tokens)]
-        return tokens
-
-    def _token_mean(self, tokens: list[str]) -> np.ndarray:
-        acc = np.zeros(self.cfg.dim)
-        for t in tokens:
-            acc += self.embed_token(t)
-        return acc / len(tokens)
+        if not tokens:
+            mean = None
+        else:
+            if self.cfg.cell_as_single_token:
+                tokens = ["_".join(tokens)]
+            mean = np.zeros(self.cfg.dim)
+            for t in tokens:
+                mean += self.embed_token(t)
+            mean /= len(tokens)
+            mean.flags.writeable = False
+        if len(self._cell_means) < CELL_CACHE_CAP:
+            self._cell_means[cell] = mean
+        return mean
 
     def embed_column(self, values: list[str]) -> np.ndarray:
         """Mean of non-empty cell embeddings.
@@ -152,9 +173,9 @@ class Encoder:
         acc = np.zeros(self.cfg.dim)
         n = 0
         for cell in values:
-            tokens = self._cell_tokens(cell)
-            if tokens:
-                acc += self._token_mean(tokens)
+            mean = self._cell_mean(cell)
+            if mean is not None:
+                acc += mean
                 n += 1
         if n == 0:
             raise EmptyColumnError("no cell in the column yields any token")

@@ -127,8 +127,17 @@ class CosineLshIndex:
         return v
 
     def _band_keys(self, bits: np.ndarray) -> list[bytes]:
-        per_band = bits.reshape(self.n_bands, self.rows_per_band)
-        return [np.packbits(row).tobytes() for row in per_band]
+        """Each band's bits packed, ``np.packbits(band).tobytes()``.
+
+        One packbits over all bands pads each band to whole bytes just as
+        packing it alone does, so slicing the packed bytes gives the same
+        keys.
+        """
+        packed = np.packbits(bits.reshape(self.n_bands, self.rows_per_band),
+                             axis=1)
+        raw = packed.tobytes()
+        width = packed.shape[1]
+        return [raw[i:i + width] for i in range(0, len(raw), width)]
 
     def insert(self, key: ColumnKey, vector: np.ndarray) -> None:
         if key in self._rows:

@@ -75,35 +75,34 @@ class ModelBundle:
 
 
 class _Writer:
+    """Appends to one growing buffer, so a save holds no object per field."""
+
     def __init__(self) -> None:
-        self.parts: list[bytes] = []
+        self.buf = bytearray()
 
     def u8(self, v: int) -> None:
-        self.parts.append(struct.pack("<B", v))
+        self.buf += struct.pack("<B", v)
 
     def u32(self, v: int) -> None:
-        self.parts.append(struct.pack("<I", v))
+        self.buf += struct.pack("<I", v)
 
     def u64(self, v: int) -> None:
-        self.parts.append(struct.pack("<Q", v & _U64_MASK))
+        self.buf += struct.pack("<Q", v & _U64_MASK)
 
     def f64(self, v: float) -> None:
-        self.parts.append(struct.pack("<d", v))
+        self.buf += struct.pack("<d", v)
 
     def text(self, s: str) -> None:
         raw = s.encode("utf-8")
         self.u32(len(raw))
-        self.parts.append(raw)
+        self.buf += raw
 
     def f32_array(self, arr: np.ndarray) -> None:
         a = np.ascontiguousarray(arr, dtype="<f4")
         self.u8(len(a.shape))
         for d in a.shape:
             self.u32(d)
-        self.parts.append(a.tobytes())
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
+        self.buf += a.tobytes()
 
 
 class _Reader:
@@ -111,6 +110,9 @@ class _Reader:
         self.data = data
         self.pos = 0
         self.path = path
+        # Each distinct text is decoded once per load, and equal texts come
+        # back as one string object, so loaded profiles share their tokens.
+        self._texts: dict[bytes, str] = {}
 
     def _take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -132,10 +134,14 @@ class _Reader:
         return struct.unpack("<d", self._take(8))[0]
 
     def text(self) -> str:
-        try:
-            return self._take(self.u32()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{self.path}: bad UTF-8 text: {exc}") from exc
+        raw = self._take(self.u32())
+        s = self._texts.get(raw)
+        if s is None:
+            try:
+                s = self._texts[raw] = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{self.path}: bad UTF-8 text: {exc}") from exc
+        return s
 
     def f32_array(self) -> np.ndarray:
         ndim = self.u8()
@@ -315,17 +321,17 @@ def _checksum(body: bytes) -> bytes:
 
 
 def _serialize(kind: int, bundle: ModelBundle,
-               engine: SearchEngine | None) -> bytes:
+               engine: SearchEngine | None) -> bytearray:
     w = _Writer()
-    w.parts.append(MAGIC)
+    w.buf += MAGIC
     w.u8(VERSION)
     w.u8(kind)
     _write_model_section(w, bundle)
     if kind == KIND_INDEX:
         assert engine is not None
         _write_index_section(w, engine)
-    body = w.getvalue()
-    return body + _checksum(body)
+    w.buf += _checksum(w.buf)
+    return w.buf
 
 
 def _open(path: str | Path, expected_kind: int) -> _Reader:

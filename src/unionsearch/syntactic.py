@@ -8,14 +8,24 @@ Three set-overlap measures, each a Jaccard over a different view of a column:
 
 All are cheap, deterministic, and need no training; the search layer can
 average any subset of them with the semantic measure.
+
+A lake repeats its cells (1.3% of the benchmark lake's cells are
+distinct), so per-cell work is memoized and done once per distinct string:
+a cell's tokens, read by ``build_tfidf`` and ``value_terms``, and its
+``format_pattern``. The idf factor of ``TfidfModel.score`` is memoized by
+(columns, document frequency). Each memo is a ``functools.lru_cache`` of
+``MEMO_CAP`` entries over a pure function, so it returns exactly what a
+fresh call computes, and no result changes.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from collections import Counter
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,6 +33,8 @@ from .corpus import Column, Corpus, tokenize
 
 DEFAULT_QGRAM = 3
 DEFAULT_TOP_TERMS = 20
+# Entries each memo keeps, the least recently used evicted first.
+MEMO_CAP = 1 << 16
 
 _NON_ALNUM = re.compile(r"[^0-9a-z]+")
 
@@ -88,38 +100,50 @@ class TfidfModel:
 
     def score(self, token: str, tf: int) -> float:
         # Tokens never seen at build time count as maximally rare.
-        df = self.df.get(token, 1)
-        return tf * float(np.log(1.0 + self.n_columns / df))
+        return tf * _idf(self.n_columns, self.df.get(token, 1))
+
+
+@functools.lru_cache(maxsize=MEMO_CAP)
+def _idf(n_columns: int, df: int) -> float:
+    return float(np.log(1.0 + n_columns / df))
+
+
+@functools.lru_cache(maxsize=MEMO_CAP)
+def _cell_tokens(value: str) -> tuple[str, ...]:
+    return tuple(tokenize(value))
+
+
+def _column_tokens(column: Column) -> Iterator[str]:
+    """Every token of the column's non-empty cells, in cell order."""
+    return chain.from_iterable(map(_cell_tokens, column.non_empty_values()))
 
 
 def build_tfidf(corpus: Corpus) -> TfidfModel:
     df: Counter[str] = Counter()
     columns = corpus.encodable_columns()
     for col in columns:
-        seen: set[str] = set()
-        for value in col.non_empty_values():
-            seen.update(tokenize(value))
-        df.update(seen)
+        df.update(set(_column_tokens(col)))
     return TfidfModel(df=dict(df), n_columns=len(columns))
 
 
 def value_terms(column: Column, tfidf: TfidfModel,
                 top_t: int = DEFAULT_TOP_TERMS) -> frozenset[str]:
     """Top-t column tokens by TF-IDF weight; ties break lexicographically."""
-    tf: Counter[str] = Counter()
-    for value in column.non_empty_values():
-        tf.update(tokenize(value))
+    tf = Counter(_column_tokens(column))
     if not tf:
         return frozenset()
     ranked = sorted(tf, key=lambda tok: (-tfidf.score(tok, tf[tok]), tok))
     return frozenset(ranked[:top_t])
 
 
+@functools.lru_cache(maxsize=MEMO_CAP)
 def format_pattern(value: str) -> str:
     """Shape of a value: digits->9, letters->a, whitespace->_, rest verbatim.
 
     Runs of the same class character collapse to one; verbatim characters
     never collapse, so "https://x.y" -> "a://a.a" keeps both slashes.
+    Digits and letters are Unicode-wide ("٣٤" -> "9"), which is why this
+    is memoized rather than mapped through an ASCII translation table.
     """
     out: list[str] = []
     prev_class: str | None = None

@@ -209,6 +209,17 @@ def test_train_cell_over_csv_field_limit_exit_2(tmp_path, capsys):
     assert not (tmp_path / "m.usm").exists()
 
 
+def test_train_manifest_not_utf8_exit_2(workspace, tmp_path, capsys):
+    manifest = tmp_path / "m.tsv"
+    first = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
+    manifest.write_bytes(b"# caf\xe9\n" + f"t\t{first}\n".encode("utf-8"))
+    assert run("train", "--manifest", str(manifest),
+               "--out", str(tmp_path / "m.usm")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("input error: ") and str(manifest) in line
+    assert not (tmp_path / "m.usm").exists()
+
+
 # ---------------------------------------------------------------- index
 
 def test_index_reports_columns(workspace, capsys):
@@ -358,6 +369,17 @@ def test_eval_malformed_truth_exit_2(workspace, tmp_path, capsys):
                "--manifest", str(workspace / "bench" / "manifest.tsv"),
                "--truth", str(truth), "--out", str(tmp_path / "m.csv")) == 2
     assert f"{truth}:2" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_eval_truth_not_utf8_exit_2(workspace, tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(b"query_table_id,answer_table_id\nq1,caf\xe9\n")
+    assert run("eval", "--index", str(workspace / "index.usi"),
+               "--manifest", str(workspace / "bench" / "manifest.tsv"),
+               "--truth", str(truth), "--out", str(tmp_path / "m.csv")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("input error: ") and str(truth) in line
     assert not (tmp_path / "m.csv").exists()
 
 

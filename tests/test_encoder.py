@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unionsearch.encoder import Encoder, EncoderConfig, load_vectors
+from unionsearch.encoder import CELL_CACHE_CAP, Encoder, EncoderConfig, load_vectors
 from unionsearch.errors import ConfigError, EmptyColumnError, InputError
 
 
@@ -189,3 +189,46 @@ def test_unknown_backend_rejected():
 def test_nonpositive_dim_rejected():
     with pytest.raises(ConfigError):
         Encoder(EncoderConfig(dim=0))
+
+
+# ---------------------------------------------------------------- cell memo
+
+# Repeated cells, token-less cells, a cell whose tokens differ from another
+# cell's only in case and punctuation, and vector-file words.
+MEMO_COLUMNS = [
+    ["apple pie", "apple pie", "", "--", "Apple  PIE!", "cat 7", "apple pie"],
+    ["cat 7", "--", "dog", "dog", "", "zebra dog cat"],
+    ["dog"],
+]
+
+
+def _assert_warm_equals_fresh(make_encoder) -> None:
+    warm = make_encoder()
+    for values in MEMO_COLUMNS:
+        warm.embed_column(values)
+    for values in MEMO_COLUMNS + MEMO_COLUMNS[::-1]:
+        fresh = make_encoder().embed_column(values)
+        assert warm.embed_column(values).tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_warm_encoder_embeds_bit_for_bit_like_a_fresh_one(single):
+    _assert_warm_equals_fresh(
+        lambda: hashing_encoder(dim=32, seed=4, cell_as_single_token=single))
+
+
+def test_warm_vector_file_encoder_embeds_like_a_fresh_one(tmp_path):
+    p = tmp_path / "v.txt"
+    _write_vectors(p, ["cat 1 0 0 0.5", "dog 0 1 0 0", "pie 0.25 0 1 0"])
+    _assert_warm_equals_fresh(lambda: Encoder(EncoderConfig(
+        backend="vector_file", vector_file_path=str(p), hash_seed=5)))
+
+
+def test_cells_past_the_cap_embed_like_a_fresh_encoder():
+    cells = [f"cell{i} x" for i in range(CELL_CACHE_CAP + 40)]
+    warm = hashing_encoder(dim=8)
+    warm.embed_column(cells)
+    assert len(warm._cell_means) == CELL_CACHE_CAP   # the memo stays bounded
+    for values in (cells[-60:], cells[:5] + cells[-5:]):
+        fresh = hashing_encoder(dim=8).embed_column(values)
+        assert warm.embed_column(values).tobytes() == fresh.tobytes()

@@ -1,0 +1,109 @@
+"""Frozen output digests on a small seeded lake.
+
+Gate 9 checks that two runs agree with each other; these check that every
+run agrees with the bytes the code wrote when they were pinned. A speedup
+that must be byte-identical (a memo, a cache, a faster packing) fails here
+if it changes a single bit of a model file, an index file or a result CSV.
+If a change is meant to alter these bytes, it must say so and re-pin them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from unionsearch.bench import BenchmarkSpec, generate_benchmark
+from unionsearch.contrast import OFFLINE, ONLINE, train
+from unionsearch.encoder import Encoder, EncoderConfig
+from unionsearch.modelfile import ModelBundle, save_index, save_model
+from unionsearch.projection import TrainConfig, init_head
+from unionsearch.search import (IndexConfig, SearchConfig, build_engine,
+                                top_k_search, write_results)
+
+SPEC = BenchmarkSpec(n_bases=8, derivations_per_base=5, n_topics=3,
+                     base_columns=(3, 5), base_rows=20, seed=4)
+
+MODEL_DIGESTS = {
+    ONLINE: "b69f9462b84605307132ebcf53941b095acb0c9b54ba00cfcb4103b4576747f4",
+    OFFLINE: "9fd2c7b1a20184915b74a1116fcf1df50d76514af5ecc908ffc88a58460cdbe9",
+}
+# Float64 base embeddings: files hold float32 vectors and results nine
+# decimals, so only this one sees a change in the last bit of a base sum.
+EMBEDDING_DIGEST = \
+    "80c86ab1d05948d1e2834da5425372314b55beb91726b832eb4d5ee4374d3e4d"
+INDEX_DIGEST = "c352d3b4e8a56da54d5b9b2536b7f29f1c1f832d0f1a41e333587ded9976a1b8"
+# On a lake this small, banding loses no pair, so both modes write the
+# same bytes.
+RESULT_DIGESTS = {
+    ("semantic", False):
+        "029518a1f4b60776a9bd4e14d3249e663ccd1cad54a9b40169d78d4d2ec68cb6",
+    ("semantic", True):
+        "029518a1f4b60776a9bd4e14d3249e663ccd1cad54a9b40169d78d4d2ec68cb6",
+    ("semantic,name,value", False):
+        "ae23d44023349959a9d0010091f515abc44d3f4bd69a34cf8de8154f6a5c120d",
+    ("semantic,name,value", True):
+        "ae23d44023349959a9d0010091f515abc44d3f4bd69a34cf8de8154f6a5c120d",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def lake():
+    corpus, _ = generate_benchmark(SPEC)
+    return corpus
+
+
+def test_base_embedding_digest(lake):
+    encoder = Encoder(EncoderConfig(dim=32, hash_seed=7))
+    matrix = np.stack([encoder.embed_column(c.values)
+                       for c in lake.encodable_columns()])
+    assert matrix.dtype == np.float64
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == EMBEDDING_DIGEST
+
+
+@pytest.mark.parametrize("strategy", [ONLINE, OFFLINE])
+def test_one_epoch_model_file_digest(lake, tmp_path, strategy):
+    encoder = Encoder(EncoderConfig(dim=32, hash_seed=7))
+    head = init_head(32, 32, 16, seed=5)
+    cfg = TrainConfig(epochs=1, batch_size=4, sample_size=8, seed=3)
+    result = train(lake, encoder, head, cfg, strategy=strategy)
+    path = tmp_path / "model.usm"
+    save_model(path, ModelBundle(encoder_config=encoder.cfg, head=result.head,
+                                 train_config=cfg, strategy=strategy,
+                                 best_epoch=result.best_epoch,
+                                 velocity=result.velocity))
+    assert _sha256(path) == MODEL_DIGESTS[strategy]
+
+
+@pytest.fixture(scope="module")
+def engine_and_bundle(lake):
+    encoder = Encoder(EncoderConfig(dim=32, hash_seed=7))
+    head = init_head(32, 32, 16, seed=5)
+    engine = build_engine(lake, encoder, head, IndexConfig(seed=9))
+    return engine, ModelBundle(encoder_config=encoder.cfg, head=head,
+                               train_config=TrainConfig(epochs=1),
+                               strategy="none", best_epoch=0)
+
+
+def test_index_file_digest(engine_and_bundle, tmp_path):
+    engine, bundle = engine_and_bundle
+    path = tmp_path / "index.usi"
+    save_index(path, bundle, engine)
+    assert _sha256(path) == INDEX_DIGEST
+
+
+@pytest.mark.parametrize("measures", ["semantic", "semantic,name,value"])
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_result_csv_digest(lake, engine_and_bundle, tmp_path, measures,
+                           exhaustive):
+    engine, _ = engine_and_bundle
+    cfg = SearchConfig(k=5, threshold=0.7,
+                       measures=tuple(measures.split(",")),
+                       exhaustive=exhaustive)
+    queries = lake.tables[::6]
+    path = tmp_path / "results.csv"
+    write_results(path, [top_k_search(engine, q, cfg) for q in queries])
+    assert _sha256(path) == RESULT_DIGESTS[(measures, exhaustive)]

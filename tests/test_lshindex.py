@@ -229,6 +229,26 @@ def test_each_key_lands_in_exactly_n_bands_buckets():
     assert len(counts) == 25
 
 
+@pytest.mark.parametrize("n_planes,n_bands,rows_per_band",
+                         [(256, 32, 8), (20, 4, 5), (36, 3, 12)])
+def test_bucket_keys_are_per_band_packbits(n_planes, n_bands, rows_per_band):
+    # Readers outside the index find a row's buckets by these keys.
+    idx = CosineLshIndex(dim=16, n_planes=n_planes, n_bands=n_bands,
+                         rows_per_band=rows_per_band, seed=6)
+    rng = np.random.default_rng(23)
+    vectors = rng.standard_normal((40, 16))
+    for i, v in enumerate(vectors):
+        idx.insert(("t", i), v)
+    expected: list[dict[bytes, list[int]]] = [{} for _ in range(n_bands)]
+    for row, v in enumerate(vectors):
+        bits = idx.signature(v).reshape(n_bands, rows_per_band)
+        for band, band_bits in enumerate(bits):
+            expected[band].setdefault(np.packbits(band_bits).tobytes(),
+                                      []).append(row)
+    assert [{k: list(rows) for k, rows in b.items()} for b in idx.buckets] \
+        == expected
+
+
 def _colliding_keys(idx: CosineLshIndex, q) -> set:
     """Keys of the rows that share at least one band with q."""
     bits = idx.signature(q).reshape(idx.n_bands, idx.rows_per_band)

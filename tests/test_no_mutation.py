@@ -45,6 +45,16 @@ def _assert_head_unchanged(head, state):
         np.testing.assert_array_equal(now, before)
 
 
+@pytest.mark.parametrize("values", [["apple pie", "--", "apple pie", "x"],
+                                    ["apple pie"]])
+def test_embed_column_returns_an_array_the_caller_owns(values):
+    encoder = Encoder(EncoderConfig(dim=16, hash_seed=2))
+    first = encoder.embed_column(values)
+    before = first.copy()
+    first += 1.0   # the caller's to change: the next embedding is untouched
+    np.testing.assert_array_equal(encoder.embed_column(values), before)
+
+
 @pytest.mark.parametrize("strategy", [ONLINE, OFFLINE])
 def test_train_leaves_head_config_and_corpus_alone(lake, strategy):
     head = init_head(32, 32, 16, seed=3)

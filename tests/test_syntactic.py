@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from unionsearch.corpus import Column
+from unionsearch.corpus import Column, tokenize
 from unionsearch.syntactic import (
     SetPostings,
     build_profile,
@@ -224,3 +226,65 @@ def test_measures_symmetric_bounded():
                 assert 0.0 <= s <= 1.0
                 assert s == f(b, a)
             assert f(a, a) == 1.0
+
+
+# ---------------------------------------------------------------- per-cell memos
+
+# Unicode digits and letters: isdigit/isalpha are Unicode-wide, the
+# tokenizer is ASCII-only.
+UNICODE_CELLS = ["٣٤", "Ⅻ", "é-1", "café 12", "CAFÉ", "x²", "٣٤", "ǅ ab",
+                 "12-34", "é-1", "", "--"]
+
+
+def _reference_pattern(value: str) -> str:
+    out, prev = [], None
+    for ch in value:
+        cls = ("9" if ch.isdigit() else "a" if ch.isalpha()
+               else "_" if ch.isspace() else None)
+        if cls is None:
+            out.append(ch)
+        elif cls != prev:
+            out.append(cls)
+        prev = cls
+    return "".join(out)
+
+
+def _reference_tfidf(corpus) -> tuple[dict[str, int], int]:
+    df: Counter[str] = Counter()
+    columns = corpus.encodable_columns()
+    for col in columns:
+        df.update({t for v in col.non_empty_values() for t in tokenize(v)})
+    return dict(df), len(columns)
+
+
+def _reference_value_terms(column, df, n_columns, top_t=20):
+    tf = Counter(t for v in column.non_empty_values() for t in tokenize(v))
+    weight = {t: tf[t] * float(np.log(1.0 + n_columns / df.get(t, 1)))
+              for t in tf}
+    return frozenset(sorted(tf, key=lambda t: (-weight[t], t))[:top_t])
+
+
+def test_format_pattern_on_unicode_matches_reference():
+    assert format_pattern("٣٤") == "9"
+    assert format_pattern("Ⅻ") == "Ⅻ"        # a number, but neither class
+    assert format_pattern("é-1") == "a-9"
+    for _ in range(2):                        # cold, then from the memo
+        for value in UNICODE_CELLS:
+            assert format_pattern(value) == _reference_pattern(value)
+
+
+def test_value_terms_and_tfidf_on_unicode_match_reference():
+    corpus = make_corpus({
+        "a": {"x": UNICODE_CELLS, "y": UNICODE_CELLS[::-1]},
+        "b": {"z": ["café 12", "12", "ab", "ab", "٣٤ ab"]},
+    })
+    df, n_columns = _reference_tfidf(corpus)
+    for _ in range(2):
+        tfidf = build_tfidf(corpus)
+        assert tfidf.df == df and tfidf.n_columns == n_columns
+        assert list(tfidf.df) == list(df)     # same insertion order too
+        for col in corpus.columns():
+            assert value_terms(col, tfidf) == _reference_value_terms(
+                col, df, n_columns)
+            assert value_terms(col, tfidf, top_t=2) == _reference_value_terms(
+                col, df, n_columns, top_t=2)
