@@ -20,14 +20,17 @@ matrix, each row a stored float32 vector widened exactly, plus each row's
 norm for scoring; its buckets hold those row numbers. Its hyperplanes are
 one float64 array, float32-rounded values widened exactly, that every
 signature multiplies by. A lookup marks the colliding rows in one boolean
-mask, scores them with ``cosines``, the one cosine formula that
-``search.attribute_unionability`` also uses, and names only the rows that
-pass the threshold. Each row's dot product is reduced on its own, so a
-lookup score equals the pair score bit for bit, whatever the row numbering
-or the BLAS thread count. A min-hash index keeps no copy of its token
-sets: ``token_sets`` maps each key to the frozenset the caller inserted;
-its buckets hold keys. Exact scores come from those rows and sets; buckets
-only choose what gets scored.
+mask, scores them with ``cosines`` and names only the rows that pass the
+threshold. The search scores its pairs with ``scorer``, the same formula
+one key at a time: the query vector is prepared and its norm taken once,
+then each key costs one ``np.vecdot`` of its stored row over the product
+of the two norms. Each row's dot product is reduced on its own, so a lookup
+score, a scorer score and ``search.attribute_unionability`` of the same
+pair agree bit for bit, whatever the row numbering or the BLAS thread
+count. A min-hash index keeps no copy of its token sets: ``token_sets``
+maps each key to the frozenset the caller inserted; its buckets hold keys.
+Exact scores come from those rows and sets; buckets only choose what gets
+scored.
 
 Everything else is derived: hyperplanes and hash coefficients follow from
 the seed, buckets from the inserted rows and sets, in insertion order. An
@@ -37,6 +40,7 @@ index file therefore stores none of it.
 from __future__ import annotations
 
 from array import array
+from typing import Callable
 
 import numpy as np
 
@@ -116,15 +120,43 @@ class CosineLshIndex:
 
     def signature(self, vector: np.ndarray) -> np.ndarray:
         """P sign bits as uint8; a dot product of exactly zero counts as 1."""
-        v = self._prepare(vector)
-        dots = self.planes @ v
-        return (dots >= 0.0).astype(np.uint8)
+        return self._bits(self._prepare(vector))
+
+    def _bits(self, v: np.ndarray) -> np.ndarray:
+        """``signature`` of a vector that ``_prepare`` has already made."""
+        return (self.planes @ v >= 0.0).astype(np.uint8)
 
     def _prepare(self, vector: np.ndarray) -> np.ndarray:
         v = np.asarray(vector, dtype=np.float32).astype(np.float64)
         if v.shape != (self.dim,):
             raise ConfigError(f"vector shape {v.shape} != ({self.dim},)")
         return v
+
+    def _prepare_query(self, vector: np.ndarray) -> tuple[np.ndarray, float]:
+        """The prepared vector and its norm, which must not be zero."""
+        v = self._prepare(vector)
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            raise NumericError("zero-norm query vector")
+        return v, norm
+
+    def scorer(self, vector: np.ndarray) -> Callable[[ColumnKey], float]:
+        """A function from key to the cosine of its stored vector with vector.
+
+        The query is prepared and its norm taken once; each call reads the
+        stored row and the norm kept at insert, so a score equals the
+        lookup's, and ``search.attribute_unionability``'s, bit for bit.
+        Python's ``min``/``max`` clamp as ``np.clip`` does, NaN included.
+        """
+        v, norm = self._prepare_query(vector)
+        rows, wide, norms = self._rows, self._wide, self._norms
+
+        def score(key: ColumnKey) -> float:
+            row = rows[key]
+            c = float(np.vecdot(wide[row], v) / (norms[row] * norm))
+            return min(max(c, -1.0), 1.0)
+
+        return score
 
     def _band_keys(self, bits: np.ndarray) -> list[bytes]:
         """Each band's bits packed, ``np.packbits(band).tobytes()``.
@@ -147,7 +179,7 @@ class CosineLshIndex:
         if norm == 0.0:
             raise NumericError(f"zero-norm vector for key {key}")
         row = len(self.keys)
-        for band, bkey in enumerate(self._band_keys(self.signature(v))):
+        for band, bkey in enumerate(self._band_keys(self._bits(v))):
             bucket = self.buckets[band].get(bkey)
             if bucket is None:
                 self.buckets[band][bkey] = array("q", (row,))
@@ -172,12 +204,9 @@ class CosineLshIndex:
         decides which rows get scored at all, and only the rows that reach
         the threshold are turned back into keys.
         """
-        v = self._prepare(vector)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise NumericError("zero-norm query vector")
+        v, norm = self._prepare_query(vector)
         hit = np.zeros(self.size, dtype=bool)
-        for band, bkey in enumerate(self._band_keys(self.signature(v))):
+        for band, bkey in enumerate(self._band_keys(self._bits(v))):
             bucket = self.buckets[band].get(bkey)
             if bucket is not None:
                 hit[np.frombuffer(bucket, dtype=np.int64)] = True

@@ -37,6 +37,7 @@ Saves are atomic (temp file + rename).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -106,32 +107,44 @@ class _Writer:
 
 
 class _Reader:
+    """Reads fields in order from ``data`` up to ``end``, copying no body.
+
+    Integers are unpacked in place and a float32 array is read through the
+    buffer, so its one copy is the owned array a load returns.
+    """
+
     def __init__(self, data: bytes, path: str):
         self.data = data
+        self.end = len(data)
         self.pos = 0
         self.path = path
         # Each distinct text is decoded once per load, and equal texts come
         # back as one string object, so loaded profiles share their tokens.
         self._texts: dict[bytes, str] = {}
 
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def _advance(self, n: int) -> int:
+        """Where the next n bytes start; they must lie before ``end``."""
+        start = self.pos
+        if start + n > self.end:
             raise InputError(f"{self.path}: truncated file")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+        self.pos = start + n
+        return start
+
+    def _take(self, n: int) -> bytes:
+        start = self._advance(n)
+        return self.data[start:self.pos]
 
     def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
+        return struct.unpack_from("<B", self.data, self._advance(1))[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return struct.unpack_from("<I", self.data, self._advance(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return struct.unpack_from("<Q", self.data, self._advance(8))[0]
 
     def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
+        return struct.unpack_from("<d", self.data, self._advance(8))[0]
 
     def text(self) -> str:
         raw = self._take(self.u32())
@@ -146,13 +159,14 @@ class _Reader:
     def f32_array(self) -> np.ndarray:
         ndim = self.u8()
         shape = tuple(self.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = self._take(count * 4)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        count = math.prod(shape)
+        start = self._advance(count * 4)
+        return np.frombuffer(self.data, dtype="<f4", count=count,
+                             offset=start).reshape(shape).copy()
 
     def expect_end(self) -> None:
-        if self.pos != len(self.data):
-            raise InputError(f"{self.path}: {len(self.data) - self.pos} "
+        if self.pos != self.end:
+            raise InputError(f"{self.path}: {self.end - self.pos} "
                              "trailing bytes")
 
 
@@ -316,7 +330,7 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
         raise InputError(f"{r.path}: {exc}") from exc
 
 
-def _checksum(body: bytes) -> bytes:
+def _checksum(body: bytes | memoryview) -> bytes:
     return hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
 
 
@@ -351,11 +365,11 @@ def _open(path: str | Path, expected_kind: int) -> _Reader:
         found = "model" if kind == KIND_MODEL else "index"
         want = "model" if expected_kind == KIND_MODEL else "index"
         raise InputError(f"{path}: this is a {found} file, expected {want}")
-    body = data[:-CHECKSUM_BYTES]
+    body = memoryview(data)[:-CHECKSUM_BYTES]
     if len(body) < r.pos or _checksum(body) != data[-CHECKSUM_BYTES:]:
         raise InputError(f"{path}: checksum mismatch, the file is truncated "
                          "or corrupt")
-    r.data = body
+    r.end = len(body)
     return r
 
 

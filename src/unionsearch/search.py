@@ -13,6 +13,13 @@ that stands out against its column's alternatives counts for more.
 Candidate generation never affects score precision: the banded cosine
 index and the exact name and value set lookups only choose which pairs get
 scored, and an exhaustive mode scores them all.
+
+Both modes score pairs on one path, with the per-column work done once per
+query column: the cosine index's ``scorer`` holds the prepared query vector
+and its norm, and the enabled syntactic functions are looked up once. A
+pair's score is then ``sum(parts) / len(parts)`` over its measures in
+``ordered_measures`` order, the same float that ``attribute_unionability``
+and the ``SYNTACTIC_FUNCS`` entries give pair by pair.
 """
 
 from __future__ import annotations
@@ -213,28 +220,22 @@ def _gather_candidates(engine: SearchEngine, cfg: SearchConfig,
     return sorted(candidates)
 
 
-def _pair_score(engine: SearchEngine, cfg: SearchConfig,
-                qvec: np.ndarray, qprofile: SyntacticProfile,
-                key: ColumnKey) -> float:
-    parts = []
-    for measure in cfg.ordered_measures():
-        if measure == SEMANTIC:
-            stored = engine.semantic_index.vector(key)
-            parts.append(attribute_unionability(qvec, stored))
-        else:
-            func = syntactic.SYNTACTIC_FUNCS[measure]
-            parts.append(func(qprofile, engine.profiles[key]))
-    return float(sum(parts) / len(parts))
-
-
 def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
                         column: Column) -> dict[ColumnKey, tuple[float, float]]:
     """One query column's surviving candidates: key -> (score, weight)."""
     qvec = engine.project_column(column)
     qprofile = engine.query_profile(column)
+    # Once per column, not per pair. SYNTACTIC_FUNCS is read here, at call
+    # time; semantic is always first in ordered_measures.
+    semantic = engine.semantic_index.scorer(qvec)
+    funcs = [syntactic.SYNTACTIC_FUNCS[m] for m in cfg.ordered_measures()
+             if m != SEMANTIC]
+    profiles = engine.profiles
     pair_scores: dict[ColumnKey, float] = {}
     for key in _gather_candidates(engine, cfg, qvec, qprofile):
-        score = _pair_score(engine, cfg, qvec, qprofile, key)
+        parts = [semantic(key)]
+        parts.extend(f(qprofile, profiles[key]) for f in funcs)
+        score = sum(parts) / len(parts)
         if score >= cfg.threshold:
             pair_scores[key] = score
     # A pair's weight is the inclusive empirical CDF position of its score

@@ -40,11 +40,16 @@ _NON_ALNUM = re.compile(r"[^0-9a-z]+")
 
 
 def jaccard(a: frozenset | set, b: frozenset | set) -> float:
-    """|a & b| / |a | b|, with two empty sets scoring 0.0, not 1.0."""
-    union = len(a | b)
+    """|a & b| / |a | b|, with two empty sets scoring 0.0, not 1.0.
+
+    The union's size is counted as |a| + |b| - |a & b|, the same integer,
+    without building the union.
+    """
+    inter = len(a & b)
+    union = len(a) + len(b) - inter
     if union == 0:
         return 0.0
-    return len(a & b) / union
+    return inter / union
 
 
 class SetPostings:

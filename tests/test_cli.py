@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from unionsearch.cli import main, parse_measures
 from unionsearch.errors import ConfigError, InputError
-from unionsearch import modelfile
+from unionsearch import modelfile, search
 from unionsearch.modelfile import load_index, load_model
 
 
@@ -304,6 +305,18 @@ def test_query_unwritable_out_exit_2(workspace, tmp_path, capsys):
     assert err.startswith("input error:") and err.count("\n") == 1
     assert "missing" in err and ".tmp" not in err
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_query_zero_norm_query_vector_exit_4(workspace, tmp_path, monkeypatch,
+                                            capsys):
+    table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
+    # Every query column projects to zeros; the loaded index is untouched.
+    monkeypatch.setattr(search, "project",
+                        lambda head, base: np.zeros(head.dims[2]))
+    assert run("query", "--index", str(workspace / "index.usi"),
+               "--query", str(table), "--out", str(tmp_path / "r.csv")) == 4
+    assert capsys.readouterr().err.startswith("numeric error: zero-norm")
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("version", range(1, modelfile.VERSION))

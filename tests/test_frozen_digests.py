@@ -33,7 +33,9 @@ EMBEDDING_DIGEST = \
     "80c86ab1d05948d1e2834da5425372314b55beb91726b832eb4d5ee4374d3e4d"
 INDEX_DIGEST = "c352d3b4e8a56da54d5b9b2536b7f29f1c1f832d0f1a41e333587ded9976a1b8"
 # On a lake this small, banding loses no pair, so both modes write the
-# same bytes.
+# same bytes, except with format: no index gathers format candidates, so
+# only the exhaustive mode scores the pairs format alone lifts over the
+# threshold.
 RESULT_DIGESTS = {
     ("semantic", False):
         "029518a1f4b60776a9bd4e14d3249e663ccd1cad54a9b40169d78d4d2ec68cb6",
@@ -43,6 +45,14 @@ RESULT_DIGESTS = {
         "ae23d44023349959a9d0010091f515abc44d3f4bd69a34cf8de8154f6a5c120d",
     ("semantic,name,value", True):
         "ae23d44023349959a9d0010091f515abc44d3f4bd69a34cf8de8154f6a5c120d",
+    ("semantic,format", False):
+        "dff10c090774d08175c799ee4edb6c5214e93ba0708aaf7f12c573e6a5f507f9",
+    ("semantic,format", True):
+        "8bec3760488196a7e282a91b365e35df6974fa6404f9ae0ea34721b2edbfeaeb",
+    ("semantic,name,value,format", False):
+        "18cb9094336cd14f7ac83f65c2b2254586bbd9e39965964585614901dac2d45d",
+    ("semantic,name,value,format", True):
+        "18cb9094336cd14f7ac83f65c2b2254586bbd9e39965964585614901dac2d45d",
 }
 
 
@@ -95,7 +105,9 @@ def test_index_file_digest(engine_and_bundle, tmp_path):
     assert _sha256(path) == INDEX_DIGEST
 
 
-@pytest.mark.parametrize("measures", ["semantic", "semantic,name,value"])
+@pytest.mark.parametrize("measures", ["semantic", "semantic,name,value",
+                                      "semantic,format",
+                                      "semantic,name,value,format"])
 @pytest.mark.parametrize("exhaustive", [False, True])
 def test_result_csv_digest(lake, engine_and_bundle, tmp_path, measures,
                            exhaustive):

@@ -292,6 +292,69 @@ def test_cosine_between_stored_keys():
         idx.vector(("missing", 0))
 
 
+def test_scorer_equals_attribute_unionability_bit_for_bit():
+    idx = CosineLshIndex(dim=12, seed=4)
+    rng = np.random.default_rng(17)
+    for i in range(50):
+        idx.insert(("t", i), rng.standard_normal(12))
+    for _ in range(5):
+        q = rng.standard_normal(12)
+        score = idx.scorer(q)
+        qv = q.astype(np.float32)
+        for key in idx.keys:
+            got = score(key)
+            assert type(got) is float
+            assert got == attribute_unionability(qv, idx.vector(key))
+
+
+def test_scorer_clamps_like_clip_nan_included():
+    idx = CosineLshIndex(dim=3)
+    idx.insert(("same", 0), np.array([1.0, 2.0, 3.0]))
+    idx.insert(("inf", 0), np.array([np.inf, 0.0, 0.0]))
+    q = np.array([1.0, 2.0, 3.0])
+    score = idx.scorer(q)
+    assert -1.0 <= score(("same", 0)) <= 1.0
+    # inf / inf: the clamp must pass NaN through, as np.clip does.
+    with np.errstate(invalid="ignore"):
+        want = attribute_unionability(q.astype(np.float32),
+                                      idx.vector(("inf", 0)))
+        assert np.isnan(want) and np.isnan(score(("inf", 0)))
+
+
+def test_scorer_rejects_zero_and_misshapen_queries():
+    idx = CosineLshIndex(dim=4)
+    idx.insert(("t", 0), np.ones(4))
+    with pytest.raises(NumericError):
+        idx.scorer(np.zeros(4))
+    with pytest.raises(ConfigError):
+        idx.scorer(np.ones(5))
+
+
+@pytest.mark.parametrize("call", ["insert", "lookup", "scorer"])
+def test_each_call_prepares_its_vector_once(monkeypatch, call):
+    idx = CosineLshIndex(dim=6, seed=1)
+    idx.insert(("t", 0), np.arange(1.0, 7.0))
+    prepare = CosineLshIndex._prepare
+    calls = []
+
+    def counted(self, vector):
+        calls.append(1)
+        return prepare(self, vector)
+
+    monkeypatch.setattr(CosineLshIndex, "_prepare", counted)
+    v = np.arange(6.0, 0.0, -1.0)
+    if call == "insert":
+        idx.insert(("t", 1), v)
+    elif call == "lookup":
+        idx.lookup(v, threshold=0.0)
+    else:
+        idx.scorer(v)
+    assert len(calls) == 1
+    # The public signature still prepares what it is given.
+    idx.signature(v)
+    assert len(calls) == 2
+
+
 def test_dim_mismatch_rejected():
     idx = CosineLshIndex(dim=8)
     with pytest.raises(ConfigError):

@@ -215,6 +215,38 @@ def test_index_roundtrip_preserves_queries(tmp_path, world):
                     for m in b.matches]
 
 
+def test_loaded_vector_matrix_is_an_owned_copy(tmp_path, world, monkeypatch):
+    """The load's one copy of the vectors is writeable and its own memory."""
+    _, engine = world
+    p = tmp_path / "engine.usi"
+    save_index(p, _bundle(), engine)
+    read = []
+    read_bytes = type(p).read_bytes
+
+    def recorded_read_bytes(path):
+        read.append(read_bytes(path))
+        return read[-1]
+
+    seen = []
+    engine_cls = modelfile.SearchEngine
+
+    def recorded_engine(encoder, head, cfg, tfidf, columns):
+        columns = list(columns)
+        seen.append(columns)
+        return engine_cls(encoder, head, cfg, tfidf, columns)
+
+    monkeypatch.setattr(type(p), "read_bytes", recorded_read_bytes)
+    monkeypatch.setattr(modelfile, "SearchEngine", recorded_engine)
+    load_index(p)
+    (data,) = read
+    (columns,) = seen
+    matrix = columns[0][1].base
+    assert matrix.shape == (len(engine.keys), 16)
+    assert all(vector.base is matrix for _, vector, _ in columns)
+    assert matrix.flags.writeable and matrix.flags.owndata
+    assert not np.shares_memory(matrix, np.frombuffer(data, dtype=np.uint8))
+
+
 def test_index_roundtrip_preserves_structures(tmp_path, world):
     corpus, engine = world
     p = tmp_path / "engine.usi"

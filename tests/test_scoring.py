@@ -1,0 +1,114 @@
+"""Seeded properties of pair scoring.
+
+A pair's score is the mean of its measures in ``ordered_measures`` order.
+The per-column scorer must give, bit for bit, what the plain formula gives
+pair by pair, and the banded mode must score a subset of the exhaustive
+mode's pairs with the same floats.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from unionsearch.bench import BenchmarkSpec, generate_benchmark
+from unionsearch.encoder import Encoder, EncoderConfig
+from unionsearch.projection import init_head
+from unionsearch.search import (IndexConfig, SearchConfig,
+                                _query_column_pairs, attribute_unionability,
+                                build_engine, top_k_search)
+from unionsearch.syntactic import (ALL_MEASURES, SEMANTIC, SYNTACTIC_FUNCS,
+                                   jaccard)
+
+# Every measure set the search accepts: semantic plus any syntactic subset.
+MEASURE_SETS = [(SEMANTIC, *extra) for r in range(len(ALL_MEASURES))
+                for extra in itertools.combinations(ALL_MEASURES[1:], r)]
+THRESHOLD = 0.5
+
+
+@pytest.fixture(scope="module", params=[3, 14])
+def lake(request):
+    seed = request.param
+    spec = BenchmarkSpec(n_bases=5, derivations_per_base=4, n_topics=2,
+                         base_columns=(3, 5), base_rows=15, seed=seed)
+    corpus, _ = generate_benchmark(spec)
+    engine = build_engine(corpus, Encoder(EncoderConfig(dim=24, hash_seed=seed)),
+                          init_head(24, 24, 12, seed=seed),
+                          IndexConfig(seed=seed))
+    return corpus, engine
+
+
+def _reference(engine, cfg, column, key) -> float:
+    """The pair score written out: one function call per measure."""
+    q = engine.project_column(column)
+    qprofile = engine.query_profile(column)
+    parts = [attribute_unionability(q, engine.semantic_index.vector(key)),
+             *(SYNTACTIC_FUNCS[m](qprofile, engine.profiles[key])
+               for m in cfg.ordered_measures() if m != SEMANTIC)]
+    return float(sum(parts) / len(parts))
+
+
+def _query_columns(corpus):
+    return [c for t in corpus.tables[::5] for c in t.columns
+            if c.is_encodable()]
+
+
+@pytest.mark.parametrize("measures", MEASURE_SETS, ids=",".join)
+def test_exhaustive_pairs_are_the_reference_scores(lake, measures):
+    corpus, engine = lake
+    cfg = SearchConfig(threshold=THRESHOLD, measures=measures,
+                       exhaustive=True)
+    survivors = 0
+    for column in _query_columns(corpus):
+        pairs = _query_column_pairs(engine, cfg, column)
+        want = {key: _reference(engine, cfg, column, key)
+                for key in engine.keys}
+        assert set(pairs) == {k for k, s in want.items() if s >= THRESHOLD}
+        for key, (score, _) in pairs.items():
+            assert score == want[key]
+        survivors += len(pairs)
+    assert survivors > 0
+
+
+@pytest.mark.parametrize("measures", MEASURE_SETS, ids=",".join)
+def test_banded_pairs_are_exhaustive_pairs(lake, measures):
+    corpus, engine = lake
+    banded = SearchConfig(threshold=THRESHOLD, measures=measures)
+    exhaustive = SearchConfig(threshold=THRESHOLD, measures=measures,
+                              exhaustive=True)
+    for column in _query_columns(corpus):
+        few = _query_column_pairs(engine, banded, column)
+        every = _query_column_pairs(engine, exhaustive, column)
+        assert set(few) <= set(every)
+        for key, (score, _) in few.items():
+            assert score == every[key][0]
+
+
+@pytest.mark.parametrize("measures", MEASURE_SETS, ids=",".join)
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_match_scores_are_the_reference_scores(lake, measures, exhaustive):
+    corpus, engine = lake
+    cfg = SearchConfig(k=50, threshold=THRESHOLD, measures=measures,
+                       exhaustive=exhaustive)
+    matches = 0
+    for table in corpus.tables[::5]:
+        for ranked in top_k_search(engine, table, cfg).ranked:
+            for m in ranked.matches:
+                key = (ranked.candidate_table_id, m.candidate_position)
+                column = table.columns[m.query_position]
+                assert m.score == _reference(engine, cfg, column, key)
+                matches += 1
+    assert matches > 0
+
+
+def test_jaccard_is_the_set_formula():
+    rng = random.Random(8)
+    alphabet = [f"t{i}" for i in range(12)]
+    for _ in range(500):
+        a = frozenset(rng.sample(alphabet, rng.randint(0, 8)))
+        b = set(rng.sample(alphabet, rng.randint(0, 8)))
+        if a or b:
+            assert jaccard(a, b) == len(a & b) / len(a | b)
+            assert jaccard(a, b) == jaccard(b, a)
+    assert jaccard(frozenset(), frozenset()) == 0.0
+    assert jaccard(set(), set()) == 0.0

@@ -5,7 +5,7 @@ from unionsearch.bench import BenchmarkSpec, brute_force_search, generate_benchm
 from unionsearch.corpus import Column, ColumnKey, Table
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.errors import ConfigError, InputError, NumericError
-from unionsearch.projection import init_head
+from unionsearch.projection import ProjectionHead, init_head
 from unionsearch.search import (
     AttributeMatch,
     IndexConfig,
@@ -242,6 +242,18 @@ def _bench_engine(seed: int):
     head = init_head(64, 64, 32, seed=seed)
     engine = build_engine(corpus, enc, head, IndexConfig(seed=seed))
     return engine, corpus, truth
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_zero_norm_query_vector_raises(exhaustive):
+    engine, corpus, _ = _bench_engine(0)
+    head = engine.head
+    # A head whose last layer is zero projects every query column to zeros.
+    engine.head = ProjectionHead(head.W1, head.b1, np.zeros_like(head.W2),
+                                 np.zeros_like(head.b2))
+    cfg = SearchConfig(measures=(SEMANTIC, NAME, VALUE), exhaustive=exhaustive)
+    with pytest.raises(NumericError, match="zero-norm"):
+        top_k_search(engine, corpus.tables[0], cfg)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
