@@ -64,7 +64,7 @@ class VectorTable:
 def load_vectors(path: str | Path) -> VectorTable:
     """Parse a word-vector file: "word v1 ... vD" per line, consistent D.
 
-    On duplicate words the last occurrence wins.
+    Every value must be finite. On duplicate words the last occurrence wins.
     """
     path = Path(path)
     try:
@@ -85,6 +85,8 @@ def load_vectors(path: str | Path) -> VectorTable:
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: bad float") from exc
+        if not np.isfinite(vec).all():
+            raise InputError(f"{path}:{lineno}: non-finite value")
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
@@ -123,6 +125,10 @@ class Encoder:
         if cfg.backend == VECTOR_FILE_BACKEND:
             table = load_vectors(cfg.vector_file_path)
             self.cfg.dim = table.dim
+            try:
+                self.cfg.validate()
+            except ConfigError as exc:   # the file carries the bad dim
+                raise InputError(f"{cfg.vector_file_path}: {exc}") from exc
             self._cache.update(table.vectors)
 
     @property

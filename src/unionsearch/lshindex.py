@@ -14,23 +14,23 @@ an exact rescoring, so the index can lose recall but never precision:
   class that the search engine no longer uses: the engine finds name and
   value candidates exactly, with ``syntactic.SetPostings``.
 
-State is held once. A cosine index numbers its vectors by insertion order,
-lists their keys in ``keys`` (row i is ``keys[i]``) and keeps one float64
-matrix, each row a stored float32 vector widened exactly, plus each row's
-norm for scoring; its buckets hold those row numbers. Its hyperplanes are
-one float64 array, float32-rounded values widened exactly, that every
-signature multiplies by. A lookup marks the colliding rows in one boolean
-mask, scores them with ``cosines`` and names only the rows that pass the
-threshold. The search scores its pairs with ``scorer``, the same formula
-one key at a time: the query vector is prepared and its norm taken once,
-then each key costs one ``np.vecdot`` of its stored row over the product
-of the two norms. Each row's dot product is reduced on its own, so a lookup
-score, a scorer score and ``search.attribute_unionability`` of the same
-pair agree bit for bit, whatever the row numbering or the BLAS thread
-count. A min-hash index keeps no copy of its token sets: ``token_sets``
-maps each key to the frozenset the caller inserted; its buckets hold keys.
-Exact scores come from those rows and sets; buckets only choose what gets
-scored.
+State is held once. A cosine index numbers its finite vectors by insertion
+order, lists their keys in ``keys`` (row i is ``keys[i]``, and ``rows``
+maps back) and keeps one float64 matrix, each row a stored float32 vector
+widened exactly, plus each row's norm for scoring; its buckets hold those
+row numbers. Its hyperplanes are one float64 array, float32-rounded values
+widened exactly, that every signature multiplies by. A lookup marks the
+colliding rows in one boolean mask, scores them with ``cosines`` and names
+only the rows that pass the threshold. The search scores its pairs with
+``scorer``, the same formula one row at a time: the query is prepared and
+its norm taken once, then each row costs one ``np.vecdot`` over the
+product of the two norms. Each row's dot product is reduced on its own, so
+a lookup score, a scorer score and ``search.attribute_unionability`` of
+the same pair agree bit for bit, whatever the row numbering or the BLAS
+thread count. A min-hash index keeps no copy of its token sets:
+``token_sets`` maps each key to the frozenset the caller inserted; its
+buckets hold keys. Exact scores come from those rows and sets; buckets
+only choose what gets scored.
 
 Everything else is derived: hyperplanes and hash coefficients follow from
 the seed, buckets from the inserted rows and sets, in insertion order. An
@@ -78,7 +78,7 @@ class CosineLshIndex:
     Each inserted vector gets the next row number. Rows live in one float64
     matrix, each the float32 vector widened exactly, with their norms next
     to it for scoring. Buckets hold row numbers as ``array("q")``; ``keys``
-    names each row, in insertion order, and ``_rows`` maps each key back to
+    names each row, in insertion order, and ``rows`` maps each key back to
     its row. ``planes`` is the one hyperplane array.
     """
 
@@ -95,7 +95,7 @@ class CosineLshIndex:
         # Rounded to float32 once, then widened exactly for every product.
         self.planes = raw.astype(np.float32).astype(np.float64)
         self.buckets: list[dict[bytes, array]] = [{} for _ in range(n_bands)]
-        self._rows: dict[ColumnKey, int] = {}
+        self.rows: dict[ColumnKey, int] = {}
         self.keys: list[ColumnKey] = []
         # Capacity grows by doubling; rows past size are unused.
         self._wide = np.empty((0, dim), dtype=np.float64)
@@ -108,7 +108,7 @@ class CosineLshIndex:
     def vector(self, key: ColumnKey) -> np.ndarray:
         """The stored vector of key, float32-exact, as a read-only row view."""
         try:
-            row = self._wide[self._rows[key]]
+            row = self._wide[self.rows[key]]
         except KeyError:
             raise InputError(f"unknown key {key!r} in cosine index") from None
         row.flags.writeable = False
@@ -116,7 +116,7 @@ class CosineLshIndex:
 
     def matrix(self, keys: list[ColumnKey]) -> np.ndarray:
         """Stored vectors of keys, one row each, in the given order."""
-        return self._wide[[self._rows[k] for k in keys]]
+        return self._wide[[self.rows[k] for k in keys]]
 
     def signature(self, vector: np.ndarray) -> np.ndarray:
         """P sign bits as uint8; a dot product of exactly zero counts as 1."""
@@ -140,8 +140,8 @@ class CosineLshIndex:
             raise NumericError("zero-norm query vector")
         return v, norm
 
-    def scorer(self, vector: np.ndarray) -> Callable[[ColumnKey], float]:
-        """A function from key to the cosine of its stored vector with vector.
+    def scorer(self, vector: np.ndarray) -> Callable[[int], float]:
+        """A function from row to the cosine of its stored vector with vector.
 
         The query is prepared and its norm taken once; each call reads the
         stored row and the norm kept at insert, so a score equals the
@@ -149,10 +149,9 @@ class CosineLshIndex:
         Python's ``min``/``max`` clamp as ``np.clip`` does, NaN included.
         """
         v, norm = self._prepare_query(vector)
-        rows, wide, norms = self._rows, self._wide, self._norms
+        wide, norms = self._wide, self._norms
 
-        def score(key: ColumnKey) -> float:
-            row = rows[key]
+        def score(row: int) -> float:
             c = float(np.vecdot(wide[row], v) / (norms[row] * norm))
             return min(max(c, -1.0), 1.0)
 
@@ -172,10 +171,13 @@ class CosineLshIndex:
         return [raw[i:i + width] for i in range(0, len(raw), width)]
 
     def insert(self, key: ColumnKey, vector: np.ndarray) -> None:
-        if key in self._rows:
+        if key in self.rows:
             raise DuplicateKeyError(f"key already indexed: {key}")
         v = self._prepare(vector)
         norm = np.linalg.norm(v)
+        # Widened float32 values cannot overflow it: finite iff each entry is.
+        if not np.isfinite(norm):
+            raise NumericError(f"non-finite vector for key {key}")
         if norm == 0.0:
             raise NumericError(f"zero-norm vector for key {key}")
         row = len(self.keys)
@@ -192,7 +194,7 @@ class CosineLshIndex:
         # v holds the float32 values widened exactly.
         self._wide[row] = v
         self._norms[row] = norm
-        self._rows[key] = row
+        self.rows[key] = row
         self.keys.append(key)
 
     def lookup(self, vector: np.ndarray, threshold: float

@@ -20,7 +20,8 @@ order, coded by the field's type (bool u8, int u64, float f64, text; an
 optional text stores None as ""), so only the dataclass knows its fields.
 A load validates the configurations, the head's tensor shapes, the
 velocity's shapes against the head's and, for a hashing model, that the
-head takes the encoder's dimension: it rejects what would fail later.
+head takes the encoder's dimension: it rejects what would fail later, and
+a non-finite tensor or stored vector, which would load silently.
 
 Neither the cosine LSH index nor the name and value inverted lists are
 stored: loading hands the columns, in key-table order, to the
@@ -241,6 +242,9 @@ def _read_model_section(r: _Reader) -> ModelBundle:
     velocity = None
     if r.u8():
         velocity = Velocity(*(r.f32_array() for _ in range(4)))
+    if not all(np.isfinite(t).all() for t in
+               [*tensors, *(velocity.tensors() if velocity else ())]):
+        raise InputError(f"{r.path}: non-finite head or velocity tensor")
     try:
         ec.validate()
         tc.validate()
@@ -293,8 +297,7 @@ def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
     w.f32_array(engine.semantic_index.matrix(engine.keys))
 
     for key in engine.keys:
-        p = engine.profiles[key]
-        for tokens in (p.name_grams, p.value_term_set, p.format_set):
+        for tokens in engine.profiles[key].sets().values():
             _write_token_set(w, tokens)
 
     w.u32(engine.tfidf.n_columns)
@@ -313,9 +316,7 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
         raise InputError(f"{r.path}: vector matrix shape {matrix.shape} != "
                          f"{(len(keys), dim)}")
 
-    profiles = [SyntacticProfile(name_grams=_read_token_set(r),
-                                 value_term_set=_read_token_set(r),
-                                 format_set=_read_token_set(r))
+    profiles = [SyntacticProfile(*(_read_token_set(r) for _ in range(3)))
                 for _ in keys]
 
     n_columns = r.u32()

@@ -11,13 +11,13 @@ the pair's score among that query column's surviving scores — so a pair
 that stands out against its column's alternatives counts for more.
 
 Candidate generation never affects score precision: the banded cosine
-index and the exact name and value set lookups only choose which pairs get
-scored, and an exhaustive mode scores them all.
-
-Both modes score pairs on one path, with the per-column work done once per
-query column: the cosine index's ``scorer`` holds the prepared query vector
-and its norm, and the enabled syntactic functions are looked up once. A
-pair's score is then ``sum(parts) / len(parts)`` over its measures in
+index and the exact name and value set lookups only choose which rows get
+scored, and an exhaustive mode scores them all. Rows are the one numbering
+(row i of every engine index is ``keys[i]``), and a key is looked up only
+for a pair that survives. Both modes score on one path: per query column,
+the cosine index's ``scorer`` prepares the query once, and each enabled set
+measure is matched once against its postings, which give every row's exact
+Jaccard. A pair's score is ``sum(parts) / len(parts)`` over its measures in
 ``ordered_measures`` order, the same float that ``attribute_unionability``
 and the ``SYNTACTIC_FUNCS`` entries give pair by pair.
 """
@@ -39,7 +39,7 @@ from .lshindex import CosineLshIndex, cosines
 from .projection import ProjectionHead, project
 from .seeding import derive_seed
 from . import syntactic
-from .syntactic import (ALL_MEASURES, NAME, SEMANTIC, VALUE, SyntacticProfile,
+from .syntactic import (ALL_MEASURES, FORMAT, SEMANTIC, SyntacticProfile,
                         TfidfModel)
 
 
@@ -145,9 +145,9 @@ class SearchEngine:
     ``head.dims[2]``; each column is filed in turn, so the same columns give
     the same rows and buckets. ``keys`` is that index's own row -> key list.
     ``profiles`` is the one map from key to token sets: ``postings`` holds
-    inverted lists of the name and value sets, filled in the same order, so
-    their row i is ``keys[i]`` too and those candidates are exactly the
-    columns at or above the threshold.
+    inverted lists of each syntactic measure's sets, filled in the same
+    order, so their row i is ``keys[i]`` too, and it is the one source of
+    the set measures' scores.
     """
 
     def __init__(self, encoder: Encoder, head: ProjectionHead,
@@ -165,18 +165,9 @@ class SearchEngine:
         for key, vector, profile in columns:
             self.semantic_index.insert(key, vector)
             self.profiles[key] = profile
-        in_order = self.profiles.values()   # insertion order: key order
-        self.postings = {
-            NAME: syntactic.SetPostings(p.name_grams for p in in_order),
-            VALUE: syntactic.SetPostings(p.value_term_set for p in in_order)}
-
-    def set_candidates(self, measure: str, tokens: frozenset[str],
-                       threshold: float) -> list[ColumnKey]:
-        """Keys, in order, whose ``measure`` set shares a token with tokens
-        at a Jaccard of at least threshold."""
-        counts, scores = self.postings[measure].match(tokens)
-        return [self.keys[row] for row in
-                np.flatnonzero((counts > 0) & (scores >= threshold)).tolist()]
+        self.postings = {measure: syntactic.SetPostings(
+            p.sets()[measure] for p in self.profiles.values())
+            for measure in ALL_MEASURES if measure != SEMANTIC}
 
     def project_column(self, column: Column) -> np.ndarray:
         """Projected embedding, quantized to float32 like every stored vector."""
@@ -202,42 +193,35 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
                         key=lambda col: col.column_key)))
 
 
-def _gather_candidates(engine: SearchEngine, cfg: SearchConfig,
-                       qvec: np.ndarray,
-                       qprofile: SyntacticProfile) -> list[ColumnKey]:
-    """Keys to score, sorted."""
-    if cfg.exhaustive:
-        # The oracle pool is every indexed column, so it also scores pairs
-        # no generating measure would have surfaced on its own.
-        return engine.keys
-    t = cfg.threshold
-    # The semantic measure is always on: SearchConfig.validate requires it.
-    candidates = {k for k, _ in engine.semantic_index.lookup(qvec, t)}
-    for measure, tokens in ((NAME, qprofile.name_grams),
-                            (VALUE, qprofile.value_term_set)):
-        if measure in cfg.measures:
-            candidates.update(engine.set_candidates(measure, tokens, t))
-    return sorted(candidates)
-
-
 def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
                         column: Column) -> dict[ColumnKey, tuple[float, float]]:
     """One query column's surviving candidates: key -> (score, weight)."""
     qvec = engine.project_column(column)
-    qprofile = engine.query_profile(column)
-    # Once per column, not per pair. SYNTACTIC_FUNCS is read here, at call
-    # time; semantic is always first in ordered_measures.
-    semantic = engine.semantic_index.scorer(qvec)
-    funcs = [syntactic.SYNTACTIC_FUNCS[m] for m in cfg.ordered_measures()
-             if m != SEMANTIC]
-    profiles = engine.profiles
+    qsets = engine.query_profile(column).sets()
+    t = cfg.threshold
+    index = engine.semantic_index
+    semantic = index.scorer(qvec)
+    # The oracle pool is every indexed column, so it also scores pairs no
+    # generating measure would have surfaced on its own.
+    mask = np.full(index.size, cfg.exhaustive)
+    if not cfg.exhaustive:
+        mask[[index.rows[k] for k, _ in index.lookup(qvec, t)]] = True
+    # Semantic is always first in ordered_measures. Each other measure's
+    # parts are its postings' Jaccards; name and value also gather rows.
+    set_scores = []
+    for measure in cfg.ordered_measures()[1:]:
+        counts, scores = engine.postings[measure].match(qsets[measure])
+        if not cfg.exhaustive and measure != FORMAT:
+            mask |= (counts > 0) & (scores >= t)
+        set_scores.append(scores)
+    rows = np.flatnonzero(mask)
     pair_scores: dict[ColumnKey, float] = {}
-    for key in _gather_candidates(engine, cfg, qvec, qprofile):
-        parts = [semantic(key)]
-        parts.extend(f(qprofile, profiles[key]) for f in funcs)
+    for row, *set_parts in zip(rows.tolist(),
+                               *(s[rows].tolist() for s in set_scores)):
+        parts = [semantic(row), *set_parts]
         score = sum(parts) / len(parts)
-        if score >= cfg.threshold:
-            pair_scores[key] = score
+        if score >= t:
+            pair_scores[engine.keys[row]] = score
     # A pair's weight is the inclusive empirical CDF position of its score
     # among every surviving score, the query table's own columns included —
     # self matches are excluded from the ranking only after weights are

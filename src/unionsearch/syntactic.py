@@ -7,7 +7,8 @@ Three set-overlap measures, each a Jaccard over a different view of a column:
 * format: the distinct shape patterns of the column's values.
 
 All are cheap, deterministic, and need no training; the search layer can
-average any subset of them with the semantic measure.
+average any subset of them with the semantic measure, scoring each with
+``SetPostings`` (``SYNTACTIC_FUNCS`` is the one-pair reference).
 
 A lake repeats its cells (1.3% of the benchmark lake's cells are
 distinct), so per-cell work is memoized and done once per distinct string:
@@ -30,6 +31,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .corpus import Column, Corpus, tokenize
+
+SEMANTIC = "semantic"
+NAME = "name"
+VALUE = "value"
+FORMAT = "format"
+ALL_MEASURES = (SEMANTIC, NAME, VALUE, FORMAT)
 
 DEFAULT_QGRAM = 3
 DEFAULT_TOP_TERMS = 20
@@ -181,6 +188,11 @@ class SyntacticProfile:
     value_term_set: frozenset[str]
     format_set: frozenset[str]
 
+    def sets(self) -> dict[str, frozenset[str]]:
+        """Each syntactic measure's set, keyed by measure name."""
+        return {NAME: self.name_grams, VALUE: self.value_term_set,
+                FORMAT: self.format_set}
+
 
 def build_profile(column: Column, tfidf: TfidfModel) -> SyntacticProfile:
     return SyntacticProfile(
@@ -201,12 +213,6 @@ def value_measure(a: SyntacticProfile, b: SyntacticProfile) -> float:
 def format_measure(a: SyntacticProfile, b: SyntacticProfile) -> float:
     return jaccard(a.format_set, b.format_set)
 
-
-SEMANTIC = "semantic"
-NAME = "name"
-VALUE = "value"
-FORMAT = "format"
-ALL_MEASURES = (SEMANTIC, NAME, VALUE, FORMAT)
 
 SYNTACTIC_FUNCS = {
     NAME: name_measure,

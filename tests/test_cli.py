@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,45 @@ def test_index_after_vector_file_dim_changed_exit_2(workspace, tmp_path,
     assert not index.exists()
 
 
+@pytest.mark.parametrize("rows, where", [
+    (["alpha " + " ".join(["0.5"] * 12), "beta " + " ".join(["nan"] * 12)],
+     ":2: non-finite"),
+    (["alpha 0.5 0.5 0.5", "beta 0.25 0.5 1"], ": embedding dim must be >= 8"),
+], ids=["nan-row", "3-dim"])
+def test_train_bad_vector_file_exit_2(workspace, tmp_path, capsys, rows,
+                                      where):
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "vf.usm"
+    assert run("train", "--manifest", str(workspace / "bench" / "manifest.tsv"),
+               "--out", str(out), "--encoder-backend", "vector_file",
+               "--vector-file", str(vectors), "--epochs", "1",
+               "--batch-size", "4", "--sample-size", "6") == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("input error: ") and f"{vectors}{where}" in line
+    assert not out.exists()
+
+
+def test_index_after_vector_file_gained_inf_exit_2(workspace, tmp_path,
+                                                  capsys):
+    manifest = str(workspace / "bench" / "manifest.tsv")
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("alpha " + " ".join(["0.5"] * 12) + "\n",
+                       encoding="utf-8")
+    model = tmp_path / "vf.usm"
+    assert run("train", "--manifest", manifest, "--out", str(model),
+               "--encoder-backend", "vector_file", "--vector-file",
+               str(vectors), "--out-dim", "8", "--epochs", "1",
+               "--batch-size", "4", "--sample-size", "6") == 0
+    with vectors.open("a", encoding="utf-8") as fh:
+        fh.write("beta " + " ".join(["inf"] * 12) + "\n")
+    index = tmp_path / "vf.usi"
+    assert run("index", "--manifest", manifest, "--model", str(model),
+               "--out", str(index)) == 2
+    assert f"{vectors}:2: non-finite" in capsys.readouterr().err
+    assert not index.exists()
+
+
 @pytest.mark.parametrize("option", ["--out", "--loss-out"])
 def test_train_missing_output_dir_exit_2_before_work(workspace, tmp_path,
                                                      capsys, option):
@@ -239,7 +280,8 @@ def test_index_reports_columns(workspace, capsys):
     lambda b: setattr(b.head, "b1", b.head.b1[:5]),
     lambda b: setattr(b.encoder_config, "backend", "nope"),
     lambda b: setattr(b.encoder_config, "dim", b.head.dims[0] + 16),
-], ids=["short-b1", "unknown-backend", "head-encoder-dim-mismatch"])
+    lambda b: b.head.W2.__setitem__((0, 0), np.nan),
+], ids=["short-b1", "unknown-backend", "head-encoder-dim-mismatch", "nan-W2"])
 def test_index_checksummed_bad_model_exit_2(workspace, tmp_path, capsys, craft):
     bundle = load_model(workspace / "model.usm")
     craft(bundle)
@@ -316,6 +358,26 @@ def test_query_zero_norm_query_vector_exit_4(workspace, tmp_path, monkeypatch,
     assert run("query", "--index", str(workspace / "index.usi"),
                "--query", str(table), "--out", str(tmp_path / "r.csv")) == 4
     assert capsys.readouterr().err.startswith("numeric error: zero-norm")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_query_checksummed_non_finite_vector_index_exit_2(workspace, tmp_path,
+                                                         capsys, value):
+    data = (workspace / "index.usi").read_bytes()
+    _, engine = load_index(workspace / "index.usi")
+    matrix = engine.semantic_index.matrix(engine.keys).astype("<f4").tobytes()
+    start = data.index(matrix)
+    body = (data[:start] + np.array([value], "<f4").tobytes()
+            + data[start + 4:-modelfile.CHECKSUM_BYTES])
+    path = tmp_path / "bad.usi"
+    path.write_bytes(body + hashlib.blake2b(
+        body, digest_size=modelfile.CHECKSUM_BYTES).digest())
+    table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
+    assert run("query", "--index", str(path), "--query", str(table),
+               "--out", str(tmp_path / "r.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "non-finite vector" in err
     assert not (tmp_path / "r.csv").exists()
 
 

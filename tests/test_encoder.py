@@ -147,6 +147,21 @@ def test_load_vectors_inconsistent_dim(tmp_path):
         load_vectors(p)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "Infinity"])
+def test_load_vectors_rejects_non_finite_values(tmp_path, bad):
+    p = tmp_path / "v.txt"
+    _write_vectors(p, ["cat 1 0 0", f"dog 0 {bad} 0"])
+    with pytest.raises(InputError, match=f"{p}:2: non-finite"):
+        load_vectors(p)
+
+
+def test_vector_file_below_the_dim_floor_rejected(tmp_path):
+    p = tmp_path / "v.txt"
+    _write_vectors(p, ["cat 1 0 0", "dog 0 1 0"])
+    with pytest.raises(InputError, match=f"{p}: .*got 3"):
+        Encoder(EncoderConfig(backend="vector_file", vector_file_path=str(p)))
+
+
 def test_load_vectors_empty_file(tmp_path):
     p = tmp_path / "v.txt"
     p.write_text("", encoding="utf-8")
@@ -156,10 +171,10 @@ def test_load_vectors_empty_file(tmp_path):
 
 def test_vector_backend_uses_file_and_falls_back(tmp_path):
     p = tmp_path / "v.txt"
-    _write_vectors(p, ["cat 1 0 0 0", "dog 0 1 0 0"])
+    _write_vectors(p, ["cat 1 0 0 0 0 0 0 0", "dog 0 1 0 0 0 0 0 0"])
     enc = Encoder(EncoderConfig(backend="vector_file", vector_file_path=str(p), hash_seed=5))
-    assert enc.dim == 4  # dim comes from the file
-    np.testing.assert_array_equal(enc.embed_token("cat"), [1, 0, 0, 0])
+    assert enc.dim == 8  # dim comes from the file
+    np.testing.assert_array_equal(enc.embed_token("cat"), [1, 0, 0, 0, 0, 0, 0, 0])
     # out-of-vocabulary token: deterministic hashed fallback, stable across encoders
     a = enc.embed_token("zebra")
     b = Encoder(EncoderConfig(backend="vector_file", vector_file_path=str(p), hash_seed=5)).embed_token("zebra")
@@ -169,10 +184,10 @@ def test_vector_backend_uses_file_and_falls_back(tmp_path):
 
 def test_vector_backend_leaves_callers_config_alone(tmp_path):
     p = tmp_path / "v.txt"
-    _write_vectors(p, ["cat 1 0 0 0", "dog 0 1 0 0"])
+    _write_vectors(p, ["cat 1 0 0 0 0 0 0 0", "dog 0 1 0 0 0 0 0 0"])
     cfg = EncoderConfig(backend="vector_file", vector_file_path=str(p), dim=64)
     enc = Encoder(cfg)
-    assert enc.cfg.dim == 4
+    assert enc.cfg.dim == 8
     assert cfg.dim == 64
 
 
@@ -219,7 +234,8 @@ def test_warm_encoder_embeds_bit_for_bit_like_a_fresh_one(single):
 
 def test_warm_vector_file_encoder_embeds_like_a_fresh_one(tmp_path):
     p = tmp_path / "v.txt"
-    _write_vectors(p, ["cat 1 0 0 0.5", "dog 0 1 0 0", "pie 0.25 0 1 0"])
+    _write_vectors(p, ["cat 1 0 0 0.5 0 0 0 0", "dog 0 1 0 0 0 0 0 0",
+                       "pie 0.25 0 1 0 0 0 0 0"])
     _assert_warm_equals_fresh(lambda: Encoder(EncoderConfig(
         backend="vector_file", vector_file_path=str(p), hash_seed=5)))
 

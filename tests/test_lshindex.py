@@ -301,8 +301,9 @@ def test_scorer_equals_attribute_unionability_bit_for_bit():
         q = rng.standard_normal(12)
         score = idx.scorer(q)
         qv = q.astype(np.float32)
-        for key in idx.keys:
-            got = score(key)
+        for row, key in enumerate(idx.keys):
+            assert idx.rows[key] == row
+            got = score(row)
             assert type(got) is float
             assert got == attribute_unionability(qv, idx.vector(key))
 
@@ -310,15 +311,29 @@ def test_scorer_equals_attribute_unionability_bit_for_bit():
 def test_scorer_clamps_like_clip_nan_included():
     idx = CosineLshIndex(dim=3)
     idx.insert(("same", 0), np.array([1.0, 2.0, 3.0]))
-    idx.insert(("inf", 0), np.array([np.inf, 0.0, 0.0]))
     q = np.array([1.0, 2.0, 3.0])
-    score = idx.scorer(q)
-    assert -1.0 <= score(("same", 0)) <= 1.0
-    # inf / inf: the clamp must pass NaN through, as np.clip does.
+    assert -1.0 <= idx.scorer(q)(0) <= 1.0
+    # Stored vectors are finite, so an infinite query makes the NaN:
+    # inf / inf. The clamp must pass it through, as np.clip does.
+    inf = np.array([np.inf, 0.0, 0.0])
     with np.errstate(invalid="ignore"):
-        want = attribute_unionability(q.astype(np.float32),
-                                      idx.vector(("inf", 0)))
-        assert np.isnan(want) and np.isnan(score(("inf", 0)))
+        want = attribute_unionability(inf, idx.vector(("same", 0)))
+        assert np.isnan(want) and np.isnan(idx.scorer(inf)(0))
+
+
+@pytest.mark.parametrize("vector", [
+    [np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [0.0, -np.inf, 1.0],
+    [1e39, 1.0, 0.0],   # finite in float64, infinite once stored as float32
+], ids=["nan", "inf", "-inf", "float32-overflow"])
+def test_insert_rejects_non_finite_vectors(vector):
+    idx = CosineLshIndex(dim=3)
+    idx.insert(("ok", 0), np.array([1.0, 2.0, 3.0]))
+    buckets = [dict(b) for b in idx.buckets]
+    with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                   match="non-finite"):
+        idx.insert(("bad", 0), np.array(vector))
+    assert idx.keys == [("ok", 0)] and idx.rows == {("ok", 0): 0}
+    assert [dict(b) for b in idx.buckets] == buckets
 
 
 def test_scorer_rejects_zero_and_misshapen_queries():

@@ -23,7 +23,6 @@ from unionsearch.modelfile import (
 )
 from unionsearch.projection import TrainConfig, Velocity, init_head
 from unionsearch.search import IndexConfig, SearchConfig, build_engine, top_k_search
-from unionsearch.syntactic import NAME, VALUE
 
 
 def _bundle(with_velocity: bool = True) -> ModelBundle:
@@ -296,11 +295,12 @@ def test_built_and_loaded_cosine_lookups_identical(tmp_path, world):
             hits = engine.semantic_index.lookup(q, threshold)
             for eng in engines[1:]:
                 assert eng.semantic_index.lookup(q, threshold) == hits
-        for measure, tokens in ((NAME, profile.name_grams),
-                                (VALUE, profile.value_term_set)):
-            hits = engine.set_candidates(measure, tokens, 0.5)
+        for measure, tokens in profile.sets().items():
+            counts, scores = engine.postings[measure].match(tokens)
             for eng in engines[1:]:
-                assert eng.set_candidates(measure, tokens, 0.5) == hits
+                other = eng.postings[measure].match(tokens)
+                np.testing.assert_array_equal(other[0], counts)
+                np.testing.assert_array_equal(other[1], scores)
 
 
 def test_index_save_byte_stable(tmp_path, world):
@@ -397,8 +397,12 @@ def test_checksummed_bad_utf8_raises_input_error(tmp_path):
     lambda b: setattr(b.train_config, "batch_size", 1),
     lambda b: setattr(b.encoder_config, "dim", 48),
     lambda b: setattr(b.velocity, "vb1", b.velocity.vb1[:5]),
+    lambda b: b.head.W1.__setitem__((0, 0), np.nan),
+    lambda b: b.head.b2.__setitem__(-1, -np.inf),
+    lambda b: b.velocity.vW2.__setitem__((1, 1), np.inf),
 ], ids=["short-b1", "transposed-W2", "unknown-backend", "batch-size-1",
-        "head-encoder-dim-mismatch", "short-velocity"])
+        "head-encoder-dim-mismatch", "short-velocity", "nan-W1", "inf-b2",
+        "inf-velocity"])
 def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
                                                           craft):
     corpus, engine = world

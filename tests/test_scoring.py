@@ -14,6 +14,7 @@ import pytest
 from unionsearch.bench import BenchmarkSpec, generate_benchmark
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.projection import init_head
+from unionsearch import search
 from unionsearch.search import (IndexConfig, SearchConfig,
                                 _query_column_pairs, attribute_unionability,
                                 build_engine, top_k_search)
@@ -99,6 +100,27 @@ def test_match_scores_are_the_reference_scores(lake, measures, exhaustive):
                 assert m.score == _reference(engine, cfg, column, key)
                 matches += 1
     assert matches > 0
+
+
+def test_search_scores_on_its_one_path(lake, monkeypatch):
+    """The pair-by-pair references are never called: the cosine index's
+    scorer and the set postings are the only scoring source."""
+    corpus, engine = lake
+    configs = [SearchConfig(k=50, threshold=THRESHOLD, measures=measures,
+                            exhaustive=exhaustive)
+               for measures in MEASURE_SETS for exhaustive in (False, True)]
+    tables = corpus.tables[::5]
+    want = [[top_k_search(engine, t, cfg) for t in tables] for cfg in configs]
+
+    def refuse(*args):
+        raise AssertionError("search scored a pair pair by pair")
+
+    for measure in SYNTACTIC_FUNCS:
+        monkeypatch.setitem(SYNTACTIC_FUNCS, measure, refuse)
+    monkeypatch.setattr(search, "attribute_unionability", refuse)
+    got = [[top_k_search(engine, t, cfg) for t in tables] for cfg in configs]
+    assert got == want
+    assert any(r.ranked for results in want for r in results)
 
 
 def test_jaccard_is_the_set_formula():

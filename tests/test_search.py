@@ -20,8 +20,8 @@ from unionsearch.search import (
     top_k_search,
     write_results,
 )
-from unionsearch.syntactic import (NAME, SEMANTIC, SyntacticProfile, TfidfModel,
-                                   VALUE, jaccard)
+from unionsearch.syntactic import (FORMAT, NAME, SEMANTIC, SyntacticProfile,
+                                   TfidfModel, VALUE, jaccard)
 
 from conftest import make_table, rotate_from, unit
 
@@ -269,22 +269,27 @@ def test_banded_search_matches_brute_force(seed):
             assert a.table_score == pytest.approx(b.table_score, abs=1e-12)
 
 
-def test_set_candidates_are_exact():
+def test_set_postings_match_is_exact():
     engine, corpus, _ = _bench_engine(2)
+    stored = [engine.profiles[key].sets() for key in engine.keys]
     found = 0
     for column in corpus.encodable_columns():
-        profile = engine.query_profile(column)
-        for measure, field in ((NAME, "name_grams"), (VALUE, "value_term_set")):
-            tokens = getattr(profile, field)
+        qsets = engine.query_profile(column).sets()
+        for measure in (NAME, VALUE, FORMAT):
+            tokens = qsets[measure]
+            counts, scores = engine.postings[measure].match(tokens)
+            assert scores.tolist() == [jaccard(tokens, s[measure])
+                                       for s in stored]
             for t in (0.3, 0.5, 0.7):
-                want = [key for key in engine.keys
-                        if tokens & getattr(engine.profiles[key], field)
-                        and jaccard(tokens, getattr(engine.profiles[key],
-                                                    field)) >= t]
-                assert engine.set_candidates(measure, tokens, t) == want
+                # The candidates search takes from a measure's postings.
+                mask = (counts > 0) & (scores >= t)
+                want = [row for row, s in enumerate(stored)
+                        if tokens & s[measure]
+                        and jaccard(tokens, s[measure]) >= t]
+                assert np.flatnonzero(mask).tolist() == want
                 found += len(want)
-    # More than each column finding itself under 2 measures at 3 thresholds.
-    assert found > 6 * len(engine.keys)
+    # More than each column finding itself under 3 measures at 3 thresholds.
+    assert found > 9 * len(engine.keys)
 
 
 def test_search_results_well_formed():
