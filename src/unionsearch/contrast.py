@@ -111,7 +111,7 @@ def build_offline_pairs(corpus: Corpus, floor: float = 0.5) -> list[OfflinePair]
     terms = {c.column_key: syntactic.value_terms(c, tfidf) for c in columns}
 
     keys = sorted(terms)
-    postings = syntactic.SetPostings(terms[key] for key in keys)
+    postings = syntactic.SetPostings.from_sets([terms[key] for key in keys])
 
     best: dict[ColumnKey, tuple[float, ColumnKey]] = {}
     for row, key in enumerate(keys):

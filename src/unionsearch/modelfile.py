@@ -5,14 +5,16 @@ byte. A model file carries ``TOKENIZER_ID``, the encoder configuration, the
 projection head (its seed, then its four tensors row-major as 32-bit
 floats, each with its shape), the training configuration, the strategy,
 the best epoch and the optimizer velocity. An index file is the same model
-section followed by the indexed columns, version 5 laid out as:
+section followed by the indexed columns, version 6 laid out as:
 
 1. the index configuration;
 2. the key table: every indexed column key, sorted (a load rejects a table
    that is not strictly increasing);
 3. every stored vector as one float32 matrix whose row i belongs to key i;
-4. the syntactic profiles, one per key in key-table order: name q-grams,
-   value terms, format patterns;
+4. the set postings, one block per measure in ``SET_MEASURES`` order
+   (name q-grams, value terms, format patterns): a token count, then for
+   each distinct token in sorted order the token once and the rows of the
+   columns whose set holds it, as one counted little-endian u32 array;
 5. the corpus document frequencies.
 
 Each configuration is written field by field in ``dataclasses.fields``
@@ -21,16 +23,16 @@ optional text stores None as ""), so only the dataclass knows its fields.
 A load validates the configurations, the head's tensor shapes, the
 velocity's shapes against the head's and, for a hashing model, that the
 head takes the encoder's dimension: it rejects what would fail later, and
-a non-finite tensor or stored vector, which would load silently.
+a non-finite tensor or stored vector, which would load silently, and
+postings other than a save writes (``_read_postings``).
 
-Neither the cosine LSH index nor the name and value inverted lists are
-stored: loading hands the columns, in key-table order, to the
-``SearchEngine`` constructor, which rebuilds them exactly as
-``build_engine`` built them.
+The cosine LSH index is not stored: loading hands the columns, in
+key-table order, to the ``SearchEngine`` constructor, which rebuilds it
+exactly as ``build_engine`` built it.
 
 Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
 check magic, version and kind, then the digest, before parsing anything
-else, so a truncated or corrupt file fails with InputError; versions 1 to 4
+else, so a truncated or corrupt file fails with InputError; versions 1 to 5
 are rejected, and so is a file whose tokenizer id is not ``TOKENIZER_ID``.
 Saves are atomic (temp file + rename).
 """
@@ -53,10 +55,10 @@ from .encoder import Encoder, EncoderConfig, HASHING_BACKEND
 from .errors import ConfigError, InputError, NumericError
 from .projection import ProjectionHead, TrainConfig, Velocity
 from .search import IndexConfig, SearchEngine
-from .syntactic import SyntacticProfile, TfidfModel
+from .syntactic import SET_MEASURES, SetPostings, TfidfModel
 
 MAGIC = b"PYLN"
-VERSION = 5
+VERSION = 6
 KIND_MODEL = 1
 KIND_INDEX = 2
 CHECKSUM_BYTES = 32
@@ -106,6 +108,10 @@ class _Writer:
             self.u32(d)
         self.buf += a.tobytes()
 
+    def u32_array(self, arr: np.ndarray) -> None:
+        self.u32(len(arr))
+        self.buf += np.asarray(arr, dtype="<u4").tobytes()
+
 
 class _Reader:
     """Reads fields in order from ``data`` up to ``end``, copying no body.
@@ -119,9 +125,6 @@ class _Reader:
         self.end = len(data)
         self.pos = 0
         self.path = path
-        # Each distinct text is decoded once per load, and equal texts come
-        # back as one string object, so loaded profiles share their tokens.
-        self._texts: dict[bytes, str] = {}
 
     def _advance(self, n: int) -> int:
         """Where the next n bytes start; they must lie before ``end``."""
@@ -148,14 +151,10 @@ class _Reader:
         return struct.unpack_from("<d", self.data, self._advance(8))[0]
 
     def text(self) -> str:
-        raw = self._take(self.u32())
-        s = self._texts.get(raw)
-        if s is None:
-            try:
-                s = self._texts[raw] = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InputError(f"{self.path}: bad UTF-8 text: {exc}") from exc
-        return s
+        try:
+            return self._take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{self.path}: bad UTF-8 text: {exc}") from exc
 
     def f32_array(self) -> np.ndarray:
         ndim = self.u8()
@@ -164,6 +163,13 @@ class _Reader:
         start = self._advance(count * 4)
         return np.frombuffer(self.data, dtype="<f4", count=count,
                              offset=start).reshape(shape).copy()
+
+    def u32_array(self) -> np.ndarray:
+        """A counted u32 array, widened to an owned int64 array."""
+        count = self.u32()
+        start = self._advance(count * 4)
+        return np.frombuffer(self.data, dtype="<u4", count=count,
+                             offset=start).astype(np.int64)
 
     def expect_end(self) -> None:
         if self.pos != self.end:
@@ -270,24 +276,43 @@ def _write_key_table(w: _Writer, keys: list[ColumnKey]) -> None:
         w.u32(position)
 
 
+def _check_increasing(r: _Reader, items: list, what: str) -> None:
+    for before, after in zip(items, items[1:]):
+        if not before < after:
+            raise InputError(f"{r.path}: {what} not strictly increasing: "
+                             f"{after!r} follows {before!r}")
+
+
 def _read_key_table(r: _Reader) -> list[ColumnKey]:
     """The stored keys; they must be strictly increasing, as saves write them."""
     keys = [(r.text(), r.u32()) for _ in range(r.u32())]
-    for before, after in zip(keys, keys[1:]):
-        if not before < after:
-            raise InputError(f"{r.path}: key table not strictly increasing: "
-                             f"{after!r} follows {before!r}")
+    _check_increasing(r, keys, "key table")
     return keys
 
 
-def _write_token_set(w: _Writer, tokens: frozenset[str]) -> None:
-    w.u32(len(tokens))
-    for tok in sorted(tokens):
+def _write_postings(w: _Writer, postings: SetPostings) -> None:
+    w.u32(len(postings.postings))
+    for tok in sorted(postings.postings):
         w.text(tok)
+        w.u32_array(postings.postings[tok])
 
 
-def _read_token_set(r: _Reader) -> frozenset[str]:
-    return frozenset(r.text() for _ in range(r.u32()))
+def _read_postings(r: _Reader, n_rows: int) -> SetPostings:
+    """One measure's postings, as ``_write_postings`` writes them.
+
+    Tokens must be strictly increasing, and each token's rows a non-empty,
+    strictly increasing list below n_rows: that makes a row's count of
+    entries its set's size.
+    """
+    entries = [(r.text(), r.u32_array()) for _ in range(r.u32())]
+    _check_increasing(r, [tok for tok, _ in entries], "postings tokens")
+    for tok, rows in entries:
+        if not (rows.size and rows[-1] < n_rows
+                and (rows[1:] > rows[:-1]).all()):
+            raise InputError(f"{r.path}: the rows of {tok!r} are not a "
+                             f"non-empty, strictly increasing list below "
+                             f"{n_rows}")
+    return SetPostings(dict(entries), n_rows)
 
 
 def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
@@ -296,9 +321,8 @@ def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
     _write_key_table(w, engine.keys)
     w.f32_array(engine.semantic_index.matrix(engine.keys))
 
-    for key in engine.keys:
-        for tokens in engine.profiles[key].sets().values():
-            _write_token_set(w, tokens)
+    for measure in SET_MEASURES:
+        _write_postings(w, engine.postings[measure])
 
     w.u32(engine.tfidf.n_columns)
     w.u32(len(engine.tfidf.df))
@@ -316,8 +340,8 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
         raise InputError(f"{r.path}: vector matrix shape {matrix.shape} != "
                          f"{(len(keys), dim)}")
 
-    profiles = [SyntacticProfile(*(_read_token_set(r) for _ in range(3)))
-                for _ in keys]
+    postings = {measure: _read_postings(r, len(keys))
+                for measure in SET_MEASURES}
 
     n_columns = r.u32()
     df = {r.text(): r.u32() for _ in range(r.u32())}
@@ -325,7 +349,7 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
 
     try:
         return SearchEngine(Encoder(bundle.encoder_config), bundle.head, cfg,
-                            tfidf, zip(keys, matrix, profiles))
+                            tfidf, zip(keys, matrix), postings)
     except (ConfigError, NumericError) as exc:
         # Stored values the constructors reject are bad input all the same.
         raise InputError(f"{r.path}: {exc}") from exc

@@ -12,6 +12,7 @@ seeds reproduce identical parameter trajectories bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,12 @@ class TrainConfig:
     offline_floor: float = 0.5     # min match score for offline positive pairs
 
     def validate(self) -> None:
-        if self.temperature <= 0:
+        if not self.temperature > 0:    # NaN too
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        for name in ("learning_rate", "momentum"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, "
+                                  f"got {getattr(self, name)}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 1:

@@ -39,8 +39,8 @@ from .lshindex import CosineLshIndex, cosines
 from .projection import ProjectionHead, project
 from .seeding import derive_seed
 from . import syntactic
-from .syntactic import (ALL_MEASURES, FORMAT, SEMANTIC, SyntacticProfile,
-                        TfidfModel)
+from .syntactic import (ALL_MEASURES, FORMAT, SEMANTIC, SET_MEASURES,
+                        SyntacticProfile, TfidfModel)
 
 
 @dataclass
@@ -137,23 +137,22 @@ def table_unionability(matches: list[AttributeMatch]) -> float:
 
 
 class SearchEngine:
-    """Immutable query-side bundle: encoder, head, indexes, and profiles.
+    """Immutable query-side bundle: encoder, head, and indexes.
 
-    Made from ``columns``: ``(key, float32 vector, profile)`` in strictly
-    increasing key order. The cosine index keeps its own default banding
-    and takes its seed from ``index_config`` and its dimension from
-    ``head.dims[2]``; each column is filed in turn, so the same columns give
-    the same rows and buckets. ``keys`` is that index's own row -> key list.
-    ``profiles`` is the one map from key to token sets: ``postings`` holds
-    inverted lists of each syntactic measure's sets, filled in the same
-    order, so their row i is ``keys[i]`` too, and it is the one source of
-    the set measures' scores.
+    Made from ``columns``: ``(key, float32 vector)`` in strictly increasing
+    key order. The cosine index keeps its own default banding and takes its
+    seed from ``index_config`` and its dimension from ``head.dims[2]``; each
+    column is filed in turn, so the same columns give the same rows and
+    buckets. ``keys`` is that index's own row -> key list. ``postings`` maps
+    each syntactic measure to the inverted lists of its token sets over the
+    same rows, so their row i is ``keys[i]`` too. They are the one store of
+    the token sets and the one source of the set measures' scores.
     """
 
     def __init__(self, encoder: Encoder, head: ProjectionHead,
                  index_config: IndexConfig, tfidf: TfidfModel,
-                 columns: Iterable[tuple[ColumnKey, np.ndarray,
-                                         SyntacticProfile]]):
+                 columns: Iterable[tuple[ColumnKey, np.ndarray]],
+                 postings: dict[str, syntactic.SetPostings]):
         self.encoder = encoder
         self.head = head
         self.index_config = index_config
@@ -161,13 +160,9 @@ class SearchEngine:
         self.semantic_index = CosineLshIndex(
             dim=head.dims[2], seed=derive_seed(index_config.seed, "cosine"))
         self.keys: list[ColumnKey] = self.semantic_index.keys
-        self.profiles: dict[ColumnKey, SyntacticProfile] = {}
-        for key, vector, profile in columns:
+        for key, vector in columns:
             self.semantic_index.insert(key, vector)
-            self.profiles[key] = profile
-        self.postings = {measure: syntactic.SetPostings(
-            p.sets()[measure] for p in self.profiles.values())
-            for measure in ALL_MEASURES if measure != SEMANTIC}
+        self.postings = postings
 
     def project_column(self, column: Column) -> np.ndarray:
         """Projected embedding, quantized to float32 like every stored vector."""
@@ -184,13 +179,19 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
     cfg = index_config or IndexConfig()
     cfg.validate()
     tfidf = syntactic.build_tfidf(corpus)
+    columns = sorted(corpus.encodable_columns(), key=lambda col: col.column_key)
+    sets: dict[str, list[frozenset[str]]] = {m: [] for m in SET_MEASURES}
+    for c in columns:
+        for measure, tokens in syntactic.build_profile(c, tfidf).sets().items():
+            sets[measure].append(tokens)
+    # Each measure's sets are dropped once filed, before any vector is made.
+    postings = {m: syntactic.SetPostings.from_sets(sets.pop(m))
+                for m in SET_MEASURES}
     # One column at a time: a batched projection would change the bits.
     return SearchEngine(encoder, head, cfg, tfidf, (
         (c.column_key,
-         project(head, encoder.embed_column(c.values)).astype(np.float32),
-         syntactic.build_profile(c, tfidf))
-        for c in sorted(corpus.encodable_columns(),
-                        key=lambda col: col.column_key)))
+         project(head, encoder.embed_column(c.values)).astype(np.float32))
+        for c in columns), postings)
 
 
 def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from collections import Counter
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +36,8 @@ SEMANTIC = "semantic"
 NAME = "name"
 VALUE = "value"
 FORMAT = "format"
-ALL_MEASURES = (SEMANTIC, NAME, VALUE, FORMAT)
+SET_MEASURES = (NAME, VALUE, FORMAT)
+ALL_MEASURES = (SEMANTIC, *SET_MEASURES)
 
 DEFAULT_QGRAM = 3
 DEFAULT_TOP_TERMS = 20
@@ -62,22 +63,29 @@ def jaccard(a: frozenset | set, b: frozenset | set) -> float:
 class SetPostings:
     """Inverted lists over token sets numbered by row, with each set's size.
 
+    Each token's rows are a strictly increasing int64 array below
+    ``n_rows``, so a row's count of entries, ``sizes``, is its set's size.
     ``match`` finds every row's overlap with a query set by ScanCount (Li,
     Lu & Lu, ICDE 2008): one bincount over the query tokens' lists. Its
     Jaccards divide the same two integers that ``jaccard`` divides, so they
     agree bit for bit.
     """
 
-    def __init__(self, sets: Iterable[frozenset[str]]):
+    def __init__(self, postings: dict[str, np.ndarray], n_rows: int):
+        self.postings = postings
+        self.sizes = np.bincount(
+            np.concatenate([np.empty(0, dtype=np.int64), *postings.values()]),
+            minlength=n_rows)
+
+    @classmethod
+    def from_sets(cls, sets: Sequence[frozenset[str]]) -> SetPostings:
+        """The postings of sets, row i being ``sets[i]``."""
         lists: dict[str, list[int]] = {}
-        sizes = []
         for row, tokens in enumerate(sets):
-            sizes.append(len(tokens))
             for tok in tokens:
                 lists.setdefault(tok, []).append(row)
-        self.postings = {tok: np.array(rows, dtype=np.int64)
-                         for tok, rows in lists.items()}
-        self.sizes = np.array(sizes, dtype=np.int64)
+        return cls({tok: np.array(rows, dtype=np.int64)
+                    for tok, rows in lists.items()}, len(sets))
 
     def match(self, tokens: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
         """Each row's overlap count with tokens, and its Jaccard with them."""

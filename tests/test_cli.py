@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from unionsearch.cli import main, parse_measures
 from unionsearch.errors import ConfigError, InputError
 from unionsearch import modelfile, search
 from unionsearch.modelfile import load_index, load_model
+from unionsearch.syntactic import SET_MEASURES
 
 
 def run(*argv: str) -> int:
@@ -378,6 +380,101 @@ def test_query_checksummed_non_finite_vector_index_exit_2(workspace, tmp_path,
                "--out", str(tmp_path / "r.csv")) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "non-finite vector" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def _with_postings(data: bytes, engine, edit) -> bytes:
+    """The index file with its postings edited, re-checksummed.
+
+    The set measures' postings follow the vector matrix: per measure a token
+    count, then each token's text and its counted u32 rows. ``edit`` gets
+    the name postings as ``[token, rows, count]`` entries and the column
+    count; ``count`` is the row count written, ``len(rows)`` unless edited.
+    """
+    matrix = engine.semantic_index.matrix(engine.keys).astype("<f4").tobytes()
+    start = pos = data.index(matrix) + len(matrix)
+    blocks = []
+    for _ in SET_MEASURES:
+        (tokens,) = struct.unpack_from("<I", data, pos)
+        pos, block = pos + 4, []
+        for _ in range(tokens):
+            (n,) = struct.unpack_from("<I", data, pos)
+            token = data[pos + 4:pos + 4 + n]
+            (count,) = struct.unpack_from("<I", data, pos + 4 + n)
+            rows = list(struct.unpack_from(f"<{count}I", data, pos + 8 + n))
+            block.append([token, rows, count])
+            pos += 8 + n + 4 * count
+        blocks.append(block)
+    edit(blocks[0], len(engine.keys))
+    postings = b"".join(
+        struct.pack("<I", len(block)) + b"".join(
+            struct.pack("<I", len(token)) + token + struct.pack("<I", count)
+            + struct.pack(f"<{len(rows)}I", *rows)
+            for token, rows, count in block)
+        for block in blocks)
+    body = data[:start] + postings + data[pos:-modelfile.CHECKSUM_BYTES]
+    return body + hashlib.blake2b(
+        body, digest_size=modelfile.CHECKSUM_BYTES).digest()
+
+
+def _longer_list(block):
+    """The first entry with at least two rows."""
+    return next(entry for entry in block if len(entry[1]) > 1)
+
+
+def _swap_first_tokens(block, n_rows):
+    block[0], block[1] = block[1], block[0]
+
+
+def _repeat_first_token(block, n_rows):
+    block[1][0] = block[0][0]
+
+
+def _empty_list(block, n_rows):
+    block[0][1:] = [[], 0]
+
+
+def _reversed_list(block, n_rows):
+    _longer_list(block)[1].reverse()
+
+
+def _repeated_row(block, n_rows):
+    entry = _longer_list(block)
+    entry[1][1] = entry[1][0]
+
+
+def _row_at_column_count(block, n_rows):
+    block[-1][1][-1] = n_rows
+
+
+def _cut_short(block, n_rows):
+    entry = _longer_list(block)
+    entry[1].pop()      # its count still names the row that is gone
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_swap_first_tokens, "tokens not strictly increasing"),
+    (_repeat_first_token, "tokens not strictly increasing"),
+    (_empty_list, "not a non-empty, strictly increasing list"),
+    (_reversed_list, "not a non-empty, strictly increasing list"),
+    (_repeated_row, "not a non-empty, strictly increasing list"),
+    (_row_at_column_count, "not a non-empty, strictly increasing list"),
+    (_cut_short, None),
+], ids=["tokens-out-of-order", "duplicate-token", "empty-list",
+        "rows-out-of-order", "repeated-row", "row-at-column-count",
+        "cut-short"])
+def test_query_checksummed_bad_postings_index_exit_2(workspace, tmp_path,
+                                                    capsys, edit, message):
+    data = (workspace / "index.usi").read_bytes()
+    _, engine = load_index(workspace / "index.usi")
+    path = tmp_path / "bad.usi"
+    path.write_bytes(_with_postings(data, engine, edit))
+    with pytest.raises(InputError, match=message):
+        load_index(path)
+    table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
+    assert run("query", "--index", str(path), "--query", str(table),
+               "--out", str(tmp_path / "r.csv")) == 2
+    assert capsys.readouterr().err.startswith("input error:")
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -229,10 +229,10 @@ def test_loaded_vector_matrix_is_an_owned_copy(tmp_path, world, monkeypatch):
     seen = []
     engine_cls = modelfile.SearchEngine
 
-    def recorded_engine(encoder, head, cfg, tfidf, columns):
+    def recorded_engine(encoder, head, cfg, tfidf, columns, postings):
         columns = list(columns)
         seen.append(columns)
-        return engine_cls(encoder, head, cfg, tfidf, columns)
+        return engine_cls(encoder, head, cfg, tfidf, columns, postings)
 
     monkeypatch.setattr(type(p), "read_bytes", recorded_read_bytes)
     monkeypatch.setattr(modelfile, "SearchEngine", recorded_engine)
@@ -241,7 +241,7 @@ def test_loaded_vector_matrix_is_an_owned_copy(tmp_path, world, monkeypatch):
     (columns,) = seen
     matrix = columns[0][1].base
     assert matrix.shape == (len(engine.keys), 16)
-    assert all(vector.base is matrix for _, vector, _ in columns)
+    assert all(vector.base is matrix for _, vector in columns)
     assert matrix.flags.writeable and matrix.flags.owndata
     assert not np.shares_memory(matrix, np.frombuffer(data, dtype=np.uint8))
 
@@ -258,7 +258,6 @@ def test_index_roundtrip_preserves_structures(tmp_path, world):
         assert not vec.flags.writeable
         assert np.shares_memory(engine.semantic_index.vector(key), vec)
         np.testing.assert_array_equal(loaded.semantic_index.vector(key), vec)
-    assert loaded.profiles == engine.profiles
     assert loaded.tfidf.df == engine.tfidf.df
     assert loaded.tfidf.n_columns == engine.tfidf.n_columns
     assert loaded.index_config == engine.index_config
@@ -282,7 +281,7 @@ def test_built_and_loaded_cosine_lookups_identical(tmp_path, world):
         save_index(p, _bundle(), eng)
         engines.append(load_index(p)[1])
     for eng in engines:
-        assert eng.keys == sorted(eng.profiles)
+        assert eng.keys == sorted(eng.keys)
         sem = eng.semantic_index
         assert [sem.keys[r] for r in range(sem.size)] == engine.keys
         assert eng.keys is sem.keys
@@ -400,9 +399,13 @@ def test_checksummed_bad_utf8_raises_input_error(tmp_path):
     lambda b: b.head.W1.__setitem__((0, 0), np.nan),
     lambda b: b.head.b2.__setitem__(-1, -np.inf),
     lambda b: b.velocity.vW2.__setitem__((1, 1), np.inf),
+    lambda b: setattr(b.train_config, "temperature", np.nan),
+    lambda b: setattr(b.train_config, "learning_rate", np.nan),
+    lambda b: setattr(b.train_config, "momentum", np.nan),
 ], ids=["short-b1", "transposed-W2", "unknown-backend", "batch-size-1",
         "head-encoder-dim-mismatch", "short-velocity", "nan-W1", "inf-b2",
-        "inf-velocity"])
+        "inf-velocity", "nan-temperature", "nan-learning-rate",
+        "nan-momentum"])
 def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
                                                           craft):
     corpus, engine = world

@@ -90,16 +90,24 @@ def test_build_and_search_leave_their_inputs_alone(lake, exhaustive):
     assert (lake, icfg, cfg, query) == before
 
 
+def _postings_state(engine):
+    """Each set measure's token -> rows lists and set sizes, as lists."""
+    return {measure: ({tok: rows.tolist()
+                       for tok, rows in postings.postings.items()},
+                      postings.sizes.tolist())
+            for measure, postings in engine.postings.items()}
+
+
 def _engine_state(engine):
     index = engine.semantic_index
-    return (list(engine.keys), copy.deepcopy(engine.profiles),
+    return (list(engine.keys), _postings_state(engine),
             index.matrix(engine.keys).copy(), copy.deepcopy(index.buckets))
 
 
 def _assert_engine_unchanged(engine, state):
-    keys, profiles, matrix, buckets = state
+    keys, postings, matrix, buckets = state
     assert engine.keys == keys
-    assert engine.profiles == profiles
+    assert _postings_state(engine) == postings
     np.testing.assert_array_equal(
         engine.semantic_index.matrix(engine.keys), matrix)
     assert engine.semantic_index.buckets == buckets

@@ -19,7 +19,7 @@ from unionsearch.search import (IndexConfig, SearchConfig,
                                 _query_column_pairs, attribute_unionability,
                                 build_engine, top_k_search)
 from unionsearch.syntactic import (ALL_MEASURES, SEMANTIC, SYNTACTIC_FUNCS,
-                                   jaccard)
+                                   build_profile, jaccard)
 
 # Every measure set the search accepts: semantic plus any syntactic subset.
 MEASURE_SETS = [(SEMANTIC, *extra) for r in range(len(ALL_MEASURES))
@@ -39,12 +39,20 @@ def lake(request):
     return corpus, engine
 
 
-def _reference(engine, cfg, column, key) -> float:
+@pytest.fixture(scope="module")
+def profiles(lake):
+    """Each indexed column's sets, rebuilt from the corpus as the reference."""
+    corpus, engine = lake
+    return {c.column_key: build_profile(c, engine.tfidf)
+            for c in corpus.encodable_columns()}
+
+
+def _reference(engine, profiles, cfg, column, key) -> float:
     """The pair score written out: one function call per measure."""
     q = engine.project_column(column)
     qprofile = engine.query_profile(column)
     parts = [attribute_unionability(q, engine.semantic_index.vector(key)),
-             *(SYNTACTIC_FUNCS[m](qprofile, engine.profiles[key])
+             *(SYNTACTIC_FUNCS[m](qprofile, profiles[key])
                for m in cfg.ordered_measures() if m != SEMANTIC)]
     return float(sum(parts) / len(parts))
 
@@ -55,14 +63,14 @@ def _query_columns(corpus):
 
 
 @pytest.mark.parametrize("measures", MEASURE_SETS, ids=",".join)
-def test_exhaustive_pairs_are_the_reference_scores(lake, measures):
+def test_exhaustive_pairs_are_the_reference_scores(lake, profiles, measures):
     corpus, engine = lake
     cfg = SearchConfig(threshold=THRESHOLD, measures=measures,
                        exhaustive=True)
     survivors = 0
     for column in _query_columns(corpus):
         pairs = _query_column_pairs(engine, cfg, column)
-        want = {key: _reference(engine, cfg, column, key)
+        want = {key: _reference(engine, profiles, cfg, column, key)
                 for key in engine.keys}
         assert set(pairs) == {k for k, s in want.items() if s >= THRESHOLD}
         for key, (score, _) in pairs.items():
@@ -87,7 +95,8 @@ def test_banded_pairs_are_exhaustive_pairs(lake, measures):
 
 @pytest.mark.parametrize("measures", MEASURE_SETS, ids=",".join)
 @pytest.mark.parametrize("exhaustive", [False, True])
-def test_match_scores_are_the_reference_scores(lake, measures, exhaustive):
+def test_match_scores_are_the_reference_scores(lake, profiles, measures,
+                                               exhaustive):
     corpus, engine = lake
     cfg = SearchConfig(k=50, threshold=THRESHOLD, measures=measures,
                        exhaustive=exhaustive)
@@ -97,7 +106,8 @@ def test_match_scores_are_the_reference_scores(lake, measures, exhaustive):
             for m in ranked.matches:
                 key = (ranked.candidate_table_id, m.candidate_position)
                 column = table.columns[m.query_position]
-                assert m.score == _reference(engine, cfg, column, key)
+                assert m.score == _reference(engine, profiles, cfg, column,
+                                             key)
                 matches += 1
     assert matches > 0
 

@@ -21,7 +21,7 @@ from unionsearch.search import (
     write_results,
 )
 from unionsearch.syntactic import (FORMAT, NAME, SEMANTIC, SyntacticProfile,
-                                   TfidfModel, VALUE, jaccard)
+                                   TfidfModel, VALUE, build_profile, jaccard)
 
 from conftest import make_table, rotate_from, unit
 
@@ -123,13 +123,13 @@ class VectorEngine(SearchEngine):
 
     def __init__(self, dim: int, stored: dict[ColumnKey, np.ndarray],
                  queries: dict[ColumnKey, np.ndarray]):
-        columns = ((key, np.asarray(stored[key], dtype=np.float32),
-                    SyntacticProfile(frozenset(), frozenset(), frozenset()))
+        columns = ((key, np.asarray(stored[key], dtype=np.float32))
                    for key in sorted(stored))
         # The head only sets the index dimension; queries bypass it.
         super().__init__(encoder=None, head=init_head(dim, dim, dim, seed=0),
                          index_config=IndexConfig(),
-                         tfidf=TfidfModel(df={}, n_columns=0), columns=columns)
+                         tfidf=TfidfModel(df={}, n_columns=0), columns=columns,
+                         postings={})
         self._queries = {k: np.asarray(v, dtype=np.float32) for k, v in queries.items()}
 
     def project_column(self, column: Column) -> np.ndarray:
@@ -271,7 +271,9 @@ def test_banded_search_matches_brute_force(seed):
 
 def test_set_postings_match_is_exact():
     engine, corpus, _ = _bench_engine(2)
-    stored = [engine.profiles[key].sets() for key in engine.keys]
+    columns = {c.column_key: c for c in corpus.encodable_columns()}
+    stored = [build_profile(columns[key], engine.tfidf).sets()
+              for key in engine.keys]
     found = 0
     for column in corpus.encodable_columns():
         qsets = engine.query_profile(column).sets()

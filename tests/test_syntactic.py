@@ -45,7 +45,7 @@ def test_set_postings_match_jaccard_bit_for_bit():
     # Rows draw from the first 30 tokens only, so queries also hold tokens
     # that no posting list has; both sides include empty sets.
     rows = [random_set(vocab[:30], 12) for _ in range(60)] + [frozenset()]
-    postings = SetPostings(rows)
+    postings = SetPostings.from_sets(rows)
     np.testing.assert_array_equal(postings.sizes, [len(r) for r in rows])
     queries = [random_set(vocab, 15) for _ in range(80)] + [frozenset(), rows[0]]
     for query in queries:
@@ -57,7 +57,7 @@ def test_set_postings_match_jaccard_bit_for_bit():
 
 
 def test_set_postings_of_no_sets():
-    counts, scores = SetPostings([]).match(frozenset({"a"}))
+    counts, scores = SetPostings.from_sets([]).match(frozenset({"a"}))
     assert counts.shape == scores.shape == (0,)
 
 
