@@ -20,14 +20,15 @@ maps back) and keeps one float64 matrix, each row a stored float32 vector
 widened exactly, plus each row's norm for scoring; its buckets hold those
 row numbers. Its hyperplanes are one float64 array, float32-rounded values
 widened exactly, that every signature multiplies by. A lookup marks the
-colliding rows in one boolean mask, scores them with ``cosines`` and names
-only the rows that pass the threshold. The search scores its pairs with
+colliding rows in one boolean mask, scores every stored row where it sits
+with ``cosines`` (no copy of the colliding rows) and names only the rows
+that collide and pass the threshold. The search scores its pairs with
 ``scorer``, the same formula one row at a time: the query is prepared and
 its norm taken once, then each row costs one ``np.vecdot`` over the
-product of the two norms. Each row's dot product is reduced on its own, so
-a lookup score, a scorer score and ``search.attribute_unionability`` of
-the same pair agree bit for bit, whatever the row numbering or the BLAS
-thread count. A min-hash index keeps no copy of its token sets:
+product of the two norms. Each row's dot product is reduced on its own,
+so a lookup score, a scorer score and ``search.attribute_unionability``
+of the same pair agree bit for bit, whatever the row numbering or the
+BLAS thread count. A min-hash index keeps no copy of its token sets:
 ``token_sets`` maps each key to the frozenset the caller inserted; its
 buckets hold keys. Exact scores come from those rows and sets; buckets
 only choose what gets scored.
@@ -114,9 +115,13 @@ class CosineLshIndex:
         row.flags.writeable = False
         return row
 
-    def matrix(self, keys: list[ColumnKey]) -> np.ndarray:
-        """Stored vectors of keys, one row each, in the given order."""
-        return self._wide[[self.rows[k] for k in keys]]
+    @property
+    def vectors(self) -> np.ndarray:
+        """Every stored vector, float32-exact, as a read-only view: row i
+        is ``keys[i]``."""
+        view = self._wide[:self.size]
+        view.flags.writeable = False
+        return view
 
     def signature(self, vector: np.ndarray) -> np.ndarray:
         """P sign bits as uint8; a dot product of exactly zero counts as 1."""
@@ -203,20 +208,23 @@ class CosineLshIndex:
 
         Scores are ``cosines`` of the stored float32 vectors, equal to
         ``search.attribute_unionability`` of the same pair — banding only
-        decides which rows get scored at all, and only the rows that reach
-        the threshold are turned back into keys.
+        decides which rows count at all, and only the rows that reach the
+        threshold are turned back into keys. Every stored row is scored in
+        place, in one contiguous pass, and the hit mask applied after: an
+        untrained head collides with about half the rows, and copying them
+        out costs more than scoring the rest.
         """
         v, norm = self._prepare_query(vector)
-        hit = np.zeros(self.size, dtype=bool)
+        n = self.size
+        hit = np.zeros(n, dtype=bool)
         for band, bkey in enumerate(self._band_keys(self._bits(v))):
             bucket = self.buckets[band].get(bkey)
             if bucket is not None:
                 hit[np.frombuffer(bucket, dtype=np.int64)] = True
-        rows = np.flatnonzero(hit)
-        scores = cosines(self._wide[rows], self._norms[rows], v, norm)
-        keep = scores >= threshold
+        scores = cosines(self._wide[:n], self._norms[:n], v, norm)
+        rows = np.flatnonzero(hit & (scores >= threshold))
         hits = [(self.keys[r], s)
-                for r, s in zip(rows[keep].tolist(), scores[keep].tolist())]
+                for r, s in zip(rows.tolist(), scores[rows].tolist())]
         hits.sort(key=lambda kv: (-kv[1], kv[0]))
         return hits
 

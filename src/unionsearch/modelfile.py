@@ -106,7 +106,9 @@ class _Writer:
         self.u8(len(a.shape))
         for d in a.shape:
             self.u32(d)
-        self.buf += a.tobytes()
+        # Appended from the array's own buffer, with no bytes copy between.
+        # (memoryview.cast refuses a shape with a zero in it.)
+        self.buf += a.reshape(-1).view(np.uint8).data
 
     def u32_array(self, arr: np.ndarray) -> None:
         self.u32(len(arr))
@@ -319,7 +321,7 @@ def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
     _write_config(w, engine.index_config)
 
     _write_key_table(w, engine.keys)
-    w.f32_array(engine.semantic_index.matrix(engine.keys))
+    w.f32_array(engine.semantic_index.vectors)
 
     for measure in SET_MEASURES:
         _write_postings(w, engine.postings[measure])

@@ -368,7 +368,7 @@ def test_query_checksummed_non_finite_vector_index_exit_2(workspace, tmp_path,
                                                          capsys, value):
     data = (workspace / "index.usi").read_bytes()
     _, engine = load_index(workspace / "index.usi")
-    matrix = engine.semantic_index.matrix(engine.keys).astype("<f4").tobytes()
+    matrix = engine.semantic_index.vectors.astype("<f4").tobytes()
     start = data.index(matrix)
     body = (data[:start] + np.array([value], "<f4").tobytes()
             + data[start + 4:-modelfile.CHECKSUM_BYTES])
@@ -391,7 +391,7 @@ def _with_postings(data: bytes, engine, edit) -> bytes:
     the name postings as ``[token, rows, count]`` entries and the column
     count; ``count`` is the row count written, ``len(rows)`` unless edited.
     """
-    matrix = engine.semantic_index.matrix(engine.keys).astype("<f4").tobytes()
+    matrix = engine.semantic_index.vectors.astype("<f4").tobytes()
     start = pos = data.index(matrix) + len(matrix)
     blocks = []
     for _ in SET_MEASURES:

@@ -261,23 +261,26 @@ def _colliding_keys(idx: CosineLshIndex, q) -> set:
 
 @pytest.mark.parametrize("seed", range(5))
 def test_lookup_is_brute_force_over_colliding_rows(seed):
-    rng = np.random.default_rng(100 + seed)
-    idx = CosineLshIndex(dim=8, n_planes=48, n_bands=12, rows_per_band=4,
-                         seed=seed)
-    # Keys inserted out of key order, so row numbers and key order differ.
-    for i in rng.permutation(300):
-        idx.insert((f"t{i % 7}", int(i)), rng.standard_normal(8))
-    for threshold in (-1.0, 0.0, 0.5):
-        q = rng.standard_normal(8)
-        qv = unit(np.asarray(q, dtype=np.float32).astype(np.float64))
-        scores = {k: float(unit(idx.vector(k).astype(np.float64)) @ qv)
-                  for k in _colliding_keys(idx, q)}
-        want = sorted(((k, s) for k, s in scores.items() if s >= threshold),
-                      key=lambda kv: (-kv[1], kv[0]))
-        got = idx.lookup(q, threshold)
-        assert [k for k, _ in got] == [k for k, _ in want]
-        for (_, s), (_, w) in zip(got, want):
-            assert s == pytest.approx(w, abs=1e-12)
+    # 48 planes over 8 dims, banded so that a random query collides with
+    # about half of 300 random rows (0.45-0.63 on these seeds) or with a
+    # fifth of them (0.12-0.25).
+    for n_bands, rows_per_band in ((12, 4), (8, 6)):
+        rng = np.random.default_rng(100 + seed)
+        idx = CosineLshIndex(dim=8, n_planes=48, n_bands=n_bands,
+                             rows_per_band=rows_per_band, seed=seed)
+        # Keys inserted out of key order, so row numbers and key order differ.
+        for i in rng.permutation(300):
+            idx.insert((f"t{i % 7}", int(i)), rng.standard_normal(8))
+        for threshold in (-1.0, 0.0, 0.5):
+            q = rng.standard_normal(8)
+            colliding = _colliding_keys(idx, q)
+            want = sorted(((k, s) for k, s in
+                           _brute_force_cosines(idx, q, threshold).items()
+                           if k in colliding), key=lambda kv: (-kv[1], kv[0]))
+            got = idx.lookup(q, threshold)
+            # Keys, order and score bits.
+            assert [(k, s.hex()) for k, s in got] == \
+                [(k, s.hex()) for k, s in want]
 
 
 def test_cosine_between_stored_keys():
@@ -290,6 +293,18 @@ def test_cosine_between_stored_keys():
     assert not b.flags.writeable
     with pytest.raises(InputError):
         idx.vector(("missing", 0))
+
+
+def test_vectors_is_a_read_only_view_in_row_order():
+    idx = CosineLshIndex(dim=4, seed=2)
+    rng = np.random.default_rng(31)
+    for i in rng.permutation(70):   # past the first capacity of 64 rows
+        idx.insert(("t", int(i)), rng.standard_normal(4))
+    vectors = idx.vectors
+    assert vectors.shape == (70, 4) and not vectors.flags.writeable
+    for row, key in enumerate(idx.keys):
+        np.testing.assert_array_equal(vectors[row], idx.vector(key))
+    assert CosineLshIndex(dim=4).vectors.shape == (0, 4)
 
 
 def test_scorer_equals_attribute_unionability_bit_for_bit():

@@ -101,16 +101,28 @@ def _postings_state(engine):
 def _engine_state(engine):
     index = engine.semantic_index
     return (list(engine.keys), _postings_state(engine),
-            index.matrix(engine.keys).copy(), copy.deepcopy(index.buckets))
+            index.vectors.copy(), copy.deepcopy(index.buckets))
 
 
 def _assert_engine_unchanged(engine, state):
     keys, postings, matrix, buckets = state
     assert engine.keys == keys
     assert _postings_state(engine) == postings
-    np.testing.assert_array_equal(
-        engine.semantic_index.matrix(engine.keys), matrix)
+    np.testing.assert_array_equal(engine.semantic_index.vectors, matrix)
     assert engine.semantic_index.buckets == buckets
+
+
+def test_lookup_leaves_query_and_index_alone(engine):
+    index = engine.semantic_index
+    # float32, as search projects it: preparing it must not alias it.
+    query = np.random.default_rng(8).standard_normal(index.dim, np.float32)
+    query_before = query.copy()
+    state = _engine_state(engine)
+    norms = index._norms[:index.size].copy()
+    assert index.lookup(query, threshold=-1.0)   # some rows collided
+    np.testing.assert_array_equal(query, query_before)
+    _assert_engine_unchanged(engine, state)
+    np.testing.assert_array_equal(index._norms[:index.size], norms)
 
 
 def test_save_and_load_leave_bundle_and_engine_alone(engine, tmp_path):
