@@ -23,15 +23,15 @@ widened exactly, that every signature multiplies by. A lookup marks the
 colliding rows in one boolean mask, scores every stored row where it sits
 with ``cosines`` (no copy of the colliding rows) and names only the rows
 that collide and pass the threshold. The search scores its pairs with
-``scorer``, the same formula one row at a time: the query is prepared and
-its norm taken once, then each row costs one ``np.vecdot`` over the
-product of the two norms. Each row's dot product is reduced on its own,
-so a lookup score, a scorer score and ``search.attribute_unionability``
-of the same pair agree bit for bit, whatever the row numbering or the
-BLAS thread count. A min-hash index keeps no copy of its token sets:
-``token_sets`` maps each key to the frozenset the caller inserted; its
-buckets hold keys. Exact scores come from those rows and sets; buckets
-only choose what gets scored.
+``scores``, the same formula over just the rows it asks for: the query is
+prepared and its norm taken once, and the rows are scored in one
+``cosines`` call. Each row's dot product is reduced on its own, so a
+lookup score, a ``scores`` score and ``search.attribute_unionability`` of
+the same pair agree bit for bit, whatever the row numbering, the rows
+scored beside it or the BLAS thread count. A min-hash index keeps no copy
+of its token sets: ``token_sets`` maps each key to the frozenset the
+caller inserted; its buckets hold keys. Exact scores come from those
+rows and sets; buckets only choose what gets scored.
 
 Everything else is derived: hyperplanes and hash coefficients follow from
 the seed, buckets from the inserted rows and sets, in insertion order. An
@@ -41,7 +41,6 @@ index file therefore stores none of it.
 from __future__ import annotations
 
 from array import array
-from typing import Callable
 
 import numpy as np
 
@@ -145,22 +144,17 @@ class CosineLshIndex:
             raise NumericError("zero-norm query vector")
         return v, norm
 
-    def scorer(self, vector: np.ndarray) -> Callable[[int], float]:
-        """A function from row to the cosine of its stored vector with vector.
+    def scores(self, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The cosines of the stored vectors at rows with vector, in order.
 
-        The query is prepared and its norm taken once; each call reads the
-        stored row and the norm kept at insert, so a score equals the
-        lookup's, and ``search.attribute_unionability``'s, bit for bit.
-        Python's ``min``/``max`` clamp as ``np.clip`` does, NaN included.
+        The same ``cosines`` over the stored rows and the norms kept at
+        insert that a lookup scores, so each score equals the lookup's, and
+        ``search.attribute_unionability``'s, bit for bit. A row past the
+        stored rows raises IndexError.
         """
-        v, norm = self._prepare_query(vector)
-        wide, norms = self._wide, self._norms
-
-        def score(row: int) -> float:
-            c = float(np.vecdot(wide[row], v) / (norms[row] * norm))
-            return min(max(c, -1.0), 1.0)
-
-        return score
+        n = self.size
+        return cosines(self._wide[:n][rows], self._norms[:n][rows],
+                       *self._prepare_query(vector))
 
     def _band_keys(self, bits: np.ndarray) -> list[bytes]:
         """Each band's bits packed, ``np.packbits(band).tobytes()``.

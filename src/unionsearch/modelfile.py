@@ -24,7 +24,7 @@ A load validates the configurations, the head's tensor shapes, the
 velocity's shapes against the head's and, for a hashing model, that the
 head takes the encoder's dimension: it rejects what would fail later, and
 a non-finite tensor or stored vector, which would load silently, and
-postings other than a save writes (``_read_postings``).
+postings or document frequencies other than a save writes.
 
 The cosine LSH index is not stored: loading hands the columns, in
 key-table order, to the ``SearchEngine`` constructor, which rebuilds it
@@ -345,9 +345,15 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
     postings = {measure: _read_postings(r, len(keys))
                 for measure in SET_MEASURES}
 
+    # One document per indexed column, as build_tfidf counts them.
     n_columns = r.u32()
-    df = {r.text(): r.u32() for _ in range(r.u32())}
-    tfidf = TfidfModel(df=df, n_columns=n_columns)
+    entries = [(r.text(), r.u32()) for _ in range(r.u32())]
+    _check_increasing(r, [tok for tok, _ in entries], "df tokens")
+    if n_columns != len(keys) or not all(0 < df <= n_columns
+                                         for _, df in entries):
+        raise InputError(f"{r.path}: document frequencies are not counts in "
+                         f"[1, {len(keys)}] over {len(keys)} columns")
+    tfidf = TfidfModel(df=dict(entries), n_columns=n_columns)
 
     try:
         return SearchEngine(Encoder(bundle.encoder_config), bundle.head, cfg,

@@ -15,8 +15,9 @@ index and the exact name and value set lookups only choose which rows get
 scored, and an exhaustive mode scores them all. Rows are the one numbering
 (row i of every engine index is ``keys[i]``), and a key is looked up only
 for a pair that survives. Both modes score on one path: per query column,
-the cosine index's ``scorer`` prepares the query once, and each enabled set
-measure is matched once against its postings, which give every row's exact
+each measure gives its parts as one array over the pair rows. The cosine
+index's ``scores`` gives the semantic parts, and each enabled set measure
+is matched once against its postings, which give every row's exact
 Jaccard. A pair's score is ``sum(parts) / len(parts)`` over its measures in
 ``ordered_measures`` order, the same float that ``attribute_unionability``
 and the ``SYNTACTIC_FUNCS`` entries give pair by pair.
@@ -201,7 +202,6 @@ def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
     qsets = engine.query_profile(column).sets()
     t = cfg.threshold
     index = engine.semantic_index
-    semantic = index.scorer(qvec)
     # The oracle pool is every indexed column, so it also scores pairs no
     # generating measure would have surfaced on its own.
     mask = np.full(index.size, cfg.exhaustive)
@@ -217,9 +217,8 @@ def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
         set_scores.append(scores)
     rows = np.flatnonzero(mask)
     pair_scores: dict[ColumnKey, float] = {}
-    for row, *set_parts in zip(rows.tolist(),
-                               *(s[rows].tolist() for s in set_scores)):
-        parts = [semantic(row), *set_parts]
+    for row, *parts in zip(rows.tolist(), index.scores(qvec, rows).tolist(),
+                           *(s[rows].tolist() for s in set_scores)):
         score = sum(parts) / len(parts)
         if score >= t:
             pair_scores[engine.keys[row]] = score

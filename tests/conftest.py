@@ -1,7 +1,11 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from unionsearch.corpus import Column, Corpus, Table
+from unionsearch.modelfile import CHECKSUM_BYTES
 
 
 def make_table(table_id: str, cols: dict[str, list[str]]) -> Table:
@@ -55,3 +59,71 @@ def rotate_from(base: np.ndarray, other: np.ndarray, cos_target: float) -> np.nd
     o = o / np.linalg.norm(o)
     s = np.sqrt(max(0.0, 1.0 - cos_target * cos_target))
     return cos_target * b + s * o
+
+
+def _tfidf_block(n_columns: int, entries) -> bytes:
+    raw = [(tok.encode("utf-8"), df) for tok, df in entries]
+    return struct.pack("<II", n_columns, len(raw)) + b"".join(
+        struct.pack("<I", len(tok)) + tok + struct.pack("<I", df)
+        for tok, df in raw)
+
+
+def with_tfidf(data: bytes, tfidf, edit) -> bytes:
+    """The index file with its document frequencies edited, re-checksummed.
+
+    They end the body: the column count, the token count, then each
+    token's text and its df, tokens sorted. ``edit`` gets them as
+    ``[n_columns, [[token, df], ...]]`` and changes that list in place.
+    """
+    entries = sorted(tfidf.df.items())
+    body = data[:-CHECKSUM_BYTES]
+    block = _tfidf_block(tfidf.n_columns, entries)
+    assert body.endswith(block)
+    edited = [tfidf.n_columns, [list(e) for e in entries]]
+    edit(edited)
+    body = body[:-len(block)] + _tfidf_block(*edited)
+    return body + hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
+
+
+def _one_df_zero(block):
+    block[1][0][1] = 0
+
+
+def _every_df_zero(block):
+    # Every token, so that any query meets one.
+    for entry in block[1]:
+        entry[1] = 0
+
+
+def _df_above_columns(block):
+    block[1][-1][1] = block[0] + 1
+
+
+def _tokens_out_of_order(block):
+    entries = block[1]
+    entries[0], entries[1] = entries[1], entries[0]
+
+
+def _duplicate_token(block):
+    block[1][1][0] = block[1][0][0]
+
+
+def _more_documents(block):
+    block[0] += 1
+
+
+def _fewer_documents(block):
+    block[0] -= 1
+
+
+# Document-frequency blocks no save writes, each with the load's message.
+TFIDF_EDITS = {
+    "one-df-zero": (_one_df_zero, "not counts"),
+    "every-df-zero": (_every_df_zero, "not counts"),
+    "df-above-columns": (_df_above_columns, "not counts"),
+    "tokens-out-of-order": (_tokens_out_of_order,
+                            "df tokens not strictly increasing"),
+    "duplicate-token": (_duplicate_token, "df tokens not strictly increasing"),
+    "more-documents": (_more_documents, "not counts"),
+    "fewer-documents": (_fewer_documents, "not counts"),
+}

@@ -10,6 +10,8 @@ from unionsearch import modelfile, search
 from unionsearch.modelfile import load_index, load_model
 from unionsearch.syntactic import SET_MEASURES
 
+from conftest import TFIDF_EDITS, with_tfidf
+
 
 def run(*argv: str) -> int:
     return main(list(argv))
@@ -471,6 +473,20 @@ def test_query_checksummed_bad_postings_index_exit_2(workspace, tmp_path,
     path.write_bytes(_with_postings(data, engine, edit))
     with pytest.raises(InputError, match=message):
         load_index(path)
+    table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
+    assert run("query", "--index", str(path), "--query", str(table),
+               "--out", str(tmp_path / "r.csv")) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("case", TFIDF_EDITS)
+def test_query_checksummed_bad_document_frequencies_exit_2(workspace, tmp_path,
+                                                          capsys, case):
+    _, engine = load_index(workspace / "index.usi")
+    path = tmp_path / "bad.usi"
+    path.write_bytes(with_tfidf((workspace / "index.usi").read_bytes(),
+                                engine.tfidf, TFIDF_EDITS[case][0]))
     table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
     assert run("query", "--index", str(path), "--query", str(table),
                "--out", str(tmp_path / "r.csv")) == 2

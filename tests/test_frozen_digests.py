@@ -5,6 +5,8 @@ run agrees with the bytes the code wrote when they were pinned. A speedup
 that must be byte-identical (a memo, a cache, a faster packing) fails here
 if it changes a single bit of a model file, an index file or a result CSV.
 If a change is meant to alter these bytes, it must say so and re-pin them.
+The result CSVs are pinned twice: on the small lake, and on acceptance
+gate 8's 10k lake, where banded and exhaustive results differ.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ from unionsearch.modelfile import ModelBundle, save_index, save_model
 from unionsearch.projection import TrainConfig, init_head
 from unionsearch.search import (IndexConfig, SearchConfig, build_engine,
                                 top_k_search, write_results)
+from unionsearch.seeding import rng_for
 
 SPEC = BenchmarkSpec(n_bases=8, derivations_per_base=5, n_topics=3,
                      base_columns=(3, 5), base_rows=20, seed=4)
@@ -54,6 +57,34 @@ RESULT_DIGESTS = {
     ("semantic,name,value,format", True):
         "18cb9094336cd14f7ac83f65c2b2254586bbd9e39965964585614901dac2d45d",
 }
+
+# The same measure sets on acceptance gate 8's lake of 10,374 columns and
+# its 25 picked query tables, at k = 10. Here banding does lose pairs: the
+# untrained head's semantic lookup misses some that the exhaustive scan
+# scores, and format pairs are gathered only exhaustively.
+LAKE_10K_SPEC = BenchmarkSpec(n_bases=300, derivations_per_base=9,
+                              n_topics=10, base_columns=(4, 6), base_rows=60,
+                              seed=21)
+RESULT_10K_DIGESTS = {
+    ("semantic", False):
+        "e8fb3fc2ad8ff5adcca5e33c4cbba360dd7782a649d832f83fc68add40f7cbc4",
+    ("semantic", True):
+        "5a2f777b4ffc920d55e2edf1ef9030091c8c2d4402df53e60df4f689ce889a75",
+    ("semantic,name,value", False):
+        "ba86363e19bec1277dde80dc14855aaf07fbbcf59a64d7be1f8d0df314e3aefb",
+    ("semantic,name,value", True):
+        "ba86363e19bec1277dde80dc14855aaf07fbbcf59a64d7be1f8d0df314e3aefb",
+    ("semantic,format", False):
+        "2c0e61b801ef11d7fab86dcdfbc55087c9354e5596adb90c952da5e59a348fa9",
+    ("semantic,format", True):
+        "144712a607a33aeca9d3effd0d669860cb2dbc99e579ceb840fe11d6f257670e",
+    ("semantic,name,value,format", False):
+        "555f80e807b8429cd675f8df21d88850ae5bb087233cea28c89ba77d38f60c38",
+    ("semantic,name,value,format", True):
+        "555f80e807b8429cd675f8df21d88850ae5bb087233cea28c89ba77d38f60c38",
+}
+MEASURE_SETS = ["semantic", "semantic,name,value", "semantic,format",
+                "semantic,name,value,format"]
 
 
 def _sha256(path) -> str:
@@ -105,9 +136,7 @@ def test_index_file_digest(engine_and_bundle, tmp_path):
     assert _sha256(path) == INDEX_DIGEST
 
 
-@pytest.mark.parametrize("measures", ["semantic", "semantic,name,value",
-                                      "semantic,format",
-                                      "semantic,name,value,format"])
+@pytest.mark.parametrize("measures", MEASURE_SETS)
 @pytest.mark.parametrize("exhaustive", [False, True])
 def test_result_csv_digest(lake, engine_and_bundle, tmp_path, measures,
                            exhaustive):
@@ -119,3 +148,24 @@ def test_result_csv_digest(lake, engine_and_bundle, tmp_path, measures,
     path = tmp_path / "results.csv"
     write_results(path, [top_k_search(engine, q, cfg) for q in queries])
     assert _sha256(path) == RESULT_DIGESTS[(measures, exhaustive)]
+
+
+@pytest.fixture(scope="module")
+def engine_10k():
+    corpus, _ = generate_benchmark(LAKE_10K_SPEC)
+    engine = build_engine(corpus, Encoder(EncoderConfig(dim=128, hash_seed=9)),
+                          init_head(128, 128, 128, seed=9), IndexConfig(seed=9))
+    order = rng_for(77, "pick").permutation(len(corpus.tables))
+    return engine, [corpus.tables[int(i)] for i in order[:25]]
+
+
+@pytest.mark.parametrize("measures", MEASURE_SETS)
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_10k_result_csv_digest(engine_10k, tmp_path, measures, exhaustive):
+    engine, queries = engine_10k
+    cfg = SearchConfig(k=10, threshold=0.7,
+                       measures=tuple(measures.split(",")),
+                       exhaustive=exhaustive)
+    path = tmp_path / "results.csv"
+    write_results(path, [top_k_search(engine, q, cfg) for q in queries])
+    assert _sha256(path) == RESULT_10K_DIGESTS[(measures, exhaustive)]

@@ -312,28 +312,41 @@ def test_scorer_equals_attribute_unionability_bit_for_bit():
     rng = np.random.default_rng(17)
     for i in range(50):
         idx.insert(("t", i), rng.standard_normal(12))
+    # Rows in order, unsorted, repeated and none at all.
+    row_sets = [np.arange(50), rng.permutation(50),
+                np.array([7, 3, 7, 7, 0, 49]), np.array([], dtype=np.int64)]
+    hits = 0
     for _ in range(5):
         q = rng.standard_normal(12)
-        score = idx.scorer(q)
         qv = q.astype(np.float32)
-        for row, key in enumerate(idx.keys):
-            assert idx.rows[key] == row
-            got = score(row)
-            assert type(got) is float
-            assert got == attribute_unionability(qv, idx.vector(key))
+        for rows in row_sets:
+            got = idx.scores(q, rows)
+            assert got.dtype == np.float64 and got.shape == rows.shape
+            assert [s.hex() for s in got.tolist()] == [
+                attribute_unionability(qv, idx.vector(idx.keys[r])).hex()
+                for r in rows.tolist()]
+        # The lookup's own scores, for the lookup's own hits.
+        found = idx.lookup(q, threshold=-1.0)
+        rows = np.array([idx.rows[k] for k, _ in found], dtype=np.int64)
+        assert [s.hex() for s in idx.scores(q, rows).tolist()] == \
+            [s.hex() for _, s in found]
+        hits += len(found)
+    assert hits > 0
 
 
 def test_scorer_clamps_like_clip_nan_included():
     idx = CosineLshIndex(dim=3)
     idx.insert(("same", 0), np.array([1.0, 2.0, 3.0]))
-    q = np.array([1.0, 2.0, 3.0])
-    assert -1.0 <= idx.scorer(q)(0) <= 1.0
+    idx.insert(("opposite", 0), np.array([-1.0, -2.0, -3.0]))
+    rows = np.array([0, 1])
+    got = idx.scores(np.array([1.0, 2.0, 3.0]), rows)
+    assert ((-1.0 <= got) & (got <= 1.0)).all()
     # Stored vectors are finite, so an infinite query makes the NaN:
     # inf / inf. The clamp must pass it through, as np.clip does.
     inf = np.array([np.inf, 0.0, 0.0])
     with np.errstate(invalid="ignore"):
-        want = attribute_unionability(inf, idx.vector(("same", 0)))
-        assert np.isnan(want) and np.isnan(idx.scorer(inf)(0))
+        want = [attribute_unionability(inf, idx.vector(k)) for k in idx.keys]
+        assert np.isnan(want).all() and np.isnan(idx.scores(inf, rows)).all()
 
 
 @pytest.mark.parametrize("vector", [
@@ -354,13 +367,18 @@ def test_insert_rejects_non_finite_vectors(vector):
 def test_scorer_rejects_zero_and_misshapen_queries():
     idx = CosineLshIndex(dim=4)
     idx.insert(("t", 0), np.ones(4))
-    with pytest.raises(NumericError):
-        idx.scorer(np.zeros(4))
-    with pytest.raises(ConfigError):
-        idx.scorer(np.ones(5))
+    # Rejected whatever the rows, none included.
+    for rows in (np.array([0]), np.array([], dtype=np.int64)):
+        with pytest.raises(NumericError):
+            idx.scores(np.zeros(4), rows)
+        with pytest.raises(ConfigError):
+            idx.scores(np.ones(5), rows)
+    # Row 1 lies in the spare capacity, not among the stored rows.
+    with pytest.raises(IndexError):
+        idx.scores(np.ones(4), np.array([1]))
 
 
-@pytest.mark.parametrize("call", ["insert", "lookup", "scorer"])
+@pytest.mark.parametrize("call", ["insert", "lookup", "scores"])
 def test_each_call_prepares_its_vector_once(monkeypatch, call):
     idx = CosineLshIndex(dim=6, seed=1)
     idx.insert(("t", 0), np.arange(1.0, 7.0))
@@ -378,7 +396,7 @@ def test_each_call_prepares_its_vector_once(monkeypatch, call):
     elif call == "lookup":
         idx.lookup(v, threshold=0.0)
     else:
-        idx.scorer(v)
+        idx.scores(v, np.array([0]))
     assert len(calls) == 1
     # The public signature still prepares what it is given.
     idx.signature(v)

@@ -24,6 +24,8 @@ from unionsearch.modelfile import (
 from unionsearch.projection import TrainConfig, Velocity, init_head
 from unionsearch.search import IndexConfig, SearchConfig, build_engine, top_k_search
 
+from conftest import TFIDF_EDITS, with_tfidf
+
 
 def _bundle(with_velocity: bool = True) -> ModelBundle:
     head = init_head(32, 24, 16, seed=9)
@@ -454,3 +456,14 @@ def test_checksummed_bad_key_table_raises_input_error(tmp_path, world, edit):
     with pytest.raises(InputError, match="key table"):
         load_index(index)
 
+
+@pytest.mark.parametrize("case", TFIDF_EDITS)
+def test_checksummed_bad_document_frequencies_raise_input_error(tmp_path,
+                                                                world, case):
+    corpus, engine = world
+    edit, message = TFIDF_EDITS[case]
+    path = tmp_path / "engine.usi"
+    save_index(path, _bundle(), engine)
+    path.write_bytes(with_tfidf(path.read_bytes(), engine.tfidf, edit))
+    with pytest.raises(InputError, match=message):
+        load_index(path)

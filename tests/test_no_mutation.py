@@ -119,8 +119,12 @@ def test_lookup_leaves_query_and_index_alone(engine):
     query_before = query.copy()
     state = _engine_state(engine)
     norms = index._norms[:index.size].copy()
+    rows = np.array([2, 0, 2, index.size - 1])
+    rows_before = rows.copy()
     assert index.lookup(query, threshold=-1.0)   # some rows collided
+    index.scores(query, rows)[:] = 2.0   # the caller's to change
     np.testing.assert_array_equal(query, query_before)
+    np.testing.assert_array_equal(rows, rows_before)
     _assert_engine_unchanged(engine, state)
     np.testing.assert_array_equal(index._norms[:index.size], norms)
 

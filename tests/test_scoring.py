@@ -1,9 +1,10 @@
 """Seeded properties of pair scoring.
 
 A pair's score is the mean of its measures in ``ordered_measures`` order.
-The per-column scorer must give, bit for bit, what the plain formula gives
-pair by pair, and the banded mode must score a subset of the exhaustive
-mode's pairs with the same floats.
+The search reads each measure's parts from one array over a query column's
+pair rows; it must give, bit for bit, what the plain formula gives pair by
+pair, and the banded mode must score a subset of the exhaustive mode's
+pairs with the same floats.
 """
 
 import itertools
@@ -114,7 +115,7 @@ def test_match_scores_are_the_reference_scores(lake, profiles, measures,
 
 def test_search_scores_on_its_one_path(lake, monkeypatch):
     """The pair-by-pair references are never called: the cosine index's
-    scorer and the set postings are the only scoring source."""
+    ``scores`` and the set postings are the only scoring source."""
     corpus, engine = lake
     configs = [SearchConfig(k=50, threshold=THRESHOLD, measures=measures,
                             exhaustive=exhaustive)
