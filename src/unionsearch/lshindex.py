@@ -7,7 +7,7 @@ an exact rescoring, so the index can lose recall but never precision:
   of the P hyperplanes contributes one sign bit; bits are grouped into B
   bands of R rows, and two vectors collide when any band matches exactly.
   A single bit agrees with probability 1 - angle/pi. The search engine
-  finds its semantic candidates with it.
+  scores its semantic parts with it and masks them with its collisions.
 * MinHashIndex: min-wise signatures for token sets under universal hashing
   h_i(x) = (a_i * x + b_i) mod p, banded the same way; a single slot
   matches with probability equal to the Jaccard similarity. It is a library
@@ -19,19 +19,17 @@ order, lists their keys in ``keys`` (row i is ``keys[i]``, and ``rows``
 maps back) and keeps one float64 matrix, each row a stored float32 vector
 widened exactly, plus each row's norm for scoring; its buckets hold those
 row numbers. Its hyperplanes are one float64 array, float32-rounded values
-widened exactly, that every signature multiplies by. A lookup marks the
-colliding rows in one boolean mask, scores every stored row where it sits
-with ``cosines`` (no copy of the colliding rows) and names only the rows
-that collide and pass the threshold. The search scores its pairs with
-``scores``, the same formula over just the rows it asks for: the query is
-prepared and its norm taken once, and the rows are scored in one
-``cosines`` call. Each row's dot product is reduced on its own, so a
-lookup score, a ``scores`` score and ``search.attribute_unionability`` of
-the same pair agree bit for bit, whatever the row numbering, the rows
-scored beside it or the BLAS thread count. A min-hash index keeps no copy
-of its token sets: ``token_sets`` maps each key to the frozenset the
-caller inserted; its buckets hold keys. Exact scores come from those
-rows and sets; buckets only choose what gets scored.
+widened exactly, that every signature multiplies by. ``scores`` gives a
+vector's cosine with every stored row, in row order, in one ``cosines``
+pass over the matrix where it sits; ``collisions`` marks the rows that
+share a band with it. Banding only masks: ``lookup`` is ``collisions &
+(scores >= threshold)``, named by key. Each row's dot product is reduced
+on its own, so a ``scores`` entry, a lookup score and
+``search.attribute_unionability`` of the same pair agree bit for bit,
+whatever the BLAS thread count. A min-hash index keeps no copy of its
+token sets: ``token_sets`` maps each key to the frozenset the caller
+inserted; its buckets hold keys. Exact scores come from those rows and
+sets; buckets only choose what counts.
 
 Everything else is derived: hyperplanes and hash coefficients follow from
 the seed, buckets from the inserted rows and sets, in insertion order. An
@@ -144,17 +142,30 @@ class CosineLshIndex:
             raise NumericError("zero-norm query vector")
         return v, norm
 
-    def scores(self, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The cosines of the stored vectors at rows with vector, in order.
+    def scores(self, vector: np.ndarray) -> np.ndarray:
+        """The cosines of every stored vector with vector, in row order.
 
-        The same ``cosines`` over the stored rows and the norms kept at
-        insert that a lookup scores, so each score equals the lookup's, and
-        ``search.attribute_unionability``'s, bit for bit. A row past the
-        stored rows raises IndexError.
+        One ``cosines`` pass over the stored rows where they sit and the
+        norms kept at insert, so each score equals the lookup's, and
+        ``search.attribute_unionability``'s, bit for bit. A zero-norm
+        vector raises NumericError.
         """
+        return self._scores(*self._prepare_query(vector))
+
+    def _scores(self, v: np.ndarray, norm: float) -> np.ndarray:
         n = self.size
-        return cosines(self._wide[:n][rows], self._norms[:n][rows],
-                       *self._prepare_query(vector))
+        return cosines(self._wide[:n], self._norms[:n], v, norm)
+
+    def collisions(self, vector: np.ndarray) -> np.ndarray:
+        """Which stored rows share a band with vector, as a row-order mask."""
+        return self._collisions(self._prepare(vector))
+
+    def _collisions(self, v: np.ndarray) -> np.ndarray:
+        hit = np.zeros(self.size, dtype=bool)
+        for band, bkey in enumerate(self._band_keys(self._bits(v))):
+            hit[np.frombuffer(self.buckets[band].get(bkey, b""),
+                              dtype=np.int64)] = True
+        return hit
 
     def _band_keys(self, bits: np.ndarray) -> list[bytes]:
         """Each band's bits packed, ``np.packbits(band).tobytes()``.
@@ -198,25 +209,15 @@ class CosineLshIndex:
 
     def lookup(self, vector: np.ndarray, threshold: float
                ) -> list[tuple[ColumnKey, float]]:
-        """Bucket collisions, exactly rescored; sorted by (-cosine, key).
+        """Colliding rows at or above threshold; sorted by (-cosine, key).
 
-        Scores are ``cosines`` of the stored float32 vectors, equal to
-        ``search.attribute_unionability`` of the same pair — banding only
-        decides which rows count at all, and only the rows that reach the
-        threshold are turned back into keys. Every stored row is scored in
-        place, in one contiguous pass, and the hit mask applied after: an
-        untrained head collides with about half the rows, and copying them
-        out costs more than scoring the rest.
+        ``collisions & (scores >= threshold)``, with the vector prepared
+        once: banding decides which rows count at all, ``scores`` gives
+        their bits, and only the rows that pass are turned into keys.
         """
         v, norm = self._prepare_query(vector)
-        n = self.size
-        hit = np.zeros(n, dtype=bool)
-        for band, bkey in enumerate(self._band_keys(self._bits(v))):
-            bucket = self.buckets[band].get(bkey)
-            if bucket is not None:
-                hit[np.frombuffer(bucket, dtype=np.int64)] = True
-        scores = cosines(self._wide[:n], self._norms[:n], v, norm)
-        rows = np.flatnonzero(hit & (scores >= threshold))
+        scores = self._scores(v, norm)
+        rows = np.flatnonzero(self._collisions(v) & (scores >= threshold))
         hits = [(self.keys[r], s)
                 for r, s in zip(rows.tolist(), scores[rows].tolist())]
         hits.sort(key=lambda kv: (-kv[1], kv[0]))

@@ -10,17 +10,17 @@ matched pair scores, each weight the inclusive empirical CDF position of
 the pair's score among that query column's surviving scores — so a pair
 that stands out against its column's alternatives counts for more.
 
-Candidate generation never affects score precision: the banded cosine
-index and the exact name and value set lookups only choose which rows get
-scored, and an exhaustive mode scores them all. Rows are the one numbering
-(row i of every engine index is ``keys[i]``), and a key is looked up only
-for a pair that survives. Both modes score on one path: per query column,
-each measure gives its parts as one array over the pair rows. The cosine
-index's ``scores`` gives the semantic parts, and each enabled set measure
-is matched once against its postings, which give every row's exact
-Jaccard. A pair's score is ``sum(parts) / len(parts)`` over its measures in
-``ordered_measures`` order, the same float that ``attribute_unionability``
-and the ``SYNTACTIC_FUNCS`` entries give pair by pair.
+Candidate generation never affects score precision. Per query column,
+each measure gives its parts once, as one array over every row (row i of
+every engine index is ``keys[i]``): the cosine index's ``scores`` the
+semantic parts, each enabled set measure's postings every row's exact
+Jaccard. A mask picks the pair rows: all of them in exhaustive mode; when
+banded, the rows that share a cosine band and reach the threshold, or
+reach it on name or value. A key is looked up only for a pair that
+survives. A pair's score is ``sum(parts) / len(parts)`` over its measures
+in ``ordered_measures`` order, the same float that
+``attribute_unionability`` and the ``SYNTACTIC_FUNCS`` entries give pair
+by pair.
 """
 
 from __future__ import annotations
@@ -202,23 +202,22 @@ def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
     qsets = engine.query_profile(column).sets()
     t = cfg.threshold
     index = engine.semantic_index
+    # Semantic is always first in ordered_measures.
+    measure_scores = [index.scores(qvec)]
     # The oracle pool is every indexed column, so it also scores pairs no
     # generating measure would have surfaced on its own.
-    mask = np.full(index.size, cfg.exhaustive)
-    if not cfg.exhaustive:
-        mask[[index.rows[k] for k, _ in index.lookup(qvec, t)]] = True
-    # Semantic is always first in ordered_measures. Each other measure's
-    # parts are its postings' Jaccards; name and value also gather rows.
-    set_scores = []
+    mask = (np.full(index.size, True) if cfg.exhaustive
+            else index.collisions(qvec) & (measure_scores[0] >= t))
     for measure in cfg.ordered_measures()[1:]:
         counts, scores = engine.postings[measure].match(qsets[measure])
+        # Name and value also gather rows; format only scores.
         if not cfg.exhaustive and measure != FORMAT:
             mask |= (counts > 0) & (scores >= t)
-        set_scores.append(scores)
+        measure_scores.append(scores)
     rows = np.flatnonzero(mask)
     pair_scores: dict[ColumnKey, float] = {}
-    for row, *parts in zip(rows.tolist(), index.scores(qvec, rows).tolist(),
-                           *(s[rows].tolist() for s in set_scores)):
+    for row, *parts in zip(rows.tolist(),
+                           *(s[rows].tolist() for s in measure_scores)):
         score = sum(parts) / len(parts)
         if score >= t:
             pair_scores[engine.keys[row]] = score

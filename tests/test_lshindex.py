@@ -307,46 +307,40 @@ def test_vectors_is_a_read_only_view_in_row_order():
     assert CosineLshIndex(dim=4).vectors.shape == (0, 4)
 
 
-def test_scorer_equals_attribute_unionability_bit_for_bit():
+def test_scores_equals_attribute_unionability_bit_for_bit():
     idx = CosineLshIndex(dim=12, seed=4)
     rng = np.random.default_rng(17)
-    for i in range(50):
+    for i in range(50):   # 14 rows of spare capacity past the stored 50
         idx.insert(("t", i), rng.standard_normal(12))
-    # Rows in order, unsorted, repeated and none at all.
-    row_sets = [np.arange(50), rng.permutation(50),
-                np.array([7, 3, 7, 7, 0, 49]), np.array([], dtype=np.int64)]
     hits = 0
     for _ in range(5):
         q = rng.standard_normal(12)
         qv = q.astype(np.float32)
-        for rows in row_sets:
-            got = idx.scores(q, rows)
-            assert got.dtype == np.float64 and got.shape == rows.shape
-            assert [s.hex() for s in got.tolist()] == [
-                attribute_unionability(qv, idx.vector(idx.keys[r])).hex()
-                for r in rows.tolist()]
+        got = idx.scores(q)
+        assert got.dtype == np.float64 and got.shape == (idx.size,)
+        assert [s.hex() for s in got.tolist()] == [
+            attribute_unionability(qv, idx.vector(k)).hex() for k in idx.keys]
         # The lookup's own scores, for the lookup's own hits.
         found = idx.lookup(q, threshold=-1.0)
-        rows = np.array([idx.rows[k] for k, _ in found], dtype=np.int64)
-        assert [s.hex() for s in idx.scores(q, rows).tolist()] == \
+        assert [got[idx.rows[k]].hex() for k, _ in found] == \
             [s.hex() for _, s in found]
         hits += len(found)
     assert hits > 0
 
 
-def test_scorer_clamps_like_clip_nan_included():
+def test_scores_clamps_like_clip_nan_included():
     idx = CosineLshIndex(dim=3)
     idx.insert(("same", 0), np.array([1.0, 2.0, 3.0]))
     idx.insert(("opposite", 0), np.array([-1.0, -2.0, -3.0]))
-    rows = np.array([0, 1])
-    got = idx.scores(np.array([1.0, 2.0, 3.0]), rows)
+    got = idx.scores(np.array([1.0, 2.0, 3.0]))
     assert ((-1.0 <= got) & (got <= 1.0)).all()
     # Stored vectors are finite, so an infinite query makes the NaN:
     # inf / inf. The clamp must pass it through, as np.clip does.
     inf = np.array([np.inf, 0.0, 0.0])
     with np.errstate(invalid="ignore"):
         want = [attribute_unionability(inf, idx.vector(k)) for k in idx.keys]
-        assert np.isnan(want).all() and np.isnan(idx.scores(inf, rows)).all()
+        got = idx.scores(inf)
+    assert np.isnan(want).all() and got.shape == (2,) and np.isnan(got).all()
 
 
 @pytest.mark.parametrize("vector", [
@@ -364,21 +358,40 @@ def test_insert_rejects_non_finite_vectors(vector):
     assert [dict(b) for b in idx.buckets] == buckets
 
 
-def test_scorer_rejects_zero_and_misshapen_queries():
-    idx = CosineLshIndex(dim=4)
-    idx.insert(("t", 0), np.ones(4))
-    # Rejected whatever the rows, none included.
-    for rows in (np.array([0]), np.array([], dtype=np.int64)):
+def test_scores_rejects_zero_and_misshapen_queries():
+    filled = CosineLshIndex(dim=4)
+    filled.insert(("t", 0), np.ones(4))
+    # Rejected whether or not any row is stored.
+    for idx in (filled, CosineLshIndex(dim=4)):
         with pytest.raises(NumericError):
-            idx.scores(np.zeros(4), rows)
+            idx.scores(np.zeros(4))
         with pytest.raises(ConfigError):
-            idx.scores(np.ones(5), rows)
-    # Row 1 lies in the spare capacity, not among the stored rows.
-    with pytest.raises(IndexError):
-        idx.scores(np.ones(4), np.array([1]))
+            idx.scores(np.ones(5))
+    assert CosineLshIndex(dim=4).scores(np.ones(4)).shape == (0,)
 
 
-@pytest.mark.parametrize("call", ["insert", "lookup", "scores"])
+@pytest.mark.parametrize("n_bands,rows_per_band", [(12, 4), (4, 12)],
+                         ids=["dense", "sparse"])
+def test_collisions_are_the_band_key_rows(n_bands, rows_per_band):
+    # 48 planes over 8 dims: a random query shares a band with about half
+    # of the rows at 12 x 4, and with a few of them at 4 x 12.
+    idx = CosineLshIndex(dim=8, n_planes=48, n_bands=n_bands,
+                         rows_per_band=rows_per_band, seed=5)
+    rng = np.random.default_rng(41)
+    for i in rng.permutation(200):   # past the capacity doubling at 128
+        idx.insert(("t", int(i)), rng.standard_normal(8))
+    found = 0
+    for _ in range(10):
+        q = rng.standard_normal(8)
+        mask = idx.collisions(q)
+        assert mask.dtype == bool and mask.shape == (idx.size,)
+        want = sorted(idx.rows[k] for k in _colliding_keys(idx, q))
+        assert np.flatnonzero(mask).tolist() == want
+        found += len(want)
+    assert 0 < found < 10 * idx.size
+
+
+@pytest.mark.parametrize("call", ["insert", "lookup", "scores", "collisions"])
 def test_each_call_prepares_its_vector_once(monkeypatch, call):
     idx = CosineLshIndex(dim=6, seed=1)
     idx.insert(("t", 0), np.arange(1.0, 7.0))
@@ -396,7 +409,7 @@ def test_each_call_prepares_its_vector_once(monkeypatch, call):
     elif call == "lookup":
         idx.lookup(v, threshold=0.0)
     else:
-        idx.scores(v, np.array([0]))
+        getattr(idx, call)(v)
     assert len(calls) == 1
     # The public signature still prepares what it is given.
     idx.signature(v)

@@ -119,14 +119,19 @@ def test_lookup_leaves_query_and_index_alone(engine):
     query_before = query.copy()
     state = _engine_state(engine)
     norms = index._norms[:index.size].copy()
-    rows = np.array([2, 0, 2, index.size - 1])
-    rows_before = rows.copy()
-    assert index.lookup(query, threshold=-1.0)   # some rows collided
-    index.scores(query, rows)[:] = 2.0   # the caller's to change
+    hits = index.lookup(query, threshold=-1.0)
+    assert hits   # some rows collided
+    scores, collisions = index.scores(query), index.collisions(query)
+    scores_before, collisions_before = scores.copy(), collisions.copy()
+    # The caller's to change.
+    scores[:] = 2.0
+    collisions[:] = ~collisions
     np.testing.assert_array_equal(query, query_before)
-    np.testing.assert_array_equal(rows, rows_before)
     _assert_engine_unchanged(engine, state)
     np.testing.assert_array_equal(index._norms[:index.size], norms)
+    np.testing.assert_array_equal(index.scores(query), scores_before)
+    np.testing.assert_array_equal(index.collisions(query), collisions_before)
+    assert index.lookup(query, threshold=-1.0) == hits
 
 
 def test_save_and_load_leave_bundle_and_engine_alone(engine, tmp_path):

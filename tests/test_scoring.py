@@ -9,11 +9,13 @@ pairs with the same floats.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from unionsearch.bench import BenchmarkSpec, generate_benchmark
 from unionsearch.encoder import Encoder, EncoderConfig
+from unionsearch.lshindex import CosineLshIndex
 from unionsearch.projection import init_head
 from unionsearch import search
 from unionsearch.search import (IndexConfig, SearchConfig,
@@ -114,23 +116,41 @@ def test_match_scores_are_the_reference_scores(lake, profiles, measures,
 
 
 def test_search_scores_on_its_one_path(lake, monkeypatch):
-    """The pair-by-pair references are never called: the cosine index's
-    ``scores`` and the set postings are the only scoring source."""
+    """The pair-by-pair references and the key-level lookup are never
+    called: one ``scores`` call per query column and the set postings are
+    the only scoring source, and only the banded mode asks for collisions."""
     corpus, engine = lake
     configs = [SearchConfig(k=50, threshold=THRESHOLD, measures=measures,
                             exhaustive=exhaustive)
                for measures in MEASURE_SETS for exhaustive in (False, True)]
     tables = corpus.tables[::5]
+    columns = sum(c.is_encodable() for t in tables for c in t.columns)
     want = [[top_k_search(engine, t, cfg) for t in tables] for cfg in configs]
 
-    def refuse(*args):
-        raise AssertionError("search scored a pair pair by pair")
+    def refuse(*args, **kwargs):
+        raise AssertionError("search scored a pair outside its one path")
 
     for measure in SYNTACTIC_FUNCS:
         monkeypatch.setitem(SYNTACTIC_FUNCS, measure, refuse)
     monkeypatch.setattr(search, "attribute_unionability", refuse)
-    got = [[top_k_search(engine, t, cfg) for t in tables] for cfg in configs]
-    assert got == want
+    monkeypatch.setattr(CosineLshIndex, "lookup", refuse)
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(CosineLshIndex, name)
+
+        def call(index, vector):
+            calls[name] += 1
+            return method(index, vector)
+        return call
+
+    for name in ("scores", "collisions"):
+        monkeypatch.setattr(CosineLshIndex, name, counted(name))
+    for cfg, results in zip(configs, want):
+        calls.clear()
+        assert [top_k_search(engine, t, cfg) for t in tables] == results
+        assert calls == Counter(scores=columns,
+                                collisions=0 if cfg.exhaustive else columns)
     assert any(r.ranked for results in want for r in results)
 
 
