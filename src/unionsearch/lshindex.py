@@ -17,23 +17,26 @@ an exact rescoring, so the index can lose recall but never precision:
 State is held once. A cosine index numbers its finite vectors by insertion
 order, lists their keys in ``keys`` (row i is ``keys[i]``, and ``rows``
 maps back) and keeps one float64 matrix, each row a stored float32 vector
-widened exactly, plus each row's norm for scoring; its buckets hold those
-row numbers. Its hyperplanes are one float64 array, float32-rounded values
+widened exactly, plus each row's norm for scoring and its band keys packed
+into one uint8 row; ``buckets`` is derived from those packed keys when it
+is read. Its hyperplanes are one float64 array, float32-rounded values
 widened exactly, that every signature multiplies by. ``scores`` gives a
-vector's cosine with every stored row, in row order, in one ``cosines``
-pass over the matrix where it sits; ``collisions`` marks the rows that
-share a band with it. Banding only masks: ``lookup`` is ``collisions &
-(scores >= threshold)``, named by key. Each row's dot product is reduced
-on its own, so a ``scores`` entry, a lookup score and
-``search.attribute_unionability`` of the same pair agree bit for bit,
-whatever the BLAS thread count. A min-hash index keeps no copy of its
-token sets: ``token_sets`` maps each key to the frozenset the caller
-inserted; its buckets hold keys. Exact scores come from those rows and
-sets; buckets only choose what counts.
+stack of vectors' cosines with every stored row, in one ``cosines`` pass
+over the matrix where it sits: each stored row is dotted with the whole
+stack at once, so the matrix is streamed once per stack, not once per
+vector. ``collisions`` keeps those of the rows it is given that share a
+band with a vector, comparing only their packed keys; banding only masks:
+``lookup`` tests the rows at or above its threshold and names them by key.
+Each pair's dot product is reduced on its own, so a ``scores`` entry, a
+lookup score and ``search.attribute_unionability`` of the same pair agree
+bit for bit, whatever the stack and the BLAS thread count. A min-hash
+index keeps no copy of its token sets: ``token_sets`` maps each key to the
+frozenset the caller inserted; its buckets hold keys. Exact scores come
+from those rows and sets; buckets only choose what counts.
 
 Everything else is derived: hyperplanes and hash coefficients follow from
-the seed, buckets from the inserted rows and sets, in insertion order. An
-index file therefore stores none of it.
+the seed, band keys and buckets from the inserted rows and sets, in
+insertion order. An index file therefore stores none of it.
 """
 
 from __future__ import annotations
@@ -50,12 +53,14 @@ from .syntactic import jaccard
 MERSENNE_P = (1 << 31) - 1   # prime modulus; products stay below 2**62
 
 
-def cosines(rows: np.ndarray, row_norms: np.ndarray, v: np.ndarray,
-            v_norm: float) -> np.ndarray:
-    """Cosines of float64 rows (or one vector) with v, clamped to [-1, 1].
+def cosines(rows: np.ndarray, row_norms: np.ndarray | float, v: np.ndarray,
+            v_norm: np.ndarray | float) -> np.ndarray:
+    """Cosines of float64 rows with v, clamped to [-1, 1]; both sides
+    broadcast as in vecdot, so rows of shape (n, 1, d) and a stack v of
+    shape (m, d) give an (n, m) array.
 
-    vecdot reduces each row on its own, so a row's cosine does not depend
-    on its place among the rows or on the BLAS thread count.
+    vecdot reduces each pair on its own, so a pair's cosine does not depend
+    on its place among the rows or the stack, or on the BLAS thread count.
     """
     return np.clip(np.vecdot(rows, v) / (row_norms * v_norm), -1.0, 1.0)
 
@@ -74,17 +79,20 @@ class CosineLshIndex:
     """Random-hyperplane index over fixed-dimension vectors.
 
     Each inserted vector gets the next row number. Rows live in one float64
-    matrix, each the float32 vector widened exactly, with their norms next
-    to it for scoring. Buckets hold row numbers as ``array("q")``; ``keys``
-    names each row, in insertion order, and ``rows`` maps each key back to
-    its row. ``planes`` is the one hyperplane array.
+    matrix, each the float32 vector widened exactly, with their norms and
+    their packed band keys next to it. ``capacity`` rows are allocated up
+    front, and an insert past them doubles the allocation. ``keys`` names
+    each row, in insertion order, and ``rows`` maps each key back to its
+    row. ``planes`` is the one hyperplane array.
     """
 
     def __init__(self, dim: int, n_planes: int = 256, n_bands: int = 32,
-                 rows_per_band: int = 8, seed: int = 0):
+                 rows_per_band: int = 8, seed: int = 0, capacity: int = 0):
         if dim < 1:
             raise ConfigError(f"dim must be >= 1, got {dim}")
         _band_check(n_planes, n_bands, rows_per_band, "cosine index")
+        if capacity < 0:
+            raise ConfigError(f"capacity must be >= 0, got {capacity}")
         self.dim = dim
         self.n_bands = n_bands
         self.rows_per_band = rows_per_band
@@ -92,12 +100,15 @@ class CosineLshIndex:
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         # Rounded to float32 once, then widened exactly for every product.
         self.planes = raw.astype(np.float32).astype(np.float64)
-        self.buckets: list[dict[bytes, array]] = [{} for _ in range(n_bands)]
         self.rows: dict[ColumnKey, int] = {}
         self.keys: list[ColumnKey] = []
-        # Capacity grows by doubling; rows past size are unused.
-        self._wide = np.empty((0, dim), dtype=np.float64)
-        self._norms = np.empty(0, dtype=np.float64)
+        # Rows past size are unused.
+        self._wide = np.empty((capacity, dim), dtype=np.float64)
+        self._norms = np.empty(capacity, dtype=np.float64)
+        # Row i holds its band keys side by side, band_width bytes each.
+        self._band_width = (rows_per_band + 7) // 8
+        self._packed = np.empty((capacity, n_bands * self._band_width),
+                                dtype=np.uint8)
 
     @property
     def size(self) -> int:
@@ -120,6 +131,29 @@ class CosineLshIndex:
         view.flags.writeable = False
         return view
 
+    @property
+    def buckets(self) -> list[dict[bytes, array]]:
+        """Per band, each band key's rows in insertion order, as
+        ``array("q")``.
+
+        Built from the packed keys on every read, so writing into it leaves
+        the index alone.
+        """
+        width = self._band_width
+        tables: list[dict[bytes, array]] = []
+        for band in range(self.n_bands):
+            raw = self._packed[:self.size,
+                               band * width:(band + 1) * width].tobytes()
+            table: dict[bytes, array] = {}
+            for row, start in enumerate(range(0, len(raw), width)):
+                bkey = raw[start:start + width]
+                if bkey in table:
+                    table[bkey].append(row)
+                else:
+                    table[bkey] = array("q", (row,))
+            tables.append(table)
+        return tables
+
     def signature(self, vector: np.ndarray) -> np.ndarray:
         """P sign bits as uint8; a dot product of exactly zero counts as 1."""
         return self._bits(self._prepare(vector))
@@ -128,57 +162,61 @@ class CosineLshIndex:
         """``signature`` of a vector that ``_prepare`` has already made."""
         return (self.planes @ v >= 0.0).astype(np.uint8)
 
-    def _prepare(self, vector: np.ndarray) -> np.ndarray:
-        v = np.asarray(vector, dtype=np.float32).astype(np.float64)
-        if v.shape != (self.dim,):
-            raise ConfigError(f"vector shape {v.shape} != ({self.dim},)")
+    def _prepare(self, vectors: np.ndarray, ndim: int = 1) -> np.ndarray:
+        """One vector, or with ndim 2 a stack of them one per row, as
+        float32 values widened exactly."""
+        v = np.asarray(vectors, dtype=np.float32).astype(np.float64)
+        if v.ndim != ndim or v.shape[-1] != self.dim:
+            raise ConfigError(f"vector shape {v.shape}: want {ndim} axes, "
+                              f"the last of {self.dim}")
         return v
 
-    def _prepare_query(self, vector: np.ndarray) -> tuple[np.ndarray, float]:
-        """The prepared vector and its norm, which must not be zero."""
-        v = self._prepare(vector)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise NumericError("zero-norm query vector")
-        return v, norm
+    def scores(self, vectors: np.ndarray) -> np.ndarray:
+        """The cosines of a stack of vectors, one per row, with every stored
+        vector: row j of the result is ``vectors[j]``'s, in row order.
 
-    def scores(self, vector: np.ndarray) -> np.ndarray:
-        """The cosines of every stored vector with vector, in row order.
-
-        One ``cosines`` pass over the stored rows where they sit and the
-        norms kept at insert, so each score equals the lookup's, and
-        ``search.attribute_unionability``'s, bit for bit. A zero-norm
-        vector raises NumericError.
+        One ``cosines`` pass over the stored rows where they sit, each row
+        dotted with every vector of the stack while it is at hand, and the
+        norms kept at insert. Each pair is reduced on its own, so a score
+        equals the lookup's, and ``search.attribute_unionability``'s, bit
+        for bit, whatever else is in the stack. A zero-norm vector anywhere
+        in the stack raises NumericError.
         """
-        return self._scores(*self._prepare_query(vector))
+        return self._scores(self._prepare(vectors, ndim=2))
 
-    def _scores(self, v: np.ndarray, norm: float) -> np.ndarray:
+    def _scores(self, stack: np.ndarray) -> np.ndarray:
+        # One norm per vector, computed as insert computes a stored one.
+        norms = np.array([np.linalg.norm(v) for v in stack])
+        if (norms == 0.0).any():
+            raise NumericError("zero-norm query vector")
         n = self.size
-        return cosines(self._wide[:n], self._norms[:n], v, norm)
+        return cosines(self._wide[:n, None, :], self._norms[:n, None], stack,
+                       norms).T
 
-    def collisions(self, vector: np.ndarray) -> np.ndarray:
-        """Which stored rows share a band with vector, as a row-order mask."""
-        return self._collisions(self._prepare(vector))
+    def collisions(self, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The stored rows, of those given, that share a band with vector,
+        in the order given.
 
-    def _collisions(self, v: np.ndarray) -> np.ndarray:
-        hit = np.zeros(self.size, dtype=bool)
-        for band, bkey in enumerate(self._band_keys(self._bits(v))):
-            hit[np.frombuffer(self.buckets[band].get(bkey, b""),
-                              dtype=np.int64)] = True
-        return hit
+        Only the given rows' packed keys are compared with vector's, so a
+        caller that passes the few rows at its threshold tests just those.
+        """
+        return self._collisions(self._prepare(vector), rows)
 
-    def _band_keys(self, bits: np.ndarray) -> list[bytes]:
-        """Each band's bits packed, ``np.packbits(band).tobytes()``.
+    def _collisions(self, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64)
+        query = self._band_keys(self._bits(v))
+        stored = self._packed[:self.size][rows].reshape(
+            len(rows), self.n_bands, self._band_width)
+        return rows[(stored == query).all(axis=2).any(axis=1)]
+
+    def _band_keys(self, bits: np.ndarray) -> np.ndarray:
+        """Each band's bits packed, row b being ``np.packbits(band b)``.
 
         One packbits over all bands pads each band to whole bytes just as
-        packing it alone does, so slicing the packed bytes gives the same
-        keys.
+        packing it alone does, so row b is band b's key.
         """
-        packed = np.packbits(bits.reshape(self.n_bands, self.rows_per_band),
-                             axis=1)
-        raw = packed.tobytes()
-        width = packed.shape[1]
-        return [raw[i:i + width] for i in range(0, len(raw), width)]
+        return np.packbits(bits.reshape(self.n_bands, self.rows_per_band),
+                           axis=1)
 
     def insert(self, key: ColumnKey, vector: np.ndarray) -> None:
         if key in self.rows:
@@ -191,19 +229,16 @@ class CosineLshIndex:
         if norm == 0.0:
             raise NumericError(f"zero-norm vector for key {key}")
         row = len(self.keys)
-        for band, bkey in enumerate(self._band_keys(self._bits(v))):
-            bucket = self.buckets[band].get(bkey)
-            if bucket is None:
-                self.buckets[band][bkey] = array("q", (row,))
-            else:
-                bucket.append(row)
         if row == len(self._wide):
             grown = max(64, 2 * row)
             self._wide = np.resize(self._wide, (grown, self.dim))
             self._norms = np.resize(self._norms, grown)
+            self._packed = np.resize(self._packed,
+                                     (grown, self._packed.shape[1]))
         # v holds the float32 values widened exactly.
         self._wide[row] = v
         self._norms[row] = norm
+        self._packed[row] = self._band_keys(self._bits(v)).ravel()
         self.rows[key] = row
         self.keys.append(key)
 
@@ -211,13 +246,13 @@ class CosineLshIndex:
                ) -> list[tuple[ColumnKey, float]]:
         """Colliding rows at or above threshold; sorted by (-cosine, key).
 
-        ``collisions & (scores >= threshold)``, with the vector prepared
-        once: banding decides which rows count at all, ``scores`` gives
-        their bits, and only the rows that pass are turned into keys.
+        The vector is prepared once and scored as a stack of one; only the
+        rows at or above threshold are tested for a shared band, and only
+        the rows that pass are turned into keys.
         """
-        v, norm = self._prepare_query(vector)
-        scores = self._scores(v, norm)
-        rows = np.flatnonzero(self._collisions(v) & (scores >= threshold))
+        v = self._prepare(vector)
+        scores = self._scores(v[None])[0]
+        rows = self._collisions(v, np.flatnonzero(scores >= threshold))
         hits = [(self.keys[r], s)
                 for r, s in zip(rows.tolist(), scores[rows].tolist())]
         hits.sort(key=lambda kv: (-kv[1], kv[0]))

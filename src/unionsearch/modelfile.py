@@ -26,9 +26,10 @@ head takes the encoder's dimension: it rejects what would fail later, and
 a non-finite tensor or stored vector, which would load silently, and
 postings or document frequencies other than a save writes.
 
-The cosine LSH index is not stored: loading hands the columns, in
-key-table order, to the ``SearchEngine`` constructor, which rebuilds it
-exactly as ``build_engine`` built it.
+The cosine LSH index is not stored: loading hands the keys and the vector
+matrix, in key-table order, to the ``SearchEngine`` constructor, which
+allocates the index for that many rows and rebuilds it exactly as
+``build_engine`` built it.
 
 Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
 check magic, version and kind, then the digest, before parsing anything
@@ -357,7 +358,7 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
 
     try:
         return SearchEngine(Encoder(bundle.encoder_config), bundle.head, cfg,
-                            tfidf, zip(keys, matrix), postings)
+                            tfidf, keys, matrix, postings)
     except (ConfigError, NumericError) as exc:
         # Stored values the constructors reject are bad input all the same.
         raise InputError(f"{r.path}: {exc}") from exc

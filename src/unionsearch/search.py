@@ -10,17 +10,18 @@ matched pair scores, each weight the inclusive empirical CDF position of
 the pair's score among that query column's surviving scores — so a pair
 that stands out against its column's alternatives counts for more.
 
-Candidate generation never affects score precision. Per query column,
-each measure gives its parts once, as one array over every row (row i of
-every engine index is ``keys[i]``): the cosine index's ``scores`` the
-semantic parts, each enabled set measure's postings every row's exact
-Jaccard. A mask picks the pair rows: all of them in exhaustive mode; when
-banded, the rows that share a cosine band and reach the threshold, or
-reach it on name or value. A key is looked up only for a pair that
-survives. A pair's score is ``sum(parts) / len(parts)`` over its measures
-in ``ordered_measures`` order, the same float that
-``attribute_unionability`` and the ``SYNTACTIC_FUNCS`` entries give pair
-by pair.
+Candidate generation never affects score precision. Each measure gives
+its parts once, as one array over every row (row i of every engine index
+is ``keys[i]``): the cosine index's ``scores`` the semantic parts, for all
+of a query table's columns in one pass over the stored rows, and each
+enabled set measure's postings every row's exact Jaccard, per query
+column. A mask picks a column's pair rows: all of them in exhaustive mode;
+when banded, the rows that reach the threshold on the semantic part and
+share a cosine band (only those rows are tested for a band), or reach it
+on name or value. A key is looked up only for a pair that survives. A
+pair's score is ``sum(parts) / len(parts)`` over its measures in
+``ordered_measures`` order, the same float that ``attribute_unionability``
+and the ``SYNTACTIC_FUNCS`` entries give pair by pair.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,28 +141,31 @@ def table_unionability(matches: list[AttributeMatch]) -> float:
 class SearchEngine:
     """Immutable query-side bundle: encoder, head, and indexes.
 
-    Made from ``columns``: ``(key, float32 vector)`` in strictly increasing
-    key order. The cosine index keeps its own default banding and takes its
-    seed from ``index_config`` and its dimension from ``head.dims[2]``; each
-    column is filed in turn, so the same columns give the same rows and
-    buckets. ``keys`` is that index's own row -> key list. ``postings`` maps
-    each syntactic measure to the inverted lists of its token sets over the
-    same rows, so their row i is ``keys[i]`` too. They are the one store of
-    the token sets and the one source of the set measures' scores.
+    Made from ``keys``, in strictly increasing order, and ``vectors``, one
+    float32 vector per key in the same order. The cosine index keeps its
+    own default banding, takes its seed from ``index_config`` and its
+    dimension from ``head.dims[2]``, and is allocated for ``len(keys)``
+    rows; each column is filed in turn, so the same columns give the same
+    rows and buckets. ``keys`` is that index's own row -> key list.
+    ``postings`` maps each syntactic measure to the inverted lists of its
+    token sets over the same rows, so their row i is ``keys[i]`` too. They
+    are the one store of the token sets and the one source of the set
+    measures' scores.
     """
 
     def __init__(self, encoder: Encoder, head: ProjectionHead,
                  index_config: IndexConfig, tfidf: TfidfModel,
-                 columns: Iterable[tuple[ColumnKey, np.ndarray]],
+                 keys: Sequence[ColumnKey], vectors: Iterable[np.ndarray],
                  postings: dict[str, syntactic.SetPostings]):
         self.encoder = encoder
         self.head = head
         self.index_config = index_config
         self.tfidf = tfidf
         self.semantic_index = CosineLshIndex(
-            dim=head.dims[2], seed=derive_seed(index_config.seed, "cosine"))
+            dim=head.dims[2], seed=derive_seed(index_config.seed, "cosine"),
+            capacity=len(keys))
         self.keys: list[ColumnKey] = self.semantic_index.keys
-        for key, vector in columns:
+        for key, vector in zip(keys, vectors, strict=True):
             self.semantic_index.insert(key, vector)
         self.postings = postings
 
@@ -189,25 +193,32 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
     postings = {m: syntactic.SetPostings.from_sets(sets.pop(m))
                 for m in SET_MEASURES}
     # One column at a time: a batched projection would change the bits.
-    return SearchEngine(encoder, head, cfg, tfidf, (
-        (c.column_key,
-         project(head, encoder.embed_column(c.values)).astype(np.float32))
-        for c in columns), postings)
+    return SearchEngine(
+        encoder, head, cfg, tfidf, [c.column_key for c in columns],
+        (project(head, encoder.embed_column(c.values)).astype(np.float32)
+         for c in columns), postings)
 
 
 def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
-                        column: Column) -> dict[ColumnKey, tuple[float, float]]:
-    """One query column's surviving candidates: key -> (score, weight)."""
-    qvec = engine.project_column(column)
+                        column: Column, qvec: np.ndarray, semantic: np.ndarray
+                        ) -> dict[ColumnKey, tuple[float, float]]:
+    """One query column's surviving candidates: key -> (score, weight).
+
+    qvec is the column's projected vector, and semantic its row of the
+    cosine index's ``scores``.
+    """
     qsets = engine.query_profile(column).sets()
     t = cfg.threshold
     index = engine.semantic_index
     # Semantic is always first in ordered_measures.
-    measure_scores = [index.scores(qvec)]
+    measure_scores = [semantic]
     # The oracle pool is every indexed column, so it also scores pairs no
     # generating measure would have surfaced on its own.
-    mask = (np.full(index.size, True) if cfg.exhaustive
-            else index.collisions(qvec) & (measure_scores[0] >= t))
+    if cfg.exhaustive:
+        mask = np.full(index.size, True)
+    else:
+        mask = np.full(index.size, False)
+        mask[index.collisions(qvec, np.flatnonzero(semantic >= t))] = True
     for measure in cfg.ordered_measures()[1:]:
         counts, scores = engine.postings[measure].match(qsets[measure])
         # Name and value also gather rows; format only scores.
@@ -238,10 +249,12 @@ def top_k_search(engine: SearchEngine, query_table: Table,
     if not eligible:
         raise InputError(
             f"query table {query_table.table_id!r} has no encodable columns")
+    qvecs = np.stack([engine.project_column(c) for c in eligible])
+    semantic = engine.semantic_index.scores(qvecs)
     by_table: dict[str, dict[tuple[int, int], tuple[float, float]]] = {}
-    for column in eligible:
+    for column, qvec, column_semantic in zip(eligible, qvecs, semantic):
         for (table_id, cpos), score_weight in _query_column_pairs(
-                engine, cfg, column).items():
+                engine, cfg, column, qvec, column_semantic).items():
             if table_id == query_table.table_id:
                 continue
             by_table.setdefault(table_id, {})[(column.position, cpos)] = \

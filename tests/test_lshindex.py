@@ -307,6 +307,10 @@ def test_vectors_is_a_read_only_view_in_row_order():
     assert CosineLshIndex(dim=4).vectors.shape == (0, 4)
 
 
+def _hex_rows(scores) -> list[list[str]]:
+    return [[s.hex() for s in row] for row in np.asarray(scores).tolist()]
+
+
 def test_scores_equals_attribute_unionability_bit_for_bit():
     idx = CosineLshIndex(dim=12, seed=4)
     rng = np.random.default_rng(17)
@@ -316,31 +320,51 @@ def test_scores_equals_attribute_unionability_bit_for_bit():
     for _ in range(5):
         q = rng.standard_normal(12)
         qv = q.astype(np.float32)
-        got = idx.scores(q)
-        assert got.dtype == np.float64 and got.shape == (idx.size,)
-        assert [s.hex() for s in got.tolist()] == [
-            attribute_unionability(qv, idx.vector(k)).hex() for k in idx.keys]
+        got = idx.scores(q[None])
+        assert got.dtype == np.float64 and got.shape == (1, idx.size)
+        assert _hex_rows(got) == [[
+            attribute_unionability(qv, idx.vector(k)).hex() for k in idx.keys]]
         # The lookup's own scores, for the lookup's own hits.
         found = idx.lookup(q, threshold=-1.0)
-        assert [got[idx.rows[k]].hex() for k, _ in found] == \
+        assert [got[0, idx.rows[k]].hex() for k, _ in found] == \
             [s.hex() for _, s in found]
         hits += len(found)
     assert hits > 0
+
+
+@pytest.mark.parametrize("n_stored", [0, 1, 300])
+def test_scores_of_a_stack_are_each_vectors_scores(n_stored):
+    # 128 dimensions, as the engine's head, so each dot product is long
+    # enough for a blocked product to round differently.
+    idx = CosineLshIndex(dim=128, seed=2)
+    rng = np.random.default_rng(43)
+    for i in range(n_stored):
+        idx.insert(("t", i), rng.standard_normal(128))
+    stack = rng.standard_normal((7, 128)).astype(np.float32)
+    got = idx.scores(stack)
+    assert got.dtype == np.float64 and got.shape == (7, n_stored)
+    for j, q in enumerate(stack):
+        alone = idx.scores(q[None])
+        assert _hex_rows(alone) == _hex_rows(got[j:j + 1])
+        assert _hex_rows(idx.scores(stack[j:])[0:1]) == _hex_rows(alone)
+        assert _hex_rows(alone) == [[attribute_unionability(q, idx.vector(k))
+                                     .hex() for k in idx.keys]]
+    assert idx.scores(stack[:0]).shape == (0, n_stored)
 
 
 def test_scores_clamps_like_clip_nan_included():
     idx = CosineLshIndex(dim=3)
     idx.insert(("same", 0), np.array([1.0, 2.0, 3.0]))
     idx.insert(("opposite", 0), np.array([-1.0, -2.0, -3.0]))
-    got = idx.scores(np.array([1.0, 2.0, 3.0]))
+    got = idx.scores(np.array([[1.0, 2.0, 3.0]]))
     assert ((-1.0 <= got) & (got <= 1.0)).all()
     # Stored vectors are finite, so an infinite query makes the NaN:
     # inf / inf. The clamp must pass it through, as np.clip does.
     inf = np.array([np.inf, 0.0, 0.0])
     with np.errstate(invalid="ignore"):
         want = [attribute_unionability(inf, idx.vector(k)) for k in idx.keys]
-        got = idx.scores(inf)
-    assert np.isnan(want).all() and got.shape == (2,) and np.isnan(got).all()
+        got = idx.scores(inf[None])
+    assert np.isnan(want).all() and got.shape == (1, 2) and np.isnan(got).all()
 
 
 @pytest.mark.parametrize("vector", [
@@ -361,13 +385,28 @@ def test_insert_rejects_non_finite_vectors(vector):
 def test_scores_rejects_zero_and_misshapen_queries():
     filled = CosineLshIndex(dim=4)
     filled.insert(("t", 0), np.ones(4))
-    # Rejected whether or not any row is stored.
+    # Rejected whether or not any row is stored, wherever in the stack.
     for idx in (filled, CosineLshIndex(dim=4)):
-        with pytest.raises(NumericError):
-            idx.scores(np.zeros(4))
-        with pytest.raises(ConfigError):
-            idx.scores(np.ones(5))
-    assert CosineLshIndex(dim=4).scores(np.ones(4)).shape == (0,)
+        for at in range(3):
+            stack = np.ones((3, 4))
+            stack[at] = 0.0
+            with pytest.raises(NumericError):
+                idx.scores(stack)
+        for shape in [(1, 5), (3, 5), (4,), (1, 1, 4), ()]:
+            with pytest.raises(ConfigError):
+                idx.scores(np.ones(shape))
+    assert CosineLshIndex(dim=4).scores(np.ones((1, 4))).shape == (1, 0)
+
+
+def _band_key_rows(idx: CosineLshIndex, q) -> set[int]:
+    """Rows that share a band key with q, from signatures and packbits."""
+    def keys(v):
+        bits = idx.signature(v).reshape(idx.n_bands, idx.rows_per_band)
+        return [np.packbits(band).tobytes() for band in bits]
+
+    mine = keys(q)
+    return {row for row, key in enumerate(idx.keys)
+            if any(a == b for a, b in zip(keys(idx.vector(key)), mine))}
 
 
 @pytest.mark.parametrize("n_bands,rows_per_band", [(12, 4), (4, 12)],
@@ -380,15 +419,27 @@ def test_collisions_are_the_band_key_rows(n_bands, rows_per_band):
     rng = np.random.default_rng(41)
     for i in rng.permutation(200):   # past the capacity doubling at 128
         idx.insert(("t", int(i)), rng.standard_normal(8))
-    found = 0
+    found = dict.fromkeys((0.0, 0.7, 1.0), 0)
     for _ in range(10):
         q = rng.standard_normal(8)
-        mask = idx.collisions(q)
-        assert mask.dtype == bool and mask.shape == (idx.size,)
-        want = sorted(idx.rows[k] for k in _colliding_keys(idx, q))
-        assert np.flatnonzero(mask).tolist() == want
-        found += len(want)
-    assert 0 < found < 10 * idx.size
+        colliding = _band_key_rows(idx, q)
+        assert colliding == {idx.rows[k] for k in _colliding_keys(idx, q)}
+        every = np.arange(idx.size)
+        assert idx.collisions(q, every).tolist() == sorted(colliding)
+        # The rows at a threshold, as search and lookup pass them.
+        (scores,) = idx.scores(q[None])
+        for t in (0.0, 0.7, 1.0):
+            at = np.flatnonzero(scores >= t)
+            got = idx.collisions(q, at)
+            assert got.dtype == at.dtype
+            assert got.tolist() == [r for r in at.tolist() if r in colliding]
+            found[t] += len(got)
+        # Rows in any order come back in that order.
+        rows = rng.permutation(idx.size)[:50]
+        assert idx.collisions(q, rows).tolist() == \
+            [r for r in rows.tolist() if r in colliding]
+        assert idx.collisions(q, every[:0]).tolist() == []
+    assert found[0.7] > 0 and found[0.0] > found[0.7]
 
 
 @pytest.mark.parametrize("call", ["insert", "lookup", "scores", "collisions"])
@@ -398,9 +449,9 @@ def test_each_call_prepares_its_vector_once(monkeypatch, call):
     prepare = CosineLshIndex._prepare
     calls = []
 
-    def counted(self, vector):
+    def counted(self, *args, **kwargs):
         calls.append(1)
-        return prepare(self, vector)
+        return prepare(self, *args, **kwargs)
 
     monkeypatch.setattr(CosineLshIndex, "_prepare", counted)
     v = np.arange(6.0, 0.0, -1.0)
@@ -408,12 +459,39 @@ def test_each_call_prepares_its_vector_once(monkeypatch, call):
         idx.insert(("t", 1), v)
     elif call == "lookup":
         idx.lookup(v, threshold=0.0)
+    elif call == "scores":
+        idx.scores(np.stack([v, v + 1.0]))
     else:
-        getattr(idx, call)(v)
+        idx.collisions(v, np.arange(idx.size))
     assert len(calls) == 1
     # The public signature still prepares what it is given.
     idx.signature(v)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("capacity", [0, 5, 70])
+def test_capacity_only_sizes_the_allocation(capacity):
+    rng = np.random.default_rng(37)
+    vectors = rng.standard_normal((70, 6))
+    plain = CosineLshIndex(dim=6, seed=3)
+    sized = CosineLshIndex(dim=6, seed=3, capacity=capacity)
+    assert len(sized._wide) == len(sized._norms) == len(sized._packed) \
+        == capacity
+    for i, v in enumerate(vectors):
+        plain.insert(("t", i), v)
+        sized.insert(("t", i), v)
+        if i < capacity:   # no insert within the capacity reallocates
+            assert len(sized._wide) == capacity
+    assert sized.keys == plain.keys and sized.buckets == plain.buckets
+    np.testing.assert_array_equal(sized.vectors, plain.vectors)
+    q = rng.standard_normal((3, 6))
+    assert _hex_rows(sized.scores(q)) == _hex_rows(plain.scores(q))
+    assert sized.lookup(q[0], 0.0) == plain.lookup(q[0], 0.0)
+
+
+def test_negative_capacity_rejected():
+    with pytest.raises(ConfigError, match="capacity"):
+        CosineLshIndex(dim=4, capacity=-1)
 
 
 def test_dim_mismatch_rejected():

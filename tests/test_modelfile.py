@@ -231,21 +231,40 @@ def test_loaded_vector_matrix_is_an_owned_copy(tmp_path, world, monkeypatch):
     seen = []
     engine_cls = modelfile.SearchEngine
 
-    def recorded_engine(encoder, head, cfg, tfidf, columns, postings):
-        columns = list(columns)
-        seen.append(columns)
-        return engine_cls(encoder, head, cfg, tfidf, columns, postings)
+    def recorded_engine(encoder, head, cfg, tfidf, keys, vectors, postings):
+        vectors = list(vectors)
+        seen.append(vectors)
+        return engine_cls(encoder, head, cfg, tfidf, keys, vectors, postings)
 
     monkeypatch.setattr(type(p), "read_bytes", recorded_read_bytes)
     monkeypatch.setattr(modelfile, "SearchEngine", recorded_engine)
     load_index(p)
     (data,) = read
-    (columns,) = seen
-    matrix = columns[0][1].base
+    (vectors,) = seen
+    matrix = vectors[0].base
     assert matrix.shape == (len(engine.keys), 16)
-    assert all(vector.base is matrix for _, vector in columns)
+    assert all(vector.base is matrix for vector in vectors)
     assert matrix.flags.writeable and matrix.flags.owndata
     assert not np.shares_memory(matrix, np.frombuffer(data, dtype=np.uint8))
+
+
+def test_engines_allocate_their_rows_once(tmp_path, world, monkeypatch):
+    """Built and loaded engines size the cosine index to their row count."""
+    corpus, engine = world
+    p = tmp_path / "engine.usi"
+    save_index(p, _bundle(), engine)
+    grown = []
+    resize = np.resize
+    monkeypatch.setattr(np, "resize",
+                        lambda *a, **k: grown.append(1) or resize(*a, **k))
+    built = build_engine(corpus, engine.encoder, engine.head,
+                         engine.index_config)
+    _, loaded = load_index(p)
+    assert grown == []
+    for eng in (built, loaded):
+        index = eng.semantic_index
+        assert len(index._wide) == len(index._norms) == len(index._packed) \
+            == index.size == len(engine.keys)
 
 
 def test_index_roundtrip_preserves_structures(tmp_path, world):

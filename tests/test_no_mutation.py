@@ -121,17 +121,62 @@ def test_lookup_leaves_query_and_index_alone(engine):
     norms = index._norms[:index.size].copy()
     hits = index.lookup(query, threshold=-1.0)
     assert hits   # some rows collided
-    scores, collisions = index.scores(query), index.collisions(query)
+    every = np.arange(index.size)
+    scores, collisions = (index.scores(query[None]),
+                          index.collisions(query, every))
     scores_before, collisions_before = scores.copy(), collisions.copy()
     # The caller's to change.
     scores[:] = 2.0
-    collisions[:] = ~collisions
+    collisions[:] = -1
+    every[:] = 0
     np.testing.assert_array_equal(query, query_before)
     _assert_engine_unchanged(engine, state)
     np.testing.assert_array_equal(index._norms[:index.size], norms)
-    np.testing.assert_array_equal(index.scores(query), scores_before)
-    np.testing.assert_array_equal(index.collisions(query), collisions_before)
+    np.testing.assert_array_equal(index.scores(query[None]), scores_before)
+    np.testing.assert_array_equal(
+        index.collisions(query, np.arange(index.size)), collisions_before)
     assert index.lookup(query, threshold=-1.0) == hits
+
+
+def _index_arrays(index):
+    n = index.size
+    return [a[:n].copy() for a in (index._wide, index._norms, index._packed)]
+
+
+def test_scoring_a_stack_leaves_vectors_and_index_alone(engine):
+    index = engine.semantic_index
+    stack = np.random.default_rng(9).standard_normal((4, index.dim),
+                                                     np.float32)
+    stack_before = stack.copy()
+    arrays = _index_arrays(index)
+    state = _engine_state(engine)
+    scores = index.scores(stack)
+    scores_before = scores.copy()
+    scores[:] = 2.0   # the caller's to change
+    np.testing.assert_array_equal(stack, stack_before)
+    for now, before in zip(_index_arrays(index), arrays):
+        np.testing.assert_array_equal(now, before)
+    _assert_engine_unchanged(engine, state)
+    np.testing.assert_array_equal(index.scores(stack), scores_before)
+
+
+def test_writing_into_buckets_leaves_the_index_alone(engine):
+    index = engine.semantic_index
+    query = np.random.default_rng(10).standard_normal(index.dim, np.float32)
+    arrays = _index_arrays(index)
+    state = _engine_state(engine)
+    hits = index.lookup(query, threshold=0.0)
+    buckets = index.buckets
+    for band in buckets:
+        for rows in band.values():
+            rows[0] = index.size   # no such row
+            rows.append(0)
+        band.clear()
+    buckets.clear()
+    for now, before in zip(_index_arrays(index), arrays):
+        np.testing.assert_array_equal(now, before)
+    _assert_engine_unchanged(engine, state)
+    assert index.lookup(query, threshold=0.0) == hits
 
 
 def test_save_and_load_leave_bundle_and_engine_alone(engine, tmp_path):

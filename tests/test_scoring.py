@@ -60,6 +60,13 @@ def _reference(engine, profiles, cfg, column, key) -> float:
     return float(sum(parts) / len(parts))
 
 
+def _pairs(engine, cfg, column):
+    """One column's pairs, its semantic row scored as a stack of one."""
+    qvec = engine.project_column(column)
+    return _query_column_pairs(engine, cfg, column, qvec,
+                               engine.semantic_index.scores(qvec[None])[0])
+
+
 def _query_columns(corpus):
     return [c for t in corpus.tables[::5] for c in t.columns
             if c.is_encodable()]
@@ -72,7 +79,7 @@ def test_exhaustive_pairs_are_the_reference_scores(lake, profiles, measures):
                        exhaustive=True)
     survivors = 0
     for column in _query_columns(corpus):
-        pairs = _query_column_pairs(engine, cfg, column)
+        pairs = _pairs(engine, cfg, column)
         want = {key: _reference(engine, profiles, cfg, column, key)
                 for key in engine.keys}
         assert set(pairs) == {k for k, s in want.items() if s >= THRESHOLD}
@@ -89,8 +96,8 @@ def test_banded_pairs_are_exhaustive_pairs(lake, measures):
     exhaustive = SearchConfig(threshold=THRESHOLD, measures=measures,
                               exhaustive=True)
     for column in _query_columns(corpus):
-        few = _query_column_pairs(engine, banded, column)
-        every = _query_column_pairs(engine, exhaustive, column)
+        few = _pairs(engine, banded, column)
+        every = _pairs(engine, exhaustive, column)
         assert set(few) <= set(every)
         for key, (score, _) in few.items():
             assert score == every[key][0]
@@ -117,14 +124,16 @@ def test_match_scores_are_the_reference_scores(lake, profiles, measures,
 
 def test_search_scores_on_its_one_path(lake, monkeypatch):
     """The pair-by-pair references and the key-level lookup are never
-    called: one ``scores`` call per query column and the set postings are
-    the only scoring source, and only the banded mode asks for collisions."""
+    called: one ``scores`` call per query table, over all its columns, and
+    the set postings are the only scoring source, and only the banded mode
+    tests collisions, once per query column."""
     corpus, engine = lake
     configs = [SearchConfig(k=50, threshold=THRESHOLD, measures=measures,
                             exhaustive=exhaustive)
                for measures in MEASURE_SETS for exhaustive in (False, True)]
     tables = corpus.tables[::5]
     columns = sum(c.is_encodable() for t in tables for c in t.columns)
+    assert columns > len(tables)   # some table has several query columns
     want = [[top_k_search(engine, t, cfg) for t in tables] for cfg in configs]
 
     def refuse(*args, **kwargs):
@@ -139,9 +148,9 @@ def test_search_scores_on_its_one_path(lake, monkeypatch):
     def counted(name):
         method = getattr(CosineLshIndex, name)
 
-        def call(index, vector):
+        def call(index, *args):
             calls[name] += 1
-            return method(index, vector)
+            return method(index, *args)
         return call
 
     for name in ("scores", "collisions"):
@@ -149,7 +158,7 @@ def test_search_scores_on_its_one_path(lake, monkeypatch):
     for cfg, results in zip(configs, want):
         calls.clear()
         assert [top_k_search(engine, t, cfg) for t in tables] == results
-        assert calls == Counter(scores=columns,
+        assert calls == Counter(scores=len(tables),
                                 collisions=0 if cfg.exhaustive else columns)
     assert any(r.ranked for results in want for r in results)
 

@@ -123,12 +123,13 @@ class VectorEngine(SearchEngine):
 
     def __init__(self, dim: int, stored: dict[ColumnKey, np.ndarray],
                  queries: dict[ColumnKey, np.ndarray]):
-        columns = ((key, np.asarray(stored[key], dtype=np.float32))
-                   for key in sorted(stored))
+        keys = sorted(stored)
         # The head only sets the index dimension; queries bypass it.
         super().__init__(encoder=None, head=init_head(dim, dim, dim, seed=0),
                          index_config=IndexConfig(),
-                         tfidf=TfidfModel(df={}, n_columns=0), columns=columns,
+                         tfidf=TfidfModel(df={}, n_columns=0), keys=keys,
+                         vectors=(np.asarray(stored[key], dtype=np.float32)
+                                  for key in keys),
                          postings={})
         self._queries = {k: np.asarray(v, dtype=np.float32) for k, v in queries.items()}
 
