@@ -12,9 +12,8 @@ from .contrast import (OfflinePair, TrainingBatch, TrainResult,
                        build_offline_pairs, build_online_batch, nt_xent_loss,
                        train)
 from .lshindex import CosineLshIndex, MinHashIndex
-from .syntactic import (SyntacticProfile, TfidfModel, build_profile,
-                        build_tfidf, format_pattern, jaccard, name_qgrams,
-                        value_terms)
+from .syntactic import (TfidfModel, build_profile, build_tfidf,
+                        format_pattern, jaccard, name_qgrams, value_terms)
 from .search import (AttributeMatch, IndexConfig, QueryResult, RankedTable,
                      SearchConfig, SearchEngine, attribute_unionability,
                      build_engine, match_attributes, table_unionability,

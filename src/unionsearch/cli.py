@@ -123,10 +123,10 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    _, engine = modelfile.load_index(args.index)
     cfg = search.SearchConfig(k=args.k, threshold=args.threshold,
                               measures=parse_measures(args.measures))
     cfg.validate()
+    _, engine = modelfile.load_index(args.index)
     results = []
     for qpath in args.query:
         table = load_csv(qpath)
@@ -142,13 +142,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.sample_queries < 0:
         raise ConfigError(
             f"--sample-queries must be >= 0, got {args.sample_queries}")
-    _, engine = modelfile.load_index(args.index)
-    corpus = load_manifest(args.manifest)
-    truth = bench.read_truth(args.truth)
     ks = _parse_k_list(args.k)
     cfg = search.SearchConfig(k=max(ks), threshold=args.threshold,
                               measures=parse_measures(args.measures))
     cfg.validate()
+    _, engine = modelfile.load_index(args.index)
+    corpus = load_manifest(args.manifest)
+    truth = bench.read_truth(args.truth)
     query_ids = sorted(t.table_id for t in corpus.tables if truth.get(t.table_id))
     if args.sample_queries and args.sample_queries < len(query_ids):
         order = rng_for(args.seed, "sample-queries").permutation(len(query_ids))

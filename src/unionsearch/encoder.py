@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import tokenize
 from .errors import ConfigError, EmptyColumnError, InputError
-from .seeding import stable_token_hash
+from .seeding import check_seed, stable_token_hash
 
 HASHING_BACKEND = "hashing"
 VECTOR_FILE_BACKEND = "vector_file"
@@ -48,6 +48,7 @@ class EncoderConfig:
             raise ConfigError(f"unknown encoder backend {self.backend!r}")
         if self.dim < 8:
             raise ConfigError(f"embedding dim must be >= 8, got {self.dim}")
+        check_seed("hash_seed", self.hash_seed)
         if self.backend == VECTOR_FILE_BACKEND and not self.vector_file_path:
             raise ConfigError("vector_file backend requires vector_file_path")
 

@@ -64,8 +64,6 @@ KIND_MODEL = 1
 KIND_INDEX = 2
 CHECKSUM_BYTES = 32
 
-_U64_MASK = (1 << 64) - 1
-
 
 @dataclass
 class ModelBundle:
@@ -92,7 +90,8 @@ class _Writer:
         self.buf += struct.pack("<I", v)
 
     def u64(self, v: int) -> None:
-        self.buf += struct.pack("<Q", v & _U64_MASK)
+        # Out of range raises, so no value is stored as another.
+        self.buf += struct.pack("<Q", v)
 
     def f64(self, v: float) -> None:
         self.buf += struct.pack("<d", v)

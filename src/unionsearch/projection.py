@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .seeding import check_seed
 
 F32 = np.float32
 
@@ -100,6 +101,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.sample_size < 1:
             raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
+        check_seed("seed", self.seed)
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must be in [0, 1), "
                               f"got {self.validation_fraction}")
@@ -109,6 +111,7 @@ def init_head(in_dim: int, hidden_dim: int, out_dim: int, seed: int = 0) -> Proj
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
     if min(in_dim, hidden_dim, out_dim) < 1:
         raise ConfigError(f"head dims must be >= 1, got {(in_dim, hidden_dim, out_dim)}")
+    check_seed("head seed", seed)
     rng = np.random.default_rng(seed)
     bound1 = 1.0 / np.sqrt(in_dim)
     bound2 = 1.0 / np.sqrt(hidden_dim)

@@ -15,13 +15,14 @@ its parts once, as one array over every row (row i of every engine index
 is ``keys[i]``): the cosine index's ``scores`` the semantic parts, for all
 of a query table's columns in one pass over the stored rows, and each
 enabled set measure's postings every row's exact Jaccard, per query
-column. A mask picks a column's pair rows: all of them in exhaustive mode;
-when banded, the rows that reach the threshold on the semantic part and
-share a cosine band (only those rows are tested for a band), or reach it
-on name or value. A key is looked up only for a pair that survives. A
-pair's score is ``sum(parts) / len(parts)`` over its measures in
-``ordered_measures`` order, the same float that ``attribute_unionability``
-and the ``SYNTACTIC_FUNCS`` entries give pair by pair.
+column, whose sets are built for those measures only. A mask picks a
+column's pair rows: all of them in exhaustive mode; when banded, the rows
+that reach the threshold on the semantic part and share a cosine band
+(only those rows are tested for a band), or reach it on name or value. A
+key is looked up only for a pair that survives. A pair's score is
+``sum(parts) / len(parts)`` over its measures in ``ordered_measures``
+order, the same float that ``attribute_unionability`` and the
+``SYNTACTIC_FUNCS`` entries give pair by pair.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from .encoder import Encoder
 from .errors import ConfigError, InputError, NumericError
 from .lshindex import CosineLshIndex, cosines
 from .projection import ProjectionHead, project
-from .seeding import derive_seed
+from .seeding import check_seed, derive_seed
 from . import syntactic
 from .syntactic import (ALL_MEASURES, FORMAT, SEMANTIC, SET_MEASURES,
-                        SyntacticProfile, TfidfModel)
+                        TfidfModel, TokenSets)
 
 
 @dataclass
@@ -52,8 +53,7 @@ class IndexConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"index seed must be in [0, 2**64), got {self.seed}")
+        check_seed("index seed", self.seed)
 
 
 @dataclass
@@ -174,8 +174,9 @@ class SearchEngine:
         base = self.encoder.embed_column(column.values)
         return project(self.head, base).astype(np.float32)
 
-    def query_profile(self, column: Column) -> SyntacticProfile:
-        return syntactic.build_profile(column, self.tfidf)
+    def query_profile(self, column: Column, measures: Sequence[str]) -> TokenSets:
+        """The query column's token sets of just the named set measures."""
+        return syntactic.build_profile(column, self.tfidf, measures)
 
 
 def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
@@ -187,7 +188,7 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
     columns = sorted(corpus.encodable_columns(), key=lambda col: col.column_key)
     sets: dict[str, list[frozenset[str]]] = {m: [] for m in SET_MEASURES}
     for c in columns:
-        for measure, tokens in syntactic.build_profile(c, tfidf).sets().items():
+        for measure, tokens in syntactic.build_profile(c, tfidf).items():
             sets[measure].append(tokens)
     # Each measure's sets are dropped once filed, before any vector is made.
     postings = {m: syntactic.SetPostings.from_sets(sets.pop(m))
@@ -207,7 +208,7 @@ def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
     qvec is the column's projected vector, and semantic its row of the
     cosine index's ``scores``.
     """
-    qsets = engine.query_profile(column).sets()
+    qsets = engine.query_profile(column, cfg.ordered_measures()[1:])
     t = cfg.threshold
     index = engine.semantic_index
     # Semantic is always first in ordered_measures.
@@ -219,8 +220,8 @@ def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
     else:
         mask = np.full(index.size, False)
         mask[index.collisions(qvec, np.flatnonzero(semantic >= t))] = True
-    for measure in cfg.ordered_measures()[1:]:
-        counts, scores = engine.postings[measure].match(qsets[measure])
+    for measure, tokens in qsets.items():
+        counts, scores = engine.postings[measure].match(tokens)
         # Name and value also gather rows; format only scores.
         if not cfg.exhaustive and measure != FORMAT:
             mask |= (counts > 0) & (scores >= t)

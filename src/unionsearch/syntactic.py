@@ -9,6 +9,7 @@ Three set-overlap measures, each a Jaccard over a different view of a column:
 All are cheap, deterministic, and need no training; the search layer can
 average any subset of them with the semantic measure, scoring each with
 ``SetPostings`` (``SYNTACTIC_FUNCS`` is the one-pair reference).
+``build_profile`` builds just the sets it is asked for, from ``SET_BUILDERS``.
 
 A lake repeats its cells (1.3% of the benchmark lake's cells are
 distinct), so per-cell work is memoized and done once per distinct string:
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass
 from collections import Counter
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +46,8 @@ DEFAULT_TOP_TERMS = 20
 MEMO_CAP = 1 << 16
 
 _NON_ALNUM = re.compile(r"[^0-9a-z]+")
+
+TokenSets = dict[str, frozenset[str]]   # keyed by set measure
 
 
 def jaccard(a: frozenset | set, b: frozenset | set) -> float:
@@ -188,38 +191,30 @@ def format_patterns(column: Column) -> frozenset[str]:
     return frozenset(format_pattern(v) for v in column.non_empty_values())
 
 
-@dataclass
-class SyntacticProfile:
-    """Precomputed per-column sets, enough to score any syntactic measure."""
-
-    name_grams: frozenset[str]
-    value_term_set: frozenset[str]
-    format_set: frozenset[str]
-
-    def sets(self) -> dict[str, frozenset[str]]:
-        """Each syntactic measure's set, keyed by measure name."""
-        return {NAME: self.name_grams, VALUE: self.value_term_set,
-                FORMAT: self.format_set}
+# Each set measure's token set of a column, given the lake's frequencies.
+SET_BUILDERS: dict[str, Callable[[Column, TfidfModel], frozenset[str]]] = {
+    NAME: lambda column, tfidf: name_qgrams(column.name),
+    VALUE: value_terms,
+    FORMAT: lambda column, tfidf: format_patterns(column),
+}
 
 
-def build_profile(column: Column, tfidf: TfidfModel) -> SyntacticProfile:
-    return SyntacticProfile(
-        name_grams=name_qgrams(column.name),
-        value_term_set=value_terms(column, tfidf),
-        format_set=format_patterns(column),
-    )
+def build_profile(column: Column, tfidf: TfidfModel,
+                  measures: Sequence[str] = SET_MEASURES) -> TokenSets:
+    """The column's token set of each named set measure, in the order named."""
+    return {m: SET_BUILDERS[m](column, tfidf) for m in measures}
 
 
-def name_measure(a: SyntacticProfile, b: SyntacticProfile) -> float:
-    return jaccard(a.name_grams, b.name_grams)
+def name_measure(a: TokenSets, b: TokenSets) -> float:
+    return jaccard(a[NAME], b[NAME])
 
 
-def value_measure(a: SyntacticProfile, b: SyntacticProfile) -> float:
-    return jaccard(a.value_term_set, b.value_term_set)
+def value_measure(a: TokenSets, b: TokenSets) -> float:
+    return jaccard(a[VALUE], b[VALUE])
 
 
-def format_measure(a: SyntacticProfile, b: SyntacticProfile) -> float:
-    return jaccard(a.format_set, b.format_set)
+def format_measure(a: TokenSets, b: TokenSets) -> float:
+    return jaccard(a[FORMAT], b[FORMAT])
 
 
 SYNTACTIC_FUNCS = {

@@ -336,6 +336,20 @@ def test_query_bad_measure_exit_3(workspace, tmp_path):
                "--out", str(tmp_path / "r.csv")) == 3
 
 
+@pytest.mark.parametrize("command", ["query", "eval"])
+@pytest.mark.parametrize("flag", [("--measures", "bogus"), ("--k", "0"),
+                                  ("--threshold", "2")])
+def test_bad_search_flag_exit_3_before_any_file_is_read(tmp_path, command,
+                                                        flag):
+    """With no index, manifest or truth file, the bad flag is still what is
+    reported: the search settings are checked before any input is read."""
+    ghost = str(tmp_path / "ghost")
+    inputs = {"query": ["--query", ghost],
+              "eval": ["--manifest", ghost, "--truth", ghost]}[command]
+    assert run(command, "--index", ghost + ".usi", *inputs, *flag,
+               "--out", str(tmp_path / "out.csv")) == 3
+
+
 def test_query_missing_index_exit_2(workspace, tmp_path):
     assert run("query", "--index", str(tmp_path / "ghost.usi"),
                "--query", str(workspace / "bench" / "truth.csv"),

@@ -23,6 +23,7 @@ from unionsearch.modelfile import (
 )
 from unionsearch.projection import TrainConfig, Velocity, init_head
 from unionsearch.search import IndexConfig, SearchConfig, build_engine, top_k_search
+from unionsearch.syntactic import SET_MEASURES
 
 from conftest import TFIDF_EDITS, with_tfidf
 
@@ -131,12 +132,26 @@ def test_every_config_field_roundtrips(tmp_path, world):
     assert loaded.index_config == icfg
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_index_seed_outside_u64_rejected(world, seed):
+@pytest.mark.parametrize("seed", [-1, 2**64, -3])
+def test_index_seed_outside_u64_rejected(tmp_path, world, seed):
+    """Every stored seed is a u64; one outside it is refused, never wrapped."""
     corpus, engine = world
     with pytest.raises(ConfigError, match="seed"):
         build_engine(corpus, engine.encoder, engine.head, IndexConfig(seed=seed))
+    for bad in (EncoderConfig(hash_seed=seed), TrainConfig(seed=seed)):
+        with pytest.raises(ConfigError, match="seed"):
+            bad.validate()
+    with pytest.raises(ConfigError, match="seed"):
+        init_head(4, 4, 4, seed=seed)
+    # A hand-made bundle skips validation; its save fails, writing nothing.
+    bundle = replace(_bundle(), train_config=TrainConfig(seed=seed))
+    with pytest.raises(struct.error):
+        save_model(tmp_path / "m.usm", bundle)
+    assert list(tmp_path.iterdir()) == []
     IndexConfig(seed=2**64 - 1).validate()
+    EncoderConfig(hash_seed=2**64 - 1).validate()
+    TrainConfig(seed=2**64 - 1).validate()
+    assert init_head(4, 4, 4, seed=2**64 - 1).init_seed == 2**64 - 1
 
 
 def test_model_roundtrip_without_velocity(tmp_path):
@@ -310,12 +325,12 @@ def test_built_and_loaded_cosine_lookups_identical(tmp_path, world):
         assert_same_postings(eng, engine)
     for column in corpus.encodable_columns():
         q = engine.project_column(column)
-        profile = engine.query_profile(column)
+        profile = engine.query_profile(column, SET_MEASURES)
         for threshold in (-1.0, 0.7):
             hits = engine.semantic_index.lookup(q, threshold)
             for eng in engines[1:]:
                 assert eng.semantic_index.lookup(q, threshold) == hits
-        for measure, tokens in profile.sets().items():
+        for measure, tokens in profile.items():
             counts, scores = engine.postings[measure].match(tokens)
             for eng in engines[1:]:
                 other = eng.postings[measure].match(tokens)

@@ -10,6 +10,7 @@ pairs with the same floats.
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -17,12 +18,13 @@ from unionsearch.bench import BenchmarkSpec, generate_benchmark
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.lshindex import CosineLshIndex
 from unionsearch.projection import init_head
-from unionsearch import search
+from unionsearch import search, syntactic
 from unionsearch.search import (IndexConfig, SearchConfig,
                                 _query_column_pairs, attribute_unionability,
                                 build_engine, top_k_search)
-from unionsearch.syntactic import (ALL_MEASURES, SEMANTIC, SYNTACTIC_FUNCS,
-                                   build_profile, jaccard)
+from unionsearch.syntactic import (ALL_MEASURES, FORMAT, NAME, SEMANTIC,
+                                   SYNTACTIC_FUNCS, VALUE, build_profile,
+                                   jaccard)
 
 # Every measure set the search accepts: semantic plus any syntactic subset.
 MEASURE_SETS = [(SEMANTIC, *extra) for r in range(len(ALL_MEASURES))
@@ -53,7 +55,7 @@ def profiles(lake):
 def _reference(engine, profiles, cfg, column, key) -> float:
     """The pair score written out: one function call per measure."""
     q = engine.project_column(column)
-    qprofile = engine.query_profile(column)
+    qprofile = build_profile(column, engine.tfidf)
     parts = [attribute_unionability(q, engine.semantic_index.vector(key)),
              *(SYNTACTIC_FUNCS[m](qprofile, profiles[key])
                for m in cfg.ordered_measures() if m != SEMANTIC)]
@@ -161,6 +163,57 @@ def test_search_scores_on_its_one_path(lake, monkeypatch):
         assert calls == Counter(scores=len(tables),
                                 collisions=0 if cfg.exhaustive else columns)
     assert any(r.ranked for results in want for r in results)
+
+
+class _Name(str):
+    """A column name that counts the q-gram builds that normalize it."""
+
+    reads = 0
+
+    def lower(self):
+        _Name.reads += 1
+        return super().lower()
+
+
+def _set_work() -> tuple[int, int, int]:
+    """Name, value and format set work so far: name normalizations, and
+    calls into the memos of cell tokens and of format patterns."""
+    tokens = syntactic._cell_tokens.cache_info()
+    patterns = syntactic.format_pattern.cache_info()
+    return (_Name.reads, tokens.hits + tokens.misses,
+            patterns.hits + patterns.misses)
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_query_builds_only_its_measures_sets(lake, monkeypatch, exhaustive):
+    """Each query column asks for the sets of its enabled set measures and
+    gets exactly those back; ``semantic`` alone builds no set at all."""
+    corpus, engine = lake
+    tables = [replace(t, columns=[replace(c, name=_Name(c.name))
+                                  for c in t.columns])
+              for t in corpus.tables[::5]]
+    columns = sum(c.is_encodable() for t in tables for c in t.columns)
+    query_profile = search.SearchEngine.query_profile
+    asked = []
+
+    def spy(self, column, measures):
+        sets = query_profile(self, column, measures)
+        assert isinstance(sets, dict) and set(sets) == set(measures)
+        asked.append(tuple(measures))
+        return sets
+
+    monkeypatch.setattr(search.SearchEngine, "query_profile", spy)
+    for measures in MEASURE_SETS:
+        cfg = SearchConfig(threshold=THRESHOLD, measures=measures,
+                           exhaustive=exhaustive)
+        asked.clear()
+        before = _set_work()
+        for table in tables:
+            top_k_search(engine, table, cfg)
+        work = [after - b for after, b in zip(_set_work(), before)]
+        assert asked == [cfg.ordered_measures()[1:]] * columns
+        assert [w > 0 for w in work] == [m in measures
+                                         for m in (NAME, VALUE, FORMAT)]
 
 
 def test_jaccard_is_the_set_formula():

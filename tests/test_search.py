@@ -20,7 +20,7 @@ from unionsearch.search import (
     top_k_search,
     write_results,
 )
-from unionsearch.syntactic import (FORMAT, NAME, SEMANTIC, SyntacticProfile,
+from unionsearch.syntactic import (FORMAT, NAME, SEMANTIC, SET_MEASURES,
                                    TfidfModel, VALUE, build_profile, jaccard)
 
 from conftest import make_table, rotate_from, unit
@@ -135,9 +135,6 @@ class VectorEngine(SearchEngine):
 
     def project_column(self, column: Column) -> np.ndarray:
         return self._queries[column.column_key]
-
-    def query_profile(self, column: Column) -> SyntacticProfile:
-        return SyntacticProfile(frozenset(), frozenset(), frozenset())
 
 
 def _planted_world(include_self: bool):
@@ -273,11 +270,11 @@ def test_banded_search_matches_brute_force(seed):
 def test_set_postings_match_is_exact():
     engine, corpus, _ = _bench_engine(2)
     columns = {c.column_key: c for c in corpus.encodable_columns()}
-    stored = [build_profile(columns[key], engine.tfidf).sets()
+    stored = [build_profile(columns[key], engine.tfidf)
               for key in engine.keys]
     found = 0
     for column in corpus.encodable_columns():
-        qsets = engine.query_profile(column).sets()
+        qsets = engine.query_profile(column, SET_MEASURES)
         for measure in (NAME, VALUE, FORMAT):
             tokens = qsets[measure]
             counts, scores = engine.postings[measure].match(tokens)

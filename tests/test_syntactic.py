@@ -5,6 +5,9 @@ import pytest
 
 from unionsearch.corpus import Column, tokenize
 from unionsearch.syntactic import (
+    FORMAT,
+    NAME,
+    VALUE,
     SetPostings,
     build_profile,
     build_tfidf,
@@ -203,10 +206,14 @@ def test_profile_fields():
         "t2": {"x": ["1"]},
     })
     tfidf = build_tfidf(corpus)
-    p = build_profile(corpus.column(("t1", 0)), tfidf)
-    assert p.name_grams == {"yea", "ear"}
-    assert p.format_set == {"9"}
-    assert p.value_term_set == {"2007", "2014"}
+    col = corpus.column(("t1", 0))
+    p = build_profile(col, tfidf)
+    assert p == {NAME: {"yea", "ear"}, VALUE: {"2007", "2014"},
+                 FORMAT: {"9"}}
+    # Only the named measures' sets are built, in the order asked.
+    assert list(build_profile(col, tfidf, (FORMAT, NAME)).items()) == \
+        [(FORMAT, p[FORMAT]), (NAME, p[NAME])]
+    assert build_profile(col, tfidf, ()) == {}
 
 
 def test_measures_symmetric_bounded():
