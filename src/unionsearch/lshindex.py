@@ -16,20 +16,23 @@ an exact rescoring, so the index can lose recall but never precision:
 
 State is held once. A cosine index numbers its finite vectors by insertion
 order, lists their keys in ``keys`` (row i is ``keys[i]``, and ``rows``
-maps back) and keeps one float64 matrix, each row a stored float32 vector
-widened exactly, plus each row's norm for scoring and its band keys packed
-into one uint8 row; ``buckets`` is derived from those packed keys when it
-is read. Its hyperplanes are one float64 array, float32-rounded values
-widened exactly, that every signature multiplies by. ``scores`` gives a
-stack of vectors' cosines with every stored row, in one ``cosines`` pass
-over the matrix where it sits: each stored row is dotted with the whole
-stack at once, so the matrix is streamed once per stack, not once per
-vector. ``collisions`` keeps those of the rows it is given that share a
-band with a vector, comparing only their packed keys; banding only masks:
-``lookup`` tests the rows at or above its threshold and names them by key.
-Each pair's dot product is reduced on its own, so a ``scores`` entry, a
-lookup score and ``search.attribute_unionability`` of the same pair agree
-bit for bit, whatever the stack and the BLAS thread count. A min-hash
+maps back) and keeps one float32 matrix of the stored vectors, plus each
+row's float64 norm for scoring and its band keys packed into one uint8
+row; ``buckets`` is derived from those packed keys when it is read. Its
+hyperplanes are one float64 array, float32-rounded values widened exactly,
+that every signature multiplies by. ``scores`` gives a stack of vectors'
+cosines with every stored row in one ``cosines`` pass, widening the rows
+block by block into one float64 buffer, and ``row_scores`` one vector's
+with the rows it is given. ``prefilter`` finds, for a stack, the rows
+whose exact cosine can reach a threshold with one float32 product and a
+proven error margin, so a caller scores only those exactly.
+``collisions`` keeps those of the rows it is given that share a band with
+a vector, comparing only their packed keys; banding only masks: ``lookup``
+tests the rows at or above its threshold and names them by key. Each
+pair's dot product is reduced on its own, in float64, so a ``scores``
+entry, a ``row_scores`` entry, a lookup score and
+``search.attribute_unionability`` of the same pair agree bit for bit,
+whatever the stack and the BLAS thread count. A min-hash
 index keeps no copy of its token sets: ``token_sets`` maps each key to the
 frozenset the caller inserted; its buckets hold keys. Exact scores come
 from those rows and sets; buckets only choose what counts.
@@ -51,6 +54,11 @@ from .seeding import rng_for, stable_token_hash
 from .syntactic import jaccard
 
 MERSENNE_P = (1 << 31) - 1   # prime modulus; products stay below 2**62
+# Bytes of float64 rows that ``scores`` widens at a time.
+_BLOCK_BYTES = 1 << 19
+# Stored norms the float32 ``prefilter`` pass is proven for; it keeps every
+# other row.
+_NORM_RANGE = (2.0 ** -100, 2.0 ** 100)
 
 
 def cosines(rows: np.ndarray, row_norms: np.ndarray | float, v: np.ndarray,
@@ -63,6 +71,15 @@ def cosines(rows: np.ndarray, row_norms: np.ndarray | float, v: np.ndarray,
     on its place among the rows or the stack, or on the BLAS thread count.
     """
     return np.clip(np.vecdot(rows, v) / (row_norms * v_norm), -1.0, 1.0)
+
+
+def _dot_margin(dim: int) -> float:
+    """Twice gamma_dim = dim*u / (1 - dim*u), u = 2**-24: the relative
+    error bound of a float32 dot product of dim terms in any summation order
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1),
+    and infinite once dim*u reaches 1."""
+    du = dim * 2.0 ** -24
+    return 2.0 * du / (1.0 - du) if du < 1.0 else np.inf
 
 
 def _band_check(n_total: int, n_bands: int, rows_per_band: int, kind: str) -> None:
@@ -78,9 +95,9 @@ def _band_check(n_total: int, n_bands: int, rows_per_band: int, kind: str) -> No
 class CosineLshIndex:
     """Random-hyperplane index over fixed-dimension vectors.
 
-    Each inserted vector gets the next row number. Rows live in one float64
-    matrix, each the float32 vector widened exactly, with their norms and
-    their packed band keys next to it. ``capacity`` rows are allocated up
+    Each inserted vector gets the next row number. Rows live in one float32
+    matrix, the vectors as stored, with their float64 norms and their
+    packed band keys next to it. ``capacity`` rows are allocated up
     front, and an insert past them doubles the allocation. ``keys`` names
     each row, in insertion order, and ``rows`` maps each key back to its
     row. ``planes`` is the one hyperplane array.
@@ -102,8 +119,9 @@ class CosineLshIndex:
         self.planes = raw.astype(np.float32).astype(np.float64)
         self.rows: dict[ColumnKey, int] = {}
         self.keys: list[ColumnKey] = []
+        self._margin = _dot_margin(dim)
         # Rows past size are unused.
-        self._wide = np.empty((capacity, dim), dtype=np.float64)
+        self._rows = np.empty((capacity, dim), dtype=np.float32)
         self._norms = np.empty(capacity, dtype=np.float64)
         # Row i holds its band keys side by side, band_width bytes each.
         self._band_width = (rows_per_band + 7) // 8
@@ -115,9 +133,9 @@ class CosineLshIndex:
         return len(self.keys)
 
     def vector(self, key: ColumnKey) -> np.ndarray:
-        """The stored vector of key, float32-exact, as a read-only row view."""
+        """The stored float32 vector of key, as a read-only row view."""
         try:
-            row = self._wide[self.rows[key]]
+            row = self._rows[self.rows[key]]
         except KeyError:
             raise InputError(f"unknown key {key!r} in cosine index") from None
         row.flags.writeable = False
@@ -125,9 +143,9 @@ class CosineLshIndex:
 
     @property
     def vectors(self) -> np.ndarray:
-        """Every stored vector, float32-exact, as a read-only view: row i
-        is ``keys[i]``."""
-        view = self._wide[:self.size]
+        """Every stored float32 vector, as a read-only view: row i is
+        ``keys[i]``."""
+        view = self._rows[:self.size]
         view.flags.writeable = False
         return view
 
@@ -175,23 +193,109 @@ class CosineLshIndex:
         """The cosines of a stack of vectors, one per row, with every stored
         vector: row j of the result is ``vectors[j]``'s, in row order.
 
-        One ``cosines`` pass over the stored rows where they sit, each row
-        dotted with every vector of the stack while it is at hand, and the
-        norms kept at insert. Each pair is reduced on its own, so a score
-        equals the lookup's, and ``search.attribute_unionability``'s, bit
-        for bit, whatever else is in the stack. A zero-norm vector anywhere
-        in the stack raises NumericError.
+        One ``cosines`` pass over the stored rows, widened block by block
+        into one float64 buffer, each row dotted with every vector of the
+        stack while it is at hand, and the norms kept at insert. Each pair
+        is reduced on its own, so a score equals the lookup's, and
+        ``search.attribute_unionability``'s, bit for bit, whatever else is
+        in the stack. A zero-norm vector anywhere in the stack raises
+        NumericError.
         """
         return self._scores(self._prepare(vectors, ndim=2))
 
     def _scores(self, stack: np.ndarray) -> np.ndarray:
-        # One norm per vector, computed as insert computes a stored one.
+        norms = self._query_norms(stack)
+        n = self.size
+        out = np.empty((n, len(stack)))
+        step = max(1, _BLOCK_BYTES // (8 * self.dim))
+        buf = np.empty((min(step, n), self.dim))
+        for start in range(0, n, step):
+            block = buf[:min(step, n - start)]
+            stop = start + len(block)
+            block[...] = self._rows[start:stop]
+            out[start:stop] = cosines(block[:, None, :],
+                                      self._norms[start:stop, None], stack,
+                                      norms)
+        return out.T
+
+    @staticmethod
+    def _query_norms(stack: np.ndarray) -> np.ndarray:
+        """One norm per vector, computed as insert computes a stored one."""
         norms = np.array([np.linalg.norm(v) for v in stack])
         if (norms == 0.0).any():
             raise NumericError("zero-norm query vector")
+        return norms
+
+    def row_scores(self, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The cosines of vector with the given stored rows, in the order
+        given, each equal to its ``scores`` entry bit for bit. A zero-norm
+        vector raises NumericError."""
+        return self._row_scores(self._prepare(vector), rows)
+
+    def _row_scores(self, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        (norm,) = self._query_norms(v[None])
+        rows = np.asarray(rows, dtype=np.int64)
         n = self.size
-        return cosines(self._wide[:n, None, :], self._norms[:n, None], stack,
-                       norms).T
+        return cosines(self._rows[:n][rows].astype(np.float64),
+                       self._norms[:n][rows], v, norm)
+
+    def prefilter(self, vectors: np.ndarray, threshold: float
+                  ) -> list[np.ndarray]:
+        """Per vector of a stack, the stored rows, ascending, whose exact
+        cosine with it can reach threshold: a superset of
+        ``np.flatnonzero(scores(vectors)[j] >= threshold)`` for vector j.
+
+        One float32 product ``rows @ stack.T`` decides it. A row is kept
+        unless its float32 dot is below (t - margin) * |r| |q|, with t the
+        threshold clamped to [-1, 1], the float64 norms of ``scores``, and
+        margin twice gamma_d (``_dot_margin``); so NaN and infinite dots are
+        kept. Why no row at t is lost:
+
+        * Both passes read the same float32 values exactly. Let D be the
+          real dot product r.q and P = |r| |q|.
+        * Any float32 summation order gives |dot - D| <= gamma_d * P
+          (Higham, section 3.1, with Cauchy-Schwarz), while no product or
+          sum leaves the float32 range.
+        * The float64 pass rounds its dot, its norms, their product and
+          their quotient: its cosine reaches t only if D >= (t - e) P, with
+          e under d * 2**-52, far below gamma_d. Its clamp adds nothing for
+          t in (-1, 1], and at t = -1 every row stays, each dot being at
+          least -(1 + gamma_d) P.
+        * So such a row has dot >= (t - gamma_d - e) P, and the second
+          gamma_d covers e and the rounding of the limit.
+        * Range. Each vector is scaled by a power of two to a norm in
+          [1/2, 1), which moves no bit but those of entries that underflow,
+          each by under 2**-149. A row whose norm lies in ``_NORM_RANGE``
+          then keeps every partial sum below 2**101, far from overflow,
+          and underflowing products add under d * 2**-149, below 2**-24 of
+          gamma_d * P. Rows outside that range are always kept, as is
+          every row for a vector with a non-finite entry (its cosines are
+          NaN).
+
+        A zero-norm vector anywhere in the stack raises NumericError.
+        """
+        return self._prefilter(self._prepare(vectors, ndim=2), threshold)
+
+    def _prefilter(self, stack: np.ndarray, threshold: float
+                   ) -> list[np.ndarray]:
+        norms = self._query_norms(stack)
+        finite = np.isfinite(norms)
+        _, exps = np.frexp(norms)
+        scaled = np.ldexp(stack.astype(np.float32), -exps[:, None])
+        n = self.size
+        row_norms = self._norms[:n]
+        dots = self._rows[:n] @ scaled.T
+        t = np.clip(threshold, -1.0, 1.0)
+        row_limits = (t - self._margin) * row_norms
+        lo, hi = _NORM_RANGE
+        row_limits[(row_norms < lo) | (row_norms > hi)] = -np.inf
+        # One vector's limits per row of the result, so each product runs
+        # along the stored rows.
+        limits = np.ldexp(np.where(finite, norms, 1.0), -exps)[:, None] \
+            * row_limits
+        keep = ~(dots.T < limits)
+        keep[~finite] = True
+        return [np.flatnonzero(vector_rows) for vector_rows in keep]
 
     def collisions(self, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The stored rows, of those given, that share a band with vector,
@@ -229,14 +333,14 @@ class CosineLshIndex:
         if norm == 0.0:
             raise NumericError(f"zero-norm vector for key {key}")
         row = len(self.keys)
-        if row == len(self._wide):
+        if row == len(self._rows):
             grown = max(64, 2 * row)
-            self._wide = np.resize(self._wide, (grown, self.dim))
+            self._rows = np.resize(self._rows, (grown, self.dim))
             self._norms = np.resize(self._norms, grown)
             self._packed = np.resize(self._packed,
                                      (grown, self._packed.shape[1]))
-        # v holds the float32 values widened exactly.
-        self._wide[row] = v
+        # v holds float32 values, so storing them narrows nothing.
+        self._rows[row] = v
         self._norms[row] = norm
         self._packed[row] = self._band_keys(self._bits(v)).ravel()
         self.rows[key] = row
@@ -246,15 +350,18 @@ class CosineLshIndex:
                ) -> list[tuple[ColumnKey, float]]:
         """Colliding rows at or above threshold; sorted by (-cosine, key).
 
-        The vector is prepared once and scored as a stack of one; only the
-        rows at or above threshold are tested for a shared band, and only
-        the rows that pass are turned into keys.
+        The vector is prepared once. ``prefilter`` picks the rows that can
+        reach threshold, only those are scored exactly, only the rows at or
+        above threshold are tested for a shared band, and only the rows
+        that pass are turned into keys.
         """
         v = self._prepare(vector)
-        scores = self._scores(v[None])[0]
-        rows = self._collisions(v, np.flatnonzero(scores >= threshold))
+        (near,) = self._prefilter(v[None], threshold)
+        scores = self._row_scores(v, near)
+        rows = self._collisions(v, near[scores >= threshold])
+        scores = scores[np.searchsorted(near, rows)]
         hits = [(self.keys[r], s)
-                for r, s in zip(rows.tolist(), scores[rows].tolist())]
+                for r, s in zip(rows.tolist(), scores.tolist())]
         hits.sort(key=lambda kv: (-kv[1], kv[0]))
         return hits
 

@@ -122,6 +122,14 @@ def init_head(in_dim: int, hidden_dim: int, out_dim: int, seed: int = 0) -> Proj
                           init_seed=seed)
 
 
+def widened(head: ProjectionHead) -> ProjectionHead:
+    """The head with float64 copies of its tensors, for a caller that
+    projects many vectors: ``project`` then widens nothing, and gives the
+    same bits as with the head itself."""
+    return ProjectionHead(*(t.astype(np.float64) for t in head.tensors()),
+                          init_seed=head.init_seed)
+
+
 def _check_input(head: ProjectionHead, e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
     in_dim = head.dims[0]
@@ -133,7 +141,7 @@ def _check_input(head: ProjectionHead, e: np.ndarray) -> np.ndarray:
 def project(head: ProjectionHead, e: np.ndarray) -> np.ndarray:
     """Forward pass; accepts a single vector (in,) or a batch (n, in)."""
     e = _check_input(head, e)
-    W1, b1, W2, b2 = (t.astype(np.float64) for t in head.tensors())
+    W1, b1, W2, b2 = (t.astype(np.float64, copy=False) for t in head.tensors())
     z1 = e @ W1.T + b1
     a1 = np.maximum(z1, 0.0)
     return a1 @ W2.T + b2

@@ -10,18 +10,21 @@ matched pair scores, each weight the inclusive empirical CDF position of
 the pair's score among that query column's surviving scores — so a pair
 that stands out against its column's alternatives counts for more.
 
-Candidate generation never affects score precision. Each measure gives
-its parts once, as one array over every row (row i of every engine index
-is ``keys[i]``): the cosine index's ``scores`` the semantic parts, for all
-of a query table's columns in one pass over the stored rows, and each
-enabled set measure's postings every row's exact Jaccard, per query
-column, whose sets are built for those measures only. A mask picks a
-column's pair rows: all of them in exhaustive mode; when banded, the rows
-that reach the threshold on the semantic part and share a cosine band
-(only those rows are tested for a band), or reach it on name or value. A
-key is looked up only for a pair that survives. A pair's score is
-``sum(parts) / len(parts)`` over its measures in ``ordered_measures``
-order, the same float that ``attribute_unionability`` and the
+Candidate generation never affects score precision. Each set measure
+gives its parts as one array over every row (row i of every engine index
+is ``keys[i]``): each enabled set measure's postings every row's exact
+Jaccard, per query column, whose sets are built for those measures only.
+The semantic parts are exact cosines from the cosine index. In exhaustive
+mode ``scores`` gives them for every row, for all of a query table's
+columns in one pass, and every row is a pair row. When banded, one float32
+``prefilter`` pass per query table finds, per column, a superset of the
+rows whose cosine can reach the threshold; ``row_scores`` scores only
+those and the rows that reach it on name or value, and the pair rows are
+those that reach the threshold on the semantic part and share a cosine
+band (only those rows are tested for a band), or reach it on name or
+value. A key is looked up only for a pair that survives. A pair's score is
+its parts summed left to right from 0.0, in ``ordered_measures`` order,
+over their count: the same float that ``attribute_unionability`` and the
 ``SYNTACTIC_FUNCS`` entries give pair by pair.
 """
 
@@ -39,7 +42,7 @@ from .corpus import Column, ColumnKey, Corpus, Table
 from .encoder import Encoder
 from .errors import ConfigError, InputError, NumericError
 from .lshindex import CosineLshIndex, cosines
-from .projection import ProjectionHead, project
+from .projection import ProjectionHead, project, widened
 from .seeding import check_seed, derive_seed
 from . import syntactic
 from .syntactic import (ALL_MEASURES, FORMAT, SEMANTIC, SET_MEASURES,
@@ -111,6 +114,16 @@ def attribute_unionability(a: np.ndarray, b: np.ndarray) -> float:
     return float(cosines(av, na, bv, nb))
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0. Builtin ``sum`` compensates
+    its rounding from Python 3.12 on, so it gives other bits on other
+    versions; this gives the same bits on every one."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def match_attributes(pair_scores: dict[tuple[int, int], float]
                      ) -> list[tuple[int, int, float]]:
     """Greedy one-to-one matching, best surviving pair first.
@@ -132,10 +145,10 @@ def match_attributes(pair_scores: dict[tuple[int, int], float]
 
 def table_unionability(matches: list[AttributeMatch]) -> float:
     """Weighted mean of matched pair scores; zero total weight scores 0."""
-    total_w = sum(m.weight for m in matches)
+    total_w = left_sum(m.weight for m in matches)
     if total_w == 0.0:
         return 0.0
-    return sum(m.weight * m.score for m in matches) / total_w
+    return left_sum(m.weight * m.score for m in matches) / total_w
 
 
 class SearchEngine:
@@ -159,6 +172,7 @@ class SearchEngine:
                  postings: dict[str, syntactic.SetPostings]):
         self.encoder = encoder
         self.head = head
+        self._wide_head = widened(head)
         self.index_config = index_config
         self.tfidf = tfidf
         self.semantic_index = CosineLshIndex(
@@ -172,7 +186,7 @@ class SearchEngine:
     def project_column(self, column: Column) -> np.ndarray:
         """Projected embedding, quantized to float32 like every stored vector."""
         base = self.encoder.embed_column(column.values)
-        return project(self.head, base).astype(np.float32)
+        return project(self._wide_head, base).astype(np.float32)
 
     def query_profile(self, column: Column, measures: Sequence[str]) -> TokenSets:
         """The query column's token sets of just the named set measures."""
@@ -194,9 +208,10 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
     postings = {m: syntactic.SetPostings.from_sets(sets.pop(m))
                 for m in SET_MEASURES}
     # One column at a time: a batched projection would change the bits.
+    wide = widened(head)
     return SearchEngine(
         encoder, head, cfg, tfidf, [c.column_key for c in columns],
-        (project(head, encoder.embed_column(c.values)).astype(np.float32)
+        (project(wide, encoder.embed_column(c.values)).astype(np.float32)
          for c in columns), postings)
 
 
@@ -205,32 +220,43 @@ def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
                         ) -> dict[ColumnKey, tuple[float, float]]:
     """One query column's surviving candidates: key -> (score, weight).
 
-    qvec is the column's projected vector, and semantic its row of the
-    cosine index's ``scores``.
+    qvec is the column's projected vector. In exhaustive mode semantic is
+    its row of the cosine index's ``scores``; banded, it is the rows the
+    index's ``prefilter`` kept for it.
     """
     qsets = engine.query_profile(column, cfg.ordered_measures()[1:])
     t = cfg.threshold
     index = engine.semantic_index
-    # Semantic is always first in ordered_measures.
-    measure_scores = [semantic]
-    # The oracle pool is every indexed column, so it also scores pairs no
-    # generating measure would have surfaced on its own.
-    if cfg.exhaustive:
-        mask = np.full(index.size, True)
-    else:
-        mask = np.full(index.size, False)
-        mask[index.collisions(qvec, np.flatnonzero(semantic >= t))] = True
+    gathered = np.full(index.size, False)
+    set_scores = []
     for measure, tokens in qsets.items():
         counts, scores = engine.postings[measure].match(tokens)
         # Name and value also gather rows; format only scores.
         if not cfg.exhaustive and measure != FORMAT:
-            mask |= (counts > 0) & (scores >= t)
-        measure_scores.append(scores)
-    rows = np.flatnonzero(mask)
+            gathered |= (counts > 0) & (scores >= t)
+        set_scores.append(scores)
+    if cfg.exhaustive:
+        # The oracle pool is every indexed column, so it also scores pairs
+        # no generating measure would have surfaced on its own.
+        rows = np.arange(index.size)
+    else:
+        rows = np.union1d(semantic, np.flatnonzero(gathered))
+        semantic = index.row_scores(qvec, rows)
+        keep = gathered[rows]
+        hits = index.collisions(qvec, rows[semantic >= t])
+        keep[np.searchsorted(rows, hits)] = True
+        rows, semantic = rows[keep], semantic[keep]
     pair_scores: dict[ColumnKey, float] = {}
-    for row, *parts in zip(rows.tolist(),
-                           *(s[rows].tolist() for s in measure_scores)):
-        score = sum(parts) / len(parts)
+    n_parts = 1 + len(set_scores)
+    # Semantic is always first in ordered_measures. Each pair's parts are
+    # added as ``left_sum`` adds them, written out: a call per pair would
+    # cost the exhaustive pair loop about a fifth of its time.
+    for row, *parts in zip(rows.tolist(), semantic.tolist(),
+                           *(s[rows].tolist() for s in set_scores)):
+        score = 0.0
+        for part in parts:
+            score += part
+        score /= n_parts
         if score >= t:
             pair_scores[engine.keys[row]] = score
     # A pair's weight is the inclusive empirical CDF position of its score
@@ -251,7 +277,9 @@ def top_k_search(engine: SearchEngine, query_table: Table,
         raise InputError(
             f"query table {query_table.table_id!r} has no encodable columns")
     qvecs = np.stack([engine.project_column(c) for c in eligible])
-    semantic = engine.semantic_index.scores(qvecs)
+    index = engine.semantic_index
+    semantic = (index.scores(qvecs) if cfg.exhaustive
+                else index.prefilter(qvecs, cfg.threshold))
     by_table: dict[str, dict[tuple[int, int], tuple[float, float]]] = {}
     for column, qvec, column_semantic in zip(eligible, qvecs, semantic):
         for (table_id, cpos), score_weight in _query_column_pairs(

@@ -14,10 +14,11 @@ average any subset of them with the semantic measure, scoring each with
 A lake repeats its cells (1.3% of the benchmark lake's cells are
 distinct), so per-cell work is memoized and done once per distinct string:
 a cell's tokens, read by ``build_tfidf`` and ``value_terms``, and its
-``format_pattern``. The idf factor of ``TfidfModel.score`` is memoized by
-(columns, document frequency). Each memo is a ``functools.lru_cache`` of
-``MEMO_CAP`` entries over a pure function, so it returns exactly what a
-fresh call computes, and no result changes.
+``format_pattern``. A ``TfidfModel`` maps each token to its idf once, on
+first use, from ``_idf``, which is memoized by (columns, document
+frequency). Each memo is a ``functools.lru_cache`` of ``MEMO_CAP`` entries
+over a pure function, so it returns exactly what a fresh call computes,
+and no result changes.
 """
 
 from __future__ import annotations
@@ -116,14 +117,18 @@ def name_qgrams(name: str, q: int = DEFAULT_QGRAM) -> frozenset[str]:
 
 @dataclass
 class TfidfModel:
-    """Corpus-level document frequencies, one document per column."""
+    """Corpus-level document frequencies, one document per column.
+
+    ``df`` is not to change once ``idf`` has been read.
+    """
 
     df: dict[str, int]
     n_columns: int
 
-    def score(self, token: str, tf: int) -> float:
-        # Tokens never seen at build time count as maximally rare.
-        return tf * _idf(self.n_columns, self.df.get(token, 1))
+    @functools.cached_property
+    def idf(self) -> dict[str, float]:
+        """Each token's idf, built on first read."""
+        return {tok: _idf(self.n_columns, df) for tok, df in self.df.items()}
 
 
 @functools.lru_cache(maxsize=MEMO_CAP)
@@ -155,7 +160,10 @@ def value_terms(column: Column, tfidf: TfidfModel,
     tf = Counter(_column_tokens(column))
     if not tf:
         return frozenset()
-    ranked = sorted(tf, key=lambda tok: (-tfidf.score(tok, tf[tok]), tok))
+    idf = tfidf.idf
+    # Tokens never seen at build time count as maximally rare.
+    rare = _idf(tfidf.n_columns, 1)
+    ranked = sorted(tf, key=lambda tok: (-(tf[tok] * idf.get(tok, rare)), tok))
     return frozenset(ranked[:top_t])
 
 

@@ -442,7 +442,8 @@ def test_collisions_are_the_band_key_rows(n_bands, rows_per_band):
     assert found[0.7] > 0 and found[0.0] > found[0.7]
 
 
-@pytest.mark.parametrize("call", ["insert", "lookup", "scores", "collisions"])
+@pytest.mark.parametrize("call", ["insert", "lookup", "scores", "collisions",
+                                  "prefilter", "row_scores"])
 def test_each_call_prepares_its_vector_once(monkeypatch, call):
     idx = CosineLshIndex(dim=6, seed=1)
     idx.insert(("t", 0), np.arange(1.0, 7.0))
@@ -461,6 +462,10 @@ def test_each_call_prepares_its_vector_once(monkeypatch, call):
         idx.lookup(v, threshold=0.0)
     elif call == "scores":
         idx.scores(np.stack([v, v + 1.0]))
+    elif call == "prefilter":
+        idx.prefilter(np.stack([v, v + 1.0]), 0.5)
+    elif call == "row_scores":
+        idx.row_scores(v, np.arange(idx.size))
     else:
         idx.collisions(v, np.arange(idx.size))
     assert len(calls) == 1
@@ -475,13 +480,14 @@ def test_capacity_only_sizes_the_allocation(capacity):
     vectors = rng.standard_normal((70, 6))
     plain = CosineLshIndex(dim=6, seed=3)
     sized = CosineLshIndex(dim=6, seed=3, capacity=capacity)
-    assert len(sized._wide) == len(sized._norms) == len(sized._packed) \
+    assert len(sized._rows) == len(sized._norms) == len(sized._packed) \
         == capacity
+    assert sized._rows.dtype == np.float32
     for i, v in enumerate(vectors):
         plain.insert(("t", i), v)
         sized.insert(("t", i), v)
         if i < capacity:   # no insert within the capacity reallocates
-            assert len(sized._wide) == capacity
+            assert len(sized._rows) == capacity
     assert sized.keys == plain.keys and sized.buckets == plain.buckets
     np.testing.assert_array_equal(sized.vectors, plain.vectors)
     q = rng.standard_normal((3, 6))

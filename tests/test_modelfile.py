@@ -278,7 +278,7 @@ def test_engines_allocate_their_rows_once(tmp_path, world, monkeypatch):
     assert grown == []
     for eng in (built, loaded):
         index = eng.semantic_index
-        assert len(index._wide) == len(index._norms) == len(index._packed) \
+        assert len(index._rows) == len(index._norms) == len(index._packed) \
             == index.size == len(engine.keys)
 
 

@@ -140,7 +140,7 @@ def test_lookup_leaves_query_and_index_alone(engine):
 
 def _index_arrays(index):
     n = index.size
-    return [a[:n].copy() for a in (index._wide, index._norms, index._packed)]
+    return [a[:n].copy() for a in (index._rows, index._norms, index._packed)]
 
 
 def test_scoring_a_stack_leaves_vectors_and_index_alone(engine):
@@ -151,13 +151,22 @@ def test_scoring_a_stack_leaves_vectors_and_index_alone(engine):
     arrays = _index_arrays(index)
     state = _engine_state(engine)
     scores = index.scores(stack)
-    scores_before = scores.copy()
-    scores[:] = 2.0   # the caller's to change
+    near = index.prefilter(stack, 0.0)
+    rows = np.arange(index.size)
+    some = index.row_scores(stack[0], rows)
+    outputs_before = [a.copy() for a in (scores, *near, some)]
+    # The caller's to change.
+    for out in (scores, *near, some, rows):
+        out[:] = 0
     np.testing.assert_array_equal(stack, stack_before)
     for now, before in zip(_index_arrays(index), arrays):
         np.testing.assert_array_equal(now, before)
     _assert_engine_unchanged(engine, state)
-    np.testing.assert_array_equal(index.scores(stack), scores_before)
+    again = [index.scores(stack), *index.prefilter(stack, 0.0),
+             index.row_scores(stack[0], np.arange(index.size))]
+    assert len(again) == len(outputs_before)
+    for now, before in zip(again, outputs_before):
+        np.testing.assert_array_equal(now, before)
 
 
 def test_writing_into_buckets_leaves_the_index_alone(engine):

@@ -1,0 +1,225 @@
+"""Seeded soundness fuzz of the cosine index's float32 prefilter.
+
+``CosineLshIndex.prefilter`` must keep, per query vector, every stored row
+whose exact cosine (``scores``) reaches the threshold; banded search scores
+only the rows it keeps. Rows are planted within 1e-12 of the threshold at
+norms from 1e-30 to 1e30, past them on both sides, and in dimensions where
+the float32 error bound differs by orders of magnitude.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from unionsearch.bench import BenchmarkSpec, generate_benchmark
+from unionsearch.encoder import Encoder, EncoderConfig
+from unionsearch.lshindex import CosineLshIndex, cosines
+from unionsearch.projection import init_head
+from unionsearch.search import (IndexConfig, SearchConfig, SearchEngine,
+                                _query_column_pairs, build_engine)
+from unionsearch.syntactic import ALL_MEASURES, FORMAT, SEMANTIC
+
+THRESHOLDS = (0.0, 0.7, 1.0)
+NEAR = 1e-12
+
+
+def _query(rng, dim: int) -> np.ndarray:
+    """A float32 query whose first entry is about 1e-3 of its norm: the
+    entry ``_plant`` tunes rows against."""
+    q = rng.standard_normal(dim)
+    q[0] = 1e-3 * np.linalg.norm(q[1:])
+    return q.astype(np.float32)
+
+
+def _exact(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Each float32 row's cosine with q, computed as ``scores`` computes it."""
+    wide = rows.astype(np.float64)
+    norms = np.array([np.linalg.norm(r) for r in wide])
+    qv = q.astype(np.float64)
+    return cosines(wide, norms, qv, np.linalg.norm(qv))
+
+
+def _plant(rng, q: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Float32 rows of norm about 1 whose exact cosine with q is each
+    target's, to within about 1e-13.
+
+    A row is target * q/|q| plus a random direction orthogonal to q and to
+    the first axis, rounded to float32; then its first entry, where it and
+    the query are both small, is bisected until the exact cosine meets the
+    target. A target near 1 starts from q's direction alone, and its first
+    entry moves past q's.
+    """
+    dim = len(q)
+    qhat = q.astype(np.float64) / np.linalg.norm(q.astype(np.float64))
+    near_one = targets > 1.0 - 1e-6
+    rows = np.empty((len(targets), dim), dtype=np.float32)
+    for i, target in enumerate(targets):
+        u = rng.standard_normal(dim)
+        u[0] = 0.0
+        u -= (u @ qhat) * qhat
+        u[0] = 0.0
+        u -= (u @ qhat) * qhat
+        u /= np.linalg.norm(u)
+        side = 0.0 if near_one[i] else np.sqrt(1.0 - target ** 2)
+        rows[i] = target * qhat + side * u
+    lo = targets * qhat[0]
+    hi = lo + 5e-4
+    lo = np.where(near_one, lo, lo - 5e-4)
+
+    def miss(x):
+        rows[:, 0] = x
+        return _exact(rows, q) - targets
+
+    # The cosine rises with the first entry below q's direction and falls
+    # past it; either way the bracket's ends miss the target on opposite
+    # sides.
+    m_lo = miss(lo)
+    assert (np.sign(m_lo) != np.sign(miss(hi))).all()
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        m_mid = miss(mid)
+        low_side = np.sign(m_mid) == np.sign(m_lo)
+        lo, hi = np.where(low_side, mid, lo), np.where(low_side, hi, mid)
+        m_lo = np.where(low_side, m_mid, m_lo)
+    best = np.where(np.abs(miss(lo)) <= np.abs(miss(hi)), lo, hi)
+    rows[:, 0] = best
+    return rows
+
+
+def _targets(rng, t: float, n: int) -> np.ndarray:
+    """n cosines within NEAR of t, on both sides of it. At 1 they lie
+    below it, and at least 1e-13 below, which a float32 row rounded from
+    q's direction can still reach."""
+    if t == 1.0:
+        return t - rng.uniform(NEAR / 10, NEAR, n)
+    return t + rng.uniform(-NEAR, NEAR, n)
+
+
+def _lake_rows(rng, q: np.ndarray, t: float, n: int) -> np.ndarray:
+    """n float32 rows: most planted within NEAR of t against q, some
+    exact power-of-two multiples of q, the rest random; each scaled by a
+    power of two to a norm between about 1e-30 and 1e30, and a few far
+    past that range on either side, down to float32 subnormals."""
+    n_near = n // 2
+    rows = np.concatenate([
+        _plant(rng, q, _targets(rng, t, n_near)),
+        np.ldexp(q, -int(np.frexp(np.linalg.norm(q))[1]))[None].repeat(4, 0),
+        rng.standard_normal((n - n_near - 4, len(q))).astype(np.float32)])
+    exps = rng.integers(-99, 100, n)
+    exps[rng.choice(n, 8, replace=False)] = [-140, -136, -132, -124, 104, 112,
+                                              116, 120]
+    scaled = np.ldexp(rows, exps[:, None].astype(np.int32))
+    assert np.isfinite(scaled).all()
+    return scaled[rng.permutation(n)]
+
+
+@pytest.mark.parametrize("dim", [8, 128, 2048])
+@pytest.mark.parametrize("t", THRESHOLDS)
+def test_prefilter_keeps_every_row_that_reaches_t(dim, t):
+    rng = np.random.default_rng([dim, int(10 * t)])
+    q = _query(rng, dim)
+    idx = CosineLshIndex(dim=dim, seed=dim)
+    for i, row in enumerate(_lake_rows(rng, q, t, 96)):
+        idx.insert(("t", i), row)
+    norms = np.linalg.norm(idx.vectors.astype(np.float64), axis=1)
+    assert norms.min() < 1e-30 and norms.max() > 1e30
+    # The query alone, scaled far up and down, and stacked with others.
+    stacks = [q[None], np.ldexp(q, 60)[None], np.ldexp(q, -60)[None],
+              np.stack([rng.standard_normal(dim).astype(np.float32), q,
+                        -q, np.ldexp(q, 90)])]
+    near = reached = 0
+    for stack in stacks:
+        scores = idx.scores(stack)
+        kept = idx.prefilter(stack, t)
+        assert len(kept) == len(stack)
+        for row_scores, rows in zip(scores, kept):
+            at = np.flatnonzero(row_scores >= t)
+            assert set(at.tolist()) <= set(rows.tolist())
+            assert rows.tolist() == sorted(set(rows.tolist()))
+            near += int((np.abs(row_scores - t) <= NEAR).sum())
+            reached += len(at)
+    # The plant worked: of the 48 rows planted against each of the five
+    # copies of q, most sit at the threshold. Some rows reach it, except
+    # perhaps at 1, where only a cosine rounded up to 1 does.
+    assert near >= 5 * 40
+    assert reached > 0 or t == 1.0
+
+
+@pytest.mark.parametrize("dim", [8, 2048])
+def test_prefilter_keeps_all_for_a_non_finite_query(dim):
+    rng = np.random.default_rng(dim)
+    idx = CosineLshIndex(dim=dim, seed=1)
+    for i in range(20):
+        idx.insert(("t", i), rng.standard_normal(dim))
+    q = rng.standard_normal((3, dim))
+    q[1, 2] = np.inf
+    q[2, 0] = np.nan
+    kept = idx.prefilter(q, 0.7)
+    assert [r.tolist() for r in kept[1:]] == [list(range(20))] * 2
+    with np.errstate(invalid="ignore"):
+        assert not (idx.scores(q)[1:] >= 0.7).any()
+
+
+def _dense_pairs(engine, cfg, column, qvec):
+    """One column's banded pairs found as before the prefilter: every row's
+    semantic part from ``scores``, the rows at t tested for a band, and
+    each pair's parts folded left from 0.0."""
+    index = engine.semantic_index
+    (semantic,) = index.scores(qvec[None])
+    t = cfg.threshold
+    mask = np.full(index.size, False)
+    mask[index.collisions(qvec, np.flatnonzero(semantic >= t))] = True
+    measure_scores = [semantic]
+    for measure, tokens in engine.query_profile(
+            column, cfg.ordered_measures()[1:]).items():
+        counts, scores = engine.postings[measure].match(tokens)
+        if measure != FORMAT:
+            mask |= (counts > 0) & (scores >= t)
+        measure_scores.append(scores)
+    pair_scores = {}
+    for row in np.flatnonzero(mask).tolist():
+        total = 0.0
+        for scores in measure_scores:
+            total += float(scores[row])
+        score = total / len(measure_scores)
+        if score >= t:
+            pair_scores[engine.keys[row]] = score
+    ranked = sorted(pair_scores.values())
+    return {key: (score, sum(s <= score for s in ranked) / len(ranked))
+            for key, score in pair_scores.items()}
+
+
+@pytest.mark.parametrize("t", THRESHOLDS)
+def test_banded_pairs_are_the_dense_reference(t):
+    """On a lake whose stored vectors are planted at t, banded pairs from
+    the prefilter's rows are the pairs of the dense semantic row, bit for
+    bit, under every measure set."""
+    rng = np.random.default_rng(int(10 * t))
+    corpus, _ = generate_benchmark(BenchmarkSpec(
+        n_bases=5, derivations_per_base=4, n_topics=2, base_columns=(3, 5),
+        base_rows=15, seed=4))
+    dim = 16
+    built = build_engine(corpus, Encoder(EncoderConfig(dim=24, hash_seed=4)),
+                         init_head(24, 24, dim, seed=4), IndexConfig(seed=4))
+    q = _query(rng, dim)
+    engine = SearchEngine(built.encoder, built.head, built.index_config,
+                          built.tfidf, built.keys,
+                          _lake_rows(rng, q, t, len(built.keys)),
+                          built.postings)
+    columns = [c for table in corpus.tables[::4] for c in table.columns
+               if c.is_encodable()]
+    vectors = [q, -q, *(engine.project_column(c) for c in columns[:3])]
+    measure_sets = [(SEMANTIC, *extra) for r in range(len(ALL_MEASURES))
+                    for extra in itertools.combinations(ALL_MEASURES[1:], r)]
+    pairs = 0
+    for measures in measure_sets:
+        cfg = SearchConfig(threshold=t, measures=measures)
+        for column in columns:
+            for qvec in vectors:
+                (rows,) = engine.semantic_index.prefilter(qvec[None], t)
+                got = _query_column_pairs(engine, cfg, column, qvec, rows)
+                want = _dense_pairs(engine, cfg, column, qvec)
+                assert list(got.items()) == list(want.items())
+                pairs += len(got)
+    assert pairs > 0

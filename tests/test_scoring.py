@@ -63,10 +63,13 @@ def _reference(engine, profiles, cfg, column, key) -> float:
 
 
 def _pairs(engine, cfg, column):
-    """One column's pairs, its semantic row scored as a stack of one."""
+    """One column's pairs, its semantic part found as for a stack of one:
+    every row's score in exhaustive mode, the prefilter's rows if banded."""
     qvec = engine.project_column(column)
-    return _query_column_pairs(engine, cfg, column, qvec,
-                               engine.semantic_index.scores(qvec[None])[0])
+    index = engine.semantic_index
+    semantic = (index.scores(qvec[None]) if cfg.exhaustive
+                else index.prefilter(qvec[None], cfg.threshold))
+    return _query_column_pairs(engine, cfg, column, qvec, semantic[0])
 
 
 def _query_columns(corpus):
@@ -126,9 +129,10 @@ def test_match_scores_are_the_reference_scores(lake, profiles, measures,
 
 def test_search_scores_on_its_one_path(lake, monkeypatch):
     """The pair-by-pair references and the key-level lookup are never
-    called: one ``scores`` call per query table, over all its columns, and
-    the set postings are the only scoring source, and only the banded mode
-    tests collisions, once per query column."""
+    called. Banded, one ``prefilter`` call per query table, over all its
+    columns, and one exact ``row_scores`` and one ``collisions`` call per
+    query column; exhaustive, one full ``scores`` call per query table. The
+    set postings are the only other scoring source."""
     corpus, engine = lake
     configs = [SearchConfig(k=50, threshold=THRESHOLD, measures=measures,
                             exhaustive=exhaustive)
@@ -155,13 +159,16 @@ def test_search_scores_on_its_one_path(lake, monkeypatch):
             return method(index, *args)
         return call
 
-    for name in ("scores", "collisions"):
+    for name in ("scores", "prefilter", "row_scores", "collisions"):
         monkeypatch.setattr(CosineLshIndex, name, counted(name))
     for cfg, results in zip(configs, want):
         calls.clear()
         assert [top_k_search(engine, t, cfg) for t in tables] == results
-        assert calls == Counter(scores=len(tables),
-                                collisions=0 if cfg.exhaustive else columns)
+        if cfg.exhaustive:
+            assert calls == Counter(scores=len(tables))
+        else:
+            assert calls == Counter(prefilter=len(tables), row_scores=columns,
+                                    collisions=columns)
     assert any(r.ranked for results in want for r in results)
 
 

@@ -15,6 +15,7 @@ from unionsearch.search import (
     SearchEngine,
     attribute_unionability,
     build_engine,
+    left_sum,
     match_attributes,
     table_unionability,
     top_k_search,
@@ -93,6 +94,20 @@ def test_table_unionability_bounded_by_match_scores():
               for i in range(int(rng.integers(1, 6)))]
         u = table_unionability(ms)
         assert min(m.score for m in ms) - 1e-12 <= u <= max(m.score for m in ms) + 1e-12
+
+
+def test_sums_fold_left_from_zero_on_every_python():
+    # Builtin sum gives 1.0 here from Python 3.12 on, and
+    # 0.9999999999999999 before; scores must not depend on the version.
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum(iter([0.1] * 10)) == 0.9999999999999999
+    assert left_sum([]) == 0.0
+    assert left_sum([0.5, 0.25]) == 0.75
+    # Both of a table's sums fold the same way: ten weights of 0.1 add up
+    # to 0.9999999999999999, not 1.0.
+    ms = [_m(i, i, 0.3, 0.1) for i in range(10)]
+    assert table_unionability(ms) == \
+        left_sum([0.1 * 0.3] * 10) / 0.9999999999999999
 
 
 # ---------------------------------------------------------------- config
@@ -244,11 +259,15 @@ def _bench_engine(seed: int):
 
 @pytest.mark.parametrize("exhaustive", [False, True])
 def test_zero_norm_query_vector_raises(exhaustive):
-    engine, corpus, _ = _bench_engine(0)
-    head = engine.head
+    built, corpus, _ = _bench_engine(0)
+    head = built.head
     # A head whose last layer is zero projects every query column to zeros.
-    engine.head = ProjectionHead(head.W1, head.b1, np.zeros_like(head.W2),
-                                 np.zeros_like(head.b2))
+    engine = SearchEngine(built.encoder,
+                          ProjectionHead(head.W1, head.b1,
+                                         np.zeros_like(head.W2),
+                                         np.zeros_like(head.b2)),
+                          built.index_config, built.tfidf, built.keys,
+                          built.semantic_index.vectors, built.postings)
     cfg = SearchConfig(measures=(SEMANTIC, NAME, VALUE), exhaustive=exhaustive)
     with pytest.raises(NumericError, match="zero-norm"):
         top_k_search(engine, corpus.tables[0], cfg)
