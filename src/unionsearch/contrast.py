@@ -115,12 +115,16 @@ def build_offline_pairs(corpus: Corpus, floor: float = 0.5) -> list[OfflinePair]
 
     best: dict[ColumnKey, tuple[float, ColumnKey]] = {}
     for row, key in enumerate(keys):
-        inter, scores = postings.match(terms[key])
-        inter[row] = scores[row] = 0       # no column matches itself
-        # The first maximum is the smallest key: ties go to it.
-        other = int(np.argmax(scores))
-        if inter[other] > 0 and scores[other] >= floor:
-            best[key] = (float(scores[other]), keys[other])
+        rows, scores = postings.match([terms[key]])
+        others = rows != row               # no column matches itself
+        if not others.any():
+            continue
+        rows, scores = rows[others], scores[others]
+        # Rows ascend, so the first maximum is the smallest key: ties go
+        # to it.
+        at = int(np.argmax(scores))
+        if scores[at] >= floor:
+            best[key] = (float(scores[at]), keys[int(rows[at])])
 
     seen: set[tuple[ColumnKey, ColumnKey]] = set()
     pairs: list[OfflinePair] = []

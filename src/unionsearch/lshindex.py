@@ -7,7 +7,7 @@ an exact rescoring, so the index can lose recall but never precision:
   of the P hyperplanes contributes one sign bit; bits are grouped into B
   bands of R rows, and two vectors collide when any band matches exactly.
   A single bit agrees with probability 1 - angle/pi. The search engine
-  scores its semantic parts with it and masks them with its collisions.
+  scores its semantic parts with it and masks them with its band test.
 * MinHashIndex: min-wise signatures for token sets under universal hashing
   h_i(x) = (a_i * x + b_i) mod p, banded the same way; a single slot
   matches with probability equal to the Jaccard similarity. It is a library
@@ -22,15 +22,16 @@ row; ``buckets`` is derived from those packed keys when it is read. Its
 hyperplanes are one float64 array, float32-rounded values widened exactly,
 that every signature multiplies by. ``scores`` gives a stack of vectors'
 cosines with every stored row in one ``cosines`` pass, widening the rows
-block by block into one float64 buffer, and ``row_scores`` one vector's
-with the rows it is given. ``prefilter`` finds, for a stack, the rows
-whose exact cosine can reach a threshold with one float32 product and a
-proven error margin, so a caller scores only those exactly.
-``collisions`` keeps those of the rows it is given that share a band with
-a vector, comparing only their packed keys; banding only masks: ``lookup``
-tests the rows at or above its threshold and names them by key. Each
-pair's dot product is reduced on its own, in float64, so a ``scores``
-entry, a ``row_scores`` entry, a lookup score and
+block by block into one float64 buffer. The other calls take a stack too
+and name a pair of its vector j and stored row by the id ``j * size +
+row``: ``prefilter`` finds, in one float32 product with a proven error
+margin, the ids whose exact cosine can reach a threshold; ``pair_scores``
+scores given ids exactly in one pass; ``band_hits`` keeps those of given
+ids whose vector shares a band with the row, comparing only their packed
+keys. Banding only masks: ``lookup`` is a stack of one through those three
+calls, testing only the rows at or above its threshold, and names them by
+key. Each pair's dot product is reduced on its own, in float64, so a
+``scores`` entry, a ``pair_scores`` entry, a lookup score and
 ``search.attribute_unionability`` of the same pair agree bit for bit,
 whatever the stack and the BLAS thread count. A min-hash
 index keeps no copy of its token sets: ``token_sets`` maps each key to the
@@ -226,24 +227,10 @@ class CosineLshIndex:
             raise NumericError("zero-norm query vector")
         return norms
 
-    def row_scores(self, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The cosines of vector with the given stored rows, in the order
-        given, each equal to its ``scores`` entry bit for bit. A zero-norm
-        vector raises NumericError."""
-        return self._row_scores(self._prepare(vector), rows)
-
-    def _row_scores(self, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        (norm,) = self._query_norms(v[None])
-        rows = np.asarray(rows, dtype=np.int64)
-        n = self.size
-        return cosines(self._rows[:n][rows].astype(np.float64),
-                       self._norms[:n][rows], v, norm)
-
-    def prefilter(self, vectors: np.ndarray, threshold: float
-                  ) -> list[np.ndarray]:
-        """Per vector of a stack, the stored rows, ascending, whose exact
-        cosine with it can reach threshold: a superset of
-        ``np.flatnonzero(scores(vectors)[j] >= threshold)`` for vector j.
+    def prefilter(self, vectors: np.ndarray, threshold: float) -> np.ndarray:
+        """The pairs of a stack's vectors and stored rows whose exact cosine
+        can reach threshold, as ascending ids ``j * size + row`` for vector
+        j: a superset of ``np.flatnonzero(scores(vectors) >= threshold)``.
 
         One float32 product ``rows @ stack.T`` decides it. A row is kept
         unless its float32 dot is below (t - margin) * |r| |q|, with t the
@@ -276,8 +263,7 @@ class CosineLshIndex:
         """
         return self._prefilter(self._prepare(vectors, ndim=2), threshold)
 
-    def _prefilter(self, stack: np.ndarray, threshold: float
-                   ) -> list[np.ndarray]:
+    def _prefilter(self, stack: np.ndarray, threshold: float) -> np.ndarray:
         norms = self._query_norms(stack)
         finite = np.isfinite(norms)
         _, exps = np.frexp(norms)
@@ -295,23 +281,39 @@ class CosineLshIndex:
             * row_limits
         keep = ~(dots.T < limits)
         keep[~finite] = True
-        return [np.flatnonzero(vector_rows) for vector_rows in keep]
+        return np.flatnonzero(keep)
 
-    def collisions(self, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The stored rows, of those given, that share a band with vector,
-        in the order given.
+    def pair_scores(self, vectors: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """The cosines of the pairs of a stack's vectors and stored rows
+        named by ids, as ``prefilter`` names them, in the order given; each
+        equals its ``scores`` entry bit for bit. A zero-norm vector
+        anywhere in the stack raises NumericError."""
+        return self._pair_scores(self._prepare(vectors, ndim=2), ids)
 
-        Only the given rows' packed keys are compared with vector's, so a
-        caller that passes the few rows at its threshold tests just those.
+    def _pair_scores(self, stack: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        norms = self._query_norms(stack)
+        which, rows = np.divmod(np.asarray(ids, dtype=np.int64), self.size)
+        return cosines(self._rows[rows].astype(np.float64), self._norms[rows],
+                       stack[which], norms[which])
+
+    def band_hits(self, vectors: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """The pairs, of those named by ids as ``prefilter`` names them,
+        whose vector shares a band with the stored row, in the order given.
+
+        Each vector's band keys come from its own signature. Only the named
+        rows' packed keys are compared, so a caller that passes the few
+        pairs at its threshold tests just those.
         """
-        return self._collisions(self._prepare(vector), rows)
+        return self._band_hits(self._prepare(vectors, ndim=2), ids)
 
-    def _collisions(self, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        query = self._band_keys(self._bits(v))
-        stored = self._packed[:self.size][rows].reshape(
-            len(rows), self.n_bands, self._band_width)
-        return rows[(stored == query).all(axis=2).any(axis=1)]
+    def _band_hits(self, stack: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        ids = np.asarray(ids, dtype=np.int64)
+        which, rows = np.divmod(ids, self.size)
+        shape = (self.n_bands, self._band_width)
+        query = np.array([self._band_keys(self._bits(v)) for v in stack],
+                         dtype=np.uint8).reshape(len(stack), *shape)
+        stored = self._packed[rows].reshape(len(rows), *shape)
+        return ids[(stored == query[which]).all(axis=2).any(axis=1)]
 
     def _band_keys(self, bits: np.ndarray) -> np.ndarray:
         """Each band's bits packed, row b being ``np.packbits(band b)``.
@@ -350,15 +352,16 @@ class CosineLshIndex:
                ) -> list[tuple[ColumnKey, float]]:
         """Colliding rows at or above threshold; sorted by (-cosine, key).
 
-        The vector is prepared once. ``prefilter`` picks the rows that can
-        reach threshold, only those are scored exactly, only the rows at or
-        above threshold are tested for a shared band, and only the rows
-        that pass are turned into keys.
+        The vector is prepared once and answered as a stack of one, whose
+        pair ids are its rows, by the calls search makes for a query table:
+        ``prefilter`` picks the rows that can reach threshold, only those
+        are scored exactly, only the rows at or above threshold are tested
+        for a shared band, and only the rows that pass are turned into keys.
         """
-        v = self._prepare(vector)
-        (near,) = self._prefilter(v[None], threshold)
-        scores = self._row_scores(v, near)
-        rows = self._collisions(v, near[scores >= threshold])
+        stack = self._prepare(vector)[None]
+        near = self._prefilter(stack, threshold)
+        scores = self._pair_scores(stack, near)
+        rows = self._band_hits(stack, near[scores >= threshold])
         scores = scores[np.searchsorted(near, rows)]
         hits = [(self.keys[r], s)
                 for r, s in zip(rows.tolist(), scores.tolist())]

@@ -10,22 +10,27 @@ matched pair scores, each weight the inclusive empirical CDF position of
 the pair's score among that query column's surviving scores — so a pair
 that stands out against its column's alternatives counts for more.
 
-Candidate generation never affects score precision. Each set measure
-gives its parts as one array over every row (row i of every engine index
-is ``keys[i]``): each enabled set measure's postings every row's exact
-Jaccard, per query column, whose sets are built for those measures only.
-The semantic parts are exact cosines from the cosine index. In exhaustive
-mode ``scores`` gives them for every row, for all of a query table's
-columns in one pass, and every row is a pair row. When banded, one float32
-``prefilter`` pass per query table finds, per column, a superset of the
-rows whose cosine can reach the threshold; ``row_scores`` scores only
-those and the rows that reach it on name or value, and the pair rows are
-those that reach the threshold on the semantic part and share a cosine
-band (only those rows are tested for a band), or reach it on name or
-value. A key is looked up only for a pair that survives. A pair's score is
-its parts summed left to right from 0.0, in ``ordered_measures`` order,
-over their count: the same float that ``attribute_unionability`` and the
-``SYNTACTIC_FUNCS`` entries give pair by pair.
+Candidate generation never affects score precision. A query table is
+scored in table-wide array passes, one per stage, not one per column. A
+pair of query column j and engine row is named by the id ``j * n + row``,
+n being the engine's row count (row i of every engine index is
+``keys[i]``), and the passes keep the ids ascending. Each enabled
+set measure's postings give, in one ``match`` of the table's sets (built
+for those measures only), exact Jaccards for just the pairs that share a
+token; every other pair's part is +0.0. The semantic parts are exact
+cosines from the cosine index. In exhaustive mode ``scores`` gives them
+for every row against all of the table's columns in one pass, the set
+parts are spread over every pair, and every pair is a pair row. When
+banded, one float32 ``prefilter`` pass finds a superset of the pairs whose
+cosine can reach the threshold; one ``pair_scores`` pass scores only those
+and the pairs that reach it on name or value; and one ``band_hits`` test,
+of only the pairs that reach it on the semantic part, keeps those that
+share a cosine band. The pair rows are those, and the pairs that reach the
+threshold on name or value. A key is looked up only for a pair that
+survives. A pair's score is its parts summed left to right from 0.0, in
+``ordered_measures`` order, over their count: the same float that
+``attribute_unionability`` and the ``SYNTACTIC_FUNCS`` entries give pair
+by pair.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -67,8 +73,15 @@ class SearchConfig:
     exhaustive: bool = False
 
     def validate(self) -> None:
+        # A bool is an Integral and a Real too, but never a count or a score.
+        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
+            raise ConfigError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if isinstance(self.threshold, bool) \
+                or not isinstance(self.threshold, Real):
+            raise ConfigError(f"threshold must be a number, "
+                              f"got {self.threshold!r}")
         if not (0.0 <= self.threshold <= 1.0):
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
         bad = [m for m in self.measures if m not in ALL_MEASURES]
@@ -215,57 +228,71 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
          for c in columns), postings)
 
 
-def _query_column_pairs(engine: SearchEngine, cfg: SearchConfig,
-                        column: Column, qvec: np.ndarray, semantic: np.ndarray
-                        ) -> dict[ColumnKey, tuple[float, float]]:
-    """One query column's surviving candidates: key -> (score, weight).
+def _table_pairs(engine: SearchEngine, cfg: SearchConfig,
+                 columns: Sequence[Column], qvecs: np.ndarray
+                 ) -> list[dict[ColumnKey, tuple[float, float]]]:
+    """Each query column's surviving candidates: key -> (score, weight).
 
-    qvec is the column's projected vector. In exhaustive mode semantic is
-    its row of the cosine index's ``scores``; banded, it is the rows the
-    index's ``prefilter`` kept for it.
+    qvecs stacks the columns' projected vectors. A pair of column j and
+    engine row is named by the id ``j * len(engine.keys) + row``, as the
+    cosine index and the set postings name it.
     """
-    qsets = engine.query_profile(column, cfg.ordered_measures()[1:])
     t = cfg.threshold
     index = engine.semantic_index
-    gathered = np.full(index.size, False)
-    set_scores = []
-    for measure, tokens in qsets.items():
-        counts, scores = engine.postings[measure].match(tokens)
-        # Name and value also gather rows; format only scores.
-        if not cfg.exhaustive and measure != FORMAT:
-            gathered |= (counts > 0) & (scores >= t)
-        set_scores.append(scores)
+    n = index.size
+    measures = cfg.ordered_measures()[1:]
+    sets = [engine.query_profile(c, measures) for c in columns]
+    matches = {m: engine.postings[m].match([s[m] for s in sets])
+               for m in measures}
     if cfg.exhaustive:
         # The oracle pool is every indexed column, so it also scores pairs
         # no generating measure would have surfaced on its own.
-        rows = np.arange(index.size)
+        ids = np.arange(len(columns) * n)
+        semantic = index.scores(qvecs).ravel()
     else:
-        rows = np.union1d(semantic, np.flatnonzero(gathered))
-        semantic = index.row_scores(qvec, rows)
-        keep = gathered[rows]
-        hits = index.collisions(qvec, rows[semantic >= t])
-        keep[np.searchsorted(rows, hits)] = True
-        rows, semantic = rows[keep], semantic[keep]
-    pair_scores: dict[ColumnKey, float] = {}
-    n_parts = 1 + len(set_scores)
-    # Semantic is always first in ordered_measures. Each pair's parts are
-    # added as ``left_sum`` adds them, written out: a call per pair would
-    # cost the exhaustive pair loop about a fifth of its time.
-    for row, *parts in zip(rows.tolist(), semantic.tolist(),
-                           *(s[rows].tolist() for s in set_scores)):
-        score = 0.0
-        for part in parts:
-            score += part
-        score /= n_parts
-        if score >= t:
-            pair_scores[engine.keys[row]] = score
-    # A pair's weight is the inclusive empirical CDF position of its score
-    # among every surviving score, the query table's own columns included —
-    # self matches are excluded from the ranking only after weights are
-    # fixed.
-    ranked = sorted(pair_scores.values())
-    return {key: (score, bisect_right(ranked, score) / len(ranked))
-            for key, score in pair_scores.items()}
+        # Name and value also gather pairs; format only scores.
+        gathered = np.concatenate(
+            [np.empty(0, dtype=np.int64),
+             *(found[jaccards >= t]
+               for m, (found, jaccards) in matches.items() if m != FORMAT)])
+        ids = np.union1d(index.prefilter(qvecs, t), gathered)
+        semantic = index.pair_scores(qvecs, ids)
+        keep = np.full(len(ids), False)
+        keep[np.searchsorted(ids, gathered)] = True
+        hits = index.band_hits(qvecs, ids[semantic >= t])
+        keep[np.searchsorted(ids, hits)] = True
+        ids, semantic = ids[keep], semantic[keep]
+    set_parts = []
+    for found, jaccards in matches.values():
+        every = np.zeros(len(columns) * n)
+        every[found] = jaccards
+        set_parts.append(every[ids])
+    bounds = np.searchsorted(ids, np.arange(len(columns) + 1) * n).tolist()
+    n_parts = 1 + len(set_parts)
+    column_pairs = []
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        pair_scores: dict[ColumnKey, float] = {}
+        # Semantic is always first in ordered_measures. Each pair's parts
+        # are added as ``left_sum`` adds them, written out: a call per pair
+        # would cost the exhaustive pair loop about a fifth of its time.
+        for row, *parts in zip((ids[lo:hi] - j * n).tolist(),
+                               *(p[lo:hi].tolist()
+                                 for p in (semantic, *set_parts))):
+            score = 0.0
+            for part in parts:
+                score += part
+            score /= n_parts
+            if score >= t:
+                pair_scores[engine.keys[row]] = score
+        # A pair's weight is the inclusive empirical CDF position of its
+        # score among every surviving score of its column, the query
+        # table's own columns included — self matches are excluded from the
+        # ranking only after weights are fixed.
+        ranked = sorted(pair_scores.values())
+        column_pairs.append(
+            {key: (score, bisect_right(ranked, score) / len(ranked))
+             for key, score in pair_scores.items()})
+    return column_pairs
 
 
 def top_k_search(engine: SearchEngine, query_table: Table,
@@ -277,13 +304,10 @@ def top_k_search(engine: SearchEngine, query_table: Table,
         raise InputError(
             f"query table {query_table.table_id!r} has no encodable columns")
     qvecs = np.stack([engine.project_column(c) for c in eligible])
-    index = engine.semantic_index
-    semantic = (index.scores(qvecs) if cfg.exhaustive
-                else index.prefilter(qvecs, cfg.threshold))
     by_table: dict[str, dict[tuple[int, int], tuple[float, float]]] = {}
-    for column, qvec, column_semantic in zip(eligible, qvecs, semantic):
-        for (table_id, cpos), score_weight in _query_column_pairs(
-                engine, cfg, column, qvec, column_semantic).items():
+    for column, pairs in zip(eligible,
+                             _table_pairs(engine, cfg, eligible, qvecs)):
+        for (table_id, cpos), score_weight in pairs.items():
             if table_id == query_table.table_id:
                 continue
             by_table.setdefault(table_id, {})[(column.position, cpos)] = \

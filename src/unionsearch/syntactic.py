@@ -8,7 +8,8 @@ Three set-overlap measures, each a Jaccard over a different view of a column:
 
 All are cheap, deterministic, and need no training; the search layer can
 average any subset of them with the semantic measure, scoring each with
-``SetPostings`` (``SYNTACTIC_FUNCS`` is the one-pair reference).
+``SetPostings`` (``SYNTACTIC_FUNCS`` is the one-pair reference), which
+lists only the pairs of query set and row that share a token.
 ``build_profile`` builds just the sets it is asked for, from ``SET_BUILDERS``.
 
 A lake repeats its cells (1.3% of the benchmark lake's cells are
@@ -69,10 +70,10 @@ class SetPostings:
 
     Each token's rows are a strictly increasing int64 array below
     ``n_rows``, so a row's count of entries, ``sizes``, is its set's size.
-    ``match`` finds every row's overlap with a query set by ScanCount (Li,
-    Lu & Lu, ICDE 2008): one bincount over the query tokens' lists. Its
-    Jaccards divide the same two integers that ``jaccard`` divides, so they
-    agree bit for bit.
+    ``match`` finds the rows that overlap each of a stack of query sets by
+    ScanCount (Li, Lu & Lu, ICDE 2008), counting only the rows the query
+    tokens' lists touch. Its Jaccards divide the same two integers that
+    ``jaccard`` divides, so they agree bit for bit.
     """
 
     def __init__(self, postings: dict[str, np.ndarray], n_rows: int):
@@ -91,14 +92,27 @@ class SetPostings:
         return cls({tok: np.array(rows, dtype=np.int64)
                     for tok, rows in lists.items()}, len(sets))
 
-    def match(self, tokens: frozenset[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's overlap count with tokens, and its Jaccard with them."""
+    def match(self, sets: Sequence[frozenset[str]]
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The (set, row) pairs that share a token, and their Jaccards.
+
+        A pair of ``sets[j]`` and row is named by the id ``j * n_rows +
+        row``; the ids come ascending. Every other pair's Jaccard is 0.0.
+        One sort counts the entries of every set's lists, each list shifted
+        by its set's ``j * n_rows``.
+        """
         n = len(self.sizes)
-        lists = [self.postings[t] for t in tokens if t in self.postings]
-        counts = (np.bincount(np.concatenate(lists), minlength=n) if lists
-                  else np.zeros(n, dtype=np.int64))
-        # The union is 0 only for two empty sets, which score 0 as in jaccard.
-        return counts, counts / np.maximum(len(tokens) + self.sizes - counts, 1)
+        shifted = []
+        for j, tokens in enumerate(sets):
+            lists = [self.postings[t] for t in tokens if t in self.postings]
+            if lists:
+                shifted.append(np.concatenate(lists) + j * n)
+        if not shifted:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        ids, counts = np.unique(np.concatenate(shifted), return_counts=True)
+        which, rows = np.divmod(ids, n)
+        lens = np.array([len(tokens) for tokens in sets])
+        return ids, counts / (lens[which] + self.sizes[rows] - counts)
 
 
 def name_qgrams(name: str, q: int = DEFAULT_QGRAM) -> frozenset[str]:

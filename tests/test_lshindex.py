@@ -420,30 +420,55 @@ def test_collisions_are_the_band_key_rows(n_bands, rows_per_band):
     for i in rng.permutation(200):   # past the capacity doubling at 128
         idx.insert(("t", int(i)), rng.standard_normal(8))
     found = dict.fromkeys((0.0, 0.7, 1.0), 0)
-    for _ in range(10):
-        q = rng.standard_normal(8)
-        colliding = _band_key_rows(idx, q)
-        assert colliding == {idx.rows[k] for k in _colliding_keys(idx, q)}
-        every = np.arange(idx.size)
-        assert idx.collisions(q, every).tolist() == sorted(colliding)
-        # The rows at a threshold, as search and lookup pass them.
+    n = idx.size
+    queries = rng.standard_normal((10, 8))
+    colliding = [_band_key_rows(idx, q) for q in queries]
+    every = np.arange(n)
+    for q, rows in zip(queries, colliding):
+        assert rows == {idx.rows[k] for k in _colliding_keys(idx, q)}
+        assert idx.band_hits(q[None], every).tolist() == sorted(rows)
+        # The rows at a threshold, as lookup passes them.
         (scores,) = idx.scores(q[None])
         for t in (0.0, 0.7, 1.0):
             at = np.flatnonzero(scores >= t)
-            got = idx.collisions(q, at)
+            got = idx.band_hits(q[None], at)
             assert got.dtype == at.dtype
-            assert got.tolist() == [r for r in at.tolist() if r in colliding]
+            assert got.tolist() == [r for r in at.tolist() if r in rows]
             found[t] += len(got)
-        # Rows in any order come back in that order.
-        rows = rng.permutation(idx.size)[:50]
-        assert idx.collisions(q, rows).tolist() == \
-            [r for r in rows.tolist() if r in colliding]
-        assert idx.collisions(q, every[:0]).tolist() == []
+        assert idx.band_hits(q[None], every[:0]).tolist() == []
+    # The whole stack at once, as search passes a table's pairs at t:
+    # pair j * n + row is vector j's.
+    scores = idx.scores(queries)
+    for t in (0.0, 0.7):
+        at = np.flatnonzero(scores >= t)
+        assert idx.band_hits(queries, at).tolist() == \
+            [i for i in at.tolist() if i % n in colliding[i // n]]
+    # Pairs in any order come back in that order.
+    ids = rng.permutation(len(queries) * n)[:200]
+    assert idx.band_hits(queries, ids).tolist() == \
+        [i for i in ids.tolist() if i % n in colliding[i // n]]
     assert found[0.7] > 0 and found[0.0] > found[0.7]
 
 
-@pytest.mark.parametrize("call", ["insert", "lookup", "scores", "collisions",
-                                  "prefilter", "row_scores"])
+def test_pair_scores_are_the_scores_entries():
+    idx = CosineLshIndex(dim=128, seed=6)
+    rng = np.random.default_rng(47)
+    for i in range(90):
+        idx.insert(("t", i), rng.standard_normal(128))
+    stack = rng.standard_normal((5, 128)).astype(np.float32)
+    flat = idx.scores(stack).ravel()
+    ids = rng.permutation(len(flat))
+    for some in (ids, ids[:7], np.sort(ids[:40]), ids[:0]):
+        got = idx.pair_scores(stack, some)
+        assert got.dtype == np.float64 and got.shape == some.shape
+        assert [s.hex() for s in got.tolist()] == \
+            [s.hex() for s in flat[some].tolist()]
+    with pytest.raises(NumericError):
+        idx.pair_scores(np.concatenate([stack, np.zeros((1, 128))]), ids[:3])
+
+
+@pytest.mark.parametrize("call", ["insert", "lookup", "scores", "band_hits",
+                                  "prefilter", "pair_scores"])
 def test_each_call_prepares_its_vector_once(monkeypatch, call):
     idx = CosineLshIndex(dim=6, seed=1)
     idx.insert(("t", 0), np.arange(1.0, 7.0))
@@ -464,10 +489,10 @@ def test_each_call_prepares_its_vector_once(monkeypatch, call):
         idx.scores(np.stack([v, v + 1.0]))
     elif call == "prefilter":
         idx.prefilter(np.stack([v, v + 1.0]), 0.5)
-    elif call == "row_scores":
-        idx.row_scores(v, np.arange(idx.size))
+    elif call == "pair_scores":
+        idx.pair_scores(np.stack([v, v + 1.0]), np.arange(2 * idx.size))
     else:
-        idx.collisions(v, np.arange(idx.size))
+        idx.band_hits(np.stack([v, v + 1.0]), np.arange(2 * idx.size))
     assert len(calls) == 1
     # The public signature still prepares what it is given.
     idx.signature(v)

@@ -331,10 +331,10 @@ def test_built_and_loaded_cosine_lookups_identical(tmp_path, world):
             for eng in engines[1:]:
                 assert eng.semantic_index.lookup(q, threshold) == hits
         for measure, tokens in profile.items():
-            counts, scores = engine.postings[measure].match(tokens)
+            ids, scores = engine.postings[measure].match([tokens])
             for eng in engines[1:]:
-                other = eng.postings[measure].match(tokens)
-                np.testing.assert_array_equal(other[0], counts)
+                other = eng.postings[measure].match([tokens])
+                np.testing.assert_array_equal(other[0], ids)
                 np.testing.assert_array_equal(other[1], scores)
 
 

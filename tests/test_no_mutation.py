@@ -122,19 +122,19 @@ def test_lookup_leaves_query_and_index_alone(engine):
     hits = index.lookup(query, threshold=-1.0)
     assert hits   # some rows collided
     every = np.arange(index.size)
-    scores, collisions = (index.scores(query[None]),
-                          index.collisions(query, every))
-    scores_before, collisions_before = scores.copy(), collisions.copy()
+    scores, shared = (index.scores(query[None]),
+                        index.band_hits(query[None], every))
+    scores_before, shared_before = scores.copy(), shared.copy()
     # The caller's to change.
     scores[:] = 2.0
-    collisions[:] = -1
+    shared[:] = -1
     every[:] = 0
     np.testing.assert_array_equal(query, query_before)
     _assert_engine_unchanged(engine, state)
     np.testing.assert_array_equal(index._norms[:index.size], norms)
     np.testing.assert_array_equal(index.scores(query[None]), scores_before)
     np.testing.assert_array_equal(
-        index.collisions(query, np.arange(index.size)), collisions_before)
+        index.band_hits(query[None], np.arange(index.size)), shared_before)
     assert index.lookup(query, threshold=-1.0) == hits
 
 
@@ -150,23 +150,44 @@ def test_scoring_a_stack_leaves_vectors_and_index_alone(engine):
     stack_before = stack.copy()
     arrays = _index_arrays(index)
     state = _engine_state(engine)
-    scores = index.scores(stack)
-    near = index.prefilter(stack, 0.0)
-    rows = np.arange(index.size)
-    some = index.row_scores(stack[0], rows)
-    outputs_before = [a.copy() for a in (scores, *near, some)]
+    ids = np.arange(len(stack) * index.size)
+    ids_before = ids.copy()
+
+    def outputs():
+        return [index.scores(stack), index.prefilter(stack, 0.0),
+                index.pair_scores(stack, ids), index.band_hits(stack, ids)]
+
+    got = outputs()
+    outputs_before = [a.copy() for a in got]
+    np.testing.assert_array_equal(ids, ids_before)
     # The caller's to change.
-    for out in (scores, *near, some, rows):
+    for out in got:
         out[:] = 0
     np.testing.assert_array_equal(stack, stack_before)
     for now, before in zip(_index_arrays(index), arrays):
         np.testing.assert_array_equal(now, before)
     _assert_engine_unchanged(engine, state)
-    again = [index.scores(stack), *index.prefilter(stack, 0.0),
-             index.row_scores(stack[0], np.arange(index.size))]
-    assert len(again) == len(outputs_before)
-    for now, before in zip(again, outputs_before):
+    for now, before in zip(outputs(), outputs_before):
         np.testing.assert_array_equal(now, before)
+
+
+def test_set_match_leaves_query_sets_and_postings_alone(lake, engine):
+    columns = [c for t in lake.tables[:3] for c in t.columns
+               if c.is_encodable()]
+    state = _engine_state(engine)
+    for measure, postings in engine.postings.items():
+        sets = [engine.query_profile(c, [measure])[measure] for c in columns]
+        sets_before = list(sets)
+        got = postings.match(sets)
+        outputs_before = [a.copy() for a in got]
+        assert len(got[0]) > 0   # some set shared a token with some row
+        # The caller's to change.
+        for out in got:
+            out[:] = 0
+        assert sets == sets_before
+        _assert_engine_unchanged(engine, state)
+        for now, before in zip(postings.match(sets), outputs_before):
+            np.testing.assert_array_equal(now, before)
 
 
 def test_writing_into_buckets_leaves_the_index_alone(engine):

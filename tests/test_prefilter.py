@@ -17,8 +17,9 @@ from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.lshindex import CosineLshIndex, cosines
 from unionsearch.projection import init_head
 from unionsearch.search import (IndexConfig, SearchConfig, SearchEngine,
-                                _query_column_pairs, build_engine)
-from unionsearch.syntactic import ALL_MEASURES, FORMAT, SEMANTIC
+                                _table_pairs, build_engine)
+from unionsearch.syntactic import (ALL_MEASURES, FORMAT, SEMANTIC,
+                                   build_profile, jaccard)
 
 THRESHOLDS = (0.0, 0.7, 1.0)
 NEAR = 1e-12
@@ -131,14 +132,15 @@ def test_prefilter_keeps_every_row_that_reaches_t(dim, t):
     near = reached = 0
     for stack in stacks:
         scores = idx.scores(stack)
+        # Pair ids j * size + row, over the whole stack at once.
         kept = idx.prefilter(stack, t)
-        assert len(kept) == len(stack)
-        for row_scores, rows in zip(scores, kept):
-            at = np.flatnonzero(row_scores >= t)
-            assert set(at.tolist()) <= set(rows.tolist())
-            assert rows.tolist() == sorted(set(rows.tolist()))
-            near += int((np.abs(row_scores - t) <= NEAR).sum())
-            reached += len(at)
+        at = np.flatnonzero(scores >= t)
+        assert kept.dtype == np.int64
+        assert set(at.tolist()) <= set(kept.tolist())
+        assert kept.tolist() == sorted(set(kept.tolist()))
+        assert kept.min() >= 0 and kept.max() < scores.size
+        near += int((np.abs(scores - t) <= NEAR).sum())
+        reached += len(at)
     # The plant worked: of the 48 rows planted against each of the five
     # copies of q, most sit at the threshold. Some rows reach it, except
     # perhaps at 1, where only a cosine rounded up to 1 does.
@@ -156,26 +158,29 @@ def test_prefilter_keeps_all_for_a_non_finite_query(dim):
     q[1, 2] = np.inf
     q[2, 0] = np.nan
     kept = idx.prefilter(q, 0.7)
-    assert [r.tolist() for r in kept[1:]] == [list(range(20))] * 2
+    assert kept[kept >= 20].tolist() == list(range(20, 60))
     with np.errstate(invalid="ignore"):
         assert not (idx.scores(q)[1:] >= 0.7).any()
 
 
-def _dense_pairs(engine, cfg, column, qvec):
+def _dense_pairs(engine, cfg, profiles, column, qvec):
     """One column's banded pairs found as before the prefilter: every row's
-    semantic part from ``scores``, the rows at t tested for a band, and
-    each pair's parts folded left from 0.0."""
+    semantic part from ``scores``, the rows at t tested for a band, each
+    set part the reference Jaccard of every row, and each pair's parts
+    folded left from 0.0."""
     index = engine.semantic_index
     (semantic,) = index.scores(qvec[None])
     t = cfg.threshold
     mask = np.full(index.size, False)
-    mask[index.collisions(qvec, np.flatnonzero(semantic >= t))] = True
+    mask[index.band_hits(qvec[None], np.flatnonzero(semantic >= t))] = True
     measure_scores = [semantic]
     for measure, tokens in engine.query_profile(
             column, cfg.ordered_measures()[1:]).items():
-        counts, scores = engine.postings[measure].match(tokens)
+        stored = [profiles[key][measure] for key in engine.keys]
+        scores = np.array([jaccard(tokens, s) for s in stored])
         if measure != FORMAT:
-            mask |= (counts > 0) & (scores >= t)
+            mask |= np.array([bool(tokens & s) for s in stored]) \
+                & (scores >= t)
         measure_scores.append(scores)
     pair_scores = {}
     for row in np.flatnonzero(mask).tolist():
@@ -193,8 +198,10 @@ def _dense_pairs(engine, cfg, column, qvec):
 @pytest.mark.parametrize("t", THRESHOLDS)
 def test_banded_pairs_are_the_dense_reference(t):
     """On a lake whose stored vectors are planted at t, banded pairs from
-    the prefilter's rows are the pairs of the dense semantic row, bit for
-    bit, under every measure set."""
+    the prefilter's pairs are the pairs of the dense semantic row, bit for
+    bit, under every measure set. One query table pairs each column with
+    each of five vectors, so the table-level passes see many columns at
+    once and each column several times."""
     rng = np.random.default_rng(int(10 * t))
     corpus, _ = generate_benchmark(BenchmarkSpec(
         n_bases=5, derivations_per_base=4, n_topics=2, base_columns=(3, 5),
@@ -207,19 +214,22 @@ def test_banded_pairs_are_the_dense_reference(t):
                           built.tfidf, built.keys,
                           _lake_rows(rng, q, t, len(built.keys)),
                           built.postings)
+    profiles = {c.column_key: build_profile(c, engine.tfidf)
+                for c in corpus.encodable_columns()}
     columns = [c for table in corpus.tables[::4] for c in table.columns
                if c.is_encodable()]
     vectors = [q, -q, *(engine.project_column(c) for c in columns[:3])]
+    table = [(column, qvec) for column in columns for qvec in vectors]
+    qvecs = np.stack([qvec for _, qvec in table])
     measure_sets = [(SEMANTIC, *extra) for r in range(len(ALL_MEASURES))
                     for extra in itertools.combinations(ALL_MEASURES[1:], r)]
     pairs = 0
     for measures in measure_sets:
         cfg = SearchConfig(threshold=t, measures=measures)
-        for column in columns:
-            for qvec in vectors:
-                (rows,) = engine.semantic_index.prefilter(qvec[None], t)
-                got = _query_column_pairs(engine, cfg, column, qvec, rows)
-                want = _dense_pairs(engine, cfg, column, qvec)
-                assert list(got.items()) == list(want.items())
-                pairs += len(got)
+        got = _table_pairs(engine, cfg, [c for c, _ in table], qvecs)
+        assert len(got) == len(table)
+        for (column, qvec), column_pairs in zip(table, got):
+            want = _dense_pairs(engine, cfg, profiles, column, qvec)
+            assert list(column_pairs.items()) == list(want.items())
+            pairs += len(column_pairs)
     assert pairs > 0

@@ -126,6 +126,29 @@ def test_search_config_validation():
         SearchConfig(measures=(SEMANTIC, SEMANTIC)).validate()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("k", 2.5), ("k", 3.0), ("k", True), ("k", "3"), ("k", None),
+    ("threshold", "0.7"), ("threshold", True), ("threshold", None),
+])
+def test_search_config_rejects_wrongly_typed_k_and_threshold(field, value):
+    cfg = SearchConfig(**{field: value})
+    with pytest.raises(ConfigError, match=field):
+        cfg.validate()
+
+
+def test_wrongly_typed_k_fails_before_any_query_work():
+    # Before validation checked types, k=2.5 ran the whole query and then
+    # failed slicing its ranking with a TypeError.
+    engine, corpus, _ = _bench_engine(2)
+    with pytest.raises(ConfigError, match="k"):
+        top_k_search(engine, corpus.tables[0], SearchConfig(k=2.5))
+
+
+def test_search_config_takes_numpy_numbers():
+    SearchConfig(k=np.int64(3), threshold=np.float64(0.5)).validate()
+    SearchConfig(k=4, threshold=1).validate()
+
+
 def test_ordered_measures_canonical():
     cfg = SearchConfig(measures=(VALUE, SEMANTIC, NAME))
     assert cfg.ordered_measures() == (SEMANTIC, NAME, VALUE)
@@ -291,22 +314,23 @@ def test_set_postings_match_is_exact():
     columns = {c.column_key: c for c in corpus.encodable_columns()}
     stored = [build_profile(columns[key], engine.tfidf)
               for key in engine.keys]
+    n = len(stored)
+    queries = corpus.encodable_columns()
+    qsets = [engine.query_profile(column, SET_MEASURES) for column in queries]
     found = 0
-    for column in corpus.encodable_columns():
-        qsets = engine.query_profile(column, SET_MEASURES)
-        for measure in (NAME, VALUE, FORMAT):
-            tokens = qsets[measure]
-            counts, scores = engine.postings[measure].match(tokens)
-            assert scores.tolist() == [jaccard(tokens, s[measure])
-                                       for s in stored]
-            for t in (0.3, 0.5, 0.7):
-                # The candidates search takes from a measure's postings.
-                mask = (counts > 0) & (scores >= t)
-                want = [row for row, s in enumerate(stored)
-                        if tokens & s[measure]
-                        and jaccard(tokens, s[measure]) >= t]
-                assert np.flatnonzero(mask).tolist() == want
-                found += len(want)
+    for measure in (NAME, VALUE, FORMAT):
+        # Every query column's set in one call, as search asks for a table.
+        ids, scores = engine.postings[measure].match(
+            [q[measure] for q in qsets])
+        want = [(j * n + row, jaccard(q[measure], s[measure]))
+                for j, q in enumerate(qsets) for row, s in enumerate(stored)
+                if q[measure] & s[measure]]
+        assert list(zip(ids.tolist(), scores.tolist())) == want
+        for t in (0.3, 0.5, 0.7):
+            # The candidates search takes from a measure's postings.
+            at = ids[scores >= t].tolist()
+            assert at == [i for i, score in want if score >= t]
+            found += len(at)
     # More than each column finding itself under 3 measures at 3 thresholds.
     assert found > 9 * len(engine.keys)
 

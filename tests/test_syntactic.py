@@ -51,17 +51,27 @@ def test_set_postings_match_jaccard_bit_for_bit():
     postings = SetPostings.from_sets(rows)
     np.testing.assert_array_equal(postings.sizes, [len(r) for r in rows])
     queries = [random_set(vocab, 15) for _ in range(80)] + [frozenset(), rows[0]]
-    for query in queries:
-        counts, scores = postings.match(query)
-        assert counts.tolist() == [len(query & r) for r in rows]
-        want = np.array([jaccard(query, r) for r in rows])
-        # Equal as float64 bits, not just close.
-        assert np.array_equal(scores.view(np.int64), want.view(np.int64))
+    n = len(rows)
+    # Each query alone, all in one stack, and a stack that repeats one.
+    for stack in [*([q] for q in queries), queries, [rows[0], queries[1],
+                                                     rows[0]]]:
+        ids, scores = postings.match(stack)
+        assert ids.dtype == np.int64 and scores.dtype == np.float64
+        assert ids.tolist() == [j * n + i for j, q in enumerate(stack)
+                                for i, r in enumerate(rows) if q & r]
+        dense = np.zeros(len(stack) * n)
+        dense[ids] = scores
+        want = np.array([jaccard(q, r) for q in stack for r in rows])
+        # Equal as float64 bits, not just close; a row sharing no token
+        # scores +0.0.
+        assert np.array_equal(dense.view(np.int64), want.view(np.int64))
 
 
 def test_set_postings_of_no_sets():
-    counts, scores = SetPostings.from_sets([]).match(frozenset({"a"}))
-    assert counts.shape == scores.shape == (0,)
+    for postings, stack in [(SetPostings.from_sets([]), [frozenset({"a"})]),
+                            (SetPostings.from_sets([frozenset({"a"})]), [])]:
+        ids, scores = postings.match(stack)
+        assert ids.shape == scores.shape == (0,)
 
 
 def test_name_qgrams_short_word():
