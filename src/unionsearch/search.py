@@ -84,6 +84,10 @@ class SearchConfig:
                               f"got {self.threshold!r}")
         if not (0.0 <= self.threshold <= 1.0):
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
+        # A bare string would be read as a tuple of one-letter measures.
+        if isinstance(self.measures, str):
+            raise ConfigError(f"measures must be a sequence of measure names, "
+                              f"not the string {self.measures!r}")
         bad = [m for m in self.measures if m not in ALL_MEASURES]
         if bad:
             raise ConfigError(f"unknown measures {bad}; valid: {list(ALL_MEASURES)}")
@@ -91,6 +95,10 @@ class SearchConfig:
             raise ConfigError(f"duplicate measures in {self.measures}")
         if SEMANTIC not in self.measures:
             raise ConfigError("the semantic measure must always be enabled")
+        # A string such as "false" would be truthy and run the oracle.
+        if not isinstance(self.exhaustive, bool):
+            raise ConfigError(f"exhaustive must be a bool, "
+                              f"got {self.exhaustive!r}")
 
     def ordered_measures(self) -> tuple[str, ...]:
         return tuple(m for m in ALL_MEASURES if m in self.measures)

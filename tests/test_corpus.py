@@ -1,8 +1,10 @@
 import collections
+import csv
 
 import numpy as np
 import pytest
 
+from unionsearch import corpus as corpus_module
 from unionsearch.corpus import (
     Column,
     Corpus,
@@ -174,6 +176,88 @@ def test_manifest_relative_paths_resolve_against_manifest_dir(tmp_path):
     write_manifest(man, [("t", "t.csv")])
     corpus = load_manifest(man)  # loaded from cwd elsewhere; path is manifest-relative
     assert corpus.table("t").n_rows == 1
+
+
+# ---------------------------------------------------------------- shared cells
+
+def _unpooled_columns(path) -> list[list[str]]:
+    """A plain reading of a CSV file's cells, column by column, as load_csv
+    documents it: stripped, ragged rows padded or truncated, bad bytes
+    replaced."""
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    width = len(rows[0])
+    cells = [[c.strip() for c in row][:width] + [""] * (width - len(row))
+             for row in rows[1:]]
+    return [[row[j] for row in cells] for j in range(width)]
+
+
+def _write_lake(tmp_path, tables: dict[str, bytes]):
+    for tid, data in tables.items():
+        (tmp_path / f"{tid}.csv").write_bytes(data)
+    man = tmp_path / "manifest.tsv"
+    write_manifest(man, [(tid, f"{tid}.csv") for tid in tables])
+    return man
+
+
+# Multi-character values: CPython shares one-character strings anyway.
+_SHARED_LAKE = {
+    "one": b"city,home\n Oslo ,Bergen\nBergen,Oslo\nOslo\n\xff\xfeab,x,extra\n",
+    "two": b"town\nBergen\nOslo  \n\xff\xfeab\n\n",
+}
+
+
+def test_manifest_cells_with_equal_text_are_one_object(tmp_path):
+    lake = load_manifest(_write_lake(tmp_path, _SHARED_LAKE))
+    cells = [v for col in lake.columns() for v in col.values]
+    by_text = collections.defaultdict(set)
+    for v in cells:
+        by_text[v].add(id(v))
+    assert {text for text, ids in by_text.items() if len(ids) > 1} == set()
+    one, two = lake.table("one").columns, lake.table("two").columns
+    assert one[0].values[0] is one[1].values[1] is two[0].values[1]   # Oslo
+    assert one[0].values[3] is two[0].values[2]   # replaced bytes
+
+
+def test_pooled_cells_equal_a_plain_reading(tmp_path):
+    man = _write_lake(tmp_path, _SHARED_LAKE)
+    lake = load_manifest(man)
+    for tid in _SHARED_LAKE:
+        assert [c.values for c in lake.table(tid).columns] \
+            == _unpooled_columns(tmp_path / f"{tid}.csv")
+    assert [c.values for c in lake.table("one").columns] == [
+        ["Oslo", "Bergen", "Oslo", "\ufffd\ufffdab"],
+        ["Bergen", "Oslo", "", "x"],
+    ]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 3])
+def test_a_lake_past_the_pool_bound_loads_the_same_values(tmp_path, monkeypatch,
+                                                          cap):
+    rows = "\n".join(f"v{i},w{i % 4},v{i}" for i in range(12))
+    man = _write_lake(tmp_path, {"a": f"x,y,z\n{rows}\n".encode(),
+                                 "b": f"p\n{rows}\n".encode(), **_SHARED_LAKE})
+    monkeypatch.setattr(corpus_module, "CELL_POOL_CAP", cap)
+    lake = load_manifest(man)
+    for table in lake.tables:
+        assert [c.values for c in table.columns] \
+            == _unpooled_columns(tmp_path / f"{table.table_id}.csv")
+    if cap == 0:   # nothing pooled: equal cells of two columns stay apart
+        x, _, z = lake.table("a").columns
+        assert all(a is not b for a, b in zip(x.values, z.values))
+
+
+def test_load_csv_shares_equal_cells_within_its_table(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\nalpha,beta\nbeta, alpha\nalpha,gamma\n",
+                 encoding="utf-8")
+    a, b = load_csv(p).columns
+    assert a.values == ["alpha", "beta", "alpha"]
+    assert b.values == ["beta", "alpha", "gamma"]
+    assert a.values[0] is a.values[2] is b.values[1]
+    assert a.values[1] is b.values[0]
+    # Each call pools on its own: no process-wide table, unlike sys.intern.
+    assert load_csv(p).columns[0].values[0] is not a.values[0]
 
 
 # ---------------------------------------------------------------- sampling

@@ -499,6 +499,24 @@ def test_each_call_prepares_its_vector_once(monkeypatch, call):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("dim", [3, 8, 128, 129])
+def test_query_norms_equal_insert_norms_bit_for_bit(dim):
+    # A query's norm must be the one insert stores for the same vector, or a
+    # stored key would not score 1.0 against itself. Random vectors from
+    # float32 subnormals to near the float32 maximum.
+    rng = np.random.default_rng(53)
+    scales = [1e-42, 1e-30, 1e-3, 1.0, 1e20, 1e37]
+    vectors = np.concatenate([rng.standard_normal((40, dim)) * s
+                              for s in scales])
+    vectors[120:125, 1:] = 0.0   # one non-zero entry
+    idx = CosineLshIndex(dim=dim, seed=3)
+    for i, v in enumerate(vectors):
+        idx.insert(("t", i), v)
+    stack = idx._prepare(vectors, ndim=2)
+    assert CosineLshIndex._query_norms(stack).tobytes() \
+        == idx._norms[:idx.size].tobytes()
+
+
 @pytest.mark.parametrize("capacity", [0, 5, 70])
 def test_capacity_only_sizes_the_allocation(capacity):
     rng = np.random.default_rng(37)

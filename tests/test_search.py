@@ -136,6 +136,26 @@ def test_search_config_rejects_wrongly_typed_k_and_threshold(field, value):
         cfg.validate()
 
 
+@pytest.mark.parametrize("value", ["false", "true", 1, 0, None, np.bool_(True)])
+def test_search_config_rejects_a_non_bool_exhaustive(value):
+    # "false" is truthy: it used to validate and then run the oracle.
+    with pytest.raises(ConfigError, match="exhaustive must be a bool"):
+        SearchConfig(exhaustive=value).validate()
+
+
+def test_non_bool_exhaustive_fails_before_any_query_work():
+    engine, corpus, _ = _bench_engine(2)
+    with pytest.raises(ConfigError, match="exhaustive"):
+        top_k_search(engine, corpus.tables[0], SearchConfig(exhaustive="false"))
+
+
+@pytest.mark.parametrize("value", [SEMANTIC, "semantic,name"])
+def test_search_config_names_a_bare_measures_string(value):
+    # It used to fail with "unknown measures ['s', 'e', 'm', ...]".
+    with pytest.raises(ConfigError, match=f"not the string {value!r}"):
+        SearchConfig(measures=value).validate()
+
+
 def test_wrongly_typed_k_fails_before_any_query_work():
     # Before validation checked types, k=2.5 ran the whole query and then
     # failed slicing its ranking with a TypeError.
