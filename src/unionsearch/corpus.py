@@ -12,6 +12,12 @@ distinct values lives only for the load. It is bounded by
 ``CELL_POOL_CAP``, because on a lake whose cells are all distinct it would
 only add a dict entry per cell; past the bound, cells already pooled are
 still shared and new ones are kept as read.
+
+The index build reads the lake the same way, in ``cell_blocks``: runs of
+columns whose cells, padded to the longest column, number at most
+``BLOCK_CELLS``, each cell replaced by the slot of its value among the
+block's distinct values. Per-value work then happens once per block, and
+per-cell work is array passes over the slots.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +43,9 @@ ColumnKey = tuple[str, int]
 
 # Distinct cell values one load pools, sized like the memo caps downstream.
 CELL_POOL_CAP = 1 << 16
+# Slots of one cell block, padding included; a longer column is a block
+# alone. At 128 dims the block's float64 cell means take at most 4 MB.
+BLOCK_CELLS = 1 << 12
 
 
 def tokenize(text: str) -> list[str]:
@@ -126,6 +137,65 @@ class Corpus:
 
     def encodable_columns(self) -> list[Column]:
         return [c for c in self.columns() if c.is_encodable()]
+
+
+@dataclass
+class CellBlock:
+    """Consecutive columns' cells as slots of their distinct values.
+
+    ``values`` holds each distinct cell value of the columns once, in the
+    order first met. ``slots[p, i]`` is the slot of cell p of column i, and
+    ``len(values)``, the padding slot, past the column's end.
+    """
+
+    columns: list[Column]
+    values: list[str]
+    slots: np.ndarray   # (longest column, len(columns)), intp
+
+    @property
+    def padding(self) -> int:
+        return len(self.values)
+
+    def column_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each column's distinct slots, padding left out: the columns, the
+        slots and how many of the column's cells hold the slot's value,
+        ordered by column, then slot."""
+        stride = self.padding + 1
+        pairs, counts = np.unique(
+            self.slots + np.arange(len(self.columns)) * stride,
+            return_counts=True)
+        columns, slots = np.divmod(pairs, stride)
+        real = slots != self.padding
+        return columns[real], slots[real], counts[real]
+
+
+def cell_blocks(columns: Sequence[Column]) -> Iterator[CellBlock]:
+    """The columns, in order, as cell blocks of at most ``BLOCK_CELLS``
+    slots each."""
+    block: list[Column] = []
+    longest = 0
+    for column in columns:
+        n = len(column.values)
+        if block and (len(block) + 1) * max(longest, n) > BLOCK_CELLS:
+            yield _cell_block(block, longest)
+            block, longest = [], 0
+        block.append(column)
+        longest = max(longest, n)
+    if block:
+        yield _cell_block(block, longest)
+
+
+def _cell_block(columns: list[Column], longest: int) -> CellBlock:
+    cells = list(chain.from_iterable(c.values for c in columns))
+    values = list(dict.fromkeys(cells))
+    slot_of = {v: slot for slot, v in enumerate(values)}
+    lengths = np.array([len(c.values) for c in columns])
+    slots = np.full((len(columns), longest), len(values), dtype=np.intp)
+    # Row-major, the mask's cells run column by column, as cells do.
+    slots[np.arange(longest) < lengths[:, None]] = np.fromiter(
+        map(slot_of.__getitem__, cells), dtype=np.intp, count=len(cells))
+    return CellBlock(columns=columns, values=values,
+                     slots=np.ascontiguousarray(slots.T))
 
 
 def _pooled(values: tuple[str, ...], pool: dict[str, str]) -> list[str]:

@@ -13,6 +13,11 @@ Cell embeddings are the mean of token embeddings, column embeddings the mean
 of non-empty cell embeddings (two-stage, so cells with unequal token counts
 weigh equally). A transformer-backed contextual encoder would slot in behind
 the same values -> vector interface.
+
+``embed_column`` embeds one column; ``embed_block`` embeds a whole
+``corpus.CellBlock`` of columns at once, with the same bits: each distinct
+cell's mean is looked up once, and the columns' sums are built cell
+position by cell position, the same left-to-right float64 adds.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import tokenize
+from .corpus import CellBlock, tokenize
 from .errors import ConfigError, EmptyColumnError, InputError
 from .seeding import check_seed, stable_token_hash
 
@@ -187,3 +192,29 @@ class Encoder:
         if n == 0:
             raise EmptyColumnError("no cell in the column yields any token")
         return acc / n
+
+    def embed_block(self, block: CellBlock) -> np.ndarray:
+        """``embed_column`` of each column of the block, one per row.
+
+        Row s of ``means`` is slot s's cell mean, or zeros for a token-less
+        cell and the padding slot; the sums add one cell position of every
+        column at a time, in cell order. Each sum starts at +0.0, so it is
+        never -0.0, and adding +0.0 leaves it as it was: the bits are
+        ``embed_column``'s, which skips such cells.
+        """
+        means = np.zeros((block.padding + 1, self.cfg.dim))
+        counted = np.zeros(block.padding + 1, dtype=np.intp)
+        for slot, cell in enumerate(block.values):
+            mean = self._cell_mean(cell)
+            if mean is not None:
+                means[slot] = mean
+                counted[slot] = 1
+        acc = np.zeros((len(block.columns), self.cfg.dim))
+        for position in block.slots:
+            acc += means[position]
+        n = counted[block.slots].sum(axis=0)
+        if not n.all():
+            raise EmptyColumnError(
+                f"no cell of column {block.columns[int(np.argmin(n))].column_key}"
+                " yields any token")
+        return acc / n[:, None]

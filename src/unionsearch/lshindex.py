@@ -20,9 +20,15 @@ maps back) and keeps one float32 matrix of the stored vectors, plus each
 row's float64 norm for scoring and its band keys packed into one uint8
 row; ``buckets`` is derived from those packed keys when it is read. Its
 hyperplanes are one float64 array, float32-rounded values widened exactly,
-that every signature multiplies by. ``scores`` gives a stack of vectors'
-cosines with every stored row in one ``cosines`` pass, widening the rows
-block by block into one float64 buffer. The other calls take a stack too
+that every signature multiplies by. ``insert_many`` files a whole matrix
+in array passes over row blocks, and ``insert`` is a stack of one through
+it: every norm, stored or of a query, is ``_norms``'s square root of a
+float64 self-dot, and the sign bits come from one float64 product per
+block, with the few rows within a proven margin of a hyperplane re-signed
+one by one, so the packed keys are those of signing each row alone.
+``scores`` gives a stack of vectors' cosines with every stored row in one
+``cosines`` pass, widening the rows block by block into one float64
+buffer. The other calls take a stack too
 and name a pair of its vector j and stored row by the id ``j * size +
 row``: ``prefilter`` finds, in one float32 product with a proven error
 margin, the ids whose exact cosine can reach a threshold; ``pair_scores``
@@ -46,6 +52,7 @@ insertion order. An index file therefore stores none of it.
 from __future__ import annotations
 
 from array import array
+from typing import Sequence
 
 import numpy as np
 
@@ -74,12 +81,19 @@ def cosines(rows: np.ndarray, row_norms: np.ndarray | float, v: np.ndarray,
     return np.clip(np.vecdot(rows, v) / (row_norms * v_norm), -1.0, 1.0)
 
 
-def _dot_margin(dim: int) -> float:
-    """Twice gamma_dim = dim*u / (1 - dim*u), u = 2**-24: the relative
-    error bound of a float32 dot product of dim terms in any summation order
-    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1),
-    and infinite once dim*u reaches 1."""
-    du = dim * 2.0 ** -24
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """The norm of each float64 vector along the last axis: the square root
+    of its dot with itself. It is the one norm expression of the index, so
+    a query's norm is the one stored for the same vector."""
+    return np.sqrt(np.vecdot(vectors, vectors))
+
+
+def _dot_margin(dim: int, unit: float = 2.0 ** -24) -> float:
+    """Twice gamma_dim = dim*u / (1 - dim*u), by default with the float32
+    u = 2**-24: the relative error bound of a dot product of dim terms in
+    any summation order (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1), and infinite once dim*u reaches 1."""
+    du = dim * unit
     return 2.0 * du / (1.0 - du) if du < 1.0 else np.inf
 
 
@@ -121,6 +135,9 @@ class CosineLshIndex:
         self.rows: dict[ColumnKey, int] = {}
         self.keys: list[ColumnKey] = []
         self._margin = _dot_margin(dim)
+        # A row's sign bits are unsure where its float64 dot with plane i
+        # is at most twice gamma_dim (u = 2**-53) times |plane i| |row|.
+        self._sign_limits = _dot_margin(dim, 2.0 ** -53) * _norms(self.planes)
         # Rows past size are unused.
         self._rows = np.empty((capacity, dim), dtype=np.float32)
         self._norms = np.empty(capacity, dtype=np.float64)
@@ -184,7 +201,11 @@ class CosineLshIndex:
     def _prepare(self, vectors: np.ndarray, ndim: int = 1) -> np.ndarray:
         """One vector, or with ndim 2 a stack of them one per row, as
         float32 values widened exactly."""
-        v = np.asarray(vectors, dtype=np.float32).astype(np.float64)
+        return self._shaped(vectors, ndim).astype(np.float64)
+
+    def _shaped(self, vectors: np.ndarray, ndim: int) -> np.ndarray:
+        """The vectors as float32, which a float32 array already is."""
+        v = np.asarray(vectors, dtype=np.float32)
         if v.ndim != ndim or v.shape[-1] != self.dim:
             raise ConfigError(f"vector shape {v.shape}: want {ndim} axes, "
                               f"the last of {self.dim}")
@@ -221,9 +242,8 @@ class CosineLshIndex:
 
     @staticmethod
     def _query_norms(stack: np.ndarray) -> np.ndarray:
-        """One norm per vector, computed as insert computes a stored one:
-        the square root of the vector's float64 dot with itself."""
-        norms = np.sqrt(np.vecdot(stack, stack))
+        """One norm per vector, computed by ``_norms`` as a stored one is."""
+        norms = _norms(stack)
         if (norms == 0.0).any():
             raise NumericError("zero-norm query vector")
         return norms
@@ -326,28 +346,99 @@ class CosineLshIndex:
                            axis=1)
 
     def insert(self, key: ColumnKey, vector: np.ndarray) -> None:
-        if key in self.rows:
-            raise DuplicateKeyError(f"key already indexed: {key}")
-        v = self._prepare(vector)
-        norm = np.linalg.norm(v)
-        # Widened float32 values cannot overflow it: finite iff each entry is.
-        if not np.isfinite(norm):
-            raise NumericError(f"non-finite vector for key {key}")
-        if norm == 0.0:
-            raise NumericError(f"zero-norm vector for key {key}")
-        row = len(self.keys)
-        if row == len(self._rows):
-            grown = max(64, 2 * row)
+        """File one vector under key: ``insert_many`` of a stack of one."""
+        self._file([key], self._prepare(vector)[None])
+
+    def insert_many(self, keys: Sequence[ColumnKey],
+                    vectors: np.ndarray) -> None:
+        """File a stack of vectors, one per row, under keys in order.
+
+        The rows, norms and band keys are those of inserting each vector in
+        turn, and so is the error: a key already filed, or earlier in keys,
+        raises DuplicateKeyError, a non-finite or zero vector NumericError,
+        naming the first such key (a key's duplicate before its vector).
+        Nothing is filed then. The vectors are read, never written.
+
+        Two passes over row blocks, widened to float64: ``_norms``, then
+        one float64 product with the hyperplanes and one ``packbits``.
+        That product may round other bits than ``_bits``'s own, so a row
+        whose dot d with some plane p has |d| <= 2 gamma_dim |p| |v|
+        (u = 2**-53, ``_dot_margin``) is re-signed by ``_bits`` alone.
+        Every other row's bits are ``_bits``'s:
+
+        * The widened float32 values multiply exactly in float64 (24-bit
+          significands give 48-bit products), and no product or partial sum
+          leaves the float64 range or underflows. So each pass's dot is
+          the exact dot D of p and v summed in some order, within
+          gamma_(dim-1) P of D, where P = sum |p_i v_i| <= |p| |v|
+          (Higham, section 3.1, with or without fused multiply-adds).
+        * If the two dots differ in sign bit, d lies within 2 gamma_(dim-1)
+          P of the other one, on the other side of zero or at it, so |d|
+          is at most that.
+        * The limit rounds each norm's dot, its square root and two
+          products, and so lies within a relative (dim + 4) u below
+          2 gamma_dim |p| |v|. That is still above 2 gamma_(dim-1) P: the
+          two gammas differ by more than 2u, against 2 gamma_dim (dim + 4)
+          u, for any dim below 2**26.
+        """
+        self._file(list(keys), self._shaped(vectors, ndim=2))
+
+    def _file(self, keys: list[ColumnKey], matrix: np.ndarray) -> None:
+        """``insert_many`` of a stack already shaped, of float32 values."""
+        if len(matrix) != len(keys):
+            raise ConfigError(f"{len(matrix)} vectors for {len(keys)} keys")
+        start, stop = self.size, self.size + len(keys)
+        filed: dict[ColumnKey, int] = {}
+        duplicate = len(keys)
+        for i, key in enumerate(keys):
+            if key in self.rows or key in filed:
+                duplicate = i
+                break
+            filed[key] = start + i
+        if stop > len(self._rows):
+            grown = max(64, 2 * start, stop)
             self._rows = np.resize(self._rows, (grown, self.dim))
             self._norms = np.resize(self._norms, grown)
             self._packed = np.resize(self._packed,
                                      (grown, self._packed.shape[1]))
-        # v holds float32 values, so storing them narrows nothing.
-        self._rows[row] = v
-        self._norms[row] = norm
-        self._packed[row] = self._band_keys(self._bits(v)).ravel()
-        self.rows[key] = row
-        self.keys.append(key)
+        # Rows past size are unused until the keys are filed, so a refused
+        # stack leaves nothing behind. The stored float32 values are the
+        # vectors', and the passes widen them exactly.
+        rows, norms, packed = (self._rows[start:stop], self._norms[start:stop],
+                               self._packed[start:stop])
+        rows[...] = matrix
+        # Each block's float64 rows, and its dots with the planes, fill at
+        # most _BLOCK_BYTES.
+        step = max(1, _BLOCK_BYTES // (8 * max(self.dim, len(self.planes))))
+        for lo in range(0, len(rows), step):
+            norms[lo:lo + step] = _norms(rows[lo:lo + step].astype(np.float64))
+        # Widened float32 values cannot overflow a norm: finite iff each
+        # entry is.
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+        first = int(bad[0]) if bad.size else len(keys)
+        if duplicate < len(keys) and duplicate <= first:
+            raise DuplicateKeyError(f"key already indexed: {keys[duplicate]}")
+        if first < len(keys):
+            kind = "zero-norm" if np.isfinite(norms[first]) else "non-finite"
+            raise NumericError(f"{kind} vector for key {keys[first]}")
+        for lo in range(0, len(rows), step):
+            packed[lo:lo + step] = self._signed(
+                rows[lo:lo + step].astype(np.float64), norms[lo:lo + step])
+        self.rows.update(filed)
+        self.keys.extend(keys)
+
+    def _signed(self, block: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """The packed band keys of widened rows with their norms, one row of
+        the result per row of block (``insert_many`` proves them)."""
+        dots = block @ self.planes.T
+        bits = dots >= 0.0
+        limits = norms[:, None] * self._sign_limits
+        unsure = (np.abs(dots, out=dots) <= limits).any(axis=1)
+        for row in np.flatnonzero(unsure):
+            bits[row] = self._bits(block[row])
+        return np.packbits(
+            bits.reshape(len(block), self.n_bands, self.rows_per_band),
+            axis=2).reshape(len(block), -1)
 
     def lookup(self, vector: np.ndarray, threshold: float
                ) -> list[tuple[ColumnKey, float]]:

@@ -26,10 +26,10 @@ head takes the encoder's dimension: it rejects what would fail later, and
 a non-finite tensor or stored vector, which would load silently, and
 postings or document frequencies other than a save writes.
 
-The cosine LSH index is not stored: loading hands the keys and the vector
-matrix, in key-table order, to the ``SearchEngine`` constructor, which
-allocates the index for that many rows and rebuilds it exactly as
-``build_engine`` built it.
+The cosine LSH index is not stored: loading hands the keys and the loaded
+vector matrix, in key-table order, to the ``SearchEngine`` constructor,
+which allocates the index for that many rows and files the matrix in one
+``insert_many``, exactly as ``build_engine`` filed it.
 
 Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
 check magic, version and kind, then the digest, before parsing anything

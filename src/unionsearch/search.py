@@ -44,15 +44,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Column, ColumnKey, Corpus, Table
+from .corpus import Column, ColumnKey, Corpus, Table, cell_blocks
 from .encoder import Encoder
 from .errors import ConfigError, InputError, NumericError
 from .lshindex import CosineLshIndex, cosines
 from .projection import ProjectionHead, project, widened
 from .seeding import check_seed, derive_seed
 from . import syntactic
-from .syntactic import (ALL_MEASURES, FORMAT, SEMANTIC, SET_MEASURES,
-                        TfidfModel, TokenSets)
+from .syntactic import ALL_MEASURES, FORMAT, SEMANTIC, TfidfModel, TokenSets
 
 
 @dataclass
@@ -175,12 +174,13 @@ def table_unionability(matches: list[AttributeMatch]) -> float:
 class SearchEngine:
     """Immutable query-side bundle: encoder, head, and indexes.
 
-    Made from ``keys``, in strictly increasing order, and ``vectors``, one
-    float32 vector per key in the same order. The cosine index keeps its
-    own default banding, takes its seed from ``index_config`` and its
-    dimension from ``head.dims[2]``, and is allocated for ``len(keys)``
-    rows; each column is filed in turn, so the same columns give the same
-    rows and buckets. ``keys`` is that index's own row -> key list.
+    Made from ``keys``, in strictly increasing order, and ``vectors``, a
+    matrix of one float32 vector per key in the same order, which is read,
+    not kept. The cosine index keeps its own default banding, takes its
+    seed from ``index_config`` and its dimension from ``head.dims[2]``, is
+    allocated for ``len(keys)`` rows and files the matrix in one
+    ``insert_many``, so the same columns give the same rows and buckets.
+    ``keys`` is that index's own row -> key list.
     ``postings`` maps each syntactic measure to the inverted lists of its
     token sets over the same rows, so their row i is ``keys[i]`` too. They
     are the one store of the token sets and the one source of the set
@@ -189,7 +189,7 @@ class SearchEngine:
 
     def __init__(self, encoder: Encoder, head: ProjectionHead,
                  index_config: IndexConfig, tfidf: TfidfModel,
-                 keys: Sequence[ColumnKey], vectors: Iterable[np.ndarray],
+                 keys: Sequence[ColumnKey], vectors: np.ndarray,
                  postings: dict[str, syntactic.SetPostings]):
         self.encoder = encoder
         self.head = head
@@ -200,8 +200,7 @@ class SearchEngine:
             dim=head.dims[2], seed=derive_seed(index_config.seed, "cosine"),
             capacity=len(keys))
         self.keys: list[ColumnKey] = self.semantic_index.keys
-        for key, vector in zip(keys, vectors, strict=True):
-            self.semantic_index.insert(key, vector)
+        self.semantic_index.insert_many(keys, vectors)
         self.postings = postings
 
     def project_column(self, column: Column) -> np.ndarray:
@@ -216,24 +215,31 @@ class SearchEngine:
 
 def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
                  index_config: IndexConfig | None = None) -> SearchEngine:
-    """Index every encodable corpus column under all measures."""
+    """Index every encodable corpus column under all measures.
+
+    Array passes over the columns' cell blocks, in key order:
+    ``syntactic.lake_sets`` counts the document frequencies, keeps the
+    encodable columns and files their token sets; then each block's columns
+    are embedded at once, and each base embedding projected alone, since a
+    batched projection would change the bits. The sets are filed before any
+    vector is made, so their working state is gone before the encoder's
+    memos fill. The engine equals one built column by column with
+    ``build_tfidf``, ``build_profile``, ``SetPostings.from_sets`` and
+    ``embed_column``, bit for bit.
+    """
     cfg = index_config or IndexConfig()
     cfg.validate()
-    tfidf = syntactic.build_tfidf(corpus)
-    columns = sorted(corpus.encodable_columns(), key=lambda col: col.column_key)
-    sets: dict[str, list[frozenset[str]]] = {m: [] for m in SET_MEASURES}
-    for c in columns:
-        for measure, tokens in syntactic.build_profile(c, tfidf).items():
-            sets[measure].append(tokens)
-    # Each measure's sets are dropped once filed, before any vector is made.
-    postings = {m: syntactic.SetPostings.from_sets(sets.pop(m))
-                for m in SET_MEASURES}
-    # One column at a time: a batched projection would change the bits.
+    tfidf, columns, postings = syntactic.lake_sets(
+        sorted(corpus.columns(), key=lambda col: col.column_key))
     wide = widened(head)
-    return SearchEngine(
-        encoder, head, cfg, tfidf, [c.column_key for c in columns],
-        (project(wide, encoder.embed_column(c.values)).astype(np.float32)
-         for c in columns), postings)
+    vectors = np.empty((len(columns), head.dims[2]), dtype=np.float32)
+    row = 0
+    for block in cell_blocks(columns):
+        for base in encoder.embed_block(block):
+            vectors[row] = project(wide, base)
+            row += 1
+    return SearchEngine(encoder, head, cfg, tfidf,
+                        [c.column_key for c in columns], vectors, postings)
 
 
 def _table_pairs(engine: SearchEngine, cfg: SearchConfig,

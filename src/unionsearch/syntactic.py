@@ -12,6 +12,14 @@ average any subset of them with the semantic measure, scoring each with
 lists only the pairs of query set and row that share a token.
 ``build_profile`` builds just the sets it is asked for, from ``SET_BUILDERS``.
 
+The index build makes the same sets for every column of the lake at once:
+``lake_sets`` counts the document frequencies and files each column's sets
+as postings, in array passes over ``corpus.CellBlock`` slots. A cell's
+tokens and format pattern are read once per distinct value of a block; per
+cell, only slot arrays are counted. They give the sets and frequencies
+that ``build_tfidf``, ``build_profile`` and ``SetPostings.from_sets`` give
+column by column, which remain the query path and the reference.
+
 A lake repeats its cells (1.3% of the benchmark lake's cells are
 distinct), so per-cell work is memoized and done once per distinct string:
 a cell's tokens, read by ``build_tfidf`` and ``value_terms``, and its
@@ -28,12 +36,12 @@ import functools
 import re
 from dataclasses import dataclass
 from collections import Counter
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Column, Corpus, tokenize
+from .corpus import CellBlock, Column, Corpus, cell_blocks, tokenize
 
 SEMANTIC = "semantic"
 NAME = "name"
@@ -91,6 +99,19 @@ class SetPostings:
                 lists.setdefault(tok, []).append(row)
         return cls({tok: np.array(rows, dtype=np.int64)
                     for tok, rows in lists.items()}, len(sets))
+
+    @classmethod
+    def from_pairs(cls, vocab: Sequence[str], tokens: np.ndarray,
+                   rows: np.ndarray, n_rows: int) -> SetPostings:
+        """The postings of distinct (token, row) pairs, token id i naming
+        ``vocab[i]``: one sort by token, then row, cut at each token."""
+        order = np.lexsort((rows, tokens))
+        tokens, rows = tokens[order], rows[order]
+        cuts = np.flatnonzero(tokens[1:] != tokens[:-1]) + 1
+        firsts = tokens[np.concatenate([[0], cuts])] if len(tokens) else []
+        return cls({vocab[tok]: lst for tok, lst in
+                    zip(firsts, np.split(rows, cuts))},
+                   n_rows)
 
     def match(self, sets: Sequence[frozenset[str]]
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,6 +187,134 @@ def build_tfidf(corpus: Corpus) -> TfidfModel:
     for col in columns:
         df.update(set(_column_tokens(col)))
     return TfidfModel(df=dict(df), n_columns=len(columns))
+
+
+def _ids(vocab: dict[str, int], items: list[str]) -> np.ndarray:
+    """Each item's id in vocab, in order; an item not in vocab joins it
+    first, ids counting up in order of first use."""
+    new = [item for item in dict.fromkeys(items) if item not in vocab]
+    vocab.update(zip(new, range(len(vocab), len(vocab) + len(new))))
+    return np.fromiter(map(vocab.__getitem__, items), dtype=np.int64,
+                       count=len(items))
+
+
+def _block_terms(block: CellBlock, vocab: dict[str, int],
+                 columns: np.ndarray, slots: np.ndarray, cells: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column's distinct tokens, as ``_column_tokens`` yields them,
+    with their counts: (columns, token ids, counts), ordered by column, then
+    token id. columns, slots and cells are ``block.column_slots()``; a
+    token not in vocab joins it."""
+    tokens = list(map(_cell_tokens, block.values))
+    per_slot = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+    ids = _ids(vocab, list(chain.from_iterable(tokens)))
+    per = per_slot[slots]
+    # Position of each of each column slot's tokens in ids.
+    at = np.repeat(np.cumsum(per_slot)[slots] - np.cumsum(per), per) \
+        + np.arange(per.sum())
+    stride = max(len(vocab), 1)
+    pairs, which = np.unique(np.repeat(columns, per) * stride + ids[at],
+                             return_inverse=True)
+    counts = np.bincount(which, weights=np.repeat(cells, per))
+    return *np.divmod(pairs, stride), counts
+
+
+def lake_sets(columns: Sequence[Column]
+              ) -> tuple[TfidfModel, list[Column], dict[str, SetPostings]]:
+    """The lake's document frequencies, its encodable columns in the order
+    given, and each set measure's postings over those, row i being the i-th;
+    in two passes over the columns' cell blocks.
+
+    The first pass counts what ``build_tfidf`` counts. In the second, each
+    row's sets are ``build_profile``'s: name q-grams column by column;
+    value terms ranked by one lexsort of each block's token counts on
+    (column, -tf * idf, token rank), the rank being the token's place in
+    sorted order, as ``value_terms`` sorts them; format patterns read once
+    per distinct value of a block, "" left out as ``non_empty_values``
+    leaves it. Each measure's postings come from its sorted (token, row)
+    pairs.
+    """
+    sets = _LakeSets(columns)
+    for block in cell_blocks(sets.columns):
+        sets.add(block)
+    return sets.tfidf, sets.columns, sets.postings()
+
+
+class _LakeSets:
+    """The state of ``lake_sets``: the first pass is the constructor, and
+    ``add`` takes the second pass's blocks in turn."""
+
+    def __init__(self, columns: Sequence[Column]):
+        # Token ids number tokens in order of first use.
+        vocab: dict[str, int] = {}
+        df = np.zeros(0, dtype=np.int64)
+        encodable = np.zeros(len(columns), dtype=bool)
+        start = 0
+        for block in cell_blocks(columns):
+            found, ids, _ = _block_terms(block, vocab, *block.column_slots())
+            df = np.concatenate([df, np.zeros(len(vocab) - len(df), np.int64)])
+            df += np.bincount(ids, minlength=len(vocab))
+            encodable[start + found] = True
+            start += len(block.columns)
+        self.columns = list(compress(columns, encodable))
+        self.tfidf = TfidfModel(df=dict(zip(vocab, df.tolist())),
+                                n_columns=len(self.columns))
+        # Each token id's rank and idf; an idf per distinct frequency.
+        self._rank = np.empty(len(vocab), dtype=np.int64)
+        self._rank[np.fromiter(map(vocab.__getitem__, sorted(vocab)),
+                               dtype=np.int64, count=len(vocab))] = \
+            np.arange(len(vocab))
+        counts, which = np.unique(df, return_inverse=True)
+        self._idf = np.array([_idf(len(self.columns), c)
+                              for c in counts.tolist()])[which]
+        self._vocabs: dict[str, dict[str, int]] = {NAME: {}, VALUE: vocab,
+                                                   FORMAT: {}}
+        self.n_rows = 0
+        # Each measure's token ids over rows, one (2, pairs) array per block.
+        self._pairs: dict[str, list[np.ndarray]] = {m: [] for m in SET_MEASURES}
+
+    def add(self, block: CellBlock) -> None:
+        start = self.n_rows
+        grams = [name_qgrams(column.name) for column in block.columns]
+        self._pairs[NAME].append(np.stack([
+            _ids(self._vocabs[NAME], list(chain.from_iterable(grams))),
+            np.repeat(np.arange(start, start + len(grams)),
+                      np.fromiter(map(len, grams), dtype=np.intp,
+                                  count=len(grams)))]))
+
+        columns, slots, cells = block.column_slots()
+        found, ids, tf = _block_terms(block, self._vocabs[VALUE], columns,
+                                      slots, cells)
+        order = np.lexsort((self._rank[ids], -(tf * self._idf[ids]), found))
+        found, ids = found[order], ids[order]
+        firsts = np.flatnonzero(np.diff(found, prepend=-1))
+        place = np.arange(len(found)) - np.repeat(
+            firsts, np.diff(firsts, append=len(found)))
+        top = place < DEFAULT_TOP_TERMS
+        self._pairs[VALUE].append(np.stack([ids[top], start + found[top]]))
+
+        patterns = self._vocabs[FORMAT]
+        of_value = _ids(patterns, list(map(format_pattern, block.values)))
+        # Only "" has the pattern "", and non_empty_values leaves it out.
+        of_value[of_value == patterns.get("", -1)] = -1
+        of_slot = of_value[slots]
+        kept = of_slot >= 0
+        stride = max(len(patterns), 1)
+        pairs = np.sort(columns[kept] * stride + of_slot[kept])
+        found, ids = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], stride)
+        self._pairs[FORMAT].append(np.stack([ids, start + found]))
+        self.n_rows += len(block.columns)
+
+    def postings(self) -> dict[str, SetPostings]:
+        """Each set measure's postings, in ``SET_MEASURES`` order."""
+        out = {}
+        for measure in SET_MEASURES:
+            ids, rows = np.concatenate(
+                [np.empty((2, 0), dtype=np.int64), *self._pairs[measure]],
+                axis=1)
+            out[measure] = SetPostings.from_pairs(
+                list(self._vocabs[measure]), ids, rows, self.n_rows)
+        return out
 
 
 def value_terms(column: Column, tfidf: TfidfModel,

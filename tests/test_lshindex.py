@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -547,6 +548,134 @@ def test_dim_mismatch_rejected():
     idx = CosineLshIndex(dim=8)
     with pytest.raises(ConfigError):
         idx.insert(("t", 0), np.ones(9))
+
+
+# ---------------------------------------------------------------- batched filing
+
+def _near_plane_rows(idx, rng, n):
+    """n float32 rows on a hyperplane or a hair off it, and which plane.
+
+    Entries i and j are (p_j, -p_i) * 2**s for plane p: float32 products
+    are exact in float64, so their two terms cancel exactly. Row 0 has only
+    those, so its dot with p is exactly 0. The others add +-2**-60 at a
+    third entry, so the exact dot is that times p_k, far inside the margin,
+    where summation order can decide the sign bit.
+    """
+    rows = np.zeros((n, idx.dim), dtype=np.float32)
+    planes = rng.integers(len(idx.planes), size=n)
+    for r, plane in enumerate(planes):
+        p = idx.planes[plane]
+        i, j, k = rng.choice(idx.dim, 3, replace=False)
+        scale = 2.0 ** int(rng.integers(-3, 4))
+        rows[r, i], rows[r, j] = p[j] * scale, -p[i] * scale
+        if r:
+            rows[r, k] = rng.choice([-1.0, 1.0]) * 2.0 ** -60
+    return rows, planes
+
+
+def test_batched_filing_resigns_rows_within_the_margin(monkeypatch):
+    idx = CosineLshIndex(dim=16, seed=7)
+    rng = np.random.default_rng(11)
+    near, planes = _near_plane_rows(idx, rng, 24)
+    rows = np.concatenate([near, rng.standard_normal((200, 16))]) \
+        .astype(np.float32)
+    rng.shuffle(order := np.arange(len(rows)))
+    rows = rows[order]
+    widened = rows.astype(np.float64)
+    want_bits = [idx._bits(v) for v in widened]
+    want_packed = np.stack([idx._band_keys(b).ravel() for b in want_bits])
+    want_norms = np.array([np.linalg.norm(v) for v in widened])
+    on_plane = int(np.flatnonzero(order == 0)[0])
+    assert (idx.planes[planes[0]] @ widened[on_plane]) == 0.0
+    assert want_bits[on_plane][planes[0]] == 1   # a zero dot counts as 1
+
+    calls = []
+    bits = CosineLshIndex._bits
+
+    def counted(self, v):
+        calls.append(1)
+        return bits(self, v)
+
+    monkeypatch.setattr(CosineLshIndex, "_bits", counted)
+    idx.insert_many([("t", i) for i in range(len(rows))], rows)
+    # The exact signing ran for the planted rows, and only for them.
+    assert len(calls) == len(near)
+    assert idx._packed[:idx.size].tobytes() == want_packed.tobytes()
+    assert idx._norms[:idx.size].tobytes() == want_norms.tobytes()
+    filed = np.unpackbits(idx._packed[on_plane].reshape(idx.n_bands, -1),
+                          axis=1)[:, :idx.rows_per_band].ravel()
+    assert filed[planes[0]] == 1
+
+
+def test_batched_filing_equals_inserting_row_by_row():
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((150, 12))
+    keys = [("t", i) for i in range(150)]
+    one = CosineLshIndex(dim=12, seed=2)
+    for key, row in zip(keys, rows):
+        one.insert(key, row)
+    many = CosineLshIndex(dim=12, seed=2)
+    many.insert(keys[0], rows[0])          # onto a filled index, grown
+    many.insert_many(keys[1:100], rows[1:100])
+    many.insert_many(keys[100:], rows[100:].astype(np.float32))
+    many.insert_many([], np.empty((0, 12)))
+    assert many.keys == one.keys and many.rows == one.rows
+    n = one.size
+    for a, b in zip((many._rows, many._norms, many._packed),
+                    (one._rows, one._norms, one._packed)):
+        assert a[:n].tobytes() == b[:n].tobytes()
+    assert many.buckets == one.buckets
+
+
+@pytest.mark.parametrize("case, error, bad", [
+    ("nan", NumericError, 3), ("inf", NumericError, 3),
+    ("zero", NumericError, 3), ("duplicate", DuplicateKeyError, 3),
+    ("filed", DuplicateKeyError, 2),
+    ("duplicate-before-nan", DuplicateKeyError, 2),
+    ("nan-before-duplicate", NumericError, 1),
+    ("float32-overflow", NumericError, 4),
+])
+def test_batched_filing_refuses_a_bad_stack_whole(case, error, bad):
+    idx = CosineLshIndex(dim=4, seed=2, capacity=8)
+    idx.insert(("ok", 0), np.ones(4))
+    before = (list(idx.keys), dict(idx.rows), idx.vectors.copy(),
+              idx._norms[:1].copy(), idx._packed[:1].copy(), idx.buckets)
+    rows = np.random.default_rng(13).standard_normal((6, 4))
+    keys = [("t", i) for i in range(6)]
+    if case in ("nan", "duplicate-before-nan"):
+        rows[3, 1] = np.nan
+    if case == "nan-before-duplicate":
+        rows[1, 1] = np.nan
+    if case == "inf":
+        rows[3, 0] = -np.inf
+    if case == "zero":
+        rows[3] = 0.0
+    if case == "float32-overflow":
+        rows[4, 2] = 1e39   # finite in float64, infinite once float32
+    if case in ("duplicate", "nan-before-duplicate"):
+        keys[3] = keys[0]
+    if case in ("filed", "duplicate-before-nan"):
+        keys[2] = ("ok", 0)
+    message = {NumericError: "zero-norm" if case == "zero" else "non-finite",
+               DuplicateKeyError: "already indexed"}[error]
+    with np.errstate(over="ignore"), \
+            pytest.raises(error, match=rf"{message}.*{re.escape(str(keys[bad]))}"):
+        idx.insert_many(keys, rows)
+    assert idx.keys == before[0] and idx.rows == before[1]
+    np.testing.assert_array_equal(idx.vectors, before[2])
+    np.testing.assert_array_equal(idx._norms[:1], before[3])
+    np.testing.assert_array_equal(idx._packed[:1], before[4])
+    assert idx.buckets == before[5]
+
+
+def test_batched_filing_checks_its_shape():
+    idx = CosineLshIndex(dim=4)
+    for vectors, keys in [(np.ones((2, 5)), [("a", 0), ("b", 0)]),
+                          (np.ones(4), [("a", 0)]),
+                          (np.ones((3, 4)), [("a", 0), ("b", 0)])]:
+        with pytest.raises(ConfigError):
+            idx.insert_many(keys, vectors)
+    assert idx.size == 0
 
 
 # ---------------------------------------------------------------- minhash

@@ -247,7 +247,6 @@ def test_loaded_vector_matrix_is_an_owned_copy(tmp_path, world, monkeypatch):
     engine_cls = modelfile.SearchEngine
 
     def recorded_engine(encoder, head, cfg, tfidf, keys, vectors, postings):
-        vectors = list(vectors)
         seen.append(vectors)
         return engine_cls(encoder, head, cfg, tfidf, keys, vectors, postings)
 
@@ -255,8 +254,8 @@ def test_loaded_vector_matrix_is_an_owned_copy(tmp_path, world, monkeypatch):
     monkeypatch.setattr(modelfile, "SearchEngine", recorded_engine)
     load_index(p)
     (data,) = read
-    (vectors,) = seen
-    matrix = vectors[0].base
+    (matrix,) = seen   # the engine is handed the loaded matrix itself
+    vectors = list(matrix)
     assert matrix.shape == (len(engine.keys), 16)
     assert all(vector.base is matrix for vector in vectors)
     assert matrix.flags.writeable and matrix.flags.owndata

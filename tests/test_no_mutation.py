@@ -13,8 +13,8 @@ from unionsearch.contrast import OFFLINE, ONLINE, train
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.modelfile import ModelBundle, load_index, save_index
 from unionsearch.projection import TrainConfig, Velocity, init_head
-from unionsearch.search import (IndexConfig, SearchConfig, build_engine,
-                                top_k_search)
+from unionsearch.search import (IndexConfig, SearchConfig, SearchEngine,
+                                build_engine, top_k_search)
 from unionsearch.syntactic import NAME, SEMANTIC, VALUE
 
 LAKE_SPEC = BenchmarkSpec(n_bases=4, derivations_per_base=4, n_topics=2,
@@ -88,6 +88,39 @@ def test_build_and_search_leave_their_inputs_alone(lake, exhaustive):
     assert result.ranked    # the query did find something
     _assert_head_unchanged(head, state)
     assert (lake, icfg, cfg, query) == before
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_build_and_filing_leave_corpus_config_and_matrix_alone(
+        lake, dtype):
+    encoder_config = EncoderConfig(dim=32, hash_seed=1)
+    encoder = Encoder(encoder_config)
+    before = copy.deepcopy((lake, encoder_config, encoder.cfg))
+    values = [list(c.values) for c in lake.columns()]
+    built = build_engine(lake, encoder, init_head(32, 32, 16, seed=3),
+                         IndexConfig(seed=4))
+    assert (lake, encoder_config, encoder.cfg) == before
+    # The very cell objects, not only equal ones.
+    assert all(a is b for c, vs in zip(lake.columns(), values)
+               for a, b in zip(c.values, vs))
+    state = _engine_state(built)
+    matrix = built.semantic_index.vectors.astype(dtype)
+    matrix_before = matrix.copy()
+    engine = SearchEngine(built.encoder, built.head, built.index_config,
+                          built.tfidf, built.keys, matrix, built.postings)
+    np.testing.assert_array_equal(matrix, matrix_before)
+    assert matrix.flags.writeable
+    _assert_engine_unchanged(engine, state)
+    # The caller's to change: the engine keeps its own rows.
+    assert not np.shares_memory(engine.semantic_index.vectors, matrix)
+    matrix[:] = 0.0
+    _assert_engine_unchanged(engine, state)
+    index = engine.semantic_index
+    stack = matrix_before[:5] + 1.0
+    stack_before = stack.copy()
+    index.insert_many([("new", i) for i in range(5)], stack)
+    np.testing.assert_array_equal(stack, stack_before)
+    assert not np.shares_memory(index.vectors, stack)
 
 
 def _postings_state(engine):

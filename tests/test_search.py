@@ -186,8 +186,8 @@ class VectorEngine(SearchEngine):
         super().__init__(encoder=None, head=init_head(dim, dim, dim, seed=0),
                          index_config=IndexConfig(),
                          tfidf=TfidfModel(df={}, n_columns=0), keys=keys,
-                         vectors=(np.asarray(stored[key], dtype=np.float32)
-                                  for key in keys),
+                         vectors=np.array([stored[key] for key in keys],
+                                          dtype=np.float32).reshape(-1, dim),
                          postings={})
         self._queries = {k: np.asarray(v, dtype=np.float32) for k, v in queries.items()}
 
