@@ -30,8 +30,10 @@ one by one, so the packed keys are those of signing each row alone.
 ``cosines`` pass, widening the rows block by block into one float64
 buffer. The other calls take a stack too
 and name a pair of its vector j and stored row by the id ``j * size +
-row``: ``prefilter`` finds, in one float32 product with a proven error
-margin, the ids whose exact cosine can reach a threshold; ``pair_scores``
+row``: ``prefilter`` finds, with a proven error margin, the ids whose exact
+cosine can reach a threshold, in one float32 product in the top principal
+subspace of the stored rows, or, where that keeps more than a crossover
+share of the pairs, in one full-dimension float32 product; ``pair_scores``
 scores given ids exactly in one pass; ``band_hits`` keeps those of given
 ids whose vector shares a band with the row, comparing only their packed
 keys. Banding only masks: ``lookup`` is a stack of one through those three
@@ -46,13 +48,14 @@ from those rows and sets; buckets only choose what counts.
 
 Everything else is derived: hyperplanes and hash coefficients follow from
 the seed, band keys and buckets from the inserted rows and sets, in
-insertion order. An index file therefore stores none of it.
+insertion order, and the prefilter's subspace sketch from the rows, at its
+first call after an insert. An index file therefore stores none of it.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,9 +67,15 @@ from .syntactic import jaccard
 MERSENNE_P = (1 << 31) - 1   # prime modulus; products stay below 2**62
 # Bytes of float64 rows that ``scores`` widens at a time.
 _BLOCK_BYTES = 1 << 19
-# Stored norms the float32 ``prefilter`` pass is proven for; it keeps every
-# other row.
+# Stored norms the full-dimension ``prefilter`` scan is proven for; it keeps
+# every other row.
 _NORM_RANGE = (2.0 ** -100, 2.0 ** 100)
+# The rank of the subspace ``prefilter`` bounds cosines in first: min(this,
+# dim) principal directions of the stored rows.
+_SUBSPACE_RANK = 48
+# The share of a stack's pairs above which ``prefilter`` drops the subspace
+# bound's pairs and scans the full rows instead.
+_CROSSOVER = 0.02
 
 
 def cosines(rows: np.ndarray, row_norms: np.ndarray | float, v: np.ndarray,
@@ -97,6 +106,29 @@ def _dot_margin(dim: int, unit: float = 2.0 ** -24) -> float:
     return 2.0 * du / (1.0 - du) if du < 1.0 else np.inf
 
 
+def _coordinates(unit: np.ndarray, basis: np.ndarray, slack: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 unit vectors' float32 coordinates in basis, one row each,
+    and a float32 bound on each one's distance from basis.T times them:
+    the float64 residual norm plus slack, rounded up."""
+    coords = (unit @ basis.T).astype(np.float32)
+    residuals = _norms(unit - coords.astype(np.float64) @ basis) + slack
+    # Rounding to nearest moves a value by under 2**-24 of it.
+    return coords, (residuals * (1.0 + 2.0 ** -23)).astype(np.float32)
+
+
+class _Sketch(NamedTuple):
+    """What stage 1 of ``CosineLshIndex.prefilter`` reads: its basis P,
+    the (K + 2) x n array [a; rho; 1], A, R, eps and H."""
+
+    basis: np.ndarray
+    aug: np.ndarray
+    a_max: float
+    rho_max: float
+    eps: float
+    slack: float
+
+
 def _band_check(n_total: int, n_bands: int, rows_per_band: int, kind: str) -> None:
     if n_bands < 1 or rows_per_band < 1:
         raise ConfigError(f"{kind}: bands and rows must be >= 1, "
@@ -115,7 +147,9 @@ class CosineLshIndex:
     packed band keys next to it. ``capacity`` rows are allocated up
     front, and an insert past them doubles the allocation. ``keys`` names
     each row, in insertion order, and ``rows`` maps each key back to its
-    row. ``planes`` is the one hyperplane array.
+    row. ``planes`` is the one hyperplane array. ``prefilter`` derives its
+    subspace sketch of the rows when it first needs it, and every insert
+    drops it.
     """
 
     def __init__(self, dim: int, n_planes: int = 256, n_bands: int = 32,
@@ -145,6 +179,8 @@ class CosineLshIndex:
         self._band_width = (rows_per_band + 7) // 8
         self._packed = np.empty((capacity, n_bands * self._band_width),
                                 dtype=np.uint8)
+        # Derived from the stored rows when ``prefilter`` first needs it.
+        self._sketch: _Sketch | None = None
 
     @property
     def size(self) -> int:
@@ -253,46 +289,177 @@ class CosineLshIndex:
         can reach threshold, as ascending ids ``j * size + row`` for vector
         j: a superset of ``np.flatnonzero(scores(vectors) >= threshold)``.
 
-        One float32 product ``rows @ stack.T`` decides it. A row is kept
-        unless its float32 dot is below (t - margin) * |r| |q|, with t the
-        threshold clamped to [-1, 1], the float64 norms of ``scores``, and
-        margin twice gamma_d (``_dot_margin``); so NaN and infinite dots are
-        kept. Why no row at t is lost:
+        Two stages decide it, t being the threshold clamped to [-1, 1]:
 
-        * Both passes read the same float32 values exactly. Let D be the
-          real dot product r.q and P = |r| |q|.
-        * Any float32 summation order gives |dot - D| <= gamma_d * P
+        * Stage 1 bounds each cosine in a subspace. The sketch of the stored
+          rows, built in row blocks at the first call after an insert,
+          holds P, the top K = min(``_SUBSPACE_RANK``, dim) principal
+          directions of the unit rows r/|r| (one float64 row of P each),
+          and per row its float32 coordinates a = P r/|r| and a bound rho
+          on its distance from the subspace, as one (K + 2) x n float32
+          array [a; rho; 1]. Each vector q gets b and sigma the same way,
+          and one float32 product [b; sigma; -t] @ [a; rho; 1] gives
+          a.b + sigma rho - t for every pair. A pair is kept unless that
+          is below -m rounded down to float32, m being a margin per vector
+          (below).
+        * Stage 2. If stage 1 keeps more than ``_CROSSOVER`` of the stack's
+          pairs (it stops at the block of rows where it passes that
+          share), they are dropped, and one float32 product ``rows @
+          stack.T`` over the full dimension decides: a row is kept unless
+          its float32 dot is below (t - margin) * |r| |q|, with the float64
+          norms of ``scores`` and margin twice gamma_d (``_dot_margin``);
+          so NaN and infinite dots are kept.
+
+        Both passes read the same float32 values exactly. Let x = r/|r| and
+        y = q/|q| be the real unit vectors, D = r.q and N = |r| |q|. The
+        float64 pass of ``scores`` rounds its dot, its norms, their product
+        and their quotient: its cosine reaches t only if D >= (t - e) N,
+        with e under d * 2**-52. Its clamp adds nothing for t in (-1, 1],
+        and at t = -1 every pair reaches t and every pair stays: each bound
+        below holds for any x.y >= -1.
+
+        Why stage 1 loses no pair at t:
+
+        * With u = x - P^T a, v = y - P^T b, delta = P x - a and eta =
+          P y - b, exactly x.y = a.b + E + u.v, where E = delta.b +
+          a.(eta + (I - P P^T) b), and u.v <= rho sigma once rho >= |u|
+          and sigma >= |v|. So a pair at t has a.b + sigma rho >= t - e
+          - |E|.
+        * eps bounds the spectral norm of I - P P^T: the Frobenius norm of
+          the float64 P P^T - I, plus H (below). The bases eigh and svd
+          give have eps near 1e-14; past 2**-10 every margin is infinite,
+          so every pair is kept and stage 2 decides. Below it, P and every
+          vector here are of unit scale.
+        * a is the float64 P x rounded to float32, so |delta| <= 2**-23 A
+          + H, A being the largest |a|, and likewise |eta| <= 2**-23 B + H,
+          with B = |b| (coordinates that underflow in float32 move by
+          under 2**-150 each). So |E| <= (2**-22 + eps) A B + H (A + B).
+        * H = 4 (K + 1) ``_dot_margin(dim + K + 8, 2**-53)`` bounds each
+          float64 rounding of these unit-scale terms: the division by the
+          stored norm, the products with P and P^T and the residual norms
+          (Higham, section 3.1), and e. rho and sigma are the float64
+          residual norms plus H, rounded up to float32.
+        * The float32 product sums K + 2 products of float32 values: in
+          any order within gamma_(K+2) (A B + sigma R + 1) of their real
+          sum, R being the largest rho, and -t rounds to float32 by at most
+          2**-24. Underflowing products add under (K + 2) 2**-149.
+        * So the product of a pair at t is at least -(e + |E| + 2**-24 +
+          gamma_(K+2) (A B + sigma R + 1)). m = 2 gamma_(K+2) (A B +
+          sigma R + 1) + (eps + 2**-22) A B + H (A + B + 1) exceeds that:
+          H covers e, and the second gamma_(K+2) (A B + sigma R + 1), at
+          least 3 * 2**-24, covers the 2**-24 and the rounding of m, A
+          and B.
+        * Range. In float64, no float32 row or its unit vector comes near
+          overflow or underflow, so stage 1 needs no norm range. A vector
+          with a non-finite entry keeps every row (its cosines are NaN).
+
+        Why stage 2 loses no pair at t:
+
+        * Any float32 summation order gives |dot - D| <= gamma_d * N
           (Higham, section 3.1, with Cauchy-Schwarz), while no product or
           sum leaves the float32 range.
-        * The float64 pass rounds its dot, its norms, their product and
-          their quotient: its cosine reaches t only if D >= (t - e) P, with
-          e under d * 2**-52, far below gamma_d. Its clamp adds nothing for
-          t in (-1, 1], and at t = -1 every row stays, each dot being at
-          least -(1 + gamma_d) P.
-        * So such a row has dot >= (t - gamma_d - e) P, and the second
+        * So a row at t has dot >= (t - gamma_d - e) N, and the second
           gamma_d covers e and the rounding of the limit.
         * Range. Each vector is scaled by a power of two to a norm in
           [1/2, 1), which moves no bit but those of entries that underflow,
           each by under 2**-149. A row whose norm lies in ``_NORM_RANGE``
           then keeps every partial sum below 2**101, far from overflow,
           and underflowing products add under d * 2**-149, below 2**-24 of
-          gamma_d * P. Rows outside that range are always kept, as is
-          every row for a vector with a non-finite entry (its cosines are
-          NaN).
+          gamma_d * N. Rows outside that range are always kept, as is
+          every row for a vector with a non-finite entry.
 
-        A zero-norm vector anywhere in the stack raises NumericError.
+        Any superset gives the same search results, since only the pairs
+        at t are scored and kept. A zero-norm vector anywhere in the stack
+        raises NumericError.
         """
         return self._prefilter(self._prepare(vectors, ndim=2), threshold)
 
     def _prefilter(self, stack: np.ndarray, threshold: float) -> np.ndarray:
         norms = self._query_norms(stack)
+        t = np.clip(threshold, -1.0, 1.0)
+        if self.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if self._sketch is None:
+            self._sketch = self._sketched()
+        basis, aug, a_max, rho_max, eps, slack = self._sketch
+        k = len(basis)
+        finite = np.isfinite(norms)
+        unit = np.where(finite[:, None], stack, 0.0) \
+            / np.where(finite, norms, 1.0)[:, None]
+        b, sigma = _coordinates(unit, basis, slack)
+        lhs = np.empty((len(stack), k + 2), dtype=np.float32)
+        lhs[:, :k], lhs[:, k], lhs[:, k + 1] = b, sigma, -t
+        b_norms = _norms(b.astype(np.float64))
+        ab = a_max * b_norms
+        margins = _dot_margin(k + 2) \
+            * (ab + sigma.astype(np.float64) * rho_max + 1.0) \
+            + (eps + 2.0 ** -22) * ab + slack * (a_max + b_norms + 1.0)
+        if not eps <= 2.0 ** -10:
+            margins[:] = np.inf
+        # Rounding to nearest moves -m (1 + 2**-23) by under 2**-24 of it,
+        # so each float32 limit is at most -m.
+        limits = (-margins * (1.0 + 2.0 ** -23)).astype(np.float32)[:, None]
+        # The product runs over column blocks of _BLOCK_BYTES, so a stack
+        # past the crossover stops at the block that takes it there. Its
+        # inputs are finite, so no product is NaN.
+        budget = _CROSSOVER * len(stack) * self.size
+        kept = self.size * np.count_nonzero(~finite)
+        step = max(1, _BLOCK_BYTES // (4 * (k + 2)))
+        blocks = []
+        for lo in range(0, self.size, step):
+            blocks.append(lhs @ aug[:, lo:lo + step] >= limits)
+            kept += np.count_nonzero(blocks[-1])
+            if kept > budget:
+                return self._scan(stack, norms, t)
+        keep = np.concatenate(blocks, axis=1)
+        keep[~finite] = True
+        return np.flatnonzero(keep)
+
+    def _sketched(self) -> _Sketch:
+        """The sketch stage 1 of ``prefilter`` reads, built in row blocks
+        of ``_BLOCK_BYTES`` of float64 values."""
+        n, dim = self.size, self.dim
+        step = max(1, _BLOCK_BYTES // (8 * dim))
+        blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        basis = self._basis(min(_SUBSPACE_RANK, dim), blocks)
+        k = len(basis)
+        slack = 4.0 * (k + 1) * _dot_margin(dim + k + 8, 2.0 ** -53)
+        eps = float(np.linalg.norm(basis @ basis.T - np.eye(k))) + slack
+        aug = np.empty((k + 2, n), dtype=np.float32)
+        aug[k + 1] = 1.0
+        a_max = 0.0
+        for lo, hi in blocks:
+            a, aug[k, lo:hi] = _coordinates(self._unit(lo, hi), basis, slack)
+            aug[:k, lo:hi] = a.T
+            a_max = max(a_max, float(_norms(a.astype(np.float64)).max()))
+        return _Sketch(basis, aug, a_max, float(aug[k].max()), eps, slack)
+
+    def _basis(self, k: int, blocks: list[tuple[int, int]]) -> np.ndarray:
+        """The top k principal directions of the unit rows, one per row:
+        eigenvectors of their Gram matrix, summed over the row blocks, or,
+        with fewer rows than dimensions, their right singular vectors."""
+        if self.size < self.dim:
+            return np.linalg.svd(self._unit(0, self.size),
+                                 full_matrices=False)[2][:k]
+        gram = np.zeros((self.dim, self.dim))
+        for lo, hi in blocks:
+            unit = self._unit(lo, hi)
+            gram += unit.T @ unit
+        return np.ascontiguousarray(np.linalg.eigh(gram)[1][:, ::-1][:, :k].T)
+
+    def _unit(self, lo: int, hi: int) -> np.ndarray:
+        """Stored rows lo to hi, widened and divided by their norms."""
+        return self._rows[lo:hi].astype(np.float64) / self._norms[lo:hi, None]
+
+    def _scan(self, stack: np.ndarray, norms: np.ndarray, t: float
+              ) -> np.ndarray:
+        """Stage 2 of ``prefilter``: the full-dimension float32 test."""
         finite = np.isfinite(norms)
         _, exps = np.frexp(norms)
         scaled = np.ldexp(stack.astype(np.float32), -exps[:, None])
         n = self.size
         row_norms = self._norms[:n]
         dots = self._rows[:n] @ scaled.T
-        t = np.clip(threshold, -1.0, 1.0)
         row_limits = (t - self._margin) * row_norms
         lo, hi = _NORM_RANGE
         row_limits[(row_norms < lo) | (row_norms > hi)] = -np.inf
@@ -387,6 +554,7 @@ class CosineLshIndex:
         """``insert_many`` of a stack already shaped, of float32 values."""
         if len(matrix) != len(keys):
             raise ConfigError(f"{len(matrix)} vectors for {len(keys)} keys")
+        self._sketch = None
         start, stop = self.size, self.size + len(keys)
         filed: dict[ColumnKey, int] = {}
         duplicate = len(keys)

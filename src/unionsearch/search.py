@@ -21,8 +21,10 @@ token; every other pair's part is +0.0. The semantic parts are exact
 cosines from the cosine index. In exhaustive mode ``scores`` gives them
 for every row against all of the table's columns in one pass, the set
 parts are spread over every pair, and every pair is a pair row. When
-banded, one float32 ``prefilter`` pass finds a superset of the pairs whose
-cosine can reach the threshold; one ``pair_scores`` pass scores only those
+banded, one ``prefilter`` call finds a superset of the pairs whose cosine
+can reach the threshold, with one float32 product in the stored rows' top
+principal subspace, or one over the full rows when that subspace keeps
+too many pairs; one ``pair_scores`` pass scores only those
 and the pairs that reach it on name or value; and one ``band_hits`` test,
 of only the pairs that reach it on the semantic part, keeps those that
 share a cosine band. The pair rows are those, and the pairs that reach the
@@ -269,7 +271,9 @@ def _table_pairs(engine: SearchEngine, cfg: SearchConfig,
             [np.empty(0, dtype=np.int64),
              *(found[jaccards >= t]
                for m, (found, jaccards) in matches.items() if m != FORMAT)])
-        ids = np.union1d(index.prefilter(qvecs, t), gathered)
+        # Sorted, each id once: np.union1d would import numpy.ma.
+        ids = np.sort(np.concatenate([index.prefilter(qvecs, t), gathered]))
+        ids = ids[np.diff(ids, prepend=-1) != 0]
         semantic = index.pair_scores(qvecs, ids)
         keep = np.full(len(ids), False)
         keep[np.searchsorted(ids, gathered)] = True

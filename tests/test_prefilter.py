@@ -4,14 +4,19 @@
 whose exact cosine (``scores``) reaches the threshold; banded search scores
 only the rows it keeps. Rows are planted within 1e-12 of the threshold at
 norms from 1e-30 to 1e30, past them on both sides, and in dimensions where
-the float32 error bound differs by orders of magnitude.
+the float32 error bound differs by orders of magnitude. Each stage is
+checked on its own too: the subspace bound alone, on those lakes and on
+rows whose cosine rests on their distance from the subspace, and the
+crossover to the full scan, on cosines crowding just below the threshold.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from unionsearch import lshindex
 from unionsearch.bench import BenchmarkSpec, generate_benchmark
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.lshindex import CosineLshIndex, cosines
@@ -41,7 +46,8 @@ def _exact(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     return cosines(wide, norms, qv, np.linalg.norm(qv))
 
 
-def _plant(rng, q: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _plant(rng, q: np.ndarray, targets: np.ndarray,
+           space: np.ndarray | None = None) -> np.ndarray:
     """Float32 rows of norm about 1 whose exact cosine with q is each
     target's, to within about 1e-13.
 
@@ -49,18 +55,25 @@ def _plant(rng, q: np.ndarray, targets: np.ndarray) -> np.ndarray:
     the first axis, rounded to float32; then its first entry, where it and
     the query are both small, is bisected until the exact cosine meets the
     target. A target near 1 starts from q's direction alone, and its first
-    entry moves past q's.
+    entry moves past q's. Given space, orthonormal rows that miss the first
+    axis, the direction is drawn in their span, orthogonal to q's part
+    there, so each row leaves that span exactly as target * q/|q| does.
     """
     dim = len(q)
     qhat = q.astype(np.float64) / np.linalg.norm(q.astype(np.float64))
     near_one = targets > 1.0 - 1e-6
     rows = np.empty((len(targets), dim), dtype=np.float32)
     for i, target in enumerate(targets):
-        u = rng.standard_normal(dim)
-        u[0] = 0.0
-        u -= (u @ qhat) * qhat
-        u[0] = 0.0
-        u -= (u @ qhat) * qhat
+        if space is None:
+            u = rng.standard_normal(dim)
+            u[0] = 0.0
+            u -= (u @ qhat) * qhat
+            u[0] = 0.0
+            u -= (u @ qhat) * qhat
+        else:
+            inside = space.T @ (space @ qhat)
+            u = rng.standard_normal(len(space)) @ space
+            u -= (u @ inside) / (inside @ inside) * inside
         u /= np.linalg.norm(u)
         side = 0.0 if near_one[i] else np.sqrt(1.0 - target ** 2)
         rows[i] = target * qhat + side * u
@@ -233,3 +246,124 @@ def test_banded_pairs_are_the_dense_reference(t):
             assert list(column_pairs.items()) == list(want.items())
             pairs += len(column_pairs)
     assert pairs > 0
+
+
+def _scan_never(*args):
+    raise AssertionError("the full-dimension scan ran")
+
+
+@pytest.mark.parametrize("dim", [8, 128, 2048])
+@pytest.mark.parametrize("t", THRESHOLDS)
+def test_stage_one_alone_keeps_every_row_that_reaches_t(monkeypatch, dim, t):
+    """The lakes above, with the crossover out of reach: the subspace bound
+    alone decides every pair, at every norm and threshold."""
+    monkeypatch.setattr(lshindex, "_CROSSOVER", 1.0)
+    monkeypatch.setattr(CosineLshIndex, "_scan", _scan_never)
+    test_prefilter_keeps_every_row_that_reaches_t(dim, t)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.7])
+def test_stage_one_keeps_rows_whose_cosine_rests_on_the_residuals(
+        monkeypatch, t):
+    """Rows planted within 1e-12 of t whose cosine with q is mostly sigma
+    rho. The lake's principal subspace S is 48 axes, each filled by 200
+    background rows; q has four fifths of its square outside S, and each
+    planted row leaves S along q's own direction there. So u.v is nearly
+    sigma rho, the bound a.b + sigma rho is nearly the cosine, and only
+    the margin keeps the rows at t. The bound still drops every
+    background row."""
+    monkeypatch.setattr(lshindex, "_CROSSOVER", 1.0)
+    monkeypatch.setattr(CosineLshIndex, "_scan", _scan_never)
+    rng = np.random.default_rng(int(10 * t))
+    dim, rank = 64, 48
+    space = np.eye(dim)[1:rank + 1]
+    q = np.zeros(dim)
+    q[1:rank + 1] = rng.standard_normal(rank)
+    q[1:rank + 1] *= np.sqrt(0.2) / np.linalg.norm(q[1:rank + 1])
+    q[rank + 1:] = rng.standard_normal(dim - rank - 1)
+    q[rank + 1:] *= np.sqrt(0.8) / np.linalg.norm(q[rank + 1:])
+    q[0] = 1e-3
+    q = q.astype(np.float32)
+    planted = _plant(rng, q, _targets(rng, t, 48), space=space)
+    background = np.repeat(space, 200, axis=0).astype(np.float32)
+    rows = np.concatenate([planted, background])
+    rows = np.ldexp(rows, rng.integers(-20, 21, len(rows))[:, None])
+    order = rng.permutation(len(rows))
+    idx = CosineLshIndex(dim=dim, seed=2)
+    idx.insert_many([("t", int(i)) for i in order], rows[order])
+    scores = idx.scores(q[None])[0]
+    kept = idx.prefilter(q[None], t)
+    at = np.flatnonzero(scores >= t)
+    assert set(at.tolist()) <= set(kept.tolist())
+    planted_rows = np.flatnonzero(order < len(planted))
+    assert set(kept.tolist()) <= set(planted_rows.tolist())
+    assert (np.abs(scores[planted_rows] - t) <= NEAR).sum() >= 40
+    assert len(at) > 0
+    # The bound is within 1e-6 of each planted cosine, against a margin
+    # near 1e-5, and its residual term is most of it.
+    basis, aug = idx._sketch.basis, idx._sketch.aug
+    qhat = q.astype(np.float64) / np.linalg.norm(q.astype(np.float64))
+    b = basis @ qhat
+    residual = np.linalg.norm(qhat - basis.T @ b) \
+        * aug[len(basis), planted_rows]
+    bound = b @ aug[:len(basis), planted_rows] + residual
+    assert (np.abs(bound - scores[planted_rows]) < 1e-6).all()
+    assert (residual >= 0.7 * t).all()
+
+
+def test_crowded_cosines_fire_the_crossover(monkeypatch):
+    """A block of rows whose cosines crowd just below t, beside some within
+    1e-12 of it: the subspace bound cannot tell them apart, keeps more
+    than the crossover share, and the full scan decides instead. Forced to
+    decide alone, stage 1 keeps a superset too."""
+    rng = np.random.default_rng(71)
+    dim, t = 128, 0.7
+    q = _query(rng, dim)
+    rows = np.concatenate([
+        _plant(rng, q, t - rng.uniform(0.0, 0.02, 300)),
+        _plant(rng, q, _targets(rng, t, 30)),
+        rng.standard_normal((400, dim)).astype(np.float32)])
+    idx = CosineLshIndex(dim=dim, seed=3)
+    idx.insert_many([("t", i) for i in range(len(rows))], rows)
+    stack = np.stack([q, rng.standard_normal(dim).astype(np.float32)])
+    at = np.flatnonzero(idx.scores(stack) >= t)
+    assert len(at) > 0
+    scan = CosineLshIndex._scan
+    scanned = []
+
+    def counted(self, *args):
+        scanned.append(scan(self, *args))
+        return scanned[-1]
+
+    monkeypatch.setattr(CosineLshIndex, "_scan", counted)
+    kept = idx.prefilter(stack, t)
+    assert len(scanned) == 1 and kept.tolist() == scanned[0].tolist()
+    assert set(at.tolist()) <= set(kept.tolist())
+    crossover = lshindex._CROSSOVER
+    monkeypatch.setattr(lshindex, "_CROSSOVER", 1.0)
+    bound = idx.prefilter(stack, t)
+    assert len(scanned) == 1
+    assert len(bound) > crossover * len(stack) * idx.size
+    assert set(at.tolist()) <= set(bound.tolist())
+
+
+def test_first_prefilter_memory_is_a_few_row_blocks_past_the_sketch():
+    """The sketch is built in row blocks: the first prefilter of a
+    20,000 x 128 index allocates its (K + 2) x n float32 array and a few
+    blocks more, where the widened rows alone would take 20 MB."""
+    rng = np.random.default_rng(5)
+    n, dim = 20_000, 128
+    idx = CosineLshIndex(dim=dim, seed=4, capacity=n)
+    idx.insert_many([("t", i) for i in range(n)],
+                    rng.standard_normal((n, dim)).astype(np.float32))
+    q = rng.standard_normal((1, dim)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        idx.prefilter(q, 0.7)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    stored = idx._sketch.aug.nbytes
+    assert stored == (min(lshindex._SUBSPACE_RANK, dim) + 2) * n * 4
+    assert stored < peak < stored + 6 * lshindex._BLOCK_BYTES

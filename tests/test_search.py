@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -388,3 +393,39 @@ def test_write_results_format(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "query_table_id,rank,candidate_table_id,table_score,match_count,matches"
     assert lines[1] == "q1,1,cand,0.750000000,2,0->2:0.800000000;1->0:0.700000000"
+
+
+# ---------------------------------------------------------------- imports
+
+# A banded query on a fresh engine, in a fresh interpreter: prints whether
+# numpy's masked-array package was loaded before and after it.
+MASKED_IMPORT_CHILD = """
+import sys
+from unionsearch.bench import BenchmarkSpec, generate_benchmark
+from unionsearch.encoder import Encoder, EncoderConfig
+from unionsearch.projection import init_head
+from unionsearch.search import SearchConfig, build_engine, top_k_search
+corpus, _ = generate_benchmark(BenchmarkSpec(
+    n_bases=5, derivations_per_base=4, n_topics=2, base_columns=(3, 5),
+    base_rows=15, seed=4))
+engine = build_engine(corpus, Encoder(EncoderConfig(dim=16, hash_seed=4)),
+                      init_head(16, 16, 16, seed=4))
+before = "numpy.ma" in sys.modules
+result = top_k_search(engine, corpus.tables[0],
+                      SearchConfig(measures=("semantic", "name", "value")))
+print(before, "numpy.ma" in sys.modules, len(result.ranked))
+"""
+
+
+def test_a_banded_query_does_not_import_masked_arrays():
+    """np.union1d imports numpy.ma, about 32 ms, on a process's first
+    banded query; the query unions its pair ids without it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    done = subprocess.run([sys.executable, "-c", MASKED_IMPORT_CHILD],
+                          env={**os.environ,
+                               "PYTHONPATH": os.pathsep.join(path)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    before, after, ranked = done.stdout.split()
+    assert (before, after) == ("False", "False") and int(ranked) > 0
