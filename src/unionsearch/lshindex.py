@@ -32,8 +32,8 @@ buffer. The other calls take a stack too
 and name a pair of its vector j and stored row by the id ``j * size +
 row``: ``prefilter`` finds, with a proven error margin, the ids whose exact
 cosine can reach a threshold, in one float32 product in the top principal
-subspace of the stored rows, or, where that keeps more than a crossover
-share of the pairs, in one full-dimension float32 product; ``pair_scores``
+subspace of the stored rows, then one full-dimension float32 product with
+the rows that product keeps; ``pair_scores``
 scores given ids exactly in one pass; ``band_hits`` keeps those of given
 ids whose vector shares a band with the row, comparing only their packed
 keys. Banding only masks: ``lookup`` is a stack of one through those three
@@ -67,15 +67,15 @@ from .syntactic import jaccard
 MERSENNE_P = (1 << 31) - 1   # prime modulus; products stay below 2**62
 # Bytes of float64 rows that ``scores`` widens at a time.
 _BLOCK_BYTES = 1 << 19
-# Stored norms the full-dimension ``prefilter`` scan is proven for; it keeps
-# every other row.
+# Bytes of float32 rows that ``prefilter`` gathers at a time: small enough
+# to stay in a core's L2 cache for its product.
+_GATHER_BYTES = 1 << 17
+# Stored norms the full-dimension stage of ``prefilter`` is proven for; it
+# keeps every other row.
 _NORM_RANGE = (2.0 ** -100, 2.0 ** 100)
 # The rank of the subspace ``prefilter`` bounds cosines in first: min(this,
 # dim) principal directions of the stored rows.
 _SUBSPACE_RANK = 48
-# The share of a stack's pairs above which ``prefilter`` drops the subspace
-# bound's pairs and scans the full rows instead.
-_CROSSOVER = 0.02
 
 
 def cosines(rows: np.ndarray, row_norms: np.ndarray | float, v: np.ndarray,
@@ -289,7 +289,9 @@ class CosineLshIndex:
         can reach threshold, as ascending ids ``j * size + row`` for vector
         j: a superset of ``np.flatnonzero(scores(vectors) >= threshold)``.
 
-        Two stages decide it, t being the threshold clamped to [-1, 1]:
+        Two stages decide it, t being the threshold clamped to [-1, 1], a
+        filter and a refinement (GEMINI: Faloutsos, Ranganathan and
+        Manolopoulos, SIGMOD 1994):
 
         * Stage 1 bounds each cosine in a subspace. The sketch of the stored
           rows, built in row blocks at the first call after an insert,
@@ -299,16 +301,20 @@ class CosineLshIndex:
           on its distance from the subspace, as one (K + 2) x n float32
           array [a; rho; 1]. Each vector q gets b and sigma the same way,
           and one float32 product [b; sigma; -t] @ [a; rho; 1] gives
-          a.b + sigma rho - t for every pair. A pair is kept unless that
+          a.b + sigma rho - t for every pair. A pair passes unless that
           is below -m rounded down to float32, m being a margin per vector
-          (below).
-        * Stage 2. If stage 1 keeps more than ``_CROSSOVER`` of the stack's
-          pairs (it stops at the block of rows where it passes that
-          share), they are dropped, and one float32 product ``rows @
-          stack.T`` over the full dimension decides: a row is kept unless
-          its float32 dot is below (t - margin) * |r| |q|, with the float64
-          norms of ``scores`` and margin twice gamma_d (``_dot_margin``);
-          so NaN and infinite dots are kept.
+          (below). An index of fewer rows than dimensions has no sketch,
+          and every pair passes.
+        * Stage 2 refines the rows that pass stage 1 for any vector of the
+          stack. They are gathered, and one float32 product with the stack
+          over the full dimension decides each of their pairs: a pair is
+          kept unless its float32 dot is below (t - margin) * |r| |q|, with
+          the float64 norms of ``scores`` and margin twice gamma_d
+          (``_dot_margin``); so NaN and infinite dots are kept.
+
+        Either stage alone keeps a superset, so their chain does. Its cost
+        follows stage 1's pruning: on rows without low-rank structure
+        stage 1 passes most rows, and stage 2 is a full scan plus a gather.
 
         Both passes read the same float32 values exactly. Let x = r/|r| and
         y = q/|q| be the real unit vectors, D = r.q and N = |r| |q|. The
@@ -326,9 +332,9 @@ class CosineLshIndex:
           and sigma >= |v|. So a pair at t has a.b + sigma rho >= t - e
           - |E|.
         * eps bounds the spectral norm of I - P P^T: the Frobenius norm of
-          the float64 P P^T - I, plus H (below). The bases eigh and svd
-          give have eps near 1e-14; past 2**-10 every margin is infinite,
-          so every pair is kept and stage 2 decides. Below it, P and every
+          the float64 P P^T - I, plus H (below). The basis eigh gives has
+          eps near 1e-14; past 2**-10 every margin is infinite, so every
+          pair passes and stage 2 decides. Below it, P and every
           vector here are of unit scale.
         * a is the float64 P x rounded to float32, so |delta| <= 2**-23 A
           + H, A being the largest |a|, and likewise |eta| <= 2**-23 B + H,
@@ -351,7 +357,8 @@ class CosineLshIndex:
           and B.
         * Range. In float64, no float32 row or its unit vector comes near
           overflow or underflow, so stage 1 needs no norm range. A vector
-          with a non-finite entry keeps every row (its cosines are NaN).
+          with a non-finite entry keeps every row (its cosines are NaN),
+          whatever either stage says.
 
         Why stage 2 loses no pair at t:
 
@@ -365,8 +372,7 @@ class CosineLshIndex:
           each by under 2**-149. A row whose norm lies in ``_NORM_RANGE``
           then keeps every partial sum below 2**101, far from overflow,
           and underflowing products add under d * 2**-149, below 2**-24 of
-          gamma_d * N. Rows outside that range are always kept, as is
-          every row for a vector with a non-finite entry.
+          gamma_d * N. Rows outside that range are always kept.
 
         Any superset gives the same search results, since only the pairs
         at t are scored and kept. A zero-norm vector anywhere in the stack
@@ -376,18 +382,31 @@ class CosineLshIndex:
 
     def _prefilter(self, stack: np.ndarray, threshold: float) -> np.ndarray:
         norms = self._query_norms(stack)
-        t = np.clip(threshold, -1.0, 1.0)
-        if self.size == 0:
-            return np.empty(0, dtype=np.int64)
+        t = float(np.clip(threshold, -1.0, 1.0))
+        # A vector with a non-finite entry keeps every row; both stages
+        # see it as a zero vector of norm 1, and their answers are ignored.
+        finite = np.isfinite(norms)
+        stack = np.where(finite[:, None], stack, 0.0)
+        norms = np.where(finite, norms, 1.0)
+        keep = self._bounded(stack / norms[:, None], t)
+        keep[~finite] = True
+        rows = np.flatnonzero(keep.any(axis=0))
+        keep = self._refined(stack, norms, rows, t)
+        keep[~finite] = True
+        which, at = np.nonzero(keep)
+        return which * self.size + rows[at]
+
+    def _bounded(self, unit: np.ndarray, t: float) -> np.ndarray:
+        """Stage 1 of ``prefilter``: whether each pair of the unit vectors
+        and the stored rows passes the subspace bound."""
+        if self.size < self.dim:
+            return np.ones((len(unit), self.size), dtype=bool)
         if self._sketch is None:
             self._sketch = self._sketched()
         basis, aug, a_max, rho_max, eps, slack = self._sketch
         k = len(basis)
-        finite = np.isfinite(norms)
-        unit = np.where(finite[:, None], stack, 0.0) \
-            / np.where(finite, norms, 1.0)[:, None]
         b, sigma = _coordinates(unit, basis, slack)
-        lhs = np.empty((len(stack), k + 2), dtype=np.float32)
+        lhs = np.empty((len(unit), k + 2), dtype=np.float32)
         lhs[:, :k], lhs[:, k], lhs[:, k + 1] = b, sigma, -t
         b_norms = _norms(b.astype(np.float64))
         ab = a_max * b_norms
@@ -398,29 +417,36 @@ class CosineLshIndex:
             margins[:] = np.inf
         # Rounding to nearest moves -m (1 + 2**-23) by under 2**-24 of it,
         # so each float32 limit is at most -m.
-        limits = (-margins * (1.0 + 2.0 ** -23)).astype(np.float32)[:, None]
-        # The product runs over column blocks of _BLOCK_BYTES, so a stack
-        # past the crossover stops at the block that takes it there. Its
-        # inputs are finite, so no product is NaN.
-        budget = _CROSSOVER * len(stack) * self.size
-        kept = self.size * np.count_nonzero(~finite)
-        step = max(1, _BLOCK_BYTES // (4 * (k + 2)))
-        blocks = []
-        for lo in range(0, self.size, step):
-            blocks.append(lhs @ aug[:, lo:lo + step] >= limits)
-            kept += np.count_nonzero(blocks[-1])
-            if kept > budget:
-                return self._scan(stack, norms, t)
-        keep = np.concatenate(blocks, axis=1)
-        keep[~finite] = True
-        return np.flatnonzero(keep)
+        limits = (-margins * (1.0 + 2.0 ** -23)).astype(np.float32)
+        return lhs @ aug >= limits[:, None]
+
+    def _refined(self, stack: np.ndarray, norms: np.ndarray,
+                 rows: np.ndarray, t: float) -> np.ndarray:
+        """Stage 2 of ``prefilter``: whether each pair of the finite vectors
+        and the given stored rows passes the full-dimension float32 test,
+        one column per row, gathering the rows in blocks of
+        ``_GATHER_BYTES``."""
+        _, exps = np.frexp(norms)
+        scaled = np.ldexp(stack.astype(np.float32), -exps[:, None])
+        row_norms = self._norms[rows]
+        row_limits = (t - self._margin) * row_norms
+        low, high = _NORM_RANGE
+        row_limits[(row_norms < low) | (row_norms > high)] = -np.inf
+        # One vector's limits per row of the result, so each product runs
+        # along the stored rows.
+        limits = np.ldexp(norms, -exps)[:, None] * row_limits
+        dots = np.empty((len(rows), len(stack)), dtype=np.float32)
+        step = max(1, _GATHER_BYTES // (4 * self.dim))
+        for lo in range(0, len(rows), step):
+            dots[lo:lo + step] = self._rows[rows[lo:lo + step]] @ scaled.T
+        return ~(dots.T < limits)
 
     def _sketched(self) -> _Sketch:
         """The sketch stage 1 of ``prefilter`` reads, built in row blocks
         of ``_BLOCK_BYTES`` of float64 values."""
         n, dim = self.size, self.dim
         step = max(1, _BLOCK_BYTES // (8 * dim))
-        blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
         basis = self._basis(min(_SUBSPACE_RANK, dim), blocks)
         k = len(basis)
         slack = 4.0 * (k + 1) * _dot_margin(dim + k + 8, 2.0 ** -53)
@@ -428,48 +454,25 @@ class CosineLshIndex:
         aug = np.empty((k + 2, n), dtype=np.float32)
         aug[k + 1] = 1.0
         a_max = 0.0
-        for lo, hi in blocks:
-            a, aug[k, lo:hi] = _coordinates(self._unit(lo, hi), basis, slack)
-            aug[:k, lo:hi] = a.T
+        for block in blocks:
+            a, aug[k, block] = _coordinates(self._unit(block), basis, slack)
+            aug[:k, block] = a.T
             a_max = max(a_max, float(_norms(a.astype(np.float64)).max()))
         return _Sketch(basis, aug, a_max, float(aug[k].max()), eps, slack)
 
-    def _basis(self, k: int, blocks: list[tuple[int, int]]) -> np.ndarray:
+    def _basis(self, k: int, blocks: list[slice]) -> np.ndarray:
         """The top k principal directions of the unit rows, one per row:
-        eigenvectors of their Gram matrix, summed over the row blocks, or,
-        with fewer rows than dimensions, their right singular vectors."""
-        if self.size < self.dim:
-            return np.linalg.svd(self._unit(0, self.size),
-                                 full_matrices=False)[2][:k]
+        eigenvectors of their Gram matrix, summed over the row blocks."""
         gram = np.zeros((self.dim, self.dim))
-        for lo, hi in blocks:
-            unit = self._unit(lo, hi)
+        for block in blocks:
+            unit = self._unit(block)
             gram += unit.T @ unit
         return np.ascontiguousarray(np.linalg.eigh(gram)[1][:, ::-1][:, :k].T)
 
-    def _unit(self, lo: int, hi: int) -> np.ndarray:
-        """Stored rows lo to hi, widened and divided by their norms."""
-        return self._rows[lo:hi].astype(np.float64) / self._norms[lo:hi, None]
-
-    def _scan(self, stack: np.ndarray, norms: np.ndarray, t: float
-              ) -> np.ndarray:
-        """Stage 2 of ``prefilter``: the full-dimension float32 test."""
-        finite = np.isfinite(norms)
-        _, exps = np.frexp(norms)
-        scaled = np.ldexp(stack.astype(np.float32), -exps[:, None])
-        n = self.size
-        row_norms = self._norms[:n]
-        dots = self._rows[:n] @ scaled.T
-        row_limits = (t - self._margin) * row_norms
-        lo, hi = _NORM_RANGE
-        row_limits[(row_norms < lo) | (row_norms > hi)] = -np.inf
-        # One vector's limits per row of the result, so each product runs
-        # along the stored rows.
-        limits = np.ldexp(np.where(finite, norms, 1.0), -exps)[:, None] \
-            * row_limits
-        keep = ~(dots.T < limits)
-        keep[~finite] = True
-        return np.flatnonzero(keep)
+    def _unit(self, which: slice | np.ndarray) -> np.ndarray:
+        """The stored rows which picks, widened and divided by their
+        norms."""
+        return self._rows[which].astype(np.float64) / self._norms[which, None]
 
     def pair_scores(self, vectors: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """The cosines of the pairs of a stack's vectors and stored rows

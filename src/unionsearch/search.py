@@ -23,8 +23,8 @@ for every row against all of the table's columns in one pass, the set
 parts are spread over every pair, and every pair is a pair row. When
 banded, one ``prefilter`` call finds a superset of the pairs whose cosine
 can reach the threshold, with one float32 product in the stored rows' top
-principal subspace, or one over the full rows when that subspace keeps
-too many pairs; one ``pair_scores`` pass scores only those
+principal subspace, then one over the full dimension of the rows that
+product keeps; one ``pair_scores`` pass scores only those
 and the pairs that reach it on name or value; and one ``band_hits`` test,
 of only the pairs that reach it on the semantic part, keeps those that
 share a cosine band. The pair rows are those, and the pairs that reach the

@@ -4,10 +4,11 @@
 whose exact cosine (``scores``) reaches the threshold; banded search scores
 only the rows it keeps. Rows are planted within 1e-12 of the threshold at
 norms from 1e-30 to 1e30, past them on both sides, and in dimensions where
-the float32 error bound differs by orders of magnitude. Each stage is
-checked on its own too: the subspace bound alone, on those lakes and on
-rows whose cosine rests on their distance from the subspace, and the
-crossover to the full scan, on cosines crowding just below the threshold.
+the float32 error bound differs by orders of magnitude. The first stage,
+the subspace bound, is checked alone too, on those lakes and on rows whose
+cosine rests on their distance from the subspace, and both stages on
+cosines crowding just below the threshold, which the bound cannot tell
+apart.
 """
 
 import itertools
@@ -248,18 +249,39 @@ def test_banded_pairs_are_the_dense_reference(t):
     assert pairs > 0
 
 
-def _scan_never(*args):
-    raise AssertionError("the full-dimension scan ran")
+def _stage_two_passes_all(self, stack, norms, rows, t):
+    return np.ones((len(stack), len(rows)), dtype=bool)
 
 
-@pytest.mark.parametrize("dim", [8, 128, 2048])
+@pytest.mark.parametrize("dim", [8, 128])
 @pytest.mark.parametrize("t", THRESHOLDS)
 def test_stage_one_alone_keeps_every_row_that_reaches_t(monkeypatch, dim, t):
-    """The lakes above, with the crossover out of reach: the subspace bound
-    alone decides every pair, at every norm and threshold."""
-    monkeypatch.setattr(lshindex, "_CROSSOVER", 1.0)
-    monkeypatch.setattr(CosineLshIndex, "_scan", _scan_never)
-    test_prefilter_keeps_every_row_that_reaches_t(dim, t)
+    """The lakes above, grown past dim rows so the index has a sketch, and
+    of full rank, so the bound is nearly each cosine and only the margin
+    keeps the rows at t: with stage 2 passing every pair, the subspace
+    bound alone decides, at every norm and threshold. (At 2048 dimensions
+    the basis alone would take seconds.)"""
+    monkeypatch.setattr(lshindex, "_SUBSPACE_RANK", dim)
+    monkeypatch.setattr(CosineLshIndex, "_refined", _stage_two_passes_all)
+    rng = np.random.default_rng([dim, int(10 * t), 1])
+    q = _query(rng, dim)
+    idx = CosineLshIndex(dim=dim, seed=dim)
+    rows = _lake_rows(rng, q, t, max(96, dim + 32))
+    idx.insert_many([("t", i) for i in range(len(rows))], rows)
+    stacks = [q[None], np.ldexp(q, 60)[None], np.ldexp(q, -60)[None],
+              np.stack([rng.standard_normal(dim).astype(np.float32), q,
+                        -q, np.ldexp(q, 90)])]
+    near = dropped = 0
+    for stack in stacks:
+        scores = idx.scores(stack)
+        kept = idx.prefilter(stack, t)
+        at = np.flatnonzero(scores >= t)
+        assert set(at.tolist()) <= set(kept.tolist())
+        near += int((np.abs(scores - t) <= NEAR).sum())
+        dropped += scores.size - len(kept)
+    assert len(idx._sketch.basis) == dim
+    assert near >= 5 * 40
+    assert dropped > 0 or t == 0.0
 
 
 @pytest.mark.parametrize("t", [0.3, 0.7])
@@ -272,8 +294,7 @@ def test_stage_one_keeps_rows_whose_cosine_rests_on_the_residuals(
     sigma rho, the bound a.b + sigma rho is nearly the cosine, and only
     the margin keeps the rows at t. The bound still drops every
     background row."""
-    monkeypatch.setattr(lshindex, "_CROSSOVER", 1.0)
-    monkeypatch.setattr(CosineLshIndex, "_scan", _scan_never)
+    monkeypatch.setattr(CosineLshIndex, "_refined", _stage_two_passes_all)
     rng = np.random.default_rng(int(10 * t))
     dim, rank = 64, 48
     space = np.eye(dim)[1:rank + 1]
@@ -311,39 +332,40 @@ def test_stage_one_keeps_rows_whose_cosine_rests_on_the_residuals(
     assert (residual >= 0.7 * t).all()
 
 
-def test_crowded_cosines_fire_the_crossover(monkeypatch):
+def test_crowded_cosines_pass_stage_one_and_stage_two_decides(monkeypatch):
     """A block of rows whose cosines crowd just below t, beside some within
-    1e-12 of it: the subspace bound cannot tell them apart, keeps more
-    than the crossover share, and the full scan decides instead. Forced to
-    decide alone, stage 1 keeps a superset too."""
+    1e-12 of it: the subspace bound cannot tell them apart and passes them
+    all, and stage 2 drops all but those near t. Each stage keeps a
+    superset of the pairs at t."""
     rng = np.random.default_rng(71)
     dim, t = 128, 0.7
     q = _query(rng, dim)
     rows = np.concatenate([
-        _plant(rng, q, t - rng.uniform(0.0, 0.02, 300)),
+        _plant(rng, q, t - rng.uniform(1e-4, 0.02, 300)),
         _plant(rng, q, _targets(rng, t, 30)),
         rng.standard_normal((400, dim)).astype(np.float32)])
     idx = CosineLshIndex(dim=dim, seed=3)
     idx.insert_many([("t", i) for i in range(len(rows))], rows)
     stack = np.stack([q, rng.standard_normal(dim).astype(np.float32)])
-    at = np.flatnonzero(idx.scores(stack) >= t)
+    scores = idx.scores(stack)
+    at = np.flatnonzero(scores >= t)
     assert len(at) > 0
-    scan = CosineLshIndex._scan
-    scanned = []
+    refined = CosineLshIndex._refined
+    passed = []
 
-    def counted(self, *args):
-        scanned.append(scan(self, *args))
-        return scanned[-1]
+    def spied(self, stack, norms, rows, t):
+        passed.append(rows)
+        return refined(self, stack, norms, rows, t)
 
-    monkeypatch.setattr(CosineLshIndex, "_scan", counted)
+    monkeypatch.setattr(CosineLshIndex, "_refined", spied)
     kept = idx.prefilter(stack, t)
-    assert len(scanned) == 1 and kept.tolist() == scanned[0].tolist()
+    assert np.isin(np.arange(330), passed[0]).mean() > 0.9
     assert set(at.tolist()) <= set(kept.tolist())
-    crossover = lshindex._CROSSOVER
-    monkeypatch.setattr(lshindex, "_CROSSOVER", 1.0)
+    assert set(kept.tolist()) <= set(np.flatnonzero(scores >= t - 1e-5)
+                                     .tolist())
+    monkeypatch.setattr(CosineLshIndex, "_refined", _stage_two_passes_all)
     bound = idx.prefilter(stack, t)
-    assert len(scanned) == 1
-    assert len(bound) > crossover * len(stack) * idx.size
+    assert len(bound) >= 330
     assert set(at.tolist()) <= set(bound.tolist())
 
 

@@ -1,12 +1,11 @@
-"""No basis, rank or crossover of the cosine prefilter changes a result.
+"""No basis, rank or stage of the cosine prefilter changes a result.
 
 Stage 1 of ``CosineLshIndex.prefilter`` bounds cosines in the span of a
-basis computed from the stored rows, and past a crossover share of a
-table's pairs the full-dimension scan decides instead. Either way it keeps
-a superset of the pairs at the threshold, so results must be byte-identical
-under the computed basis, a random orthonormal one, a basis of full rank,
-and a crossover that forces either stage. The reference is a search whose
-prefilter keeps every pair.
+basis computed from the stored rows, and stage 2 tests the rows it passes
+over the full dimension. Each stage keeps a superset of the pairs at the
+threshold, so results must be byte-identical under the computed basis, a
+random orthonormal one, a basis of full rank, and either stage alone. The
+reference is a search whose prefilter keeps every pair.
 """
 
 import hashlib
@@ -30,7 +29,7 @@ SETTINGS = [(measures, exhaustive)
                              "semantic,format", "semantic,name,value,format")
             for exhaustive in (False, True)]
 PREFILTER = CosineLshIndex.prefilter
-SCAN = CosineLshIndex._scan
+REFINED = CosineLshIndex._refined
 
 
 @pytest.fixture(scope="module")
@@ -78,15 +77,17 @@ VARIANTS = {
     "computed basis": {},
     "random orthonormal basis": {"_basis": _random_basis},
     "full rank": {"_SUBSPACE_RANK": 1 << 20},
-    "always the full scan": {"_CROSSOVER": 0.0},
-    "always the subspace bound": {"_CROSSOVER": 1.0},
+    "stage 2 alone": {"_bounded": lambda self, unit, t:
+                      np.ones((len(unit), self.size), dtype=bool)},
+    "stage 1 alone": {"_refined": lambda self, stack, norms, rows, t:
+                      np.ones((len(stack), len(rows)), dtype=bool)},
 }
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_results_do_not_depend_on_the_basis_or_the_crossover(
+def test_results_do_not_depend_on_the_basis_or_the_stages(
         lake, reference, tmp_path, monkeypatch, variant):
-    calls = {"prefilter": 0, "scan": 0}
+    calls = {"prefilter": 0}
 
     def checked(self, vectors, threshold):
         kept = PREFILTER(self, vectors, threshold)
@@ -95,38 +96,30 @@ def test_results_do_not_depend_on_the_basis_or_the_crossover(
         calls["prefilter"] += 1
         return kept
 
-    def counted(self, *args):
-        calls["scan"] += 1
-        return SCAN(self, *args)
-
     monkeypatch.setattr(CosineLshIndex, "prefilter", checked)
-    monkeypatch.setattr(CosineLshIndex, "_scan", counted)
     for name, value in VARIANTS[variant].items():
-        if name == "_basis":
-            monkeypatch.setattr(CosineLshIndex, name, value)
-        else:
-            monkeypatch.setattr(lshindex, name, value)
+        owner = lshindex if name == "_SUBSPACE_RANK" else CosineLshIndex
+        monkeypatch.setattr(owner, name, value)
     assert _digests(lake, tmp_path) == reference
     # Four banded settings, one prefilter per query table each.
     assert calls["prefilter"] == 4 * len(lake[1])
-    if variant == "always the full scan":
-        assert calls["scan"] == calls["prefilter"]
-    elif variant == "always the subspace bound":
-        assert calls["scan"] == 0
 
 
-def test_the_computed_basis_decides_most_tables_in_the_subspace(
-        lake, monkeypatch):
-    """The lake's rows have the low-rank shape the bound needs: the
-    subspace keeps few pairs, so most tables skip the full scan."""
-    crossover = lshindex._CROSSOVER
-    monkeypatch.setattr(lshindex, "_CROSSOVER", 1.0)
+def test_the_computed_basis_passes_few_rows_to_stage_two(lake, monkeypatch):
+    """The lake's rows have the low-rank shape the bound needs: stage 1
+    passes a small share of the rows, and so stage 2 gathers few."""
     built, queries = lake
     index = built.semantic_index
     shares = []
+
+    def spied(self, stack, norms, rows, t):
+        shares.append(len(rows) / self.size)
+        return REFINED(self, stack, norms, rows, t)
+
+    monkeypatch.setattr(CosineLshIndex, "_refined", spied)
     for table in queries:
         qvecs = np.stack([built.project_column(c) for c in table.columns
                           if c.is_encodable()])
-        shares.append(len(index.prefilter(qvecs, 0.7))
-                      / (len(qvecs) * index.size))
-    assert np.median(shares) < crossover
+        index.prefilter(qvecs, 0.7)
+    assert index.size >= index.dim
+    assert np.median(shares) < 0.1
