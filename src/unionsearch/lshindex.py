@@ -304,7 +304,8 @@ class CosineLshIndex:
           a.b + sigma rho - t for every pair. A pair passes unless that
           is below -m rounded down to float32, m being a margin per vector
           (below). An index of fewer rows than dimensions has no sketch,
-          and every pair passes.
+          and every pair passes: its basis would cost a dim-cubed
+          eigensolver to save part of a product of under dim rows.
         * Stage 2 refines the rows that pass stage 1 for any vector of the
           stack. They are gathered, and one float32 product with the stack
           over the full dimension decides each of their pairs: a pair is
@@ -418,12 +419,13 @@ class CosineLshIndex:
         # Rounding to nearest moves -m (1 + 2**-23) by under 2**-24 of it,
         # so each float32 limit is at most -m.
         limits = (-margins * (1.0 + 2.0 ** -23)).astype(np.float32)
+        # The unit vectors are finite, so no product is NaN.
         return lhs @ aug >= limits[:, None]
 
     def _refined(self, stack: np.ndarray, norms: np.ndarray,
                  rows: np.ndarray, t: float) -> np.ndarray:
-        """Stage 2 of ``prefilter``: whether each pair of the finite vectors
-        and the given stored rows passes the full-dimension float32 test,
+        """Stage 2 of ``prefilter``: whether each pair of the vectors and
+        the given stored rows passes the full-dimension float32 test,
         one column per row, gathering the rows in blocks of
         ``_GATHER_BYTES``."""
         _, exps = np.frexp(norms)
