@@ -1,16 +1,15 @@
 """Table union search: contrastive column embeddings + LSH retrieval."""
 
-from .corpus import (Column, ColumnKey, ColumnSample, Corpus, Table,
-                     load_csv, load_manifest, sample_column, write_manifest,
+from .corpus import (Column, ColumnKey, Corpus, Table, load_csv,
+                     load_manifest, sample_column, write_manifest,
                      write_table_csv)
 from .encoder import Encoder, EncoderConfig, load_vectors
 from .errors import (ConfigError, DuplicateKeyError, EmptyColumnError,
                      InputError, NumericError, UnionSearchError)
 from .projection import (ProjectionHead, TrainConfig, Velocity, backward,
                          init_head, project, sgd_step)
-from .contrast import (OfflinePair, TrainingBatch, TrainResult,
-                       build_offline_pairs, build_online_batch, nt_xent_loss,
-                       train)
+from .contrast import (OfflinePair, TrainResult, build_offline_pairs,
+                       build_online_batch, nt_xent_loss, train)
 from .lshindex import CosineLshIndex, MinHashIndex
 from .syntactic import (TfidfModel, build_profile, build_tfidf,
                         format_pattern, jaccard, name_qgrams, value_terms)

@@ -6,9 +6,13 @@ Positive pairs come from either of two label-free strategies:
   two samples share semantics because they come from the same column.
 * offline: positive pairs are mined once before training starts, each
   column matched with its top-1 neighbor under the value-term Jaccard
-  measure, and their base embeddings are computed once. Mining counts
-  term overlaps over an inverted list, cheap enough to run afresh on every
+  measure, and their base embeddings are computed once. Mining reads the
+  value-term postings the index build files (``syntactic.lake_sets``) and
+  counts term overlaps over them, cheap enough to run afresh on every
   training run.
+
+Batches and the offline pairs' columns are embedded as the index build
+embeds a lake, by ``Encoder.embed_block`` over ``corpus.cell_blocks``.
 
 Both feed a temperature-scaled cross-entropy loss over cosine similarities:
 with 2M instances ordered so (k, k+M) is the positive pair,
@@ -37,7 +41,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import Column, ColumnKey, Corpus, ColumnSample, Table, sample_column
+from .corpus import (Column, ColumnKey, Corpus, Table, cell_blocks,
+                     sample_column)
 from .encoder import Encoder
 from .errors import ConfigError, InputError, NumericError
 from .projection import (ProjectionHead, TrainConfig, Velocity, backward,
@@ -47,14 +52,6 @@ from . import syntactic
 
 ONLINE = "online"
 OFFLINE = "offline"
-
-
-@dataclass
-class TrainingBatch:
-    """2M sampled column instances; instance k pairs with instance k+M."""
-
-    samples: list[ColumnSample]
-    m_pairs: int
 
 
 @dataclass
@@ -72,8 +69,9 @@ class TrainResult:
     velocity: Velocity | None = None        # final optimizer state
 
 
-def build_online_batch(tables: list[Table], s: int, seed: int) -> TrainingBatch:
-    """Two independent size-s samples per eligible column across the tables.
+def build_online_batch(tables: list[Table], s: int, seed: int) -> list[Column]:
+    """Two independent size-s samples per eligible column across the tables:
+    2M sampled columns, sample k pairing with sample k+M.
 
     Eligible means at least one cell yields a token. Deterministic given the
     seed: per-column sample seeds are derived from (seed, column key, view).
@@ -92,7 +90,7 @@ def build_online_batch(tables: list[Table], s: int, seed: int) -> TrainingBatch:
         for col in eligible:
             sub = derive_seed(seed, col.table_id, col.position, view)
             views.append(sample_column(col, s, sub))
-    return TrainingBatch(samples=views, m_pairs=len(eligible))
+    return views
 
 
 def build_offline_pairs(corpus: Corpus, floor: float = 0.5) -> list[OfflinePair]:
@@ -106,16 +104,19 @@ def build_offline_pairs(corpus: Corpus, floor: float = 0.5) -> list[OfflinePair]
     """
     if not (0.0 < floor <= 1.0):
         raise ConfigError(f"offline floor must be in (0, 1], got {floor}")
-    columns = corpus.encodable_columns()
-    tfidf = syntactic.build_tfidf(corpus)
-    terms = {c.column_key: syntactic.value_terms(c, tfidf) for c in columns}
-
-    keys = sorted(terms)
-    postings = syntactic.SetPostings.from_sets([terms[key] for key in keys])
+    _, columns, sets = syntactic.lake_sets(
+        sorted(corpus.columns(), key=lambda col: col.column_key))
+    keys = [c.column_key for c in columns]
+    postings = sets[syntactic.VALUE]
+    # Each row's terms, read back from the postings.
+    terms: list[list[str]] = [[] for _ in keys]
+    for tok, rows in postings.postings.items():
+        for row in rows.tolist():
+            terms[row].append(tok)
 
     best: dict[ColumnKey, tuple[float, ColumnKey]] = {}
     for row, key in enumerate(keys):
-        rows, scores = postings.match([terms[key]])
+        rows, scores = postings.match([frozenset(terms[row])])
         others = rows != row               # no column matches itself
         if not others.any():
             continue
@@ -200,6 +201,12 @@ def _chunk(items: list, size: int) -> list[list]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
+def _embed(encoder: Encoder, columns: list[Column]) -> np.ndarray:
+    """The columns' base embeddings, one per row, from cell block passes."""
+    return np.concatenate([encoder.embed_block(block)
+                           for block in cell_blocks(columns)])
+
+
 def _online_batches(encoder: Encoder, tables: list[Table], cfg: TrainConfig,
                     *seed_parts: object) -> Iterator[np.ndarray]:
     """Base embeddings of one online batch per chunk of cfg.batch_size tables.
@@ -211,12 +218,11 @@ def _online_batches(encoder: Encoder, tables: list[Table], cfg: TrainConfig,
         if len(chunk) < 2:
             continue
         try:
-            batch = build_online_batch(chunk, cfg.sample_size,
-                                       derive_seed(cfg.seed, *seed_parts, b))
+            samples = build_online_batch(chunk, cfg.sample_size,
+                                         derive_seed(cfg.seed, *seed_parts, b))
         except NumericError:
             continue
-        yield np.stack([encoder.embed_column(s.sampled_values)
-                        for s in batch.samples])
+        yield _embed(encoder, samples)
 
 
 def _losses(head: ProjectionHead, batches: Iterable[np.ndarray],
@@ -271,7 +277,8 @@ def train(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
                 f"offline strategy needs >= 2 training pairs, got {len(usable)}")
         involved = sorted({k for p in usable for k in (p.column_key_a, p.column_key_b)})
         # Positive examples are fixed, so their base embeddings are computed once.
-        base_vecs = {k: encoder.embed_column(corpus.column(k).values) for k in involved}
+        base_vecs = dict(zip(involved, _embed(
+            encoder, [corpus.column(k) for k in involved])))
 
     head = head.copy()
     velocity = Velocity.zeros_like(head)

@@ -23,6 +23,7 @@ per-cell work is array passes over the slots.
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from dataclasses import dataclass, field
 from itertools import chain
@@ -51,6 +52,12 @@ BLOCK_CELLS = 1 << 12
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric run; digits are tokens."""
     return _TOKEN_RE.findall(text.lower())
+
+
+@functools.lru_cache(maxsize=CELL_POOL_CAP)
+def _yields_token(cell: str) -> bool:
+    """Whether ``tokenize`` finds a token in the cell."""
+    return _TOKEN_RE.search(cell.lower()) is not None
 
 
 @dataclass
@@ -91,13 +98,6 @@ class Table:
     def rows(self) -> list[list[str]]:
         """Reconstruct the cell matrix, row major."""
         return [[c.values[i] for c in self.columns] for i in range(self.n_rows)]
-
-
-@dataclass
-class ColumnSample:
-    column_key: ColumnKey
-    sampled_values: list[str]
-    seed_used: int
 
 
 @dataclass
@@ -304,19 +304,19 @@ def write_table_csv(path: str | Path, table: Table) -> None:
         w.writerows(table.rows())
 
 
-def sample_column(column: Column, s: int, seed: int) -> ColumnSample:
-    """Uniform sample of s non-empty values, with replacement.
+def sample_column(column: Column, s: int, seed: int) -> Column:
+    """The column with s cells drawn uniformly, with replacement, from its
+    cells that yield a token: the cells a column embedding averages.
 
     Pure function of (column values, s, seed): callers that need decorrelated
     samples across columns must derive distinct seeds per column.
     """
     if s < 1:
         raise InputError(f"sample size must be >= 1, got {s}")
-    pool = column.non_empty_values()
+    pool = list(filter(_yields_token, column.values))
     if not pool:
-        raise EmptyColumnError(f"column {column.column_key} has no non-empty values")
+        raise EmptyColumnError(f"column {column.column_key} yields no token")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(pool), size=s)
-    return ColumnSample(column_key=column.column_key,
-                        sampled_values=[pool[i] for i in idx],
-                        seed_used=seed)
+    return Column(table_id=column.table_id, position=column.position,
+                  name=column.name, values=[pool[i] for i in idx])

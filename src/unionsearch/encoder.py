@@ -14,10 +14,11 @@ of non-empty cell embeddings (two-stage, so cells with unequal token counts
 weigh equally). A transformer-backed contextual encoder would slot in behind
 the same values -> vector interface.
 
-``embed_column`` embeds one column; ``embed_block`` embeds a whole
-``corpus.CellBlock`` of columns at once, with the same bits: each distinct
-cell's mean is looked up once, and the columns' sums are built cell
-position by cell position, the same left-to-right float64 adds.
+``embed_block`` embeds a ``corpus.CellBlock`` of a lake's or a training
+batch's columns at once; ``embed_column`` one query column, where a block
+pass costs more than it saves. The bits are the same: the block looks up
+each distinct cell's mean once and adds the columns' cells position by
+position, the same left-to-right float64 adds.
 """
 
 from __future__ import annotations

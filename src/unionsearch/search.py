@@ -225,9 +225,9 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
     are embedded at once, and each base embedding projected alone, since a
     batched projection would change the bits. The sets are filed before any
     vector is made, so their working state is gone before the encoder's
-    memos fill. The engine equals one built column by column with
-    ``build_tfidf``, ``build_profile``, ``SetPostings.from_sets`` and
-    ``embed_column``, bit for bit.
+    memos fill. The engine equals one built column by column with a
+    ``Counter`` of document frequencies, ``build_profile``, postings
+    appended row by row and ``embed_column``, bit for bit.
     """
     cfg = index_config or IndexConfig()
     cfg.validate()

@@ -10,24 +10,20 @@ All are cheap, deterministic, and need no training; the search layer can
 average any subset of them with the semantic measure, scoring each with
 ``SetPostings`` (``SYNTACTIC_FUNCS`` is the one-pair reference), which
 lists only the pairs of query set and row that share a token.
-``build_profile`` builds just the sets it is asked for, from ``SET_BUILDERS``.
 
-The index build makes the same sets for every column of the lake at once:
-``lake_sets`` counts the document frequencies and files each column's sets
-as postings, in array passes over ``corpus.CellBlock`` slots. A cell's
-tokens and format pattern are read once per distinct value of a block; per
-cell, only slot arrays are counted. They give the sets and frequencies
-that ``build_tfidf``, ``build_profile`` and ``SetPostings.from_sets`` give
-column by column, which remain the query path and the reference.
+A lake's sets, for the index and for offline training, come from
+``lake_sets``: array passes over ``corpus.CellBlock`` slots count the
+document frequencies (``build_tfidf`` is that pass alone) and file each
+column's sets as postings. A query table's few columns cost less column by
+column: ``build_profile`` builds just the sets asked for, the same ones.
 
 A lake repeats its cells (1.3% of the benchmark lake's cells are
 distinct), so per-cell work is memoized and done once per distinct string:
-a cell's tokens, read by ``build_tfidf`` and ``value_terms``, and its
-``format_pattern``. A ``TfidfModel`` maps each token to its idf once, on
-first use, from ``_idf``, which is memoized by (columns, document
-frequency). Each memo is a ``functools.lru_cache`` of ``MEMO_CAP`` entries
-over a pure function, so it returns exactly what a fresh call computes,
-and no result changes.
+a cell's tokens, read at both scales, and its ``format_pattern``. A
+``TfidfModel`` maps each token to its idf once, on first use, from
+``_idf``, which is memoized by (columns, document frequency). Each memo is
+a ``functools.lru_cache`` of ``MEMO_CAP`` entries over a pure function, so
+it returns exactly what a fresh call computes, and no result changes.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ import re
 from dataclasses import dataclass
 from collections import Counter
 from itertools import chain, compress
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,8 +46,8 @@ FORMAT = "format"
 SET_MEASURES = (NAME, VALUE, FORMAT)
 ALL_MEASURES = (SEMANTIC, *SET_MEASURES)
 
-DEFAULT_QGRAM = 3
-DEFAULT_TOP_TERMS = 20
+QGRAM = 3
+TOP_TERMS = 20
 # Entries each memo keeps, the least recently used evicted first.
 MEMO_CAP = 1 << 16
 
@@ -91,16 +87,6 @@ class SetPostings:
             minlength=n_rows)
 
     @classmethod
-    def from_sets(cls, sets: Sequence[frozenset[str]]) -> SetPostings:
-        """The postings of sets, row i being ``sets[i]``."""
-        lists: dict[str, list[int]] = {}
-        for row, tokens in enumerate(sets):
-            for tok in tokens:
-                lists.setdefault(tok, []).append(row)
-        return cls({tok: np.array(rows, dtype=np.int64)
-                    for tok, rows in lists.items()}, len(sets))
-
-    @classmethod
     def from_pairs(cls, vocab: Sequence[str], tokens: np.ndarray,
                    rows: np.ndarray, n_rows: int) -> SetPostings:
         """The postings of distinct (token, row) pairs, token id i naming
@@ -136,18 +122,18 @@ class SetPostings:
         return ids, counts / (lens[which] + self.sizes[rows] - counts)
 
 
-def name_qgrams(name: str, q: int = DEFAULT_QGRAM) -> frozenset[str]:
+def name_qgrams(name: str) -> frozenset[str]:
     """Character q-grams of the lowercased, alphanumeric-only column name.
 
-    Names shorter than q collapse to the whole normalized name, so "id"
-    still produces a usable (single-element) set.
+    Names shorter than q (``QGRAM``) collapse to the whole normalized name,
+    so "id" still produces a usable (single-element) set.
     """
     norm = _NON_ALNUM.sub("", name.lower())
     if not norm:
         return frozenset()
-    if len(norm) < q:
+    if len(norm) < QGRAM:
         return frozenset({norm})
-    return frozenset(norm[i:i + q] for i in range(len(norm) - q + 1))
+    return frozenset(norm[i:i + QGRAM] for i in range(len(norm) - QGRAM + 1))
 
 
 @dataclass
@@ -176,17 +162,30 @@ def _cell_tokens(value: str) -> tuple[str, ...]:
     return tuple(tokenize(value))
 
 
-def _column_tokens(column: Column) -> Iterator[str]:
-    """Every token of the column's non-empty cells, in cell order."""
-    return chain.from_iterable(map(_cell_tokens, column.non_empty_values()))
-
-
 def build_tfidf(corpus: Corpus) -> TfidfModel:
-    df: Counter[str] = Counter()
-    columns = corpus.encodable_columns()
-    for col in columns:
-        df.update(set(_column_tokens(col)))
-    return TfidfModel(df=dict(df), n_columns=len(columns))
+    """The corpus's document frequencies: ``lake_sets``'s first pass."""
+    vocab, df, encodable = _frequencies(corpus.columns())
+    return TfidfModel(df=dict(zip(vocab, df.tolist())),
+                      n_columns=int(encodable.sum()))
+
+
+def _frequencies(columns: Sequence[Column]
+                 ) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Token ids, numbered in order of first use, each id's document
+    frequency over the columns that yield a token, one document per
+    column, and which columns those are: one pass over the columns' cell
+    blocks."""
+    vocab: dict[str, int] = {}
+    df = np.zeros(0, dtype=np.int64)
+    encodable = np.zeros(len(columns), dtype=bool)
+    start = 0
+    for block in cell_blocks(columns):
+        found, ids, _ = _block_terms(block, vocab, *block.column_slots())
+        df = np.concatenate([df, np.zeros(len(vocab) - len(df), np.int64)])
+        df += np.bincount(ids, minlength=len(vocab))
+        encodable[start + found] = True
+        start += len(block.columns)
+    return vocab, df, encodable
 
 
 def _ids(vocab: dict[str, int], items: list[str]) -> np.ndarray:
@@ -201,7 +200,7 @@ def _ids(vocab: dict[str, int], items: list[str]) -> np.ndarray:
 def _block_terms(block: CellBlock, vocab: dict[str, int],
                  columns: np.ndarray, slots: np.ndarray, cells: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each column's distinct tokens, as ``_column_tokens`` yields them,
+    """Each column's distinct tokens, those of its non-empty cells,
     with their counts: (columns, token ids, counts), ordered by column, then
     token id. columns, slots and cells are ``block.column_slots()``; a
     token not in vocab joins it."""
@@ -225,14 +224,13 @@ def lake_sets(columns: Sequence[Column]
     given, and each set measure's postings over those, row i being the i-th;
     in two passes over the columns' cell blocks.
 
-    The first pass counts what ``build_tfidf`` counts. In the second, each
-    row's sets are ``build_profile``'s: name q-grams column by column;
-    value terms ranked by one lexsort of each block's token counts on
-    (column, -tf * idf, token rank), the rank being the token's place in
-    sorted order, as ``value_terms`` sorts them; format patterns read once
-    per distinct value of a block, "" left out as ``non_empty_values``
-    leaves it. Each measure's postings come from its sorted (token, row)
-    pairs.
+    The first pass is ``build_tfidf``'s. In the second, each row's sets
+    are ``build_profile``'s: name q-grams column by column; value terms
+    ranked by one lexsort of each block's token counts on (column,
+    -tf * idf, token rank), the rank being the token's place in sorted
+    order, as ``value_terms`` sorts them; format patterns read once per
+    distinct value of a block, "" left out as ``non_empty_values`` leaves
+    it. Each measure's postings come from its sorted (token, row) pairs.
     """
     sets = _LakeSets(columns)
     for block in cell_blocks(sets.columns):
@@ -245,17 +243,7 @@ class _LakeSets:
     ``add`` takes the second pass's blocks in turn."""
 
     def __init__(self, columns: Sequence[Column]):
-        # Token ids number tokens in order of first use.
-        vocab: dict[str, int] = {}
-        df = np.zeros(0, dtype=np.int64)
-        encodable = np.zeros(len(columns), dtype=bool)
-        start = 0
-        for block in cell_blocks(columns):
-            found, ids, _ = _block_terms(block, vocab, *block.column_slots())
-            df = np.concatenate([df, np.zeros(len(vocab) - len(df), np.int64)])
-            df += np.bincount(ids, minlength=len(vocab))
-            encodable[start + found] = True
-            start += len(block.columns)
+        vocab, df, encodable = _frequencies(columns)
         self.columns = list(compress(columns, encodable))
         self.tfidf = TfidfModel(df=dict(zip(vocab, df.tolist())),
                                 n_columns=len(self.columns))
@@ -290,7 +278,7 @@ class _LakeSets:
         firsts = np.flatnonzero(np.diff(found, prepend=-1))
         place = np.arange(len(found)) - np.repeat(
             firsts, np.diff(firsts, append=len(found)))
-        top = place < DEFAULT_TOP_TERMS
+        top = place < TOP_TERMS
         self._pairs[VALUE].append(np.stack([ids[top], start + found[top]]))
 
         patterns = self._vocabs[FORMAT]
@@ -317,17 +305,18 @@ class _LakeSets:
         return out
 
 
-def value_terms(column: Column, tfidf: TfidfModel,
-                top_t: int = DEFAULT_TOP_TERMS) -> frozenset[str]:
-    """Top-t column tokens by TF-IDF weight; ties break lexicographically."""
-    tf = Counter(_column_tokens(column))
+def value_terms(column: Column, tfidf: TfidfModel) -> frozenset[str]:
+    """The column's ``TOP_TERMS`` tokens of highest TF-IDF weight; ties
+    break lexicographically."""
+    tf = Counter(chain.from_iterable(
+        map(_cell_tokens, column.non_empty_values())))
     if not tf:
         return frozenset()
     idf = tfidf.idf
     # Tokens never seen at build time count as maximally rare.
     rare = _idf(tfidf.n_columns, 1)
     ranked = sorted(tf, key=lambda tok: (-(tf[tok] * idf.get(tok, rare)), tok))
-    return frozenset(ranked[:top_t])
+    return frozenset(ranked[:TOP_TERMS])
 
 
 @functools.lru_cache(maxsize=MEMO_CAP)

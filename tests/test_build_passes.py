@@ -1,22 +1,27 @@
-"""The index build's lake-wide passes over cell blocks give, bit for bit,
-what the column-by-column references give: ``embed_column`` for the base
-embeddings, ``build_tfidf`` for the document frequencies, ``build_profile``
-for each column's sets and ``SetPostings.from_sets`` for their postings."""
+"""The lake-wide passes over cell blocks, for the index build and for
+training, give bit for bit what the column-by-column references give:
+``embed_column`` for the base embeddings, a ``Counter`` for the document
+frequencies, ``build_profile`` and ``value_terms`` for each column's sets
+and postings appended set by set."""
 
 import functools
 
 import numpy as np
 import pytest
 
+from unionsearch import contrast
 from unionsearch import corpus as corpus_module
 from unionsearch import encoder as encoder_module
 from unionsearch import syntactic
+from unionsearch.contrast import OfflinePair, build_offline_pairs
 from unionsearch.corpus import Column, Corpus, Table, cell_blocks
 from unionsearch.encoder import Encoder, EncoderConfig
-from unionsearch.projection import init_head, project, widened
+from unionsearch.projection import TrainConfig, init_head, project, widened
 from unionsearch.search import IndexConfig, build_engine
-from unionsearch.syntactic import (FORMAT, SET_MEASURES, VALUE, SetPostings,
-                                   build_profile, build_tfidf, lake_sets)
+from unionsearch.syntactic import (FORMAT, SET_MEASURES, VALUE, build_profile,
+                                   build_tfidf, lake_sets, value_terms)
+
+from references import counted_tfidf, postings_from_sets
 
 WORDS = [f"w{i}" for i in range(12)] + ["new", "york", "42", "x7"]
 # Token-less cells, empty and whitespace-only ones among them, and cells
@@ -63,9 +68,9 @@ def _lake(seed: int) -> Corpus:
 def _reference(lake: Corpus, encoder: Encoder, head):
     """Keys, tfidf, postings and stored vectors, column by column."""
     columns = sorted(lake.encodable_columns(), key=lambda c: c.column_key)
-    tfidf = build_tfidf(lake)
+    tfidf = counted_tfidf(lake)
     profiles = [build_profile(c, tfidf) for c in columns]
-    postings = {m: SetPostings.from_sets([p[m] for p in profiles])
+    postings = {m: postings_from_sets([p[m] for p in profiles])
                 for m in SET_MEASURES}
     wide = widened(head)
     vectors = [project(wide, encoder.embed_column(c.values)).astype(np.float32)
@@ -176,9 +181,62 @@ def test_embed_block_names_a_column_without_tokens():
 def test_lake_sets_count_what_build_tfidf_counts(small_caps):
     lake = _lake(4)
     tfidf, columns, _ = lake_sets(lake.columns())
-    want = build_tfidf(lake)
-    assert tfidf.df == want.df and tfidf.n_columns == want.n_columns
+    want = counted_tfidf(lake)
+    for got in (tfidf, build_tfidf(lake)):
+        assert got.df == want.df and got.n_columns == want.n_columns
+        assert list(got.df) == list(want.df)
     assert columns == lake.encodable_columns()
+
+
+@pytest.mark.parametrize("caps", ["default", "small"])
+@pytest.mark.parametrize("backend", sorted(CONFIGS))
+def test_online_batches_equal_embed_column(request, tmp_path, monkeypatch,
+                                           backend, caps):
+    if caps == "small":
+        request.getfixturevalue("small_caps")
+    tables = _lake(6).tables
+    cfg = CONFIGS[backend](tmp_path)
+    train_cfg = TrainConfig(batch_size=4, sample_size=12, seed=9)
+    got = list(contrast._online_batches(Encoder(cfg), tables, train_cfg, 1))
+    monkeypatch.setattr(contrast, "_embed", lambda encoder, columns: np.stack(
+        [encoder.embed_column(c.values) for c in columns]))
+    want = list(contrast._online_batches(Encoder(cfg), tables, train_cfg, 1))
+    assert len(want) > 1
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def _offline_reference(lake: Corpus, floor: float) -> list[OfflinePair]:
+    """Each encodable column's first best value-term match among the others,
+    in key order, as postings appended set by set count it."""
+    columns = sorted(lake.encodable_columns(), key=lambda c: c.column_key)
+    tfidf = counted_tfidf(lake)
+    terms = [value_terms(c, tfidf) for c in columns]
+    postings = postings_from_sets(terms)
+    pairs = {}
+    for row, column in enumerate(columns):
+        rows, scores = postings.match([terms[row]])
+        scores[rows == row] = -1.0
+        if len(rows) and scores.max() >= floor:
+            other = columns[int(rows[np.argmax(scores)])].column_key
+            pairs.setdefault(tuple(sorted((column.column_key, other))),
+                             float(scores.max()))
+    return sorted((OfflinePair(a, b, score)
+                   for (a, b), score in pairs.items()),
+                  key=lambda p: (-p.match_score, p.column_key_a,
+                                 p.column_key_b))
+
+
+@pytest.mark.parametrize("caps", ["default", "small"])
+@pytest.mark.parametrize("floor", [0.5, 0.2])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_offline_pairs_equal_the_column_by_column_reference(
+        request, seed, floor, caps):
+    if caps == "small":
+        request.getfixturevalue("small_caps")
+    lake = _lake(seed)
+    got = build_offline_pairs(lake, floor=floor)
+    assert got == _offline_reference(lake, floor)
+    assert OfflinePair(("ties-a", 0), ("ties-b", 0), 1.0) in got
 
 
 def test_cell_blocks_slot_every_cell_and_bound_their_size(monkeypatch):

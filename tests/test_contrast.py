@@ -14,9 +14,11 @@ from unionsearch.contrast import (
     write_loss_history,
 )
 from unionsearch.bench import BenchmarkSpec, generate_benchmark
+from unionsearch.corpus import sample_column
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.errors import ConfigError, InputError, NumericError
 from unionsearch.projection import TrainConfig, init_head
+from unionsearch.seeding import derive_seed
 from unionsearch.syntactic import build_tfidf, jaccard, value_terms
 
 from conftest import make_corpus, make_table, unit
@@ -31,31 +33,36 @@ def _two_tables():
 
 
 def test_online_batch_shape_and_pairing():
-    batch = build_online_batch(_two_tables(), s=5, seed=0)
-    assert batch.m_pairs == 3
-    assert len(batch.samples) == 6
-    keys = [s.column_key for s in batch.samples]
-    # instance k and k+M come from the same column, with distinct draws
-    for k in range(batch.m_pairs):
-        assert keys[k] == keys[k + batch.m_pairs]
-        assert batch.samples[k].seed_used != batch.samples[k + batch.m_pairs].seed_used
-    assert all(len(s.sampled_values) == 5 for s in batch.samples)
+    tables = _two_tables()
+    samples = build_online_batch(tables, s=5, seed=0)
+    assert len(samples) == 6
+    M = len(samples) // 2
+    columns = [c for t in tables for c in t.columns]
+    # Sample k and k+M come from the same column, with distinct draws.
+    for k, column in enumerate(columns):
+        for view in (0, 1):
+            sample = samples[k + view * M]
+            assert (sample.column_key, sample.name) \
+                == (column.column_key, column.name)
+            assert sample.values == sample_column(
+                column, 5, derive_seed(0, *column.column_key, view)).values
+    assert all(len(s.values) == 5 for s in samples)
 
 
 def test_online_batch_values_subset_of_source():
     tables = _two_tables()
-    batch = build_online_batch(tables, s=8, seed=1)
+    samples = build_online_batch(tables, s=8, seed=1)
     by_key = {c.column_key: set(c.values) for t in tables for c in t.columns}
-    for s in batch.samples:
-        assert set(s.sampled_values) <= by_key[s.column_key]
+    for s in samples:
+        assert set(s.values) <= by_key[s.column_key]
 
 
 def test_online_batch_deterministic():
     a = build_online_batch(_two_tables(), s=6, seed=42)
     b = build_online_batch(_two_tables(), s=6, seed=42)
-    assert [s.sampled_values for s in a.samples] == [s.sampled_values for s in b.samples]
+    assert [s.values for s in a] == [s.values for s in b]
     c = build_online_batch(_two_tables(), s=6, seed=43)
-    assert [s.sampled_values for s in a.samples] != [s.sampled_values for s in c.samples]
+    assert [s.values for s in a] != [s.values for s in c]
 
 
 def test_online_batch_needs_two_tables():
@@ -71,10 +78,10 @@ def test_online_batch_rejected_without_negatives():
 
 
 def test_pair_counting_two_m_positives():
-    batch = build_online_batch(_two_tables(), s=4, seed=0)
-    n = len(batch.samples)
-    M = batch.m_pairs
-    keys = [s.column_key for s in batch.samples]
+    samples = build_online_batch(_two_tables(), s=4, seed=0)
+    n = len(samples)
+    M = n // 2
+    keys = [s.column_key for s in samples]
     positives = sum(1 for k in range(n) if keys[k] == keys[(k + M) % n])
     assert positives == 2 * M
     unordered_negatives = sum(
@@ -387,6 +394,21 @@ def test_train_single_table_rejected():
     enc = Encoder(EncoderConfig(dim=16, hash_seed=0))
     with pytest.raises(InputError):
         train(corpus, enc, init_head(16, 16, 8), _small_cfg(), strategy=ONLINE)
+
+
+def test_train_samples_only_cells_that_yield_a_token():
+    """A column of one token cell among 99 token-less ones is encodable;
+    a 20-cell draw from all its non-empty cells would be token-less with
+    probability 0.99 ** 20, about 0.82."""
+    spec = {f"t{i}": {"c": [f"w{i} v{j}" for j in range(100)]}
+            for i in range(5)}
+    spec["t5"] = {"c": ["x"] + ["--"] * 99}
+    corpus = make_corpus(spec)
+    sparse = corpus.column(("t5", 0))
+    assert sample_column(sparse, 20, seed=0).values == ["x"] * 20
+    result = train(corpus, Encoder(EncoderConfig(dim=16)),
+                   init_head(16, 16, 16, seed=0), TrainConfig(epochs=1))
+    assert [split for _, split, _ in result.history] == ["train"]
 
 
 def test_validation_skipped_for_tiny_corpora():

@@ -270,25 +270,35 @@ def test_sample_deterministic():
     col = _col([f"v{i}" for i in range(50)])
     a = sample_column(col, 10, seed=7)
     b = sample_column(col, 10, seed=7)
-    assert a.sampled_values == b.sampled_values
-    assert len(a.sampled_values) == 10
-    assert sample_column(col, 10, seed=8).sampled_values != a.sampled_values
+    assert a.values == b.values
+    assert len(a.values) == 10
+    assert sample_column(col, 10, seed=8).values != a.values
 
 
 def test_sample_draws_from_nonempty_values():
     col = _col(["x", "", "y", "", "z"])
     s = sample_column(col, 30, seed=1)
-    assert set(s.sampled_values) <= {"x", "y", "z"}
+    assert set(s.values) <= {"x", "y", "z"}
+
+
+def test_sample_draws_from_cells_that_yield_a_token():
+    col = Column(table_id="t", position=3, name="c",
+                 values=["x", "--", "", "y", "??", "z"])
+    s = sample_column(col, 30, seed=1)
+    assert set(s.values) == {"x", "y", "z"}
+    assert (s.table_id, s.position, s.name) == ("t", 3, "c")
+    with pytest.raises(EmptyColumnError):
+        sample_column(_col(["--", "", "??"]), 5, seed=0)
 
 
 def test_sample_single_value_column():
     s = sample_column(_col(["a"]), 4, seed=0)
-    assert s.sampled_values == ["a", "a", "a", "a"]
+    assert s.values == ["a", "a", "a", "a"]
 
 
 def test_sample_two_value_frequency():
     s = sample_column(_col(["a", "b"]), 1000, seed=3)
-    freq = collections.Counter(s.sampled_values)["a"] / 1000
+    freq = collections.Counter(s.values)["a"] / 1000
     assert 0.45 <= freq <= 0.55
 
 
@@ -296,7 +306,7 @@ def test_sample_depends_only_on_values_and_seed():
     # same cell values under different identities must sample identically
     c1 = Column(table_id="t1", position=0, name="alpha", values=["p", "q", "r"])
     c2 = Column(table_id="zz", position=5, name="other", values=["p", "q", "r"])
-    assert sample_column(c1, 12, 99).sampled_values == sample_column(c2, 12, 99).sampled_values
+    assert sample_column(c1, 12, 99).values == sample_column(c2, 12, 99).values
 
 
 def test_sample_empty_column_rejected():

@@ -8,7 +8,7 @@ from unionsearch.syntactic import (
     FORMAT,
     NAME,
     VALUE,
-    SetPostings,
+    TOP_TERMS,
     build_profile,
     build_tfidf,
     format_measure,
@@ -22,6 +22,7 @@ from unionsearch.syntactic import (
 )
 
 from conftest import make_corpus
+from references import counted_tfidf, postings_from_sets
 
 
 def _col(values, name="c", table_id="t", position=0) -> Column:
@@ -48,7 +49,7 @@ def test_set_postings_match_jaccard_bit_for_bit():
     # Rows draw from the first 30 tokens only, so queries also hold tokens
     # that no posting list has; both sides include empty sets.
     rows = [random_set(vocab[:30], 12) for _ in range(60)] + [frozenset()]
-    postings = SetPostings.from_sets(rows)
+    postings = postings_from_sets(rows)
     np.testing.assert_array_equal(postings.sizes, [len(r) for r in rows])
     queries = [random_set(vocab, 15) for _ in range(80)] + [frozenset(), rows[0]]
     n = len(rows)
@@ -68,8 +69,8 @@ def test_set_postings_match_jaccard_bit_for_bit():
 
 
 def test_set_postings_of_no_sets():
-    for postings, stack in [(SetPostings.from_sets([]), [frozenset({"a"})]),
-                            (SetPostings.from_sets([frozenset({"a"})]), [])]:
+    for postings, stack in [(postings_from_sets([]), [frozenset({"a"})]),
+                            (postings_from_sets([frozenset({"a"})]), [])]:
         ids, scores = postings.match(stack)
         assert ids.shape == scores.shape == (0,)
 
@@ -96,14 +97,18 @@ def test_name_similarity_example():
 # ---------------------------------------------------------------- tf-idf value terms
 
 def test_tfidf_rare_tokens_outrank_common():
+    # Twenty tokens only t1 holds, one of them twice, and a token every
+    # column holds that sorts before them all.
+    rare = ["quartz", *(f"topaz{i:02d}" for i in range(19))]
     corpus = make_corpus({
-        "t1": {"a": ["quartz", "quartz", "topaz", "common"]},
+        "t1": {"a": ["quartz", *rare, "common"]},
         "t2": {"b": ["common", "common"]},
         "t3": {"c": ["common", "other"]},
     })
     tfidf = build_tfidf(corpus)
-    terms = value_terms(corpus.column(("t1", 0)), tfidf, top_t=2)
-    assert terms == {"quartz", "topaz"}
+    terms = value_terms(corpus.column(("t1", 0)), tfidf)
+    assert TOP_TERMS == 20
+    assert terms == set(rare)
 
 
 def test_tfidf_df_counts_distinct_columns():
@@ -118,14 +123,19 @@ def test_tfidf_df_counts_distinct_columns():
 
 
 def test_value_terms_deterministic_tie_break():
+    # 25 tokens of equal score, in no sorted order.
+    tied = [f"t{i:02d}" for i in (7, 24, 3, 19, 0, 21, 12, 20, 5, 16, 9, 22,
+                                  1, 14, 18, 23, 6, 11, 2, 17, 8, 13, 4, 15,
+                                  10)]
     corpus = make_corpus({
-        "t1": {"a": ["pp", "zz", "mm"]},
+        "t1": {"a": tied},
         "t2": {"b": ["qq"]},
     })
     tfidf = build_tfidf(corpus)
-    t1 = value_terms(corpus.column(("t1", 0)), tfidf, top_t=2)
-    t2 = value_terms(corpus.column(("t1", 0)), tfidf, top_t=2)
-    assert t1 == t2 == {"mm", "pp"}  # equal scores: lexicographic order decides
+    t1 = value_terms(corpus.column(("t1", 0)), tfidf)
+    t2 = value_terms(corpus.column(("t1", 0)), tfidf)
+    # Equal scores: lexicographic order decides.
+    assert t1 == t2 == {f"t{i:02d}" for i in range(20)}
 
 
 def test_value_terms_corpus_order_independent():
@@ -266,19 +276,11 @@ def _reference_pattern(value: str) -> str:
     return "".join(out)
 
 
-def _reference_tfidf(corpus) -> tuple[dict[str, int], int]:
-    df: Counter[str] = Counter()
-    columns = corpus.encodable_columns()
-    for col in columns:
-        df.update({t for v in col.non_empty_values() for t in tokenize(v)})
-    return dict(df), len(columns)
-
-
-def _reference_value_terms(column, df, n_columns, top_t=20):
+def _reference_value_terms(column, df, n_columns):
     tf = Counter(t for v in column.non_empty_values() for t in tokenize(v))
     weight = {t: tf[t] * float(np.log(1.0 + n_columns / df.get(t, 1)))
               for t in tf}
-    return frozenset(sorted(tf, key=lambda t: (-weight[t], t))[:top_t])
+    return frozenset(sorted(tf, key=lambda t: (-weight[t], t))[:20])
 
 
 def test_format_pattern_on_unicode_matches_reference():
@@ -294,14 +296,18 @@ def test_value_terms_and_tfidf_on_unicode_match_reference():
     corpus = make_corpus({
         "a": {"x": UNICODE_CELLS, "y": UNICODE_CELLS[::-1]},
         "b": {"z": ["café 12", "12", "ab", "ab", "٣٤ ab"]},
+        # More distinct tokens than the cap, at several weights.
+        "c": {"w": [*UNICODE_CELLS, "12", "ab", "ab",
+                    *(f"k{i % 7} m{i}" for i in range(18))]},
     })
-    df, n_columns = _reference_tfidf(corpus)
+    want = counted_tfidf(corpus)
+    wide = corpus.column(("c", 0))
+    assert len({t for v in wide.values for t in tokenize(v)}) \
+        > TOP_TERMS
     for _ in range(2):
         tfidf = build_tfidf(corpus)
-        assert tfidf.df == df and tfidf.n_columns == n_columns
-        assert list(tfidf.df) == list(df)     # same insertion order too
+        assert tfidf.df == want.df and tfidf.n_columns == want.n_columns
+        assert list(tfidf.df) == list(want.df)     # same insertion order too
         for col in corpus.columns():
             assert value_terms(col, tfidf) == _reference_value_terms(
-                col, df, n_columns)
-            assert value_terms(col, tfidf, top_t=2) == _reference_value_terms(
-                col, df, n_columns, top_t=2)
+                col, want.df, want.n_columns)
