@@ -55,9 +55,10 @@ def tokenize(text: str) -> list[str]:
 
 
 @functools.lru_cache(maxsize=CELL_POOL_CAP)
-def _yields_token(cell: str) -> bool:
-    """Whether ``tokenize`` finds a token in the cell."""
-    return _TOKEN_RE.search(cell.lower()) is not None
+def cell_tokens(cell: str) -> tuple[str, ...]:
+    """``tokenize`` of a cell, memoized: a lake repeats its cells, and the
+    index build, sampling and query columns all read their tokens."""
+    return tuple(tokenize(cell))
 
 
 @dataclass
@@ -76,7 +77,7 @@ class Column:
 
     def is_encodable(self) -> bool:
         """True if at least one cell yields at least one token."""
-        return any(tokenize(v) for v in self.values if v != "")
+        return any(map(cell_tokens, self.values))
 
 
 @dataclass
@@ -313,7 +314,7 @@ def sample_column(column: Column, s: int, seed: int) -> Column:
     """
     if s < 1:
         raise InputError(f"sample size must be >= 1, got {s}")
-    pool = list(filter(_yields_token, column.values))
+    pool = list(filter(cell_tokens, column.values))
     if not pool:
         raise EmptyColumnError(f"column {column.column_key} yields no token")
     rng = np.random.default_rng(seed)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CellBlock, tokenize
+from .corpus import CellBlock, cell_tokens
 from .errors import ConfigError, EmptyColumnError, InputError
 from .seeding import check_seed, stable_token_hash
 
@@ -162,7 +162,7 @@ class Encoder:
             return self._cell_means[cell]
         except KeyError:
             pass
-        tokens = tokenize(cell)
+        tokens = cell_tokens(cell)
         if not tokens:
             mean = None
         else:

@@ -28,18 +28,15 @@ block, with the few rows within a proven margin of a hyperplane re-signed
 one by one, so the packed keys are those of signing each row alone.
 ``scores`` gives a stack of vectors' cosines with every stored row in one
 ``cosines`` pass, widening the rows block by block into one float64
-buffer. The other calls take a stack too
-and name a pair of its vector j and stored row by the id ``j * size +
-row``: ``prefilter`` finds, with a proven error margin, the ids whose exact
-cosine can reach a threshold, in one float32 product in the top principal
-subspace of the stored rows, then one full-dimension float32 product with
-the rows that product keeps; ``pair_scores``
-scores given ids exactly in one pass; ``band_hits`` keeps those of given
-ids whose vector shares a band with the row, comparing only their packed
-keys. Banding only masks: ``lookup`` is a stack of one through those three
-calls, testing only the rows at or above its threshold, and names them by
-key. Each pair's dot product is reduced on its own, in float64, so a
-``scores`` entry, a ``pair_scores`` entry, a lookup score and
+buffer. The other calls take a stack too and name a pair of its vector j
+and stored row by the id ``j * size + row``: ``prefilter`` finds, with a
+proven error margin, the ids whose exact cosine can reach a threshold;
+``pair_scores`` scores given ids exactly in one pass; ``band_hits`` keeps
+those of given ids whose vector shares a band with the row, comparing only
+their packed keys. ``banded`` is the one banded answer, made of those three
+calls, and ``lookup`` is ``banded`` of a stack of one, named by key. Each
+pair's dot product is reduced on its own, in float64, so a ``scores``
+entry, a ``pair_scores`` entry, a ``banded`` cosine, a lookup score and
 ``search.attribute_unionability`` of the same pair agree bit for bit,
 whatever the stack and the BLAS thread count. A min-hash
 index keeps no copy of its token sets: ``token_sets`` maps each key to the
@@ -117,6 +114,15 @@ def _coordinates(unit: np.ndarray, basis: np.ndarray, slack: float
     return coords, (residuals * (1.0 + 2.0 ** -23)).astype(np.float32)
 
 
+def _grown(array: np.ndarray, rows: int) -> np.ndarray:
+    """A new array of rows along the first axis that starts with array's
+    rows. Unlike ``np.resize`` it writes nothing past them, so their pages
+    are not touched before they are filled."""
+    out = np.empty((rows, *array.shape[1:]), dtype=array.dtype)
+    out[:len(array)] = array
+    return out
+
+
 class _Sketch(NamedTuple):
     """What stage 1 of ``CosineLshIndex.prefilter`` reads: its basis P,
     the (K + 2) x n array [a; rho; 1], A, R, eps and H."""
@@ -144,8 +150,9 @@ class CosineLshIndex:
 
     Each inserted vector gets the next row number. Rows live in one float32
     matrix, the vectors as stored, with their float64 norms and their
-    packed band keys next to it. ``capacity`` rows are allocated up
-    front, and an insert past them doubles the allocation. ``keys`` names
+    packed band keys next to it. An insert past the allocated rows grows
+    them to twice the rows filed, or to the new row count if that is more,
+    so the first ``insert_many`` allocates exactly its stack. ``keys`` names
     each row, in insertion order, and ``rows`` maps each key back to its
     row. ``planes`` is the one hyperplane array. ``prefilter`` derives its
     subspace sketch of the rows when it first needs it, and every insert
@@ -153,12 +160,10 @@ class CosineLshIndex:
     """
 
     def __init__(self, dim: int, n_planes: int = 256, n_bands: int = 32,
-                 rows_per_band: int = 8, seed: int = 0, capacity: int = 0):
+                 rows_per_band: int = 8, seed: int = 0):
         if dim < 1:
             raise ConfigError(f"dim must be >= 1, got {dim}")
         _band_check(n_planes, n_bands, rows_per_band, "cosine index")
-        if capacity < 0:
-            raise ConfigError(f"capacity must be >= 0, got {capacity}")
         self.dim = dim
         self.n_bands = n_bands
         self.rows_per_band = rows_per_band
@@ -173,11 +178,11 @@ class CosineLshIndex:
         # is at most twice gamma_dim (u = 2**-53) times |plane i| |row|.
         self._sign_limits = _dot_margin(dim, 2.0 ** -53) * _norms(self.planes)
         # Rows past size are unused.
-        self._rows = np.empty((capacity, dim), dtype=np.float32)
-        self._norms = np.empty(capacity, dtype=np.float64)
+        self._rows = np.empty((0, dim), dtype=np.float32)
+        self._norms = np.empty(0, dtype=np.float64)
         # Row i holds its band keys side by side, band_width bytes each.
         self._band_width = (rows_per_band + 7) // 8
-        self._packed = np.empty((capacity, n_bands * self._band_width),
+        self._packed = np.empty((0, n_bands * self._band_width),
                                 dtype=np.uint8)
         # Derived from the stored rows when ``prefilter`` first needs it.
         self._sketch: _Sketch | None = None
@@ -259,9 +264,7 @@ class CosineLshIndex:
         in the stack. A zero-norm vector anywhere in the stack raises
         NumericError.
         """
-        return self._scores(self._prepare(vectors, ndim=2))
-
-    def _scores(self, stack: np.ndarray) -> np.ndarray:
+        stack = self._prepare(vectors, ndim=2)
         norms = self._query_norms(stack)
         n = self.size
         out = np.empty((n, len(stack)))
@@ -379,9 +382,7 @@ class CosineLshIndex:
         at t are scored and kept. A zero-norm vector anywhere in the stack
         raises NumericError.
         """
-        return self._prefilter(self._prepare(vectors, ndim=2), threshold)
-
-    def _prefilter(self, stack: np.ndarray, threshold: float) -> np.ndarray:
+        stack = self._prepare(vectors, ndim=2)
         norms = self._query_norms(stack)
         t = float(np.clip(threshold, -1.0, 1.0))
         # A vector with a non-finite entry keeps every row; both stages
@@ -481,9 +482,7 @@ class CosineLshIndex:
         named by ids, as ``prefilter`` names them, in the order given; each
         equals its ``scores`` entry bit for bit. A zero-norm vector
         anywhere in the stack raises NumericError."""
-        return self._pair_scores(self._prepare(vectors, ndim=2), ids)
-
-    def _pair_scores(self, stack: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        stack = self._prepare(vectors, ndim=2)
         norms = self._query_norms(stack)
         which, rows = np.divmod(np.asarray(ids, dtype=np.int64), self.size)
         return cosines(self._rows[rows].astype(np.float64), self._norms[rows],
@@ -497,9 +496,7 @@ class CosineLshIndex:
         rows' packed keys are compared, so a caller that passes the few
         pairs at its threshold tests just those.
         """
-        return self._band_hits(self._prepare(vectors, ndim=2), ids)
-
-    def _band_hits(self, stack: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        stack = self._prepare(vectors, ndim=2)
         ids = np.asarray(ids, dtype=np.int64)
         which, rows = np.divmod(ids, self.size)
         shape = (self.n_bands, self._band_width)
@@ -569,11 +566,10 @@ class CosineLshIndex:
                 break
             filed[key] = start + i
         if stop > len(self._rows):
-            grown = max(64, 2 * start, stop)
-            self._rows = np.resize(self._rows, (grown, self.dim))
-            self._norms = np.resize(self._norms, grown)
-            self._packed = np.resize(self._packed,
-                                     (grown, self._packed.shape[1]))
+            grown = max(2 * start, stop)
+            self._rows = _grown(self._rows, grown)
+            self._norms = _grown(self._norms, grown)
+            self._packed = _grown(self._packed, grown)
         # Rows past size are unused until the keys are filed, so a refused
         # stack leaves nothing behind. The stored float32 values are the
         # vectors', and the passes widen them exactly.
@@ -613,21 +609,41 @@ class CosineLshIndex:
             bits.reshape(len(block), self.n_bands, self.rows_per_band),
             axis=2).reshape(len(block), -1)
 
+    def banded(self, vectors: np.ndarray, threshold: float,
+               also: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The banded answer for a stack of vectors: the pairs at or above
+        threshold whose vector shares a band with the row, and the pairs
+        named in also, as ascending ids each once (named as ``prefilter``
+        names them), with their exact cosines.
+
+        ``prefilter`` picks the pairs that can reach threshold; they and
+        those in also are scored in one ``pair_scores`` pass, and only the
+        scored pairs at or above threshold are tested by ``band_hits``.
+        Banding only masks, so each cosine is its ``scores`` entry, bit for
+        bit. A zero-norm vector anywhere in the stack raises NumericError.
+        """
+        also = np.asarray([] if also is None else also, dtype=np.int64)
+        # Sorted, each id once: np.union1d would import numpy.ma.
+        ids = np.sort(np.concatenate([self.prefilter(vectors, threshold),
+                                      also]))
+        ids = ids[np.diff(ids, prepend=-1) != 0]
+        scores = self.pair_scores(vectors, ids)
+        keep = np.full(len(ids), False)
+        keep[np.searchsorted(ids, also)] = True
+        hits = self.band_hits(vectors, ids[scores >= threshold])
+        keep[np.searchsorted(ids, hits)] = True
+        return ids[keep], scores[keep]
+
     def lookup(self, vector: np.ndarray, threshold: float
                ) -> list[tuple[ColumnKey, float]]:
         """Colliding rows at or above threshold; sorted by (-cosine, key).
 
-        The vector is prepared once and answered as a stack of one, whose
-        pair ids are its rows, by the calls search makes for a query table:
-        ``prefilter`` picks the rows that can reach threshold, only those
-        are scored exactly, only the rows at or above threshold are tested
-        for a shared band, and only the rows that pass are turned into keys.
+        ``banded`` of a stack of one, whose pair ids are its rows, turned
+        into keys.
         """
-        stack = self._prepare(vector)[None]
-        near = self._prefilter(stack, threshold)
-        scores = self._pair_scores(stack, near)
-        rows = self._band_hits(stack, near[scores >= threshold])
-        scores = scores[np.searchsorted(near, rows)]
+        rows, scores = self.banded(self._shaped(vector, ndim=1)[None],
+                                   threshold)
         hits = [(self.keys[r], s)
                 for r, s in zip(rows.tolist(), scores.tolist())]
         hits.sort(key=lambda kv: (-kv[1], kv[0]))

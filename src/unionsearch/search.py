@@ -21,14 +21,10 @@ token; every other pair's part is +0.0. The semantic parts are exact
 cosines from the cosine index. In exhaustive mode ``scores`` gives them
 for every row against all of the table's columns in one pass, the set
 parts are spread over every pair, and every pair is a pair row. When
-banded, one ``prefilter`` call finds a superset of the pairs whose cosine
-can reach the threshold, with one float32 product in the stored rows' top
-principal subspace, then one over the full dimension of the rows that
-product keeps; one ``pair_scores`` pass scores only those
-and the pairs that reach it on name or value; and one ``band_hits`` test,
-of only the pairs that reach it on the semantic part, keeps those that
-share a cosine band. The pair rows are those, and the pairs that reach the
-threshold on name or value. A key is looked up only for a pair that
+banded, the pair rows and their semantic parts come from one
+``CosineLshIndex.banded`` call: the pairs that reach the threshold on the
+semantic part and share a cosine band, and the pairs that reach it on name
+or value, which it is given. A key is looked up only for a pair that
 survives. A pair's score is its parts summed left to right from 0.0, in
 ``ordered_measures`` order, over their count: the same float that
 ``attribute_unionability`` and the ``SYNTACTIC_FUNCS`` entries give pair
@@ -179,9 +175,9 @@ class SearchEngine:
     Made from ``keys``, in strictly increasing order, and ``vectors``, a
     matrix of one float32 vector per key in the same order, which is read,
     not kept. The cosine index keeps its own default banding, takes its
-    seed from ``index_config`` and its dimension from ``head.dims[2]``, is
-    allocated for ``len(keys)`` rows and files the matrix in one
-    ``insert_many``, so the same columns give the same rows and buckets.
+    seed from ``index_config`` and its dimension from ``head.dims[2]`` and
+    files the matrix in one ``insert_many``, which allocates its rows, so
+    the same columns give the same rows and buckets.
     ``keys`` is that index's own row -> key list.
     ``postings`` maps each syntactic measure to the inverted lists of its
     token sets over the same rows, so their row i is ``keys[i]`` too. They
@@ -199,8 +195,7 @@ class SearchEngine:
         self.index_config = index_config
         self.tfidf = tfidf
         self.semantic_index = CosineLshIndex(
-            dim=head.dims[2], seed=derive_seed(index_config.seed, "cosine"),
-            capacity=len(keys))
+            dim=head.dims[2], seed=derive_seed(index_config.seed, "cosine"))
         self.keys: list[ColumnKey] = self.semantic_index.keys
         self.semantic_index.insert_many(keys, vectors)
         self.postings = postings
@@ -271,15 +266,7 @@ def _table_pairs(engine: SearchEngine, cfg: SearchConfig,
             [np.empty(0, dtype=np.int64),
              *(found[jaccards >= t]
                for m, (found, jaccards) in matches.items() if m != FORMAT)])
-        # Sorted, each id once: np.union1d would import numpy.ma.
-        ids = np.sort(np.concatenate([index.prefilter(qvecs, t), gathered]))
-        ids = ids[np.diff(ids, prepend=-1) != 0]
-        semantic = index.pair_scores(qvecs, ids)
-        keep = np.full(len(ids), False)
-        keep[np.searchsorted(ids, gathered)] = True
-        hits = index.band_hits(qvecs, ids[semantic >= t])
-        keep[np.searchsorted(ids, hits)] = True
-        ids, semantic = ids[keep], semantic[keep]
+        ids, semantic = index.banded(qvecs, t, gathered)
     set_parts = []
     for found, jaccards in matches.values():
         every = np.zeros(len(columns) * n)

@@ -19,11 +19,11 @@ column: ``build_profile`` builds just the sets asked for, the same ones.
 
 A lake repeats its cells (1.3% of the benchmark lake's cells are
 distinct), so per-cell work is memoized and done once per distinct string:
-a cell's tokens, read at both scales, and its ``format_pattern``. A
-``TfidfModel`` maps each token to its idf once, on first use, from
-``_idf``, which is memoized by (columns, document frequency). Each memo is
-a ``functools.lru_cache`` of ``MEMO_CAP`` entries over a pure function, so
-it returns exactly what a fresh call computes, and no result changes.
+a cell's tokens (``corpus.cell_tokens``), read at both scales, and its
+``format_pattern``. A token's idf comes from ``_idf``, memoized by
+(columns, document frequency). Each memo is a ``functools.lru_cache`` over
+a pure function, so it returns exactly what a fresh call computes, and no
+result changes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import CellBlock, Column, Corpus, cell_blocks, tokenize
+from .corpus import CellBlock, Column, Corpus, cell_blocks, cell_tokens
 
 SEMANTIC = "semantic"
 NAME = "name"
@@ -138,28 +138,15 @@ def name_qgrams(name: str) -> frozenset[str]:
 
 @dataclass
 class TfidfModel:
-    """Corpus-level document frequencies, one document per column.
-
-    ``df`` is not to change once ``idf`` has been read.
-    """
+    """Corpus-level document frequencies, one document per column."""
 
     df: dict[str, int]
     n_columns: int
-
-    @functools.cached_property
-    def idf(self) -> dict[str, float]:
-        """Each token's idf, built on first read."""
-        return {tok: _idf(self.n_columns, df) for tok, df in self.df.items()}
 
 
 @functools.lru_cache(maxsize=MEMO_CAP)
 def _idf(n_columns: int, df: int) -> float:
     return float(np.log(1.0 + n_columns / df))
-
-
-@functools.lru_cache(maxsize=MEMO_CAP)
-def _cell_tokens(value: str) -> tuple[str, ...]:
-    return tuple(tokenize(value))
 
 
 def build_tfidf(corpus: Corpus) -> TfidfModel:
@@ -204,7 +191,7 @@ def _block_terms(block: CellBlock, vocab: dict[str, int],
     with their counts: (columns, token ids, counts), ordered by column, then
     token id. columns, slots and cells are ``block.column_slots()``; a
     token not in vocab joins it."""
-    tokens = list(map(_cell_tokens, block.values))
+    tokens = list(map(cell_tokens, block.values))
     per_slot = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
     ids = _ids(vocab, list(chain.from_iterable(tokens)))
     per = per_slot[slots]
@@ -308,14 +295,12 @@ class _LakeSets:
 def value_terms(column: Column, tfidf: TfidfModel) -> frozenset[str]:
     """The column's ``TOP_TERMS`` tokens of highest TF-IDF weight; ties
     break lexicographically."""
-    tf = Counter(chain.from_iterable(
-        map(_cell_tokens, column.non_empty_values())))
-    if not tf:
-        return frozenset()
-    idf = tfidf.idf
-    # Tokens never seen at build time count as maximally rare.
-    rare = _idf(tfidf.n_columns, 1)
-    ranked = sorted(tf, key=lambda tok: (-(tf[tok] * idf.get(tok, rare)), tok))
+    # An empty cell has no tokens, so it adds nothing.
+    tf = Counter(chain.from_iterable(map(cell_tokens, column.values)))
+    # Tokens never seen at build time count as maximally rare: df 1.
+    n, df = tfidf.n_columns, tfidf.df
+    ranked = sorted(tf, key=lambda tok: (-(tf[tok] * _idf(n, df.get(tok, 1))),
+                                         tok))
     return frozenset(ranked[:TOP_TERMS])
 
 

@@ -98,7 +98,11 @@ def small_caps(monkeypatch):
     memos that evict almost at once."""
     monkeypatch.setattr(corpus_module, "BLOCK_CELLS", 40)
     monkeypatch.setattr(encoder_module, "CELL_CACHE_CAP", 3)
-    for name in ("_cell_tokens", "format_pattern", "_idf"):
+    tokens = functools.lru_cache(maxsize=4)(
+        corpus_module.cell_tokens.__wrapped__)
+    for module in (corpus_module, encoder_module, syntactic):
+        monkeypatch.setattr(module, "cell_tokens", tokens)
+    for name in ("format_pattern", "_idf"):
         fresh = functools.lru_cache(maxsize=4)(
             getattr(syntactic, name).__wrapped__)
         monkeypatch.setattr(syntactic, name, fresh)

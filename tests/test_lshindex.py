@@ -299,7 +299,7 @@ def test_cosine_between_stored_keys():
 def test_vectors_is_a_read_only_view_in_row_order():
     idx = CosineLshIndex(dim=4, seed=2)
     rng = np.random.default_rng(31)
-    for i in rng.permutation(70):   # past the first capacity of 64 rows
+    for i in rng.permutation(70):   # past the rows' doubling at 64
         idx.insert(("t", int(i)), rng.standard_normal(4))
     vectors = idx.vectors
     assert vectors.shape == (70, 4) and not vectors.flags.writeable
@@ -315,7 +315,7 @@ def _hex_rows(scores) -> list[list[str]]:
 def test_scores_equals_attribute_unionability_bit_for_bit():
     idx = CosineLshIndex(dim=12, seed=4)
     rng = np.random.default_rng(17)
-    for i in range(50):   # 14 rows of spare capacity past the stored 50
+    for i in range(50):   # 14 allocated rows spare past the stored 50
         idx.insert(("t", i), rng.standard_normal(12))
     hits = 0
     for _ in range(5):
@@ -418,7 +418,7 @@ def test_collisions_are_the_band_key_rows(n_bands, rows_per_band):
     idx = CosineLshIndex(dim=8, n_planes=48, n_bands=n_bands,
                          rows_per_band=rows_per_band, seed=5)
     rng = np.random.default_rng(41)
-    for i in rng.permutation(200):   # past the capacity doubling at 128
+    for i in rng.permutation(200):   # past the rows' doubling at 128
         idx.insert(("t", int(i)), rng.standard_normal(8))
     found = dict.fromkeys((0.0, 0.7, 1.0), 0)
     n = idx.size
@@ -468,6 +468,43 @@ def test_pair_scores_are_the_scores_entries():
         idx.pair_scores(np.concatenate([stack, np.zeros((1, 128))]), ids[:3])
 
 
+def test_banded_is_also_and_the_band_hits_at_t():
+    """banded returns the pairs it is also given, below t or at t without a
+    shared band, and the band hits at t, ascending and each once, with
+    their pair_scores cosines; lookup is banded of a stack of one."""
+    # 48 planes in 4 bands of 12 over 8 dims: many pairs at t share no band.
+    idx = CosineLshIndex(dim=8, n_planes=48, n_bands=4, rows_per_band=12,
+                         seed=5)
+    rng = np.random.default_rng(59)
+    idx.insert_many([("t", i) for i in range(300)],
+                    rng.standard_normal((300, 8)))
+    queries = rng.standard_normal((6, 8)).astype(np.float32)
+    t = 0.5
+    flat = idx.scores(queries).ravel()
+    at = np.flatnonzero(flat >= t)
+    hits = idx.band_hits(queries, at)
+    unbanded = np.setdiff1d(at, hits)
+    below = np.flatnonzero(flat < t)
+    assert len(hits) > 0 and len(unbanded) > 10
+    # Unsorted, with repeats and with a band hit among them.
+    also = np.concatenate([rng.choice(below, 20, replace=False),
+                           unbanded[:10], unbanded[:3], hits[:1]])
+    rng.shuffle(also)
+    also_before = also.copy()
+    for given, want in [(also, np.unique(np.concatenate([also, hits]))),
+                        (None, hits), (also[:0], hits)]:
+        ids, cos = idx.banded(queries, t, given)
+        assert ids.dtype == np.int64 and ids.tolist() == want.tolist()
+        assert _hex_rows([cos]) == _hex_rows([idx.pair_scores(queries, want)])
+        assert _hex_rows([cos]) == _hex_rows([flat[want]])
+    np.testing.assert_array_equal(also, also_before)
+    for q in queries:
+        rows, cos = idx.banded(q[None], t)
+        keyed = sorted(zip(map(idx.keys.__getitem__, rows.tolist()),
+                           cos.tolist()), key=lambda kv: (-kv[1], kv[0]))
+        assert idx.lookup(q, t) == keyed
+
+
 @pytest.mark.parametrize("call", ["insert", "lookup", "scores", "band_hits",
                                   "prefilter", "pair_scores"])
 def test_each_call_prepares_its_vector_once(monkeypatch, call):
@@ -494,10 +531,12 @@ def test_each_call_prepares_its_vector_once(monkeypatch, call):
         idx.pair_scores(np.stack([v, v + 1.0]), np.arange(2 * idx.size))
     else:
         idx.band_hits(np.stack([v, v + 1.0]), np.arange(2 * idx.size))
-    assert len(calls) == 1
+    # lookup is banded through its three stages, which prepare one each.
+    assert len(calls) == (3 if call == "lookup" else 1)
     # The public signature still prepares what it is given.
+    calls.clear()
     idx.signature(v)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dim", [3, 8, 128, 129])
@@ -516,32 +555,6 @@ def test_query_norms_equal_insert_norms_bit_for_bit(dim):
     stack = idx._prepare(vectors, ndim=2)
     assert CosineLshIndex._query_norms(stack).tobytes() \
         == idx._norms[:idx.size].tobytes()
-
-
-@pytest.mark.parametrize("capacity", [0, 5, 70])
-def test_capacity_only_sizes_the_allocation(capacity):
-    rng = np.random.default_rng(37)
-    vectors = rng.standard_normal((70, 6))
-    plain = CosineLshIndex(dim=6, seed=3)
-    sized = CosineLshIndex(dim=6, seed=3, capacity=capacity)
-    assert len(sized._rows) == len(sized._norms) == len(sized._packed) \
-        == capacity
-    assert sized._rows.dtype == np.float32
-    for i, v in enumerate(vectors):
-        plain.insert(("t", i), v)
-        sized.insert(("t", i), v)
-        if i < capacity:   # no insert within the capacity reallocates
-            assert len(sized._rows) == capacity
-    assert sized.keys == plain.keys and sized.buckets == plain.buckets
-    np.testing.assert_array_equal(sized.vectors, plain.vectors)
-    q = rng.standard_normal((3, 6))
-    assert _hex_rows(sized.scores(q)) == _hex_rows(plain.scores(q))
-    assert sized.lookup(q[0], 0.0) == plain.lookup(q[0], 0.0)
-
-
-def test_negative_capacity_rejected():
-    with pytest.raises(ConfigError, match="capacity"):
-        CosineLshIndex(dim=4, capacity=-1)
 
 
 def test_dim_mismatch_rejected():
@@ -636,7 +649,7 @@ def test_batched_filing_equals_inserting_row_by_row():
     ("float32-overflow", NumericError, 4),
 ])
 def test_batched_filing_refuses_a_bad_stack_whole(case, error, bad):
-    idx = CosineLshIndex(dim=4, seed=2, capacity=8)
+    idx = CosineLshIndex(dim=4, seed=2)
     idx.insert(("ok", 0), np.ones(4))
     before = (list(idx.keys), dict(idx.rows), idx.vectors.copy(),
               idx._norms[:1].copy(), idx._packed[:1].copy(), idx.buckets)

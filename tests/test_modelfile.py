@@ -11,7 +11,7 @@ from unionsearch.contrast import ONLINE
 from unionsearch.corpus import Corpus
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.errors import ConfigError, InputError
-from unionsearch import modelfile
+from unionsearch import lshindex, modelfile
 from unionsearch.modelfile import (
     CHECKSUM_BYTES,
     ModelBundle,
@@ -263,18 +263,24 @@ def test_loaded_vector_matrix_is_an_owned_copy(tmp_path, world, monkeypatch):
 
 
 def test_engines_allocate_their_rows_once(tmp_path, world, monkeypatch):
-    """Built and loaded engines size the cosine index to their row count."""
+    """Built and loaded engines allocate each cosine index array once, at
+    their row count."""
     corpus, engine = world
     p = tmp_path / "engine.usi"
     save_index(p, _bundle(), engine)
     grown = []
-    resize = np.resize
-    monkeypatch.setattr(np, "resize",
-                        lambda *a, **k: grown.append(1) or resize(*a, **k))
+    grow = lshindex._grown
+
+    def spied(array, rows):
+        grown.append((len(array), rows))
+        return grow(array, rows)
+
+    monkeypatch.setattr(lshindex, "_grown", spied)
     built = build_engine(corpus, engine.encoder, engine.head,
                          engine.index_config)
     _, loaded = load_index(p)
-    assert grown == []
+    # One allocation of rows, norms and packed keys per engine.
+    assert grown == [(0, len(engine.keys))] * 6
     for eng in (built, loaded):
         index = eng.semantic_index
         assert len(index._rows) == len(index._norms) == len(index._packed) \

@@ -188,7 +188,8 @@ def test_scoring_a_stack_leaves_vectors_and_index_alone(engine):
 
     def outputs():
         return [index.scores(stack), index.prefilter(stack, 0.0),
-                index.pair_scores(stack, ids), index.band_hits(stack, ids)]
+                index.pair_scores(stack, ids), index.band_hits(stack, ids),
+                *index.banded(stack, 0.0, ids[::3])]
 
     got = outputs()
     outputs_before = [a.copy() for a in got]

@@ -375,7 +375,7 @@ def test_first_prefilter_memory_is_a_few_row_blocks_past_the_sketch():
     blocks more, where the widened rows alone would take 20 MB."""
     rng = np.random.default_rng(5)
     n, dim = 20_000, 128
-    idx = CosineLshIndex(dim=dim, seed=4, capacity=n)
+    idx = CosineLshIndex(dim=dim, seed=4)
     idx.insert_many([("t", i) for i in range(n)],
                     rng.standard_normal((n, dim)).astype(np.float32))
     q = rng.standard_normal((1, dim)).astype(np.float32)
