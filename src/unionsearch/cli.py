@@ -88,8 +88,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     bundle = modelfile.ModelBundle(encoder_config=encoder.cfg,
                                    head=result.head,
                                    train_config=tc, strategy=args.strategy,
-                                   best_epoch=result.best_epoch,
-                                   velocity=result.velocity)
+                                   best_epoch=result.best_epoch)
     modelfile.save_model(args.out, bundle)
     loss_path = Path(args.loss_out or f"{args.out}.loss.csv")
     atomic_write(loss_path,

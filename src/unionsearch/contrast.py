@@ -63,10 +63,16 @@ class OfflinePair:
 
 @dataclass
 class TrainResult:
+    """A training run's head and history.
+
+    ``velocity`` is the optimizer state the run ends with. It lives in
+    memory only: model and index files do not store it.
+    """
+
     head: ProjectionHead
     history: list[tuple[int, str, float]]   # (epoch, split, mean_loss)
     best_epoch: int
-    velocity: Velocity | None = None        # final optimizer state
+    velocity: Velocity | None = None
 
 
 def build_online_batch(tables: list[Table], s: int, seed: int) -> list[Column]:

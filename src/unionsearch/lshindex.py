@@ -492,27 +492,18 @@ class CosineLshIndex:
         """The pairs, of those named by ids as ``prefilter`` names them,
         whose vector shares a band with the stored row, in the order given.
 
-        Each vector's band keys come from its own signature. Only the named
-        rows' packed keys are compared, so a caller that passes the few
-        pairs at its threshold tests just those.
+        Each vector's band keys come from its own signature, signed in one
+        ``_signed`` pass as ``insert_many`` signs a stored row. Only the
+        named rows' packed keys are compared, so a caller that passes the
+        few pairs at its threshold tests just those.
         """
         stack = self._prepare(vectors, ndim=2)
         ids = np.asarray(ids, dtype=np.int64)
         which, rows = np.divmod(ids, self.size)
         shape = (self.n_bands, self._band_width)
-        query = np.array([self._band_keys(self._bits(v)) for v in stack],
-                         dtype=np.uint8).reshape(len(stack), *shape)
+        query = self._signed(stack, _norms(stack)).reshape(len(stack), *shape)
         stored = self._packed[rows].reshape(len(rows), *shape)
         return ids[(stored == query[which]).all(axis=2).any(axis=1)]
-
-    def _band_keys(self, bits: np.ndarray) -> np.ndarray:
-        """Each band's bits packed, row b being ``np.packbits(band b)``.
-
-        One packbits over all bands pads each band to whole bytes just as
-        packing it alone does, so row b is band b's key.
-        """
-        return np.packbits(bits.reshape(self.n_bands, self.rows_per_band),
-                           axis=1)
 
     def insert(self, key: ColumnKey, vector: np.ndarray) -> None:
         """File one vector under key: ``insert_many`` of a stack of one."""

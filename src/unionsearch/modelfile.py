@@ -3,9 +3,10 @@
 One little-endian container with a 4-byte magic, a version byte, and a kind
 byte. A model file carries ``TOKENIZER_ID``, the encoder configuration, the
 projection head (its seed, then its four tensors row-major as 32-bit
-floats, each with its shape), the training configuration, the strategy,
-the best epoch and the optimizer velocity. An index file is the same model
-section followed by the indexed columns, version 6 laid out as:
+floats, each with its shape), the training configuration, the strategy and
+the best epoch; no optimizer state, as no command resumes training. An
+index file is the same model section followed by the indexed columns,
+version 7 laid out as:
 
 1. the index configuration;
 2. the key table: every indexed column key, sorted (a load rejects a table
@@ -20,11 +21,11 @@ section followed by the indexed columns, version 6 laid out as:
 Each configuration is written field by field in ``dataclasses.fields``
 order, coded by the field's type (bool u8, int u64, float f64, text; an
 optional text stores None as ""), so only the dataclass knows its fields.
-A load validates the configurations, the head's tensor shapes, the
-velocity's shapes against the head's and, for a hashing model, that the
-head takes the encoder's dimension: it rejects what would fail later, and
-a non-finite tensor or stored vector, which would load silently, and
-postings or document frequencies other than a save writes.
+A load validates the configurations, the head's tensor shapes and, for a
+hashing model, that the head takes the encoder's dimension: it rejects
+what would fail later, and a non-finite tensor or stored vector, which
+would load silently, and postings or document frequencies other than a
+save writes.
 
 The cosine LSH index is not stored: loading hands the keys and the loaded
 vector matrix, in key-table order, to the ``SearchEngine`` constructor,
@@ -33,7 +34,7 @@ which allocates the index for that many rows and files the matrix in one
 
 Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
 check magic, version and kind, then the digest, before parsing anything
-else, so a truncated or corrupt file fails with InputError; versions 1 to 5
+else, so a truncated or corrupt file fails with InputError; versions 1 to 6
 are rejected, and so is a file whose tokenizer id is not ``TOKENIZER_ID``.
 Saves are atomic (temp file + rename).
 """
@@ -59,7 +60,7 @@ from .search import IndexConfig, SearchEngine
 from .syntactic import SET_MEASURES, SetPostings, TfidfModel
 
 MAGIC = b"PYLN"
-VERSION = 6
+VERSION = 7
 KIND_MODEL = 1
 KIND_INDEX = 2
 CHECKSUM_BYTES = 32
@@ -67,7 +68,11 @@ CHECKSUM_BYTES = 32
 
 @dataclass
 class ModelBundle:
-    """Everything the training step produces and the index step consumes."""
+    """Everything the training step produces and the index step consumes.
+
+    ``velocity`` is the optimizer state a training run ends with. It lives
+    in memory only: a save does not write it and a load returns None.
+    """
 
     encoder_config: EncoderConfig
     head: ProjectionHead
@@ -231,11 +236,6 @@ def _write_model_section(w: _Writer, bundle: ModelBundle) -> None:
     w.text(bundle.strategy)
     w.u32(bundle.best_epoch)
 
-    w.u8(1 if bundle.velocity is not None else 0)
-    if bundle.velocity is not None:
-        for t in bundle.velocity.tensors():
-            w.f32_array(t)
-
 
 def _read_model_section(r: _Reader) -> ModelBundle:
     tokenizer_id = r.text()
@@ -247,12 +247,8 @@ def _read_model_section(r: _Reader) -> ModelBundle:
     tc = _read_config(r, TrainConfig)
     strategy = r.text()
     best_epoch = r.u32()
-    velocity = None
-    if r.u8():
-        velocity = Velocity(*(r.f32_array() for _ in range(4)))
-    if not all(np.isfinite(t).all() for t in
-               [*tensors, *(velocity.tensors() if velocity else ())]):
-        raise InputError(f"{r.path}: non-finite head or velocity tensor")
+    if not all(np.isfinite(t).all() for t in tensors):
+        raise InputError(f"{r.path}: non-finite head tensor")
     try:
         ec.validate()
         tc.validate()
@@ -260,15 +256,11 @@ def _read_model_section(r: _Reader) -> ModelBundle:
         if ec.backend == HASHING_BACKEND and head.dims[0] != ec.dim:
             raise ConfigError(f"head takes {head.dims[0]}-dim base embeddings "
                               f"but the hashing encoder makes {ec.dim}")
-        if velocity is not None and ([v.shape for v in velocity.tensors()]
-                                     != [t.shape for t in tensors]):
-            raise ConfigError("velocity tensor shapes do not match the head's")
     except ConfigError as exc:
         # Stored values the constructors reject are bad input all the same.
         raise InputError(f"{r.path}: {exc}") from exc
     return ModelBundle(encoder_config=ec, head=head, train_config=tc,
-                       strategy=strategy, best_epoch=best_epoch,
-                       velocity=velocity)
+                       strategy=strategy, best_epoch=best_epoch)
 
 
 def _write_key_table(w: _Writer, keys: list[ColumnKey]) -> None:

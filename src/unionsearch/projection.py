@@ -105,6 +105,11 @@ class TrainConfig:
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must be in [0, 1), "
                               f"got {self.validation_fraction}")
+        # The rule build_offline_pairs applies, so no strategy stores a
+        # floor it would refuse.
+        if not 0.0 < self.offline_floor <= 1.0:    # NaN too
+            raise ConfigError("offline_floor must be in (0, 1], "
+                              f"got {self.offline_floor}")
 
 
 def init_head(in_dim: int, hidden_dim: int, out_dim: int, seed: int = 0) -> ProjectionHead:

@@ -296,6 +296,29 @@ def test_read_truth_short_row_names_file_and_line(tmp_path):
         read_truth(p)
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"", "not a ground-truth file"),
+    (b"query,answer\nq1,a\n", "not a ground-truth file"),
+    (b'query_table_id,answer_table_id\nq1,"' + b"a" * 200_000 + b'"\n',
+     r"truth.csv:\d+: field larger than field limit"),
+    (b"query_table_id,answer_table_id\nq1,\xff\n", "not valid UTF-8"),
+], ids=["empty", "other-header", "over-field-limit", "bad-utf8"])
+def test_read_truth_bad_file_names_it(tmp_path, content, message):
+    p = tmp_path / "truth.csv"
+    p.write_bytes(content)
+    with pytest.raises(InputError, match=message):
+        read_truth(p)
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_read_truth_unreadable_path_is_input_error(tmp_path, where):
+    p = tmp_path / "truth.csv"
+    if where == "directory":
+        p.mkdir()
+    with pytest.raises(InputError, match="cannot read truth file"):
+        read_truth(p)
+
+
 def test_metrics_file(tmp_path):
     mp = tmp_path / "metrics.csv"
     write_metrics(mp, [(5, 0.5, 0.25)])

@@ -1,12 +1,13 @@
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from unionsearch.cli import main, parse_measures
 from unionsearch.errors import ConfigError, InputError
-from unionsearch import modelfile, search
+from unionsearch import contrast, modelfile, search
 from unionsearch.modelfile import load_index, load_model
 from unionsearch.syntactic import SET_MEASURES
 
@@ -234,6 +235,61 @@ def test_train_validation_fraction_outside_unit_interval_exit_3(
                "--out", str(tmp_path / "m.usm"), "--dim", "48",
                "--validation-fraction", fraction) == 3
     assert "validation_fraction" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("floor", ["nan", "2.0", "-1", "0"])
+@pytest.mark.parametrize("strategy", ["online", "offline"])
+def test_train_offline_floor_outside_unit_interval_exit_3(
+        workspace, tmp_path, capsys, strategy, floor):
+    assert run("train", "--manifest", str(workspace / "bench" / "manifest.tsv"),
+               "--out", str(tmp_path / "m.usm"), "--dim", "48",
+               "--strategy", strategy, "--offline-floor", floor) == 3
+    assert "offline_floor" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_index_model_with_a_bad_offline_floor_exit_2(workspace, tmp_path,
+                                                      capsys):
+    # A save does not validate, so it writes a checksummed file with the
+    # floor a train run refuses.
+    bundle = load_model(workspace / "model.usm")
+    bundle.train_config = replace(bundle.train_config,
+                                  offline_floor=float("nan"))
+    model = tmp_path / "m.usm"
+    modelfile.save_model(model, bundle)
+    assert run("index", "--manifest", str(workspace / "bench" / "manifest.tsv"),
+               "--model", str(model), "--out", str(tmp_path / "i.usi")) == 2
+    assert "offline_floor" in capsys.readouterr().err
+    assert not (tmp_path / "i.usi").exists()
+
+
+@pytest.mark.parametrize("split, extra", [
+    # Logits over a subnormal temperature overflow in the first batch.
+    ("train", ("--temperature", "1e-320")),
+    # One finite training batch, whose step overflows the head, so the
+    # first validation batch is the first non-finite loss.
+    ("val", ("--learning-rate", "1e300", "--validation-fraction", "0.3",
+             "--batch-size", "8")),
+])
+def test_train_non_finite_loss_exit_4(workspace, tmp_path, monkeypatch,
+                                      capsys, split, extra):
+    splits = []
+    losses = contrast._losses
+
+    def spied(head, batches, cfg, velocity=None):
+        splits.append("train" if velocity is not None else "val")
+        return losses(head, batches, cfg, velocity)
+
+    monkeypatch.setattr(contrast, "_losses", spied)
+    with np.errstate(all="ignore"):
+        assert run("train", "--manifest",
+                   str(workspace / "bench" / "manifest.tsv"),
+                   "--out", str(tmp_path / "m.usm"), "--dim", "48",
+                   "--out-dim", "24", "--epochs", "2", "--sample-size", "6",
+                   "--seed", "11", *extra) == 4
+    assert splits[-1] == split and splits.count("train") == 1
+    assert "non-finite loss" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

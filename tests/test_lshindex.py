@@ -596,7 +596,9 @@ def test_batched_filing_resigns_rows_within_the_margin(monkeypatch):
     rows = rows[order]
     widened = rows.astype(np.float64)
     want_bits = [idx._bits(v) for v in widened]
-    want_packed = np.stack([idx._band_keys(b).ravel() for b in want_bits])
+    want_packed = np.stack([
+        np.packbits(b.reshape(idx.n_bands, idx.rows_per_band), axis=1).ravel()
+        for b in want_bits])
     want_norms = np.array([np.linalg.norm(v) for v in widened])
     on_plane = int(np.flatnonzero(order == 0)[0])
     assert (idx.planes[planes[0]] @ widened[on_plane]) == 0.0
@@ -618,6 +620,42 @@ def test_batched_filing_resigns_rows_within_the_margin(monkeypatch):
     filed = np.unpackbits(idx._packed[on_plane].reshape(idx.n_bands, -1),
                           axis=1)[:, :idx.rows_per_band].ravel()
     assert filed[planes[0]] == 1
+
+
+def test_band_hits_signs_a_stack_as_signature_does():
+    """band_hits signs its stack in one pass; its hits are those of each
+    vector's signature, packed band by band, for a vector on a plane, a
+    zero vector and a vector with an inf entry too."""
+    idx = CosineLshIndex(dim=16, n_planes=32, n_bands=8, rows_per_band=4,
+                         seed=7)
+    rng = np.random.default_rng(13)
+    near, planes = _near_plane_rows(idx, rng, 8)
+    widened = near.astype(np.float64)
+    assert (idx.planes[planes[0]] @ widened[0]) == 0.0
+    with_inf = rng.standard_normal(16).astype(np.float32)
+    with_inf[3] = np.inf
+    stack = np.concatenate([near, np.zeros((1, 16), dtype=np.float32),
+                            with_inf[None],
+                            rng.standard_normal((4, 16)).astype(np.float32)])
+    # Stored rows near the stack's vectors, so many pairs share a band.
+    finite = np.isfinite(stack).all(axis=1) & stack.any(axis=1)
+    stored = np.concatenate([
+        np.repeat(stack[finite], 5, axis=0)
+        + rng.normal(scale=0.3, size=(5 * finite.sum(), 16)),
+        rng.standard_normal((100, 16))])
+    idx.insert_many([("t", i) for i in range(len(stored))], stored)
+    n = idx.size
+    packed = idx._packed[:n].reshape(n, idx.n_bands, -1)
+    keys = [np.packbits(idx.signature(v).reshape(idx.n_bands,
+                                                 idx.rows_per_band), axis=1)
+            for v in stack]
+    ids = rng.permutation(len(stack) * n)
+    want = [i for i in ids.tolist()
+            if (packed[i % n] == keys[i // n]).all(axis=1).any()]
+    assert 0 < len(want) < len(ids)
+    assert idx.band_hits(stack, ids).tolist() == want
+    # The zero vector signs 1 on every plane.
+    assert keys[len(near)].tolist() == [[0xF0]] * idx.n_bands
 
 
 def test_batched_filing_equals_inserting_row_by_row():

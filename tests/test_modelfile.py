@@ -83,8 +83,7 @@ def test_model_roundtrip_bit_exact(tmp_path):
     for a, b in zip(back.head.tensors(), bundle.head.tensors()):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
-    for a, b in zip(back.velocity.tensors(), bundle.velocity.tensors()):
-        np.testing.assert_array_equal(a, b)
+    assert back.velocity is None
 
 
 @pytest.mark.parametrize("kind", ["model", "index"])
@@ -154,10 +153,22 @@ def test_index_seed_outside_u64_rejected(tmp_path, world, seed):
     assert init_head(4, 4, 4, seed=2**64 - 1).init_seed == 2**64 - 1
 
 
-def test_model_roundtrip_without_velocity(tmp_path):
-    p = tmp_path / "model.usm"
-    save_model(p, _bundle(with_velocity=False))
-    assert load_model(p).velocity is None
+@pytest.mark.parametrize("kind", ["model", "index"])
+def test_velocity_is_not_stored(tmp_path, world, kind):
+    """A file holds no optimizer state: a bundle saves to the same bytes
+    with and without its velocity, and loads without one."""
+    corpus, engine = world
+    if kind == "model":
+        save, load = save_model, load_model
+    else:
+        save = lambda p, b: save_index(p, b, engine)
+        load = lambda p: load_index(p)[0]
+    with_it, without = tmp_path / "with", tmp_path / "without"
+    assert _bundle().velocity is not None
+    save(with_it, _bundle())
+    save(without, _bundle(with_velocity=False))
+    assert with_it.read_bytes() == without.read_bytes()
+    assert load(with_it).velocity is None
 
 
 def test_model_save_byte_stable(tmp_path):
@@ -190,6 +201,24 @@ def test_model_file_trailing_garbage_detected(tmp_path):
     p.write_bytes(p.read_bytes() + b"x")
     with pytest.raises(InputError):
         load_model(p)
+
+
+@pytest.mark.parametrize("kind", ["model", "index"])
+def test_checksummed_trailing_bytes_raise_input_error(tmp_path, world, kind):
+    """Bytes between the last field and a checksum that covers them."""
+    corpus, engine = world
+    p = tmp_path / kind
+    if kind == "model":
+        save_model(p, _bundle())
+        load = load_model
+    else:
+        save_index(p, _bundle(), engine)
+        load = load_index
+    data = p.read_bytes()
+    p.write_bytes(_with_fresh_checksum(data[:-CHECKSUM_BYTES] + b"xyz"
+                                       + data[-CHECKSUM_BYTES:]))
+    with pytest.raises(InputError, match="3 trailing bytes"):
+        load(p)
 
 
 def test_model_missing_file(tmp_path):
@@ -436,17 +465,17 @@ def test_checksummed_bad_utf8_raises_input_error(tmp_path):
     lambda b: setattr(b.encoder_config, "backend", "nope"),
     lambda b: setattr(b.train_config, "batch_size", 1),
     lambda b: setattr(b.encoder_config, "dim", 48),
-    lambda b: setattr(b.velocity, "vb1", b.velocity.vb1[:5]),
     lambda b: b.head.W1.__setitem__((0, 0), np.nan),
     lambda b: b.head.b2.__setitem__(-1, -np.inf),
-    lambda b: b.velocity.vW2.__setitem__((1, 1), np.inf),
     lambda b: setattr(b.train_config, "temperature", np.nan),
     lambda b: setattr(b.train_config, "learning_rate", np.nan),
     lambda b: setattr(b.train_config, "momentum", np.nan),
+    lambda b: setattr(b.train_config, "offline_floor", np.nan),
+    lambda b: setattr(b.train_config, "offline_floor", 2.0),
 ], ids=["short-b1", "transposed-W2", "unknown-backend", "batch-size-1",
-        "head-encoder-dim-mismatch", "short-velocity", "nan-W1", "inf-b2",
-        "inf-velocity", "nan-temperature", "nan-learning-rate",
-        "nan-momentum"])
+        "head-encoder-dim-mismatch", "nan-W1", "inf-b2", "nan-temperature",
+        "nan-learning-rate", "nan-momentum", "nan-offline-floor",
+        "offline-floor-2"])
 def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
                                                           craft):
     corpus, engine = world
@@ -461,8 +490,8 @@ def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
             load(path)
 
 
-def _with_key_table(data: bytes, model_bytes: int, edit) -> bytes:
-    """The index file with its key table replaced by edit(keys), re-checksummed.
+def _key_table(data: bytes, model_bytes: int) -> tuple[int, int, list]:
+    """Where an index file's key table starts and ends, and its keys.
 
     The key table follows the 6-byte header, the model section and the
     index configuration (its seed, one u64).
@@ -476,7 +505,13 @@ def _with_key_table(data: bytes, model_bytes: int, edit) -> bytes:
         (column,) = struct.unpack_from("<I", data, pos + 4 + n)
         keys.append((table_id, column))
         pos += 8 + n
-    table = struct.pack("<I", count) + b"".join(
+    return start, pos, keys
+
+
+def _with_key_table(data: bytes, model_bytes: int, edit) -> bytes:
+    """The index file with its key table replaced by edit(keys), re-checksummed."""
+    start, pos, keys = _key_table(data, model_bytes)
+    table = struct.pack("<I", len(keys)) + b"".join(
         struct.pack("<I", len(t)) + t + struct.pack("<I", c) for t, c in edit(keys))
     return _with_fresh_checksum(data[:start] + table + data[pos:])
 
@@ -493,6 +528,27 @@ def test_checksummed_bad_key_table_raises_input_error(tmp_path, world, edit):
     model_bytes = model.stat().st_size - 6 - CHECKSUM_BYTES
     index.write_bytes(_with_key_table(index.read_bytes(), model_bytes, edit))
     with pytest.raises(InputError, match="key table"):
+        load_index(index)
+
+
+def test_checksummed_vector_matrix_of_another_shape_raises_input_error(
+        tmp_path, world):
+    """A matrix header of (2n, d/2) holds as many floats as (n, d), so the
+    file parses to its end; the shape check alone refuses it."""
+    corpus, engine = world
+    model, index = tmp_path / "model.usm", tmp_path / "engine.usi"
+    save_model(model, _bundle())
+    save_index(index, _bundle(), engine)
+    model_bytes = model.stat().st_size - 6 - CHECKSUM_BYTES
+    data = index.read_bytes()
+    _, pos, keys = _key_table(data, model_bytes)
+    n, dim = len(keys), engine.head.dims[2]
+    assert struct.unpack_from("<BII", data, pos) == (2, n, dim)
+    header = struct.pack("<BII", 2, 2 * n, dim // 2)
+    index.write_bytes(_with_fresh_checksum(
+        data[:pos] + header + data[pos + len(header):]))
+    with pytest.raises(InputError, match=rf"vector matrix shape \({2 * n}, "
+                                         rf"{dim // 2}\) != \({n}, {dim}\)"):
         load_index(index)
 
 

@@ -369,6 +369,42 @@ def test_crowded_cosines_pass_stage_one_and_stage_two_decides(monkeypatch):
     assert set(at.tolist()) <= set(bound.tolist())
 
 
+@pytest.mark.parametrize("scale", [1 - 2.0 ** -8, 1 + 2.0 ** -8])
+def test_a_basis_off_orthonormal_turns_stage_one_off(monkeypatch, scale):
+    """A basis whose Gram matrix is off the identity by more than 2**-10
+    gives no bound: stage 1 then passes every pair, where the computed
+    basis drops some, and banded still equals the dense reference, the
+    band hits of the pairs at t."""
+    rng = np.random.default_rng(73)
+    dim, t = 16, 0.7
+    # Rows near a few directions, so many pairs reach t and many do not.
+    centers = rng.standard_normal((6, dim))
+    rows = centers[rng.integers(6, size=300)] \
+        + rng.normal(scale=0.4, size=(300, dim))
+    idx = CosineLshIndex(dim=dim, n_planes=32, n_bands=8, rows_per_band=4,
+                         seed=3)
+    idx.insert_many([("t", i) for i in range(len(rows))], rows)
+    stack = (centers[:4] + rng.normal(scale=0.4, size=(4, dim))) \
+        .astype(np.float32)
+    unit = stack.astype(np.float64) \
+        / np.linalg.norm(stack.astype(np.float64), axis=1, keepdims=True)
+    assert not idx._bounded(unit, t).all()
+    basis = CosineLshIndex._basis
+    monkeypatch.setattr(CosineLshIndex, "_basis",
+                        lambda self, k, blocks: scale * basis(self, k, blocks))
+    idx._sketch = None   # built again, from the scaled basis
+    assert idx._bounded(unit, t).all()
+    assert idx._sketch.eps > 2.0 ** -10
+    dense = idx.scores(stack).ravel()
+    at = np.flatnonzero(dense >= t)
+    want = idx.band_hits(stack, at)
+    assert 0 < len(want) < len(at) < len(dense) // 2
+    ids, cos = idx.banded(stack, t)
+    assert ids.tolist() == want.tolist()
+    assert [c.hex() for c in cos.tolist()] == \
+        [c.hex() for c in dense[want].tolist()]
+
+
 def test_first_prefilter_memory_is_a_few_row_blocks_past_the_sketch():
     """The sketch is built in row blocks: the first prefilter of a
     20,000 x 128 index allocates its (K + 2) x n float32 array and a few
