@@ -72,6 +72,7 @@ def load_vectors(path: str | Path) -> VectorTable:
     """Parse a word-vector file: "word v1 ... vD" per line, consistent D.
 
     Every value must be finite. On duplicate words the last occurrence wins.
+    The vectors are read-only.
     """
     path = Path(path)
     try:
@@ -99,6 +100,7 @@ def load_vectors(path: str | Path) -> VectorTable:
         elif len(vec) != dim:
             raise InputError(
                 f"{path}:{lineno}: dimension {len(vec)} != {dim} from first line")
+        vec.flags.writeable = False
         table[word] = vec
     if not table or dim is None:
         raise InputError(f"vector file {path} has no entries")
@@ -109,17 +111,20 @@ class Encoder:
     """Deterministic given its config and (read-only) vector file.
 
     Two memos make each piece of work happen once, and neither changes a
-    bit of any result:
+    bit of any result. Every array either holds is read-only, and each
+    float row is held once:
 
     * One token -> vector map serves both backends: a vector file's words
       fill it at construction, and any other token is hashed and added on
       first use. The hashing embedder is a pure function of (token,
-      hash_seed).
+      hash_seed). ``embed_token`` returns the memo's own array.
     * A cell -> token-mean map (None for a token-less cell) holds up to
       ``CELL_CACHE_CAP`` cells, the first ones met; others are computed
       each time. A cell's tokens depend only on the cell and the fixed
-      config, so a kept mean is the array the cell would yield afresh. Kept
-      means are read-only.
+      config, so a kept mean is the array the cell would yield afresh. A
+      one-token cell's mean is its token's vector itself, shared with the
+      token map; a fresh mean ``(0.0 + v) / 1`` would differ only where v
+      holds -0.0, and the column sums, which start at +0.0, make both +0.0.
     """
 
     def __init__(self, cfg: EncoderConfig):
@@ -145,7 +150,9 @@ class Encoder:
     def _hash_vector(self, token: str) -> np.ndarray:
         rng = np.random.default_rng(stable_token_hash(token, self.cfg.hash_seed))
         v = rng.standard_normal(self.cfg.dim)
-        return v / np.linalg.norm(v)
+        v /= np.linalg.norm(v)
+        v.flags.writeable = False
+        return v
 
     def embed_token(self, token: str) -> np.ndarray:
         if token == "":
@@ -168,11 +175,14 @@ class Encoder:
         else:
             if self.cfg.cell_as_single_token:
                 tokens = ["_".join(tokens)]
-            mean = np.zeros(self.cfg.dim)
-            for t in tokens:
-                mean += self.embed_token(t)
-            mean /= len(tokens)
-            mean.flags.writeable = False
+            if len(tokens) == 1:
+                mean = self.embed_token(tokens[0])
+            else:
+                mean = np.zeros(self.cfg.dim)
+                for t in tokens:
+                    mean += self.embed_token(t)
+                mean /= len(tokens)
+                mean.flags.writeable = False
         if len(self._cell_means) < CELL_CACHE_CAP:
             self._cell_means[cell] = mean
         return mean

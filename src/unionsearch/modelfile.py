@@ -27,16 +27,20 @@ what would fail later, and a non-finite tensor or stored vector, which
 would load silently, and postings or document frequencies other than a
 save writes.
 
-The cosine LSH index is not stored: loading hands the keys and the loaded
+The cosine LSH index is not stored: loading hands the keys and the stored
 vector matrix, in key-table order, to the ``SearchEngine`` constructor,
 which allocates the index for that many rows and files the matrix in one
-``insert_many``, exactly as ``build_engine`` filed it.
+``insert_many``, exactly as ``build_engine`` filed it. The matrix it is
+handed is a read-only view of the file bytes, so the index rows are the
+load's one copy of the vectors.
 
 Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
 check magic, version and kind, then the digest, before parsing anything
 else, so a truncated or corrupt file fails with InputError; versions 1 to 6
 are rejected, and so is a file whose tokenizer id is not ``TOKENIZER_ID``.
-Saves are atomic (temp file + rename).
+Saves are atomic (temp file + rename) and streamed: the body goes to the
+temp file in chunks of about ``CHUNK_BYTES`` through one running blake2b,
+and the digest is written last, so a save never holds the file whole.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import struct
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import BinaryIO, Callable, get_type_hints
 
 import numpy as np
 
@@ -64,6 +68,8 @@ VERSION = 7
 KIND_MODEL = 1
 KIND_INDEX = 2
 CHECKSUM_BYTES = 32
+# Bytes of small fields a save gathers before it hashes and writes them.
+CHUNK_BYTES = 1 << 16
 
 
 @dataclass
@@ -83,48 +89,78 @@ class ModelBundle:
 
 
 class _Writer:
-    """Appends to one growing buffer, so a save holds no object per field."""
+    """Streams fields into a binary file through one running blake2b.
 
-    def __init__(self) -> None:
+    Small fields gather in one buffer of about ``CHUNK_BYTES``, so a save
+    holds no object per field; a piece at least that long, such as the
+    vector matrix, is hashed and written from its own memory. ``finish``
+    appends the digest of every byte before it.
+    """
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self.fh = fh
+        self.digest = hashlib.blake2b(digest_size=CHECKSUM_BYTES)
         self.buf = bytearray()
 
+    def _emit(self, data: bytes | bytearray | memoryview) -> None:
+        self.digest.update(data)
+        self.fh.write(data)
+
+    def _flush(self) -> None:
+        self._emit(self.buf)
+        self.buf.clear()
+
+    def raw(self, data: bytes | memoryview) -> None:
+        if len(data) >= CHUNK_BYTES:
+            self._flush()
+            self._emit(data)
+            return
+        self.buf += data
+        if len(self.buf) >= CHUNK_BYTES:
+            self._flush()
+
     def u8(self, v: int) -> None:
-        self.buf += struct.pack("<B", v)
+        self.raw(struct.pack("<B", v))
 
     def u32(self, v: int) -> None:
-        self.buf += struct.pack("<I", v)
+        self.raw(struct.pack("<I", v))
 
     def u64(self, v: int) -> None:
         # Out of range raises, so no value is stored as another.
-        self.buf += struct.pack("<Q", v)
+        self.raw(struct.pack("<Q", v))
 
     def f64(self, v: float) -> None:
-        self.buf += struct.pack("<d", v)
+        self.raw(struct.pack("<d", v))
 
     def text(self, s: str) -> None:
         raw = s.encode("utf-8")
         self.u32(len(raw))
-        self.buf += raw
+        self.raw(raw)
 
     def f32_array(self, arr: np.ndarray) -> None:
         a = np.ascontiguousarray(arr, dtype="<f4")
         self.u8(len(a.shape))
         for d in a.shape:
             self.u32(d)
-        # Appended from the array's own buffer, with no bytes copy between.
+        # Written from the array's own buffer, with no bytes copy between.
         # (memoryview.cast refuses a shape with a zero in it.)
-        self.buf += a.reshape(-1).view(np.uint8).data
+        self.raw(a.reshape(-1).view(np.uint8).data)
 
     def u32_array(self, arr: np.ndarray) -> None:
         self.u32(len(arr))
-        self.buf += np.asarray(arr, dtype="<u4").tobytes()
+        self.raw(np.ascontiguousarray(arr, dtype="<u4").view(np.uint8).data)
+
+    def finish(self) -> None:
+        self._flush()
+        self.fh.write(self.digest.digest())
 
 
 class _Reader:
     """Reads fields in order from ``data`` up to ``end``, copying no body.
 
-    Integers are unpacked in place and a float32 array is read through the
-    buffer, so its one copy is the owned array a load returns.
+    Integers are unpacked in place and a float32 array is a read-only view
+    of ``data``, so a caller that keeps the array, rather than reading it
+    once, copies it; a kept view would keep the whole file alive.
     """
 
     def __init__(self, data: bytes, path: str):
@@ -169,7 +205,7 @@ class _Reader:
         count = math.prod(shape)
         start = self._advance(count * 4)
         return np.frombuffer(self.data, dtype="<f4", count=count,
-                             offset=start).reshape(shape).copy()
+                             offset=start).reshape(shape)
 
     def u32_array(self) -> np.ndarray:
         """A counted u32 array, widened to an owned int64 array."""
@@ -243,7 +279,8 @@ def _read_model_section(r: _Reader) -> ModelBundle:
         raise InputError(f"{r.path}: tokenizer {tokenizer_id!r} is not {TOKENIZER_ID!r}")
     ec = _read_config(r, EncoderConfig)
     init_seed = r.u64()
-    tensors = [r.f32_array() for _ in range(4)]
+    # Owned copies: a view would keep the whole file alive with the head.
+    tensors = [r.f32_array().copy() for _ in range(4)]
     tc = _read_config(r, TrainConfig)
     strategy = r.text()
     best_epoch = r.u32()
@@ -359,18 +396,22 @@ def _checksum(body: bytes | memoryview) -> bytes:
     return hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
 
 
-def _serialize(kind: int, bundle: ModelBundle,
-               engine: SearchEngine | None) -> bytearray:
-    w = _Writer()
-    w.buf += MAGIC
-    w.u8(VERSION)
-    w.u8(kind)
-    _write_model_section(w, bundle)
-    if kind == KIND_INDEX:
-        assert engine is not None
-        _write_index_section(w, engine)
-    w.buf += _checksum(w.buf)
-    return w.buf
+def _save(path: str | Path, bundle: ModelBundle,
+          engine: SearchEngine | None) -> None:
+    """A model file, or an index file when an engine is given, streamed
+    into an ``atomic_write`` temp file."""
+    def write(tmp: str) -> None:
+        with open(tmp, "wb") as fh:
+            w = _Writer(fh)
+            w.raw(MAGIC)
+            w.u8(VERSION)
+            w.u8(KIND_MODEL if engine is None else KIND_INDEX)
+            _write_model_section(w, bundle)
+            if engine is not None:
+                _write_index_section(w, engine)
+            w.finish()
+
+    atomic_write(path, write)
 
 
 def _open(path: str | Path, expected_kind: int) -> _Reader:
@@ -399,8 +440,7 @@ def _open(path: str | Path, expected_kind: int) -> _Reader:
 
 
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
-    data = _serialize(KIND_MODEL, bundle, None)
-    atomic_write(path, lambda tmp: Path(tmp).write_bytes(data))
+    _save(path, bundle, None)
 
 
 def load_model(path: str | Path) -> ModelBundle:
@@ -412,8 +452,7 @@ def load_model(path: str | Path) -> ModelBundle:
 
 def save_index(path: str | Path, bundle: ModelBundle,
                engine: SearchEngine) -> None:
-    data = _serialize(KIND_INDEX, bundle, engine)
-    atomic_write(path, lambda tmp: Path(tmp).write_bytes(data))
+    _save(path, bundle, engine)
 
 
 def load_index(path: str | Path) -> tuple[ModelBundle, SearchEngine]:

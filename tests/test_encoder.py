@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from unionsearch.corpus import cell_blocks
 from unionsearch.encoder import CELL_CACHE_CAP, Encoder, EncoderConfig, load_vectors
 from unionsearch.errors import ConfigError, EmptyColumnError, InputError
+from unionsearch.projection import init_head, project, widened
+from unionsearch.search import IndexConfig, build_engine
+
+from conftest import make_corpus
+from references import column_embedding
 
 
 def hashing_encoder(dim: int = 128, seed: int = 0, **kw) -> Encoder:
@@ -248,3 +254,62 @@ def test_cells_past_the_cap_embed_like_a_fresh_encoder():
     for values in (cells[-60:], cells[:5] + cells[-5:]):
         fresh = hashing_encoder(dim=8).embed_column(values)
         assert warm.embed_column(values).tobytes() == fresh.tobytes()
+
+
+# ---------------------------------------------------------------- shared memos
+
+def _signed_zero_vectors(path):
+    """Word vectors holding -0.0 entries next to +0.0 ones."""
+    _write_vectors(path, ["cat -0.0 0.0 1 -0.0 0.5 0 0 0",
+                          "dog 0 -0.0 0 1 -0.0 0.25 0 -0.0"])
+
+
+@pytest.mark.parametrize("backend", ["hashing", "vector_file"])
+def test_memoized_arrays_are_read_only(tmp_path, backend):
+    p = tmp_path / "v.txt"
+    _signed_zero_vectors(p)
+    cfg = EncoderConfig(backend=backend, dim=8, hash_seed=5,
+                        vector_file_path=str(p) if backend == "vector_file"
+                        else None)
+    enc = Encoder(cfg)
+    values = ["cat", "zebra", "cat dog", "zebra cat", "", "cat"]
+    before = enc.embed_column(values).tobytes()
+    for token in ("cat", "zebra"):
+        vec = enc.embed_token(token)
+        with pytest.raises(ValueError):
+            vec[0] = 7.0
+        with pytest.raises(ValueError):
+            vec += 1.0
+    assert all(not mean.flags.writeable
+               for mean in enc._cell_means.values() if mean is not None)
+    assert enc.embed_column(values).tobytes() == before
+    assert Encoder(cfg).embed_column(values).tobytes() == before
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_signed_zero_single_token_cells_embed_like_fresh_means(tmp_path,
+                                                                single):
+    """A one-token cell's mean is its token's vector itself, -0.0 entries
+    and all; the column sums start at +0.0, so every path gives the bits of
+    a fresh ``(0.0 + v) / 1`` mean."""
+    p = tmp_path / "v.txt"
+    _signed_zero_vectors(p)
+    enc = Encoder(EncoderConfig(backend="vector_file", vector_file_path=str(p),
+                                hash_seed=5, cell_as_single_token=single))
+    assert np.signbit(enc.embed_token("cat")[[0, 3]]).all()
+    columns = {"a": ["cat"], "b": ["cat", "cat"], "c": ["dog", "", "cat"],
+               "d": ["cat dog", "dog"], "e": ["zebra", "cat", "??"]}
+    lake = make_corpus({"t": columns})
+    want = [column_embedding(enc, values) for values in columns.values()]
+    assert want[0].tobytes() == np.array([0, 0, 1, 0, 0.5, 0, 0, 0.0]).tobytes()
+    for values, ref in zip(columns.values(), want):
+        assert enc.embed_column(values).tobytes() == ref.tobytes()
+    (block,) = cell_blocks(lake.tables[0].columns)
+    assert enc.embed_block(block).tobytes() == np.stack(want).tobytes()
+
+    head = init_head(8, 8, 8, seed=3)
+    engine = build_engine(lake, enc, head, IndexConfig(seed=1))
+    wide = widened(head)
+    for row, ref in enumerate(want):
+        assert engine.semantic_index.vector(engine.keys[row]).tobytes() == \
+            project(wide, ref).astype(np.float32).tobytes()

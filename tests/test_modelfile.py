@@ -1,6 +1,7 @@
 import hashlib
 import os
 import struct
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -260,11 +261,21 @@ def test_index_roundtrip_preserves_queries(tmp_path, world):
                     for m in b.matches]
 
 
-def test_loaded_vector_matrix_is_an_owned_copy(tmp_path, world, monkeypatch):
-    """The load's one copy of the vectors is writeable and its own memory."""
+def test_load_allocates_the_vector_matrix_once(tmp_path, world, monkeypatch):
+    """A load allocates one (n, dim) float32 array, the index rows, which
+    share no memory with the file bytes: the matrix the engine is handed
+    is a read-only view of those bytes, not a copy."""
     _, engine = world
     p = tmp_path / "engine.usi"
-    save_index(p, _bundle(), engine)
+    bundle = _bundle()
+    save_index(p, bundle, engine)
+    n, dim = len(engine.keys), 16
+    matrix_bytes = n * dim * 4
+    # No other array the load keeps has the matrix's size, and no posting
+    # list (at most n int64 rows) reaches it.
+    index = engine.semantic_index
+    assert matrix_bytes not in {a.nbytes for a in (
+        *bundle.head.tensors(), index._norms, index._packed, index.planes)}
     read = []
     read_bytes = type(p).read_bytes
 
@@ -272,23 +283,41 @@ def test_loaded_vector_matrix_is_an_owned_copy(tmp_path, world, monkeypatch):
         read.append(read_bytes(path))
         return read[-1]
 
-    seen = []
+    handed = []
     engine_cls = modelfile.SearchEngine
 
     def recorded_engine(encoder, head, cfg, tfidf, keys, vectors, postings):
-        seen.append(vectors)
+        handed.append(vectors)
         return engine_cls(encoder, head, cfg, tfidf, keys, vectors, postings)
+
+    live = []
+    file_rows = lshindex.CosineLshIndex._file
+
+    def counted_file(index, keys, matrix):
+        file_rows(index, keys, matrix)
+        # numpy arrays of the matrix's size alive once the rows are filed.
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        live.append(sum(t.size == matrix_bytes for t in snapshot.traces))
 
     monkeypatch.setattr(type(p), "read_bytes", recorded_read_bytes)
     monkeypatch.setattr(modelfile, "SearchEngine", recorded_engine)
-    load_index(p)
+    monkeypatch.setattr(lshindex.CosineLshIndex, "_file", counted_file)
+    tracemalloc.start()
+    try:
+        _, loaded = load_index(p)
+    finally:
+        tracemalloc.stop()
+    assert live == [1]
     (data,) = read
-    (matrix,) = seen   # the engine is handed the loaded matrix itself
-    vectors = list(matrix)
-    assert matrix.shape == (len(engine.keys), 16)
-    assert all(vector.base is matrix for vector in vectors)
-    assert matrix.flags.writeable and matrix.flags.owndata
-    assert not np.shares_memory(matrix, np.frombuffer(data, dtype=np.uint8))
+    (matrix,) = handed
+    file_bytes = np.frombuffer(data, dtype=np.uint8)
+    assert matrix.shape == (n, dim) and not matrix.flags.writeable
+    assert np.shares_memory(matrix, file_bytes)
+    rows = loaded.semantic_index._rows
+    assert rows.shape == (n, dim) and rows.dtype == np.float32
+    assert not np.shares_memory(rows, file_bytes)
+    assert rows.tobytes() == engine.semantic_index.vectors.tobytes()
 
 
 def test_engines_allocate_their_rows_once(tmp_path, world, monkeypatch):
@@ -413,6 +442,45 @@ def test_failed_save_leaves_no_partial_file(tmp_path, world):
         save_index(target, bad, engine)
     assert not target.exists()
     assert os.listdir(tmp_path) == []  # no orphaned temp files either
+
+
+def test_save_failing_in_the_index_section_keeps_old_target(tmp_path, world,
+                                                            monkeypatch):
+    """A save that fails after part of the file reached the temp file leaves
+    an existing target byte-identical and no temp file behind."""
+    _, engine = world
+    target = tmp_path / "out.usi"
+    save_index(target, _bundle(), engine)
+    old = target.read_bytes()
+    # Chunks small enough that the model section is on disk by then.
+    monkeypatch.setattr(modelfile, "CHUNK_BYTES", 64)
+    written = []
+
+    def failing_postings(w, postings):
+        (tmp,) = tmp_path.glob("*.tmp")
+        written.append(tmp.stat().st_size)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(modelfile, "_write_postings", failing_postings)
+    with pytest.raises(OSError, match="disk full"):
+        save_index(target, _bundle(), engine)
+    assert written and written[0] > 0
+    assert target.read_bytes() == old
+    assert os.listdir(tmp_path) == ["out.usi"]  # no *.tmp left
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 4096])
+def test_saves_do_not_depend_on_the_chunk_size(tmp_path, world, monkeypatch,
+                                               chunk):
+    _, engine = world
+    model, index = tmp_path / "a.usm", tmp_path / "a.usi"
+    save_model(model, _bundle())
+    save_index(index, _bundle(), engine)
+    monkeypatch.setattr(modelfile, "CHUNK_BYTES", chunk)
+    save_model(tmp_path / "b.usm", _bundle())
+    save_index(tmp_path / "b.usi", _bundle(), engine)
+    assert (tmp_path / "b.usm").read_bytes() == model.read_bytes()
+    assert (tmp_path / "b.usi").read_bytes() == index.read_bytes()
 
 
 # ---------------------------------------------------------------- corruption

@@ -138,6 +138,26 @@ def test_value_terms_deterministic_tie_break():
     assert t1 == t2 == {f"t{i:02d}" for i in range(20)}
 
 
+def test_value_terms_rank_like_a_per_token_idf():
+    """The model's df -> idf table gives each token the weight and each
+    column the ranking of an idf worked out token by token."""
+    rng = np.random.default_rng(4)
+    words = [f"w{i}" for i in range(60)]
+    lake = make_corpus({f"t{t}": {"a": list(rng.choice(
+        words[:40], size=int(rng.integers(1, 30))))} for t in range(40)})
+    tfidf = build_tfidf(lake)
+    assert tfidf.idf.keys() == {1, *tfidf.df.values()}
+    for size in (3, 25, 80):
+        # Words 40 and up are unseen, so they take df 1.
+        cells = [" ".join(rng.choice(words, size=2)) for _ in range(size)]
+        column = Column(table_id="q", position=0, name="q", values=cells)
+        tf = Counter(t for cell in cells for t in tokenize(cell))
+        n = tfidf.n_columns
+        ranked = sorted(tf, key=lambda tok: (
+            -(tf[tok] * float(np.log(1.0 + n / tfidf.df.get(tok, 1)))), tok))
+        assert value_terms(column, tfidf) == frozenset(ranked[:TOP_TERMS])
+
+
 def test_value_terms_corpus_order_independent():
     spec = {
         "t1": {"a": ["ruby", "opal", "jade"]},
