@@ -6,16 +6,20 @@ projection head (its seed, then its four tensors row-major as 32-bit
 floats, each with its shape), the training configuration, the strategy and
 the best epoch; no optimizer state, as no command resumes training. An
 index file is the same model section followed by the indexed columns,
-version 7 laid out as:
+version 8 laid out as:
 
 1. the index configuration;
 2. the key table: every indexed column key, sorted (a load rejects a table
    that is not strictly increasing);
 3. every stored vector as one float32 matrix whose row i belongs to key i;
 4. the set postings, one block per measure in ``SET_MEASURES`` order
-   (name q-grams, value terms, format patterns): a token count, then for
-   each distinct token in sorted order the token once and the rows of the
-   columns whose set holds it, as one counted little-endian u32 array;
+   (name q-grams, value terms, format patterns): a token count, each
+   distinct token once in sorted order, then one counted byte string of
+   minimal unsigned LEB128 varints (d-gaps plus variable-byte coding,
+   Zobel & Moffat, ACM CSUR 2006). It holds each token's row count minus
+   one, then, list by list, the first row and each later row's gap minus
+   one, so it cannot express an empty list or a row that does not
+   increase;
 5. the corpus document frequencies.
 
 Each configuration is written field by field in ``dataclasses.fields``
@@ -25,7 +29,10 @@ A load validates the configurations, the head's tensor shapes and, for a
 hashing model, that the head takes the encoder's dimension: it rejects
 what would fail later, and a non-finite tensor or stored vector, which
 would load silently, and postings or document frequencies other than a
-save writes.
+save writes: for the postings, tokens not strictly increasing, a varint
+that is not canonical (more than ``VARINT_BYTES`` bytes, a zero last byte
+in a multi-byte group, a string that ends inside a group), a number of
+varints other than the counts name, or a row at or past the column count.
 
 The cosine LSH index is not stored: loading hands the keys and the stored
 vector matrix, in key-table order, to the ``SearchEngine`` constructor,
@@ -36,11 +43,12 @@ load's one copy of the vectors.
 
 Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
 check magic, version and kind, then the digest, before parsing anything
-else, so a truncated or corrupt file fails with InputError; versions 1 to 6
+else, so a truncated or corrupt file fails with InputError; versions 1 to 7
 are rejected, and so is a file whose tokenizer id is not ``TOKENIZER_ID``.
 Saves are atomic (temp file + rename) and streamed: the body goes to the
 temp file in chunks of about ``CHUNK_BYTES`` through one running blake2b,
-and the digest is written last, so a save never holds the file whole.
+and the digest is written last, so a save never holds the file whole; it
+encodes the postings about ``POSTINGS_CHUNK`` rows at a time.
 """
 
 from __future__ import annotations
@@ -64,10 +72,15 @@ from .search import IndexConfig, SearchEngine
 from .syntactic import SET_MEASURES, SetPostings, TfidfModel
 
 MAGIC = b"PYLN"
-VERSION = 7
+VERSION = 8
 KIND_MODEL = 1
 KIND_INDEX = 2
 CHECKSUM_BYTES = 32
+# The most bytes one posting varint takes: 35 bits hold any u32.
+VARINT_BYTES = 5
+# About how many posting rows a save encodes at a time; a list is never
+# split, so a longer one is encoded whole.
+POSTINGS_CHUNK = 1 << 13
 # Bytes of small fields a save gathers before it hashes and writes them.
 CHUNK_BYTES = 1 << 16
 
@@ -146,10 +159,6 @@ class _Writer:
         # (memoryview.cast refuses a shape with a zero in it.)
         self.raw(a.reshape(-1).view(np.uint8).data)
 
-    def u32_array(self, arr: np.ndarray) -> None:
-        self.u32(len(arr))
-        self.raw(np.ascontiguousarray(arr, dtype="<u4").view(np.uint8).data)
-
     def finish(self) -> None:
         self._flush()
         self.fh.write(self.digest.digest())
@@ -207,12 +216,11 @@ class _Reader:
         return np.frombuffer(self.data, dtype="<f4", count=count,
                              offset=start).reshape(shape)
 
-    def u32_array(self) -> np.ndarray:
-        """A counted u32 array, widened to an owned int64 array."""
+    def u8_array(self) -> np.ndarray:
+        """A counted byte string, as a read-only uint8 view of ``data``."""
         count = self.u32()
-        start = self._advance(count * 4)
-        return np.frombuffer(self.data, dtype="<u4", count=count,
-                             offset=start).astype(np.int64)
+        return np.frombuffer(self.data, dtype=np.uint8, count=count,
+                             offset=self._advance(count))
 
     def expect_end(self) -> None:
         if self.pos != self.end:
@@ -321,29 +329,130 @@ def _read_key_table(r: _Reader) -> list[ColumnKey]:
     return keys
 
 
+def _varints(values: np.ndarray) -> np.ndarray:
+    """Each value as minimal unsigned LEB128, one uint8 array for them all:
+    7 bits per byte, low bits first, the high bit set on every byte but a
+    value's last."""
+    if values.size and not (values.min() >= 0
+                            and values.max() < 1 << 7 * VARINT_BYTES):
+        raise ValueError("varint values must lie in "
+                         f"[0, 2**{7 * VARINT_BYTES})")
+    widths = np.ones(len(values), dtype=np.uint8)
+    for k in range(1, VARINT_BYTES):
+        widths += values >= 1 << 7 * k
+    at = np.cumsum(widths, dtype=np.int64)
+    out = np.empty(at[-1] if len(at) else 0, dtype=np.uint8)
+    at -= widths
+    # The k-th byte of every value wider than k, narrowing as k grows; a
+    # uint8 cast keeps a value's low 8 bits.
+    rest = values
+    for k in range(VARINT_BYTES):
+        more = widths > k + 1
+        out[at] = rest.astype(np.uint8) & 0x7F | more.view(np.uint8) << 7
+        rest, widths, at = rest[more] >> 7, widths[more], at[more] + 1
+    return out
+
+
+def _read_varints(r: _Reader) -> np.ndarray:
+    """The values of a counted byte string of ``_varints``, as int64.
+
+    Every value must be canonical, as ``_varints`` writes it: at most
+    ``VARINT_BYTES`` bytes, a multi-byte value's last byte not zero, and no
+    byte string that ends inside a value. Past byte masks, the one array
+    as long as the values is the result; the work on multi-byte values is
+    the size of their continuation bytes.
+    """
+    data = r.u8_array()
+    if data.size and not data[-1] < 0x80:
+        raise InputError(f"{r.path}: postings end inside a varint")
+    more = data >= 0x80
+    values = data[~more].astype(np.int64)
+    # Each continuation byte belongs to the value of the next last byte:
+    # the one whose index is the count of last bytes before it.
+    at = np.flatnonzero(more)
+    owner = at - np.arange(len(at))
+    firsts = np.flatnonzero(np.diff(owner, prepend=-1))
+    lengths = np.diff(firsts, append=len(at))
+    wide = owner[firsts]
+    if (lengths >= VARINT_BYTES).any():
+        raise InputError(f"{r.path}: postings hold a varint of more than "
+                         f"{VARINT_BYTES} bytes")
+    if (values[wide] == 0).any():
+        raise InputError(f"{r.path}: postings hold a varint that is not "
+                         "minimal")
+    if len(at):
+        shifts = 7 * (np.arange(len(at)) - np.repeat(firsts, lengths))
+        low = np.add.reduceat((data[at] & 0x7F).astype(np.int64) << shifts,
+                              firsts)
+        values[wide] = values[wide] << 7 * lengths | low
+    return values
+
+
 def _write_postings(w: _Writer, postings: SetPostings) -> None:
-    w.u32(len(postings.postings))
-    for tok in sorted(postings.postings):
+    tokens = sorted(postings.postings)
+    w.u32(len(tokens))
+    for tok in tokens:
         w.text(tok)
-        w.u32_array(postings.postings[tok])
+    lists = [postings.postings[tok] for tok in tokens]
+    counts = np.array([len(rows) for rows in lists], dtype=np.int64)
+    pieces = [_varints(counts - 1)]
+    # The lists of about POSTINGS_CHUNK rows at a time, so the arrays a
+    # save makes stay small: each first row as itself, each later row as
+    # its gap minus 1.
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(POSTINGS_CHUNK, ends[-1],
+                                           POSTINGS_CHUNK),
+                           side="right").tolist() if len(ends) else []
+    for a, b in zip([0, *cuts], [*cuts, len(lists)]):
+        if a == b:
+            continue
+        rows = np.concatenate(lists[a:b])
+        gaps = np.empty_like(rows)
+        np.subtract(rows[1:], rows[:-1], out=gaps[1:])
+        gaps -= 1
+        firsts = ends[a:b] - counts[a:b] - (ends[a] - counts[a])
+        gaps[firsts] = rows[firsts]
+        pieces.append(_varints(gaps))
+    w.u32(sum(len(piece) for piece in pieces))
+    for piece in pieces:
+        w.raw(piece.data)
 
 
 def _read_postings(r: _Reader, n_rows: int) -> SetPostings:
     """One measure's postings, as ``_write_postings`` writes them.
 
-    Tokens must be strictly increasing, and each token's rows a non-empty,
-    strictly increasing list below n_rows: that makes a row's count of
-    entries its set's size.
+    Tokens must be strictly increasing, the varints canonical, their number
+    the tokens' count plus the sum of the row counts, and each list's last
+    row below n_rows. A list then is non-empty and strictly increasing, so
+    a row's count of entries is its set's size.
     """
-    entries = [(r.text(), r.u32_array()) for _ in range(r.u32())]
-    _check_increasing(r, [tok for tok, _ in entries], "postings tokens")
-    for tok, rows in entries:
-        if not (rows.size and rows[-1] < n_rows
-                and (rows[1:] > rows[:-1]).all()):
-            raise InputError(f"{r.path}: the rows of {tok!r} are not a "
-                             f"non-empty, strictly increasing list below "
-                             f"{n_rows}")
-    return SetPostings(dict(entries), n_rows)
+    tokens = [r.text() for _ in range(r.u32())]
+    _check_increasing(r, tokens, "postings tokens")
+    values = _read_varints(r)
+    counts = values[:len(tokens)] + 1
+    if len(values) != len(tokens) + counts.sum():
+        raise InputError(f"{r.path}: postings hold {len(values)} varints, "
+                         f"not {len(tokens)} counts and the "
+                         f"{counts.sum()} rows they name")
+    # The gaps become the rows in place: each later row steps its gap plus
+    # 1, and each first row steps from the last row of the list before.
+    rows = values[len(tokens):]
+    firsts = np.cumsum(counts) - counts
+    first_rows = rows[firsts]
+    rows += 1
+    rows[firsts] = first_rows
+    lasts = np.add.reduceat(rows, firsts) if len(firsts) else firsts
+    if lasts.size and lasts.max() >= n_rows:
+        raise InputError(f"{r.path}: postings hold a row at or past the "
+                         f"column count {n_rows}")
+    rows[firsts[1:]] -= lasts[:-1]
+    np.cumsum(rows, out=rows)
+    # Each list copied out as its own array: small arrays fill the free
+    # space a build leaves, where views of one array per measure take new
+    # pages (1-2 MB more peak RSS in a build-save-load-serve process).
+    cuts = (firsts + counts).tolist()
+    return SetPostings({tok: rows[a:b].copy() for tok, a, b
+                        in zip(tokens, [0, *cuts], cuts)}, n_rows)
 
 
 def _write_index_section(w: _Writer, engine: SearchEngine) -> None:

@@ -1,7 +1,9 @@
 """Column-by-column references that the lake-wide passes over cell blocks
 must equal: document frequencies counted one column at a time, postings
-appended one set at a time, and base embeddings from fresh cell means."""
+appended one set at a time, and base embeddings from fresh cell means;
+and an index file's postings block, coded one value at a time."""
 
+import struct
 from collections import Counter
 from typing import Sequence
 
@@ -51,3 +53,40 @@ def column_embedding(encoder: Encoder, values: Sequence[str]) -> np.ndarray:
         acc += mean / len(tokens)
         n += 1
     return acc / n
+
+
+def varint(value: int) -> bytes:
+    """Minimal unsigned LEB128: 7 bits per byte, low bits first, the high
+    bit set on every byte but the last."""
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def varint_value(group: bytes) -> int:
+    """The value of one LEB128 group."""
+    return sum((b & 0x7F) << 7 * i for i, b in enumerate(group))
+
+
+def postings_values(postings: dict[str, Sequence[int]]) -> list[int]:
+    """The varint values of a postings block: each token's row count minus
+    one in token order, then list by list the first row and each later
+    row's gap minus one."""
+    tokens = sorted(postings)
+    values = [len(postings[tok]) - 1 for tok in tokens]
+    for tok in tokens:
+        rows = [int(row) for row in postings[tok]]
+        values += [rows[0]] + [b - a - 1 for a, b in zip(rows, rows[1:])]
+    return values
+
+
+def postings_block(tokens: Sequence[bytes], groups: Sequence[bytes]) -> bytes:
+    """A postings block as an index file holds it: the token count, each
+    token counted, then the byte count of the varint groups and the groups."""
+    stream = b"".join(groups)
+    return (struct.pack("<I", len(tokens))
+            + b"".join(struct.pack("<I", len(tok)) + tok for tok in tokens)
+            + struct.pack("<I", len(stream)) + stream)

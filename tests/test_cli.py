@@ -12,6 +12,7 @@ from unionsearch.modelfile import load_index, load_model
 from unionsearch.syntactic import SET_MEASURES
 
 from conftest import TFIDF_EDITS, with_tfidf
+from references import postings_block, varint, varint_value
 
 
 def run(*argv: str) -> int:
@@ -459,82 +460,91 @@ def _with_postings(data: bytes, engine, edit) -> bytes:
     """The index file with its postings edited, re-checksummed.
 
     The set measures' postings follow the vector matrix: per measure a token
-    count, then each token's text and its counted u32 rows. ``edit`` gets
-    the name postings as ``[token, rows, count]`` entries and the column
-    count; ``count`` is the row count written, ``len(rows)`` unless edited.
+    count, each token's text, then one counted byte string of LEB128
+    varints (each token's row count minus one, then list by list the first
+    row and each later gap minus one). ``edit`` gets the name postings as
+    ``[tokens, groups]``, the token texts and each varint's own bytes, and
+    the column count.
     """
     matrix = engine.semantic_index.vectors.astype("<f4").tobytes()
     start = pos = data.index(matrix) + len(matrix)
     blocks = []
     for _ in SET_MEASURES:
-        (tokens,) = struct.unpack_from("<I", data, pos)
-        pos, block = pos + 4, []
-        for _ in range(tokens):
+        (n_tokens,) = struct.unpack_from("<I", data, pos)
+        pos, tokens = pos + 4, []
+        for _ in range(n_tokens):
             (n,) = struct.unpack_from("<I", data, pos)
-            token = data[pos + 4:pos + 4 + n]
-            (count,) = struct.unpack_from("<I", data, pos + 4 + n)
-            rows = list(struct.unpack_from(f"<{count}I", data, pos + 8 + n))
-            block.append([token, rows, count])
-            pos += 8 + n + 4 * count
-        blocks.append(block)
+            tokens.append(data[pos + 4:pos + 4 + n])
+            pos += 4 + n
+        (n,) = struct.unpack_from("<I", data, pos)
+        stream, pos = data[pos + 4:pos + 4 + n], pos + 4 + n
+        groups, group = [], bytearray()
+        for byte in stream:
+            group.append(byte)
+            if byte < 0x80:
+                groups.append(bytes(group))
+                group.clear()
+        blocks.append([tokens, groups])
     edit(blocks[0], len(engine.keys))
-    postings = b"".join(
-        struct.pack("<I", len(block)) + b"".join(
-            struct.pack("<I", len(token)) + token + struct.pack("<I", count)
-            + struct.pack(f"<{len(rows)}I", *rows)
-            for token, rows, count in block)
-        for block in blocks)
+    postings = b"".join(postings_block(*block) for block in blocks)
     body = data[:start] + postings + data[pos:-modelfile.CHECKSUM_BYTES]
     return body + hashlib.blake2b(
         body, digest_size=modelfile.CHECKSUM_BYTES).digest()
 
 
-def _longer_list(block):
-    """The first entry with at least two rows."""
-    return next(entry for entry in block if len(entry[1]) > 1)
-
-
 def _swap_first_tokens(block, n_rows):
-    block[0], block[1] = block[1], block[0]
+    tokens, _ = block
+    tokens[0], tokens[1] = tokens[1], tokens[0]
 
 
 def _repeat_first_token(block, n_rows):
-    block[1][0] = block[0][0]
-
-
-def _empty_list(block, n_rows):
-    block[0][1:] = [[], 0]
-
-
-def _reversed_list(block, n_rows):
-    _longer_list(block)[1].reverse()
-
-
-def _repeated_row(block, n_rows):
-    entry = _longer_list(block)
-    entry[1][1] = entry[1][0]
+    tokens, _ = block
+    tokens[1] = tokens[0]
 
 
 def _row_at_column_count(block, n_rows):
-    block[-1][1][-1] = n_rows
+    """The last list shifted up until its last row is the column count."""
+    tokens, groups = block
+    values = [varint_value(group) for group in groups]
+    first = len(tokens) + sum(v + 1 for v in values[:len(tokens) - 1])
+    last_row = values[first] + sum(v + 1 for v in values[first + 1:])
+    groups[first] = varint(values[first] + n_rows - last_row)
 
 
 def _cut_short(block, n_rows):
-    entry = _longer_list(block)
-    entry[1].pop()      # its count still names the row that is gone
+    block[1].pop()      # the last list's count still names the row gone
+
+
+def _trailing_continuation_byte(block, n_rows):
+    block[1].append(b"\x80")
+
+
+def _six_byte_group(block, n_rows):
+    block[1][-1] = b"\x80" * 5 + b"\x01"
+
+
+def _non_minimal_group(block, n_rows):
+    """The first count's value, coded one byte longer than it must be."""
+    group = block[1][0]
+    block[1][0] = group[:-1] + bytes([group[-1] | 0x80, 0])
+
+
+def _extra_value(block, n_rows):
+    block[1].append(varint(1))
 
 
 @pytest.mark.parametrize("edit, message", [
     (_swap_first_tokens, "tokens not strictly increasing"),
     (_repeat_first_token, "tokens not strictly increasing"),
-    (_empty_list, "not a non-empty, strictly increasing list"),
-    (_reversed_list, "not a non-empty, strictly increasing list"),
-    (_repeated_row, "not a non-empty, strictly increasing list"),
-    (_row_at_column_count, "not a non-empty, strictly increasing list"),
-    (_cut_short, None),
-], ids=["tokens-out-of-order", "duplicate-token", "empty-list",
-        "rows-out-of-order", "repeated-row", "row-at-column-count",
-        "cut-short"])
+    (_row_at_column_count, "a row at or past the column count"),
+    (_cut_short, "varints, not"),
+    (_trailing_continuation_byte, "end inside a varint"),
+    (_six_byte_group, "varint of more than 5 bytes"),
+    (_non_minimal_group, "varint that is not minimal"),
+    (_extra_value, "varints, not"),
+], ids=["tokens-out-of-order", "duplicate-token", "row-at-column-count",
+        "cut-short", "trailing-continuation-byte", "six-byte-group",
+        "non-minimal-group", "extra-value"])
 def test_query_checksummed_bad_postings_index_exit_2(workspace, tmp_path,
                                                     capsys, edit, message):
     data = (workspace / "index.usi").read_bytes()
@@ -548,6 +558,12 @@ def test_query_checksummed_bad_postings_index_exit_2(workspace, tmp_path,
                "--out", str(tmp_path / "r.csv")) == 2
     assert capsys.readouterr().err.startswith("input error:")
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_postings_edit_helper_rewrites_an_unedited_file(workspace):
+    data = (workspace / "index.usi").read_bytes()
+    _, engine = load_index(workspace / "index.usi")
+    assert _with_postings(data, engine, lambda block, n_rows: None) == data
 
 
 @pytest.mark.parametrize("case", TFIDF_EDITS)

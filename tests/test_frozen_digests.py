@@ -27,14 +27,14 @@ SPEC = BenchmarkSpec(n_bases=8, derivations_per_base=5, n_topics=3,
                      base_columns=(3, 5), base_rows=20, seed=4)
 
 MODEL_DIGESTS = {
-    ONLINE: "1cc15a5ae09c42a2d8af7fafe27332ede6d07a8fbfa42d374d743b1cdfe47861",
-    OFFLINE: "c36bd23a9c8f28701e47a01575da98b11070a8dbbea01e194cfd68f39ad527d3",
+    ONLINE: "9fc7aa7bd14601d8da869f6e8f0a7a0e81908d150fb7ad421bb00b178bb3c4f8",
+    OFFLINE: "a5d2dd815c78fcb646487a449cfdcae8f54f57747541acf47082ffec3ec60c4b",
 }
 # Float64 base embeddings: files hold float32 vectors and results nine
 # decimals, so only this one sees a change in the last bit of a base sum.
 EMBEDDING_DIGEST = \
     "80c86ab1d05948d1e2834da5425372314b55beb91726b832eb4d5ee4374d3e4d"
-INDEX_DIGEST = "3aa388d60bf435d2737f33390633e5ca33446ce7adca971adc98819c754615d0"
+INDEX_DIGEST = "cbbaa4a0cc939facf9f612e59f73b108514d2d46a56867cba0d5d987a96ca7ec"
 # On a lake this small, banding loses no pair, so both modes write the
 # same bytes, except with format: no index gathers format candidates, so
 # only the exhaustive mode scores the pairs format alone lifts over the
@@ -83,6 +83,13 @@ RESULT_10K_DIGESTS = {
     ("semantic,name,value,format", True):
         "555f80e807b8429cd675f8df21d88850ae5bb087233cea28c89ba77d38f60c38",
 }
+# The 10k lake's index file, saved with the bundle perfbench's query
+# workloads save (untrained head seed 9, a default TrainConfig): its size
+# over the 10,374 columns is their index_bytes_per_col, so a format change
+# that grows it fails here.
+INDEX_10K_BYTES = 6_133_441
+INDEX_10K_DIGEST = \
+    "9dc87a9455eab48a5587d912b31459ca0f3c34f352f3082a4fc81b710cf96252"
 MEASURE_SETS = ["semantic", "semantic,name,value", "semantic,format",
                 "semantic,name,value,format"]
 
@@ -157,6 +164,16 @@ def engine_10k():
                           init_head(128, 128, 128, seed=9), IndexConfig(seed=9))
     order = rng_for(77, "pick").permutation(len(corpus.tables))
     return engine, [corpus.tables[int(i)] for i in order[:25]]
+
+
+def test_10k_index_file_digest(engine_10k, tmp_path):
+    engine, _ = engine_10k
+    path = tmp_path / "index.usi"
+    save_index(path, ModelBundle(encoder_config=engine.encoder.cfg,
+                                 head=engine.head, train_config=TrainConfig(),
+                                 strategy=ONLINE, best_epoch=0), engine)
+    assert path.stat().st_size == INDEX_10K_BYTES
+    assert _sha256(path) == INDEX_10K_DIGEST
 
 
 @pytest.mark.parametrize("measures", MEASURE_SETS)

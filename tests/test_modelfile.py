@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import struct
 import tracemalloc
@@ -23,10 +24,12 @@ from unionsearch.modelfile import (
     save_model,
 )
 from unionsearch.projection import TrainConfig, Velocity, init_head
-from unionsearch.search import IndexConfig, SearchConfig, build_engine, top_k_search
-from unionsearch.syntactic import SET_MEASURES
+from unionsearch.search import (IndexConfig, SearchConfig, SearchEngine,
+                                build_engine, top_k_search)
+from unionsearch.syntactic import SET_MEASURES, SetPostings
 
 from conftest import TFIDF_EDITS, with_tfidf
+from references import postings_block, postings_values, varint
 
 
 def _bundle(with_velocity: bool = True) -> ModelBundle:
@@ -414,6 +417,134 @@ def test_index_resave_of_loaded_index_byte_identical(tmp_path, world):
     p1, p2 = tmp_path / "a.usi", tmp_path / "b.usi"
     save_index(p1, _bundle(), engine)
     bundle, loaded = load_index(p1)
+    save_index(p2, bundle, loaded)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------- postings
+
+# A row gap g is stored as g - 1, so these sit at each varint width's edges
+# from both sides. A gap of 2**28 would need a measure of more than 2**28
+# rows, whose set sizes alone take 2 GB: the varint tests reach that width.
+EDGE_GAPS = [1, 2, 127, 128, 129, 16383, 16384, 16385, 2**21, 2**21 + 1]
+EDGE_ROWS = 2**21 + 7
+
+
+def _edge_postings(seed: int, n_rows: int):
+    """Seeded random postings from ``SetPostings.from_pairs``, with a
+    two-row list per edge gap (at the bottom and at the top of the rows
+    when they fit), single-row lists, and rows 0 and n_rows - 1."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(t), int(r)) for t, r in zip(rng.integers(0, 40, 300),
+                                              rng.integers(0, n_rows, 300))}
+    tok = 40
+    for gap in EDGE_GAPS:
+        if gap < n_rows:
+            pairs |= {(tok, 0), (tok, gap), (tok + 1, n_rows - 1 - gap),
+                      (tok + 1, n_rows - 1)}
+            tok += 2
+    for row in {0, 127, 128, 16383, 16384, n_rows - 1}:
+        if row < n_rows:
+            pairs.add((tok, row))
+            tok += 1
+    vocab = [f"tok{i:03d}" for i in range(tok)]
+    tokens, rows = np.array(sorted(pairs), dtype=np.int64).T
+    return SetPostings.from_pairs(vocab, tokens, rows, n_rows)
+
+
+def _postings_bytes(postings: SetPostings) -> bytes:
+    out = io.BytesIO()
+    w = modelfile._Writer(out)
+    modelfile._write_postings(w, postings)
+    w._flush()
+    return out.getvalue()
+
+
+def _read_postings_bytes(data: bytes, n_rows: int) -> SetPostings:
+    r = modelfile._Reader(data, "postings")
+    postings = modelfile._read_postings(r, n_rows)
+    r.expect_end()
+    return postings
+
+
+def _assert_same_lists(got: SetPostings, want: SetPostings) -> None:
+    assert list(got.postings) == sorted(want.postings)
+    for tok, rows in want.postings.items():
+        assert got.postings[tok].dtype == np.int64
+        np.testing.assert_array_equal(got.postings[tok], rows)
+    np.testing.assert_array_equal(got.sizes, want.sizes)
+
+
+def test_varints_round_trip_at_every_width():
+    values = [0, 1, 127, 128, 16383, 16384, 2**21 - 1, 2**21, 2**28 - 1,
+              2**28, 2**35 - 1]
+    stream = modelfile._varints(np.array(values, dtype=np.int64))
+    assert stream.dtype == np.uint8
+    assert stream.tobytes() == b"".join(varint(v) for v in values)
+    assert [len(varint(v)) for v in values] == [1, 1, 1, 2, 2, 3, 3, 4, 4,
+                                                5, 5]
+    for vals in (values, []):
+        data = modelfile._varints(np.array(vals, dtype=np.int64)).tobytes()
+        r = modelfile._Reader(struct.pack("<I", len(data)) + data, "varints")
+        back = modelfile._read_varints(r)
+        r.expect_end()
+        assert back.dtype == np.int64 and back.tolist() == vals
+
+
+@pytest.mark.parametrize("value", [-1, 2**35])
+def test_varints_refuse_values_they_cannot_hold(value):
+    with pytest.raises(ValueError, match="varint values"):
+        modelfile._varints(np.array([0, value], dtype=np.int64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_postings_block_round_trip_at_varint_edges(seed):
+    postings = _edge_postings(seed, EDGE_ROWS)
+    lists = postings.postings
+    data = _postings_bytes(postings)
+    # The layout, coded one value at a time.
+    tokens = sorted(lists)
+    assert data == postings_block(
+        [tok.encode() for tok in tokens],
+        [varint(v) for v in postings_values(lists)])
+    back = _read_postings_bytes(data, EDGE_ROWS)
+    _assert_same_lists(back, postings)
+    assert _postings_bytes(back) == data
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_postings_block_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    postings = _edge_postings(3, 40_000)
+    data = _postings_bytes(postings)
+    monkeypatch.setattr(modelfile, "POSTINGS_CHUNK", chunk)
+    assert _postings_bytes(postings) == data
+
+
+def test_postings_block_of_no_tokens_round_trips():
+    empty = SetPostings({}, 5)
+    data = _postings_bytes(empty)
+    assert data == struct.pack("<II", 0, 0)
+    back = _read_postings_bytes(data, 5)
+    assert back.postings == {}
+    np.testing.assert_array_equal(back.sizes, np.zeros(5, dtype=np.int64))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_index_round_trip_of_random_postings(tmp_path, world, seed):
+    corpus, engine = world
+    n_rows = len(engine.keys)
+    postings = {"name": _edge_postings(seed, n_rows),
+                "value": _edge_postings(seed + 10, n_rows),
+                "format": SetPostings({}, n_rows)}
+    eng = SearchEngine(engine.encoder, engine.head, engine.index_config,
+                       engine.tfidf, engine.keys,
+                       engine.semantic_index.vectors, postings)
+    p1, p2 = tmp_path / "a.usi", tmp_path / "b.usi"
+    save_index(p1, _bundle(), eng)
+    bundle, loaded = load_index(p1)
+    assert loaded.postings.keys() == postings.keys()
+    for measure, built in postings.items():
+        _assert_same_lists(loaded.postings[measure], built)
     save_index(p2, bundle, loaded)
     assert p1.read_bytes() == p2.read_bytes()
 
