@@ -543,8 +543,20 @@ class CosineLshIndex:
         """
         self._file(list(keys), self._shaped(vectors, ndim=2))
 
+    def _adopt(self, keys: Sequence[ColumnKey], matrix: np.ndarray) -> None:
+        """``insert_many`` into an empty index that takes matrix as its rows
+        instead of copying it: the private handoff of a float32 matrix that
+        its maker fills once and then drops, as a build and a load do."""
+        if self.size or matrix.dtype != np.float32 \
+                or not matrix.flags.c_contiguous:
+            raise ValueError("only an empty index adopts, and only a "
+                             "C-contiguous float32 matrix")
+        self._rows = self._shaped(matrix, ndim=2)
+        self._file(list(keys), self._rows)
+
     def _file(self, keys: list[ColumnKey], matrix: np.ndarray) -> None:
-        """``insert_many`` of a stack already shaped, of float32 values."""
+        """``insert_many`` of a stack already shaped, of float32 values; an
+        adopted matrix is the rows already."""
         if len(matrix) != len(keys):
             raise ConfigError(f"{len(matrix)} vectors for {len(keys)} keys")
         self._sketch = None
@@ -556,9 +568,10 @@ class CosineLshIndex:
                 duplicate = i
                 break
             filed[key] = start + i
-        if stop > len(self._rows):
+        if stop > len(self._norms):
             grown = max(2 * start, stop)
-            self._rows = _grown(self._rows, grown)
+            if stop > len(self._rows):
+                self._rows = _grown(self._rows, grown)
             self._norms = _grown(self._norms, grown)
             self._packed = _grown(self._packed, grown)
         # Rows past size are unused until the keys are filed, so a refused
@@ -566,7 +579,8 @@ class CosineLshIndex:
         # vectors', and the passes widen them exactly.
         rows, norms, packed = (self._rows[start:stop], self._norms[start:stop],
                                self._packed[start:stop])
-        rows[...] = matrix
+        if matrix is not self._rows:
+            rows[...] = matrix
         # Each block's float64 rows, and its dots with the planes, fill at
         # most _BLOCK_BYTES.
         step = max(1, _BLOCK_BYTES // (8 * max(self.dim, len(self.planes))))

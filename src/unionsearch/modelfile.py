@@ -2,25 +2,44 @@
 
 One little-endian container with a 4-byte magic, a version byte, and a kind
 byte. A model file carries ``TOKENIZER_ID``, the encoder configuration, the
-projection head (its seed, then its four tensors row-major as 32-bit
-floats, each with its shape), the training configuration, the strategy and
-the best epoch; no optimizer state, as no command resumes training. An
-index file is the same model section followed by the indexed columns,
-version 8 laid out as:
+projection head (its seed, then its four tensors as float32 arrays), the
+training configuration, the strategy and the best epoch; no optimizer
+state, as no command resumes training. An index file is the same model
+section followed by the indexed columns, version 9 laid out as:
 
 1. the index configuration;
-2. the key table: every indexed column key, sorted (a load rejects a table
-   that is not strictly increasing);
-3. every stored vector as one float32 matrix whose row i belongs to key i;
-4. the set postings, one block per measure in ``SET_MEASURES`` order
-   (name q-grams, value terms, format patterns): a token count, each
-   distinct token once in sorted order, then one counted byte string of
-   minimal unsigned LEB128 varints (d-gaps plus variable-byte coding,
-   Zobel & Moffat, ACM CSUR 2006). It holds each token's row count minus
-   one, then, list by list, the first row and each later row's gap minus
-   one, so it cannot express an empty list or a row that does not
-   increase;
-5. the corpus document frequencies.
+2. the key table: every indexed column key, sorted, as a string table of
+   the distinct table ids, then one counted byte string of varints: each
+   table's column count minus one, then table by table its column
+   positions;
+3. the set postings, one block per measure in ``SET_MEASURES`` order
+   (name q-grams, value terms, format patterns): a string table of the
+   distinct tokens in sorted order, then one counted byte string of
+   varints holding each token's row count minus one, then, list by list,
+   the first row and each later row's gap minus one, so it cannot express
+   an empty list or a row that does not increase;
+4. the corpus document frequencies: the column count, a string table of
+   the tokens in sorted order and a counted byte string of their counts;
+5. every stored vector as one float32 array whose row i belongs to key i.
+   It comes last, so a load decodes it once the postings' working arrays
+   are freed.
+
+A varint is minimal unsigned LEB128 (d-gaps plus variable-byte coding,
+Zobel & Moffat, ACM CSUR 2006). A string table is a counted byte string of
+each string's UTF-8 length as a varint, then the counted UTF-8 blob.
+
+A float32 array is its rank and shape, each value's three low bytes as
+they are, then the plane of its top bytes (sign and high exponent bits),
+whose one mode byte says raw or coded. Raw holds the bytes as they are.
+Coded is patched frame-of-reference coding (Zukowski, Heman, Nes & Boncz,
+ICDE 2006): a dictionary of up to 15 byte values, the most frequent, ties
+to the smaller, in increasing order; a 4-bit code per value, two to a
+byte, the earlier one low, a zero nibble after an odd count; then the
+exceptions, the values coded 15: their count, their positions as a counted
+byte string of varint d-gaps (the first position, then each later one's
+distance from the one before) and their bytes. A save stores the plane
+coded only when that is smaller than raw, and codes it ``FLOAT_CHUNK``
+values at a time. Every stored bit is kept.
 
 Each configuration is written field by field in ``dataclasses.fields``
 order, coded by the field's type (bool u8, int u64, float f64, text; an
@@ -28,23 +47,34 @@ optional text stores None as ""), so only the dataclass knows its fields.
 A load validates the configurations, the head's tensor shapes and, for a
 hashing model, that the head takes the encoder's dimension: it rejects
 what would fail later, and a non-finite tensor or stored vector, which
-would load silently, and postings or document frequencies other than a
-save writes: for the postings, tokens not strictly increasing, a varint
-that is not canonical (more than ``VARINT_BYTES`` bytes, a zero last byte
-in a multi-byte group, a string that ends inside a group), a number of
-varints other than the counts name, or a row at or past the column count.
+would load silently, and anything else a save does not write. For a float
+array: a mode other than raw or coded, a dictionary not strictly
+increasing or longer than 15, a code past the dictionary, a non-zero pad
+nibble, an exception count other than the count of 15s, an exception
+position out of range, not increasing or not on a 15, and an exception
+byte in the dictionary. For varints: more than ``VARINT_BYTES`` bytes, a
+zero last byte in a multi-byte group or a string that ends inside a group.
+For string tables: lengths that do not fill their blob exactly and bad
+UTF-8. For the key table: table ids not strictly increasing, a number of
+varints other than the counts name, positions not increasing within a
+table or at 2**32 or more. For the postings: tokens not strictly
+increasing, a number of varints other than the counts name, or a row at
+or past the column count. For the document frequencies: tokens not
+strictly increasing, and counts other than one in [1, column count] per
+token.
 
-The cosine LSH index is not stored: loading hands the keys and the stored
-vector matrix, in key-table order, to the ``SearchEngine`` constructor,
-which allocates the index for that many rows and files the matrix in one
-``insert_many``, exactly as ``build_engine`` filed it. The matrix it is
-handed is a read-only view of the file bytes, so the index rows are the
-load's one copy of the vectors.
+The cosine LSH index is not stored: loading hands the keys and the vector
+matrix, decoded into a fresh array, in key-table order, to the
+``SearchEngine``, whose cosine index takes that array as its rows and
+files them as ``build_engine`` filed its own. No array a load returns is a
+view of the file bytes.
 
 Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
-check magic, version and kind, then the digest, before parsing anything
-else, so a truncated or corrupt file fails with InputError; versions 1 to 7
-are rejected, and so is a file whose tokenizer id is not ``TOKENIZER_ID``.
+read the file into an anonymous memory mapping, which goes back to the
+system when the load drops it, and check magic, version and kind, then the
+digest, before parsing anything else, so a truncated or corrupt file fails
+with InputError; versions 1 to 8 are rejected, and so is a file whose
+tokenizer id is not ``TOKENIZER_ID``.
 Saves are atomic (temp file + rename) and streamed: the body goes to the
 temp file in chunks of about ``CHUNK_BYTES`` through one running blake2b,
 and the digest is written last, so a save never holds the file whole; it
@@ -55,12 +85,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import os
 import struct
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Callable, get_type_hints
+from itertools import chain, repeat
+from typing import BinaryIO, Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -72,17 +105,24 @@ from .search import IndexConfig, SearchEngine
 from .syntactic import SET_MEASURES, SetPostings, TfidfModel
 
 MAGIC = b"PYLN"
-VERSION = 8
+VERSION = 9
 KIND_MODEL = 1
 KIND_INDEX = 2
 CHECKSUM_BYTES = 32
-# The most bytes one posting varint takes: 35 bits hold any u32.
+# The most bytes one varint takes: 35 bits hold any u32.
 VARINT_BYTES = 5
 # About how many posting rows a save encodes at a time; a list is never
 # split, so a longer one is encoded whole.
 POSTINGS_CHUNK = 1 << 13
 # Bytes of small fields a save gathers before it hashes and writes them.
 CHUNK_BYTES = 1 << 16
+# How many values of a float32 array a save codes, and a load decodes, at
+# a time, rounded up to even so that no byte holds codes of two chunks.
+FLOAT_CHUNK = 1 << 16
+# The modes of a float array's top-byte plane, and the code of a value
+# whose top byte is not in the dictionary.
+RAW, CODED = 0, 1
+EXCEPTION = 15
 
 
 @dataclass
@@ -105,9 +145,9 @@ class _Writer:
     """Streams fields into a binary file through one running blake2b.
 
     Small fields gather in one buffer of about ``CHUNK_BYTES``, so a save
-    holds no object per field; a piece at least that long, such as the
-    vector matrix, is hashed and written from its own memory. ``finish``
-    appends the digest of every byte before it.
+    holds no object per field; a piece at least that long, such as a chunk
+    of the vector matrix, is hashed and written from its own memory.
+    ``finish`` appends the digest of every byte before it.
     """
 
     def __init__(self, fh: BinaryIO) -> None:
@@ -150,14 +190,79 @@ class _Writer:
         self.u32(len(raw))
         self.raw(raw)
 
+    def varints(self, values: np.ndarray) -> None:
+        """A counted byte string of ``_varints``."""
+        data = _varints(values)
+        self.u32(len(data))
+        self.raw(data.data)
+
+    def strings(self, items: Sequence[str]) -> None:
+        """A string table: the UTF-8 lengths as varints, then the blob."""
+        blob = "".join(items).encode("utf-8")
+        lengths = np.fromiter(map(len, items), dtype=np.int64,
+                              count=len(items))
+        if lengths.sum() != len(blob):
+            # Not all ASCII, so some string's bytes outnumber its characters.
+            lengths = np.fromiter((len(s.encode("utf-8")) for s in items),
+                                  dtype=np.int64, count=len(items))
+        self.varints(lengths)
+        self.u32(len(blob))
+        self.raw(blob)
+
     def f32_array(self, arr: np.ndarray) -> None:
+        """Shape, low bytes, then the top-byte plane, ``FLOAT_CHUNK`` values
+        at a time: one pass writes the low bytes and counts the top ones,
+        and ``_top_plane`` codes them."""
         a = np.ascontiguousarray(arr, dtype="<f4")
-        self.u8(len(a.shape))
+        self.u8(a.ndim)
         for d in a.shape:
             self.u32(d)
-        # Written from the array's own buffer, with no bytes copy between.
-        # (memoryview.cast refuses a shape with a zero in it.)
-        self.raw(a.reshape(-1).view(np.uint8).data)
+        values = a.reshape(-1).view(np.uint8).reshape(-1, 4)
+        counts = np.zeros(256, dtype=np.int64)
+        for _, chunk in _chunks(values):
+            low = np.empty((len(chunk), 3), dtype=np.uint8)
+            # Column by column: one copy of 3-byte rows takes 3-4x as long.
+            for j in range(3):
+                low[:, j] = chunk[:, j]
+            self.raw(low.reshape(-1).data)
+            counts += np.bincount(chunk[:, 3], minlength=256)
+        self._top_plane(values, counts)
+
+    def _top_plane(self, values: np.ndarray, counts: np.ndarray) -> None:
+        """The top bytes of values, coded against the up to 15 most frequent
+        unless that is no smaller than raw; counts holds each byte's count.
+        The codes pass finds the exceptions; a dry run of it sizes their
+        positions first only when the counts alone cannot tell."""
+        n = len(values)
+        ranked = np.argsort(-counts, kind="stable")[:EXCEPTION]
+        words = np.sort(ranked[counts[ranked] > 0]).astype(np.uint8)
+        codes = np.full(256, EXCEPTION, dtype=np.uint8)
+        codes[words] = np.arange(len(words))
+        n_exceptions = n - int(counts[words].sum())
+        # Mode, dictionary, codes, the two counts and the exceptions' bytes;
+        # each position takes 1 to VARINT_BYTES bytes more.
+        fixed = 10 + len(words) + (n + 1) // 2 + n_exceptions
+        raw = fixed + n_exceptions >= 1 + n
+        if not raw and fixed + VARINT_BYTES * n_exceptions >= 1 + n:
+            gaps: list[np.ndarray] = []
+            for _ in _coded(values, codes, gaps, []):
+                pass
+            raw = fixed + sum(map(len, gaps)) >= 1 + n
+        if raw:
+            self.u8(RAW)
+            for _, chunk in _chunks(values):
+                self.raw(np.ascontiguousarray(chunk[:, 3]).data)
+            return
+        self.u8(CODED)
+        self.u8(len(words))
+        self.raw(words.data)
+        gaps, found = [], []
+        for packed in _coded(values, codes, gaps, found):
+            self.raw(packed.data)
+        self.u32(n_exceptions)
+        self.u32(sum(map(len, gaps)))
+        for piece in (*gaps, *found):
+            self.raw(piece.data)
 
     def finish(self) -> None:
         self._flush()
@@ -165,11 +270,12 @@ class _Writer:
 
 
 class _Reader:
-    """Reads fields in order from ``data`` up to ``end``, copying no body.
+    """Reads fields in order from ``data`` up to ``end``.
 
-    Integers are unpacked in place and a float32 array is a read-only view
-    of ``data``, so a caller that keeps the array, rather than reading it
-    once, copies it; a kept view would keep the whole file alive.
+    Integers are unpacked in place and a counted byte string is a read-only
+    uint8 view of ``data``, which callers read and drop. A float32 array is
+    decoded into a fresh array of its own, so no array a load keeps is a
+    view of the file bytes.
     """
 
     def __init__(self, data: bytes, path: str):
@@ -190,6 +296,11 @@ class _Reader:
         start = self._advance(n)
         return self.data[start:self.pos]
 
+    def _view(self, n: int) -> np.ndarray:
+        """The next n bytes, as a read-only uint8 view of ``data``."""
+        return np.frombuffer(self.data, dtype=np.uint8, count=n,
+                             offset=self._advance(n))
+
     def u8(self) -> int:
         return struct.unpack_from("<B", self.data, self._advance(1))[0]
 
@@ -208,24 +319,138 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise InputError(f"{self.path}: bad UTF-8 text: {exc}") from exc
 
-    def f32_array(self) -> np.ndarray:
-        ndim = self.u8()
-        shape = tuple(self.u32() for _ in range(ndim))
-        count = math.prod(shape)
-        start = self._advance(count * 4)
-        return np.frombuffer(self.data, dtype="<f4", count=count,
-                             offset=start).reshape(shape)
-
     def u8_array(self) -> np.ndarray:
         """A counted byte string, as a read-only uint8 view of ``data``."""
+        return self._view(self.u32())
+
+    def strings(self, what: str) -> list[str]:
+        """A string table: its lengths must fill its blob exactly."""
+        lengths = _read_varints(self, f"{what} lengths")
+        size = self.u32()
+        if lengths.sum() != size:
+            raise InputError(f"{self.path}: {what} lengths sum to "
+                             f"{lengths.sum()} bytes, not their blob's {size}")
+        blob = self._take(size)
+        ends = np.cumsum(lengths).tolist()
+        bounds = zip([0, *ends], ends)
+        if blob.isascii():
+            # An ASCII string's characters are its bytes.
+            text = blob.decode("ascii")
+            return [text[a:b] for a, b in bounds]
+        try:
+            return [blob[a:b].decode("utf-8") for a, b in bounds]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{self.path}: bad UTF-8 text: {exc}") from exc
+
+    def f32_array(self) -> np.ndarray:
+        """A float32 array as ``_Writer.f32_array`` writes it, decoded
+        ``FLOAT_CHUNK`` values at a time into a fresh array."""
+        ndim = self.u8()
+        shape = tuple(self.u32() for _ in range(ndim))
+        n = math.prod(shape)
+        low = self._view(3 * n).reshape(n, 3)
+        mode = self.u8()
+        if mode not in (RAW, CODED):
+            raise InputError(f"{self.path}: float array mode {mode} is "
+                             f"neither raw ({RAW}) nor coded ({CODED})")
+        out = np.empty(shape, dtype="<f4")
+        values = out.reshape(-1).view(np.uint8).reshape(n, 4)
+        for j in range(3):
+            values[:, j] = low[:, j]
+        if mode == RAW:
+            values[:, 3] = self._view(n)
+        else:
+            self._coded_plane(values[:, 3])
+        return out
+
+    def _coded_plane(self, top: np.ndarray) -> None:
+        """Decodes a coded top-byte plane into top, checking that it is one
+        a save writes."""
+        n = len(top)
+        words = self._view(self.u8())
+        if len(words) > EXCEPTION:
+            raise InputError(f"{self.path}: float array dictionary of "
+                             f"{len(words)} bytes, more than {EXCEPTION}")
+        if (words[1:] <= words[:-1]).any():
+            raise InputError(f"{self.path}: float array dictionary not "
+                             "strictly increasing")
+        packed = self._view((n + 1) // 2)
+        if n % 2 and packed[-1] >> 4:
+            raise InputError(f"{self.path}: float array codes end in a "
+                             "non-zero pad nibble")
+        table = np.zeros(EXCEPTION + 1, dtype=np.uint8)
+        table[:len(words)] = words
+        past = np.arange(EXCEPTION + 1) >= len(words)
+        past[EXCEPTION] = False
+        marked = 0
+        for lo, chunk in _chunks(top):
+            pairs = packed[lo // 2:(lo + len(chunk) + 1) // 2]
+            codes = np.empty(2 * len(pairs), dtype=np.uint8)
+            codes[0::2] = pairs & 0x0F
+            codes[1::2] = pairs >> 4
+            codes = codes[:len(chunk)]
+            if np.take(past, codes).any():
+                raise InputError(f"{self.path}: float array code past its "
+                                 f"dictionary of {len(words)}")
+            marked += np.count_nonzero(codes == EXCEPTION)
+            chunk[...] = np.take(table, codes)
         count = self.u32()
-        return np.frombuffer(self.data, dtype=np.uint8, count=count,
-                             offset=self._advance(count))
+        if count != marked:
+            raise InputError(f"{self.path}: float array exception count "
+                             f"{count}, not the {marked} codes {EXCEPTION}")
+        at = _read_varints(self, "exception positions")
+        if len(at) != count:
+            raise InputError(f"{self.path}: {len(at)} float array exception "
+                             f"positions, not {count}")
+        if (at[1:] == 0).any():
+            raise InputError(f"{self.path}: float array exception positions "
+                             "not increasing")
+        # Each gap below n first, so that their sum cannot overflow.
+        if at.size and (at.max() >= n or at.sum() >= n):
+            raise InputError(f"{self.path}: float array exception position "
+                             f"at or past its {n} values")
+        np.cumsum(at, out=at)
+        if ((packed[at >> 1] >> 4 * (at & 1) & 0x0F) != EXCEPTION).any():
+            raise InputError(f"{self.path}: float array exception position "
+                             f"not on a code {EXCEPTION}")
+        exceptions = self._view(count)
+        in_words = np.zeros(256, dtype=bool)
+        in_words[words] = True
+        if in_words[exceptions].any():
+            raise InputError(f"{self.path}: float array exception byte in "
+                             "its dictionary")
+        top[at] = exceptions
 
     def expect_end(self) -> None:
         if self.pos != self.end:
             raise InputError(f"{self.path}: {self.end - self.pos} "
                              "trailing bytes")
+
+
+def _chunks(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The start and the rows of each chunk of ``FLOAT_CHUNK`` rows of
+    values, rounded up to even."""
+    step = FLOAT_CHUNK + FLOAT_CHUNK % 2
+    for lo in range(0, len(values), step):
+        yield lo, values[lo:lo + step]
+
+
+def _coded(values: np.ndarray, codes: np.ndarray, gaps: list[np.ndarray],
+           found: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """Each chunk's codes of its values' top bytes, two to a byte, by the
+    byte -> code table codes; the exceptions' position d-gaps go to gaps
+    as varints, and their bytes to found, on the way."""
+    last = 0
+    for lo, chunk in _chunks(values):
+        pairs = np.take(codes, chunk[:, 3])
+        at = np.flatnonzero(pairs == EXCEPTION)
+        if len(at):
+            gaps.append(_varints(np.diff(at + lo, prepend=last)))
+            found.append(chunk[at, 3])
+            last = lo + int(at[-1])
+        if len(pairs) % 2:
+            pairs = np.append(pairs, np.uint8(0))
+        yield pairs[0::2] | pairs[1::2] << 4
 
 
 def atomic_write(path: str | Path, write: Callable[[str], None]) -> None:
@@ -287,8 +512,7 @@ def _read_model_section(r: _Reader) -> ModelBundle:
         raise InputError(f"{r.path}: tokenizer {tokenizer_id!r} is not {TOKENIZER_ID!r}")
     ec = _read_config(r, EncoderConfig)
     init_seed = r.u64()
-    # Owned copies: a view would keep the whole file alive with the head.
-    tensors = [r.f32_array().copy() for _ in range(4)]
+    tensors = [r.f32_array() for _ in range(4)]
     tc = _read_config(r, TrainConfig)
     strategy = r.text()
     best_epoch = r.u32()
@@ -309,10 +533,20 @@ def _read_model_section(r: _Reader) -> ModelBundle:
 
 
 def _write_key_table(w: _Writer, keys: list[ColumnKey]) -> None:
-    w.u32(len(keys))
-    for table_id, position in keys:
-        w.text(table_id)
-        w.u32(position)
+    """Each table id once, then each table's column count minus one, then
+    table by table its positions. Keys out of order would be stored as
+    other keys, so they are refused."""
+    if any(after <= before for before, after in zip(keys, keys[1:])):
+        raise ValueError("keys must be strictly increasing")
+    table_ids, positions = zip(*keys) if keys else ((), ())
+    counts = Counter(table_ids)
+    positions = np.array(positions, dtype=np.int64)
+    if positions.size and positions.max() >= 1 << 32:
+        raise ValueError("column positions must lie below 2**32")
+    w.strings(list(counts))
+    w.varints(np.concatenate([np.fromiter(counts.values(), dtype=np.int64,
+                                          count=len(counts)) - 1,
+                              positions]))
 
 
 def _check_increasing(r: _Reader, items: list, what: str) -> None:
@@ -322,11 +556,37 @@ def _check_increasing(r: _Reader, items: list, what: str) -> None:
                              f"{after!r} follows {before!r}")
 
 
+def _read_lists(r: _Reader, n_lists: int, what: str
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The counts and the items of a counted byte string of varints that
+    holds n_lists counts minus one, then the items of every list."""
+    values = _read_varints(r, what)
+    counts = values[:n_lists] + 1
+    if len(values) != n_lists + counts.sum():
+        raise InputError(f"{r.path}: {what} hold {len(values)} varints, "
+                         f"not {n_lists} counts and the {counts.sum()} "
+                         "items they name")
+    return counts, values[n_lists:]
+
+
 def _read_key_table(r: _Reader) -> list[ColumnKey]:
-    """The stored keys; they must be strictly increasing, as saves write them."""
-    keys = [(r.text(), r.u32()) for _ in range(r.u32())]
-    _check_increasing(r, keys, "key table")
-    return keys
+    """The stored keys, strictly increasing as saves write them: table ids
+    strictly increasing, and positions below 2**32 and increasing within
+    each table."""
+    table_ids = r.strings("table id")
+    _check_increasing(r, table_ids, "table ids")
+    counts, positions = _read_lists(r, len(table_ids), "key table columns")
+    if positions.size and positions.max() >= 1 << 32:
+        raise InputError(f"{r.path}: key table holds a column position of "
+                         "2**32 or more")
+    steps = np.diff(positions)
+    # A table's first position follows no position of its own table.
+    steps[np.cumsum(counts)[:-1] - 1] = 1
+    if (steps <= 0).any():
+        raise InputError(f"{r.path}: key table positions not increasing "
+                         "within a table")
+    ids = chain.from_iterable(map(repeat, table_ids, counts.tolist()))
+    return list(zip(ids, positions.tolist()))
 
 
 def _varints(values: np.ndarray) -> np.ndarray:
@@ -338,22 +598,25 @@ def _varints(values: np.ndarray) -> np.ndarray:
         raise ValueError("varint values must lie in "
                          f"[0, 2**{7 * VARINT_BYTES})")
     widths = np.ones(len(values), dtype=np.uint8)
+    top = int(values.max()) if values.size else 0
     for k in range(1, VARINT_BYTES):
+        if top < 1 << 7 * k:
+            break
         widths += values >= 1 << 7 * k
     at = np.cumsum(widths, dtype=np.int64)
     out = np.empty(at[-1] if len(at) else 0, dtype=np.uint8)
     at -= widths
-    # The k-th byte of every value wider than k, narrowing as k grows; a
-    # uint8 cast keeps a value's low 8 bits.
+    # The next byte of every value with bytes left, fewer values each
+    # round; a uint8 cast keeps a value's low 8 bits.
     rest = values
-    for k in range(VARINT_BYTES):
-        more = widths > k + 1
+    while len(rest):
+        more = widths > 1
         out[at] = rest.astype(np.uint8) & 0x7F | more.view(np.uint8) << 7
-        rest, widths, at = rest[more] >> 7, widths[more], at[more] + 1
+        rest, widths, at = rest[more] >> 7, widths[more] - 1, at[more] + 1
     return out
 
 
-def _read_varints(r: _Reader) -> np.ndarray:
+def _read_varints(r: _Reader, what: str) -> np.ndarray:
     """The values of a counted byte string of ``_varints``, as int64.
 
     Every value must be canonical, as ``_varints`` writes it: at most
@@ -364,7 +627,7 @@ def _read_varints(r: _Reader) -> np.ndarray:
     """
     data = r.u8_array()
     if data.size and not data[-1] < 0x80:
-        raise InputError(f"{r.path}: postings end inside a varint")
+        raise InputError(f"{r.path}: {what} end inside a varint")
     more = data >= 0x80
     values = data[~more].astype(np.int64)
     # Each continuation byte belongs to the value of the next last byte:
@@ -375,10 +638,10 @@ def _read_varints(r: _Reader) -> np.ndarray:
     lengths = np.diff(firsts, append=len(at))
     wide = owner[firsts]
     if (lengths >= VARINT_BYTES).any():
-        raise InputError(f"{r.path}: postings hold a varint of more than "
+        raise InputError(f"{r.path}: {what} hold a varint of more than "
                          f"{VARINT_BYTES} bytes")
     if (values[wide] == 0).any():
-        raise InputError(f"{r.path}: postings hold a varint that is not "
+        raise InputError(f"{r.path}: {what} hold a varint that is not "
                          "minimal")
     if len(at):
         shifts = 7 * (np.arange(len(at)) - np.repeat(firsts, lengths))
@@ -390,9 +653,7 @@ def _read_varints(r: _Reader) -> np.ndarray:
 
 def _write_postings(w: _Writer, postings: SetPostings) -> None:
     tokens = sorted(postings.postings)
-    w.u32(len(tokens))
-    for tok in tokens:
-        w.text(tok)
+    w.strings(tokens)
     lists = [postings.postings[tok] for tok in tokens]
     counts = np.array([len(rows) for rows in lists], dtype=np.int64)
     pieces = [_varints(counts - 1)]
@@ -426,17 +687,11 @@ def _read_postings(r: _Reader, n_rows: int) -> SetPostings:
     row below n_rows. A list then is non-empty and strictly increasing, so
     a row's count of entries is its set's size.
     """
-    tokens = [r.text() for _ in range(r.u32())]
+    tokens = r.strings("postings token")
     _check_increasing(r, tokens, "postings tokens")
-    values = _read_varints(r)
-    counts = values[:len(tokens)] + 1
-    if len(values) != len(tokens) + counts.sum():
-        raise InputError(f"{r.path}: postings hold {len(values)} varints, "
-                         f"not {len(tokens)} counts and the "
-                         f"{counts.sum()} rows they name")
+    counts, rows = _read_lists(r, len(tokens), "postings")
     # The gaps become the rows in place: each later row steps its gap plus
     # 1, and each first row steps from the last row of the list before.
-    rows = values[len(tokens):]
     firsts = np.cumsum(counts) - counts
     first_rows = rows[firsts]
     rows += 1
@@ -459,43 +714,49 @@ def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
     _write_config(w, engine.index_config)
 
     _write_key_table(w, engine.keys)
-    w.f32_array(engine.semantic_index.vectors)
-
     for measure in SET_MEASURES:
         _write_postings(w, engine.postings[measure])
 
     w.u32(engine.tfidf.n_columns)
-    w.u32(len(engine.tfidf.df))
-    for tok in sorted(engine.tfidf.df):
-        w.text(tok)
-        w.u32(engine.tfidf.df[tok])
+    tokens = sorted(engine.tfidf.df)
+    w.strings(tokens)
+    w.varints(np.fromiter(map(engine.tfidf.df.__getitem__, tokens),
+                          dtype=np.int64, count=len(tokens)))
+    w.f32_array(engine.semantic_index.vectors)
 
 
 def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
     cfg = _read_config(r, IndexConfig)
     keys = _read_key_table(r)
+    postings = {measure: _read_postings(r, len(keys))
+                for measure in SET_MEASURES}
+
+    # One document per indexed column, as build_tfidf counts them.
+    n_columns = r.u32()
+    tokens = r.strings("df token")
+    _check_increasing(r, tokens, "df tokens")
+    dfs = _read_varints(r, "document frequencies")
+    if len(dfs) != len(tokens):
+        raise InputError(f"{r.path}: {len(dfs)} document frequencies for "
+                         f"{len(tokens)} df tokens")
+    if n_columns != len(keys) or (dfs.size and not (
+            dfs.min() > 0 and dfs.max() <= n_columns)):
+        raise InputError(f"{r.path}: document frequencies are not counts in "
+                         f"[1, {len(keys)}] over {len(keys)} columns")
+    tfidf = TfidfModel(df=dict(zip(tokens, dfs.tolist())),
+                       n_columns=n_columns)
+
     dim = bundle.head.dims[2]
     matrix = r.f32_array()
     if matrix.shape != (len(keys), dim):
         raise InputError(f"{r.path}: vector matrix shape {matrix.shape} != "
                          f"{(len(keys), dim)}")
 
-    postings = {measure: _read_postings(r, len(keys))
-                for measure in SET_MEASURES}
-
-    # One document per indexed column, as build_tfidf counts them.
-    n_columns = r.u32()
-    entries = [(r.text(), r.u32()) for _ in range(r.u32())]
-    _check_increasing(r, [tok for tok, _ in entries], "df tokens")
-    if n_columns != len(keys) or not all(0 < df <= n_columns
-                                         for _, df in entries):
-        raise InputError(f"{r.path}: document frequencies are not counts in "
-                         f"[1, {len(keys)}] over {len(keys)} columns")
-    tfidf = TfidfModel(df=dict(entries), n_columns=n_columns)
-
     try:
-        return SearchEngine(Encoder(bundle.encoder_config), bundle.head, cfg,
-                            tfidf, keys, matrix, postings)
+        # The decoded matrix is this load's own, so the index keeps it.
+        return SearchEngine._adopting(Encoder(bundle.encoder_config),
+                                      bundle.head, cfg, tfidf, keys, matrix,
+                                      postings)
     except (ConfigError, NumericError) as exc:
         # Stored values the constructors reject are bad input all the same.
         raise InputError(f"{r.path}: {exc}") from exc
@@ -526,7 +787,14 @@ def _save(path: str | Path, bundle: ModelBundle,
 def _open(path: str | Path, expected_kind: int) -> _Reader:
     """A reader past the header, over the body once its checksum matches."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            # An anonymous mapping of its own goes back to the system when
+            # dropped; a buffer from the heap can leave its pages resident
+            # under what a load keeps.
+            data = mmap.mmap(-1, size) if size else b""
+            if size and fh.readinto(data) != size:
+                raise InputError(f"{path}: truncated file")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     r = _Reader(data, str(path))

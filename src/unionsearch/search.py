@@ -177,7 +177,9 @@ class SearchEngine:
     not kept. The cosine index keeps its own default banding, takes its
     seed from ``index_config`` and its dimension from ``head.dims[2]`` and
     files the matrix in one ``insert_many``, which allocates its rows, so
-    the same columns give the same rows and buckets.
+    the same columns give the same rows and buckets. ``build_engine`` and
+    ``modelfile.load_index`` hand over a matrix of their own through
+    ``_adopting`` instead, whose index keeps it as its rows.
     ``keys`` is that index's own row -> key list.
     ``postings`` maps each syntactic measure to the inverted lists of its
     token sets over the same rows, so their row i is ``keys[i]`` too. They
@@ -199,6 +201,20 @@ class SearchEngine:
         self.keys: list[ColumnKey] = self.semantic_index.keys
         self.semantic_index.insert_many(keys, vectors)
         self.postings = postings
+
+    @classmethod
+    def _adopting(cls, encoder: Encoder, head: ProjectionHead,
+                  index_config: IndexConfig, tfidf: TfidfModel,
+                  keys: Sequence[ColumnKey], matrix: np.ndarray,
+                  postings: dict[str, syntactic.SetPostings]
+                  ) -> SearchEngine:
+        """The engine of these arguments, whose cosine index takes matrix,
+        a C-contiguous float32 array its caller made and drops, as its rows
+        instead of a copy: the same rows, norms and band keys."""
+        engine = cls(encoder, head, index_config, tfidf, [],
+                     np.empty((0, head.dims[2]), dtype=np.float32), postings)
+        engine.semantic_index._adopt(keys, matrix)
+        return engine
 
     def project_column(self, column: Column) -> np.ndarray:
         """Projected embedding, quantized to float32 like every stored vector."""
@@ -222,7 +238,8 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
     vector is made, so their working state is gone before the encoder's
     memos fill. The engine equals one built column by column with a
     ``Counter`` of document frequencies, ``build_profile``, postings
-    appended row by row and ``embed_column``, bit for bit.
+    appended row by row and ``embed_column``, bit for bit. The projected
+    matrix becomes the cosine index's rows, with no copy.
     """
     cfg = index_config or IndexConfig()
     cfg.validate()
@@ -235,8 +252,9 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
         for base in encoder.embed_block(block):
             vectors[row] = project(wide, base)
             row += 1
-    return SearchEngine(encoder, head, cfg, tfidf,
-                        [c.column_key for c in columns], vectors, postings)
+    return SearchEngine._adopting(encoder, head, cfg, tfidf,
+                                  [c.column_key for c in columns], vectors,
+                                  postings)
 
 
 def _table_pairs(engine: SearchEngine, cfg: SearchConfig,

@@ -96,10 +96,10 @@ class SetPostings:
         ``vocab[i]``: one sort by token, then row, cut at each token."""
         order = np.lexsort((rows, tokens))
         tokens, rows = tokens[order], rows[order]
-        cuts = np.flatnonzero(tokens[1:] != tokens[:-1]) + 1
-        firsts = tokens[np.concatenate([[0], cuts])] if len(tokens) else []
-        return cls({vocab[tok]: lst for tok, lst in
-                    zip(firsts, np.split(rows, cuts))},
+        cuts = (np.flatnonzero(tokens[1:] != tokens[:-1]) + 1).tolist()
+        firsts = tokens[[0, *cuts]].tolist() if len(tokens) else []
+        return cls({vocab[tok]: rows[a:b] for tok, a, b in
+                    zip(firsts, [0, *cuts], [*cuts, len(rows)])},
                    n_rows)
 
     def match(self, sets: Sequence[frozenset[str]]

@@ -7,6 +7,8 @@ import pytest
 from unionsearch.corpus import Column, Corpus, Table
 from unionsearch.modelfile import CHECKSUM_BYTES
 
+from references import string_table, varint
+
 
 def make_table(table_id: str, cols: dict[str, list[str]]) -> Table:
     """Build an in-memory table from {column name: values}."""
@@ -61,27 +63,31 @@ def rotate_from(base: np.ndarray, other: np.ndarray, cos_target: float) -> np.nd
     return cos_target * b + s * o
 
 
-def _tfidf_block(n_columns: int, entries) -> bytes:
-    raw = [(tok.encode("utf-8"), df) for tok, df in entries]
-    return struct.pack("<II", n_columns, len(raw)) + b"".join(
-        struct.pack("<I", len(tok)) + tok + struct.pack("<I", df)
-        for tok, df in raw)
+def _tfidf_block(n_columns: int, entries, extra=()) -> bytes:
+    tokens = [tok.encode("utf-8") for tok, _ in entries]
+    stream = b"".join(varint(df) for df in [*(df for _, df in entries),
+                                            *extra])
+    return (struct.pack("<I", n_columns) + string_table(tokens)
+            + struct.pack("<I", len(stream)) + stream)
 
 
 def with_tfidf(data: bytes, tfidf, edit) -> bytes:
     """The index file with its document frequencies edited, re-checksummed.
 
-    They end the body: the column count, the token count, then each
-    token's text and its df, tokens sorted. ``edit`` gets them as
-    ``[n_columns, [[token, df], ...]]`` and changes that list in place.
+    They are the column count, the tokens' string table, tokens sorted,
+    then their counts as varints. ``edit`` gets them as
+    ``[n_columns, [[token, df], ...], extra]`` and changes that list in
+    place; the counts in ``extra`` follow the tokens' own.
     """
     entries = sorted(tfidf.df.items())
     body = data[:-CHECKSUM_BYTES]
     block = _tfidf_block(tfidf.n_columns, entries)
-    assert body.endswith(block)
-    edited = [tfidf.n_columns, [list(e) for e in entries]]
+    start = body.index(block)
+    assert body.count(block) == 1
+    edited = [tfidf.n_columns, [list(e) for e in entries], []]
     edit(edited)
-    body = body[:-len(block)] + _tfidf_block(*edited)
+    body = (body[:start] + _tfidf_block(*edited)
+            + body[start + len(block):])
     return body + hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
 
 
@@ -116,6 +122,10 @@ def _fewer_documents(block):
     block[0] -= 1
 
 
+def _count_without_token(block):
+    block[2].append(1)
+
+
 # Document-frequency blocks no save writes, each with the load's message.
 TFIDF_EDITS = {
     "one-df-zero": (_one_df_zero, "not counts"),
@@ -126,4 +136,5 @@ TFIDF_EDITS = {
     "duplicate-token": (_duplicate_token, "df tokens not strictly increasing"),
     "more-documents": (_more_documents, "not counts"),
     "fewer-documents": (_fewer_documents, "not counts"),
+    "count-without-token": (_count_without_token, "document frequencies for"),
 }

@@ -1,5 +1,4 @@
-import hashlib
-import struct
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +8,11 @@ from unionsearch.cli import main, parse_measures
 from unionsearch.errors import ConfigError, InputError
 from unionsearch import contrast, modelfile, search
 from unionsearch.modelfile import load_index, load_model
-from unionsearch.syntactic import SET_MEASURES
 
 from conftest import TFIDF_EDITS, with_tfidf
-from references import postings_block, varint, varint_value
+from references import (CODED, EXCEPTION, Cursor, float_array, index_blocks,
+                        key_table, postings_block, string_table, varint,
+                        varint_value, with_block, with_key_table)
 
 
 def run(*argv: str) -> int:
@@ -436,60 +436,46 @@ def test_query_zero_norm_query_vector_exit_4(workspace, tmp_path, monkeypatch,
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_query_checksummed_non_finite_vector_index_exit_2(workspace, tmp_path,
-                                                         capsys, value):
-    data = (workspace / "index.usi").read_bytes()
-    _, engine = load_index(workspace / "index.usi")
-    matrix = engine.semantic_index.vectors.astype("<f4").tobytes()
-    start = data.index(matrix)
-    body = (data[:start] + np.array([value], "<f4").tobytes()
-            + data[start + 4:-modelfile.CHECKSUM_BYTES])
+def _assert_query_refuses(workspace, tmp_path, capsys, data: bytes,
+                          message: str) -> None:
+    """load_index raises an InputError matching message on data, and a
+    query of it exits 2 with an input error naming it, writing nothing."""
     path = tmp_path / "bad.usi"
-    path.write_bytes(body + hashlib.blake2b(
-        body, digest_size=modelfile.CHECKSUM_BYTES).digest())
+    path.write_bytes(data)
+    with pytest.raises(InputError, match=message):
+        load_index(path)
     table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
     assert run("query", "--index", str(path), "--query", str(table),
                "--out", str(tmp_path / "r.csv")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error:") and "non-finite vector" in err
+    assert err.startswith("input error:") and re.search(message, err)
     assert not (tmp_path / "r.csv").exists()
 
 
-def _with_postings(data: bytes, engine, edit) -> bytes:
-    """The index file with its postings edited, re-checksummed.
+def _index(workspace) -> tuple[bytes, int]:
+    """The workspace index file and the length of its model section, which
+    is the model file's: the index was built from it."""
+    return ((workspace / "index.usi").read_bytes(),
+            (workspace / "model.usm").stat().st_size - 6
+            - modelfile.CHECKSUM_BYTES)
 
-    The set measures' postings follow the vector matrix: per measure a token
-    count, each token's text, then one counted byte string of LEB128
-    varints (each token's row count minus one, then list by list the first
-    row and each later gap minus one). ``edit`` gets the name postings as
-    ``[tokens, groups]``, the token texts and each varint's own bytes, and
-    the column count.
+
+def _with_postings(workspace, edit) -> bytes:
+    """The index file with its name postings edited, re-checksummed.
+
+    Per measure the postings hold the tokens' string table, then one
+    counted byte string of LEB128 varints (each token's row count minus
+    one, then list by list the first row and each later gap minus one).
+    ``edit`` gets the name postings as ``[tokens, groups]``, the token
+    texts and each varint's own bytes, and the column count.
     """
-    matrix = engine.semantic_index.vectors.astype("<f4").tobytes()
-    start = pos = data.index(matrix) + len(matrix)
-    blocks = []
-    for _ in SET_MEASURES:
-        (n_tokens,) = struct.unpack_from("<I", data, pos)
-        pos, tokens = pos + 4, []
-        for _ in range(n_tokens):
-            (n,) = struct.unpack_from("<I", data, pos)
-            tokens.append(data[pos + 4:pos + 4 + n])
-            pos += 4 + n
-        (n,) = struct.unpack_from("<I", data, pos)
-        stream, pos = data[pos + 4:pos + 4 + n], pos + 4 + n
-        groups, group = [], bytearray()
-        for byte in stream:
-            group.append(byte)
-            if byte < 0x80:
-                groups.append(bytes(group))
-                group.clear()
-        blocks.append([tokens, groups])
-    edit(blocks[0], len(engine.keys))
-    postings = b"".join(postings_block(*block) for block in blocks)
-    body = data[:start] + postings + data[pos:-modelfile.CHECKSUM_BYTES]
-    return body + hashlib.blake2b(
-        body, digest_size=modelfile.CHECKSUM_BYTES).digest()
+    data, model_bytes = _index(workspace)
+    blocks = index_blocks(data, model_bytes)
+    start, end = blocks["name"]
+    block = list(Cursor(data, start).postings())
+    n_rows = sum(len(p) for _, p in Cursor(data, blocks["keys"][0]).key_table())
+    edit(block, n_rows)
+    return with_block(data, (start, end), postings_block(*block))
 
 
 def _swap_first_tokens(block, n_rows):
@@ -547,23 +533,132 @@ def _extra_value(block, n_rows):
         "non-minimal-group", "extra-value"])
 def test_query_checksummed_bad_postings_index_exit_2(workspace, tmp_path,
                                                     capsys, edit, message):
-    data = (workspace / "index.usi").read_bytes()
-    _, engine = load_index(workspace / "index.usi")
-    path = tmp_path / "bad.usi"
-    path.write_bytes(_with_postings(data, engine, edit))
-    with pytest.raises(InputError, match=message):
-        load_index(path)
-    table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
-    assert run("query", "--index", str(path), "--query", str(table),
-               "--out", str(tmp_path / "r.csv")) == 2
-    assert capsys.readouterr().err.startswith("input error:")
-    assert not (tmp_path / "r.csv").exists()
+    _assert_query_refuses(workspace, tmp_path, capsys,
+                          _with_postings(workspace, edit), message)
 
 
 def test_postings_edit_helper_rewrites_an_unedited_file(workspace):
     data = (workspace / "index.usi").read_bytes()
+    assert _with_postings(workspace, lambda block, n_rows: None) == data
+
+
+def _with_matrix(workspace, edit) -> bytes:
+    """The index file with its vector matrix edited, re-checksummed.
+
+    ``edit`` gets the matrix's fields as ``references.float_fields`` names
+    them (shape, low bytes, mode, dictionary words, codes, pad nibble,
+    exception count, position gaps and exception bytes) and changes them
+    in place.
+    """
+    data, model_bytes = _index(workspace)
+    span = index_blocks(data, model_bytes)["matrix"]
+    fields = Cursor(data, span[0]).float_array()
+    edit(fields)
+    return with_block(data, span, float_array(fields))
+
+
+def _excepted(fields, at, byte=0) -> None:
+    """The values at the positions at made exceptions with top byte byte;
+    the workspace matrix is coded and has no exceptions of its own."""
+    assert fields["mode"] == CODED and fields["count"] == 0
+    for i in at:
+        fields["codes"][i] = EXCEPTION
+    fields["count"] = len(at)
+    fields["gaps"] = [b - a for a, b in zip([0, *at], at)]
+    fields["exceptions"] = [byte] * len(at)
+
+
+def _odd_with_pad(fields) -> None:
+    """One value fewer, as one axis, so the codes end in a pad nibble: 1."""
+    fields["shape"] = [len(fields["codes"]) - 1]
+    fields["low"] = fields["low"][:-3]
+    fields["codes"].pop()
+    fields["pad"] = 1
+
+
+def test_matrix_edit_helpers_write_files_a_load_reads(workspace, tmp_path):
+    data = (workspace / "index.usi").read_bytes()
+    assert _with_matrix(workspace, lambda fields: None) == data
+    path = tmp_path / "excepted.usi"
+    path.write_bytes(_with_matrix(workspace,
+                                  lambda fields: _excepted(fields, [0, 9])))
     _, engine = load_index(workspace / "index.usi")
-    assert _with_postings(data, engine, lambda block, n_rows: None) == data
+    _, excepted = load_index(path)
+    want = engine.semantic_index.vectors.copy().view(np.uint8)
+    want[0, 3] = want[0, 9 * 4 + 3] = 0
+    np.testing.assert_array_equal(
+        excepted.semantic_index.vectors.view(np.uint8), want)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda f: f.update(mode=2), "float array mode 2 is neither raw"),
+    (lambda f: f["words"].reverse(), "dictionary not strictly increasing"),
+    (lambda f: f.update(words=list(range(16))),
+     "dictionary of 16 bytes, more than 15"),
+    (lambda f: f["words"].pop(), "code past its dictionary"),
+    (_odd_with_pad, "non-zero pad nibble"),
+    (lambda f: (_excepted(f, [0]), f.update(count=2)),
+     "exception count 2, not the 1 codes 15"),
+    (lambda f: (_excepted(f, [0]), f["gaps"].append(1)),
+     "2 float array exception positions, not 1"),
+    (lambda f: (_excepted(f, [0]), f.update(gaps=[len(f["codes"])])),
+     "exception position at or past its"),
+    (lambda f: (_excepted(f, [0, 1]), f.update(gaps=[1, 0])),
+     "exception positions not increasing"),
+    (lambda f: (_excepted(f, [0]), f.update(gaps=[1])),
+     "exception position not on a code 15"),
+    (lambda f: _excepted(f, [0], f["words"][0]),
+     "exception byte in its dictionary"),
+], ids=["mode-2", "dictionary-unsorted", "dictionary-of-16",
+        "code-past-dictionary", "non-zero-pad-nibble", "exception-count",
+        "exception-positions-count", "exception-position-past-end",
+        "exception-positions-not-increasing", "exception-position-off-15",
+        "exception-byte-in-dictionary"])
+def test_query_checksummed_bad_vector_matrix_exit_2(workspace, tmp_path,
+                                                    capsys, edit, message):
+    _assert_query_refuses(workspace, tmp_path, capsys,
+                          _with_matrix(workspace, edit), message)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_query_checksummed_non_finite_vector_index_exit_2(workspace, tmp_path,
+                                                         capsys, value):
+    raw = np.array([value], "<f4").tobytes()
+
+    def edit(fields):
+        assert raw[3] not in fields["words"]
+        fields["low"] = raw[:3] + fields["low"][3:]
+        _excepted(fields, [0], raw[3])
+
+    _assert_query_refuses(workspace, tmp_path, capsys,
+                          _with_matrix(workspace, edit), "non-finite vector")
+
+
+def _lengths_edited(tables, step) -> bytes:
+    """The key table with its first table id's length moved by step."""
+    ids = [table_id for table_id, _ in tables]
+    lengths = [len(ids[0]) + step] + [len(t) for t in ids[1:]]
+    return string_table(ids, lengths) + key_table(tables)[
+        len(string_table(ids)):]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda t: key_table([t[1], t[0], *t[2:]]),
+     "table ids not strictly increasing"),
+    (lambda t: key_table([(t[0][0], t[0][1][::-1]), *t[1:]]),
+     "key table positions not increasing within a table"),
+    (lambda t: key_table([*t[:-1], (t[-1][0], [*t[-1][1][:-1], 2**32])]),
+     "column position of 2..32 or more"),
+    (lambda t: _lengths_edited(t, 1), "table id lengths sum to"),
+    (lambda t: _lengths_edited(t, -1), "table id lengths sum to"),
+    (lambda t: key_table([(b"\xff" + t[0][0][1:], t[0][1]), *t[1:]]),
+     "bad UTF-8 text"),
+], ids=["table-ids-unsorted", "positions-not-increasing", "position-2**32",
+        "lengths-overrun-blob", "lengths-short-of-blob", "bad-utf-8"])
+def test_query_checksummed_bad_key_table_exit_2(workspace, tmp_path, capsys,
+                                                make, message):
+    _assert_query_refuses(workspace, tmp_path, capsys,
+                          with_key_table(*_index(workspace), make), message)
 
 
 @pytest.mark.parametrize("case", TFIDF_EDITS)

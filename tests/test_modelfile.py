@@ -29,7 +29,9 @@ from unionsearch.search import (IndexConfig, SearchConfig, SearchEngine,
 from unionsearch.syntactic import SET_MEASURES, SetPostings
 
 from conftest import TFIDF_EDITS, with_tfidf
-from references import postings_block, postings_values, varint
+from references import (Cursor, float_array, float_fields, index_blocks,
+                        key_table, postings_block, postings_values,
+                        string_table, varint, with_block, with_key_table)
 
 
 def _bundle(with_velocity: bool = True) -> ModelBundle:
@@ -193,7 +195,7 @@ def test_model_file_truncation_detected(tmp_path):
     p = tmp_path / "model.usm"
     save_model(p, _bundle())
     data = p.read_bytes()
-    for cut in (len(data) // 3, len(data) - 1):
+    for cut in (0, len(data) // 3, len(data) - 1):
         (tmp_path / "cut.usm").write_bytes(data[:cut])
         with pytest.raises(InputError):
             load_model(tmp_path / "cut.usm")
@@ -265,9 +267,8 @@ def test_index_roundtrip_preserves_queries(tmp_path, world):
 
 
 def test_load_allocates_the_vector_matrix_once(tmp_path, world, monkeypatch):
-    """A load allocates one (n, dim) float32 array, the index rows, which
-    share no memory with the file bytes: the matrix the engine is handed
-    is a read-only view of those bytes, not a copy."""
+    """A load allocates one (n, dim) float32 array: the matrix it decodes,
+    which the cosine index then adopts as its rows, with no copy."""
     _, engine = world
     p = tmp_path / "engine.usi"
     bundle = _bundle()
@@ -279,53 +280,36 @@ def test_load_allocates_the_vector_matrix_once(tmp_path, world, monkeypatch):
     index = engine.semantic_index
     assert matrix_bytes not in {a.nbytes for a in (
         *bundle.head.tensors(), index._norms, index._packed, index.planes)}
-    read = []
-    read_bytes = type(p).read_bytes
-
-    def recorded_read_bytes(path):
-        read.append(read_bytes(path))
-        return read[-1]
-
     handed = []
-    engine_cls = modelfile.SearchEngine
-
-    def recorded_engine(encoder, head, cfg, tfidf, keys, vectors, postings):
-        handed.append(vectors)
-        return engine_cls(encoder, head, cfg, tfidf, keys, vectors, postings)
-
     live = []
-    file_rows = lshindex.CosineLshIndex._file
+    adopt = lshindex.CosineLshIndex._adopt
 
-    def counted_file(index, keys, matrix):
-        file_rows(index, keys, matrix)
+    def counted_adopt(index, keys, matrix):
+        handed.append(matrix)
+        adopt(index, keys, matrix)
         # numpy arrays of the matrix's size alive once the rows are filed.
         snapshot = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
         live.append(sum(t.size == matrix_bytes for t in snapshot.traces))
 
-    monkeypatch.setattr(type(p), "read_bytes", recorded_read_bytes)
-    monkeypatch.setattr(modelfile, "SearchEngine", recorded_engine)
-    monkeypatch.setattr(lshindex.CosineLshIndex, "_file", counted_file)
+    monkeypatch.setattr(lshindex.CosineLshIndex, "_adopt", counted_adopt)
     tracemalloc.start()
     try:
         _, loaded = load_index(p)
     finally:
         tracemalloc.stop()
     assert live == [1]
-    (data,) = read
     (matrix,) = handed
-    file_bytes = np.frombuffer(data, dtype=np.uint8)
-    assert matrix.shape == (n, dim) and not matrix.flags.writeable
-    assert np.shares_memory(matrix, file_bytes)
     rows = loaded.semantic_index._rows
+    assert rows is matrix and rows.flags.owndata
     assert rows.shape == (n, dim) and rows.dtype == np.float32
-    assert not np.shares_memory(rows, file_bytes)
     assert rows.tobytes() == engine.semantic_index.vectors.tobytes()
 
 
 def test_engines_allocate_their_rows_once(tmp_path, world, monkeypatch):
     """Built and loaded engines allocate each cosine index array once, at
-    their row count."""
+    their row count: the rows are the matrix the build projects into or
+    the load decodes, and the norms and packed keys are grown once."""
     corpus, engine = world
     p = tmp_path / "engine.usi"
     save_index(p, _bundle(), engine)
@@ -340,12 +324,40 @@ def test_engines_allocate_their_rows_once(tmp_path, world, monkeypatch):
     built = build_engine(corpus, engine.encoder, engine.head,
                          engine.index_config)
     _, loaded = load_index(p)
-    # One allocation of rows, norms and packed keys per engine.
-    assert grown == [(0, len(engine.keys))] * 6
+    # One allocation of norms and packed keys per engine.
+    assert grown == [(0, len(engine.keys))] * 4
     for eng in (built, loaded):
         index = eng.semantic_index
+        assert index._rows.flags.owndata
         assert len(index._rows) == len(index._norms) == len(index._packed) \
             == index.size == len(engine.keys)
+
+
+def test_insert_after_adoption_grows_the_rows(world):
+    """An index that adopted its rows copies them once it grows, so a
+    later insert never writes past the adopted matrix."""
+    _, engine = world
+    matrix = engine.semantic_index.vectors.copy()
+    adopted = lshindex.CosineLshIndex(dim=16, seed=1)
+    rows = matrix[1:].copy()
+    adopted._adopt(engine.keys[1:], rows)
+    assert adopted._rows is rows
+    adopted.insert(engine.keys[0], matrix[0])
+    assert adopted._rows is not rows
+    np.testing.assert_array_equal(rows, matrix[1:])
+    copied = lshindex.CosineLshIndex(dim=16, seed=1)
+    copied.insert_many(engine.keys[1:], matrix[1:])
+    copied.insert(engine.keys[0], matrix[0])
+    assert adopted.keys == copied.keys
+    assert adopted.buckets == copied.buckets
+    np.testing.assert_array_equal(adopted.vectors, copied.vectors)
+    np.testing.assert_array_equal(adopted._norms[:adopted.size],
+                                  copied._norms[:copied.size])
+    with pytest.raises(ValueError, match="only an empty index adopts"):
+        adopted._adopt([("t", 0)], matrix[:1].copy())
+    with pytest.raises(ValueError, match="only an empty index adopts"):
+        lshindex.CosineLshIndex(dim=16)._adopt(engine.keys,
+                                               matrix.astype(np.float64))
 
 
 def test_index_roundtrip_preserves_structures(tmp_path, world):
@@ -486,7 +498,7 @@ def test_varints_round_trip_at_every_width():
     for vals in (values, []):
         data = modelfile._varints(np.array(vals, dtype=np.int64)).tobytes()
         r = modelfile._Reader(struct.pack("<I", len(data)) + data, "varints")
-        back = modelfile._read_varints(r)
+        back = modelfile._read_varints(r, "varints")
         r.expect_end()
         assert back.dtype == np.int64 and back.tolist() == vals
 
@@ -523,7 +535,7 @@ def test_postings_block_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
 def test_postings_block_of_no_tokens_round_trips():
     empty = SetPostings({}, 5)
     data = _postings_bytes(empty)
-    assert data == struct.pack("<II", 0, 0)
+    assert data == struct.pack("<III", 0, 0, 0)
     back = _read_postings_bytes(data, 5)
     assert back.postings == {}
     np.testing.assert_array_equal(back.sizes, np.zeros(5, dtype=np.int64))
@@ -547,6 +559,142 @@ def test_index_round_trip_of_random_postings(tmp_path, world, seed):
         _assert_same_lists(loaded.postings[measure], built)
     save_index(p2, bundle, loaded)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------- float arrays
+
+def _float_bytes(arr: np.ndarray) -> bytes:
+    out = io.BytesIO()
+    w = modelfile._Writer(out)
+    w.f32_array(arr)
+    w._flush()
+    return out.getvalue()
+
+
+def _read_float_bytes(data: bytes) -> np.ndarray:
+    r = modelfile._Reader(data, "floats")
+    arr = r.f32_array()
+    r.expect_end()
+    return arr
+
+
+def _with_tops(rng, tops, shape=None) -> np.ndarray:
+    """float32 values with the given top bytes and seeded low bytes."""
+    tops = np.asarray(tops, dtype=np.uint32)
+    bits = tops << 24 | rng.integers(0, 1 << 24, len(tops), dtype=np.uint32)
+    return bits.view(np.float32).reshape(shape or len(tops))
+
+
+def _specials(rng) -> np.ndarray:
+    """Signed zeros, subnormals, the extremes, infinities and a NaN among
+    seeded normal values: 35 of them, an odd count."""
+    tiny = np.finfo(np.float32).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, np.finfo(np.float32).tiny,
+                        np.finfo(np.float32).tiny - tiny,
+                        np.finfo(np.float32).max, -np.finfo(np.float32).max,
+                        np.inf, -np.inf], dtype=np.float32)
+    nan = np.array([0x7FC01234], dtype=np.uint32).view(np.float32)
+    values = rng.standard_normal(35).astype(np.float32)
+    values[:len(special)] = special
+    values[-1] = nan[0]
+    return values.reshape(7, 5)
+
+
+def _tied_with_raw(rng) -> np.ndarray:
+    """4,096 values whose coded top plane would take exactly as many bytes
+    as the raw one: 1,000 exceptions in 25 runs of 40, 128 values apart,
+    so 24 position gaps take two varint bytes and the others one."""
+    at = np.concatenate([np.arange(40) + 168 * run for run in range(25)])
+    tops = np.resize(np.arange(15), 4096)
+    tops[at] = rng.permutation(np.repeat(np.arange(100, 200), 10))
+    return _with_tops(rng, tops, (64, 64))
+
+
+FLOAT_CASES = {
+    "specials": (_specials, None),
+    "one-value": (lambda rng: np.full((9, 4), 0.3, dtype=np.float32),
+                  modelfile.CODED),
+    "15-top-bytes": (lambda rng: _with_tops(
+        rng, rng.permutation(np.repeat(np.arange(60, 75), 7)), (15, 7)),
+        modelfile.CODED),
+    "16-top-bytes": (lambda rng: _with_tops(
+        rng, rng.permutation(np.repeat(np.arange(16), 5)), (8, 10)),
+        modelfile.CODED),
+    "equally-common": (lambda rng: _with_tops(
+        rng, rng.permutation(np.repeat(np.arange(64) * 4, 4)), (16, 16)),
+        modelfile.RAW),
+    "odd-count": (lambda rng: rng.standard_normal(101).astype(np.float32),
+                  modelfile.CODED),
+    "trained-like": (lambda rng: (rng.standard_normal((300, 16))
+                                  * 0.2).astype(np.float32), modelfile.CODED),
+    "tied-with-raw": (_tied_with_raw, modelfile.RAW),
+    "zero-rows": (lambda rng: np.empty((0, 128), dtype=np.float32),
+                  modelfile.RAW),
+    "empty": (lambda rng: np.empty(0, dtype=np.float32), modelfile.RAW),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_CASES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float_arrays_round_trip_bit_for_bit(case, seed):
+    make, mode = FLOAT_CASES[case]
+    arr = make(np.random.default_rng(seed))
+    data = _float_bytes(arr)
+    # The layout, coded one value at a time.
+    fields = float_fields(arr)
+    assert data == float_array(fields)
+    if mode is not None:
+        assert fields["mode"] == mode
+    back = _read_float_bytes(data)
+    assert back.dtype == np.float32 and back.shape == arr.shape
+    assert back.flags.owndata and back.flags.writeable
+    assert back.tobytes() == arr.tobytes()
+    assert _float_bytes(back) == data
+
+
+def test_float_array_dictionary_ties_go_to_the_smaller_byte():
+    """Top bytes 0-15 five times each: 15 is the one left out, and its
+    five values are the exceptions."""
+    arr = FLOAT_CASES["16-top-bytes"][0](np.random.default_rng(3))
+    fields = float_fields(arr)
+    assert fields["words"] == list(range(15))
+    assert fields["count"] == 5 and fields["exceptions"] == [15] * 5
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_float_array_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    rng = np.random.default_rng(5)
+    # Exponents two apart, fewer the larger: many rare top bytes.
+    spread = 4.0 ** rng.geometric(0.3, (40, 9))
+    arrays = [(rng.standard_normal((40, 9)) * spread).astype(np.float32),
+              FLOAT_CASES["16-top-bytes"][0](rng),
+              FLOAT_CASES["equally-common"][0](rng), _specials(rng)]
+    data = [_float_bytes(arr) for arr in arrays]
+    fields = float_fields(arrays[0])
+    assert fields["mode"] == modelfile.CODED and fields["count"] > 2
+    monkeypatch.setattr(modelfile, "FLOAT_CHUNK", chunk)
+    for arr, want in zip(arrays, data):
+        assert _float_bytes(arr) == want
+        assert _read_float_bytes(want).tobytes() == arr.tobytes()
+
+
+def test_string_tables_round_trip():
+    """Non-ASCII text, and UTF-8 lengths at the one- to two-byte varint
+    edge: 127, 128 and 129 bytes."""
+    items = ["", "a", "x" * 127, "\u00e9" * 64, "y" * 129,
+             "z" * 127 + "\u00e9", "\u65e5\u672c\u8a9e", "caf\u00e9"]
+    assert [len(s.encode()) for s in items] == [0, 1, 127, 128, 129, 129, 9,
+                                                5]
+    for strings in (items, items[:3], []):
+        out = io.BytesIO()
+        w = modelfile._Writer(out)
+        w.strings(strings)
+        w._flush()
+        data = out.getvalue()
+        assert data == string_table([s.encode() for s in strings])
+        r = modelfile._Reader(data, "strings")
+        assert r.strings("test") == strings
+        r.expect_end()
 
 
 def test_failed_write_keeps_old_target(tmp_path):
@@ -689,63 +837,69 @@ def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
             load(path)
 
 
-def _key_table(data: bytes, model_bytes: int) -> tuple[int, int, list]:
-    """Where an index file's key table starts and ends, and its keys.
-
-    The key table follows the 6-byte header, the model section and the
-    index configuration (its seed, one u64).
-    """
-    start = 6 + model_bytes + 8
-    (count,) = struct.unpack_from("<I", data, start)
-    pos, keys = start + 4, []
-    for _ in range(count):
-        (n,) = struct.unpack_from("<I", data, pos)
-        table_id = data[pos + 4:pos + 4 + n]
-        (column,) = struct.unpack_from("<I", data, pos + 4 + n)
-        keys.append((table_id, column))
-        pos += 8 + n
-    return start, pos, keys
-
-
-def _with_key_table(data: bytes, model_bytes: int, edit) -> bytes:
-    """The index file with its key table replaced by edit(keys), re-checksummed."""
-    start, pos, keys = _key_table(data, model_bytes)
-    table = struct.pack("<I", len(keys)) + b"".join(
-        struct.pack("<I", len(t)) + t + struct.pack("<I", c) for t, c in edit(keys))
-    return _with_fresh_checksum(data[:start] + table + data[pos:])
-
-
-@pytest.mark.parametrize("edit", [
-    lambda keys: [keys[1], keys[0]] + keys[2:],   # unsorted
-    lambda keys: [keys[0], keys[0]] + keys[2:],   # duplicate
-], ids=["unsorted", "duplicate"])
-def test_checksummed_bad_key_table_raises_input_error(tmp_path, world, edit):
-    corpus, engine = world
-    model, index = tmp_path / "model.usm", tmp_path / "engine.usi"
+def _model_bytes(tmp_path) -> int:
+    """The length of ``_bundle()``'s model section."""
+    model = tmp_path / "model.usm"
     save_model(model, _bundle())
+    return model.stat().st_size - 6 - CHECKSUM_BYTES
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda tables: [tables[1], tables[0]] + tables[2:],
+     "table ids not strictly increasing"),
+    (lambda tables: [tables[0], (tables[0][0], tables[1][1])] + tables[2:],
+     "table ids not strictly increasing"),
+    (lambda tables: [(tables[0][0], tables[0][1][::-1])] + tables[1:],
+     "key table positions not increasing within a table"),
+    (lambda tables: [(tables[0][0], [0, 0])] + tables[1:],
+     "key table positions not increasing within a table"),
+], ids=["unsorted", "duplicate", "positions-unsorted", "position-repeated"])
+def test_checksummed_bad_key_table_raises_input_error(tmp_path, world, edit,
+                                                      message):
+    corpus, engine = world
+    index = tmp_path / "engine.usi"
     save_index(index, _bundle(), engine)
-    model_bytes = model.stat().st_size - 6 - CHECKSUM_BYTES
-    index.write_bytes(_with_key_table(index.read_bytes(), model_bytes, edit))
-    with pytest.raises(InputError, match="key table"):
+    index.write_bytes(with_key_table(index.read_bytes(), _model_bytes(tmp_path),
+                                     lambda tables: key_table(edit(tables))))
+    with pytest.raises(InputError, match=message):
         load_index(index)
+
+
+def test_save_refuses_keys_out_of_order(tmp_path, world):
+    """Keys (a, 0), (b, 5), (a, 1) would store as (a, 0), (a, 5), (b, 1),
+    which a load accepts, so a save refuses them and writes nothing."""
+    corpus, engine = world
+    keys = [engine.keys[0], engine.keys[-1], *engine.keys[1:-1]]
+    vectors = engine.semantic_index.vectors[[0, -1, *range(1, len(keys) - 1)]]
+    unsorted = SearchEngine(engine.encoder, engine.head, engine.index_config,
+                            engine.tfidf, keys, vectors, engine.postings)
+    with pytest.raises(ValueError, match="keys must be strictly increasing"):
+        save_index(tmp_path / "engine.usi", _bundle(), unsorted)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_key_table_edit_helper_rewrites_an_unedited_file(tmp_path, world):
+    corpus, engine = world
+    index = tmp_path / "engine.usi"
+    save_index(index, _bundle(), engine)
+    data = index.read_bytes()
+    assert with_key_table(data, _model_bytes(tmp_path), key_table) == data
 
 
 def test_checksummed_vector_matrix_of_another_shape_raises_input_error(
         tmp_path, world):
-    """A matrix header of (2n, d/2) holds as many floats as (n, d), so the
+    """A matrix of shape (2n, d/2) holds as many floats as (n, d), so the
     file parses to its end; the shape check alone refuses it."""
     corpus, engine = world
-    model, index = tmp_path / "model.usm", tmp_path / "engine.usi"
-    save_model(model, _bundle())
+    index = tmp_path / "engine.usi"
     save_index(index, _bundle(), engine)
-    model_bytes = model.stat().st_size - 6 - CHECKSUM_BYTES
     data = index.read_bytes()
-    _, pos, keys = _key_table(data, model_bytes)
-    n, dim = len(keys), engine.head.dims[2]
-    assert struct.unpack_from("<BII", data, pos) == (2, n, dim)
-    header = struct.pack("<BII", 2, 2 * n, dim // 2)
-    index.write_bytes(_with_fresh_checksum(
-        data[:pos] + header + data[pos + len(header):]))
+    span = index_blocks(data, _model_bytes(tmp_path))["matrix"]
+    fields = Cursor(data, span[0]).float_array()
+    n, dim = len(engine.keys), engine.head.dims[2]
+    assert fields["shape"] == [n, dim]
+    fields["shape"] = [2 * n, dim // 2]
+    index.write_bytes(with_block(data, span, float_array(fields)))
     with pytest.raises(InputError, match=rf"vector matrix shape \({2 * n}, "
                                          rf"{dim // 2}\) != \({n}, {dim}\)"):
         load_index(index)
