@@ -5,7 +5,7 @@ byte. A model file carries ``TOKENIZER_ID``, the encoder configuration, the
 projection head (its seed, then its four tensors as float32 arrays), the
 training configuration, the strategy and the best epoch; no optimizer
 state, as no command resumes training. An index file is the same model
-section followed by the indexed columns, version 9 laid out as:
+section followed by the indexed columns, version 10 laid out as:
 
 1. the index configuration;
 2. the key table: every indexed column key, sorted, as a string table of
@@ -18,15 +18,17 @@ section followed by the indexed columns, version 9 laid out as:
    varints holding each token's row count minus one, then, list by list,
    the first row and each later row's gap minus one, so it cannot express
    an empty list or a row that does not increase;
-4. the corpus document frequencies: the column count, a string table of
-   the tokens in sorted order and a counted byte string of their counts;
+4. the corpus document frequencies: a string table of the tokens in
+   sorted order and a counted byte string of their counts, over one
+   document per key;
 5. every stored vector as one float32 array whose row i belongs to key i.
    It comes last, so a load decodes it once the postings' working arrays
    are freed.
 
 A varint is minimal unsigned LEB128 (d-gaps plus variable-byte coding,
 Zobel & Moffat, ACM CSUR 2006). A string table is a counted byte string of
-each string's UTF-8 length as a varint, then the counted UTF-8 blob.
+each string's UTF-8 length as a varint, then the UTF-8 blob, as long as
+their sum.
 
 A float32 array is its rank and shape, each value's three low bytes as
 they are, then the plane of its top bytes (sign and high exponent bits),
@@ -34,12 +36,10 @@ whose one mode byte says raw or coded. Raw holds the bytes as they are.
 Coded is patched frame-of-reference coding (Zukowski, Heman, Nes & Boncz,
 ICDE 2006): a dictionary of up to 15 byte values, the most frequent, ties
 to the smaller, in increasing order; a 4-bit code per value, two to a
-byte, the earlier one low, a zero nibble after an odd count; then the
-exceptions, the values coded 15: their count, their positions as a counted
-byte string of varint d-gaps (the first position, then each later one's
-distance from the one before) and their bytes. A save stores the plane
-coded only when that is smaller than raw, and codes it ``FLOAT_CHUNK``
-values at a time. Every stored bit is kept.
+byte, the earlier one low, a zero nibble after an odd count; then one
+byte per code 15, the exceptions, in plane order: the codes mark where
+they go. A save stores the plane coded only when that is smaller than raw,
+and codes it ``FLOAT_CHUNK`` values at a time. Every stored bit is kept.
 
 Each configuration is written field by field in ``dataclasses.fields``
 order, coded by the field's type (bool u8, int u64, float f64, text; an
@@ -50,17 +50,15 @@ what would fail later, and a non-finite tensor or stored vector, which
 would load silently, and anything else a save does not write. For a float
 array: a mode other than raw or coded, a dictionary not strictly
 increasing or longer than 15, a code past the dictionary, a non-zero pad
-nibble, an exception count other than the count of 15s, an exception
-position out of range, not increasing or not on a 15, and an exception
-byte in the dictionary. For varints: more than ``VARINT_BYTES`` bytes, a
-zero last byte in a multi-byte group or a string that ends inside a group.
-For string tables: lengths that do not fill their blob exactly and bad
-UTF-8. For the key table: table ids not strictly increasing, a number of
-varints other than the counts name, positions not increasing within a
-table or at 2**32 or more. For the postings: tokens not strictly
-increasing, a number of varints other than the counts name, or a row at
-or past the column count. For the document frequencies: tokens not
-strictly increasing, and counts other than one in [1, column count] per
+nibble and an exception byte in the dictionary. For varints: more than
+``VARINT_BYTES`` bytes, a zero last byte in a multi-byte group or a string
+that ends inside a group. For string tables: bad UTF-8. For the key
+table: table ids not strictly increasing, a number of varints other than
+the counts name, positions not increasing within a table or at 2**32 or
+more. For the postings: tokens not strictly increasing, a number of
+varints other than the counts name, or a row at or past the column
+count. For the document frequencies: tokens not
+strictly increasing, and counts other than one in [1, key count] per
 token.
 
 The cosine LSH index is not stored: loading hands the keys and the vector
@@ -73,7 +71,7 @@ Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
 read the file into an anonymous memory mapping, which goes back to the
 system when the load drops it, and check magic, version and kind, then the
 digest, before parsing anything else, so a truncated or corrupt file fails
-with InputError; versions 1 to 8 are rejected, and so is a file whose
+with InputError; versions 1 to 9 are rejected, and so is a file whose
 tokenizer id is not ``TOKENIZER_ID``.
 Saves are atomic (temp file + rename) and streamed: the body goes to the
 temp file in chunks of about ``CHUNK_BYTES`` through one running blake2b,
@@ -105,7 +103,7 @@ from .search import IndexConfig, SearchEngine
 from .syntactic import SET_MEASURES, SetPostings, TfidfModel
 
 MAGIC = b"PYLN"
-VERSION = 9
+VERSION = 10
 KIND_MODEL = 1
 KIND_INDEX = 2
 CHECKSUM_BYTES = 32
@@ -206,7 +204,6 @@ class _Writer:
             lengths = np.fromiter((len(s.encode("utf-8")) for s in items),
                                   dtype=np.int64, count=len(items))
         self.varints(lengths)
-        self.u32(len(blob))
         self.raw(blob)
 
     def f32_array(self, arr: np.ndarray) -> None:
@@ -230,38 +227,26 @@ class _Writer:
 
     def _top_plane(self, values: np.ndarray, counts: np.ndarray) -> None:
         """The top bytes of values, coded against the up to 15 most frequent
-        unless that is no smaller than raw; counts holds each byte's count.
-        The codes pass finds the exceptions; a dry run of it sizes their
-        positions first only when the counts alone cannot tell."""
+        unless that is no smaller than raw; counts holds each byte's count."""
         n = len(values)
         ranked = np.argsort(-counts, kind="stable")[:EXCEPTION]
         words = np.sort(ranked[counts[ranked] > 0]).astype(np.uint8)
-        codes = np.full(256, EXCEPTION, dtype=np.uint8)
-        codes[words] = np.arange(len(words))
         n_exceptions = n - int(counts[words].sum())
-        # Mode, dictionary, codes, the two counts and the exceptions' bytes;
-        # each position takes 1 to VARINT_BYTES bytes more.
-        fixed = 10 + len(words) + (n + 1) // 2 + n_exceptions
-        raw = fixed + n_exceptions >= 1 + n
-        if not raw and fixed + VARINT_BYTES * n_exceptions >= 1 + n:
-            gaps: list[np.ndarray] = []
-            for _ in _coded(values, codes, gaps, []):
-                pass
-            raw = fixed + sum(map(len, gaps)) >= 1 + n
-        if raw:
+        # Mode, dictionary size, dictionary, codes and the exceptions' bytes.
+        if 2 + len(words) + (n + 1) // 2 + n_exceptions >= 1 + n:
             self.u8(RAW)
             for _, chunk in _chunks(values):
                 self.raw(np.ascontiguousarray(chunk[:, 3]).data)
             return
+        codes = np.full(256, EXCEPTION, dtype=np.uint8)
+        codes[words] = np.arange(len(words))
         self.u8(CODED)
         self.u8(len(words))
         self.raw(words.data)
-        gaps, found = [], []
-        for packed in _coded(values, codes, gaps, found):
+        found: list[np.ndarray] = []
+        for packed in _coded(values, codes, found):
             self.raw(packed.data)
-        self.u32(n_exceptions)
-        self.u32(sum(map(len, gaps)))
-        for piece in (*gaps, *found):
+        for piece in found:
             self.raw(piece.data)
 
     def finish(self) -> None:
@@ -324,13 +309,12 @@ class _Reader:
         return self._view(self.u32())
 
     def strings(self, what: str) -> list[str]:
-        """A string table: its lengths must fill its blob exactly."""
+        """A string table: its blob is as long as its lengths' sum."""
         lengths = _read_varints(self, f"{what} lengths")
-        size = self.u32()
-        if lengths.sum() != size:
-            raise InputError(f"{self.path}: {what} lengths sum to "
-                             f"{lengths.sum()} bytes, not their blob's {size}")
-        blob = self._take(size)
+        # Each length within the bytes left first, so the sum cannot overflow.
+        if lengths.size and lengths.max() > self.end - self.pos:
+            raise InputError(f"{self.path}: truncated file")
+        blob = self._take(int(lengths.sum()))
         ends = np.cumsum(lengths).tolist()
         bounds = zip([0, *ends], ends)
         if blob.isascii():
@@ -353,7 +337,12 @@ class _Reader:
         if mode not in (RAW, CODED):
             raise InputError(f"{self.path}: float array mode {mode} is "
                              f"neither raw ({RAW}) nor coded ({CODED})")
-        out = np.empty(shape, dtype="<f4")
+        try:
+            out = np.empty(shape, dtype="<f4")
+        except ValueError as exc:
+            # No values, but axes whose product numpy cannot size.
+            raise InputError(f"{self.path}: float array shape {shape}: "
+                             f"{exc}") from exc
         values = out.reshape(-1).view(np.uint8).reshape(n, 4)
         for j in range(3):
             values[:, j] = low[:, j]
@@ -365,7 +354,7 @@ class _Reader:
 
     def _coded_plane(self, top: np.ndarray) -> None:
         """Decodes a coded top-byte plane into top, checking that it is one
-        a save writes."""
+        a save writes; each code 15 takes the next exception byte."""
         n = len(top)
         words = self._view(self.u8())
         if len(words) > EXCEPTION:
@@ -382,7 +371,8 @@ class _Reader:
         table[:len(words)] = words
         past = np.arange(EXCEPTION + 1) >= len(words)
         past[EXCEPTION] = False
-        marked = 0
+        in_words = np.zeros(256, dtype=bool)
+        in_words[words] = True
         for lo, chunk in _chunks(top):
             pairs = packed[lo // 2:(lo + len(chunk) + 1) // 2]
             codes = np.empty(2 * len(pairs), dtype=np.uint8)
@@ -392,34 +382,14 @@ class _Reader:
             if np.take(past, codes).any():
                 raise InputError(f"{self.path}: float array code past its "
                                  f"dictionary of {len(words)}")
-            marked += np.count_nonzero(codes == EXCEPTION)
             chunk[...] = np.take(table, codes)
-        count = self.u32()
-        if count != marked:
-            raise InputError(f"{self.path}: float array exception count "
-                             f"{count}, not the {marked} codes {EXCEPTION}")
-        at = _read_varints(self, "exception positions")
-        if len(at) != count:
-            raise InputError(f"{self.path}: {len(at)} float array exception "
-                             f"positions, not {count}")
-        if (at[1:] == 0).any():
-            raise InputError(f"{self.path}: float array exception positions "
-                             "not increasing")
-        # Each gap below n first, so that their sum cannot overflow.
-        if at.size and (at.max() >= n or at.sum() >= n):
-            raise InputError(f"{self.path}: float array exception position "
-                             f"at or past its {n} values")
-        np.cumsum(at, out=at)
-        if ((packed[at >> 1] >> 4 * (at & 1) & 0x0F) != EXCEPTION).any():
-            raise InputError(f"{self.path}: float array exception position "
-                             f"not on a code {EXCEPTION}")
-        exceptions = self._view(count)
-        in_words = np.zeros(256, dtype=bool)
-        in_words[words] = True
-        if in_words[exceptions].any():
-            raise InputError(f"{self.path}: float array exception byte in "
-                             "its dictionary")
-        top[at] = exceptions
+            # The chunk's exception bytes follow those of the chunks before.
+            marked = codes == EXCEPTION
+            exceptions = self._view(int(np.count_nonzero(marked)))
+            if in_words[exceptions].any():
+                raise InputError(f"{self.path}: float array exception byte "
+                                 "in its dictionary")
+            chunk[marked] = exceptions
 
     def expect_end(self) -> None:
         if self.pos != self.end:
@@ -435,19 +405,14 @@ def _chunks(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, values[lo:lo + step]
 
 
-def _coded(values: np.ndarray, codes: np.ndarray, gaps: list[np.ndarray],
+def _coded(values: np.ndarray, codes: np.ndarray,
            found: list[np.ndarray]) -> Iterator[np.ndarray]:
     """Each chunk's codes of its values' top bytes, two to a byte, by the
-    byte -> code table codes; the exceptions' position d-gaps go to gaps
-    as varints, and their bytes to found, on the way."""
-    last = 0
-    for lo, chunk in _chunks(values):
+    byte -> code table codes; the exceptions' bytes go to found on the
+    way."""
+    for _, chunk in _chunks(values):
         pairs = np.take(codes, chunk[:, 3])
-        at = np.flatnonzero(pairs == EXCEPTION)
-        if len(at):
-            gaps.append(_varints(np.diff(at + lo, prepend=last)))
-            found.append(chunk[at, 3])
-            last = lo + int(at[-1])
+        found.append(chunk[pairs == EXCEPTION, 3])
         if len(pairs) % 2:
             pairs = np.append(pairs, np.uint8(0))
         yield pairs[0::2] | pairs[1::2] << 4
@@ -711,13 +676,17 @@ def _read_postings(r: _Reader, n_rows: int) -> SetPostings:
 
 
 def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
+    """The index section; the document frequencies must count one document
+    per key, as a load takes the column count from the key table."""
+    if engine.tfidf.n_columns != len(engine.keys):
+        raise ValueError(f"document frequencies over {engine.tfidf.n_columns}"
+                         f" columns, not the {len(engine.keys)} keys")
     _write_config(w, engine.index_config)
 
     _write_key_table(w, engine.keys)
     for measure in SET_MEASURES:
         _write_postings(w, engine.postings[measure])
 
-    w.u32(engine.tfidf.n_columns)
     tokens = sorted(engine.tfidf.df)
     w.strings(tokens)
     w.varints(np.fromiter(map(engine.tfidf.df.__getitem__, tokens),
@@ -732,19 +701,17 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
                 for measure in SET_MEASURES}
 
     # One document per indexed column, as build_tfidf counts them.
-    n_columns = r.u32()
     tokens = r.strings("df token")
     _check_increasing(r, tokens, "df tokens")
     dfs = _read_varints(r, "document frequencies")
     if len(dfs) != len(tokens):
         raise InputError(f"{r.path}: {len(dfs)} document frequencies for "
                          f"{len(tokens)} df tokens")
-    if n_columns != len(keys) or (dfs.size and not (
-            dfs.min() > 0 and dfs.max() <= n_columns)):
+    if dfs.size and not (dfs.min() > 0 and dfs.max() <= len(keys)):
         raise InputError(f"{r.path}: document frequencies are not counts in "
                          f"[1, {len(keys)}] over {len(keys)} columns")
     tfidf = TfidfModel(df=dict(zip(tokens, dfs.tolist())),
-                       n_columns=n_columns)
+                       n_columns=len(keys))
 
     dim = bundle.head.dims[2]
     matrix = r.f32_array()

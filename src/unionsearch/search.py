@@ -172,11 +172,11 @@ def table_unionability(matches: list[AttributeMatch]) -> float:
 class SearchEngine:
     """Immutable query-side bundle: encoder, head, and indexes.
 
-    Made from ``keys``, in strictly increasing order, and ``vectors``, a
-    matrix of one float32 vector per key in the same order, which is read,
-    not kept. The cosine index keeps its own default banding, takes its
-    seed from ``index_config`` and its dimension from ``head.dims[2]`` and
-    files the matrix in one ``insert_many``, which allocates its rows, so
+    Made from ``keys``, in strictly increasing order (others raise
+    ConfigError), and ``vectors``, a matrix of one float32 vector per key
+    in the same order, which is read, not kept. The cosine index keeps its
+    own default banding, takes its seed from ``index_config`` and its
+    dimension from ``head.dims[2]`` and files the matrix in one ``insert_many``, which allocates its rows, so
     the same columns give the same rows and buckets. ``build_engine`` and
     ``modelfile.load_index`` hand over a matrix of their own through
     ``_adopting`` instead, whose index keeps it as its rows.
@@ -191,6 +191,7 @@ class SearchEngine:
                  index_config: IndexConfig, tfidf: TfidfModel,
                  keys: Sequence[ColumnKey], vectors: np.ndarray,
                  postings: dict[str, syntactic.SetPostings]):
+        _check_increasing(keys)
         self.encoder = encoder
         self.head = head
         self._wide_head = widened(head)
@@ -211,6 +212,7 @@ class SearchEngine:
         """The engine of these arguments, whose cosine index takes matrix,
         a C-contiguous float32 array its caller made and drops, as its rows
         instead of a copy: the same rows, norms and band keys."""
+        _check_increasing(keys)
         engine = cls(encoder, head, index_config, tfidf, [],
                      np.empty((0, head.dims[2]), dtype=np.float32), postings)
         engine.semantic_index._adopt(keys, matrix)
@@ -224,6 +226,11 @@ class SearchEngine:
     def query_profile(self, column: Column, measures: Sequence[str]) -> TokenSets:
         """The query column's token sets of just the named set measures."""
         return syntactic.build_profile(column, self.tfidf, measures)
+
+
+def _check_increasing(keys: Sequence[ColumnKey]) -> None:
+    if any(after <= before for before, after in zip(keys, keys[1:])):
+        raise ConfigError("keys must be strictly increasing")
 
 
 def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,

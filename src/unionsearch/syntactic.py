@@ -20,12 +20,11 @@ column: ``build_profile`` builds just the sets asked for, the same ones.
 A lake repeats its cells (1.3% of the benchmark lake's cells are
 distinct), so per-cell work is memoized and done once per distinct string:
 a cell's tokens (``corpus.cell_tokens``), read at both scales, and its
-``format_pattern``. A token's idf comes from ``_idf``, memoized by
-(columns, document frequency). Each memo is a ``functools.lru_cache`` over
-a pure function, so it returns exactly what a fresh call computes, and no
-result changes. ``TfidfModel.idf`` asks ``_idf`` once per distinct document
-frequency of the model, so ranking a query column's terms makes no call
-per token.
+``format_pattern``. Each memo is a ``functools.lru_cache`` over a pure
+function, so it returns exactly what a fresh call computes, and no result
+changes. A token's idf comes from ``_idf``, which ``TfidfModel.idf`` and
+the lake pass call once per distinct document frequency, so ranking a
+query column's terms makes no call per token.
 """
 
 from __future__ import annotations
@@ -157,7 +156,6 @@ class TfidfModel:
         return {df: _idf(self.n_columns, df) for df in {1, *self.df.values()}}
 
 
-@functools.lru_cache(maxsize=MEMO_CAP)
 def _idf(n_columns: int, df: int) -> float:
     return float(np.log(1.0 + n_columns / df))
 

@@ -63,30 +63,30 @@ def rotate_from(base: np.ndarray, other: np.ndarray, cos_target: float) -> np.nd
     return cos_target * b + s * o
 
 
-def _tfidf_block(n_columns: int, entries, extra=()) -> bytes:
+def _tfidf_block(entries, extra=()) -> bytes:
     tokens = [tok.encode("utf-8") for tok, _ in entries]
     stream = b"".join(varint(df) for df in [*(df for _, df in entries),
                                             *extra])
-    return (struct.pack("<I", n_columns) + string_table(tokens)
-            + struct.pack("<I", len(stream)) + stream)
+    return string_table(tokens) + struct.pack("<I", len(stream)) + stream
 
 
 def with_tfidf(data: bytes, tfidf, edit) -> bytes:
     """The index file with its document frequencies edited, re-checksummed.
 
-    They are the column count, the tokens' string table, tokens sorted,
-    then their counts as varints. ``edit`` gets them as
-    ``[n_columns, [[token, df], ...], extra]`` and changes that list in
-    place; the counts in ``extra`` follow the tokens' own.
+    They are the tokens' string table, tokens sorted, then their counts
+    as varints, over the ``tfidf.n_columns`` indexed columns. ``edit``
+    gets them as ``[n_columns, [[token, df], ...], extra]`` and changes
+    the entries and extra in place; the counts in ``extra`` follow the
+    tokens' own.
     """
     entries = sorted(tfidf.df.items())
     body = data[:-CHECKSUM_BYTES]
-    block = _tfidf_block(tfidf.n_columns, entries)
+    block = _tfidf_block(entries)
     start = body.index(block)
     assert body.count(block) == 1
     edited = [tfidf.n_columns, [list(e) for e in entries], []]
     edit(edited)
-    body = (body[:start] + _tfidf_block(*edited)
+    body = (body[:start] + _tfidf_block(*edited[1:])
             + body[start + len(block):])
     return body + hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
 
@@ -114,14 +114,6 @@ def _duplicate_token(block):
     block[1][1][0] = block[1][0][0]
 
 
-def _more_documents(block):
-    block[0] += 1
-
-
-def _fewer_documents(block):
-    block[0] -= 1
-
-
 def _count_without_token(block):
     block[2].append(1)
 
@@ -134,7 +126,5 @@ TFIDF_EDITS = {
     "tokens-out-of-order": (_tokens_out_of_order,
                             "df tokens not strictly increasing"),
     "duplicate-token": (_duplicate_token, "df tokens not strictly increasing"),
-    "more-documents": (_more_documents, "not counts"),
-    "fewer-documents": (_fewer_documents, "not counts"),
     "count-without-token": (_count_without_token, "document frequencies for"),
 }

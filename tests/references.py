@@ -85,16 +85,11 @@ def postings_values(postings: dict[str, Sequence[int]]) -> list[int]:
     return values
 
 
-def string_table(strings: Sequence[bytes],
-                 lengths: Sequence[int] | None = None) -> bytes:
+def string_table(strings: Sequence[bytes]) -> bytes:
     """A string table as an index file holds it: the byte count of the
-    varint lengths (each string's own, unless lengths gives others) and
-    the varints, then the byte count of the strings and the strings."""
-    lengths = [len(s) for s in strings] if lengths is None else lengths
-    stream = b"".join(varint(n) for n in lengths)
-    blob = b"".join(strings)
-    return (struct.pack("<I", len(stream)) + stream
-            + struct.pack("<I", len(blob)) + blob)
+    varint lengths and the varints, then the strings."""
+    stream = b"".join(varint(len(s)) for s in strings)
+    return struct.pack("<I", len(stream)) + stream + b"".join(strings)
 
 
 def postings_block(tokens: Sequence[bytes], groups: Sequence[bytes]) -> bytes:
@@ -126,7 +121,7 @@ def float_fields(values: np.ndarray) -> dict:
     value: its shape, each value's three low bytes, and its top bytes
     either raw (``tops``) or coded against a dictionary (``words``, the up
     to 15 most frequent, ties to the smaller, sorted), with ``codes``, the
-    exceptions' ``count``, their position ``gaps`` and their bytes."""
+    exceptions' bytes in plane order."""
     raw = np.ascontiguousarray(values, dtype="<f4").tobytes()
     items = [raw[i:i + 4] for i in range(0, len(raw), 4)]
     tops = [item[3] for item in items]
@@ -134,13 +129,11 @@ def float_fields(values: np.ndarray) -> dict:
     words = sorted(sorted(counts, key=lambda b: (-counts[b], b))[:EXCEPTION])
     code = {b: i for i, b in enumerate(words)}
     codes = [code.get(t, EXCEPTION) for t in tops]
-    at = [i for i, c in enumerate(codes) if c == EXCEPTION]
     fields = {"shape": list(values.shape),
               "low": b"".join(item[:3] for item in items),
               "mode": CODED, "words": words, "codes": codes, "pad": 0,
-              "count": len(at),
-              "gaps": [b - a for a, b in zip([0, *at], at)],
-              "exceptions": [tops[i] for i in at]}
+              "exceptions": [t for t, c in zip(tops, codes)
+                             if c == EXCEPTION]}
     if len(top_plane(fields)) >= 1 + len(tops):
         fields.update(mode=RAW, tops=tops)
     return fields
@@ -148,19 +141,17 @@ def float_fields(values: np.ndarray) -> dict:
 
 def top_plane(fields: dict) -> bytes:
     """The top-byte plane of float array fields: the mode byte, then the
-    raw bytes, or the dictionary, the codes two to a byte (the earlier
-    low, ``pad`` after an odd count), the exception count, the counted
-    varint gaps and the exceptions' bytes."""
+    raw bytes, or the dictionary size and words, the codes two to a byte
+    (the earlier low, ``pad`` after an odd count) and the exceptions'
+    bytes."""
     if fields["mode"] != CODED:
         return bytes([fields["mode"]]) + bytes(fields.get("tops", []))
     codes = list(fields["codes"])
     if len(codes) % 2:
         codes.append(fields["pad"])
     packed = bytes(a | b << 4 for a, b in zip(codes[0::2], codes[1::2]))
-    stream = b"".join(varint(g) for g in fields["gaps"])
     return (bytes([CODED, len(fields["words"])]) + bytes(fields["words"])
-            + packed + struct.pack("<II", fields["count"], len(stream))
-            + stream + bytes(fields["exceptions"]))
+            + packed + bytes(fields["exceptions"]))
 
 
 def float_array(fields: dict) -> bytes:
@@ -204,7 +195,7 @@ class Cursor:
 
     def strings(self) -> list[bytes]:
         lengths = self.varints()
-        blob = self.take(self.u32())
+        blob = self.take(sum(lengths))
         ends = np.cumsum(lengths, dtype=np.int64).tolist()
         return [blob[a:b] for a, b in zip([0, *ends], ends)]
 
@@ -228,16 +219,15 @@ class Cursor:
         packed = self.take((n + 1) // 2)
         codes = [c for b in packed for c in (b & 0x0F, b >> 4)]
         fields["codes"], fields["pad"] = codes[:n], sum(codes[n:])
-        fields["count"] = self.u32()
-        fields["gaps"] = self.varints()
-        fields["exceptions"] = list(self.take(fields["count"]))
+        fields["exceptions"] = list(self.take(
+            fields["codes"].count(EXCEPTION)))
         return fields
 
     def postings(self) -> tuple[list[bytes], list[bytes]]:
         return self.strings(), self.groups()
 
-    def tfidf(self) -> tuple[int, list[bytes], list[int]]:
-        return self.u32(), self.strings(), self.varints()
+    def tfidf(self) -> tuple[list[bytes], list[int]]:
+        return self.strings(), self.varints()
 
 
 def index_blocks(data: bytes, model_bytes: int) -> dict[str, tuple[int, int]]:

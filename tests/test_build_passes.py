@@ -102,10 +102,8 @@ def small_caps(monkeypatch):
         corpus_module.cell_tokens.__wrapped__)
     for module in (corpus_module, encoder_module, syntactic):
         monkeypatch.setattr(module, "cell_tokens", tokens)
-    for name in ("format_pattern", "_idf"):
-        fresh = functools.lru_cache(maxsize=4)(
-            getattr(syntactic, name).__wrapped__)
-        monkeypatch.setattr(syntactic, name, fresh)
+    monkeypatch.setattr(syntactic, "format_pattern", functools.lru_cache(
+        maxsize=4)(syntactic.format_pattern.__wrapped__))
 
 
 CONFIGS = {

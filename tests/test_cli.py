@@ -11,8 +11,8 @@ from unionsearch.modelfile import load_index, load_model
 
 from conftest import TFIDF_EDITS, with_tfidf
 from references import (CODED, EXCEPTION, Cursor, float_array, index_blocks,
-                        key_table, postings_block, string_table, varint,
-                        varint_value, with_block, with_key_table)
+                        key_table, postings_block, varint, varint_value,
+                        with_block, with_key_table)
 
 
 def run(*argv: str) -> int:
@@ -546,9 +546,8 @@ def _with_matrix(workspace, edit) -> bytes:
     """The index file with its vector matrix edited, re-checksummed.
 
     ``edit`` gets the matrix's fields as ``references.float_fields`` names
-    them (shape, low bytes, mode, dictionary words, codes, pad nibble,
-    exception count, position gaps and exception bytes) and changes them
-    in place.
+    them (shape, low bytes, mode, dictionary words, codes, pad nibble and
+    exception bytes) and changes them in place.
     """
     data, model_bytes = _index(workspace)
     span = index_blocks(data, model_bytes)["matrix"]
@@ -560,11 +559,9 @@ def _with_matrix(workspace, edit) -> bytes:
 def _excepted(fields, at, byte=0) -> None:
     """The values at the positions at made exceptions with top byte byte;
     the workspace matrix is coded and has no exceptions of its own."""
-    assert fields["mode"] == CODED and fields["count"] == 0
+    assert fields["mode"] == CODED and fields["exceptions"] == []
     for i in at:
         fields["codes"][i] = EXCEPTION
-    fields["count"] = len(at)
-    fields["gaps"] = [b - a for a, b in zip([0, *at], at)]
     fields["exceptions"] = [byte] * len(at)
 
 
@@ -597,22 +594,15 @@ def test_matrix_edit_helpers_write_files_a_load_reads(workspace, tmp_path):
      "dictionary of 16 bytes, more than 15"),
     (lambda f: f["words"].pop(), "code past its dictionary"),
     (_odd_with_pad, "non-zero pad nibble"),
-    (lambda f: (_excepted(f, [0]), f.update(count=2)),
-     "exception count 2, not the 1 codes 15"),
-    (lambda f: (_excepted(f, [0]), f["gaps"].append(1)),
-     "2 float array exception positions, not 1"),
-    (lambda f: (_excepted(f, [0]), f.update(gaps=[len(f["codes"])])),
-     "exception position at or past its"),
-    (lambda f: (_excepted(f, [0, 1]), f.update(gaps=[1, 0])),
-     "exception positions not increasing"),
-    (lambda f: (_excepted(f, [0]), f.update(gaps=[1])),
-     "exception position not on a code 15"),
+    (lambda f: (_excepted(f, [0]), f["exceptions"].pop()),
+     "truncated file"),
+    (lambda f: (_excepted(f, [0]), f["exceptions"].append(0)),
+     "trailing bytes"),
     (lambda f: _excepted(f, [0], f["words"][0]),
      "exception byte in its dictionary"),
 ], ids=["mode-2", "dictionary-unsorted", "dictionary-of-16",
-        "code-past-dictionary", "non-zero-pad-nibble", "exception-count",
-        "exception-positions-count", "exception-position-past-end",
-        "exception-positions-not-increasing", "exception-position-off-15",
+        "code-past-dictionary", "non-zero-pad-nibble",
+        "exception-byte-missing", "exception-byte-extra",
         "exception-byte-in-dictionary"])
 def test_query_checksummed_bad_vector_matrix_exit_2(workspace, tmp_path,
                                                     capsys, edit, message):
@@ -634,14 +624,6 @@ def test_query_checksummed_non_finite_vector_index_exit_2(workspace, tmp_path,
                           _with_matrix(workspace, edit), "non-finite vector")
 
 
-def _lengths_edited(tables, step) -> bytes:
-    """The key table with its first table id's length moved by step."""
-    ids = [table_id for table_id, _ in tables]
-    lengths = [len(ids[0]) + step] + [len(t) for t in ids[1:]]
-    return string_table(ids, lengths) + key_table(tables)[
-        len(string_table(ids)):]
-
-
 @pytest.mark.parametrize("make, message", [
     (lambda t: key_table([t[1], t[0], *t[2:]]),
      "table ids not strictly increasing"),
@@ -649,12 +631,10 @@ def _lengths_edited(tables, step) -> bytes:
      "key table positions not increasing within a table"),
     (lambda t: key_table([*t[:-1], (t[-1][0], [*t[-1][1][:-1], 2**32])]),
      "column position of 2..32 or more"),
-    (lambda t: _lengths_edited(t, 1), "table id lengths sum to"),
-    (lambda t: _lengths_edited(t, -1), "table id lengths sum to"),
     (lambda t: key_table([(b"\xff" + t[0][0][1:], t[0][1]), *t[1:]]),
      "bad UTF-8 text"),
 ], ids=["table-ids-unsorted", "positions-not-increasing", "position-2**32",
-        "lengths-overrun-blob", "lengths-short-of-blob", "bad-utf-8"])
+        "bad-utf-8"])
 def test_query_checksummed_bad_key_table_exit_2(workspace, tmp_path, capsys,
                                                 make, message):
     _assert_query_refuses(workspace, tmp_path, capsys,

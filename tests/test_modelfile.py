@@ -535,7 +535,7 @@ def test_postings_block_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
 def test_postings_block_of_no_tokens_round_trips():
     empty = SetPostings({}, 5)
     data = _postings_bytes(empty)
-    assert data == struct.pack("<III", 0, 0, 0)
+    assert data == struct.pack("<II", 0, 0)
     back = _read_postings_bytes(data, 5)
     assert back.postings == {}
     np.testing.assert_array_equal(back.sizes, np.zeros(5, dtype=np.int64))
@@ -602,12 +602,11 @@ def _specials(rng) -> np.ndarray:
 
 def _tied_with_raw(rng) -> np.ndarray:
     """4,096 values whose coded top plane would take exactly as many bytes
-    as the raw one: 1,000 exceptions in 25 runs of 40, 128 values apart,
-    so 24 position gaps take two varint bytes and the others one."""
-    at = np.concatenate([np.arange(40) + 168 * run for run in range(25)])
-    tops = np.resize(np.arange(15), 4096)
-    tops[at] = rng.permutation(np.repeat(np.arange(100, 200), 10))
-    return _with_tops(rng, tops, (64, 64))
+    as the raw one, 4,097: mode, dictionary size, 15 words, 2,048 code
+    bytes and 2,032 exceptions, 16 each of 127 rarer top bytes."""
+    tops = np.concatenate([np.resize(np.arange(15), 2064),
+                           np.repeat(np.arange(100, 227), 16)])
+    return _with_tops(rng, rng.permutation(tops), (64, 64))
 
 
 FLOAT_CASES = {
@@ -652,13 +651,22 @@ def test_float_arrays_round_trip_bit_for_bit(case, seed):
     assert _float_bytes(back) == data
 
 
+def test_float_array_of_no_values_on_oversized_axes_raises_input_error():
+    """A zero axis leaves no values to read, but numpy cannot make an
+    array whose other axes multiply past its sizes."""
+    shape = (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+    data = struct.pack("<B4I", len(shape), *shape) + bytes([modelfile.RAW])
+    with pytest.raises(InputError, match="float array shape"):
+        _read_float_bytes(data)
+
+
 def test_float_array_dictionary_ties_go_to_the_smaller_byte():
     """Top bytes 0-15 five times each: 15 is the one left out, and its
     five values are the exceptions."""
     arr = FLOAT_CASES["16-top-bytes"][0](np.random.default_rng(3))
     fields = float_fields(arr)
     assert fields["words"] == list(range(15))
-    assert fields["count"] == 5 and fields["exceptions"] == [15] * 5
+    assert fields["exceptions"] == [15] * 5
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 100])
@@ -671,7 +679,8 @@ def test_float_array_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
               FLOAT_CASES["equally-common"][0](rng), _specials(rng)]
     data = [_float_bytes(arr) for arr in arrays]
     fields = float_fields(arrays[0])
-    assert fields["mode"] == modelfile.CODED and fields["count"] > 2
+    assert fields["mode"] == modelfile.CODED
+    assert len(fields["exceptions"]) > 2
     monkeypatch.setattr(modelfile, "FLOAT_CHUNK", chunk)
     for arr, want in zip(arrays, data):
         assert _float_bytes(arr) == want
@@ -695,6 +704,17 @@ def test_string_tables_round_trip():
         r = modelfile._Reader(data, "strings")
         assert r.strings("test") == strings
         r.expect_end()
+
+
+@pytest.mark.parametrize("lengths", [[4], [1, 3], [2**35 - 1] * 2])
+def test_string_table_longer_than_the_bytes_left_raises_input_error(lengths):
+    """Three bytes follow the lengths: a blob that would need more is a
+    truncated file, each length checked before they are summed."""
+    stream = b"".join(varint(n) for n in lengths)
+    r = modelfile._Reader(struct.pack("<I", len(stream)) + stream + b"abc",
+                          "strings")
+    with pytest.raises(InputError, match="truncated file"):
+        r.strings("test")
 
 
 def test_failed_write_keeps_old_target(tmp_path):
@@ -790,6 +810,40 @@ def test_flipped_or_truncated_file_raises_input_error(tmp_path, world, kind):
             load(bad)
 
 
+def test_fuzzed_index_sections_load_or_raise_input_error(tmp_path, world):
+    """Seeded byte flips, inserts, deletes and sets in a small index's index
+    section, each file re-checksummed so that its parser meets the edit:
+    every load raises InputError or returns an engine, and nothing else
+    escapes. Both outcomes occur."""
+    corpus, engine = world
+    path = tmp_path / "engine.usi"
+    save_index(path, _bundle(), engine)
+    data = path.read_bytes()
+    start, end = 6 + _model_bytes(tmp_path), len(data) - CHECKSUM_BYTES
+    rng = np.random.default_rng(41)
+    outcomes = {"loaded": 0, "refused": 0}
+    for _ in range(500):
+        body = bytearray(data[:end])
+        at, byte = int(rng.integers(start, end)), int(rng.integers(256))
+        edit = rng.integers(4)
+        if edit == 0:
+            body[at] ^= int(rng.integers(1, 256))
+        elif edit == 1:
+            body.insert(at, byte)
+        elif edit == 2:
+            del body[at]
+        else:
+            body[at] = byte
+        path.write_bytes(bytes(body) + hashlib.blake2b(
+            body, digest_size=CHECKSUM_BYTES).digest())
+        try:
+            load_index(path)
+            outcomes["loaded"] += 1
+        except InputError:
+            outcomes["refused"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
 def _with_fresh_checksum(data: bytes) -> bytes:
     body = data[:-CHECKSUM_BYTES]
     return body + hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
@@ -865,16 +919,34 @@ def test_checksummed_bad_key_table_raises_input_error(tmp_path, world, edit,
         load_index(index)
 
 
-def test_save_refuses_keys_out_of_order(tmp_path, world):
+def test_save_refuses_keys_out_of_order(world):
     """Keys (a, 0), (b, 5), (a, 1) would store as (a, 0), (a, 5), (b, 1),
-    which a load accepts, so a save refuses them and writes nothing."""
+    which a load accepts, so the key table refuses them and writes
+    nothing."""
     corpus, engine = world
     keys = [engine.keys[0], engine.keys[-1], *engine.keys[1:-1]]
-    vectors = engine.semantic_index.vectors[[0, -1, *range(1, len(keys) - 1)]]
-    unsorted = SearchEngine(engine.encoder, engine.head, engine.index_config,
-                            engine.tfidf, keys, vectors, engine.postings)
+    out = io.BytesIO()
+    w = modelfile._Writer(out)
     with pytest.raises(ValueError, match="keys must be strictly increasing"):
-        save_index(tmp_path / "engine.usi", _bundle(), unsorted)
+        modelfile._write_key_table(w, keys)
+    w._flush()
+    assert out.getvalue() == b""
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_save_refuses_document_frequencies_over_other_columns(tmp_path, world,
+                                                              step):
+    """A load counts one document per key, so document frequencies over
+    another column count would load as another engine: a save refuses
+    them and writes nothing."""
+    corpus, engine = world
+    other = SearchEngine(engine.encoder, engine.head, engine.index_config,
+                         replace(engine.tfidf,
+                                 n_columns=engine.tfidf.n_columns + step),
+                         engine.keys, engine.semantic_index.vectors,
+                         engine.postings)
+    with pytest.raises(ValueError, match="document frequencies over"):
+        save_index(tmp_path / "engine.usi", _bundle(), other)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -321,6 +321,23 @@ def test_zero_norm_query_vector_raises(exhaustive):
         top_k_search(engine, corpus.tables[0], cfg)
 
 
+@pytest.mark.parametrize("make", [SearchEngine, SearchEngine._adopting],
+                         ids=["constructor", "adopting"])
+@pytest.mark.parametrize("edit", [
+    lambda keys: [keys[1], keys[0], *keys[2:]],
+    lambda keys: [keys[0], *keys[:-1]],
+], ids=["swapped", "repeated"])
+def test_engine_refuses_keys_not_strictly_increasing(make, edit):
+    """Row i belongs to keys[i], and a save stores keys sorted, so an
+    engine of keys out of order would answer queries a load of it does not
+    and save as another engine."""
+    built, _, _ = _bench_engine(0)
+    with pytest.raises(ConfigError, match="keys must be strictly increasing"):
+        make(built.encoder, built.head, built.index_config, built.tfidf,
+             edit(built.keys), built.semantic_index.vectors.copy(),
+             built.postings)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_banded_search_matches_brute_force(seed):
     engine, corpus, _ = _bench_engine(seed)
