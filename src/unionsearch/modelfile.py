@@ -2,64 +2,60 @@
 
 One little-endian container with a 4-byte magic, a version byte, and a kind
 byte. A model file carries ``TOKENIZER_ID``, the encoder configuration, the
-projection head (its seed, then its four tensors as float32 arrays), the
+projection head (its seed, its dimensions in, hidden and out as three u32,
+then its four tensors as float32 arrays of the shapes they imply), the
 training configuration, the strategy and the best epoch; no optimizer
 state, as no command resumes training. An index file is the same model
-section followed by the indexed columns, version 10 laid out as:
+section followed by the indexed columns, version 11 laid out as:
 
 1. the index configuration;
-2. the key table: every indexed column key, sorted, as a string table of
-   the distinct table ids, then one counted byte string of varints: each
-   table's column count minus one, then table by table its column
-   positions;
-3. the set postings, one block per measure in ``SET_MEASURES`` order
-   (name q-grams, value terms, format patterns): a string table of the
-   distinct tokens in sorted order, then one counted byte string of
-   varints holding each token's row count minus one, then, list by list,
-   the first row and each later row's gap minus one, so it cannot express
-   an empty list or a row that does not increase;
+2. the key table: every indexed column key, sorted, as a list block of
+   each table's column positions named by its table id;
+3. the set postings, one list block per measure in ``SET_MEASURES`` order
+   (name q-grams, value terms, format patterns), each token's rows named
+   by the token;
 4. the corpus document frequencies: a string table of the tokens in
    sorted order and a counted byte string of their counts, over one
    document per key;
-5. every stored vector as one float32 array whose row i belongs to key i.
-   It comes last, so a load decodes it once the postings' working arrays
-   are freed.
+5. every stored vector as one float32 array of (key count, out) values
+   whose row i belongs to key i. It comes last, so a load decodes it once
+   the postings' working arrays are freed.
 
-A varint is minimal unsigned LEB128 (d-gaps plus variable-byte coding,
-Zobel & Moffat, ACM CSUR 2006). A string table is a counted byte string of
-each string's UTF-8 length as a varint, then the UTF-8 blob, as long as
-their sum.
+A list block is a string table of the lists' names in sorted order, then
+one counted byte string of varints holding each list's length minus one,
+then, list by list, the first item and each later item's gap minus one
+(d-gaps, Zobel & Moffat, ACM CSUR 2006), so it cannot express an empty
+list or an item that does not increase. A varint is minimal unsigned
+LEB128. A string table is a counted byte string of each string's UTF-8
+length as a varint, then the UTF-8 blob, as long as their sum.
 
-A float32 array is its rank and shape, each value's three low bytes as
-they are, then the plane of its top bytes (sign and high exponent bits),
-whose one mode byte says raw or coded. Raw holds the bytes as they are.
-Coded is patched frame-of-reference coding (Zukowski, Heman, Nes & Boncz,
-ICDE 2006): a dictionary of up to 15 byte values, the most frequent, ties
-to the smaller, in increasing order; a 4-bit code per value, two to a
-byte, the earlier one low, a zero nibble after an odd count; then one
-byte per code 15, the exceptions, in plane order: the codes mark where
-they go. A save stores the plane coded only when that is smaller than raw,
-and codes it ``FLOAT_CHUNK`` values at a time. Every stored bit is kept.
+A float32 array stores no shape: a load knows it from the head's
+dimensions and the key count. It is each value's three low bytes as they
+are, then the plane of its top bytes (sign and high exponent bits), coded
+by patched frame-of-reference (Zukowski, Heman, Nes & Boncz, ICDE 2006): a
+dictionary size and a dictionary of up to 15 byte values, the most
+frequent, ties to the smaller, in increasing order; a 4-bit code per
+value, two to a byte, the earlier one low, a zero nibble after an odd
+count; then one byte per code 15, the exceptions, in plane order: the
+codes mark where they go. A save codes ``FLOAT_CHUNK`` values at a time.
+Every stored bit is kept.
 
 Each configuration is written field by field in ``dataclasses.fields``
 order, coded by the field's type (bool u8, int u64, float f64, text; an
 optional text stores None as ""), so only the dataclass knows its fields.
-A load validates the configurations, the head's tensor shapes and, for a
-hashing model, that the head takes the encoder's dimension: it rejects
-what would fail later, and a non-finite tensor or stored vector, which
-would load silently, and anything else a save does not write. For a float
-array: a mode other than raw or coded, a dictionary not strictly
-increasing or longer than 15, a code past the dictionary, a non-zero pad
-nibble and an exception byte in the dictionary. For varints: more than
-``VARINT_BYTES`` bytes, a zero last byte in a multi-byte group or a string
-that ends inside a group. For string tables: bad UTF-8. For the key
-table: table ids not strictly increasing, a number of varints other than
-the counts name, positions not increasing within a table or at 2**32 or
-more. For the postings: tokens not strictly increasing, a number of
-varints other than the counts name, or a row at or past the column
-count. For the document frequencies: tokens not
-strictly increasing, and counts other than one in [1, key count] per
-token.
+A load validates the configurations and, for a hashing model, that the
+head takes the encoder's dimension: it rejects what would fail later, and
+a non-finite tensor or stored vector, which would load silently, and
+anything else a save does not write. For a float array: a dictionary not
+strictly increasing or longer than 15, a code past the dictionary, a
+non-zero pad nibble and an exception byte in the dictionary. For varints:
+more than ``VARINT_BYTES`` bytes, a zero last byte in a multi-byte group
+or a string that ends inside a group. For string tables: bad UTF-8. For a
+list block: names not strictly increasing, a number of varints other than
+the lengths name, or an item at or past its bound: 2**32 for a column
+position, the key count for a posting row. For the document frequencies:
+tokens not strictly increasing, and counts other than one in [1, key
+count] per token.
 
 The cosine LSH index is not stored: loading hands the keys and the vector
 matrix, decoded into a fresh array, in key-table order, to the
@@ -71,12 +67,12 @@ Every file ends in a 32-byte blake2b digest of all bytes before it. Loads
 read the file into an anonymous memory mapping, which goes back to the
 system when the load drops it, and check magic, version and kind, then the
 digest, before parsing anything else, so a truncated or corrupt file fails
-with InputError; versions 1 to 9 are rejected, and so is a file whose
+with InputError; versions 1 to 10 are rejected, and so is a file whose
 tokenizer id is not ``TOKENIZER_ID``.
-Saves are atomic (temp file + rename) and streamed: the body goes to the
-temp file in chunks of about ``CHUNK_BYTES`` through one running blake2b,
-and the digest is written last, so a save never holds the file whole; it
-encodes the postings about ``POSTINGS_CHUNK`` rows at a time.
+Saves are atomic (temp file + rename) and streamed: each field goes
+through one running blake2b to the temp file's own buffer, and the digest
+is written last, so a save never holds the file whole; it encodes a list
+block about ``POSTINGS_CHUNK`` items at a time.
 """
 
 from __future__ import annotations
@@ -103,23 +99,19 @@ from .search import IndexConfig, SearchEngine
 from .syntactic import SET_MEASURES, SetPostings, TfidfModel
 
 MAGIC = b"PYLN"
-VERSION = 10
+VERSION = 11
 KIND_MODEL = 1
 KIND_INDEX = 2
 CHECKSUM_BYTES = 32
 # The most bytes one varint takes: 35 bits hold any u32.
 VARINT_BYTES = 5
-# About how many posting rows a save encodes at a time; a list is never
-# split, so a longer one is encoded whole.
+# About how many items of a list block a save encodes at a time; a list is
+# never split, so a longer one is encoded whole.
 POSTINGS_CHUNK = 1 << 13
-# Bytes of small fields a save gathers before it hashes and writes them.
-CHUNK_BYTES = 1 << 16
 # How many values of a float32 array a save codes, and a load decodes, at
 # a time, rounded up to even so that no byte holds codes of two chunks.
 FLOAT_CHUNK = 1 << 16
-# The modes of a float array's top-byte plane, and the code of a value
-# whose top byte is not in the dictionary.
-RAW, CODED = 0, 1
+# The code of a value whose top byte is not in its plane's dictionary.
 EXCEPTION = 15
 
 
@@ -140,35 +132,17 @@ class ModelBundle:
 
 
 class _Writer:
-    """Streams fields into a binary file through one running blake2b.
-
-    Small fields gather in one buffer of about ``CHUNK_BYTES``, so a save
-    holds no object per field; a piece at least that long, such as a chunk
-    of the vector matrix, is hashed and written from its own memory.
-    ``finish`` appends the digest of every byte before it.
-    """
+    """Writes fields to a file object, whose own buffer gathers the small
+    ones, through one running blake2b; ``finish`` appends the digest of
+    every byte before it."""
 
     def __init__(self, fh: BinaryIO) -> None:
         self.fh = fh
         self.digest = hashlib.blake2b(digest_size=CHECKSUM_BYTES)
-        self.buf = bytearray()
-
-    def _emit(self, data: bytes | bytearray | memoryview) -> None:
-        self.digest.update(data)
-        self.fh.write(data)
-
-    def _flush(self) -> None:
-        self._emit(self.buf)
-        self.buf.clear()
 
     def raw(self, data: bytes | memoryview) -> None:
-        if len(data) >= CHUNK_BYTES:
-            self._flush()
-            self._emit(data)
-            return
-        self.buf += data
-        if len(self.buf) >= CHUNK_BYTES:
-            self._flush()
+        self.digest.update(data)
+        self.fh.write(data)
 
     def u8(self, v: int) -> None:
         self.raw(struct.pack("<B", v))
@@ -207,13 +181,10 @@ class _Writer:
         self.raw(blob)
 
     def f32_array(self, arr: np.ndarray) -> None:
-        """Shape, low bytes, then the top-byte plane, ``FLOAT_CHUNK`` values
+        """Low bytes, then the coded top-byte plane, ``FLOAT_CHUNK`` values
         at a time: one pass writes the low bytes and counts the top ones,
-        and ``_top_plane`` codes them."""
+        and one writes the codes, keeping the exceptions' bytes for last."""
         a = np.ascontiguousarray(arr, dtype="<f4")
-        self.u8(a.ndim)
-        for d in a.shape:
-            self.u32(d)
         values = a.reshape(-1).view(np.uint8).reshape(-1, 4)
         counts = np.zeros(256, dtype=np.int64)
         for _, chunk in _chunks(values):
@@ -223,34 +194,23 @@ class _Writer:
                 low[:, j] = chunk[:, j]
             self.raw(low.reshape(-1).data)
             counts += np.bincount(chunk[:, 3], minlength=256)
-        self._top_plane(values, counts)
-
-    def _top_plane(self, values: np.ndarray, counts: np.ndarray) -> None:
-        """The top bytes of values, coded against the up to 15 most frequent
-        unless that is no smaller than raw; counts holds each byte's count."""
-        n = len(values)
         ranked = np.argsort(-counts, kind="stable")[:EXCEPTION]
         words = np.sort(ranked[counts[ranked] > 0]).astype(np.uint8)
-        n_exceptions = n - int(counts[words].sum())
-        # Mode, dictionary size, dictionary, codes and the exceptions' bytes.
-        if 2 + len(words) + (n + 1) // 2 + n_exceptions >= 1 + n:
-            self.u8(RAW)
-            for _, chunk in _chunks(values):
-                self.raw(np.ascontiguousarray(chunk[:, 3]).data)
-            return
         codes = np.full(256, EXCEPTION, dtype=np.uint8)
         codes[words] = np.arange(len(words))
-        self.u8(CODED)
         self.u8(len(words))
         self.raw(words.data)
-        found: list[np.ndarray] = []
-        for packed in _coded(values, codes, found):
-            self.raw(packed.data)
-        for piece in found:
+        exceptions = []
+        for _, chunk in _chunks(values):
+            pairs = np.take(codes, chunk[:, 3])
+            exceptions.append(chunk[pairs == EXCEPTION, 3])
+            if len(pairs) % 2:
+                pairs = np.append(pairs, np.uint8(0))
+            self.raw((pairs[0::2] | pairs[1::2] << 4).data)
+        for piece in exceptions:
             self.raw(piece.data)
 
     def finish(self) -> None:
-        self._flush()
         self.fh.write(self.digest.digest())
 
 
@@ -326,36 +286,13 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise InputError(f"{self.path}: bad UTF-8 text: {exc}") from exc
 
-    def f32_array(self) -> np.ndarray:
-        """A float32 array as ``_Writer.f32_array`` writes it, decoded
-        ``FLOAT_CHUNK`` values at a time into a fresh array."""
-        ndim = self.u8()
-        shape = tuple(self.u32() for _ in range(ndim))
+    def f32_array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A float32 array of shape as ``_Writer.f32_array`` writes it,
+        decoded ``FLOAT_CHUNK`` values at a time into a fresh array, once
+        its plane is checked to be one a save writes; each code 15 takes
+        the next exception byte."""
         n = math.prod(shape)
         low = self._view(3 * n).reshape(n, 3)
-        mode = self.u8()
-        if mode not in (RAW, CODED):
-            raise InputError(f"{self.path}: float array mode {mode} is "
-                             f"neither raw ({RAW}) nor coded ({CODED})")
-        try:
-            out = np.empty(shape, dtype="<f4")
-        except ValueError as exc:
-            # No values, but axes whose product numpy cannot size.
-            raise InputError(f"{self.path}: float array shape {shape}: "
-                             f"{exc}") from exc
-        values = out.reshape(-1).view(np.uint8).reshape(n, 4)
-        for j in range(3):
-            values[:, j] = low[:, j]
-        if mode == RAW:
-            values[:, 3] = self._view(n)
-        else:
-            self._coded_plane(values[:, 3])
-        return out
-
-    def _coded_plane(self, top: np.ndarray) -> None:
-        """Decodes a coded top-byte plane into top, checking that it is one
-        a save writes; each code 15 takes the next exception byte."""
-        n = len(top)
         words = self._view(self.u8())
         if len(words) > EXCEPTION:
             raise InputError(f"{self.path}: float array dictionary of "
@@ -369,27 +306,30 @@ class _Reader:
                              "non-zero pad nibble")
         table = np.zeros(EXCEPTION + 1, dtype=np.uint8)
         table[:len(words)] = words
-        past = np.arange(EXCEPTION + 1) >= len(words)
-        past[EXCEPTION] = False
         in_words = np.zeros(256, dtype=bool)
         in_words[words] = True
-        for lo, chunk in _chunks(top):
+        out = np.empty(shape, dtype="<f4")
+        values = out.reshape(-1).view(np.uint8).reshape(n, 4)
+        for j in range(3):
+            values[:, j] = low[:, j]
+        for lo, chunk in _chunks(values[:, 3]):
             pairs = packed[lo // 2:(lo + len(chunk) + 1) // 2]
             codes = np.empty(2 * len(pairs), dtype=np.uint8)
             codes[0::2] = pairs & 0x0F
             codes[1::2] = pairs >> 4
             codes = codes[:len(chunk)]
-            if np.take(past, codes).any():
+            marked = codes == EXCEPTION
+            if ((codes >= len(words)) & ~marked).any():
                 raise InputError(f"{self.path}: float array code past its "
                                  f"dictionary of {len(words)}")
             chunk[...] = np.take(table, codes)
             # The chunk's exception bytes follow those of the chunks before.
-            marked = codes == EXCEPTION
             exceptions = self._view(int(np.count_nonzero(marked)))
             if in_words[exceptions].any():
                 raise InputError(f"{self.path}: float array exception byte "
                                  "in its dictionary")
             chunk[marked] = exceptions
+        return out
 
     def expect_end(self) -> None:
         if self.pos != self.end:
@@ -403,19 +343,6 @@ def _chunks(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     step = FLOAT_CHUNK + FLOAT_CHUNK % 2
     for lo in range(0, len(values), step):
         yield lo, values[lo:lo + step]
-
-
-def _coded(values: np.ndarray, codes: np.ndarray,
-           found: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """Each chunk's codes of its values' top bytes, two to a byte, by the
-    byte -> code table codes; the exceptions' bytes go to found on the
-    way."""
-    for _, chunk in _chunks(values):
-        pairs = np.take(codes, chunk[:, 3])
-        found.append(chunk[pairs == EXCEPTION, 3])
-        if len(pairs) % 2:
-            pairs = np.append(pairs, np.uint8(0))
-        yield pairs[0::2] | pairs[1::2] << 4
 
 
 def atomic_write(path: str | Path, write: Callable[[str], None]) -> None:
@@ -460,11 +387,26 @@ def _read_config(r: _Reader, cls: type) -> object:
                   for f in fields(cls)})
 
 
+def _tensor_shapes(dims: tuple[int, int, int]) -> list[tuple[int, ...]]:
+    """The shapes of W1, b1, W2 and b2 in a head of dims (in, hidden, out)."""
+    n_in, hidden, out = dims
+    return [(hidden, n_in), (hidden,), (out, hidden), (out,)]
+
+
 def _write_model_section(w: _Writer, bundle: ModelBundle) -> None:
+    """The model section. A file stores the head's dims, not its tensors'
+    shapes, so a head whose tensors have other shapes is refused."""
+    head = bundle.head
+    shapes = [np.shape(t) for t in head.tensors()]
+    if len(shapes[0]) != 2 or shapes != _tensor_shapes(head.dims):
+        raise ValueError(f"head tensor shapes {shapes} do not agree; want "
+                         "W1 (h, in), b1 (h,), W2 (out, h), b2 (out,)")
     w.text(TOKENIZER_ID)
     _write_config(w, bundle.encoder_config)
-    w.u64(bundle.head.init_seed)
-    for t in bundle.head.tensors():
+    w.u64(head.init_seed)
+    for d in head.dims:
+        w.u32(d)
+    for t in head.tensors():
         w.f32_array(t)
     _write_config(w, bundle.train_config)
     w.text(bundle.strategy)
@@ -477,7 +419,8 @@ def _read_model_section(r: _Reader) -> ModelBundle:
         raise InputError(f"{r.path}: tokenizer {tokenizer_id!r} is not {TOKENIZER_ID!r}")
     ec = _read_config(r, EncoderConfig)
     init_seed = r.u64()
-    tensors = [r.f32_array() for _ in range(4)]
+    dims = (r.u32(), r.u32(), r.u32())
+    tensors = [r.f32_array(shape) for shape in _tensor_shapes(dims)]
     tc = _read_config(r, TrainConfig)
     strategy = r.text()
     best_epoch = r.u32()
@@ -497,21 +440,36 @@ def _read_model_section(r: _Reader) -> ModelBundle:
                        strategy=strategy, best_epoch=best_epoch)
 
 
-def _write_key_table(w: _Writer, keys: list[ColumnKey]) -> None:
-    """Each table id once, then each table's column count minus one, then
-    table by table its positions. Keys out of order would be stored as
-    other keys, so they are refused."""
-    if any(after <= before for before, after in zip(keys, keys[1:])):
-        raise ValueError("keys must be strictly increasing")
-    table_ids, positions = zip(*keys) if keys else ((), ())
-    counts = Counter(table_ids)
-    positions = np.array(positions, dtype=np.int64)
-    if positions.size and positions.max() >= 1 << 32:
-        raise ValueError("column positions must lie below 2**32")
-    w.strings(list(counts))
-    w.varints(np.concatenate([np.fromiter(counts.values(), dtype=np.int64,
-                                          count=len(counts)) - 1,
-                              positions]))
+def _write_lists(w: _Writer, names: Sequence[str],
+                 lists: Sequence[np.ndarray], bound: int) -> None:
+    """A list block: the names' string table, then each list's length
+    minus one and, list by list, its first item and each later gap minus
+    one, as varints. An item at or past bound, which a load refuses, is
+    refused first, before any of the block is written."""
+    counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    pieces = [_varints(counts - 1)]
+    # About POSTINGS_CHUNK items at a time, so the arrays a save makes
+    # stay small.
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(POSTINGS_CHUNK, ends[-1],
+                                           POSTINGS_CHUNK),
+                           side="right").tolist() if len(ends) else []
+    for a, b in zip([0, *cuts], [*cuts, len(lists)]):
+        if a == b:
+            continue
+        items = np.concatenate(lists[a:b])
+        if items.max() >= bound:
+            raise ValueError(f"list items must lie below {bound}")
+        gaps = np.empty_like(items)
+        np.subtract(items[1:], items[:-1], out=gaps[1:])
+        gaps -= 1
+        firsts = ends[a:b] - counts[a:b] - (ends[a] - counts[a])
+        gaps[firsts] = items[firsts]
+        pieces.append(_varints(gaps))
+    w.strings(names)
+    w.u32(sum(len(piece) for piece in pieces))
+    for piece in pieces:
+        w.raw(piece.data)
 
 
 def _check_increasing(r: _Reader, items: list, what: str) -> None:
@@ -521,35 +479,57 @@ def _check_increasing(r: _Reader, items: list, what: str) -> None:
                              f"{after!r} follows {before!r}")
 
 
-def _read_lists(r: _Reader, n_lists: int, what: str
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The counts and the items of a counted byte string of varints that
-    holds n_lists counts minus one, then the items of every list."""
-    values = _read_varints(r, what)
+def _read_lists(r: _Reader, what: str, bound: int
+                ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The names, the lengths and the items, list after list, of a list
+    block as ``_write_lists`` writes it.
+
+    Names must be strictly increasing, the varints canonical, their number
+    the names' count plus the sum of the lengths, and each list's last
+    item below bound. A list then is non-empty and strictly increasing.
+    """
+    names = r.strings(what)
+    _check_increasing(r, names, f"{what}s")
+    values = _read_varints(r, f"{what} lists")
+    n_lists = len(names)
     counts = values[:n_lists] + 1
     if len(values) != n_lists + counts.sum():
-        raise InputError(f"{r.path}: {what} hold {len(values)} varints, "
-                         f"not {n_lists} counts and the {counts.sum()} "
-                         "items they name")
-    return counts, values[n_lists:]
+        raise InputError(f"{r.path}: {what} lists hold {len(values)} "
+                         f"varints, not {n_lists} counts and the "
+                         f"{counts.sum()} items they name")
+    items = values[n_lists:]
+    # The gaps become the items in place: each later item steps its gap
+    # plus 1, and each first item steps from the last item of the list
+    # before.
+    firsts = np.cumsum(counts) - counts
+    first_items = items[firsts]
+    items += 1
+    items[firsts] = first_items
+    lasts = np.add.reduceat(items, firsts) if len(firsts) else firsts
+    if lasts.size and lasts.max() >= bound:
+        raise InputError(f"{r.path}: {what} lists hold an item at or past "
+                         f"{bound}")
+    items[firsts[1:]] -= lasts[:-1]
+    np.cumsum(items, out=items)
+    return names, counts, items
+
+
+def _write_key_table(w: _Writer, keys: list[ColumnKey]) -> None:
+    """Each table's column positions, named by its table id. Keys out of
+    order would be stored as other keys, so they are refused."""
+    if any(after <= before for before, after in zip(keys, keys[1:])):
+        raise ValueError("keys must be strictly increasing")
+    table_ids, positions = zip(*keys) if keys else ((), ())
+    counts = Counter(table_ids)
+    ends = np.cumsum(np.fromiter(counts.values(), dtype=np.int64,
+                                 count=len(counts)))
+    _write_lists(w, list(counts),
+                 np.split(np.array(positions, dtype=np.int64), ends[:-1])
+                 if keys else [], 1 << 32)
 
 
 def _read_key_table(r: _Reader) -> list[ColumnKey]:
-    """The stored keys, strictly increasing as saves write them: table ids
-    strictly increasing, and positions below 2**32 and increasing within
-    each table."""
-    table_ids = r.strings("table id")
-    _check_increasing(r, table_ids, "table ids")
-    counts, positions = _read_lists(r, len(table_ids), "key table columns")
-    if positions.size and positions.max() >= 1 << 32:
-        raise InputError(f"{r.path}: key table holds a column position of "
-                         "2**32 or more")
-    steps = np.diff(positions)
-    # A table's first position follows no position of its own table.
-    steps[np.cumsum(counts)[:-1] - 1] = 1
-    if (steps <= 0).any():
-        raise InputError(f"{r.path}: key table positions not increasing "
-                         "within a table")
+    table_ids, counts, positions = _read_lists(r, "table id", 1 << 32)
     ids = chain.from_iterable(map(repeat, table_ids, counts.tolist()))
     return list(zip(ids, positions.tolist()))
 
@@ -616,61 +596,14 @@ def _read_varints(r: _Reader, what: str) -> np.ndarray:
     return values
 
 
-def _write_postings(w: _Writer, postings: SetPostings) -> None:
-    tokens = sorted(postings.postings)
-    w.strings(tokens)
-    lists = [postings.postings[tok] for tok in tokens]
-    counts = np.array([len(rows) for rows in lists], dtype=np.int64)
-    pieces = [_varints(counts - 1)]
-    # The lists of about POSTINGS_CHUNK rows at a time, so the arrays a
-    # save makes stay small: each first row as itself, each later row as
-    # its gap minus 1.
-    ends = np.cumsum(counts)
-    cuts = np.searchsorted(ends, np.arange(POSTINGS_CHUNK, ends[-1],
-                                           POSTINGS_CHUNK),
-                           side="right").tolist() if len(ends) else []
-    for a, b in zip([0, *cuts], [*cuts, len(lists)]):
-        if a == b:
-            continue
-        rows = np.concatenate(lists[a:b])
-        gaps = np.empty_like(rows)
-        np.subtract(rows[1:], rows[:-1], out=gaps[1:])
-        gaps -= 1
-        firsts = ends[a:b] - counts[a:b] - (ends[a] - counts[a])
-        gaps[firsts] = rows[firsts]
-        pieces.append(_varints(gaps))
-    w.u32(sum(len(piece) for piece in pieces))
-    for piece in pieces:
-        w.raw(piece.data)
-
-
 def _read_postings(r: _Reader, n_rows: int) -> SetPostings:
-    """One measure's postings, as ``_write_postings`` writes them.
-
-    Tokens must be strictly increasing, the varints canonical, their number
-    the tokens' count plus the sum of the row counts, and each list's last
-    row below n_rows. A list then is non-empty and strictly increasing, so
-    a row's count of entries is its set's size.
-    """
-    tokens = r.strings("postings token")
-    _check_increasing(r, tokens, "postings tokens")
-    counts, rows = _read_lists(r, len(tokens), "postings")
-    # The gaps become the rows in place: each later row steps its gap plus
-    # 1, and each first row steps from the last row of the list before.
-    firsts = np.cumsum(counts) - counts
-    first_rows = rows[firsts]
-    rows += 1
-    rows[firsts] = first_rows
-    lasts = np.add.reduceat(rows, firsts) if len(firsts) else firsts
-    if lasts.size and lasts.max() >= n_rows:
-        raise InputError(f"{r.path}: postings hold a row at or past the "
-                         f"column count {n_rows}")
-    rows[firsts[1:]] -= lasts[:-1]
-    np.cumsum(rows, out=rows)
+    """One measure's postings, each row below n_rows; a list then is
+    strictly increasing, so a row's count of entries is its set's size."""
+    tokens, counts, rows = _read_lists(r, "postings token", n_rows)
     # Each list copied out as its own array: small arrays fill the free
     # space a build leaves, where views of one array per measure take new
     # pages (1-2 MB more peak RSS in a build-save-load-serve process).
-    cuts = (firsts + counts).tolist()
+    cuts = np.cumsum(counts).tolist()
     return SetPostings({tok: rows[a:b].copy() for tok, a, b
                         in zip(tokens, [0, *cuts], cuts)}, n_rows)
 
@@ -685,7 +618,10 @@ def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
 
     _write_key_table(w, engine.keys)
     for measure in SET_MEASURES:
-        _write_postings(w, engine.postings[measure])
+        lists = engine.postings[measure].postings
+        tokens = sorted(lists)
+        _write_lists(w, tokens, [lists[tok] for tok in tokens],
+                     len(engine.keys))
 
     tokens = sorted(engine.tfidf.df)
     w.strings(tokens)
@@ -713,11 +649,7 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
     tfidf = TfidfModel(df=dict(zip(tokens, dfs.tolist())),
                        n_columns=len(keys))
 
-    dim = bundle.head.dims[2]
-    matrix = r.f32_array()
-    if matrix.shape != (len(keys), dim):
-        raise InputError(f"{r.path}: vector matrix shape {matrix.shape} != "
-                         f"{(len(keys), dim)}")
+    matrix = r.f32_array((len(keys), bundle.head.dims[2]))
 
     try:
         # The decoded matrix is this load's own, so the index keeps it.
@@ -727,10 +659,6 @@ def _read_index_section(r: _Reader, bundle: ModelBundle) -> SearchEngine:
     except (ConfigError, NumericError) as exc:
         # Stored values the constructors reject are bad input all the same.
         raise InputError(f"{r.path}: {exc}") from exc
-
-
-def _checksum(body: bytes | memoryview) -> bytes:
-    return hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
 
 
 def _save(path: str | Path, bundle: ModelBundle,
@@ -770,13 +698,16 @@ def _open(path: str | Path, expected_kind: int) -> _Reader:
     version = r.u8()
     if version != VERSION:
         raise InputError(f"{path}: unsupported version {version}")
+    kinds = {KIND_MODEL: "a model", KIND_INDEX: "an index"}
     kind = r.u8()
+    if kind not in kinds:
+        raise InputError(f"{path}: unknown file kind {kind}")
     if kind != expected_kind:
-        found = "model" if kind == KIND_MODEL else "index"
-        want = "model" if expected_kind == KIND_MODEL else "index"
-        raise InputError(f"{path}: this is a {found} file, expected {want}")
+        raise InputError(f"{path}: this is {kinds[kind]} file, expected "
+                         f"{kinds[expected_kind]}")
     body = memoryview(data)[:-CHECKSUM_BYTES]
-    if len(body) < r.pos or _checksum(body) != data[-CHECKSUM_BYTES:]:
+    digest = hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
+    if len(body) < r.pos or digest != data[-CHECKSUM_BYTES:]:
         raise InputError(f"{path}: checksum mismatch, the file is truncated "
                          "or corrupt")
     r.end = len(body)

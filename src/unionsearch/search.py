@@ -271,11 +271,18 @@ def _table_pairs(engine: SearchEngine, cfg: SearchConfig,
 
     qvecs stacks the columns' projected vectors. A pair of column j and
     engine row is named by the id ``j * len(engine.keys) + row``, as the
-    cosine index and the set postings name it.
+    cosine index and the set postings name it, so an engine whose parts
+    cover other row counts, such as one whose cosine index grew after it
+    was made, is refused.
     """
     t = cfg.threshold
     index = engine.semantic_index
     n = index.size
+    covered = [len(p.sizes) for p in engine.postings.values()]
+    covered.append(engine.tfidf.n_columns)
+    if any(rows != n for rows in covered):
+        raise ConfigError(f"engine row counts disagree: cosine index {n}, "
+                          f"postings and document frequencies {covered}")
     measures = cfg.ordered_measures()[1:]
     sets = [engine.query_profile(c, measures) for c in columns]
     matches = {m: engine.postings[m].match([s[m] for s in sets])

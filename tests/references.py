@@ -73,15 +73,14 @@ def varint_value(group: bytes) -> int:
     return sum((b & 0x7F) << 7 * i for i, b in enumerate(group))
 
 
-def postings_values(postings: dict[str, Sequence[int]]) -> list[int]:
-    """The varint values of a postings block: each token's row count minus
-    one in token order, then list by list the first row and each later
-    row's gap minus one."""
-    tokens = sorted(postings)
-    values = [len(postings[tok]) - 1 for tok in tokens]
-    for tok in tokens:
-        rows = [int(row) for row in postings[tok]]
-        values += [rows[0]] + [b - a - 1 for a, b in zip(rows, rows[1:])]
+def list_values(lists: Sequence[Sequence[int]]) -> list[int]:
+    """The varint values of a list block's lists, in the order given: each
+    list's length minus one, then list by list the first item and each
+    later item's gap minus one."""
+    values = [len(items) - 1 for items in lists]
+    for items in lists:
+        items = [int(item) for item in items]
+        values += [items[0]] + [b - a - 1 for a, b in zip(items, items[1:])]
     return values
 
 
@@ -93,35 +92,30 @@ def string_table(strings: Sequence[bytes]) -> bytes:
 
 
 def postings_block(tokens: Sequence[bytes], groups: Sequence[bytes]) -> bytes:
-    """A postings block as an index file holds it: the tokens' string
-    table, then the byte count of the varint groups and the groups."""
+    """A list block as an index file holds it: the names' string table,
+    then the byte count of the varint groups and the groups."""
     stream = b"".join(groups)
     return string_table(tokens) + struct.pack("<I", len(stream)) + stream
 
 
 def key_table(tables: Sequence[tuple[bytes, Sequence[int]]]) -> bytes:
     """A key table as an index file holds it, from each table id and its
-    column positions: the ids' string table, then one counted varint
-    string of each table's position count minus one and then every
-    table's positions."""
-    values = [len(positions) - 1 for _, positions in tables]
-    values += [p for _, positions in tables for p in positions]
-    stream = b"".join(varint(v) for v in values)
-    return (string_table([table_id for table_id, _ in tables])
-            + struct.pack("<I", len(stream)) + stream)
+    column positions: a list block of the positions named by the ids."""
+    return postings_block(
+        [table_id for table_id, _ in tables],
+        [varint(v) for v in list_values([p for _, p in tables])])
 
 
-# The modes of a float array's top-byte plane, and the code that marks an
-# exception.
-RAW, CODED, EXCEPTION = 0, 1, 15
+# The code that marks an exception in a float array's top-byte plane.
+EXCEPTION = 15
 
 
 def float_fields(values: np.ndarray) -> dict:
     """A float32 array's fields as an index file codes them, value by
-    value: its shape, each value's three low bytes, and its top bytes
-    either raw (``tops``) or coded against a dictionary (``words``, the up
-    to 15 most frequent, ties to the smaller, sorted), with ``codes``, the
-    exceptions' bytes in plane order."""
+    value: each value's three low bytes, and its top bytes coded against a
+    dictionary (``words``, the up to 15 most frequent, ties to the smaller,
+    sorted), with ``codes``, the pad nibble and the exceptions' bytes in
+    plane order."""
     raw = np.ascontiguousarray(values, dtype="<f4").tobytes()
     items = [raw[i:i + 4] for i in range(0, len(raw), 4)]
     tops = [item[3] for item in items]
@@ -129,38 +123,22 @@ def float_fields(values: np.ndarray) -> dict:
     words = sorted(sorted(counts, key=lambda b: (-counts[b], b))[:EXCEPTION])
     code = {b: i for i, b in enumerate(words)}
     codes = [code.get(t, EXCEPTION) for t in tops]
-    fields = {"shape": list(values.shape),
-              "low": b"".join(item[:3] for item in items),
-              "mode": CODED, "words": words, "codes": codes, "pad": 0,
-              "exceptions": [t for t, c in zip(tops, codes)
-                             if c == EXCEPTION]}
-    if len(top_plane(fields)) >= 1 + len(tops):
-        fields.update(mode=RAW, tops=tops)
-    return fields
+    return {"low": b"".join(item[:3] for item in items), "words": words,
+            "codes": codes, "pad": 0,
+            "exceptions": [t for t, c in zip(tops, codes) if c == EXCEPTION]}
 
 
-def top_plane(fields: dict) -> bytes:
-    """The top-byte plane of float array fields: the mode byte, then the
-    raw bytes, or the dictionary size and words, the codes two to a byte
-    (the earlier low, ``pad`` after an odd count) and the exceptions'
+def float_array(fields: dict) -> bytes:
+    """A float array as an index file holds it: the low bytes, then the
+    top-byte plane: the dictionary size and words, the codes two to a
+    byte (the earlier low, ``pad`` after an odd count) and the exceptions'
     bytes."""
-    if fields["mode"] != CODED:
-        return bytes([fields["mode"]]) + bytes(fields.get("tops", []))
     codes = list(fields["codes"])
     if len(codes) % 2:
         codes.append(fields["pad"])
     packed = bytes(a | b << 4 for a, b in zip(codes[0::2], codes[1::2]))
-    return (bytes([CODED, len(fields["words"])]) + bytes(fields["words"])
-            + packed + bytes(fields["exceptions"]))
-
-
-def float_array(fields: dict) -> bytes:
-    """A float array as an index file holds it: rank, shape, low bytes,
-    then the top-byte plane."""
-    shape = fields["shape"]
-    return (struct.pack("<B", len(shape))
-            + b"".join(struct.pack("<I", d) for d in shape)
-            + fields["low"] + top_plane(fields))
+    return (fields["low"] + bytes([len(fields["words"])])
+            + bytes(fields["words"]) + packed + bytes(fields["exceptions"]))
 
 
 class Cursor:
@@ -203,19 +181,18 @@ class Cursor:
         table_ids = self.strings()
         values = self.varints()
         counts = [v + 1 for v in values[:len(table_ids)]]
-        positions = values[len(table_ids):]
-        ends = np.cumsum(counts, dtype=np.int64).tolist()
-        return [(t, positions[a:b])
-                for t, a, b in zip(table_ids, [0, *ends], ends)]
+        gaps = iter(values[len(table_ids):])
+        tables = []
+        for table_id, count in zip(table_ids, counts):
+            positions = [next(gaps)]
+            for _ in range(count - 1):
+                positions.append(positions[-1] + next(gaps) + 1)
+            tables.append((table_id, positions))
+        return tables
 
-    def float_array(self) -> dict:
-        shape = [self.u32() for _ in range(self.u8())]
-        n = int(np.prod(shape))
-        fields = {"shape": shape, "low": self.take(3 * n), "mode": self.u8()}
-        if fields["mode"] != CODED:
-            fields["tops"] = list(self.take(n))
-            return fields
-        fields["words"] = list(self.take(self.u8()))
+    def float_array(self, n: int) -> dict:
+        """The fields of a float array of n values."""
+        fields = {"low": self.take(3 * n), "words": list(self.take(self.u8()))}
         packed = self.take((n + 1) // 2)
         codes = [c for b in packed for c in (b & 0x0F, b >> 4)]
         fields["codes"], fields["pad"] = codes[:n], sum(codes[n:])
@@ -232,19 +209,19 @@ class Cursor:
 
 def index_blocks(data: bytes, model_bytes: int) -> dict[str, tuple[int, int]]:
     """Where each block of an index file's index section starts and ends:
-    ``keys``, one per set measure, ``df`` and ``matrix``. The section
-    follows the 6-byte header, the model section of model_bytes and the
-    index configuration (its seed, one u64), and the digest ends the file."""
+    ``keys``, one per set measure, ``df`` and ``matrix``, which takes the
+    rest of the file up to the digest. The section follows the 6-byte
+    header, the model section of model_bytes and the index configuration
+    (its seed, one u64)."""
     cursor = Cursor(data, 6 + model_bytes + 8)
     spans = {}
     for name, read in (("keys", cursor.key_table),
                        *((m, cursor.postings) for m in SET_MEASURES),
-                       ("df", cursor.tfidf),
-                       ("matrix", cursor.float_array)):
+                       ("df", cursor.tfidf)):
         start = cursor.pos
         read()
         spans[name] = (start, cursor.pos)
-    assert cursor.pos == len(data) - CHECKSUM_BYTES
+    spans["matrix"] = (cursor.pos, len(data) - CHECKSUM_BYTES)
     return spans
 
 

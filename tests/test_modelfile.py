@@ -29,9 +29,8 @@ from unionsearch.search import (IndexConfig, SearchConfig, SearchEngine,
 from unionsearch.syntactic import SET_MEASURES, SetPostings
 
 from conftest import TFIDF_EDITS, with_tfidf
-from references import (Cursor, float_array, float_fields, index_blocks,
-                        key_table, postings_block, postings_values,
-                        string_table, varint, with_block, with_key_table)
+from references import (float_fields, float_array, key_table, list_values,
+                        postings_block, string_table, varint, with_key_table)
 
 
 def _bundle(with_velocity: bool = True) -> ModelBundle:
@@ -236,12 +235,21 @@ def test_kind_byte_distinguishes_model_from_index(tmp_path, world):
     corpus, engine = world
     ip = tmp_path / "x.usi"
     save_index(ip, _bundle(), engine)
-    with pytest.raises(InputError):
-        load_model(ip)  # an index is not a model
+    with pytest.raises(InputError, match="this is an index file, expected "
+                                         "a model"):
+        load_model(ip)
     mp = tmp_path / "x.usm"
     save_model(mp, _bundle())
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="this is a model file, expected "
+                                         "an index"):
         load_index(mp)
+    # The kind byte is checked before the digest, so none is redone.
+    data = bytearray(mp.read_bytes())
+    data[5] = 7
+    mp.write_bytes(bytes(data))
+    for load in (load_model, load_index):
+        with pytest.raises(InputError, match="unknown file kind 7"):
+            load(mp)
 
 
 # ---------------------------------------------------------------- index files
@@ -466,9 +474,10 @@ def _edge_postings(seed: int, n_rows: int):
 
 def _postings_bytes(postings: SetPostings) -> bytes:
     out = io.BytesIO()
-    w = modelfile._Writer(out)
-    modelfile._write_postings(w, postings)
-    w._flush()
+    tokens = sorted(postings.postings)
+    modelfile._write_lists(modelfile._Writer(out), tokens,
+                           [postings.postings[tok] for tok in tokens],
+                           len(postings.sizes))
     return out.getvalue()
 
 
@@ -518,7 +527,7 @@ def test_postings_block_round_trip_at_varint_edges(seed):
     tokens = sorted(lists)
     assert data == postings_block(
         [tok.encode() for tok in tokens],
-        [varint(v) for v in postings_values(lists)])
+        [varint(v) for v in list_values([lists[tok] for tok in tokens])])
     back = _read_postings_bytes(data, EDGE_ROWS)
     _assert_same_lists(back, postings)
     assert _postings_bytes(back) == data
@@ -565,15 +574,13 @@ def test_index_round_trip_of_random_postings(tmp_path, world, seed):
 
 def _float_bytes(arr: np.ndarray) -> bytes:
     out = io.BytesIO()
-    w = modelfile._Writer(out)
-    w.f32_array(arr)
-    w._flush()
+    modelfile._Writer(out).f32_array(arr)
     return out.getvalue()
 
 
-def _read_float_bytes(data: bytes) -> np.ndarray:
+def _read_float_bytes(data: bytes, shape: tuple[int, ...]) -> np.ndarray:
     r = modelfile._Reader(data, "floats")
-    arr = r.f32_array()
+    arr = r.f32_array(shape)
     r.expect_end()
     return arr
 
@@ -601,69 +608,85 @@ def _specials(rng) -> np.ndarray:
 
 
 def _tied_with_raw(rng) -> np.ndarray:
-    """4,096 values whose coded top plane would take exactly as many bytes
-    as the raw one, 4,097: mode, dictionary size, 15 words, 2,048 code
-    bytes and 2,032 exceptions, 16 each of 127 rarer top bytes."""
+    """4,096 values whose coded top plane takes as many bytes as the raw
+    top bytes, 4,096: dictionary size, 15 words, 2,048 code bytes and 2,032
+    exceptions, 16 each of 127 rarer top bytes."""
     tops = np.concatenate([np.resize(np.arange(15), 2064),
                            np.repeat(np.arange(100, 227), 16)])
     return _with_tops(rng, rng.permutation(tops), (64, 64))
 
 
+def _every_top_byte(rng) -> np.ndarray:
+    """Each of the 256 top bytes three times: 15 of them coded, the other
+    723 values exceptions, so the plane takes more bytes than the values."""
+    return _with_tops(rng, rng.permutation(np.repeat(np.arange(256), 3)),
+                      (3, 256))
+
+
 FLOAT_CASES = {
-    "specials": (_specials, None),
-    "one-value": (lambda rng: np.full((9, 4), 0.3, dtype=np.float32),
-                  modelfile.CODED),
-    "15-top-bytes": (lambda rng: _with_tops(
+    "specials": _specials,
+    "one-value": lambda rng: np.full((9, 4), 0.3, dtype=np.float32),
+    "15-top-bytes": lambda rng: _with_tops(
         rng, rng.permutation(np.repeat(np.arange(60, 75), 7)), (15, 7)),
-        modelfile.CODED),
-    "16-top-bytes": (lambda rng: _with_tops(
+    "16-top-bytes": lambda rng: _with_tops(
         rng, rng.permutation(np.repeat(np.arange(16), 5)), (8, 10)),
-        modelfile.CODED),
-    "equally-common": (lambda rng: _with_tops(
+    "equally-common": lambda rng: _with_tops(
         rng, rng.permutation(np.repeat(np.arange(64) * 4, 4)), (16, 16)),
-        modelfile.RAW),
-    "odd-count": (lambda rng: rng.standard_normal(101).astype(np.float32),
-                  modelfile.CODED),
-    "trained-like": (lambda rng: (rng.standard_normal((300, 16))
-                                  * 0.2).astype(np.float32), modelfile.CODED),
-    "tied-with-raw": (_tied_with_raw, modelfile.RAW),
-    "zero-rows": (lambda rng: np.empty((0, 128), dtype=np.float32),
-                  modelfile.RAW),
-    "empty": (lambda rng: np.empty(0, dtype=np.float32), modelfile.RAW),
+    "every-top-byte": _every_top_byte,
+    "odd-count": lambda rng: rng.standard_normal(101).astype(np.float32),
+    "trained-like": lambda rng: (rng.standard_normal((300, 16))
+                                 * 0.2).astype(np.float32),
+    "tied-with-raw": _tied_with_raw,
+    "zero-rows": lambda rng: np.empty((0, 128), dtype=np.float32),
+    "empty": lambda rng: np.empty(0, dtype=np.float32),
 }
 
 
 @pytest.mark.parametrize("case", FLOAT_CASES)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_float_arrays_round_trip_bit_for_bit(case, seed):
-    make, mode = FLOAT_CASES[case]
-    arr = make(np.random.default_rng(seed))
+    arr = FLOAT_CASES[case](np.random.default_rng(seed))
     data = _float_bytes(arr)
     # The layout, coded one value at a time.
-    fields = float_fields(arr)
-    assert data == float_array(fields)
-    if mode is not None:
-        assert fields["mode"] == mode
-    back = _read_float_bytes(data)
+    assert data == float_array(float_fields(arr))
+    back = _read_float_bytes(data, arr.shape)
     assert back.dtype == np.float32 and back.shape == arr.shape
     assert back.flags.owndata and back.flags.writeable
     assert back.tobytes() == arr.tobytes()
     assert _float_bytes(back) == data
 
 
-def test_float_array_of_no_values_on_oversized_axes_raises_input_error():
-    """A zero axis leaves no values to read, but numpy cannot make an
-    array whose other axes multiply past its sizes."""
-    shape = (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)
-    data = struct.pack("<B4I", len(shape), *shape) + bytes([modelfile.RAW])
-    with pytest.raises(InputError, match="float array shape"):
-        _read_float_bytes(data)
+def test_float_array_of_every_top_byte_is_coded():
+    """Where most top bytes lie outside the 15 most common, the plane is
+    still coded: dictionary size, dictionary, a code nibble per value and
+    every exception's byte."""
+    arr = _every_top_byte(np.random.default_rng(4))
+    n = arr.size
+    fields = float_fields(arr)
+    assert fields["words"] == list(range(15))
+    assert len(fields["exceptions"]) == n - 15 * 3
+    plane = _float_bytes(arr)[3 * n:]
+    assert len(plane) == (1 + len(fields["words"]) + (n + 1) // 2
+                          + len(fields["exceptions"]))
+
+
+def test_float_array_codes_ending_in_a_non_zero_pad_nibble_raise_input_error():
+    """An odd count leaves the last code byte's high nibble over: a save
+    writes it zero, and a load refuses any other."""
+    arr = _specials(np.random.default_rng(0))
+    assert arr.size % 2
+    fields = float_fields(arr)
+    back = _read_float_bytes(float_array(fields), arr.shape)
+    assert back.tobytes() == arr.tobytes()
+    fields["pad"] = 1
+    with pytest.raises(InputError, match="non-zero pad nibble"):
+        _read_float_bytes(float_array(fields), arr.shape)
 
 
 def test_float_array_dictionary_ties_go_to_the_smaller_byte():
     """Top bytes 0-15 five times each: 15 is the one left out, and its
     five values are the exceptions."""
-    arr = FLOAT_CASES["16-top-bytes"][0](np.random.default_rng(3))
+    arr = FLOAT_CASES["16-top-bytes"](np.random.default_rng(3))
     fields = float_fields(arr)
     assert fields["words"] == list(range(15))
     assert fields["exceptions"] == [15] * 5
@@ -675,16 +698,14 @@ def test_float_array_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     # Exponents two apart, fewer the larger: many rare top bytes.
     spread = 4.0 ** rng.geometric(0.3, (40, 9))
     arrays = [(rng.standard_normal((40, 9)) * spread).astype(np.float32),
-              FLOAT_CASES["16-top-bytes"][0](rng),
-              FLOAT_CASES["equally-common"][0](rng), _specials(rng)]
+              FLOAT_CASES["16-top-bytes"](rng),
+              FLOAT_CASES["equally-common"](rng), _specials(rng)]
     data = [_float_bytes(arr) for arr in arrays]
-    fields = float_fields(arrays[0])
-    assert fields["mode"] == modelfile.CODED
-    assert len(fields["exceptions"]) > 2
+    assert len(float_fields(arrays[0])["exceptions"]) > 2
     monkeypatch.setattr(modelfile, "FLOAT_CHUNK", chunk)
     for arr, want in zip(arrays, data):
         assert _float_bytes(arr) == want
-        assert _read_float_bytes(want).tobytes() == arr.tobytes()
+        assert _read_float_bytes(want, arr.shape).tobytes() == arr.tobytes()
 
 
 def test_string_tables_round_trip():
@@ -696,9 +717,7 @@ def test_string_tables_round_trip():
                                                 5]
     for strings in (items, items[:3], []):
         out = io.BytesIO()
-        w = modelfile._Writer(out)
-        w.strings(strings)
-        w._flush()
+        modelfile._Writer(out).strings(strings)
         data = out.getvalue()
         assert data == string_table([s.encode() for s in strings])
         r = modelfile._Reader(data, "strings")
@@ -751,16 +770,15 @@ def test_save_failing_in_the_index_section_keeps_old_target(tmp_path, world,
     target = tmp_path / "out.usi"
     save_index(target, _bundle(), engine)
     old = target.read_bytes()
-    # Chunks small enough that the model section is on disk by then.
-    monkeypatch.setattr(modelfile, "CHUNK_BYTES", 64)
     written = []
 
-    def failing_postings(w, postings):
+    def failing_lists(w, names, lists, bound):
+        w.fh.flush()
         (tmp,) = tmp_path.glob("*.tmp")
         written.append(tmp.stat().st_size)
         raise OSError("disk full")
 
-    monkeypatch.setattr(modelfile, "_write_postings", failing_postings)
+    monkeypatch.setattr(modelfile, "_write_lists", failing_lists)
     with pytest.raises(OSError, match="disk full"):
         save_index(target, _bundle(), engine)
     assert written and written[0] > 0
@@ -771,11 +789,14 @@ def test_save_failing_in_the_index_section_keeps_old_target(tmp_path, world,
 @pytest.mark.parametrize("chunk", [1, 64, 4096])
 def test_saves_do_not_depend_on_the_chunk_size(tmp_path, world, monkeypatch,
                                                chunk):
+    """Whole files, with the float arrays and the list blocks coded chunk
+    by chunk at once."""
     _, engine = world
     model, index = tmp_path / "a.usm", tmp_path / "a.usi"
     save_model(model, _bundle())
     save_index(index, _bundle(), engine)
-    monkeypatch.setattr(modelfile, "CHUNK_BYTES", chunk)
+    monkeypatch.setattr(modelfile, "FLOAT_CHUNK", chunk)
+    monkeypatch.setattr(modelfile, "POSTINGS_CHUNK", chunk)
     save_model(tmp_path / "b.usm", _bundle())
     save_index(tmp_path / "b.usi", _bundle(), engine)
     assert (tmp_path / "b.usm").read_bytes() == model.read_bytes()
@@ -860,25 +881,29 @@ def test_checksummed_bad_utf8_raises_input_error(tmp_path):
         load_model(p)
 
 
-@pytest.mark.parametrize("craft", [
-    lambda b: setattr(b.head, "b1", b.head.b1[:5]),
-    lambda b: setattr(b.head, "W2", b.head.W2.T),
-    lambda b: setattr(b.encoder_config, "backend", "nope"),
-    lambda b: setattr(b.train_config, "batch_size", 1),
-    lambda b: setattr(b.encoder_config, "dim", 48),
-    lambda b: b.head.W1.__setitem__((0, 0), np.nan),
-    lambda b: b.head.b2.__setitem__(-1, -np.inf),
-    lambda b: setattr(b.train_config, "temperature", np.nan),
-    lambda b: setattr(b.train_config, "learning_rate", np.nan),
-    lambda b: setattr(b.train_config, "momentum", np.nan),
-    lambda b: setattr(b.train_config, "offline_floor", np.nan),
-    lambda b: setattr(b.train_config, "offline_floor", 2.0),
-], ids=["short-b1", "transposed-W2", "unknown-backend", "batch-size-1",
-        "head-encoder-dim-mismatch", "nan-W1", "inf-b2", "nan-temperature",
-        "nan-learning-rate", "nan-momentum", "nan-offline-floor",
-        "offline-floor-2"])
+@pytest.mark.parametrize("craft, saves", [
+    (lambda b: setattr(b.head, "b1", b.head.b1[:5]), False),
+    (lambda b: setattr(b.head, "W2", b.head.W2.T), False),
+    (lambda b: setattr(b.head, "W1", b.head.W1.ravel()), False),
+    (lambda b: setattr(b.encoder_config, "backend", "nope"), True),
+    (lambda b: setattr(b.train_config, "batch_size", 1), True),
+    (lambda b: setattr(b.encoder_config, "dim", 48), True),
+    (lambda b: b.head.W1.__setitem__((0, 0), np.nan), True),
+    (lambda b: b.head.b2.__setitem__(-1, -np.inf), True),
+    (lambda b: setattr(b.train_config, "temperature", np.nan), True),
+    (lambda b: setattr(b.train_config, "learning_rate", np.nan), True),
+    (lambda b: setattr(b.train_config, "momentum", np.nan), True),
+    (lambda b: setattr(b.train_config, "offline_floor", np.nan), True),
+    (lambda b: setattr(b.train_config, "offline_floor", 2.0), True),
+], ids=["short-b1", "transposed-W2", "flat-W1", "unknown-backend",
+        "batch-size-1", "head-encoder-dim-mismatch", "nan-W1", "inf-b2",
+        "nan-temperature", "nan-learning-rate", "nan-momentum",
+        "nan-offline-floor", "offline-floor-2"])
 def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
-                                                          craft):
+                                                          craft, saves):
+    """A bad model section saves and then fails to load; a head whose
+    tensors have other shapes than its dims imply, which a file cannot
+    store, fails to save and leaves no file."""
     corpus, engine = world
     bundle = _bundle()
     craft(bundle)
@@ -886,6 +911,11 @@ def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
                              (tmp_path / "i.usi",
                               lambda p, b: save_index(p, b, engine),
                               load_index)):
+        if not saves:
+            with pytest.raises(ValueError, match="head tensor shapes"):
+                save(path, bundle)
+            assert list(tmp_path.iterdir()) == []
+            continue
         save(path, bundle)
         with pytest.raises(InputError):
             load(path)
@@ -903,11 +933,7 @@ def _model_bytes(tmp_path) -> int:
      "table ids not strictly increasing"),
     (lambda tables: [tables[0], (tables[0][0], tables[1][1])] + tables[2:],
      "table ids not strictly increasing"),
-    (lambda tables: [(tables[0][0], tables[0][1][::-1])] + tables[1:],
-     "key table positions not increasing within a table"),
-    (lambda tables: [(tables[0][0], [0, 0])] + tables[1:],
-     "key table positions not increasing within a table"),
-], ids=["unsorted", "duplicate", "positions-unsorted", "position-repeated"])
+], ids=["unsorted", "duplicate"])
 def test_checksummed_bad_key_table_raises_input_error(tmp_path, world, edit,
                                                       message):
     corpus, engine = world
@@ -929,7 +955,44 @@ def test_save_refuses_keys_out_of_order(world):
     w = modelfile._Writer(out)
     with pytest.raises(ValueError, match="keys must be strictly increasing"):
         modelfile._write_key_table(w, keys)
-    w._flush()
+    assert out.getvalue() == b""
+
+
+@pytest.mark.parametrize("tables", [
+    [],
+    [("a", [127, 128, 2**32 - 1])],
+    [("a", [0]), ("b", [5]), ("c", [0, 1])],
+    [("a", [0, 3, 200]), ("b", [1, 2**20]), ("\u00e9", [7])],
+], ids=["no-keys", "varint-edges", "one-column-tables", "gaps"])
+def test_key_tables_round_trip(tables):
+    """Positions at the one- to two-byte varint edge and at the largest
+    a load accepts, one-column tables, and gaps between positions."""
+    keys = [(table_id, p) for table_id, positions in tables
+            for p in positions]
+    out = io.BytesIO()
+    modelfile._write_key_table(modelfile._Writer(out), keys)
+    data = out.getvalue()
+    assert data == key_table([(t.encode(), positions)
+                              for t, positions in tables])
+    r = modelfile._Reader(data, "keys")
+    assert modelfile._read_key_table(r) == keys
+    r.expect_end()
+
+
+@pytest.mark.parametrize("keys, lists, bound", [
+    ([("a", 0), ("a", 2**32)], None, None),
+    (None, [np.array([0, 3]), np.array([5])], 5),
+], ids=["position-2**32", "row-at-bound"])
+def test_save_refuses_list_items_at_their_bound(keys, lists, bound):
+    """A column position at 2**32 or a posting row at the key count would
+    be refused by a load, so a save refuses it and writes nothing."""
+    out = io.BytesIO()
+    w = modelfile._Writer(out)
+    with pytest.raises(ValueError, match="list items must lie below"):
+        if keys is None:
+            modelfile._write_lists(w, ["x", "y"], lists, bound)
+        else:
+            modelfile._write_key_table(w, keys)
     assert out.getvalue() == b""
 
 
@@ -956,25 +1019,6 @@ def test_key_table_edit_helper_rewrites_an_unedited_file(tmp_path, world):
     save_index(index, _bundle(), engine)
     data = index.read_bytes()
     assert with_key_table(data, _model_bytes(tmp_path), key_table) == data
-
-
-def test_checksummed_vector_matrix_of_another_shape_raises_input_error(
-        tmp_path, world):
-    """A matrix of shape (2n, d/2) holds as many floats as (n, d), so the
-    file parses to its end; the shape check alone refuses it."""
-    corpus, engine = world
-    index = tmp_path / "engine.usi"
-    save_index(index, _bundle(), engine)
-    data = index.read_bytes()
-    span = index_blocks(data, _model_bytes(tmp_path))["matrix"]
-    fields = Cursor(data, span[0]).float_array()
-    n, dim = len(engine.keys), engine.head.dims[2]
-    assert fields["shape"] == [n, dim]
-    fields["shape"] = [2 * n, dim // 2]
-    index.write_bytes(with_block(data, span, float_array(fields)))
-    with pytest.raises(InputError, match=rf"vector matrix shape \({2 * n}, "
-                                         rf"{dim // 2}\) != \({n}, {dim}\)"):
-        load_index(index)
 
 
 @pytest.mark.parametrize("case", TFIDF_EDITS)

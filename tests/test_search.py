@@ -27,7 +27,8 @@ from unionsearch.search import (
     write_results,
 )
 from unionsearch.syntactic import (FORMAT, NAME, SEMANTIC, SET_MEASURES,
-                                   TfidfModel, VALUE, build_profile, jaccard)
+                                   SetPostings, TfidfModel, VALUE,
+                                   build_profile, jaccard)
 
 from conftest import make_table, rotate_from, unit
 
@@ -190,7 +191,8 @@ class VectorEngine(SearchEngine):
         # The head only sets the index dimension; queries bypass it.
         super().__init__(encoder=None, head=init_head(dim, dim, dim, seed=0),
                          index_config=IndexConfig(),
-                         tfidf=TfidfModel(df={}, n_columns=0), keys=keys,
+                         tfidf=TfidfModel(df={}, n_columns=len(keys)),
+                         keys=keys,
                          vectors=np.array([stored[key] for key in keys],
                                           dtype=np.float32).reshape(-1, dim),
                          postings={})
@@ -336,6 +338,34 @@ def test_engine_refuses_keys_not_strictly_increasing(make, edit):
         make(built.encoder, built.head, built.index_config, built.tfidf,
              edit(built.keys), built.semantic_index.vectors.copy(),
              built.postings)
+
+
+@pytest.mark.parametrize("exhaustive", [False, True],
+                         ids=["banded", "exhaustive"])
+@pytest.mark.parametrize("part", ["grown-index", "postings", "tfidf"])
+def test_search_refuses_parts_over_other_row_counts(exhaustive, part):
+    """Pairs are named ``j * rows + row`` by the cosine index and by each
+    postings block alike, so a part over another row count, such as a
+    cosine index that grew after the engine was made, would pair every
+    query column after the first with other rows' name and value parts."""
+    built, corpus, _ = _bench_engine(0)
+    n = len(built.keys)
+    postings, tfidf = dict(built.postings), built.tfidf
+    if part == "postings":
+        postings[NAME] = SetPostings(built.postings[NAME].postings, n + 1)
+    elif part == "tfidf":
+        tfidf = TfidfModel(df=built.tfidf.df, n_columns=n + 1)
+    engine = SearchEngine(built.encoder, built.head, built.index_config,
+                          tfidf, built.keys, built.semantic_index.vectors,
+                          postings)
+    if part == "grown-index":
+        engine.semantic_index.insert(("zzz", 0),
+                                     built.semantic_index.vectors[0])
+    table = next(t for t in corpus.tables if len(t.columns) == 5)
+    cfg = SearchConfig(threshold=0.5, measures=(SEMANTIC, NAME, VALUE),
+                       exhaustive=exhaustive)
+    with pytest.raises(ConfigError, match="engine row counts disagree"):
+        top_k_search(engine, table, cfg)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
