@@ -52,6 +52,7 @@ first call after an insert. An index file therefore stores none of it.
 from __future__ import annotations
 
 from array import array
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -156,7 +157,8 @@ class CosineLshIndex:
     each row, in insertion order, and ``rows`` maps each key back to its
     row. ``planes`` is the one hyperplane array. ``prefilter`` derives its
     subspace sketch of the rows when it first needs it, and every insert
-    drops it.
+    drops it. A search engine's index is sealed: ``keys`` a tuple, ``rows``
+    a read-only mapping, its arrays read-only, and inserts refused.
     """
 
     def __init__(self, dim: int, n_planes: int = 256, n_bands: int = 32,
@@ -554,9 +556,17 @@ class CosineLshIndex:
         self._rows = self._shaped(matrix, ndim=2)
         self._file(list(keys), self._rows)
 
+    def _seal(self) -> None:
+        """Make the index read-only in place, so ``_file`` refuses inserts."""
+        self.keys, self.rows = tuple(self.keys), MappingProxyType(self.rows)
+        for stored in (self._rows, self._norms, self._packed):
+            stored.flags.writeable = False
+
     def _file(self, keys: list[ColumnKey], matrix: np.ndarray) -> None:
         """``insert_many`` of a stack already shaped, of float32 values; an
         adopted matrix is the rows already."""
+        if isinstance(self.keys, tuple):
+            raise ConfigError("a sealed cosine index takes no inserts")
         if len(matrix) != len(keys):
             raise ConfigError(f"{len(matrix)} vectors for {len(keys)} keys")
         self._sketch = None

@@ -84,7 +84,7 @@ import os
 import struct
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from itertools import chain, repeat
 from typing import BinaryIO, Callable, Iterator, Sequence, get_type_hints
@@ -514,11 +514,8 @@ def _read_lists(r: _Reader, what: str, bound: int
     return names, counts, items
 
 
-def _write_key_table(w: _Writer, keys: list[ColumnKey]) -> None:
-    """Each table's column positions, named by its table id. Keys out of
-    order would be stored as other keys, so they are refused."""
-    if any(after <= before for before, after in zip(keys, keys[1:])):
-        raise ValueError("keys must be strictly increasing")
+def _write_key_table(w: _Writer, keys: Sequence[ColumnKey]) -> None:
+    """Each table's column positions, named by its table id."""
     table_ids, positions = zip(*keys) if keys else ((), ())
     counts = Counter(table_ids)
     ends = np.cumsum(np.fromiter(counts.values(), dtype=np.int64,
@@ -609,13 +606,7 @@ def _read_postings(r: _Reader, n_rows: int) -> SetPostings:
 
 
 def _write_index_section(w: _Writer, engine: SearchEngine) -> None:
-    """The index section; the document frequencies must count one document
-    per key, as a load takes the column count from the key table."""
-    if engine.tfidf.n_columns != len(engine.keys):
-        raise ValueError(f"document frequencies over {engine.tfidf.n_columns}"
-                         f" columns, not the {len(engine.keys)} keys")
     _write_config(w, engine.index_config)
-
     _write_key_table(w, engine.keys)
     for measure in SET_MEASURES:
         lists = engine.postings[measure].postings
@@ -727,6 +718,18 @@ def load_model(path: str | Path) -> ModelBundle:
 
 def save_index(path: str | Path, bundle: ModelBundle,
                engine: SearchEngine) -> None:
+    """Refuses with ValueError, writing nothing, a bundle whose head or
+    encoder configuration is not the engine's bit for bit, as it would load
+    as another engine; a vector file's dim is the file's, as a load sets it."""
+    stored = bundle.encoder_config
+    if stored.backend != HASHING_BACKEND:
+        stored = replace(stored, dim=engine.encoder.dim)
+    bits = [[(t.dtype.str, t.shape, t.tobytes())
+             for t in map(np.asarray, head.tensors())]
+            for head in (bundle.head, engine.head)]
+    if stored != engine.encoder.cfg or bits[0] != bits[1]:
+        raise ValueError("the bundle's head or encoder configuration is not "
+                         "the engine's")
     _save(path, bundle, engine)
 
 

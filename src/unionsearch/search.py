@@ -36,8 +36,10 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,7 +54,7 @@ from . import syntactic
 from .syntactic import ALL_MEASURES, FORMAT, SEMANTIC, TfidfModel, TokenSets
 
 
-@dataclass
+@dataclass(frozen=True)
 class IndexConfig:
     """The one index setting: the seed of its hyperplanes and permutations."""
 
@@ -172,51 +174,63 @@ def table_unionability(matches: list[AttributeMatch]) -> float:
 class SearchEngine:
     """Immutable query-side bundle: encoder, head, and indexes.
 
-    Made from ``keys``, in strictly increasing order (others raise
-    ConfigError), and ``vectors``, a matrix of one float32 vector per key
-    in the same order, which is read, not kept. The cosine index keeps its
-    own default banding, takes its seed from ``index_config`` and its
-    dimension from ``head.dims[2]`` and files the matrix in one ``insert_many``, which allocates its rows, so
-    the same columns give the same rows and buckets. ``build_engine`` and
-    ``modelfile.load_index`` hand over a matrix of their own through
-    ``_adopting`` instead, whose index keeps it as its rows.
-    ``keys`` is that index's own row -> key list.
-    ``postings`` maps each syntactic measure to the inverted lists of its
-    token sets over the same rows, so their row i is ``keys[i]`` too. They
-    are the one store of the token sets and the one source of the set
-    measures' scores.
+    Made from ``keys``, ``vectors``, one float32 vector per key, and
+    ``postings``, each set measure's inverted lists of its token sets. It
+    checks once, here, that the keys strictly increase and that the
+    postings' ``sizes`` and ``tfidf.n_columns`` count one row per key, so
+    row i is ``keys[i]`` everywhere (others raise ConfigError). After
+    that, ``keys`` is the sealed cosine index's tuple, ``postings`` a
+    read-only mapping of read-only arrays, ``tfidf`` frozen and ``head``
+    the engine's own read-only copy. The constructor copies its arguments;
+    ``build_engine`` and ``modelfile.load_index`` hand theirs to
+    ``_adopting``, which freezes them in place.
     """
 
     def __init__(self, encoder: Encoder, head: ProjectionHead,
                  index_config: IndexConfig, tfidf: TfidfModel,
                  keys: Sequence[ColumnKey], vectors: np.ndarray,
                  postings: dict[str, syntactic.SetPostings]):
-        _check_increasing(keys)
-        self.encoder = encoder
-        self.head = head
-        self._wide_head = widened(head)
-        self.index_config = index_config
-        self.tfidf = tfidf
-        self.semantic_index = CosineLshIndex(
-            dim=head.dims[2], seed=derive_seed(index_config.seed, "cosine"))
-        self.keys: list[ColumnKey] = self.semantic_index.keys
-        self.semantic_index.insert_many(keys, vectors)
-        self.postings = postings
+        self._hold(encoder, head, index_config,
+                   TfidfModel(dict(tfidf.df), tfidf.n_columns), keys,
+                   np.array(vectors, dtype=np.float32, order="C"),
+                   {m: syntactic.SetPostings(
+                       {tok: rows.copy() for tok, rows in p.postings.items()},
+                       len(p.sizes)) for m, p in postings.items()})
 
     @classmethod
-    def _adopting(cls, encoder: Encoder, head: ProjectionHead,
-                  index_config: IndexConfig, tfidf: TfidfModel,
-                  keys: Sequence[ColumnKey], matrix: np.ndarray,
-                  postings: dict[str, syntactic.SetPostings]
-                  ) -> SearchEngine:
-        """The engine of these arguments, whose cosine index takes matrix,
-        a C-contiguous float32 array its caller made and drops, as its rows
-        instead of a copy: the same rows, norms and band keys."""
-        _check_increasing(keys)
-        engine = cls(encoder, head, index_config, tfidf, [],
-                     np.empty((0, head.dims[2]), dtype=np.float32), postings)
-        engine.semantic_index._adopt(keys, matrix)
+    def _adopting(cls, *parts) -> SearchEngine:
+        """The engine of the constructor's arguments, frozen in place with
+        no copy but the head's: the vectors, a C-contiguous float32 matrix,
+        become its rows."""
+        engine = cls.__new__(cls)
+        engine._hold(*parts)
         return engine
+
+    def _hold(self, encoder: Encoder, head: ProjectionHead,
+              index_config: IndexConfig, tfidf: TfidfModel,
+              keys: Sequence[ColumnKey], matrix: np.ndarray,
+              postings: dict[str, syntactic.SetPostings]) -> None:
+        """Check the parts, the one check of an engine, and keep them."""
+        if any(after <= before for before, after in zip(keys, keys[1:])):
+            raise ConfigError("keys must be strictly increasing")
+        covered = [len(p.sizes) for p in postings.values()] + [tfidf.n_columns]
+        if any(rows != len(keys) for rows in covered):
+            raise ConfigError(f"engine row counts disagree: {len(keys)} keys, "
+                              f"postings and document frequencies {covered}")
+        self.semantic_index = CosineLshIndex(
+            dim=head.dims[2], seed=derive_seed(index_config.seed, "cosine"))
+        self.semantic_index._adopt(keys, matrix)
+        self.semantic_index._seal()
+        self.keys: tuple[ColumnKey, ...] = self.semantic_index.keys
+        self.encoder = encoder
+        self.head = head.copy()
+        self._wide_head = widened(self.head)
+        self.index_config = index_config
+        self.tfidf = tfidf
+        for array in chain(self.head.tensors(), *(
+                (p.sizes, *p.postings.values()) for p in postings.values())):
+            array.flags.writeable = False
+        self.postings = MappingProxyType(postings)
 
     def project_column(self, column: Column) -> np.ndarray:
         """Projected embedding, quantized to float32 like every stored vector."""
@@ -226,11 +240,6 @@ class SearchEngine:
     def query_profile(self, column: Column, measures: Sequence[str]) -> TokenSets:
         """The query column's token sets of just the named set measures."""
         return syntactic.build_profile(column, self.tfidf, measures)
-
-
-def _check_increasing(keys: Sequence[ColumnKey]) -> None:
-    if any(after <= before for before, after in zip(keys, keys[1:])):
-        raise ConfigError("keys must be strictly increasing")
 
 
 def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
@@ -271,18 +280,11 @@ def _table_pairs(engine: SearchEngine, cfg: SearchConfig,
 
     qvecs stacks the columns' projected vectors. A pair of column j and
     engine row is named by the id ``j * len(engine.keys) + row``, as the
-    cosine index and the set postings name it, so an engine whose parts
-    cover other row counts, such as one whose cosine index grew after it
-    was made, is refused.
+    cosine index and the set postings name it.
     """
     t = cfg.threshold
     index = engine.semantic_index
     n = index.size
-    covered = [len(p.sizes) for p in engine.postings.values()]
-    covered.append(engine.tfidf.n_columns)
-    if any(rows != n for rows in covered):
-        raise ConfigError(f"engine row counts disagree: cosine index {n}, "
-                          f"postings and document frequencies {covered}")
     measures = cfg.ordered_measures()[1:]
     sets = [engine.query_profile(c, measures) for c in columns]
     matches = {m: engine.postings[m].match([s[m] for s in sets])

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from collections import Counter
 from itertools import chain, compress, repeat
 from operator import mul, neg
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -79,11 +80,12 @@ class SetPostings:
     ``match`` finds the rows that overlap each of a stack of query sets by
     ScanCount (Li, Lu & Lu, ICDE 2008), counting only the rows the query
     tokens' lists touch. Its Jaccards divide the same two integers that
-    ``jaccard`` divides, so they agree bit for bit.
+    ``jaccard`` divides, so they agree bit for bit. ``postings`` is a
+    read-only view of the mapping given; an engine's arrays are read-only.
     """
 
-    def __init__(self, postings: dict[str, np.ndarray], n_rows: int):
-        self.postings = postings
+    def __init__(self, postings: Mapping[str, np.ndarray], n_rows: int):
+        self.postings = MappingProxyType(postings)
         self.sizes = np.bincount(
             np.concatenate([np.empty(0, dtype=np.int64), *postings.values()]),
             minlength=n_rows)
@@ -138,18 +140,21 @@ def name_qgrams(name: str) -> frozenset[str]:
     return frozenset(norm[i:i + QGRAM] for i in range(len(norm) - QGRAM + 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TfidfModel:
     """Corpus-level document frequencies, one document per column.
 
     ``idf`` maps each document frequency a token can have here, the stored
     ones and 1 for a token the corpus never saw, to its ``_idf``. It is
     made on first use (289 distinct frequencies for the 5,708 tokens of the
-    benchmark lake) and assumes ``df`` and ``n_columns`` no longer change.
+    benchmark lake), as the model is frozen and ``df`` a read-only view.
     """
 
-    df: dict[str, int]
+    df: Mapping[str, int]
     n_columns: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "df", MappingProxyType(self.df))
 
     @functools.cached_property
     def idf(self) -> dict[int, float]:

@@ -129,7 +129,7 @@ def test_build_engine_equals_the_column_by_column_build(
     keys, tfidf, postings, vectors = _reference(lake, Encoder(cfg), head)
     # Some column is not encodable, so the passes had one to leave out.
     assert len(keys) < lake.column_count
-    assert engine.keys == keys
+    assert engine.keys == tuple(keys)
     assert engine.tfidf.df == tfidf.df
     assert engine.tfidf.n_columns == tfidf.n_columns
     for measure in SET_MEASURES:

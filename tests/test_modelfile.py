@@ -114,7 +114,9 @@ def test_every_config_field_roundtrips(tmp_path, world):
     vectors = tmp_path / "v.txt"
     vectors.write_text("alpha " + " ".join(["0.5"] * 12) + "\n",
                        encoding="utf-8")
-    ec = EncoderConfig(backend="vector_file", dim=12,
+    # The encoder takes its dim, 12, from the file, and a save of the index
+    # compares the bundle's with the engine's as a load sets it.
+    ec = EncoderConfig(backend="vector_file", dim=20,
                        vector_file_path=str(vectors), hash_seed=2**64 - 1,
                        cell_as_single_token=True)
     tc = TrainConfig(temperature=0.25, learning_rate=3e-3, momentum=0.5,
@@ -124,13 +126,14 @@ def test_every_config_field_roundtrips(tmp_path, world):
     for cfg in (ec, tc, icfg):
         for f in fields(cfg):   # a new field must join this test
             assert getattr(cfg, f.name) != f.default, (type(cfg), f.name)
-    bundle = replace(_bundle(), encoder_config=ec, train_config=tc)
+    bundle = replace(_bundle(), encoder_config=ec, train_config=tc,
+                     head=init_head(12, 24, 16, seed=9))
     model, index = tmp_path / "m.usm", tmp_path / "i.usi"
     save_model(model, bundle)
     back = load_model(model)
     assert (back.encoder_config, back.train_config) == (ec, tc)
     save_index(index, bundle,
-               build_engine(corpus, engine.encoder, engine.head, icfg))
+               build_engine(corpus, Encoder(ec), bundle.head, icfg))
     back, loaded = load_index(index)
     assert (back.encoder_config, back.train_config) == (ec, tc)
     assert loaded.index_config == icfg
@@ -403,9 +406,9 @@ def test_built_and_loaded_cosine_lookups_identical(tmp_path, world):
         save_index(p, _bundle(), eng)
         engines.append(load_index(p)[1])
     for eng in engines:
-        assert eng.keys == sorted(eng.keys)
+        assert list(eng.keys) == sorted(eng.keys)
         sem = eng.semantic_index
-        assert [sem.keys[r] for r in range(sem.size)] == engine.keys
+        assert tuple(sem.keys[r] for r in range(sem.size)) == engine.keys
         assert eng.keys is sem.keys
         assert sem.buckets == engine.semantic_index.buckets
         assert_same_postings(eng, engine)
@@ -903,13 +906,15 @@ def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
                                                           craft, saves):
     """A bad model section saves and then fails to load; a head whose
     tensors have other shapes than its dims imply, which a file cannot
-    store, fails to save and leaves no file."""
+    store, fails to save and leaves no file. The index file is written
+    past ``save_index``, which refuses a head or an encoder configuration
+    that is not the engine's."""
     corpus, engine = world
     bundle = _bundle()
     craft(bundle)
     for path, save, load in ((tmp_path / "m.usm", save_model, load_model),
                              (tmp_path / "i.usi",
-                              lambda p, b: save_index(p, b, engine),
+                              lambda p, b: modelfile._save(p, b, engine),
                               load_index)):
         if not saves:
             with pytest.raises(ValueError, match="head tensor shapes"):
@@ -943,19 +948,6 @@ def test_checksummed_bad_key_table_raises_input_error(tmp_path, world, edit,
                                      lambda tables: key_table(edit(tables))))
     with pytest.raises(InputError, match=message):
         load_index(index)
-
-
-def test_save_refuses_keys_out_of_order(world):
-    """Keys (a, 0), (b, 5), (a, 1) would store as (a, 0), (a, 5), (b, 1),
-    which a load accepts, so the key table refuses them and writes
-    nothing."""
-    corpus, engine = world
-    keys = [engine.keys[0], engine.keys[-1], *engine.keys[1:-1]]
-    out = io.BytesIO()
-    w = modelfile._Writer(out)
-    with pytest.raises(ValueError, match="keys must be strictly increasing"):
-        modelfile._write_key_table(w, keys)
-    assert out.getvalue() == b""
 
 
 @pytest.mark.parametrize("tables", [
@@ -996,20 +988,30 @@ def test_save_refuses_list_items_at_their_bound(keys, lists, bound):
     assert out.getvalue() == b""
 
 
-@pytest.mark.parametrize("step", [1, -1])
-def test_save_refuses_document_frequencies_over_other_columns(tmp_path, world,
-                                                              step):
-    """A load counts one document per key, so document frequencies over
-    another column count would load as another engine: a save refuses
-    them and writes nothing."""
+def _flip_first_bit(tensor: np.ndarray) -> None:
+    tensor.reshape(-1).view(np.uint32)[0] ^= 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: _flip_first_bit(b.head.W2),
+    lambda b: b.head.b1.__setitem__(0, -0.0),
+    lambda b: setattr(b.head, "W1", b.head.W1.astype(np.float64)),
+    lambda b: setattr(b.encoder_config, "hash_seed", 78),
+    lambda b: setattr(b.encoder_config, "cell_as_single_token", True),
+    lambda b: setattr(b.encoder_config, "dim", 48),
+], ids=["head-bit", "head-negative-zero", "head-dtype", "hash-seed",
+        "cell-tokens", "dim"])
+def test_save_refuses_a_bundle_that_is_not_the_engines(tmp_path, world,
+                                                       edit):
+    """A file stores the bundle's head and encoder configuration next to
+    the engine's rows, so a bundle that differs from the engine in any
+    stored bit would load as another engine: a save refuses it and writes
+    nothing."""
     corpus, engine = world
-    other = SearchEngine(engine.encoder, engine.head, engine.index_config,
-                         replace(engine.tfidf,
-                                 n_columns=engine.tfidf.n_columns + step),
-                         engine.keys, engine.semantic_index.vectors,
-                         engine.postings)
-    with pytest.raises(ValueError, match="document frequencies over"):
-        save_index(tmp_path / "engine.usi", _bundle(), other)
+    bundle = _bundle()
+    edit(bundle)
+    with pytest.raises(ValueError, match="not the engine's"):
+        save_index(tmp_path / "engine.usi", bundle, engine)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -11,11 +11,14 @@ import pytest
 from unionsearch.bench import BenchmarkSpec, evaluate_engine, generate_benchmark
 from unionsearch.contrast import OFFLINE, ONLINE, train
 from unionsearch.encoder import Encoder, EncoderConfig
+from unionsearch.lshindex import CosineLshIndex
 from unionsearch.modelfile import ModelBundle, load_index, save_index
-from unionsearch.projection import TrainConfig, Velocity, init_head
+from unionsearch.projection import (HeadGradients, TrainConfig, Velocity,
+                                    init_head, sgd_step)
 from unionsearch.search import (IndexConfig, SearchConfig, SearchEngine,
-                                build_engine, top_k_search)
-from unionsearch.syntactic import NAME, SEMANTIC, VALUE
+                                build_engine, top_k_search, write_results)
+from unionsearch.syntactic import (NAME, SEMANTIC, VALUE, SetPostings,
+                                   TfidfModel)
 
 LAKE_SPEC = BenchmarkSpec(n_bases=4, derivations_per_base=4, n_topics=2,
                           base_columns=(3, 4), base_rows=16, seed=5)
@@ -115,12 +118,107 @@ def test_batched_build_and_filing_leave_corpus_config_and_matrix_alone(
     assert not np.shares_memory(engine.semantic_index.vectors, matrix)
     matrix[:] = 0.0
     _assert_engine_unchanged(engine, state)
-    index = engine.semantic_index
+    # An engine's index takes no inserts, so a fresh one of its kind does.
+    index = CosineLshIndex(dim=matrix.shape[1], seed=4)
+    index.insert_many(built.keys, matrix_before)
     stack = matrix_before[:5] + 1.0
     stack_before = stack.copy()
     index.insert_many([("new", i) for i in range(5)], stack)
     np.testing.assert_array_equal(stack, stack_before)
     assert not np.shares_memory(index.vectors, stack)
+
+
+def _writeable_parts(engine):
+    """A head, postings and document frequencies equal to the engine's,
+    of the caller's own: writeable arrays and a dict."""
+    postings = {m: SetPostings({tok: rows.copy()
+                                for tok, rows in p.postings.items()},
+                               len(p.sizes))
+                for m, p in engine.postings.items()}
+    return engine.head.copy(), postings, dict(engine.tfidf.df)
+
+
+def _arrays(head, postings):
+    """Every tensor of head, and every list and ``sizes`` of postings."""
+    return [*head.tensors(), *(a for p in postings.values()
+                               for a in (p.sizes, *p.postings.values()))]
+
+
+def test_constructor_copies_and_adopting_freezes_in_place(engine):
+    """The constructor leaves its caller's head tensors, postings arrays
+    and df dict writeable and as they were, and holds read-only copies.
+    Only ``_adopting`` freezes what it is handed in place, with no copy;
+    it too copies the head, the one part a build shares with its
+    caller."""
+    head, postings, df = _writeable_parts(engine)
+    tfidf = TfidfModel(df, engine.tfidf.n_columns)
+    arrays = _arrays(head, postings)
+    before = [a.copy() for a in arrays], dict(df)
+    made = SearchEngine(engine.encoder, head, engine.index_config, tfidf,
+                        engine.keys, engine.semantic_index.vectors, postings)
+    assert all(a.flags.writeable for a in arrays)
+    for now, was in zip(arrays, before[0]):
+        np.testing.assert_array_equal(now, was)
+    assert df == before[1]
+    df["zzz"] = 1   # the caller's to change, not the engine's
+    assert "zzz" not in made.tfidf.df
+    del df["zzz"]
+    assert _postings_state(made) == _postings_state(engine)
+    for own in _arrays(made.head, made.postings):
+        assert not own.flags.writeable
+        assert not any(np.shares_memory(own, a) for a in arrays)
+
+    matrix = engine.semantic_index.vectors.copy()
+    adopted = SearchEngine._adopting(engine.encoder, head,
+                                     engine.index_config, tfidf, engine.keys,
+                                     matrix, postings)
+    assert adopted.tfidf is tfidf
+    assert all(adopted.postings[m] is p for m, p in postings.items())
+    assert not any(a.flags.writeable for a in _arrays(adopted.head, postings))
+    assert np.shares_memory(adopted.semantic_index.vectors, matrix)
+    assert not matrix.flags.writeable
+    assert all(t.flags.writeable for t in head.tensors())
+    assert not any(np.shares_memory(a, b) for a, b
+                   in zip(head.tensors(), adopted.head.tensors()))
+
+
+@pytest.mark.parametrize("make", ["build-engine", "constructor"])
+def test_edits_to_the_callers_head_stay_out_of_the_engine(lake, engine,
+                                                          tmp_path, make):
+    """A training step on the head an engine was made from changes neither
+    the engine's answers nor what a save of ``engine.head`` loads to; a
+    bundle of the edited head is not the engine's, so it does not save."""
+    head = init_head(32, 32, 16, seed=3)
+    if make == "build-engine":
+        made = build_engine(lake, engine.encoder, head, IndexConfig(seed=4))
+    else:
+        made = SearchEngine(engine.encoder, head, engine.index_config,
+                            engine.tfidf, engine.keys,
+                            engine.semantic_index.vectors, engine.postings)
+    cfg = SearchConfig(k=3, threshold=0.5, measures=(SEMANTIC, NAME, VALUE))
+
+    def answers(eng):
+        write_results(tmp_path / "results.csv",
+                      [top_k_search(eng, t, cfg) for t in lake.tables[:3]])
+        return (tmp_path / "results.csv").read_bytes()
+
+    before = answers(made)
+    grads = HeadGradients(*(np.full(t.shape, 0.5) for t in head.tensors()))
+    sgd_step(head, grads, 0.1, 0.9, Velocity.zeros_like(head))
+    assert answers(made) == before
+
+    def bundle(h):
+        return ModelBundle(encoder_config=EncoderConfig(dim=32, hash_seed=1),
+                           head=h, train_config=TrainConfig(),
+                           strategy=ONLINE, best_epoch=0)
+
+    path = tmp_path / "made.usi"
+    save_index(path, bundle(made.head), made)
+    assert answers(load_index(path)[1]) == before
+    path.unlink()
+    with pytest.raises(ValueError, match="not the engine's"):
+        save_index(path, bundle(head), made)
+    assert not path.exists()
 
 
 def _postings_state(engine):
@@ -133,7 +231,7 @@ def _postings_state(engine):
 
 def _engine_state(engine):
     index = engine.semantic_index
-    return (list(engine.keys), _postings_state(engine),
+    return (tuple(engine.keys), _postings_state(engine),
             index.vectors.copy(), copy.deepcopy(index.buckets))
 
 

@@ -1,16 +1,19 @@
 import os
 import subprocess
 import sys
+from operator import setitem
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from unionsearch.bench import BenchmarkSpec, brute_force_search, generate_benchmark
+from unionsearch.contrast import ONLINE
 from unionsearch.corpus import Column, ColumnKey, Table
 from unionsearch.encoder import Encoder, EncoderConfig
 from unionsearch.errors import ConfigError, InputError, NumericError
-from unionsearch.projection import ProjectionHead, init_head
+from unionsearch.modelfile import ModelBundle, load_index, save_index
+from unionsearch.projection import ProjectionHead, TrainConfig, init_head
 from unionsearch.search import (
     AttributeMatch,
     IndexConfig,
@@ -328,11 +331,13 @@ def test_zero_norm_query_vector_raises(exhaustive):
 @pytest.mark.parametrize("edit", [
     lambda keys: [keys[1], keys[0], *keys[2:]],
     lambda keys: [keys[0], *keys[:-1]],
-], ids=["swapped", "repeated"])
+    lambda keys: [keys[0], keys[-1], *keys[1:-1]],
+], ids=["swapped", "repeated", "last-first"])
 def test_engine_refuses_keys_not_strictly_increasing(make, edit):
     """Row i belongs to keys[i], and a save stores keys sorted, so an
     engine of keys out of order would answer queries a load of it does not
-    and save as another engine."""
+    and save as another engine: keys (a, 0), (b, 5), (a, 1) would store as
+    (a, 0), (a, 5), (b, 1)."""
     built, _, _ = _bench_engine(0)
     with pytest.raises(ConfigError, match="keys must be strictly increasing"):
         make(built.encoder, built.head, built.index_config, built.tfidf,
@@ -342,30 +347,132 @@ def test_engine_refuses_keys_not_strictly_increasing(make, edit):
 
 @pytest.mark.parametrize("exhaustive", [False, True],
                          ids=["banded", "exhaustive"])
-@pytest.mark.parametrize("part", ["grown-index", "postings", "tfidf"])
+@pytest.mark.parametrize("part", ["grown-index", "postings", "tfidf",
+                                  "tfidf-fewer"])
 def test_search_refuses_parts_over_other_row_counts(exhaustive, part):
     """Pairs are named ``j * rows + row`` by the cosine index and by each
     postings block alike, so a part over another row count, such as a
     cosine index that grew after the engine was made, would pair every
-    query column after the first with other rows' name and value parts."""
+    query column after the first with other rows' name and value parts,
+    and a load, which counts one document per key, would answer as another
+    engine. No such engine can be made: its constructors refuse the parts
+    and its cosine index refuses an insert, and the engine answers as
+    before."""
     built, corpus, _ = _bench_engine(0)
-    n = len(built.keys)
-    postings, tfidf = dict(built.postings), built.tfidf
-    if part == "postings":
-        postings[NAME] = SetPostings(built.postings[NAME].postings, n + 1)
-    elif part == "tfidf":
-        tfidf = TfidfModel(df=built.tfidf.df, n_columns=n + 1)
-    engine = SearchEngine(built.encoder, built.head, built.index_config,
-                          tfidf, built.keys, built.semantic_index.vectors,
-                          postings)
-    if part == "grown-index":
-        engine.semantic_index.insert(("zzz", 0),
-                                     built.semantic_index.vectors[0])
     table = next(t for t in corpus.tables if len(t.columns) == 5)
     cfg = SearchConfig(threshold=0.5, measures=(SEMANTIC, NAME, VALUE),
                        exhaustive=exhaustive)
-    with pytest.raises(ConfigError, match="engine row counts disagree"):
-        top_k_search(engine, table, cfg)
+    answer = top_k_search(built, table, cfg)
+    n = len(built.keys)
+    postings, tfidf = dict(built.postings), built.tfidf
+    if part == "grown-index":
+        with pytest.raises(ConfigError, match="takes no inserts"):
+            built.semantic_index.insert(("zzz", 0),
+                                        built.semantic_index.vectors[0])
+    else:
+        if part == "postings":
+            postings[NAME] = SetPostings(built.postings[NAME].postings, n + 1)
+        else:
+            tfidf = TfidfModel(df=built.tfidf.df,
+                               n_columns=n + (1 if part == "tfidf" else -1))
+        for make in (SearchEngine, SearchEngine._adopting):
+            with pytest.raises(ConfigError,
+                               match="engine row counts disagree"):
+                make(built.encoder, built.head, built.index_config, tfidf,
+                     built.keys, built.semantic_index.vectors.copy(),
+                     postings)
+    assert top_k_search(built, table, cfg) == answer
+
+
+def _some(rng, items):
+    items = list(items)
+    return items[rng.integers(len(items))]
+
+
+def _write_into(rng, array):
+    array.flat[rng.integers(array.size)] = rng.integers(1, 9)
+
+
+# Each public route into a made engine's parts, and what refuses it.
+MUTATIONS = {
+    "insert": (ConfigError, lambda e, rng: e.semantic_index.insert(
+        ("zzz", 0), rng.standard_normal(e.semantic_index.dim))),
+    "insert-many": (ConfigError, lambda e, rng: e.semantic_index.insert_many(
+        [("zzz", 0), ("zzz", 1)], rng.standard_normal((2, e.head.dims[2])))),
+    "key-assign": (TypeError, lambda e, rng: setitem(
+        e.keys, rng.integers(len(e.keys)), ("zzz", 0))),
+    "key-append": (AttributeError, lambda e, rng: e.keys.append(("zzz", 0))),
+    "postings-replace": (TypeError, lambda e, rng: setitem(
+        e.postings, _some(rng, SET_MEASURES), SetPostings({}, len(e.keys)))),
+    "list-replace": (TypeError, lambda e, rng: setitem(
+        _some(rng, e.postings.values()).postings, "zzz", np.arange(1))),
+    "list-write": (ValueError, lambda e, rng: _write_into(rng, _some(
+        rng, _some(rng, e.postings.values()).postings.values()))),
+    "sizes-write": (ValueError, lambda e, rng: _write_into(
+        rng, _some(rng, e.postings.values()).sizes)),
+    "df-write": (TypeError, lambda e, rng: setitem(
+        e.tfidf.df, _some(rng, e.tfidf.df), rng.integers(1, 9))),
+    "df-replace": (AttributeError, lambda e, rng: setattr(e.tfidf, "df", {})),
+    "n-columns": (AttributeError, lambda e, rng: setattr(
+        e.tfidf, "n_columns", len(e.keys) + 1)),
+    "head-tensor": (ValueError, lambda e, rng: _write_into(
+        rng, _some(rng, e.head.tensors()))),
+    "index-seed": (AttributeError, lambda e, rng: setattr(
+        e.index_config, "seed", int(rng.integers(1 << 32)))),
+}
+
+
+def _bundle_of(engine):
+    return ModelBundle(encoder_config=engine.encoder.cfg, head=engine.head,
+                       train_config=TrainConfig(), strategy=ONLINE,
+                       best_epoch=0)
+
+
+def _answers_and_bytes(engine, corpus, tmp_path):
+    """The result CSV of three tables and the bytes of a save."""
+    cfg = SearchConfig(threshold=0.5, measures=(SEMANTIC, NAME, VALUE))
+    write_results(tmp_path / "results.csv",
+                  [top_k_search(engine, t, cfg) for t in corpus.tables[:3]])
+    save_index(tmp_path / "engine.usi", _bundle_of(engine), engine)
+    return ((tmp_path / "results.csv").read_bytes(),
+            (tmp_path / "engine.usi").read_bytes())
+
+
+@pytest.fixture(scope="module")
+def made_engines(tmp_path_factory):
+    """An engine from each maker, with its answers and saved bytes."""
+    built, corpus, _ = _bench_engine(3)
+    path = tmp_path_factory.mktemp("made") / "engine.usi"
+    save_index(path, _bundle_of(built), built)
+    engines = {
+        "constructor": SearchEngine(built.encoder, built.head,
+                                    built.index_config, built.tfidf,
+                                    built.keys, built.semantic_index.vectors,
+                                    built.postings),
+        "build-engine": built,
+        "load-index": load_index(path)[1],
+    }
+    work = tmp_path_factory.mktemp("answers")
+    return corpus, {origin: (engine, _answers_and_bytes(engine, corpus, work))
+                    for origin, engine in engines.items()}
+
+
+@pytest.mark.parametrize("route", MUTATIONS)
+@pytest.mark.parametrize("origin", ["constructor", "build-engine",
+                                    "load-index"])
+def test_made_engine_refuses_every_mutation(made_engines, tmp_path, origin,
+                                            route):
+    """Whichever way an engine was made, each public route into its
+    cosine index, keys, postings, document frequencies, head or index seed
+    raises, at seeded rows, tokens and values, and leaves its answers and
+    its saved bytes as they were."""
+    corpus, engines = made_engines
+    engine, before = engines[origin]
+    error, mutate = MUTATIONS[route]
+    for seed in range(3):
+        with pytest.raises(error):
+            mutate(engine, np.random.default_rng(seed))
+    assert _answers_and_bytes(engine, corpus, tmp_path) == before
 
 
 @pytest.mark.parametrize("seed", [0, 1])
