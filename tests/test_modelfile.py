@@ -1015,6 +1015,32 @@ def test_save_refuses_a_bundle_that_is_not_the_engines(tmp_path, world,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("step", [1, -1])
+def test_save_refuses_document_frequencies_over_other_columns(tmp_path, world,
+                                                              step):
+    """A load counts one document per key, so document frequencies over
+    another column count would load as another engine. No engine over
+    them can be made to save, by either constructor, and an engine's own
+    frequencies cannot be edited: nothing is written, and the engine
+    saves as before."""
+    corpus, engine = world
+    saved = tmp_path / "engine.usi"
+    save_index(saved, _bundle(), engine)
+    data = saved.read_bytes()
+    saved.unlink()
+    tfidf = replace(engine.tfidf, n_columns=engine.tfidf.n_columns + step)
+    for make in (SearchEngine, SearchEngine._adopting):
+        with pytest.raises(ConfigError, match="engine row counts disagree"):
+            make(engine.encoder, engine.head, engine.index_config, tfidf,
+                 engine.keys, engine.semantic_index.vectors.copy(),
+                 dict(engine.postings))
+    with pytest.raises(AttributeError):
+        engine.tfidf.n_columns += step
+    assert list(tmp_path.iterdir()) == []
+    save_index(saved, _bundle(), engine)
+    assert saved.read_bytes() == data
+
+
 def test_key_table_edit_helper_rewrites_an_unedited_file(tmp_path, world):
     corpus, engine = world
     index = tmp_path / "engine.usi"
