@@ -42,7 +42,7 @@ def avg_answer_size(truth: GroundTruth) -> float:
     return float(np.mean(sizes))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkSpec:
     n_bases: int = 20
     derivations_per_base: int = 20
@@ -59,7 +59,7 @@ class BenchmarkSpec:
     seed: int = 0
     include_bases: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_bases < 1 or self.derivations_per_base < 1:
             raise ConfigError("need at least one base and one derivation")
         if self.n_topics < 1:
@@ -139,7 +139,6 @@ def _derive(spec: BenchmarkSpec, base: Table, idx: int
 def generate_benchmark(spec: BenchmarkSpec) -> tuple[Corpus, GroundTruth]:
     """Corpus of derived tables plus table-level unionability ground truth,
     found per base."""
-    spec.validate()
     tables: list[Table] = []
     truth: GroundTruth = {}
     for bi in range(spec.n_bases):

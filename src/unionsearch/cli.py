@@ -124,7 +124,6 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     cfg = search.SearchConfig(k=args.k, threshold=args.threshold,
                               measures=parse_measures(args.measures))
-    cfg.validate()
     _, engine = modelfile.load_index(args.index)
     results = []
     for qpath in args.query:
@@ -144,7 +143,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ks = _parse_k_list(args.k)
     cfg = search.SearchConfig(k=max(ks), threshold=args.threshold,
                               measures=parse_measures(args.measures))
-    cfg.validate()
     _, engine = modelfile.load_index(args.index)
     corpus = load_manifest(args.manifest)
     truth = bench.read_truth(args.truth)
@@ -268,10 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchgen", help="generate a synthetic benchmark")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--bases", type=int, default=20)
-    p.add_argument("--derivations", type=int, default=20)
-    p.add_argument("--topics", type=int, default=5)
-    p.add_argument("--rows", type=int, default=60)
+    p.add_argument("--bases", type=int, default=bench.BenchmarkSpec.n_bases)
+    p.add_argument("--derivations", type=int,
+                   default=bench.BenchmarkSpec.derivations_per_base)
+    p.add_argument("--topics", type=int, default=bench.BenchmarkSpec.n_topics)
+    p.add_argument("--rows", type=int, default=bench.BenchmarkSpec.base_rows)
     p.add_argument("--include-bases", action="store_true")
     common(p)
     p.set_defaults(func=cmd_benchgen)

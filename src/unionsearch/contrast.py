@@ -262,7 +262,6 @@ def train(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
     seed, so it is comparable across epochs and strategies; without a
     validation split the training loss picks the best epoch.
     """
-    cfg.validate()
     if strategy not in (ONLINE, OFFLINE):
         raise ConfigError(f"unknown strategy {strategy!r}")
     eligible_tables = [t for t in corpus.tables

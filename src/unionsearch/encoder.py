@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CellBlock, cell_tokens
-from .errors import ConfigError, EmptyColumnError, InputError
+from .errors import ConfigError, EmptyColumnError, InputError, check_integer
 from .seeding import check_seed, stable_token_hash
 
 HASHING_BACKEND = "hashing"
@@ -39,7 +39,7 @@ VECTOR_FILE_BACKEND = "vector_file"
 CELL_CACHE_CAP = 1 << 14
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     backend: str = HASHING_BACKEND
     dim: int = 128
@@ -49,11 +49,10 @@ class EncoderConfig:
     # word-level tokens.
     cell_as_single_token: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.backend not in (HASHING_BACKEND, VECTOR_FILE_BACKEND):
             raise ConfigError(f"unknown encoder backend {self.backend!r}")
-        if self.dim < 8:
-            raise ConfigError(f"embedding dim must be >= 8, got {self.dim}")
+        check_integer("embedding dim", self.dim, 8)
         check_seed("hash_seed", self.hash_seed)
         if self.backend == VECTOR_FILE_BACKEND and not self.vector_file_path:
             raise ConfigError("vector_file backend requires vector_file_path")
@@ -128,17 +127,13 @@ class Encoder:
     """
 
     def __init__(self, cfg: EncoderConfig):
-        cfg.validate()
-        # An own copy: the vector file's dim replaces the configured one
-        # here, never in the caller's config.
-        self.cfg = replace(cfg)
+        self.cfg = cfg
         self._cache: dict[str, np.ndarray] = {}
         self._cell_means: dict[str, np.ndarray | None] = {}
         if cfg.backend == VECTOR_FILE_BACKEND:
             table = load_vectors(cfg.vector_file_path)
-            self.cfg.dim = table.dim
             try:
-                self.cfg.validate()
+                self.cfg = replace(cfg, dim=table.dim)
             except ConfigError as exc:   # the file carries the bad dim
                 raise InputError(f"{cfg.vector_file_path}: {exc}") from exc
             self._cache.update(table.vectors)

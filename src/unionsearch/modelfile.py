@@ -43,19 +43,19 @@ Every stored bit is kept.
 Each configuration is written field by field in ``dataclasses.fields``
 order, coded by the field's type (bool u8, int u64, float f64, text; an
 optional text stores None as ""), so only the dataclass knows its fields.
-A load validates the configurations and, for a hashing model, that the
-head takes the encoder's dimension: it rejects what would fail later, and
-a non-finite tensor or stored vector, which would load silently, and
-anything else a save does not write. For a float array: a dictionary not
-strictly increasing or longer than 15, a code past the dictionary, a
-non-zero pad nibble and an exception byte in the dictionary. For varints:
-more than ``VARINT_BYTES`` bytes, a zero last byte in a multi-byte group
-or a string that ends inside a group. For string tables: bad UTF-8. For a
-list block: names not strictly increasing, a number of varints other than
-the lengths name, or an item at or past its bound: 2**32 for a column
-position, the key count for a posting row. For the document frequencies:
-tokens not strictly increasing, and counts other than one in [1, key
-count] per token.
+A load refuses a configuration that its constructor refuses and, for a
+hashing model or any index, a head that does not take the encoder's
+dimension: it rejects what would fail later, and a non-finite tensor or
+stored vector, which would load silently, and anything else a save does
+not write. For a float array: a dictionary not strictly increasing or
+longer than 15, a code past the dictionary, a non-zero pad nibble and an
+exception byte in the dictionary. For varints: more than ``VARINT_BYTES``
+bytes, a zero last byte in a multi-byte group or a string that ends inside
+a group. For string tables: bad UTF-8. For a list block: names not
+strictly increasing, a number of varints other than the lengths name, or
+an item at or past its bound: 2**32 for a column position, the key count
+for a posting row. For the document frequencies: tokens not strictly
+increasing, and counts other than one in [1, key count] per token.
 
 The cosine LSH index is not stored: loading hands the keys and the vector
 matrix, decoded into a fresh array, in key-table order, to the
@@ -383,8 +383,12 @@ def _write_config(w: _Writer, cfg: object) -> None:
 
 def _read_config(r: _Reader, cls: type) -> object:
     hints = get_type_hints(cls)
-    return cls(**{f.name: _FIELD_CODECS[hints[f.name]][1](r)
-                  for f in fields(cls)})
+    values = {f.name: _FIELD_CODECS[hints[f.name]][1](r) for f in fields(cls)}
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        # Stored values the constructors reject are bad input all the same.
+        raise InputError(f"{r.path}: {exc}") from exc
 
 
 def _tensor_shapes(dims: tuple[int, int, int]) -> list[tuple[int, ...]]:
@@ -426,16 +430,11 @@ def _read_model_section(r: _Reader) -> ModelBundle:
     best_epoch = r.u32()
     if not all(np.isfinite(t).all() for t in tensors):
         raise InputError(f"{r.path}: non-finite head tensor")
-    try:
-        ec.validate()
-        tc.validate()
-        head = ProjectionHead(*tensors, init_seed=init_seed)
-        if ec.backend == HASHING_BACKEND and head.dims[0] != ec.dim:
-            raise ConfigError(f"head takes {head.dims[0]}-dim base embeddings "
-                              f"but the hashing encoder makes {ec.dim}")
-    except ConfigError as exc:
-        # Stored values the constructors reject are bad input all the same.
-        raise InputError(f"{r.path}: {exc}") from exc
+    # The shapes come from the dims, so the head's own check passes.
+    head = ProjectionHead(*tensors, init_seed=init_seed)
+    if ec.backend == HASHING_BACKEND and head.dims[0] != ec.dim:
+        raise InputError(f"{r.path}: head takes {head.dims[0]}-dim base "
+                         f"embeddings but the hashing encoder makes {ec.dim}")
     return ModelBundle(encoder_config=ec, head=head, train_config=tc,
                        strategy=strategy, best_epoch=best_epoch)
 

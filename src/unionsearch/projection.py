@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .seeding import check_seed
 
 F32 = np.float32
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectionHead:
     W1: np.ndarray  # (hidden, in)
     b1: np.ndarray  # (hidden,)
@@ -76,7 +76,7 @@ class Velocity:
         return (self.vW1, self.vb1, self.vW2, self.vb2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     temperature: float = 0.1
     learning_rate: float = 1e-3
@@ -88,19 +88,16 @@ class TrainConfig:
     validation_fraction: float = 0.05
     offline_floor: float = 0.5     # min match score for offline positive pairs
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.temperature > 0:    # NaN too
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         for name in ("learning_rate", "momentum"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, "
                                   f"got {getattr(self, name)}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.sample_size < 1:
-            raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
+        check_integer("batch_size", self.batch_size, 2)
+        check_integer("epochs", self.epochs, 1)
+        check_integer("sample_size", self.sample_size, 1)
         check_seed("seed", self.seed)
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must be in [0, 1), "

@@ -37,7 +37,7 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral, Real
+from numbers import Real
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Sequence
@@ -46,7 +46,7 @@ import numpy as np
 
 from .corpus import Column, ColumnKey, Corpus, Table, cell_blocks
 from .encoder import Encoder
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, check_integer
 from .lshindex import CosineLshIndex, cosines
 from .projection import ProjectionHead, project, widened
 from .seeding import check_seed, derive_seed
@@ -60,23 +60,20 @@ class IndexConfig:
 
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_seed("index seed", self.seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     k: int = 10
     threshold: float = 0.7
     measures: tuple[str, ...] = (SEMANTIC,)
     exhaustive: bool = False
 
-    def validate(self) -> None:
-        # A bool is an Integral and a Real too, but never a count or a score.
-        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
-            raise ConfigError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+    def __post_init__(self) -> None:
+        check_integer("k", self.k, 1)
+        # A bool is a Real too, but never a score.
         if isinstance(self.threshold, bool) \
                 or not isinstance(self.threshold, Real):
             raise ConfigError(f"threshold must be a number, "
@@ -176,12 +173,13 @@ class SearchEngine:
 
     Made from ``keys``, ``vectors``, one float32 vector per key, and
     ``postings``, each set measure's inverted lists of its token sets. It
-    checks once, here, that the keys strictly increase and that the
-    postings' ``sizes`` and ``tfidf.n_columns`` count one row per key, so
-    row i is ``keys[i]`` everywhere (others raise ConfigError). After
-    that, ``keys`` is the sealed cosine index's tuple, ``postings`` a
-    read-only mapping of read-only arrays, ``tfidf`` frozen and ``head``
-    the engine's own read-only copy. The constructor copies its arguments;
+    checks once, here, that the head takes the encoder's dim, the keys
+    strictly increase and the postings' ``sizes`` and ``tfidf.n_columns``
+    count one row per key, so row i is ``keys[i]`` everywhere (others
+    raise ConfigError). After that, ``keys`` is the sealed cosine index's
+    tuple, ``postings`` a read-only mapping of read-only arrays, and
+    ``tfidf``, the encoder's config and ``head``, the engine's own
+    read-only copy, are frozen. The constructor copies its arguments;
     ``build_engine`` and ``modelfile.load_index`` hand theirs to
     ``_adopting``, which freezes them in place.
     """
@@ -211,6 +209,9 @@ class SearchEngine:
               keys: Sequence[ColumnKey], matrix: np.ndarray,
               postings: dict[str, syntactic.SetPostings]) -> None:
         """Check the parts, the one check of an engine, and keep them."""
+        if encoder.dim != head.dims[0]:
+            raise ConfigError(f"head takes {head.dims[0]}-dim base embeddings "
+                              f"but the encoder makes {encoder.dim}")
         if any(after <= before for before, after in zip(keys, keys[1:])):
             raise ConfigError("keys must be strictly increasing")
         covered = [len(p.sizes) for p in postings.values()] + [tfidf.n_columns]
@@ -258,7 +259,6 @@ def build_engine(corpus: Corpus, encoder: Encoder, head: ProjectionHead,
     matrix becomes the cosine index's rows, with no copy.
     """
     cfg = index_config or IndexConfig()
-    cfg.validate()
     tfidf, columns, postings = syntactic.lake_sets(
         sorted(corpus.columns(), key=lambda col: col.column_key))
     wide = widened(head)
@@ -337,7 +337,6 @@ def _table_pairs(engine: SearchEngine, cfg: SearchConfig,
 def top_k_search(engine: SearchEngine, query_table: Table,
                  cfg: SearchConfig) -> QueryResult:
     """Rank candidate tables by unionability with the query table."""
-    cfg.validate()
     eligible = [c for c in query_table.columns if c.is_encodable()]
     if not eligible:
         raise InputError(

@@ -10,14 +10,15 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 
 _MASK64 = (1 << 64) - 1
 
 
 def check_seed(what: str, seed: int) -> None:
     """Reject a seed that a stored u64 field would not give back as is."""
-    if not 0 <= seed <= _MASK64:
+    check_integer(what, seed, 0)
+    if seed > _MASK64:
         raise ConfigError(f"{what} must be in [0, 2**64), got {seed}")
 
 

@@ -63,6 +63,13 @@ def rotate_from(base: np.ndarray, other: np.ndarray, cos_target: float) -> np.nd
     return cos_target * b + s * o
 
 
+def forced(frozen, name: str, value) -> None:
+    """Write a field of a frozen config or head past its constructor's
+    checks: the one way a test makes a value the library refuses to make,
+    such as a bad setting for a save to store."""
+    object.__setattr__(frozen, name, value)
+
+
 def _tfidf_block(entries, extra=()) -> bytes:
     tokens = [tok.encode("utf-8") for tok, _ in entries]
     stream = b"".join(varint(df) for df in [*(df for _, df in entries),

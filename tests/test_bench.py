@@ -152,13 +152,13 @@ def test_include_bases_mode():
 
 def test_generator_parameter_validation():
     with pytest.raises(ConfigError):
-        _small_spec(n_bases=0).validate()
+        _small_spec(n_bases=0)
     with pytest.raises(ConfigError):
-        _small_spec(base_columns=(5, 3)).validate()
+        _small_spec(base_columns=(5, 3))
     with pytest.raises(ConfigError):
-        _small_spec(base_rows=2).validate()  # below the selection floor
+        _small_spec(base_rows=2)  # below the selection floor
     with pytest.raises(ConfigError):
-        _small_spec(p_attr=0.8, p_topic=0.3).validate()  # mixture over 1
+        _small_spec(p_attr=0.8, p_topic=0.3)  # mixture over 1
 
 
 # ---------------------------------------------------------------- metrics

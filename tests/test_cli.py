@@ -9,7 +9,7 @@ from unionsearch.errors import ConfigError, InputError
 from unionsearch import contrast, modelfile, search
 from unionsearch.modelfile import load_index, load_model
 
-from conftest import TFIDF_EDITS, with_tfidf
+from conftest import TFIDF_EDITS, forced, with_tfidf
 from references import (EXCEPTION, Cursor, float_array, index_blocks,
                         key_table, postings_block, varint, varint_value,
                         with_block, with_key_table)
@@ -176,6 +176,34 @@ def test_index_after_vector_file_dim_changed_exit_2(workspace, tmp_path,
     assert not index.exists()
 
 
+def test_query_after_vector_file_dim_changed_exit_2(workspace, tmp_path,
+                                                   capsys):
+    """An index whose vector file changed dim fails at load, before any
+    query, as bad input."""
+    manifest = str(workspace / "bench" / "manifest.tsv")
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("alpha " + " ".join(["0.5"] * 12) + "\n",
+                       encoding="utf-8")
+    model, index = tmp_path / "vf.usm", tmp_path / "vf.usi"
+    assert run("train", "--manifest", manifest, "--out", str(model),
+               "--encoder-backend", "vector_file", "--vector-file",
+               str(vectors), "--out-dim", "8", "--epochs", "1",
+               "--batch-size", "4", "--sample-size", "6") == 0
+    assert run("index", "--manifest", manifest, "--model", str(model),
+               "--out", str(index)) == 0
+    vectors.write_text("alpha " + " ".join(["0.5"] * 16) + "\n",
+                       encoding="utf-8")
+    with pytest.raises(InputError, match="12-dim"):
+        load_index(index)
+    table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
+    out = tmp_path / "res.csv"
+    assert run("query", "--index", str(index), "--query", str(table),
+               "--out", str(out)) == 2
+    assert "12-dim base embeddings but the encoder makes 16" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rows, where", [
     (["alpha " + " ".join(["0.5"] * 12), "beta " + " ".join(["nan"] * 12)],
      ":2: non-finite"),
@@ -252,11 +280,10 @@ def test_train_offline_floor_outside_unit_interval_exit_3(
 
 def test_index_model_with_a_bad_offline_floor_exit_2(workspace, tmp_path,
                                                       capsys):
-    # A save does not validate, so it writes a checksummed file with the
+    # A save does not check, so it writes a checksummed file with the
     # floor a train run refuses.
     bundle = load_model(workspace / "model.usm")
-    bundle.train_config = replace(bundle.train_config,
-                                  offline_floor=float("nan"))
+    forced(bundle.train_config, "offline_floor", float("nan"))
     model = tmp_path / "m.usm"
     modelfile.save_model(model, bundle)
     assert run("index", "--manifest", str(workspace / "bench" / "manifest.tsv"),
@@ -338,9 +365,10 @@ def test_index_reports_columns(workspace, capsys):
 
 
 @pytest.mark.parametrize("craft, saves", [
-    (lambda b: setattr(b.head, "b1", b.head.b1[:5]), False),
-    (lambda b: setattr(b.encoder_config, "backend", "nope"), True),
-    (lambda b: setattr(b.encoder_config, "dim", b.head.dims[0] + 16), True),
+    (lambda b: forced(b.head, "b1", b.head.b1[:5]), False),
+    (lambda b: forced(b.encoder_config, "backend", "nope"), True),
+    (lambda b: setattr(b, "encoder_config", replace(
+        b.encoder_config, dim=b.head.dims[0] + 16)), True),
     (lambda b: b.head.W2.__setitem__((0, 0), np.nan), True),
 ], ids=["short-b1", "unknown-backend", "head-encoder-dim-mismatch", "nan-W2"])
 def test_index_checksummed_bad_model_exit_2(workspace, tmp_path, capsys, craft,

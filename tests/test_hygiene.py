@@ -1,8 +1,8 @@
 """Source hygiene checks that need no linter: every import is used, every
 top-level definition is named somewhere, every attribute the package
-stores is read somewhere, no package module imports another's private
-names, every CLI option is read by its command, and CLI defaults are the
-library's own."""
+stores is read somewhere, every config is frozen and checked only when
+made, no package module imports another's private names, every CLI option
+is read by its command, and CLI defaults are the library's own."""
 
 import argparse
 import ast
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from unionsearch.bench import BenchmarkSpec
 from unionsearch.cli import build_parser, parse_measures
 from unionsearch.encoder import EncoderConfig
 from unionsearch.projection import TrainConfig
@@ -174,6 +175,51 @@ def test_scan_finds_a_write_only_attribute():
                   if name not in read) == ["A.lost (line 4)", "B.unread (line 8)"]
 
 
+def _unfrozen_configs(tree: ast.Module) -> list[str]:
+    """Config and spec dataclasses not declared frozen or with a validate
+    method, and every ``.validate()`` call: a config is checked once, when
+    it is made, and cannot change after."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) \
+                and getattr(node.func, "attr", None) == "validate":
+            found.append(f"validate() call (line {node.lineno})")
+        if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                and node.name.endswith(("Config", "Spec"))):
+            continue
+        if not any(keyword.arg == "frozen"
+                   and getattr(keyword.value, "value", None) is True
+                   for deco in node.decorator_list
+                   if isinstance(deco, ast.Call)
+                   for keyword in deco.keywords):
+            found.append(f"{node.name} is not frozen (line {node.lineno})")
+        found.extend(f"{node.name}.validate (line {item.lineno})"
+                     for item in node.body
+                     if isinstance(item, ast.FunctionDef)
+                     and item.name == "validate")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_configs_are_frozen_and_have_no_validate(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = _unfrozen_configs(tree)
+    assert not found, f"{path.name}: {found}"
+
+
+def test_scan_finds_an_unfrozen_config():
+    tree = ast.parse(
+        "@dataclass\nclass AConfig:\n    a: int = 0\n"
+        "@dataclass(frozen=True)\nclass BSpec:\n"
+        "    def validate(self):\n        pass\n"
+        "@dataclass(frozen=True)\nclass CConfig:\n    c: int = 0\n"
+        "@dataclass\nclass Bundle:\n    d: int = 0\n"
+        "def f(cfg):\n    cfg.validate()\n")
+    assert sorted(_unfrozen_configs(tree)) == [
+        "AConfig is not frozen (line 2)", "BSpec.validate (line 6)",
+        "validate() call (line 15)"]
+
+
 def _private_package_imports(tree: ast.Module) -> list[str]:
     """Underscore names imported from a module of this package."""
     return [f"{node.module or '.'}.{alias.name} (line {node.lineno})"
@@ -249,6 +295,10 @@ _DEFAULTS_FROM_FIELDS = [
     ("eval", "k", SearchConfig, "k", int),
     ("eval", "threshold", SearchConfig, "threshold", float),
     ("eval", "measures", SearchConfig, "measures", parse_measures),
+    ("benchgen", "bases", BenchmarkSpec, "n_bases", int),
+    ("benchgen", "derivations", BenchmarkSpec, "derivations_per_base", int),
+    ("benchgen", "topics", BenchmarkSpec, "n_topics", int),
+    ("benchgen", "rows", BenchmarkSpec, "base_rows", int),
 ]
 
 

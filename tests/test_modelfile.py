@@ -28,7 +28,7 @@ from unionsearch.search import (IndexConfig, SearchConfig, SearchEngine,
                                 build_engine, top_k_search)
 from unionsearch.syntactic import SET_MEASURES, SetPostings
 
-from conftest import TFIDF_EDITS, with_tfidf
+from conftest import TFIDF_EDITS, forced, with_tfidf
 from references import (float_fields, float_array, key_table, list_values,
                         postings_block, string_table, varint, with_key_table)
 
@@ -140,24 +140,21 @@ def test_every_config_field_roundtrips(tmp_path, world):
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, -3])
-def test_index_seed_outside_u64_rejected(tmp_path, world, seed):
+def test_index_seed_outside_u64_rejected(tmp_path, seed):
     """Every stored seed is a u64; one outside it is refused, never wrapped."""
-    corpus, engine = world
-    with pytest.raises(ConfigError, match="seed"):
-        build_engine(corpus, engine.encoder, engine.head, IndexConfig(seed=seed))
-    for bad in (EncoderConfig(hash_seed=seed), TrainConfig(seed=seed)):
+    for make in (lambda s: IndexConfig(seed=s),
+                 lambda s: EncoderConfig(hash_seed=s),
+                 lambda s: TrainConfig(seed=s),
+                 lambda s: init_head(4, 4, 4, seed=s)):
         with pytest.raises(ConfigError, match="seed"):
-            bad.validate()
-    with pytest.raises(ConfigError, match="seed"):
-        init_head(4, 4, 4, seed=seed)
-    # A hand-made bundle skips validation; its save fails, writing nothing.
-    bundle = replace(_bundle(), train_config=TrainConfig(seed=seed))
+            make(seed)
+        make(2**64 - 1)
+    # A forced seed skips the checks; its save fails, writing nothing.
+    bundle = _bundle()
+    forced(bundle.train_config, "seed", seed)
     with pytest.raises(struct.error):
         save_model(tmp_path / "m.usm", bundle)
     assert list(tmp_path.iterdir()) == []
-    IndexConfig(seed=2**64 - 1).validate()
-    EncoderConfig(hash_seed=2**64 - 1).validate()
-    TrainConfig(seed=2**64 - 1).validate()
     assert init_head(4, 4, 4, seed=2**64 - 1).init_seed == 2**64 - 1
 
 
@@ -885,19 +882,20 @@ def test_checksummed_bad_utf8_raises_input_error(tmp_path):
 
 
 @pytest.mark.parametrize("craft, saves", [
-    (lambda b: setattr(b.head, "b1", b.head.b1[:5]), False),
-    (lambda b: setattr(b.head, "W2", b.head.W2.T), False),
-    (lambda b: setattr(b.head, "W1", b.head.W1.ravel()), False),
-    (lambda b: setattr(b.encoder_config, "backend", "nope"), True),
-    (lambda b: setattr(b.train_config, "batch_size", 1), True),
-    (lambda b: setattr(b.encoder_config, "dim", 48), True),
+    (lambda b: forced(b.head, "b1", b.head.b1[:5]), False),
+    (lambda b: forced(b.head, "W2", b.head.W2.T), False),
+    (lambda b: forced(b.head, "W1", b.head.W1.ravel()), False),
+    (lambda b: forced(b.encoder_config, "backend", "nope"), True),
+    (lambda b: forced(b.train_config, "batch_size", 1), True),
+    (lambda b: setattr(b, "encoder_config",
+                       replace(b.encoder_config, dim=48)), True),
     (lambda b: b.head.W1.__setitem__((0, 0), np.nan), True),
     (lambda b: b.head.b2.__setitem__(-1, -np.inf), True),
-    (lambda b: setattr(b.train_config, "temperature", np.nan), True),
-    (lambda b: setattr(b.train_config, "learning_rate", np.nan), True),
-    (lambda b: setattr(b.train_config, "momentum", np.nan), True),
-    (lambda b: setattr(b.train_config, "offline_floor", np.nan), True),
-    (lambda b: setattr(b.train_config, "offline_floor", 2.0), True),
+    (lambda b: forced(b.train_config, "temperature", np.nan), True),
+    (lambda b: forced(b.train_config, "learning_rate", np.nan), True),
+    (lambda b: forced(b.train_config, "momentum", np.nan), True),
+    (lambda b: forced(b.train_config, "offline_floor", np.nan), True),
+    (lambda b: forced(b.train_config, "offline_floor", 2.0), True),
 ], ids=["short-b1", "transposed-W2", "flat-W1", "unknown-backend",
         "batch-size-1", "head-encoder-dim-mismatch", "nan-W1", "inf-b2",
         "nan-temperature", "nan-learning-rate", "nan-momentum",
@@ -995,10 +993,13 @@ def _flip_first_bit(tensor: np.ndarray) -> None:
 @pytest.mark.parametrize("edit", [
     lambda b: _flip_first_bit(b.head.W2),
     lambda b: b.head.b1.__setitem__(0, -0.0),
-    lambda b: setattr(b.head, "W1", b.head.W1.astype(np.float64)),
-    lambda b: setattr(b.encoder_config, "hash_seed", 78),
-    lambda b: setattr(b.encoder_config, "cell_as_single_token", True),
-    lambda b: setattr(b.encoder_config, "dim", 48),
+    lambda b: setattr(b, "head", replace(b.head,
+                                         W1=b.head.W1.astype(np.float64))),
+    lambda b: setattr(b, "encoder_config",
+                      replace(b.encoder_config, hash_seed=78)),
+    lambda b: setattr(b, "encoder_config",
+                      replace(b.encoder_config, cell_as_single_token=True)),
+    lambda b: setattr(b, "encoder_config", replace(b.encoder_config, dim=48)),
 ], ids=["head-bit", "head-negative-zero", "head-dtype", "hash-seed",
         "cell-tokens", "dim"])
 def test_save_refuses_a_bundle_that_is_not_the_engines(tmp_path, world,

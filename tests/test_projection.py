@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 
@@ -85,11 +87,22 @@ def test_forward_wrong_dim_rejected():
         project(h, np.zeros(9))
 
 
+def test_head_is_frozen():
+    """No field of a head can be rebound; its tensors are written in place,
+    as ``sgd_step`` writes them, and ``replace`` checks the shapes again."""
+    head = init_head(8, 6, 4, seed=1)
+    for f in fields(head):
+        with pytest.raises(FrozenInstanceError):
+            setattr(head, f.name, getattr(head, f.name))
+    with pytest.raises(ConfigError, match="head tensor shapes"):
+        replace(head, b1=head.b1[:3])
+
+
 def test_scaling_output_layer_preserves_cosines():
     h = random_head(6, 5, 4, seed=9)
     scaled = h.copy()
-    scaled.W2 *= 3.5
-    scaled.b2 *= 3.5
+    scaled.W2[...] *= 3.5
+    scaled.b2[...] *= 3.5
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal(6), rng.standard_normal(6)
     def cosine(head):
@@ -211,12 +224,12 @@ def test_sgd_velocity_dtype_follows_params():
 # ---------------------------------------------------------------- config
 
 def test_train_config_validation():
-    TrainConfig().validate()
+    TrainConfig()
     with pytest.raises(ConfigError):
-        TrainConfig(temperature=0.0).validate()
+        TrainConfig(temperature=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=1).validate()
+        TrainConfig(batch_size=1)
     with pytest.raises(ConfigError):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
-        TrainConfig(sample_size=0).validate()
+        TrainConfig(sample_size=0)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, fields, replace
 from operator import setitem
 from pathlib import Path
 
@@ -122,17 +123,17 @@ def test_sums_fold_left_from_zero_on_every_python():
 # ---------------------------------------------------------------- config
 
 def test_search_config_validation():
-    SearchConfig().validate()
+    SearchConfig()
     with pytest.raises(ConfigError):
-        SearchConfig(k=0).validate()
+        SearchConfig(k=0)
     with pytest.raises(ConfigError):
-        SearchConfig(threshold=1.5).validate()
+        SearchConfig(threshold=1.5)
     with pytest.raises(ConfigError):
-        SearchConfig(measures=("name",)).validate()  # semantic is mandatory
+        SearchConfig(measures=("name",))  # semantic is mandatory
     with pytest.raises(ConfigError):
-        SearchConfig(measures=(SEMANTIC, "sonic")).validate()
+        SearchConfig(measures=(SEMANTIC, "sonic"))
     with pytest.raises(ConfigError):
-        SearchConfig(measures=(SEMANTIC, SEMANTIC)).validate()
+        SearchConfig(measures=(SEMANTIC, SEMANTIC))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -140,16 +141,15 @@ def test_search_config_validation():
     ("threshold", "0.7"), ("threshold", True), ("threshold", None),
 ])
 def test_search_config_rejects_wrongly_typed_k_and_threshold(field, value):
-    cfg = SearchConfig(**{field: value})
     with pytest.raises(ConfigError, match=field):
-        cfg.validate()
+        SearchConfig(**{field: value})
 
 
 @pytest.mark.parametrize("value", ["false", "true", 1, 0, None, np.bool_(True)])
 def test_search_config_rejects_a_non_bool_exhaustive(value):
     # "false" is truthy: it used to validate and then run the oracle.
     with pytest.raises(ConfigError, match="exhaustive must be a bool"):
-        SearchConfig(exhaustive=value).validate()
+        SearchConfig(exhaustive=value)
 
 
 def test_non_bool_exhaustive_fails_before_any_query_work():
@@ -162,7 +162,7 @@ def test_non_bool_exhaustive_fails_before_any_query_work():
 def test_search_config_names_a_bare_measures_string(value):
     # It used to fail with "unknown measures ['s', 'e', 'm', ...]".
     with pytest.raises(ConfigError, match=f"not the string {value!r}"):
-        SearchConfig(measures=value).validate()
+        SearchConfig(measures=value)
 
 
 def test_wrongly_typed_k_fails_before_any_query_work():
@@ -174,8 +174,52 @@ def test_wrongly_typed_k_fails_before_any_query_work():
 
 
 def test_search_config_takes_numpy_numbers():
-    SearchConfig(k=np.int64(3), threshold=np.float64(0.5)).validate()
-    SearchConfig(k=4, threshold=1).validate()
+    SearchConfig(k=np.int64(3), threshold=np.float64(0.5))
+    SearchConfig(k=4, threshold=1)
+
+
+@pytest.mark.parametrize("cls, name, bad", [
+    (SearchConfig, "k", 0),
+    (IndexConfig, "seed", -1),
+    (EncoderConfig, "dim", 4),
+    (TrainConfig, "batch_size", 1),
+    (BenchmarkSpec, "n_bases", 0),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_configs_are_frozen_and_checked_when_made(cls, name, bad):
+    """A config that exists is valid and stays so: no field can be
+    assigned, and a bad value is refused when made, by ``replace`` too."""
+    cfg = cls()
+    for f in fields(cfg):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    with pytest.raises(ConfigError):
+        cls(**{name: bad})
+    with pytest.raises(ConfigError):
+        replace(cfg, **{name: bad})
+    assert cfg == cls()
+
+
+# Every integer field of a config, and every seed check_seed checks.
+INTEGER_FIELDS = {
+    "k": lambda v: SearchConfig(k=v),
+    "index-seed": lambda v: IndexConfig(seed=v),
+    "dim": lambda v: EncoderConfig(dim=v),
+    "hash-seed": lambda v: EncoderConfig(hash_seed=v),
+    "epochs": lambda v: TrainConfig(epochs=v),
+    "batch-size": lambda v: TrainConfig(batch_size=v),
+    "sample-size": lambda v: TrainConfig(sample_size=v),
+    "train-seed": lambda v: TrainConfig(seed=v),
+    "head-seed": lambda v: init_head(8, 8, 8, seed=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 8.5, 8.0, "8", None])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_fields_refuse_a_bool_or_a_non_integer(field, value):
+    """Each would fail later with TypeError or struct.error, if at all."""
+    with pytest.raises(ConfigError, match="must be an integer"):
+        INTEGER_FIELDS[field](value)
+    INTEGER_FIELDS[field](np.int64(8))
 
 
 def test_ordered_measures_canonical():
@@ -191,8 +235,10 @@ class VectorEngine(SearchEngine):
     def __init__(self, dim: int, stored: dict[ColumnKey, np.ndarray],
                  queries: dict[ColumnKey, np.ndarray]):
         keys = sorted(stored)
-        # The head only sets the index dimension; queries bypass it.
-        super().__init__(encoder=None, head=init_head(dim, dim, dim, seed=0),
+        # The encoder and head only set the index dimension; queries
+        # bypass them.
+        super().__init__(encoder=Encoder(EncoderConfig(dim=8)),
+                         head=init_head(8, dim, dim, seed=0),
                          index_config=IndexConfig(),
                          tfidf=TfidfModel(df={}, n_columns=len(keys)),
                          keys=keys,
@@ -384,6 +430,19 @@ def test_search_refuses_parts_over_other_row_counts(exhaustive, part):
     assert top_k_search(built, table, cfg) == answer
 
 
+def test_engine_refuses_an_encoder_of_another_dim():
+    """A head that does not take the encoder's dim would fail the first
+    query; either maker refuses it, and ``load_index`` refuses it as bad
+    input (tests/test_cli.py)."""
+    built, _, _ = _bench_engine(0)
+    for make in (SearchEngine, SearchEngine._adopting):
+        with pytest.raises(ConfigError, match="head takes 64-dim base "
+                           "embeddings but the encoder makes 16"):
+            make(Encoder(EncoderConfig(dim=16)), built.head,
+                 built.index_config, built.tfidf, built.keys,
+                 built.semantic_index.vectors.copy(), dict(built.postings))
+
+
 def _some(rng, items):
     items = list(items)
     return items[rng.integers(len(items))]
@@ -419,6 +478,10 @@ MUTATIONS = {
         rng, _some(rng, e.head.tensors()))),
     "index-seed": (AttributeError, lambda e, rng: setattr(
         e.index_config, "seed", int(rng.integers(1 << 32)))),
+    "encoder-seed": (FrozenInstanceError, lambda e, rng: setattr(
+        e.encoder.cfg, "hash_seed", int(rng.integers(1 << 32)))),
+    "head-rebind": (FrozenInstanceError, lambda e, rng: setattr(
+        e.head, "W1", e.head.W1[::-1].copy())),
 }
 
 
