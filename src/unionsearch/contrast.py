@@ -42,7 +42,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .corpus import (Column, ColumnKey, Corpus, Table, cell_blocks,
-                     sample_column)
+                     sample_columns)
 from .encoder import Encoder
 from .errors import ConfigError, InputError, NumericError
 from .projection import (ProjectionHead, TrainConfig, Velocity, backward,
@@ -80,7 +80,8 @@ def build_online_batch(tables: list[Table], s: int, seed: int) -> list[Column]:
     2M sampled columns, sample k pairing with sample k+M.
 
     Eligible means at least one cell yields a token. Deterministic given the
-    seed: per-column sample seeds are derived from (seed, column key, view).
+    seed: per-column sample seeds are derived from (seed, column key, view),
+    and all of a batch's generators are seeded in one pass.
     """
     if len(tables) < 2:
         raise InputError(f"online batch needs >= 2 tables, got {len(tables)}")
@@ -91,12 +92,9 @@ def build_online_batch(tables: list[Table], s: int, seed: int) -> list[Column]:
         raise NumericError(
             f"batch rejected: only {len(eligible)} eligible columns, "
             "loss needs at least one negative")
-    views = []
-    for view in (0, 1):
-        for col in eligible:
-            sub = derive_seed(seed, col.table_id, col.position, view)
-            views.append(sample_column(col, s, sub))
-    return views
+    return sample_columns(
+        eligible * 2, s, [derive_seed(seed, col.table_id, col.position, view)
+                          for view in (0, 1) for col in eligible])
 
 
 def build_offline_pairs(corpus: Corpus, floor: float = 0.5) -> list[OfflinePair]:

@@ -33,6 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyColumnError, InputError
+from .seeding import check_seed, default_rngs
 
 # Recorded in model files and checked on load, so index-time and query-time
 # tokenization agree.
@@ -307,17 +308,31 @@ def write_table_csv(path: str | Path, table: Table) -> None:
 
 def sample_column(column: Column, s: int, seed: int) -> Column:
     """The column with s cells drawn uniformly, with replacement, from its
-    cells that yield a token: the cells a column embedding averages.
+    cells that yield a token: the cells a column embedding averages. The
+    draws are ``np.random.default_rng(seed).integers(0, len(cells), s)``.
 
-    Pure function of (column values, s, seed): callers that need decorrelated
-    samples across columns must derive distinct seeds per column.
+    Pure function of (column values, s, seed), the seed in [0, 2**64):
+    callers that need decorrelated samples across columns must derive
+    distinct seeds per column.
     """
+    check_seed("sample seed", seed)
+    return sample_columns([column], s, [seed])[0]
+
+
+def sample_columns(columns: Sequence[Column], s: int,
+                   seeds: Sequence[int]) -> list[Column]:
+    """``sample_column`` of each column under its seed, the generators
+    seeded in one pass."""
     if s < 1:
         raise InputError(f"sample size must be >= 1, got {s}")
-    pool = list(filter(cell_tokens, column.values))
-    if not pool:
-        raise EmptyColumnError(f"column {column.column_key} yields no token")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(pool), size=s)
-    return Column(table_id=column.table_id, position=column.position,
-                  name=column.name, values=[pool[i] for i in idx])
+    samples = []
+    for column, rng in zip(columns, default_rngs(seeds), strict=True):
+        pool = list(filter(cell_tokens, column.values))
+        if not pool:
+            raise EmptyColumnError(
+                f"column {column.column_key} yields no token")
+        idx = rng.integers(0, len(pool), size=s)
+        samples.append(Column(table_id=column.table_id,
+                              position=column.position, name=column.name,
+                              values=[pool[i] for i in idx]))
+    return samples

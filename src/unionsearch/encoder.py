@@ -19,18 +19,26 @@ batch's columns at once; ``embed_column`` one query column, where a block
 pass costs more than it saves. The bits are the same: the block looks up
 each distinct cell's mean once and adds the columns' cells position by
 position, the same left-to-right float64 adds.
+
+Tokens are hashed in batches: every token the memo lacks goes through one
+path, which seeds the whole batch's generators in one array pass
+(``seeding.default_rngs``). Both embedders first hand their cells to
+``hash_cells``, so a block, a column or, through ``search.top_k_search``,
+a query table is one batch. A token's vector is the same in any batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .corpus import CellBlock, cell_tokens
 from .errors import ConfigError, EmptyColumnError, InputError, check_integer
-from .seeding import check_seed, stable_token_hash
+from .seeding import check_seed, default_rngs, stable_token_hash
 
 HASHING_BACKEND = "hashing"
 VECTOR_FILE_BACKEND = "vector_file"
@@ -116,7 +124,9 @@ class Encoder:
     * One token -> vector map serves both backends: a vector file's words
       fill it at construction, and any other token is hashed and added on
       first use. The hashing embedder is a pure function of (token,
-      hash_seed). ``embed_token`` returns the memo's own array.
+      hash_seed): standard normal draws of the generator
+      ``default_rng(stable_token_hash(token, hash_seed))`` would give,
+      over their norm. ``embed_token`` returns the memo's own array.
     * A cell -> token-mean map (None for a token-less cell) holds up to
       ``CELL_CACHE_CAP`` cells, the first ones met; others are computed
       each time. A cell's tokens depend only on the cell and the fixed
@@ -142,42 +152,64 @@ class Encoder:
     def dim(self) -> int:
         return self.cfg.dim
 
-    def _hash_vector(self, token: str) -> np.ndarray:
-        rng = np.random.default_rng(stable_token_hash(token, self.cfg.hash_seed))
-        v = rng.standard_normal(self.cfg.dim)
-        v /= np.linalg.norm(v)
-        v.flags.writeable = False
-        return v
+    def _tokens(self, cell: str) -> tuple[str, ...]:
+        """The tokens a cell's mean averages under this config."""
+        tokens = cell_tokens(cell)
+        if tokens and self.cfg.cell_as_single_token:
+            return ("_".join(tokens),)
+        return tokens
+
+    def _hash(self, tokens: Iterable[str]) -> None:
+        """Add each token the memo lacks, hashed, their generators seeded
+        in one pass. The vectors are rows of one read-only matrix.
+
+        Each row's norm is numpy's own ``einsum`` sum, which adds in the
+        same order for a batch of any size and under every BLAS kernel; a
+        1-D ``np.linalg.norm`` is a BLAS dot, whose order is the kernel's.
+        """
+        new = [t for t in dict.fromkeys(tokens) if t not in self._cache]
+        if not new:
+            return
+        vectors = np.empty((len(new), self.cfg.dim))
+        for row, rng in zip(vectors, default_rngs(
+                [stable_token_hash(t, self.cfg.hash_seed) for t in new])):
+            rng.standard_normal(out=row)
+        vectors /= np.sqrt(np.einsum("ij,ij->i", vectors, vectors))[:, None]
+        vectors.flags.writeable = False
+        self._cache.update(zip(new, vectors))
+
+    def hash_cells(self, cells: Iterable[str]) -> None:
+        """Hash, in one batch, every token of the cells that the memo lacks.
+        A cell the cell memo holds is passed over: its tokens are in."""
+        self._hash(chain.from_iterable(
+            self._tokens(cell) for cell in cells
+            if cell not in self._cell_means))
 
     def embed_token(self, token: str) -> np.ndarray:
         if token == "":
             raise InputError("cannot embed an empty token")
-        vec = self._cache.get(token)
-        if vec is None:
-            vec = self._hash_vector(token)
-            self._cache[token] = vec
-        return vec
+        if token not in self._cache:
+            self._hash((token,))
+        return self._cache[token]
 
     def _cell_mean(self, cell: str) -> np.ndarray | None:
-        """Mean of the cell's token vectors; None if it yields no token."""
+        """Mean of the cell's token vectors; None if it yields no token.
+        Its tokens must have been hashed (``hash_cells``)."""
         try:
             return self._cell_means[cell]
         except KeyError:
             pass
-        tokens = cell_tokens(cell)
+        tokens = self._tokens(cell)
         if not tokens:
             mean = None
+        elif len(tokens) == 1:
+            mean = self._cache[tokens[0]]
         else:
-            if self.cfg.cell_as_single_token:
-                tokens = ["_".join(tokens)]
-            if len(tokens) == 1:
-                mean = self.embed_token(tokens[0])
-            else:
-                mean = np.zeros(self.cfg.dim)
-                for t in tokens:
-                    mean += self.embed_token(t)
-                mean /= len(tokens)
-                mean.flags.writeable = False
+            mean = np.zeros(self.cfg.dim)
+            for t in tokens:
+                mean += self._cache[t]
+            mean /= len(tokens)
+            mean.flags.writeable = False
         if len(self._cell_means) < CELL_CACHE_CAP:
             self._cell_means[cell] = mean
         return mean
@@ -188,6 +220,7 @@ class Encoder:
         Token-less cells (empty or punctuation-only) are excluded from the
         mean so padding cannot drag embeddings toward the origin.
         """
+        self.hash_cells(values)
         acc = np.zeros(self.cfg.dim)
         n = 0
         for cell in values:
@@ -208,6 +241,7 @@ class Encoder:
         never -0.0, and adding +0.0 leaves it as it was: the bits are
         ``embed_column``'s, which skips such cells.
         """
+        self.hash_cells(block.values)
         means = np.zeros((block.padding + 1, self.cfg.dim))
         counted = np.zeros(block.padding + 1, dtype=np.intp)
         for slot, cell in enumerate(block.values):

@@ -341,6 +341,8 @@ def top_k_search(engine: SearchEngine, query_table: Table,
     if not eligible:
         raise InputError(
             f"query table {query_table.table_id!r} has no encodable columns")
+    # The table's first-use tokens, hashed in one batch.
+    engine.encoder.hash_cells(chain.from_iterable(c.values for c in eligible))
     qvecs = np.stack([engine.project_column(c) for c in eligible])
     by_table: dict[str, dict[tuple[int, int], tuple[float, float]]] = {}
     for column, pairs in zip(eligible,

@@ -1,7 +1,8 @@
 """Column-by-column references that the lake-wide passes over cell blocks
 must equal: document frequencies counted one column at a time, postings
 appended one set at a time, and base embeddings from fresh cell means;
-and an index file's blocks, coded and parsed one value at a time."""
+token vectors and column samples each from its own ``default_rng``; and an
+index file's blocks, coded and parsed one value at a time."""
 
 import hashlib
 import struct
@@ -10,9 +11,10 @@ from typing import Sequence
 
 import numpy as np
 
-from unionsearch.corpus import Corpus, cell_tokens, tokenize
+from unionsearch.corpus import Column, Corpus, cell_tokens, tokenize
 from unionsearch.encoder import Encoder
 from unionsearch.modelfile import CHECKSUM_BYTES
+from unionsearch.seeding import stable_token_hash
 from unionsearch.syntactic import SET_MEASURES, SetPostings, TfidfModel
 
 
@@ -55,6 +57,23 @@ def column_embedding(encoder: Encoder, values: Sequence[str]) -> np.ndarray:
         acc += mean / len(tokens)
         n += 1
     return acc / n
+
+
+def token_vector(token: str, dim: int, hash_seed: int) -> np.ndarray:
+    """The hashing embedder's vector of one token, made alone: the draws of
+    ``default_rng`` seeded by the token's stable hash, over their norm as
+    numpy's own ``einsum`` adds it."""
+    v = np.random.default_rng(
+        stable_token_hash(token, hash_seed)).standard_normal(dim)
+    return v / np.sqrt(np.einsum("i,i->", v, v))
+
+
+def sampled_values(column: Column, s: int, seed: int) -> list[str]:
+    """s of the column's cells that yield a token, drawn with replacement
+    by ``default_rng(seed)``."""
+    pool = [v for v in column.values if cell_tokens(v)]
+    rng = np.random.default_rng(seed)
+    return [pool[i] for i in rng.integers(0, len(pool), size=s)]
 
 
 def varint(value: int) -> bytes:

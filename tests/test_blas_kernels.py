@@ -1,10 +1,11 @@
-"""The prefilter's superset does not rest on this CPU's BLAS kernel.
+"""The prefilter's superset and the frozen digests do not rest on this
+CPU's BLAS kernel.
 
 The subspace basis comes from ``eigh`` and both prefilter stages from
 float32 products, all of which OpenBLAS computes with the kernel it picks
 for the CPU when it loads. ``OPENBLAS_CORETYPE`` forces another, so the
-prefilter and basis tests run again in fresh interpreters under the
-Haswell and the Prescott kernels, where this CPU can run them.
+prefilter, basis and frozen-digest tests run again in fresh interpreters
+under the Haswell and the Prescott kernels, where this CPU can run them.
 """
 
 import ctypes
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_prefilter.py", "tests/test_subspace_basis.py"]
+TESTS = ["tests/test_prefilter.py", "tests/test_subspace_basis.py",
+         "tests/test_frozen_digests.py"]
 # The CPU flags each kernel needs.
 KERNELS = {"Haswell": {"avx2", "fma"}, "Prescott": {"sse3"}}
 # Prints the kernel OpenBLAS picked, then runs the tests.

@@ -11,13 +11,15 @@ from unionsearch.corpus import (
     load_csv,
     load_manifest,
     sample_column,
+    sample_columns,
     tokenize,
     write_manifest,
     write_table_csv,
 )
-from unionsearch.errors import EmptyColumnError, InputError
+from unionsearch.errors import ConfigError, EmptyColumnError, InputError
 
 from conftest import make_corpus, make_table
+from references import sampled_values
 
 
 # ---------------------------------------------------------------- tokenize
@@ -273,6 +275,28 @@ def test_sample_deterministic():
     assert a.values == b.values
     assert len(a.values) == 10
     assert sample_column(col, 10, seed=8).values != a.values
+
+
+def test_sample_draws_as_its_reference():
+    """Seeded in a batch, a sample still draws what its own
+    ``default_rng(seed)`` draws."""
+    columns = [_col([f"v{i}" for i in range(n)] + ["", "--"]) for n in
+               (1, 2, 9, 50, 333)]
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 77, 123456789]
+    for column in columns:
+        for seed in seeds:
+            assert sample_column(column, 25, seed).values \
+                == sampled_values(column, 25, seed)
+    batch = sample_columns(columns * len(seeds), 25,
+                           [seed for seed in seeds for _ in columns])
+    assert [c.values for c in batch] == [sampled_values(c, 25, seed)
+                                         for seed in seeds for c in columns]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5])
+def test_sample_refuses_a_seed_outside_u64(seed):
+    with pytest.raises(ConfigError):
+        sample_column(_col(["a"]), 4, seed)
 
 
 def test_sample_draws_from_nonempty_values():

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from unionsearch.corpus import cell_blocks
+from unionsearch import encoder as encoder_module
+from unionsearch.corpus import cell_blocks, cell_tokens
 from unionsearch.encoder import CELL_CACHE_CAP, Encoder, EncoderConfig, load_vectors
 from unionsearch.errors import ConfigError, EmptyColumnError, InputError
 from unionsearch.projection import init_head, project, widened
 from unionsearch.search import IndexConfig, build_engine
 
 from conftest import make_corpus
-from references import column_embedding
+from references import column_embedding, token_vector
 
 
 def hashing_encoder(dim: int = 128, seed: int = 0, **kw) -> Encoder:
@@ -34,6 +35,73 @@ def test_token_embedding_changes_with_seed():
     a = hashing_encoder(seed=0).embed_token("budget")
     b = hashing_encoder(seed=1).embed_token("budget")
     assert not np.allclose(a, b)
+
+
+def test_embed_token_equals_its_reference():
+    enc = hashing_encoder(dim=48, seed=11)
+    tokens = [f"t{i}" for i in range(490)] + [
+        "0", "budget", "ação", "日本", "x" * 300, "a_b", "t1_t2", "7",
+        "tok", "z9"]
+    assert len(set(tokens)) == 500
+    for token in tokens:
+        assert enc.embed_token(token).tobytes() \
+            == token_vector(token, 48, 11).tobytes()
+
+
+# ---------------------------------------------------------------- batches
+
+@pytest.mark.parametrize("backend", ["hashing", "vector_file"])
+@pytest.mark.parametrize("single", [False, True])
+def test_tokens_hash_alike_in_any_batch(tmp_path, monkeypatch, backend,
+                                        single):
+    """The same tokens hashed in one batch, one at a time, or in two
+    interleaved halves give the same arrays, the reference's bits."""
+    p = tmp_path / "v.txt"
+    # A vector file holding some of the tokens of either kind.
+    _write_vectors(p, [f"w{i} " + " ".join(["0.5"] * 8)
+                       for i in range(0, 300, 3)]
+                   + [f"w{i}_w{i * 7 % 300} " + " ".join(["0.25"] * 8)
+                      for i in range(0, 300, 5)])
+    cfg = EncoderConfig(backend=backend, dim=8, hash_seed=4,
+                        cell_as_single_token=single,
+                        vector_file_path=str(p) if backend == "vector_file"
+                        else None)
+    # 300 distinct word tokens, or 300 joined cell tokens.
+    cells = [f"w{i} w{(i * 7) % 300}" for i in range(300)]
+    tokens = list(dict.fromkeys(
+        t for cell in cells
+        for t in (["_".join(cell_tokens(cell))] if single
+                  else cell_tokens(cell))))
+    assert len(tokens) == 300
+    passes = []
+    rngs = encoder_module.default_rngs
+    monkeypatch.setattr(encoder_module, "default_rngs",
+                        lambda seeds: passes.append(len(seeds)) or rngs(seeds))
+
+    def hashed(feed) -> tuple[bytes, bytes]:
+        enc = Encoder(cfg)
+        passes.clear()
+        feed(enc)
+        vectors = np.stack([enc.embed_token(t) for t in tokens])
+        return vectors.tobytes(), enc.embed_column(cells).tobytes()
+
+    def halves(enc):
+        enc.hash_cells(cells[::2])
+        enc.hash_cells(cells[1::2])
+
+    one = hashed(lambda enc: enc.hash_cells(cells))
+    assert len(passes) == 1
+    filed = {t for t in tokens if t in Encoder(cfg)._cache}
+    assert sum(passes) == len(tokens) - len(filed)
+    assert hashed(lambda enc: [enc.embed_token(t) for t in tokens]) == one
+    assert passes == [1] * (len(tokens) - len(filed))
+    assert hashed(halves) == one
+    assert len(passes) == 2
+    enc = Encoder(cfg)
+    for t in tokens:
+        if t not in filed:
+            assert enc.embed_token(t).tobytes() \
+                == token_vector(t, 8, 4).tobytes()
 
 
 def test_empty_token_rejected():

@@ -501,6 +501,33 @@ def _answers_and_bytes(engine, corpus, tmp_path):
             (tmp_path / "engine.usi").read_bytes())
 
 
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_loaded_engines_answer_alike_in_any_order(tmp_path, exhaustive):
+    """A loaded engine hashes each query table's first-use tokens as it
+    meets them, so its token memo fills in the order tables come. Every
+    table's result CSV is the built engine's, tables asked forward or in
+    reverse."""
+    built, corpus, _ = _bench_engine(4)
+    path = tmp_path / "engine.usi"
+    save_index(path, _bundle_of(built), built)
+    cfg = SearchConfig(threshold=0.5, measures=(SEMANTIC, NAME, VALUE),
+                       exhaustive=exhaustive)
+
+    def answers(engine, tables) -> list[bytes]:
+        out = []
+        for table in tables:
+            write_results(tmp_path / "results.csv",
+                          [top_k_search(engine, table, cfg)])
+            out.append((tmp_path / "results.csv").read_bytes())
+        return out
+
+    want = answers(built, corpus.tables)
+    assert sum(len(csv.splitlines()) > 1 for csv in want) > len(want) // 2
+    forward, backward = load_index(path)[1], load_index(path)[1]
+    assert answers(forward, corpus.tables) == want
+    assert answers(backward, corpus.tables[::-1]) == want[::-1]
+
+
 @pytest.fixture(scope="module")
 def made_engines(tmp_path_factory):
     """An engine from each maker, with its answers and saved bytes."""
