@@ -1,13 +1,7 @@
-import hashlib
-import struct
-
 import numpy as np
 import pytest
 
 from unionsearch.corpus import Column, Corpus, Table
-from unionsearch.modelfile import CHECKSUM_BYTES
-
-from references import string_table, varint
 
 
 def make_table(table_id: str, cols: dict[str, list[str]]) -> Table:
@@ -70,68 +64,15 @@ def forced(frozen, name: str, value) -> None:
     object.__setattr__(frozen, name, value)
 
 
-def _tfidf_block(entries, extra=()) -> bytes:
-    tokens = [tok.encode("utf-8") for tok, _ in entries]
-    stream = b"".join(varint(df) for df in [*(df for _, df in entries),
-                                            *extra])
-    return string_table(tokens) + struct.pack("<I", len(stream)) + stream
-
-
-def with_tfidf(data: bytes, tfidf, edit) -> bytes:
-    """The index file with its document frequencies edited, re-checksummed.
-
-    They are the tokens' string table, tokens sorted, then their counts
-    as varints, over the ``tfidf.n_columns`` indexed columns. ``edit``
-    gets them as ``[n_columns, [[token, df], ...], extra]`` and changes
-    the entries and extra in place; the counts in ``extra`` follow the
-    tokens' own.
-    """
-    entries = sorted(tfidf.df.items())
-    body = data[:-CHECKSUM_BYTES]
-    block = _tfidf_block(entries)
-    start = body.index(block)
-    assert body.count(block) == 1
-    edited = [tfidf.n_columns, [list(e) for e in entries], []]
-    edit(edited)
-    body = (body[:start] + _tfidf_block(*edited[1:])
-            + body[start + len(block):])
-    return body + hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
-
-
-def _one_df_zero(block):
-    block[1][0][1] = 0
-
-
-def _every_df_zero(block):
-    # Every token, so that any query meets one.
-    for entry in block[1]:
-        entry[1] = 0
-
-
-def _df_above_columns(block):
-    block[1][-1][1] = block[0] + 1
-
-
-def _tokens_out_of_order(block):
-    entries = block[1]
-    entries[0], entries[1] = entries[1], entries[0]
-
-
-def _duplicate_token(block):
-    block[1][1][0] = block[1][0][0]
-
-
-def _count_without_token(block):
-    block[2].append(1)
-
-
-# Document-frequency blocks no save writes, each with the load's message.
+# Document-frequency edits no save writes, by case: the field, the edit as
+# ``references.field_edits`` labels it, and the load's message.
 TFIDF_EDITS = {
-    "one-df-zero": (_one_df_zero, "not counts"),
-    "every-df-zero": (_every_df_zero, "not counts"),
-    "df-above-columns": (_df_above_columns, "not counts"),
-    "tokens-out-of-order": (_tokens_out_of_order,
+    "one-df-zero": ("df counts", "bound: first zero", "not counts"),
+    "df-above-columns": ("df counts", "bound: last past", "not counts"),
+    "tokens-out-of-order": ("df tokens", "swap strings",
                             "df tokens not strictly increasing"),
-    "duplicate-token": (_duplicate_token, "df tokens not strictly increasing"),
-    "count-without-token": (_count_without_token, "document frequencies for"),
+    "duplicate-token": ("df tokens", "repeat a string",
+                        "df tokens not strictly increasing"),
+    "count-without-token": ("df counts", "extend values",
+                            "document frequencies for"),
 }

@@ -7,12 +7,12 @@ import pytest
 from unionsearch.cli import main, parse_measures
 from unionsearch.errors import ConfigError, InputError
 from unionsearch import contrast, modelfile, search
-from unionsearch.modelfile import load_index, load_model
+from unionsearch.modelfile import (KIND_INDEX, KIND_MODEL, load_index,
+                                   load_model)
+from unionsearch.projection import init_head
 
-from conftest import TFIDF_EDITS, forced, with_tfidf
-from references import (EXCEPTION, Cursor, float_array, index_blocks,
-                        key_table, postings_block, varint, varint_value,
-                        with_block, with_key_table)
+from conftest import TFIDF_EDITS, forced
+from references import field_edit
 
 
 def run(*argv: str) -> int:
@@ -488,197 +488,115 @@ def _assert_query_refuses(workspace, tmp_path, capsys, data: bytes,
     assert not (tmp_path / "r.csv").exists()
 
 
-def _index(workspace) -> tuple[bytes, int]:
-    """The workspace index file and the length of its model section, which
-    is the model file's: the index was built from it."""
-    return ((workspace / "index.usi").read_bytes(),
-            (workspace / "model.usm").stat().st_size - 6
-            - modelfile.CHECKSUM_BYTES)
+def _edited_index(workspace, name: str, label: str) -> bytes:
+    """The workspace index with the named field edited as
+    ``references.field_edits`` labels the edit."""
+    return field_edit((workspace / "index.usi").read_bytes(), KIND_INDEX, name,
+                      label)
 
 
-def _with_postings(workspace, edit) -> bytes:
-    """The index file with its name postings edited, re-checksummed.
-
-    Per measure the postings hold the tokens' string table, then one
-    counted byte string of LEB128 varints (each token's row count minus
-    one, then list by list the first row and each later gap minus one).
-    ``edit`` gets the name postings as ``[tokens, groups]``, the token
-    texts and each varint's own bytes, and the column count.
-    """
-    data, model_bytes = _index(workspace)
-    blocks = index_blocks(data, model_bytes)
-    start, end = blocks["name"]
-    block = list(Cursor(data, start).postings())
-    n_rows = sum(len(p) for _, p in Cursor(data, blocks["keys"][0]).key_table())
-    edit(block, n_rows)
-    return with_block(data, (start, end), postings_block(*block))
-
-
-def _swap_first_tokens(block, n_rows):
-    tokens, _ = block
-    tokens[0], tokens[1] = tokens[1], tokens[0]
-
-
-def _repeat_first_token(block, n_rows):
-    tokens, _ = block
-    tokens[1] = tokens[0]
-
-
-def _row_at_column_count(block, n_rows):
-    """The last list shifted up until its last row is the column count."""
-    tokens, groups = block
-    values = [varint_value(group) for group in groups]
-    first = len(tokens) + sum(v + 1 for v in values[:len(tokens) - 1])
-    last_row = values[first] + sum(v + 1 for v in values[first + 1:])
-    groups[first] = varint(values[first] + n_rows - last_row)
-
-
-def _cut_short(block, n_rows):
-    block[1].pop()      # the last list's count still names the row gone
-
-
-def _trailing_continuation_byte(block, n_rows):
-    block[1].append(b"\x80")
-
-
-def _six_byte_group(block, n_rows):
-    block[1][-1] = b"\x80" * 5 + b"\x01"
-
-
-def _non_minimal_group(block, n_rows):
-    """The first count's value, coded one byte longer than it must be."""
-    group = block[1][0]
-    block[1][0] = group[:-1] + bytes([group[-1] | 0x80, 0])
-
-
-def _extra_value(block, n_rows):
-    block[1].append(varint(1))
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_swap_first_tokens, "tokens not strictly increasing"),
-    (_repeat_first_token, "tokens not strictly increasing"),
-    (_row_at_column_count, "postings token lists hold an item at or past"),
-    (_cut_short, "varints, not"),
-    (_trailing_continuation_byte, "end inside a varint"),
-    (_six_byte_group, "varint of more than 5 bytes"),
-    (_non_minimal_group, "varint that is not minimal"),
-    (_extra_value, "varints, not"),
+@pytest.mark.parametrize("label, message", [
+    ("names: swap strings", "tokens not strictly increasing"),
+    ("names: repeat a string", "tokens not strictly increasing"),
+    ("lists: bound: last past", "postings token lists hold an item at or past"),
+    ("lists: truncate values", "varints, not"),
+    ("lists: end inside a value", "end inside a varint"),
+    ("lists: bound: long value", "varint of more than 5 bytes"),
+    ("lists: widen a value", "varint that is not minimal"),
+    ("lists: extend values", "varints, not"),
 ], ids=["tokens-out-of-order", "duplicate-token", "row-at-column-count",
         "cut-short", "trailing-continuation-byte", "six-byte-group",
         "non-minimal-group", "extra-value"])
 def test_query_checksummed_bad_postings_index_exit_2(workspace, tmp_path,
-                                                    capsys, edit, message):
+                                                    capsys, label, message):
     _assert_query_refuses(workspace, tmp_path, capsys,
-                          _with_postings(workspace, edit), message)
+                          _edited_index(workspace, "name", label), message)
 
 
-def test_postings_edit_helper_rewrites_an_unedited_file(workspace):
-    data = (workspace / "index.usi").read_bytes()
-    assert _with_postings(workspace, lambda block, n_rows: None) == data
-
-
-def _with_matrix(workspace, edit) -> bytes:
-    """The index file with its vector matrix edited, re-checksummed.
-
-    ``edit`` gets the matrix's fields as ``references.float_fields`` names
-    them (low bytes, dictionary words, codes, pad nibble and exception
-    bytes) and changes them in place.
-    """
-    data, model_bytes = _index(workspace)
-    span = index_blocks(data, model_bytes)["matrix"]
-    _, engine = load_index(workspace / "index.usi")
-    cursor = Cursor(data, span[0])
-    fields = cursor.float_array(engine.semantic_index.vectors.size)
-    assert cursor.pos == span[1]
-    edit(fields)
-    return with_block(data, span, float_array(fields))
-
-
-def _excepted(fields, at, byte=0) -> None:
-    """The values at the positions at made exceptions with top byte byte;
-    the workspace matrix is coded and has no exceptions of its own."""
-    assert fields["exceptions"] == []
-    for i in at:
-        fields["codes"][i] = EXCEPTION
-    fields["exceptions"] = [byte] * len(at)
-
-
-def test_matrix_edit_helpers_write_files_a_load_reads(workspace, tmp_path):
-    data = (workspace / "index.usi").read_bytes()
-    assert _with_matrix(workspace, lambda fields: None) == data
-    path = tmp_path / "excepted.usi"
-    path.write_bytes(_with_matrix(workspace,
-                                  lambda fields: _excepted(fields, [0, 9])))
-    _, engine = load_index(workspace / "index.usi")
-    _, excepted = load_index(path)
-    want = engine.semantic_index.vectors.copy().view(np.uint8)
-    want[0, 3] = want[0, 9 * 4 + 3] = 0
-    np.testing.assert_array_equal(
-        excepted.semantic_index.vectors.view(np.uint8), want)
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda f: f["words"].reverse(), "dictionary not strictly increasing"),
-    (lambda f: f.update(words=list(range(16))),
-     "dictionary of 16 bytes, more than 15"),
-    (lambda f: f["words"].pop(), "code past its dictionary"),
-    (lambda f: (_excepted(f, [0]), f["exceptions"].pop()),
-     "truncated file"),
-    (lambda f: (_excepted(f, [0]), f["exceptions"].append(0)),
-     "trailing bytes"),
-    (lambda f: _excepted(f, [0], f["words"][0]),
-     "exception byte in its dictionary"),
+@pytest.mark.parametrize("label, message", [
+    ("reverse dictionary", "dictionary not strictly increasing"),
+    ("bound: dictionary", "dictionary of 16 bytes, more than 15"),
+    ("truncate dictionary", "code past its dictionary"),
+    ("truncate", "truncated file"),
+    ("extend", "trailing bytes"),
+    ("bound: exception in dictionary", "exception byte in its dictionary"),
 ], ids=["dictionary-unsorted", "dictionary-of-16", "code-past-dictionary",
         "exception-byte-missing", "exception-byte-extra",
         "exception-byte-in-dictionary"])
 def test_query_checksummed_bad_vector_matrix_exit_2(workspace, tmp_path,
-                                                    capsys, edit, message):
+                                                    capsys, label, message):
     _assert_query_refuses(workspace, tmp_path, capsys,
-                          _with_matrix(workspace, edit), message)
+                          _edited_index(workspace, "matrix", label), message)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("value", ["nan", "inf"])
 def test_query_checksummed_non_finite_vector_index_exit_2(workspace, tmp_path,
                                                          capsys, value):
-    raw = np.array([value], "<f4").tobytes()
-
-    def edit(fields):
-        assert raw[3] not in fields["words"]
-        fields["low"] = raw[:3] + fields["low"][3:]
-        _excepted(fields, [0], raw[3])
-
     _assert_query_refuses(workspace, tmp_path, capsys,
-                          _with_matrix(workspace, edit), "non-finite vector")
+                          _edited_index(workspace, "matrix", f"bound: {value}"),
+                          "non-finite vector")
 
 
-@pytest.mark.parametrize("make, message", [
-    (lambda t: key_table([t[1], t[0], *t[2:]]),
-     "table ids not strictly increasing"),
-    # The last gap carries the last position to 2**32.
-    (lambda t: key_table([*t[:-1], (t[-1][0], [*t[-1][1][:-1], 2**32])]),
+@pytest.mark.parametrize("label, message", [
+    ("names: swap strings", "table ids not strictly increasing"),
+    ("lists: bound: last past",
      "table id lists hold an item at or past 4294967296"),
-    (lambda t: key_table([(b"\xff" + t[0][0][1:], t[0][1]), *t[1:]]),
-     "bad UTF-8 text"),
+    ("names: flip a string", "bad UTF-8 text"),
 ], ids=["table-ids-unsorted", "position-2**32", "bad-utf-8"])
 def test_query_checksummed_bad_key_table_exit_2(workspace, tmp_path, capsys,
-                                                make, message):
+                                                label, message):
     _assert_query_refuses(workspace, tmp_path, capsys,
-                          with_key_table(*_index(workspace), make), message)
+                          _edited_index(workspace, "keys", label), message)
 
 
 @pytest.mark.parametrize("case", TFIDF_EDITS)
 def test_query_checksummed_bad_document_frequencies_exit_2(workspace, tmp_path,
                                                           capsys, case):
-    _, engine = load_index(workspace / "index.usi")
-    path = tmp_path / "bad.usi"
-    path.write_bytes(with_tfidf((workspace / "index.usi").read_bytes(),
-                                engine.tfidf, TFIDF_EDITS[case][0]))
-    table = sorted((workspace / "bench" / "tables").glob("*.csv"))[0]
-    assert run("query", "--index", str(path), "--query", str(table),
-               "--out", str(tmp_path / "r.csv")) == 2
-    assert capsys.readouterr().err.startswith("input error:")
-    assert not (tmp_path / "r.csv").exists()
+    name, label, message = TFIDF_EDITS[case]
+    _assert_query_refuses(workspace, tmp_path, capsys,
+                          _edited_index(workspace, name, label), message)
+
+
+@pytest.mark.parametrize("name, label, message", [
+    ("magic", "bound 4294967295", "bad magic"),
+    ("kind", "bound 255", "unknown file kind 255"),
+    ("tokenizer", "truncate text", "tokenizer"),
+    ("matrix", "bound: zeros", "zero-norm vector"),
+], ids=["bad-magic", "unknown-kind", "other-tokenizer", "zero-norm-vector"])
+def test_query_checksummed_bad_index_exit_2(workspace, tmp_path, capsys, name,
+                                            label, message):
+    _assert_query_refuses(workspace, tmp_path, capsys,
+                          _edited_index(workspace, name, label), message)
+
+
+def test_query_corrupt_index_or_model_file_exit_2(workspace, tmp_path, capsys):
+    """A byte changed under the digest, and a model file given as the
+    index."""
+    data = bytearray((workspace / "index.usi").read_bytes())
+    data[len(data) // 2] ^= 1
+    _assert_query_refuses(workspace, tmp_path, capsys, bytes(data),
+                          "checksum mismatch")
+    _assert_query_refuses(workspace, tmp_path, capsys,
+                          (workspace / "model.usm").read_bytes(),
+                          "this is a model file, expected an index")
+
+
+def test_index_model_with_a_non_zero_pad_nibble_exit_2(workspace, tmp_path,
+                                                       capsys):
+    """A head of an odd number of biases, whose codes end in a pad nibble
+    that a save writes zero."""
+    bundle = load_model(workspace / "model.usm")
+    n_in, _, n_out = bundle.head.dims
+    model = tmp_path / "odd.usm"
+    modelfile.save_model(model, replace(bundle,
+                                        head=init_head(n_in, 5, n_out, seed=1)))
+    model.write_bytes(field_edit(model.read_bytes(), KIND_MODEL, "b1",
+                                 "bound: pad"))
+    out = tmp_path / "index.usi"
+    assert run("index", "--manifest", str(workspace / "bench" / "manifest.tsv"),
+               "--model", str(model), "--out", str(out)) == 2
+    assert "non-zero pad nibble" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("version", range(1, modelfile.VERSION))
@@ -759,7 +677,10 @@ def test_eval_truth_not_utf8_exit_2(workspace, tmp_path, capsys):
 
 
 def test_eval_bad_k_exit_3(workspace, tmp_path):
-    assert run("eval", "--index", str(workspace / "index.usi"),
-               "--manifest", str(workspace / "bench" / "manifest.tsv"),
-               "--truth", str(workspace / "bench" / "truth.csv"),
-               "--k", "0", "--out", str(tmp_path / "m.csv")) == 3
+    """A k list with a value below 1 anywhere, or one that is no number."""
+    for ks in ("0", "5,0", "abc"):
+        assert run("eval", "--index", str(workspace / "index.usi"),
+                   "--manifest", str(workspace / "bench" / "manifest.tsv"),
+                   "--truth", str(workspace / "bench" / "truth.csv"),
+                   "--k", ks, "--out", str(tmp_path / "m.csv")) == 3, ks
+        assert not (tmp_path / "m.csv").exists()

@@ -1,9 +1,9 @@
-import hashlib
 import io
 import os
 import struct
 import tracemalloc
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +16,8 @@ from unionsearch.errors import ConfigError, InputError
 from unionsearch import lshindex, modelfile
 from unionsearch.modelfile import (
     CHECKSUM_BYTES,
+    KIND_INDEX,
+    KIND_MODEL,
     ModelBundle,
     atomic_write,
     load_index,
@@ -28,9 +30,11 @@ from unionsearch.search import (IndexConfig, SearchConfig, SearchEngine,
                                 build_engine, top_k_search)
 from unionsearch.syntactic import SET_MEASURES, SetPostings
 
-from conftest import TFIDF_EDITS, forced, with_tfidf
-from references import (float_fields, float_array, key_table, list_values,
-                        postings_block, string_table, varint, with_key_table)
+from conftest import TFIDF_EDITS, forced
+from references import (FIELD_KINDS, Refused, checksummed, field_edit,
+                        field_edits, float_array, float_fields, key_table,
+                        list_values, postings_block, read_file, string_table,
+                        values_of, varint)
 
 
 def _bundle(with_velocity: bool = True) -> ModelBundle:
@@ -184,9 +188,11 @@ def test_model_save_byte_stable(tmp_path):
 
 
 def test_model_file_magic_checked(tmp_path):
+    """A checksummed file of a valid version and kind, but another magic."""
     p = tmp_path / "junk.usm"
-    p.write_bytes(b"NOPE" + bytes(64))
-    with pytest.raises(InputError):
+    save_model(p, _bundle())
+    p.write_bytes(checksummed(b"NOPE" + p.read_bytes()[4:-CHECKSUM_BYTES]))
+    with pytest.raises(InputError, match="bad magic"):
         load_model(p)
 
 
@@ -220,8 +226,7 @@ def test_checksummed_trailing_bytes_raise_input_error(tmp_path, world, kind):
         save_index(p, _bundle(), engine)
         load = load_index
     data = p.read_bytes()
-    p.write_bytes(_with_fresh_checksum(data[:-CHECKSUM_BYTES] + b"xyz"
-                                       + data[-CHECKSUM_BYTES:]))
+    p.write_bytes(checksummed(data[:-CHECKSUM_BYTES] + b"xyz"))
     with pytest.raises(InputError, match="3 trailing bytes"):
         load(p)
 
@@ -805,6 +810,73 @@ def test_saves_do_not_depend_on_the_chunk_size(tmp_path, world, monkeypatch,
 
 # ---------------------------------------------------------------- corruption
 
+@pytest.fixture(scope="module")
+def saved(world, tmp_path_factory) -> dict[int, bytes]:
+    """The bytes of ``_bundle()``'s model file and of the world's index
+    file, by kind."""
+    _, engine = world
+    path = tmp_path_factory.mktemp("saved") / "file"
+    save_model(path, _bundle())
+    model = path.read_bytes()
+    save_index(path, _bundle(), engine)
+    return {KIND_MODEL: model, KIND_INDEX: path.read_bytes()}
+
+
+def _loaded_values(path, kind: int) -> dict:
+    if kind == KIND_MODEL:
+        return values_of(load_model(path))
+    return values_of(*load_index(path))
+
+
+def test_field_map_covers_each_file(tmp_path, saved):
+    """Every byte before the digest lies in one field, every kind of field
+    occurs, and a load returns what the reference read of the file does."""
+    kinds = set()
+    for kind, data in saved.items():
+        fields, values = read_file(data, kind)
+        assert [f.start for f in fields] == [0, *(f.end for f in fields[:-1])]
+        assert fields[-1].end == len(data) - CHECKSUM_BYTES
+        assert len({f.name for f in fields}) == len(fields)
+        kinds |= {f.kind for f in fields}
+        path = tmp_path / "file"
+        path.write_bytes(data)
+        assert _loaded_values(path, kind) == values
+    assert kinds == set(FIELD_KINDS)
+
+
+@pytest.mark.parametrize("field_kind", FIELD_KINDS)
+def test_edited_fields_load_as_read_or_raise_input_error(tmp_path, saved,
+                                                         field_kind):
+    """Seeded edits of every field of a kind (``references.field_edits``):
+    the model file's fields and the index file's past its model section,
+    each edited file re-checksummed. A load raises InputError where the
+    reference read refuses the bytes and otherwise returns what it reads;
+    no other exception escapes."""
+    rng = np.random.default_rng(FIELD_KINDS.index(field_kind))
+    path = tmp_path / "edited"
+    edits = 0
+    for kind, data in saved.items():
+        fields, _ = read_file(data, kind)
+        first = 0 if kind == KIND_MODEL else next(
+            f.start for f in fields if f.name == "index.seed")
+        for field in fields:
+            if field.kind != field_kind or field.start < first:
+                continue
+            for label, edit in field_edits(data, field, rng).items():
+                try:
+                    want = read_file(edit, kind)[1]
+                except Refused:
+                    want = None
+                path.write_bytes(edit)
+                try:
+                    got = _loaded_values(path, kind)
+                except InputError:
+                    got = None
+                assert got == want, (field.name, label)
+                edits += 1
+    assert edits
+
+
 @pytest.mark.parametrize("kind", ["model", "index"])
 def test_flipped_or_truncated_file_raises_input_error(tmp_path, world, kind):
     corpus, engine = world
@@ -831,16 +903,16 @@ def test_flipped_or_truncated_file_raises_input_error(tmp_path, world, kind):
             load(bad)
 
 
-def test_fuzzed_index_sections_load_or_raise_input_error(tmp_path, world):
+def test_fuzzed_index_sections_load_or_raise_input_error(tmp_path, saved):
     """Seeded byte flips, inserts, deletes and sets in a small index's index
     section, each file re-checksummed so that its parser meets the edit:
     every load raises InputError or returns an engine, and nothing else
     escapes. Both outcomes occur."""
-    corpus, engine = world
+    data = saved[KIND_INDEX]
+    fields, _ = read_file(data, KIND_INDEX)
+    start = next(f.start for f in fields if f.name == "index.seed")
+    end = len(data) - CHECKSUM_BYTES
     path = tmp_path / "engine.usi"
-    save_index(path, _bundle(), engine)
-    data = path.read_bytes()
-    start, end = 6 + _model_bytes(tmp_path), len(data) - CHECKSUM_BYTES
     rng = np.random.default_rng(41)
     outcomes = {"loaded": 0, "refused": 0}
     for _ in range(500):
@@ -855,8 +927,7 @@ def test_fuzzed_index_sections_load_or_raise_input_error(tmp_path, world):
             del body[at]
         else:
             body[at] = byte
-        path.write_bytes(bytes(body) + hashlib.blake2b(
-            body, digest_size=CHECKSUM_BYTES).digest())
+        path.write_bytes(checksummed(bytes(body)))
         try:
             load_index(path)
             outcomes["loaded"] += 1
@@ -865,20 +936,45 @@ def test_fuzzed_index_sections_load_or_raise_input_error(tmp_path, world):
     assert min(outcomes.values()) > 0, outcomes
 
 
-def _with_fresh_checksum(data: bytes) -> bytes:
-    body = data[:-CHECKSUM_BYTES]
-    return body + hashlib.blake2b(body, digest_size=CHECKSUM_BYTES).digest()
+def test_short_read_raises_input_error(tmp_path, monkeypatch):
+    """A file that reads fewer bytes than its size said, as one cut while
+    it is read, is a truncated file."""
+    path = tmp_path / "model.usm"
+    save_model(path, _bundle())
+    fstat = os.fstat
+    monkeypatch.setattr(modelfile.os, "fstat", lambda fd: SimpleNamespace(
+        st_size=fstat(fd).st_size + 1))
+    with pytest.raises(InputError, match="truncated file"):
+        load_model(path)
 
 
-def test_checksummed_bad_utf8_raises_input_error(tmp_path):
-    p = tmp_path / "model.usm"
-    save_model(p, _bundle())
-    data = bytearray(p.read_bytes())
-    # Magic, version and kind take 6 bytes, the tokenizer id's length 4.
-    data[10] = 0xFF
-    p.write_bytes(_with_fresh_checksum(bytes(data)))
-    with pytest.raises(InputError, match="UTF-8"):
-        load_model(p)
+def _assert_edit_refused(tmp_path, saved, kind: int, name: str, label: str,
+                         message: str) -> None:
+    """The edit under label of the named field fails to load, with
+    message."""
+    path = tmp_path / "edited"
+    path.write_bytes(field_edit(saved[kind], kind, name, label))
+    with pytest.raises(InputError, match=message):
+        (load_model if kind == KIND_MODEL else load_index)(path)
+
+
+def test_checksummed_bad_utf8_raises_input_error(tmp_path, saved):
+    _assert_edit_refused(tmp_path, saved, KIND_MODEL, "tokenizer", "flip text",
+                         "UTF-8")
+
+
+@pytest.mark.parametrize("label", ["names: swap strings",
+                                   "names: repeat a string"],
+                         ids=["unsorted", "duplicate"])
+def test_checksummed_bad_key_table_raises_input_error(tmp_path, saved, label):
+    _assert_edit_refused(tmp_path, saved, KIND_INDEX, "keys", label,
+                         "table ids not strictly increasing")
+
+
+@pytest.mark.parametrize("case", TFIDF_EDITS)
+def test_checksummed_bad_document_frequencies_raise_input_error(tmp_path,
+                                                                saved, case):
+    _assert_edit_refused(tmp_path, saved, KIND_INDEX, *TFIDF_EDITS[case])
 
 
 @pytest.mark.parametrize("craft, saves", [
@@ -922,30 +1018,6 @@ def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
         save(path, bundle)
         with pytest.raises(InputError):
             load(path)
-
-
-def _model_bytes(tmp_path) -> int:
-    """The length of ``_bundle()``'s model section."""
-    model = tmp_path / "model.usm"
-    save_model(model, _bundle())
-    return model.stat().st_size - 6 - CHECKSUM_BYTES
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda tables: [tables[1], tables[0]] + tables[2:],
-     "table ids not strictly increasing"),
-    (lambda tables: [tables[0], (tables[0][0], tables[1][1])] + tables[2:],
-     "table ids not strictly increasing"),
-], ids=["unsorted", "duplicate"])
-def test_checksummed_bad_key_table_raises_input_error(tmp_path, world, edit,
-                                                      message):
-    corpus, engine = world
-    index = tmp_path / "engine.usi"
-    save_index(index, _bundle(), engine)
-    index.write_bytes(with_key_table(index.read_bytes(), _model_bytes(tmp_path),
-                                     lambda tables: key_table(edit(tables))))
-    with pytest.raises(InputError, match=message):
-        load_index(index)
 
 
 @pytest.mark.parametrize("tables", [
@@ -1040,23 +1112,3 @@ def test_save_refuses_document_frequencies_over_other_columns(tmp_path, world,
     assert list(tmp_path.iterdir()) == []
     save_index(saved, _bundle(), engine)
     assert saved.read_bytes() == data
-
-
-def test_key_table_edit_helper_rewrites_an_unedited_file(tmp_path, world):
-    corpus, engine = world
-    index = tmp_path / "engine.usi"
-    save_index(index, _bundle(), engine)
-    data = index.read_bytes()
-    assert with_key_table(data, _model_bytes(tmp_path), key_table) == data
-
-
-@pytest.mark.parametrize("case", TFIDF_EDITS)
-def test_checksummed_bad_document_frequencies_raise_input_error(tmp_path,
-                                                                world, case):
-    corpus, engine = world
-    edit, message = TFIDF_EDITS[case]
-    path = tmp_path / "engine.usi"
-    save_index(path, _bundle(), engine)
-    path.write_bytes(with_tfidf(path.read_bytes(), engine.tfidf, edit))
-    with pytest.raises(InputError, match=message):
-        load_index(path)
