@@ -68,6 +68,7 @@ def forced(frozen, name: str, value) -> None:
 # ``references.field_edits`` labels it, and the load's message.
 TFIDF_EDITS = {
     "one-df-zero": ("df counts", "bound: first zero", "not counts"),
+    "every-df-zero": ("df counts", "bound: every zero", "not counts"),
     "df-above-columns": ("df counts", "bound: last past", "not counts"),
     "tokens-out-of-order": ("df tokens", "swap strings",
                             "df tokens not strictly increasing"),

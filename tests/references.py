@@ -511,6 +511,7 @@ def _stream_edits(field: Field) -> dict[str, bytes]:
     edits = {label: _stream(g) for label, g in _varint_edits(groups).items()}
     if groups:
         edits["bound: first zero"] = _stream([varint(0), *groups[1:]])
+        edits["bound: every zero"] = _stream([varint(0)] * len(groups))
         edits["bound: last highest"] = _stream([*groups[:-1],
                                                 varint(field.bound - 1)])
         edits["bound: last past"] = _stream([*groups[:-1],
@@ -599,9 +600,15 @@ def field_edits(data: bytes, field: Field, rng) -> dict[str, bytes]:
     raw[int(rng.integers(len(raw)))] ^= int(rng.integers(1, 256))
     edits["flip"] = bytes(raw)
     edits |= _KIND_EDITS[field.kind](field)
-    return {label: checksummed(data[:field.start] + new
-                               + data[field.end:-CHECKSUM_BYTES])
+    return {label: with_field(data, field, new)
             for label, new in edits.items()}
+
+
+def with_field(data: bytes, field: Field, new: bytes) -> bytes:
+    """The file data with the bytes of field replaced by new,
+    re-checksummed."""
+    return checksummed(data[:field.start] + new
+                       + data[field.end:-CHECKSUM_BYTES])
 
 
 def field_edit(data: bytes, kind: int, name: str, label: str) -> bytes:

@@ -12,7 +12,8 @@ from unionsearch.modelfile import (KIND_INDEX, KIND_MODEL, load_index,
 from unionsearch.projection import init_head
 
 from conftest import TFIDF_EDITS, forced
-from references import field_edit
+from references import (field_edit, list_values, postings_block, read_file,
+                        varint, with_field)
 
 
 def run(*argv: str) -> int:
@@ -493,6 +494,25 @@ def _edited_index(workspace, name: str, label: str) -> bytes:
     ``references.field_edits`` labels the edit."""
     return field_edit((workspace / "index.usi").read_bytes(), KIND_INDEX, name,
                       label)
+
+
+def test_postings_edit_helper_rewrites_an_unedited_file(workspace):
+    """Each postings field of the workspace index, written afresh from the
+    lists the reference read returns and put back by ``with_field``, leaves
+    the file as it was."""
+    data = (workspace / "index.usi").read_bytes()
+    fields, values = read_file(data, KIND_INDEX)
+    postings = values["postings"]
+    rewritten = set()
+    for field in fields:
+        if field.name in postings:
+            lists = postings[field.name]
+            new = postings_block([t.encode() for t in lists],
+                                 [varint(v)
+                                  for v in list_values(list(lists.values()))])
+            assert with_field(data, field, new) == data
+            rewritten.add(field.name)
+    assert rewritten == set(postings)
 
 
 @pytest.mark.parametrize("label, message", [

@@ -34,7 +34,7 @@ from conftest import TFIDF_EDITS, forced
 from references import (FIELD_KINDS, Refused, checksummed, field_edit,
                         field_edits, float_array, float_fields, key_table,
                         list_values, postings_block, read_file, string_table,
-                        values_of, varint)
+                        values_of, varint, with_field)
 
 
 def _bundle(with_velocity: bool = True) -> ModelBundle:
@@ -1018,6 +1018,21 @@ def test_checksummed_bad_model_section_raises_input_error(tmp_path, world,
         save(path, bundle)
         with pytest.raises(InputError):
             load(path)
+
+
+def test_key_table_edit_helper_rewrites_an_unedited_file(saved):
+    """The keys field of an index file, written afresh from the keys the
+    reference read returns and put back by ``with_field``, leaves the file
+    as it was."""
+    data = saved[KIND_INDEX]
+    fields, values = read_file(data, KIND_INDEX)
+    (field,) = (f for f in fields if f.name == "keys")
+    tables = {}
+    for table_id, position in values["keys"]:
+        tables.setdefault(table_id, []).append(position)
+    new = key_table([(t.encode(), positions)
+                     for t, positions in tables.items()])
+    assert with_field(data, field, new) == data
 
 
 @pytest.mark.parametrize("tables", [
